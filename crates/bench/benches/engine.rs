@@ -14,14 +14,10 @@
 //!   The disabled path is the one every untraced run pays and must stay
 //!   within noise of a build without the instrumentation (≤2% is the
 //!   budget); the enabled ratio prices `--trace`.
-//! * `hot_path` — the same flow at one worker across the three evaluation
-//!   modes: legacy (no cache), eval-cache with full timing passes, and the
-//!   default eval-cache + incremental-timing/SoA fast path. One worker
-//!   isolates per-evaluation cost from pool overlap; all three modes are
-//!   first pinned to serialize to byte-identical reports, so the ratios
-//!   price pure wall-clock optimisations. `hot_path` records the cache
-//!   alone (uncached/cached); `hot_path_v2` records the cumulative
-//!   uncached/v2 ratio, the PR-over-PR view of the same baseline.
+//! * `hot_path` — the same flow at one worker, which isolates
+//!   per-evaluation cost from pool overlap. Every run must reproduce the
+//!   committed golden report `tests/golden/engine_smoke_crc32_o3.json`
+//!   byte for byte, so the time prices an unchanged answer.
 //!
 //! Results land in `BENCH_engine.json` at the workspace root (committed so
 //! the numbers travel with the code; absolute times are machine-dependent,
@@ -29,19 +25,44 @@
 //!
 //! Run with: `cargo bench -p isex-bench --bench engine`
 //!
-//! With `ISEX_BENCH_SMOKE=1` only the `hot_path` sections run (few
-//! samples), the cumulative uncached/v2 ratio is asserted ≥ 1.41 (the
-//! floor the eval cache alone already demonstrated), and no result file is
-//! written — the CI regression gate against the hot path losing ground.
+//! With `ISEX_BENCH_SMOKE=1` only the `hot_path` section runs (few
+//! samples) and no result file is written. It fails unless every report
+//! matches the golden and the median stays within
+//! [`SMOKE_CEILING`] × the committed `hot_path.median_ms` — the CI
+//! regression gate against the hot path losing ground.
 
 use std::time::{Duration, Instant};
 
 use isex_engine::run_jobs;
 use isex_flow::{run_flow, Algorithm, FlowConfig};
 use isex_workloads::{Benchmark, OptLevel};
+use serde::Deserialize;
 
 const WORKERS: &[usize] = &[1, 2, 4, 8];
 const SAMPLES: usize = 5;
+/// The committed result file, rewritten by a full run.
+const BENCH_FILE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+/// The report every `hot_path` run must reproduce (crc32 O3, seed `0xE46`,
+/// [`flow_cfg`] at one worker), written by the golden writer in
+/// `tests/hot_path.rs`.
+const HOT_PATH_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/engine_smoke_crc32_o3.json"
+);
+/// How far the smoke median may exceed the committed `hot_path.median_ms`
+/// before the smoke fails; wide enough for about ±20% host drift.
+const SMOKE_CEILING: f64 = 1.5;
+
+/// The part of `BENCH_engine.json` the smoke compares against.
+#[derive(Deserialize)]
+struct Committed {
+    hot_path: HotPath,
+}
+
+#[derive(Deserialize)]
+struct HotPath {
+    median_ms: f64,
+}
 
 fn flow_cfg(jobs: usize) -> FlowConfig {
     let mut cfg = FlowConfig::paper_default(Algorithm::MultiIssue);
@@ -154,56 +175,25 @@ fn trace_overhead_section(program: &isex_workloads::Program) -> (f64, f64, f64) 
     (disabled_ms, enabled_ms, ratio)
 }
 
-/// Medians for the three evaluation modes: `(uncached_ms, cached_ms, v2_ms)`.
-fn hot_path_section(program: &isex_workloads::Program, samples: usize) -> (f64, f64, f64) {
-    let run = |eval_cache: bool, incremental: bool| {
-        let mut cfg = flow_cfg(1);
-        cfg.eval_cache = eval_cache;
-        cfg.incremental = incremental;
-        run_flow(&cfg, program, 0xE46)
+/// Median one-worker flow time; every run, the warm-up included, must
+/// reproduce the golden report byte for byte.
+fn hot_path_section(program: &isex_workloads::Program, samples: usize) -> f64 {
+    let golden = std::fs::read_to_string(HOT_PATH_GOLDEN).expect("read the golden report");
+    let timed_run = || {
+        let start = Instant::now();
+        let report = run_flow(&flow_cfg(1), program, 0xE46);
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        assert!(
+            serde_json::to_string(&report).expect("report serializes") == golden,
+            "hot-path report departs from the committed golden {HOT_PATH_GOLDEN}"
+        );
+        ms
     };
-    // Warm-up every mode, pinning the layer's core contract along the way:
-    // all three evaluation paths serialize to byte-identical reports.
-    let legacy_ref = serde_json::to_string(&run(false, false)).expect("report serializes");
-    let cached_ref = serde_json::to_string(&run(true, false)).expect("report serializes");
-    let v2_ref = serde_json::to_string(&run(true, true)).expect("report serializes");
-    assert_eq!(
-        cached_ref, legacy_ref,
-        "the eval cache must not change the flow report"
-    );
-    assert_eq!(
-        v2_ref, legacy_ref,
-        "incremental timing must not change the flow report"
-    );
-    let time = |eval_cache: bool, incremental: bool| {
-        let mut s: Vec<f64> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                let report = run(eval_cache, incremental);
-                let ms = start.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(
-                    serde_json::to_string(&report).expect("report serializes"),
-                    legacy_ref,
-                    "every run must reproduce the pinned report"
-                );
-                ms
-            })
-            .collect();
-        median(&mut s)
-    };
-    let uncached_ms = time(false, false);
-    let cached_ms = time(true, false);
-    let v2_ms = time(true, true);
-    println!("hot_path uncached: median {uncached_ms:8.1} ms");
-    println!(
-        "hot_path cached:   median {cached_ms:8.1} ms  speedup {:4.2}x",
-        uncached_ms / cached_ms
-    );
-    println!(
-        "hot_path v2:       median {v2_ms:8.1} ms  speedup {:4.2}x",
-        uncached_ms / v2_ms
-    );
-    (uncached_ms, cached_ms, v2_ms)
+    timed_run();
+    let mut runs: Vec<f64> = (0..samples).map(|_| timed_run()).collect();
+    let ms = median(&mut runs);
+    println!("hot_path: median {ms:8.1} ms");
+    ms
 }
 
 fn main() {
@@ -214,31 +204,34 @@ fn main() {
         .unwrap_or(1);
 
     if std::env::var_os("ISEX_BENCH_SMOKE").is_some() {
-        let (uncached_ms, _, v2_ms) = hot_path_section(&program, 3);
-        let ratio = uncached_ms / v2_ms;
+        let committed: Committed = serde_json::from_str(
+            &std::fs::read_to_string(BENCH_FILE).expect("read BENCH_engine.json"),
+        )
+        .expect("BENCH_engine.json has hot_path.median_ms");
+        let ms = hot_path_section(&program, 3);
+        let ceiling = SMOKE_CEILING * committed.hot_path.median_ms;
         assert!(
-            ratio >= 1.41,
-            "hot path lost ground: cumulative uncached/v2 ratio {ratio:.3}x < 1.41x"
+            ms <= ceiling,
+            "hot path lost ground: median {ms:.1} ms > {SMOKE_CEILING} x committed {:.1} ms",
+            committed.hot_path.median_ms
         );
-        println!("smoke ok: hot_path cumulative speedup {ratio:.2}x (no result file written)");
+        println!(
+            "smoke ok: hot_path median {ms:.1} ms <= {ceiling:.1} ms ceiling, report matches the golden (no result file written)"
+        );
         return;
     }
 
     let flow_rows = flow_section(&program);
     let pool_rows = pool_overlap_section();
     let (disabled_ms, enabled_ms, ratio) = trace_overhead_section(&program);
-    let (hot_uncached_ms, hot_cached_ms, hot_v2_ms) = hot_path_section(&program, SAMPLES);
-    let hot_ratio = hot_uncached_ms / hot_cached_ms;
-    let v2_ratio = hot_uncached_ms / hot_v2_ms;
+    let hot_ms = hot_path_section(&program, SAMPLES);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"samples\": {SAMPLES},\n  \"repeats\": 5,\n  \"max_iterations\": 150,\n  \"flow\": [\n{}\n  ],\n  \"pool_overlap\": [\n{}\n  ],\n  \"trace_overhead\": {{\"disabled_ms\": {disabled_ms:.2}, \"enabled_ms\": {enabled_ms:.2}, \"ratio\": {ratio:.3}}},\n  \"hot_path\": {{\"cached_ms\": {hot_cached_ms:.2}, \"uncached_ms\": {hot_uncached_ms:.2}, \"ratio\": {hot_ratio:.3}}},\n  \"hot_path_v2\": {{\"v2_ms\": {hot_v2_ms:.2}, \"uncached_ms\": {hot_uncached_ms:.2}, \"ratio\": {v2_ratio:.3}, \"ratio_vs_cached\": {:.3}}}\n}}\n",
+        "{{\n  \"benchmark\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"samples\": {SAMPLES},\n  \"repeats\": 5,\n  \"max_iterations\": 150,\n  \"flow\": [\n{}\n  ],\n  \"pool_overlap\": [\n{}\n  ],\n  \"trace_overhead\": {{\"disabled_ms\": {disabled_ms:.2}, \"enabled_ms\": {enabled_ms:.2}, \"ratio\": {ratio:.3}}},\n  \"hot_path\": {{\"median_ms\": {hot_ms:.2}}}\n}}\n",
         bench.name(),
         rows_json(&flow_rows),
         rows_json(&pool_rows),
-        hot_cached_ms / hot_v2_ms
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    std::fs::write(path, &json).expect("write BENCH_engine.json");
-    println!("wrote {path}");
+    std::fs::write(BENCH_FILE, &json).expect("write BENCH_engine.json");
+    println!("wrote {BENCH_FILE}");
 }

@@ -149,10 +149,8 @@ pub(crate) struct Ant<'a> {
     /// Normalised scheduling priority per node (e.g. child count).
     pub sp: Vec<f64>,
     /// Frozen CSR adjacency of `g` for the hot loops (readiness counters,
-    /// allocation-free pred scans). `None` falls back to the `Dfg`
-    /// iterators; the walks are identical either way — the CSR carries the
-    /// same deduplicated neighbour sequences.
-    adj: Option<&'a CsrAdjacency>,
+    /// allocation-free pred scans).
+    adj: &'a CsrAdjacency,
 }
 
 impl<'a> Ant<'a> {
@@ -164,30 +162,21 @@ impl<'a> Ant<'a> {
         machine: &'a MachineConfig,
         constraints: &'a Constraints,
         lambda: f64,
-    ) -> Self {
-        Self::with_sp(g, machine, constraints, lambda, SpFunction::ChildCount)
-    }
-
-    /// Builds the context with an explicit SP function.
-    pub fn with_sp(
-        g: &'a ExGraph,
-        machine: &'a MachineConfig,
-        constraints: &'a Constraints,
-        lambda: f64,
-        sp_function: SpFunction,
+        adj: &'a CsrAdjacency,
     ) -> Self {
         Ant {
             g,
             machine,
             constraints,
             lambda,
-            sp: sp_function.values(g),
-            adj: None,
+            sp: SpFunction::ChildCount.values(g),
+            adj,
         }
     }
 
-    /// [`Ant::with_sp`] computing the SP values on a caller-provided
-    /// lowering of `g` (the round's shared `SchedDfg`).
+    /// Builds the context with an explicit SP function, computing its
+    /// values on a caller-provided lowering of `g` (the round's shared
+    /// `SchedDfg`).
     pub(crate) fn with_sp_on(
         g: &'a ExGraph,
         machine: &'a MachineConfig,
@@ -195,7 +184,7 @@ impl<'a> Ant<'a> {
         lambda: f64,
         sp_function: SpFunction,
         sched: &isex_sched::SchedDfg,
-        adj: Option<&'a CsrAdjacency>,
+        adj: &'a CsrAdjacency,
     ) -> Self {
         Ant {
             g,
@@ -240,9 +229,7 @@ impl<'a> Ant<'a> {
         } = scratch;
         scheduled.clear();
         scheduled.resize(k, false);
-        if let Some(csr) = self.adj {
-            csr.pred_counts_into(pending);
-        }
+        self.adj.pred_counts_into(pending);
         let rt = resources.get_or_insert_with(|| ResourceTable::new(*self.machine));
         rt.reset(*self.machine);
         let mut remaining = k;
@@ -251,38 +238,17 @@ impl<'a> Ant<'a> {
             // Ready-Matrix: (operation, option) entries for ready ops.
             entries.clear();
             weights.clear();
-            match self.adj {
-                // Counter-maintained readiness: pending[n] == 0 exactly
-                // when every predecessor is scheduled, and the ascending
-                // index scan yields the entries in the same order as the
-                // iterator path — the roulette sees an identical matrix.
-                Some(_) => {
-                    for i in 0..k {
-                        if scheduled[i] || pending[i] != 0 {
-                            continue;
-                        }
-                        let n = NodeId::new(i as u32);
-                        for c in store.choice_iter(i) {
-                            entries.push((n, c));
-                            weights.push(store.attraction(i, c) + self.lambda * self.sp[i]);
-                        }
-                    }
+            // Counter-maintained readiness: pending[n] == 0 exactly when
+            // every predecessor is scheduled; entries are listed in
+            // ascending node order.
+            for i in 0..k {
+                if scheduled[i] || pending[i] != 0 {
+                    continue;
                 }
-                None => {
-                    for n in self.g.node_ids() {
-                        if scheduled[n.index()] {
-                            continue;
-                        }
-                        if !self.g.preds(n).all(|p| scheduled[p.index()]) {
-                            continue;
-                        }
-                        for c in store.choice_iter(n.index()) {
-                            entries.push((n, c));
-                            weights.push(
-                                store.attraction(n.index(), c) + self.lambda * self.sp[n.index()],
-                            );
-                        }
-                    }
+                let n = NodeId::new(i as u32);
+                for c in store.choice_iter(i) {
+                    entries.push((n, c));
+                    weights.push(store.attraction(i, c) + self.lambda * self.sp[i]);
                 }
             }
             debug_assert!(!entries.is_empty(), "DAG always has a ready node");
@@ -294,10 +260,8 @@ impl<'a> Ant<'a> {
                 ImplChoice::Hw(j) => self.schedule_hw(&mut walk, rt, n, j),
             }
             scheduled[n.index()] = true;
-            if let Some(csr) = self.adj {
-                for &sc in csr.succs(n.index()) {
-                    pending[sc.index()] -= 1;
-                }
+            for &sc in self.adj.succs(n.index()) {
+                pending[sc.index()] -= 1;
             }
             remaining -= 1;
         }
@@ -312,35 +276,23 @@ impl<'a> Ant<'a> {
     }
 
     fn earliest_start(&self, walk: &Walk, n: NodeId) -> u32 {
-        match self.adj {
-            Some(csr) => csr
-                .preds(n.index())
-                .iter()
-                .map(|&p| walk.finish(self.g, p))
-                .max()
-                .unwrap_or(0),
-            None => self
-                .g
-                .preds(n)
-                .map(|p| walk.finish(self.g, p))
-                .max()
-                .unwrap_or(0),
-        }
+        self.adj
+            .preds(n.index())
+            .iter()
+            .map(|&p| walk.finish(self.g, p))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Closes every open group that `n` consumed from (its finish time is
     /// now observed and must not change).
     fn close_pred_groups(&self, walk: &mut Walk, n: NodeId, except: Option<usize>) {
-        let mut close = |p: NodeId| {
+        for &p in self.adj.preds(n.index()) {
             if let Some(gp) = walk.group_of[p.index()] {
                 if Some(gp) != except {
                     walk.groups[gp].open = false;
                 }
             }
-        };
-        match self.adj {
-            Some(csr) => csr.preds(n.index()).iter().copied().for_each(&mut close),
-            None => self.g.preds(n).for_each(&mut close),
         }
     }
 
@@ -362,20 +314,13 @@ impl<'a> Ant<'a> {
     fn schedule_hw(&self, walk: &mut Walk, rt: &mut ResourceTable, n: NodeId, j: usize) {
         // Candidate groups: open groups containing a parent, latest issue
         // first (the paper packs at `LTS_i`, the latest parent's slot).
-        let mut cands: Vec<usize> = match self.adj {
-            Some(csr) => csr
-                .preds(n.index())
-                .iter()
-                .filter_map(|p| walk.group_of[p.index()])
-                .filter(|&gi| walk.groups[gi].open)
-                .collect(),
-            None => self
-                .g
-                .preds(n)
-                .filter_map(|p| walk.group_of[p.index()])
-                .filter(|&gi| walk.groups[gi].open)
-                .collect(),
-        };
+        let mut cands: Vec<usize> = self
+            .adj
+            .preds(n.index())
+            .iter()
+            .filter_map(|p| walk.group_of[p.index()])
+            .filter(|&gi| walk.groups[gi].open)
+            .collect();
         cands.sort_unstable();
         cands.dedup();
         cands.sort_by_key(|&gi| std::cmp::Reverse(walk.groups[gi].issue));
@@ -450,20 +395,9 @@ impl<'a> Ant<'a> {
         let latency = self.machine.cycles_for_delay_ns(delay);
 
         // Earliest slot at which every external input of the union is ready.
-        let t_needed = match self.adj {
-            Some(csr) => {
-                let mut t = 0;
-                csr.for_external_preds(&union, |p| t = t.max(walk.finish(self.g, p)));
-                t
-            }
-            None => union
-                .iter()
-                .flat_map(|m| self.g.preds(m))
-                .filter(|p| !union.contains(*p))
-                .map(|p| walk.finish(self.g, p))
-                .max()
-                .unwrap_or(0),
-        };
+        let mut t_needed = 0;
+        self.adj
+            .for_external_preds(&union, |p| t_needed = t_needed.max(walk.finish(self.g, p)));
         let issue = walk.groups[gi].issue;
 
         // Re-place the grown group: release the old footprint, find the
@@ -539,13 +473,14 @@ mod tests {
         g: &'a ExGraph,
         machine: &'a MachineConfig,
         cons: &'a Constraints,
+        csr: &'a CsrAdjacency,
     ) -> (Ant<'a>, PheromoneStore) {
         let shape: Vec<(usize, usize)> = g
             .iter()
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
             .collect();
         let store = PheromoneStore::new(&shape, &AcoParams::default());
-        (Ant::new(g, machine, cons, 0.5), store)
+        (Ant::new(g, machine, cons, 0.5, csr), store)
     }
 
     #[test]
@@ -553,7 +488,8 @@ mod tests {
         let g = chain3();
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
-        let (ant, store) = context(&g, &m, &cons);
+        let csr = CsrAdjacency::from_dfg(&g);
+        let (ant, store) = context(&g, &m, &cons, &csr);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for _ in 0..50 {
             let w = ant.run(&store, &mut rng);
@@ -581,7 +517,8 @@ mod tests {
         let g = chain3();
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
-        let (ant, mut store) = context(&g, &m, &cons);
+        let csr = CsrAdjacency::from_dfg(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &csr);
         for n in 0..3 {
             store.set_merit(n, ImplChoice::Sw(0), 1e-9);
             for (jj, _) in g
@@ -610,7 +547,8 @@ mod tests {
         let g = chain3();
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
-        let (ant, mut store) = context(&g, &m, &cons);
+        let csr = CsrAdjacency::from_dfg(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &csr);
         for n in 0..3 {
             store.set_merit(n, ImplChoice::Sw(0), 1e9);
             for (jj, _) in g
@@ -659,7 +597,8 @@ mod tests {
         let g = exgraph::build(&dfg);
         let m = MachineConfig::preset_2issue_6r3w();
         let cons = Constraints::from_machine(&m);
-        let (ant, mut store) = context(&g, &m, &cons);
+        let csr = CsrAdjacency::from_dfg(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &csr);
         for n in 0..g.len() {
             store.set_merit(n, ImplChoice::Sw(0), 1e-9);
             for j in 0..g.node(NodeId::new(n as u32)).payload().hw.len() {
@@ -748,7 +687,8 @@ mod tests {
         let g = exgraph::build(&dfg);
         let m = MachineConfig::preset_4issue_10r5w();
         let cons = Constraints::new(2, 1);
-        let (ant, mut store) = context(&g, &m, &cons);
+        let csr = CsrAdjacency::from_dfg(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &csr);
         for n in 0..g.len() {
             store.set_merit(n, ImplChoice::Sw(0), 1e-9);
             for (jj, _) in g

@@ -8,16 +8,15 @@
 //! tools both act on — memoised candidate evaluation is what makes
 //! iterative-improvement ISE search tractable).
 //!
-//! [`RoundEval`] lowers the round's [`ExGraph`] exactly once and shares
-//! that `SchedDfg` between the base-length measurement, the SP-function
-//! values and the per-walk merit analysis (whose payloads are patched in
-//! place — the edge structure never changes within a round). On top of the
-//! shared lowering sit two memo tables keyed by canonical `u64`
-//! fingerprints: walk → recorded merit-op sequence, and candidate
-//! `(members, footprint)` → schedule length. Keys compare by full `Vec<u64>`
-//! equality — the FxHash-style hasher only speeds up bucket lookup, so hash
-//! collisions cannot change results and cached runs stay bitwise identical
-//! to uncached ones.
+//! [`RoundEval`] lowers the round's [`ExGraph`] exactly once, keeps it in
+//! struct-of-arrays form with an ASAP/ALAP/height baseline, and answers
+//! each walk's merit analysis and each candidate's schedule length by
+//! updating that baseline only inside the cones a walk's groups dirty. On
+//! top sit two memo tables keyed by canonical `u64` fingerprints: walk →
+//! recorded merit-op sequence, and candidate `(members, footprint)` →
+//! schedule length. Keys compare by full `Vec<u64>` equality — the
+//! FxHash-style hasher only speeds up bucket lookup, so hash collisions
+//! cannot change results.
 //!
 //! The cache is *round-scoped by construction*: committing a candidate
 //! collapses the graph, and the next round builds a fresh `RoundEval`, so
@@ -31,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use isex_aco::{AcoParams, ImplChoice};
 use isex_dfg::{NodeSet, Reachability};
 use isex_isa::MachineConfig;
-use isex_sched::collapse::collapse_groups;
 use isex_sched::soa::{
     alap_incremental_into, asap_incremental_into, collapse_soa, height_incremental_into,
     length_from_asap, schedule_len_counters, BaseTiming, CounterSchedScratch, IncrStats, Quotient,
@@ -103,7 +101,6 @@ type FxBuild = BuildHasherDefault<FxHasher>;
 pub struct EvalStats {
     hits: AtomicU64,
     misses: AtomicU64,
-    asap_saved: AtomicU64,
     incr_copied: AtomicU64,
     incr_recomputed: AtomicU64,
 }
@@ -119,20 +116,13 @@ impl EvalStats {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Full ASAP passes avoided by deriving ALAP from a shared or shifted
-    /// ASAP instead of re-running the forward pass.
-    pub fn asap_saved(&self) -> u64 {
-        self.asap_saved.load(Ordering::Relaxed)
-    }
-
     /// Quotient vertices whose timing was copied from the persistent
-    /// per-round baseline (incremental path only).
+    /// per-round baseline.
     pub fn incr_copied(&self) -> u64 {
         self.incr_copied.load(Ordering::Relaxed)
     }
 
-    /// Quotient vertices whose timing was recomputed inside a dirty cone
-    /// (incremental path only).
+    /// Quotient vertices whose timing was recomputed inside a dirty cone.
     pub fn incr_recomputed(&self) -> u64 {
         self.incr_recomputed.load(Ordering::Relaxed)
     }
@@ -143,9 +133,8 @@ impl EvalStats {
         self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
-    /// Adds one exploration's worth of timing-layer counters.
-    pub fn add_timing(&self, asap_saved: u64, copied: u64, recomputed: u64) {
-        self.asap_saved.fetch_add(asap_saved, Ordering::Relaxed);
+    /// Adds one exploration's worth of incremental-timing counters.
+    pub fn add_timing(&self, copied: u64, recomputed: u64) {
         self.incr_copied.fetch_add(copied, Ordering::Relaxed);
         self.incr_recomputed
             .fetch_add(recomputed, Ordering::Relaxed);
@@ -155,7 +144,7 @@ impl EvalStats {
 /// The canonical fingerprint of everything the merit update reads from a
 /// walk: the per-node option vector, each group's member words and frozen
 /// footprint, and the TET. Two walks with equal keys are interchangeable
-/// inputs to `analyze` + `compute_merit_ops`.
+/// inputs to the merit computation.
 fn walk_key(walk: &Walk) -> Vec<u64> {
     let mut key = Vec::with_capacity(2 + walk.choice.len() + walk.groups.len() * 3);
     key.push(walk.tet as u64);
@@ -192,44 +181,20 @@ fn candidate_key(members: &NodeSet, footprint: &SchedOp) -> Vec<u64> {
     key
 }
 
-/// One round's shared lowering and memo tables. Dropped (and with it every
-/// cached entry) when the round ends — commitment collapses the graph, so
-/// nothing cached can survive it.
+/// One round's shared lowering, persistent SoA timing state and memo
+/// tables. Dropped (and with it every cached entry) when the round ends —
+/// commitment collapses the graph, so nothing cached can survive it. Every
+/// scratch buffer a miss needs lives here, so steady-state evaluation
+/// allocates nothing.
 pub(crate) struct RoundEval<'a> {
     machine: &'a MachineConfig,
-    /// The round's graph lowered once (`to_sched`), shared by the
-    /// base-length schedule, the SP values, per-walk analysis and candidate
-    /// ranking.
+    /// The round's graph lowered once (`to_sched`), shared by the SP values
+    /// and the `ISEX_DEBUG` diagnostics.
     pub sched: SchedDfg,
     /// Schedule length of `sched` with no new ISE (the round's `base_len`).
     pub base_len: u32,
-    /// Per-walk analysis template: same edges as `sched`, payloads
-    /// overwritten for each distinct walk.
-    template: SchedDfg,
-    /// Incremental/SoA evaluation state; `None` runs the `Dfg`-walking
-    /// quotient path on every miss.
-    soa: Option<SoaRound>,
-    merit_memo: HashMap<Vec<u64>, Rc<Vec<MeritOp>>, FxBuild>,
-    cand_memo: HashMap<Vec<u64>, u32, FxBuild>,
-    scratch: ListScratch,
-    /// Memo hits this round.
-    pub hits: u64,
-    /// Memo misses this round.
-    pub misses: u64,
-    /// Full ASAP passes avoided this round (shared-ASAP ALAP derivation).
-    pub asap_saved: u64,
-    /// Incremental-timing vertices copied from the baseline this round.
-    pub incr_copied: u64,
-    /// Incremental-timing vertices recomputed this round.
-    pub incr_recomputed: u64,
-}
-
-/// Persistent per-round SoA state of the incremental path: the base graph
-/// in struct-of-arrays form, its timing baseline, and every scratch buffer
-/// a miss needs — steady-state evaluation allocates nothing.
-struct SoaRound {
     /// The round's base graph (every node on implementation option 0),
-    /// array form of `RoundEval::sched` — same indices, same adjacency.
+    /// array form of `sched` — same indices, same adjacency.
     base: SoaGraph,
     /// ASAP/ALAP/height/length baseline of `base`, computed once per round.
     bt: BaseTiming,
@@ -246,14 +211,37 @@ struct SoaRound {
     critical: NodeSet,
     sched_scratch: CounterSchedScratch,
     fast: merit::FastMeritScratch,
+    merit_memo: HashMap<Vec<u64>, Rc<Vec<MeritOp>>, FxBuild>,
+    cand_memo: HashMap<Vec<u64>, u32, FxBuild>,
+    /// Memo hits this round.
+    pub hits: u64,
+    /// Memo misses this round.
+    pub misses: u64,
+    /// Incremental-timing vertices copied from the baseline this round.
+    pub incr_copied: u64,
+    /// Incremental-timing vertices recomputed this round.
+    pub incr_recomputed: u64,
 }
 
-impl SoaRound {
-    fn of(sched: &SchedDfg, universe: usize) -> Self {
-        let base = SoaGraph::from_sched(sched);
+impl<'a> RoundEval<'a> {
+    /// Lowers `g` once and builds the round's timing baseline. `base_len`
+    /// is the schedule length of `g`, which the caller already knows (the
+    /// block baseline, or the previous round's committed candidate length).
+    pub fn new(g: &ExGraph, machine: &'a MachineConfig, base_len: u32) -> Self {
+        let _span = isex_trace::span_with("eval.lower", || vec![("ops", g.len().to_string())]);
+        let sched = exgraph::to_sched(g);
+        debug_assert_eq!(
+            base_len,
+            list_schedule_len(&sched, machine, Priority::Height, &mut ListScratch::new()),
+            "carried base length must match a fresh schedule"
+        );
+        let base = SoaGraph::from_sched(&sched);
         let bt = BaseTiming::of(&base);
         let patched = base.clone();
-        SoaRound {
+        RoundEval {
+            machine,
+            sched,
+            base_len,
             base,
             bt,
             patched,
@@ -264,53 +252,13 @@ impl SoaRound {
             height: Vec::new(),
             needs: Vec::new(),
             groups: Vec::new(),
-            critical: NodeSet::new(universe),
+            critical: NodeSet::new(g.len()),
             sched_scratch: CounterSchedScratch::default(),
             fast: merit::FastMeritScratch::default(),
-        }
-    }
-}
-
-impl<'a> RoundEval<'a> {
-    /// Lowers `g` once and measures (or, when the caller already knows it
-    /// from the previous round's commit, adopts) the base schedule length.
-    /// With `incremental` the round additionally keeps persistent SoA
-    /// timing state and serves every memo miss from the incremental
-    /// kernels instead of the `Dfg`-walking quotient path.
-    pub fn new(
-        g: &ExGraph,
-        machine: &'a MachineConfig,
-        known_len: Option<u32>,
-        incremental: bool,
-    ) -> Self {
-        let _span = isex_trace::span_with("eval.lower", || vec![("ops", g.len().to_string())]);
-        let sched = exgraph::to_sched(g);
-        let mut scratch = ListScratch::new();
-        let base_len = match known_len {
-            Some(len) => {
-                debug_assert_eq!(
-                    len,
-                    list_schedule_len(&sched, machine, Priority::Height, &mut scratch),
-                    "carried base length must match a fresh schedule"
-                );
-                len
-            }
-            None => list_schedule_len(&sched, machine, Priority::Height, &mut scratch),
-        };
-        let template = sched.clone();
-        let soa = incremental.then(|| SoaRound::of(&sched, g.len()));
-        RoundEval {
-            machine,
-            sched,
-            base_len,
-            template,
-            soa,
             merit_memo: HashMap::default(),
             cand_memo: HashMap::default(),
-            scratch,
             hits: 0,
             misses: 0,
-            asap_saved: 0,
             incr_copied: 0,
             incr_recomputed: 0,
         }
@@ -335,126 +283,89 @@ impl<'a> RoundEval<'a> {
             return Rc::clone(ops);
         }
         self.misses += 1;
-        // Deriving ALAP from a shared (or shift-translated) ASAP avoids two
-        // full forward passes per miss on either branch below.
-        self.asap_saved += 2;
-        let ops = if self.soa.is_some() {
-            Rc::new(self.merit_ops_soa(g, walk, constraints, params, reach))
-        } else {
-            let analysis_ = merit::analyze_with(&mut self.template, g, walk);
-            // One timing analysis of the collapsed graph serves every
-            // per-operation Max_AEC query of this walk.
-            let shared = merit::CollapsedTiming::of(&analysis_);
-            Rc::new(merit::compute_merit_ops(
-                g,
-                walk,
-                &analysis_,
-                constraints,
-                self.machine,
-                params,
-                reach,
-                Some(&shared),
-            ))
-        };
+        let machine = self.machine;
+        let mut prims = self.walk_prims(g, walk);
+        let ops = Rc::new(merit::walk_merit_ops(
+            g,
+            walk,
+            constraints,
+            machine,
+            params,
+            reach,
+            &mut prims,
+        ));
         self.merit_memo.insert(key, Rc::clone(&ops));
         ops
     }
 
-    /// The incremental/SoA merit miss path. Produces the same op sequence
-    /// as the `Dfg` path bit for bit: the quotient numbering is replayed
-    /// exactly by `collapse_soa`, the incremental ASAP/ALAP equal full
-    /// passes, the deadline translation is the exact uniform shift of the
-    /// integer ALAP recurrence, and every f64 factor is then computed by
-    /// the shared [`merit::compute_merit_ops_core`] from identical integer
-    /// inputs.
-    fn merit_ops_soa(
-        &mut self,
-        g: &ExGraph,
-        walk: &Walk,
-        constraints: &Constraints,
-        params: &AcoParams,
-        reach: &Reachability,
-    ) -> Vec<MeritOp> {
-        let soa = self.soa.as_mut().expect("incremental state present");
+    /// Times `walk` ("identify the critical path using instruction
+    /// scheduling", §4.0) and returns the merit queries over that timing.
+    /// The walk's groups collapse into single instructions on the
+    /// latency-patched base graph; ASAP and ALAP are updated from the round
+    /// baseline only inside the dirty cones.
+    fn walk_prims(&mut self, g: &ExGraph, walk: &Walk) -> merit::FastPrims<'_> {
         // Patch per-walk software latencies onto the base arrays (hardware
-        // members keep the option-0 placeholder, exactly like `analyze`).
-        soa.patched.lat.copy_from_slice(&soa.base.lat);
+        // members keep the option-0 placeholder: they sit inside a group).
+        self.patched.lat.copy_from_slice(&self.base.lat);
         for (i, c) in walk.choice.iter().enumerate() {
             if let ImplChoice::Sw(j) = *c {
-                soa.patched.lat[i] = g
+                self.patched.lat[i] = g
                     .node(isex_dfg::NodeId::new(i as u32))
                     .payload()
                     .sched_op(j)
                     .latency;
             }
         }
-        soa.groups.clear();
-        soa.groups.extend(walk.groups.iter().map(|gr| {
+        self.groups.clear();
+        self.groups.extend(walk.groups.iter().map(|gr| {
             (
                 gr.members.clone(),
                 SchedOp::new(gr.latency, gr.reads, gr.writes, UnitClass::Asfu),
             )
         }));
         collapse_soa(
-            &soa.patched,
-            &soa.groups,
-            &mut soa.qscratch,
-            &mut soa.quotient,
+            &self.patched,
+            &self.groups,
+            &mut self.qscratch,
+            &mut self.quotient,
         );
-        let q = &soa.quotient;
-        let st_a = asap_incremental_into(q, &soa.bt, &soa.base.lat, &mut soa.asap, &mut soa.needs);
-        let len = length_from_asap(&q.graph, &soa.asap);
-        let st_l = alap_incremental_into(
-            q,
-            &soa.bt,
-            &soa.base.lat,
-            len,
-            &mut soa.alap,
-            &mut soa.needs,
-        );
+        let q = &self.quotient;
+        let lat = &self.base.lat;
+        let st_a = asap_incremental_into(q, &self.bt, lat, &mut self.asap, &mut self.needs);
+        let len = length_from_asap(&q.graph, &self.asap);
+        let st_l = alap_incremental_into(q, &self.bt, lat, len, &mut self.alap, &mut self.needs);
         let mut st = IncrStats::default();
         st.absorb(st_a);
         st.absorb(st_l);
         self.incr_copied += st.copied;
         self.incr_recomputed += st.recomputed;
-        soa.critical.clear();
+        self.critical.clear();
         for n in g.node_ids() {
             let qv = q.node_map[n.index()] as usize;
-            if soa.alap[qv] == soa.asap[qv] {
-                soa.critical.insert(n);
+            if self.alap[qv] == self.asap[qv] {
+                self.critical.insert(n);
             }
         }
-        let deadline = walk.tet.max(len);
-        soa.fast.prepare(&soa.base, walk);
+        self.fast.prepare(&self.base, walk);
         // `alap` holds ALAP at deadline `len`; the walk's deadline only
         // shifts every slot by the same amount, folded into the query.
-        let mut prims = merit::FastPrims {
-            scratch: &mut soa.fast,
-            base: &soa.base,
-            node_map: &soa.quotient.node_map,
-            qlat: &soa.quotient.graph.lat,
-            asap: &soa.asap,
-            alap: &soa.alap,
-            extra: deadline - len,
-        };
-        merit::compute_merit_ops_core(
-            g,
-            walk,
-            &soa.critical,
-            constraints,
-            self.machine,
-            params,
-            reach,
-            &mut prims,
-        )
+        merit::FastPrims {
+            scratch: &mut self.fast,
+            base: &self.base,
+            node_map: &self.quotient.node_map,
+            qlat: &self.quotient.graph.lat,
+            asap: &self.asap,
+            alap: &self.alap,
+            extra: walk.tet.max(len) - len,
+            critical: &self.critical,
+        }
     }
 
     /// Schedule length of the round's graph with `members` frozen into one
-    /// ISE of the given footprint, memoised. Collapses the *shared
-    /// lowering* instead of `freeze`-ing the `ExGraph` and re-lowering:
-    /// `collapse_groups` builds the quotient purely from the edge
-    /// structure, and the frozen `ExOp`'s `sched_op(0)` equals `footprint`,
-    /// so both paths produce the same `SchedDfg` bit for bit.
+    /// ISE of the given footprint, memoised. The quotient is built on the
+    /// SoA base graph with the numbering `collapse_groups` would give,
+    /// heights are recomputed only inside the group's fan-in cone, and a
+    /// counter-driven list scheduler replays the height-priority schedule.
     pub fn candidate_len(&mut self, members: &NodeSet, footprint: SchedOp) -> u32 {
         let key = candidate_key(members, &footprint);
         if let Some(&len) = self.cand_memo.get(&key) {
@@ -462,41 +373,29 @@ impl<'a> RoundEval<'a> {
             return len;
         }
         self.misses += 1;
-        let len = match self.soa.as_mut() {
-            Some(soa) => {
-                // Same quotient numbering as `collapse_groups`, heights
-                // recomputed only inside the group's fan-in cone, and a
-                // counter-driven scheduler whose decisions replay the
-                // rescan scheduler exactly.
-                soa.groups.clear();
-                soa.groups.push((members.clone(), footprint));
-                collapse_soa(&soa.base, &soa.groups, &mut soa.qscratch, &mut soa.quotient);
-                let st = height_incremental_into(
-                    &soa.quotient,
-                    &soa.bt,
-                    &soa.base.lat,
-                    &mut soa.height,
-                    &mut soa.needs,
-                );
-                self.incr_copied += st.copied;
-                self.incr_recomputed += st.recomputed;
-                schedule_len_counters(
-                    &soa.quotient.graph,
-                    self.machine,
-                    &soa.height,
-                    &mut soa.sched_scratch,
-                )
-            }
-            None => {
-                let collapsed = collapse_groups(&self.sched, &[(members.clone(), footprint)]);
-                list_schedule_len(
-                    &collapsed.dfg,
-                    self.machine,
-                    Priority::Height,
-                    &mut self.scratch,
-                )
-            }
-        };
+        self.groups.clear();
+        self.groups.push((members.clone(), footprint));
+        collapse_soa(
+            &self.base,
+            &self.groups,
+            &mut self.qscratch,
+            &mut self.quotient,
+        );
+        let st = height_incremental_into(
+            &self.quotient,
+            &self.bt,
+            &self.base.lat,
+            &mut self.height,
+            &mut self.needs,
+        );
+        self.incr_copied += st.copied;
+        self.incr_recomputed += st.recomputed;
+        let len = schedule_len_counters(
+            &self.quotient.graph,
+            self.machine,
+            &self.height,
+            &mut self.sched_scratch,
+        );
         self.cand_memo.insert(key, len);
         len
     }
@@ -546,8 +445,7 @@ mod tests {
     fn candidate_len_matches_freeze_path_and_hits_on_repeat() {
         let g = chain();
         let m = MachineConfig::preset_2issue_4r2w();
-        let mut eval = RoundEval::new(&g, &m, None, false);
-        assert_eq!(eval.base_len, exgraph::schedule_len(&g, &m));
+        let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
         let mut members = NodeSet::new(g.len());
         members.insert(NodeId::new(0));
         members.insert(NodeId::new(1));
@@ -564,82 +462,100 @@ mod tests {
         assert_eq!((eval.hits, eval.misses), (1, 2));
     }
 
+    /// Every [`merit::FastPrims`] query equals its free-function reference
+    /// on random walks over real hot blocks: the walk's critical set and
+    /// `Max_AEC` against `isex_sched::timing` on the `collapse_groups`
+    /// quotient at the walk deadline, the rest against the `merit`,
+    /// `ports` and `convex` functions.
     #[test]
-    fn incremental_candidate_len_matches_legacy() {
-        let g = chain();
-        let m = MachineConfig::preset_2issue_4r2w();
-        let mut legacy = RoundEval::new(&g, &m, None, false);
-        let mut incr = RoundEval::new(&g, &m, None, true);
-        assert_eq!(legacy.base_len, incr.base_len);
-        for (members, fp) in [
-            (
-                {
-                    let mut s = NodeSet::new(g.len());
-                    s.insert(NodeId::new(0));
-                    s.insert(NodeId::new(1));
-                    s
-                },
-                SchedOp::new(1, 2, 1, UnitClass::Asfu),
-            ),
-            (
-                {
-                    let mut s = NodeSet::new(g.len());
-                    s.insert(NodeId::new(1));
-                    s.insert(NodeId::new(2));
-                    s
-                },
-                SchedOp::new(3, 2, 1, UnitClass::Asfu),
-            ),
-        ] {
-            assert_eq!(
-                incr.candidate_len(&members, fp),
-                legacy.candidate_len(&members, fp),
-                "incremental path must replay the legacy length"
-            );
-        }
-        assert!(incr.incr_copied + incr.incr_recomputed > 0);
-    }
-
-    #[test]
-    fn incremental_merit_ops_are_bit_identical_to_legacy() {
+    fn fast_prims_match_their_references_on_hot_blocks() {
         use crate::ant::Ant;
-        use crate::candidate::Constraints;
         use isex_aco::PheromoneStore;
-        use isex_dfg::Reachability;
+        use isex_dfg::{convex, ports, CsrAdjacency};
+        use isex_sched::collapse::collapse_groups;
+        use isex_sched::timing;
+        use isex_workloads::{Benchmark, OptLevel};
         use rand::SeedableRng;
 
-        let g = chain();
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
         let params = AcoParams::default();
-        let reach = Reachability::compute(&g);
-        let shape: Vec<(usize, usize)> = g
-            .iter()
-            .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
-            .collect();
-        let store = PheromoneStore::new(&shape, &params);
-        let mut legacy = RoundEval::new(&g, &m, None, false);
-        let mut incr = RoundEval::new(&g, &m, None, true);
-        let ant = Ant::new(&g, &m, &cons, 0.5);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        for _ in 0..20 {
-            let walk = ant.run(&store, &mut rng);
-            let a = legacy.merit_ops(&g, &walk, &cons, &params, &reach);
-            let b = incr.merit_ops(&g, &walk, &cons, &params, &reach);
-            assert_eq!(a.len(), b.len(), "op count");
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.0, y.0);
-                assert_eq!(x.1, y.1);
-                assert_eq!(
-                    x.2.to_bits(),
-                    y.2.to_bits(),
-                    "factor must be bit-identical: {} vs {}",
-                    x.2,
-                    y.2
-                );
+        let mut queries = 0usize;
+        for (seed, &bench) in Benchmark::ALL.iter().enumerate() {
+            let g = exgraph::build(&bench.program(OptLevel::O3).hottest().dfg);
+            let reach = Reachability::compute(&g);
+            let csr = CsrAdjacency::from_dfg(&g);
+            let ant = Ant::new(&g, &m, &cons, params.lambda, &csr);
+            let shape: Vec<(usize, usize)> = g
+                .iter()
+                .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
+                .collect();
+            let store = PheromoneStore::new(&shape, &params);
+            let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+            for _ in 0..8 {
+                let walk = ant.run(&store, &mut rng);
+                let lowered = g.map(|id, op| match walk.choice[id.index()] {
+                    ImplChoice::Sw(j) => op.sched_op(j),
+                    ImplChoice::Hw(_) => op.sched_op(0),
+                });
+                let groups: Vec<(NodeSet, SchedOp)> = walk
+                    .groups
+                    .iter()
+                    .map(|gr| {
+                        let fp = SchedOp::new(gr.latency, gr.reads, gr.writes, UnitClass::Asfu);
+                        (gr.members.clone(), fp)
+                    })
+                    .collect();
+                let q = collapse_groups(&lowered, &groups);
+                let deadline = walk.tet.max(timing::dep_length(&q.dfg));
+                let critical_q = timing::critical_nodes(&q.dfg);
+                let mut prims = eval.walk_prims(&g, &walk);
+                let mut vs = NodeSet::new(g.len());
+                for x in g.node_ids() {
+                    let at = format!("{bench} node {}", x.index());
+                    assert_eq!(
+                        prims.critical.contains(x),
+                        critical_q.contains(q.node_map[x.index()]),
+                        "{at}: critical"
+                    );
+                    prims.virtual_subgraph_into(&walk, x, &mut vs);
+                    assert_eq!(vs, merit::virtual_subgraph(&g, &walk, x), "{at}: vS_x");
+                    assert_eq!(prims.demand(&g, &vs), ports::demand(&g, &vs), "{at}: ports");
+                    assert_eq!(
+                        prims.is_convex(&vs, &reach),
+                        convex::is_convex(&vs, &reach),
+                        "{at}: convexity"
+                    );
+                    for j in 0..g.node(x).payload().hw.len() {
+                        let fast = prims.evaluate_option(&g, &walk, &vs, x, j, &m);
+                        let reference = merit::evaluate_option(&g, &walk, &vs, x, j, &m);
+                        assert_eq!(fast.et_cycles, reference.et_cycles, "{at}: ET option {j}");
+                        assert_eq!(
+                            fast.area.to_bits(),
+                            reference.area.to_bits(),
+                            "{at}: area option {j}"
+                        );
+                    }
+                    assert_eq!(
+                        prims.software_cycles(&g, &vs),
+                        merit::software_cycles(&g, &vs),
+                        "{at}: software cycles"
+                    );
+                    let mut vs_q = NodeSet::new(q.dfg.len());
+                    for y in &vs {
+                        vs_q.insert(q.node_map[y.index()]);
+                    }
+                    assert_eq!(
+                        prims.max_aec(&vs),
+                        timing::max_aec(&q.dfg, &vs_q, deadline),
+                        "{at}: Max_AEC"
+                    );
+                    queries += 1;
+                }
             }
         }
-        assert_eq!(legacy.asap_saved, incr.asap_saved);
+        assert!(queries > 1000, "only {queries} nodes queried");
     }
 
     #[test]

@@ -125,19 +125,6 @@ pub struct MultiIssueExplorer {
     /// The scheduling-priority function of Eq. 1 (default: child count,
     /// the paper's choice; Ch. 6 names the alternatives as future work).
     pub sp_function: crate::ant::SpFunction,
-    /// Whether the round-scoped hot-path evaluation layer (shared lowering
-    /// plus merit/candidate memoisation) is used. On by default; results
-    /// are bitwise identical either way — the switch exists for A/B
-    /// benchmarking and the equivalence regression tests.
-    pub eval_cache: bool,
-    /// Whether the eval-cache miss path runs on the incremental/SoA
-    /// timing kernels (persistent per-round ASAP/ALAP/height baselines,
-    /// arena quotients, counter-driven scheduling) instead of the
-    /// `Dfg`-walking quotient machinery. Only meaningful with
-    /// [`MultiIssueExplorer::eval_cache`] on; results are bitwise
-    /// identical either way — the switch exists for A/B benchmarking and
-    /// the equivalence regression tests.
-    pub incremental: bool,
     /// Optional shared hit/miss counters for the evaluation cache (the
     /// engine threads one [`EvalStats`] through all its explorers and
     /// exports the totals via `RunMetrics.phase_profile`).
@@ -158,8 +145,6 @@ impl MultiIssueExplorer {
             constraints,
             params: AcoParams::default(),
             sp_function: crate::ant::SpFunction::default(),
-            eval_cache: true,
-            incremental: true,
             eval_stats: None,
             stop: None,
         }
@@ -181,8 +166,6 @@ impl MultiIssueExplorer {
             constraints,
             params,
             sp_function: crate::ant::SpFunction::default(),
-            eval_cache: true,
-            incremental: true,
             eval_stats: None,
             stop: None,
         }
@@ -213,27 +196,23 @@ impl MultiIssueExplorer {
         mut trace: Option<&mut Vec<TraceEntry>>,
     ) -> Exploration {
         let g0 = exgraph::build(dfg);
-        // With the hot-path layer on, the original graph is lowered once
-        // and the lowering shared between the baseline measurement and the
-        // leave-one-out sweep at the end.
+        // The original graph is lowered once and the lowering shared
+        // between the baseline measurement and the leave-one-out sweep at
+        // the end.
         let mut loo_scratch = ListScratch::new();
-        let g0_sched = self.eval_cache.then(|| exgraph::to_sched(&g0));
-        let baseline = match &g0_sched {
-            Some(s) => list_schedule_len(s, &self.machine, Priority::Height, &mut loo_scratch),
-            None => exgraph::schedule_len(&g0, &self.machine),
-        };
+        let g0_sched = exgraph::to_sched(&g0);
+        let baseline =
+            list_schedule_len(&g0_sched, &self.machine, Priority::Height, &mut loo_scratch);
         let mut current = g0.clone();
         let mut commits: Vec<IseCandidate> = Vec::new();
         let mut iterations = 0usize;
         let mut rounds = 0usize;
         // Schedule length of `current`, carried across rounds: the
         // baseline before any commit, then the committed candidate's
-        // measured `with_len` — the same value the legacy path recomputed
-        // from scratch at the top of every round.
+        // measured `with_len`.
         let mut known_len = baseline;
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
-        let mut asap_saved = 0u64;
         let mut incr_copied = 0u64;
         let mut incr_recomputed = 0u64;
 
@@ -267,11 +246,10 @@ impl MultiIssueExplorer {
                 &mut iterations,
                 rounds,
                 trace.as_deref_mut(),
-                self.eval_cache.then_some(known_len),
+                known_len,
             );
             cache_hits += out.cache_hits;
             cache_misses += out.cache_misses;
-            asap_saved += out.asap_saved;
             incr_copied += out.incr_copied;
             incr_recomputed += out.incr_recomputed;
             let base_len = out.base_len;
@@ -343,39 +321,32 @@ impl MultiIssueExplorer {
             degraded = true;
         }
 
-        let final_len = if self.eval_cache {
-            debug_assert_eq!(known_len, exgraph::schedule_len(&current, &self.machine));
-            known_len
-        } else {
-            exgraph::schedule_len(&current, &self.machine)
-        };
+        debug_assert_eq!(known_len, exgraph::schedule_len(&current, &self.machine));
         // Leave-one-out gain attribution: a candidate's value is how much
         // the schedule degrades without it (jointly-necessary candidates
         // each carry the joint gain, which is what selection should see).
-        // With the shared lowering this is one `to_sched` (already done)
-        // plus k+1 quotient collapses instead of k+1 full freeze+re-lower
-        // pipelines.
-        let all_len = match &g0_sched {
-            Some(s) => schedule_with_lowered(s, &commits, None, &self.machine, &mut loo_scratch),
-            None => schedule_with(&g0, &commits, None, &self.machine),
-        };
+        // With the shared lowering this is k+1 quotient collapses of one
+        // `SchedDfg`.
+        let all_len =
+            schedule_with_lowered(&g0_sched, &commits, None, &self.machine, &mut loo_scratch);
         for i in 0..commits.len() {
-            let without = match &g0_sched {
-                Some(s) => {
-                    schedule_with_lowered(s, &commits, Some(i), &self.machine, &mut loo_scratch)
-                }
-                None => schedule_with(&g0, &commits, Some(i), &self.machine),
-            };
+            let without = schedule_with_lowered(
+                &g0_sched,
+                &commits,
+                Some(i),
+                &self.machine,
+                &mut loo_scratch,
+            );
             commits[i].saved_cycles = without.saturating_sub(all_len);
         }
         if let Some(stats) = &self.eval_stats {
             stats.add(cache_hits, cache_misses);
-            stats.add_timing(asap_saved, incr_copied, incr_recomputed);
+            stats.add_timing(incr_copied, incr_recomputed);
         }
         Exploration {
             candidates: commits,
             baseline_cycles: baseline,
-            cycles_with_ises: final_len,
+            cycles_with_ises: known_len,
             rounds,
             iterations,
             degraded,
@@ -384,14 +355,11 @@ impl MultiIssueExplorer {
 
     /// One exploration round: ACO to convergence, extraction, evaluation.
     ///
-    /// When [`MultiIssueExplorer::eval_cache`] is on, a [`RoundEval`]
-    /// lowers the graph once, shares that lowering with the SP function,
-    /// the merit analysis and candidate ranking, and memoises repeated
-    /// walks and candidates; `known_len` (the schedule length carried from
-    /// the previous round's commit) then replaces the round's base-length
-    /// re-schedule. When off, every evaluation runs the legacy
-    /// freeze-and-re-lower path.
-    #[allow(clippy::too_many_arguments)]
+    /// A [`RoundEval`] lowers the graph once, shares that lowering with the
+    /// SP function, the merit analysis and candidate ranking, and memoises
+    /// repeated walks and candidates; `known_len` (the schedule length
+    /// carried from the previous round's commit) is the round's base
+    /// length.
     fn round<R: Rng + ?Sized>(
         &self,
         g: &ExGraph,
@@ -399,7 +367,7 @@ impl MultiIssueExplorer {
         iterations: &mut usize,
         round_no: usize,
         mut trace: Option<&mut Vec<TraceEntry>>,
-        known_len: Option<u32>,
+        known_len: u32,
     ) -> RoundOutcome {
         let _round_span = isex_trace::span_with("aco.round", || {
             vec![
@@ -413,31 +381,17 @@ impl MultiIssueExplorer {
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
             .collect();
         let mut store = PheromoneStore::new(&shape, &self.params);
-        let mut eval = self
-            .eval_cache
-            .then(|| RoundEval::new(g, &self.machine, known_len, self.incremental));
-        // Frozen adjacency for the ant's hot loops, active only on the
-        // incremental path (the legacy paths keep their historical cost
-        // model for A/B benchmarking).
-        let csr = (self.eval_cache && self.incremental).then(|| CsrAdjacency::from_dfg(g));
-        let ant = match &eval {
-            Some(ev) => Ant::with_sp_on(
-                g,
-                &self.machine,
-                &self.constraints,
-                self.params.lambda,
-                self.sp_function,
-                &ev.sched,
-                csr.as_ref(),
-            ),
-            None => Ant::with_sp(
-                g,
-                &self.machine,
-                &self.constraints,
-                self.params.lambda,
-                self.sp_function,
-            ),
-        };
+        let mut eval = RoundEval::new(g, &self.machine, known_len);
+        let csr = CsrAdjacency::from_dfg(g);
+        let ant = Ant::with_sp_on(
+            g,
+            &self.machine,
+            &self.constraints,
+            self.params.lambda,
+            self.sp_function,
+            &eval.sched,
+            &csr,
+        );
         let mut ant_scratch = AntScratch::default();
         let mut tstate = TrailState::default();
 
@@ -469,25 +423,8 @@ impl MultiIssueExplorer {
             }
             {
                 let _s = isex_trace::span("aco.merit");
-                match &mut eval {
-                    Some(ev) => {
-                        let ops = ev.merit_ops(g, &walk, &self.constraints, &self.params, &reach);
-                        merit::apply_merit_ops(&mut store, &ops);
-                    }
-                    None => {
-                        let analysis_ = merit::analyze(g, &walk, &self.machine);
-                        merit::update_merits(
-                            &mut store,
-                            g,
-                            &walk,
-                            &analysis_,
-                            &self.constraints,
-                            &self.machine,
-                            &self.params,
-                            &reach,
-                        );
-                    }
-                }
+                let ops = eval.merit_ops(g, &walk, &self.constraints, &self.params, &reach);
+                merit::apply_merit_ops(&mut store, &ops);
             }
             let area = walk_area(g, &walk);
             let better = match &best {
@@ -521,20 +458,11 @@ impl MultiIssueExplorer {
         }
         let _extract_span = isex_trace::span("aco.extract");
         let cands = extract_candidates(g, &taken, &self.constraints, &self.machine, &reach);
-        let base_len = match &eval {
-            Some(ev) => ev.base_len,
-            None => exgraph::schedule_len(g, &self.machine),
-        };
+        let base_len = eval.base_len;
         let mut ranked: Vec<(CurCandidate, u32, u32)> = cands
             .into_iter()
             .map(|c| {
-                let with_len = match &mut eval {
-                    Some(ev) => ev.candidate_len(&c.members, c.footprint()),
-                    None => {
-                        let frozen = exgraph::freeze(g, &c.members, c.footprint(), usize::MAX).dfg;
-                        exgraph::schedule_len(&frozen, &self.machine)
-                    }
-                };
+                let with_len = eval.candidate_len(&c.members, c.footprint());
                 let saved = base_len.saturating_sub(with_len);
                 (c, saved, with_len)
             })
@@ -545,14 +473,7 @@ impl MultiIssueExplorer {
                 .then(b.0.members.len().cmp(&a.0.members.len()))
         });
         if debug_enabled() {
-            let owned;
-            let sched: &SchedDfg = match &eval {
-                Some(ev) => &ev.sched,
-                None => {
-                    owned = exgraph::to_sched(g);
-                    &owned
-                }
-            };
+            let sched = &eval.sched;
             let crit = isex_sched::timing::critical_nodes(sched);
             eprintln!(
                 "[round] base_len={} dep_len={} best_tet={}",
@@ -571,24 +492,14 @@ impl MultiIssueExplorer {
                 );
             }
         }
-        let best_tet = best.as_ref().map(|(w, _)| w.tet).unwrap_or(u32::MAX);
-        let (cache_hits, cache_misses) = eval
-            .as_ref()
-            .map(|ev| (ev.hits, ev.misses))
-            .unwrap_or((0, 0));
-        let (asap_saved, incr_copied, incr_recomputed) = eval
-            .as_ref()
-            .map(|ev| (ev.asap_saved, ev.incr_copied, ev.incr_recomputed))
-            .unwrap_or((0, 0, 0));
         RoundOutcome {
             ranked,
-            best_tet,
+            best_tet: best.as_ref().map(|(w, _)| w.tet).unwrap_or(u32::MAX),
             base_len,
-            cache_hits,
-            cache_misses,
-            asap_saved,
-            incr_copied,
-            incr_recomputed,
+            cache_hits: eval.hits,
+            cache_misses: eval.misses,
+            incr_copied: eval.incr_copied,
+            incr_recomputed: eval.incr_recomputed,
         }
     }
 }
@@ -602,12 +513,10 @@ struct RoundOutcome {
     best_tet: u32,
     /// Schedule length of the round's graph with no new ISE.
     base_len: u32,
-    /// Evaluation-cache hits this round (0 when the cache is disabled).
+    /// Evaluation-cache hits this round.
     cache_hits: u64,
-    /// Evaluation-cache misses this round (0 when the cache is disabled).
+    /// Evaluation-cache misses this round.
     cache_misses: u64,
-    /// Full ASAP passes avoided this round by shared-ASAP ALAP derivation.
-    asap_saved: u64,
     /// Incremental-timing vertices copied from the round baseline.
     incr_copied: u64,
     /// Incremental-timing vertices recomputed inside dirty cones.
@@ -626,41 +535,9 @@ pub(crate) fn walk_area(g: &ExGraph, walk: &crate::ant::Walk) -> f64 {
 
 /// Schedule length of the original graph with the given committed
 /// candidates frozen in (optionally skipping one) — used for leave-one-out
-/// gain attribution.
-pub(crate) fn schedule_with(
-    g0: &ExGraph,
-    commits: &[IseCandidate],
-    skip: Option<usize>,
-    machine: &MachineConfig,
-) -> u32 {
-    let groups: Vec<(NodeSet, crate::exgraph::ExOp)> = commits
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| Some(*i) != skip)
-        .map(|(i, c)| {
-            (
-                c.nodes.clone(),
-                crate::exgraph::ExOp {
-                    sw_delays: vec![c.latency],
-                    hw: Vec::new(),
-                    reads: c.inputs,
-                    writes: c.outputs,
-                    class: isex_sched::UnitClass::Asfu,
-                    kind: ExKind::FrozenIse(i),
-                },
-            )
-        })
-        .collect();
-    let collapsed = isex_sched::collapse::collapse_groups(g0, &groups);
-    exgraph::schedule_len(&collapsed.dfg, machine)
-}
-
-/// [`schedule_with`] on a pre-lowered graph: collapses the committed
-/// candidates directly on the shared `SchedDfg` instead of freezing the
-/// `ExGraph` and re-lowering. A frozen candidate lowers to
-/// `SchedOp::new(latency, inputs, outputs, Asfu)`, and `collapse_groups`
-/// builds the quotient graph payload-independently, so the result is
-/// bitwise identical to the legacy path while the k leave-one-out
+/// gain attribution. Collapses the candidates directly on the shared
+/// lowering `g0_sched`: a frozen candidate lowers to
+/// `SchedOp::new(latency, inputs, outputs, Asfu)`, so the k leave-one-out
 /// evaluations reuse one lowering and one scheduler scratch.
 pub(crate) fn schedule_with_lowered(
     g0_sched: &SchedDfg,

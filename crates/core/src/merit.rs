@@ -1,4 +1,4 @@
-//! Iteration analysis and the merit function (Figs. 4.3.6 / 4.3.7 / 4.3.8).
+//! Hardware-Grouping and the merit function (Figs. 4.3.6 / 4.3.7 / 4.3.8).
 //!
 //! After every walk the algorithm evaluates each implementation option of
 //! each operation "according to which implementation option is chosen in
@@ -14,104 +14,13 @@
 //!   performance/area scoring with the `Max_AEC` slack window.
 
 use isex_aco::{ImplChoice, PheromoneStore};
-use isex_dfg::{analysis, convex, ports, NodeId, NodeSet, Operand, Reachability};
+use isex_dfg::{analysis, ports, NodeId, NodeSet, Operand, Reachability};
 use isex_isa::MachineConfig;
-use isex_sched::collapse::{collapse_groups, CollapsedGraph};
 use isex_sched::soa::SoaGraph;
-use isex_sched::{timing, SchedDfg, SchedOp, UnitClass};
 
 use crate::ant::Walk;
 use crate::candidate::Constraints;
 use crate::exgraph::ExGraph;
-
-/// Scheduling-level view of one iteration: the walk's groups collapsed into
-/// single instructions, plus critical-path membership.
-pub(crate) struct IterationAnalysis {
-    /// The collapsed schedulable graph.
-    pub collapsed: SchedDfg,
-    /// Original-node → quotient-node mapping.
-    pub node_map: Vec<NodeId>,
-    /// Critical-path membership per *original* node.
-    pub critical: NodeSet,
-    /// Deadline used for slack computations (≥ dependence length).
-    pub deadline: u32,
-}
-
-/// Collapses the walk's ISE groups and identifies the critical path
-/// ("identify the critical path using instruction scheduling", §4.0).
-pub(crate) fn analyze(g: &ExGraph, walk: &Walk, _machine: &MachineConfig) -> IterationAnalysis {
-    let base: SchedDfg = g.map(|id, op| match walk.choice[id.index()] {
-        ImplChoice::Sw(j) => op.sched_op(j),
-        // Placeholder footprint; the node is inside a collapsed group.
-        ImplChoice::Hw(_) => op.sched_op(0),
-    });
-    analyze_lowered(&base, g, walk)
-}
-
-/// [`analyze`] against a reusable lowering template: every payload of
-/// `base` is overwritten for this walk's choices (the edge structure is
-/// identical to `to_sched(g)` and never changes), saving the per-iteration
-/// graph rebuild. One ASAP/ALAP pass serves the critical-path test and the
-/// dependence length (the legacy path runs a separate analysis for each);
-/// the timing is integer, so the resulting analysis is bitwise identical.
-pub(crate) fn analyze_with(base: &mut SchedDfg, g: &ExGraph, walk: &Walk) -> IterationAnalysis {
-    for (id, node) in g.iter() {
-        let op = node.payload();
-        *base.node_mut(id).payload_mut() = match walk.choice[id.index()] {
-            ImplChoice::Sw(j) => op.sched_op(j),
-            ImplChoice::Hw(_) => op.sched_op(0),
-        };
-    }
-    let CollapsedGraph { dfg, node_map, .. } = collapse_groups(base, &walk_groups(walk));
-    let a = timing::asap(&dfg);
-    let len = timing::length_from_asap(&dfg, &a);
-    let l = timing::alap_from_asap(&dfg, &a, len);
-    let mut critical = NodeSet::new(g.len());
-    for n in g.node_ids() {
-        let q = node_map[n.index()].index();
-        if l[q] == a[q] {
-            critical.insert(n);
-        }
-    }
-    let deadline = walk.tet.max(len);
-    IterationAnalysis {
-        collapsed: dfg,
-        node_map,
-        critical,
-        deadline,
-    }
-}
-
-/// The walk's ISE groups as collapse-ready `(members, footprint)` pairs.
-fn walk_groups(walk: &Walk) -> Vec<(NodeSet, SchedOp)> {
-    walk.groups
-        .iter()
-        .map(|gr| {
-            (
-                gr.members.clone(),
-                SchedOp::new(gr.latency, gr.reads, gr.writes, UnitClass::Asfu),
-            )
-        })
-        .collect()
-}
-
-fn analyze_lowered(base: &SchedDfg, g: &ExGraph, walk: &Walk) -> IterationAnalysis {
-    let CollapsedGraph { dfg, node_map, .. } = collapse_groups(base, &walk_groups(walk));
-    let crit_q = timing::critical_nodes(&dfg);
-    let mut critical = NodeSet::new(g.len());
-    for n in g.node_ids() {
-        if crit_q.contains(node_map[n.index()]) {
-            critical.insert(n);
-        }
-    }
-    let deadline = walk.tet.max(timing::dep_length(&dfg));
-    IterationAnalysis {
-        collapsed: dfg,
-        node_map,
-        critical,
-        deadline,
-    }
-}
 
 /// Hardware-Grouping (Fig. 4.3.6): the virtual subgraph of `x` — `x` plus
 /// every node reachable from it through neighbours that chose a hardware
@@ -184,26 +93,11 @@ pub(crate) fn evaluate_option(
 }
 
 /// Software execution cycles of `vs` on the core: its latency-weighted
-/// dependence chain (the multi-issue lower bound the ISE must beat).
+/// dependence chain (the multi-issue lower bound the ISE must beat). The
+/// reference for [`FastPrims::software_cycles`].
+#[cfg(test)]
 pub(crate) fn software_cycles(g: &ExGraph, vs: &NodeSet) -> u32 {
     analysis::weighted_longest_path_within(g, vs, |_, op| op.sw_delays[0] as f64).round() as u32
-}
-
-/// ASAP/ALAP of one analysis' collapsed graph at its deadline, computed
-/// once and shared across every per-operation `Max_AEC` query of the walk
-/// (each query would otherwise redo both passes — the O(k²) core of the
-/// merit loop). Integer timing, so sharing is bitwise-neutral.
-pub(crate) struct CollapsedTiming {
-    asap: Vec<u32>,
-    alap: Vec<u32>,
-}
-
-impl CollapsedTiming {
-    pub(crate) fn of(analysis_: &IterationAnalysis) -> Self {
-        let asap = timing::asap(&analysis_.collapsed);
-        let alap = timing::alap_from_asap(&analysis_.collapsed, &asap, analysis_.deadline);
-        CollapsedTiming { asap, alap }
-    }
 }
 
 /// One recorded merit multiplication: `(node index, option, factor)`.
@@ -215,34 +109,8 @@ impl CollapsedTiming {
 /// computation (f64 multiplication is not associative).
 pub(crate) type MeritOp = (u32, ImplChoice, f64);
 
-/// Applies the full merit computation of one iteration (step 8 of
-/// Fig. 4.3.1) and normalises merits.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn update_merits(
-    store: &mut PheromoneStore,
-    g: &ExGraph,
-    walk: &Walk,
-    analysis_: &IterationAnalysis,
-    constraints: &Constraints,
-    machine: &MachineConfig,
-    params: &isex_aco::AcoParams,
-    reach: &Reachability,
-) {
-    let ops = compute_merit_ops(
-        g,
-        walk,
-        analysis_,
-        constraints,
-        machine,
-        params,
-        reach,
-        None,
-    );
-    apply_merit_ops(store, &ops);
-}
-
-/// Replays a recorded merit-op sequence and normalises, exactly as
-/// [`update_merits`] would have.
+/// Applies a merit-op sequence (step 8 of Fig. 4.3.1) and normalises
+/// merits.
 pub(crate) fn apply_merit_ops(store: &mut PheromoneStore, ops: &[MeritOp]) {
     for &(node, choice, factor) in ops {
         store.scale_merit(node as usize, choice, factor);
@@ -252,136 +120,18 @@ pub(crate) fn apply_merit_ops(store: &mut PheromoneStore, ops: &[MeritOp]) {
 
 /// The merit computation of one iteration as a replayable op sequence (the
 /// store is only ever touched through `scale_merit`, so recording the calls
-/// captures the whole update). With `shared` timing the per-operation
-/// `Max_AEC` queries reuse one ASAP/ALAP analysis; without it each query
-/// recomputes both (the legacy cost model) — the factors are identical
-/// either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_merit_ops(
+/// captures the whole update). Every graph query goes through `prims`, the
+/// walk's timing and scratch state.
+pub(crate) fn walk_merit_ops(
     g: &ExGraph,
     walk: &Walk,
-    analysis_: &IterationAnalysis,
     constraints: &Constraints,
     machine: &MachineConfig,
     params: &isex_aco::AcoParams,
     reach: &Reachability,
-    shared: Option<&CollapsedTiming>,
+    prims: &mut FastPrims,
 ) -> Vec<MeritOp> {
-    let mut prims = LegacyPrims {
-        analysis_,
-        shared,
-        q: NodeSet::new(analysis_.collapsed.len()),
-    };
-    compute_merit_ops_core(
-        g,
-        walk,
-        &analysis_.critical,
-        constraints,
-        machine,
-        params,
-        reach,
-        &mut prims,
-    )
-}
-
-/// The graph-walking primitives of the merit computation, abstracted so the
-/// factor expressions live in exactly one place
-/// ([`compute_merit_ops_core`]). [`LegacyPrims`] answers with the historical
-/// free functions (fresh allocations, whole-graph scans, per-query timing);
-/// [`FastPrims`] answers from per-round scratch over the SoA arrays. Every
-/// primitive returns identical values (sets, integer counts, and f64s built
-/// by order-insensitive max/ascending-order sums), so the resulting op
-/// stream is bit-equal across providers.
-pub(crate) trait MeritPrims {
-    /// Fills `out` with the virtual subgraph of `x` (Fig. 4.3.6).
-    fn virtual_subgraph_into(&mut self, g: &ExGraph, walk: &Walk, x: NodeId, out: &mut NodeSet);
-    /// `IN/OUT` port demand of `vs`.
-    fn demand(&mut self, g: &ExGraph, vs: &NodeSet) -> ports::PortDemand;
-    /// Convexity of `vs`.
-    fn is_convex(&mut self, vs: &NodeSet, reach: &Reachability) -> bool;
-    /// `ET(vS_x,HW-j)` and area of option `j` of `x` within `vs`.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_option(
-        &mut self,
-        g: &ExGraph,
-        walk: &Walk,
-        vs: &NodeSet,
-        x: NodeId,
-        j: usize,
-        machine: &MachineConfig,
-    ) -> VsEval;
-    /// Software execution cycles of `vs` on the core.
-    fn software_cycles(&mut self, g: &ExGraph, vs: &NodeSet) -> u32;
-    /// The `Max_AEC` slack window of `vs` (members in base node space).
-    fn max_aec(&mut self, vs: &NodeSet) -> u32;
-}
-
-/// [`MeritPrims`] over the historical free functions: the cost model the
-/// legacy and plain eval-cache paths have always paid (per-call allocation,
-/// whole-graph longest-path scans, and — without `shared` — a full
-/// ASAP/ALAP per `Max_AEC` query).
-pub(crate) struct LegacyPrims<'a> {
-    analysis_: &'a IterationAnalysis,
-    shared: Option<&'a CollapsedTiming>,
-    q: NodeSet,
-}
-
-impl MeritPrims for LegacyPrims<'_> {
-    fn virtual_subgraph_into(&mut self, g: &ExGraph, walk: &Walk, x: NodeId, out: &mut NodeSet) {
-        *out = virtual_subgraph(g, walk, x);
-    }
-
-    fn demand(&mut self, g: &ExGraph, vs: &NodeSet) -> ports::PortDemand {
-        ports::demand(g, vs)
-    }
-
-    fn is_convex(&mut self, vs: &NodeSet, reach: &Reachability) -> bool {
-        convex::is_convex(vs, reach)
-    }
-
-    fn evaluate_option(
-        &mut self,
-        g: &ExGraph,
-        walk: &Walk,
-        vs: &NodeSet,
-        x: NodeId,
-        j: usize,
-        machine: &MachineConfig,
-    ) -> VsEval {
-        evaluate_option(g, walk, vs, x, j, machine)
-    }
-
-    fn software_cycles(&mut self, g: &ExGraph, vs: &NodeSet) -> u32 {
-        software_cycles(g, vs)
-    }
-
-    fn max_aec(&mut self, vs: &NodeSet) -> u32 {
-        self.q.clear();
-        for y in vs {
-            self.q.insert(self.analysis_.node_map[y.index()]);
-        }
-        match self.shared {
-            Some(t) => timing::max_aec_from(&self.analysis_.collapsed, &t.asap, &t.alap, &self.q),
-            None => timing::max_aec(&self.analysis_.collapsed, &self.q, self.analysis_.deadline),
-        }
-    }
-}
-
-/// [`compute_merit_ops`] with every graph-walking primitive behind
-/// [`MeritPrims`]. Every factor is computed here from identical integer
-/// inputs in an identical expression sequence, so the resulting f64 stream
-/// is bit-equal across providers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_merit_ops_core(
-    g: &ExGraph,
-    walk: &Walk,
-    critical: &NodeSet,
-    constraints: &Constraints,
-    machine: &MachineConfig,
-    params: &isex_aco::AcoParams,
-    reach: &Reachability,
-    prims: &mut impl MeritPrims,
-) -> Vec<MeritOp> {
+    let critical = prims.critical;
     let mut ops: Vec<MeritOp> = Vec::new();
     let mut vs_buf = NodeSet::new(g.len());
     for x in g.node_ids() {
@@ -402,7 +152,7 @@ pub(crate) fn compute_merit_ops_core(
             }
         }
 
-        prims.virtual_subgraph_into(g, walk, x, &mut vs_buf);
+        prims.virtual_subgraph_into(walk, x, &mut vs_buf);
 
         // Case 2: nothing to fuse with.
         if vs_buf.len() == 1 {
@@ -563,12 +313,17 @@ impl FastMeritScratch {
     }
 }
 
-/// [`MeritPrims`] over the round's SoA arrays and [`FastMeritScratch`]:
-/// virtual subgraphs by word-level component union, longest paths and port
-/// demand scanning members only, and `Max_AEC` answered directly from the
-/// persistent quotient timing vectors (`alap` holds slots at deadline
-/// `len`; the walk's deadline shifts every slot uniformly, folded in as
-/// `extra`).
+/// The graph queries of the merit computation for one walk, answered from
+/// the round's SoA arrays and [`FastMeritScratch`]: virtual subgraphs by
+/// word-level component union, longest paths and port demand scanning
+/// members only, and `Max_AEC` read directly from the walk's quotient
+/// timing vectors (`alap` holds slots at deadline `len`; the walk's
+/// deadline shifts every slot uniformly, folded in as `extra`).
+///
+/// Each query equals a free-function reference — [`virtual_subgraph`],
+/// [`ports::demand`], [`isex_dfg::convex::is_convex`], [`evaluate_option`],
+/// [`software_cycles`] and `isex_sched::timing::max_aec` on the walk's
+/// collapsed graph — which the unit tests check on real hot blocks.
 pub(crate) struct FastPrims<'a> {
     pub scratch: &'a mut FastMeritScratch,
     pub base: &'a SoaGraph,
@@ -580,10 +335,14 @@ pub(crate) struct FastPrims<'a> {
     pub alap: &'a [u32],
     /// `walk deadline − len`, the uniform ALAP shift.
     pub extra: u32,
+    /// Critical-path membership per original node (ASAP = ALAP in the
+    /// walk's quotient).
+    pub critical: &'a NodeSet,
 }
 
-impl MeritPrims for FastPrims<'_> {
-    fn virtual_subgraph_into(&mut self, _g: &ExGraph, walk: &Walk, x: NodeId, out: &mut NodeSet) {
+impl FastPrims<'_> {
+    /// Fills `out` with the virtual subgraph of `x` (Fig. 4.3.6).
+    pub(crate) fn virtual_subgraph_into(&mut self, walk: &Walk, x: NodeId, out: &mut NodeSet) {
         out.clear();
         out.insert(x);
         let xi = x.index() as u32;
@@ -605,7 +364,8 @@ impl MeritPrims for FastPrims<'_> {
         }
     }
 
-    fn demand(&mut self, g: &ExGraph, vs: &NodeSet) -> ports::PortDemand {
+    /// `IN/OUT` port demand of `vs`.
+    pub(crate) fn demand(&mut self, g: &ExGraph, vs: &NodeSet) -> ports::PortDemand {
         let s = &mut *self.scratch;
         s.ext.clear();
         s.live_ins.clear();
@@ -645,7 +405,8 @@ impl MeritPrims for FastPrims<'_> {
         }
     }
 
-    fn is_convex(&mut self, vs: &NodeSet, reach: &Reachability) -> bool {
+    /// Convexity of `vs`.
+    pub(crate) fn is_convex(&mut self, vs: &NodeSet, reach: &Reachability) -> bool {
         let s = &mut *self.scratch;
         s.desc.clear();
         s.anc.clear();
@@ -663,7 +424,8 @@ impl MeritPrims for FastPrims<'_> {
             .all(|((d, a), v)| d & a & !v == 0)
     }
 
-    fn evaluate_option(
+    /// `ET(vS_x,HW-j)` and area of option `j` of `x` within `vs`.
+    pub(crate) fn evaluate_option(
         &mut self,
         g: &ExGraph,
         walk: &Walk,
@@ -702,7 +464,8 @@ impl MeritPrims for FastPrims<'_> {
         }
     }
 
-    fn software_cycles(&mut self, g: &ExGraph, vs: &NodeSet) -> u32 {
+    /// Software execution cycles of `vs` on the core.
+    pub(crate) fn software_cycles(&mut self, g: &ExGraph, vs: &NodeSet) -> u32 {
         let finish = &mut self.scratch.finish;
         let mut best = 0.0f64;
         for y in vs {
@@ -720,7 +483,8 @@ impl MeritPrims for FastPrims<'_> {
         best.round() as u32
     }
 
-    fn max_aec(&mut self, vs: &NodeSet) -> u32 {
+    /// The `Max_AEC` slack window of `vs` (members in base node space).
+    pub(crate) fn max_aec(&self, vs: &NodeSet) -> u32 {
         if vs.is_empty() {
             return 0;
         }
@@ -739,9 +503,10 @@ impl MeritPrims for FastPrims<'_> {
 mod tests {
     use super::*;
     use crate::ant::Ant;
+    use crate::evalcache::RoundEval;
     use crate::exgraph;
     use isex_aco::AcoParams;
-    use isex_dfg::Operand;
+    use isex_dfg::{CsrAdjacency, Operand};
     use isex_isa::{Opcode, Operation, ProgramDfg};
     use rand::SeedableRng;
 
@@ -773,7 +538,8 @@ mod tests {
     fn software_walk(g: &ExGraph) -> Walk {
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
-        let ant = Ant::new(g, &m, &cons, 0.5);
+        let csr = CsrAdjacency::from_dfg(g);
+        let ant = Ant::new(g, &m, &cons, 0.5, &csr);
         let shape: Vec<(usize, usize)> = g
             .iter()
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
@@ -787,20 +553,6 @@ mod tests {
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         ant.run(&store, &mut rng)
-    }
-
-    #[test]
-    fn analyze_marks_the_chain_critical() {
-        let g = graph();
-        let m = MachineConfig::preset_2issue_4r2w();
-        let w = software_walk(&g);
-        let a = analyze(&g, &w, &m);
-        // Chain a(0), b(1), c(2) critical; d(3) has slack.
-        assert!(a.critical.contains(NodeId::new(0)));
-        assert!(a.critical.contains(NodeId::new(1)));
-        assert!(a.critical.contains(NodeId::new(2)));
-        assert!(!a.critical.contains(NodeId::new(3)));
-        assert_eq!(a.deadline, 3);
     }
 
     #[test]
@@ -866,8 +618,8 @@ mod tests {
         w.choice[0] = ImplChoice::Hw(0);
         w.choice[1] = ImplChoice::Hw(0);
         w.choice[2] = ImplChoice::Hw(0);
-        let a = analyze(&g, &w, &m);
-        update_merits(&mut store, &g, &w, &a, &cons, &m, &params, &reach);
+        let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
+        apply_merit_ops(&mut store, &eval.merit_ops(&g, &w, &cons, &params, &reach));
         // After the update the chain's hardware options outweigh software.
         for n in [0usize, 1, 2] {
             let hw = store.merit(n, ImplChoice::Hw(0));
@@ -907,11 +659,11 @@ mod tests {
         let mut w = software_walk_for(&g, &m, &cons);
         w.choice[0] = ImplChoice::Hw(0);
         w.choice[1] = ImplChoice::Hw(0);
-        let a = analyze(&g, &w, &m);
+        let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
         // The β_IO penalty compounds across iterations; after a handful of
         // violating iterations the hardware option must fall below software.
         for _ in 0..10 {
-            update_merits(&mut store, &g, &w, &a, &cons, &m, &params, &reach);
+            apply_merit_ops(&mut store, &eval.merit_ops(&g, &w, &cons, &params, &reach));
         }
         let hw = store.merit(0, ImplChoice::Hw(0));
         let sw = store.merit(0, ImplChoice::Sw(0));
@@ -921,49 +673,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn template_analysis_replays_bitwise_identically() {
-        let g = graph();
-        let m = MachineConfig::preset_2issue_4r2w();
-        let cons = Constraints::from_machine(&m);
-        let params = AcoParams::default();
-        let reach = Reachability::compute(&g);
-        let shape: Vec<(usize, usize)> = g
-            .iter()
-            .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
-            .collect();
-        let mut w = software_walk(&g);
-        w.choice[0] = ImplChoice::Hw(0);
-        w.choice[1] = ImplChoice::Hw(0);
-        let fresh = analyze(&g, &w, &m);
-        // Patch the template for a different walk first: stale payloads from
-        // a previous iteration must be fully overwritten.
-        let mut template = crate::exgraph::to_sched(&g);
-        let _ = analyze_with(&mut template, &g, &software_walk(&g));
-        let patched = analyze_with(&mut template, &g, &w);
-        assert_eq!(patched.node_map, fresh.node_map);
-        assert_eq!(patched.critical, fresh.critical);
-        assert_eq!(patched.deadline, fresh.deadline);
-        // Record-and-replay must land on bit-identical merits.
-        let mut direct = PheromoneStore::new(&shape, &params);
-        let mut replayed = direct.clone();
-        update_merits(&mut direct, &g, &w, &fresh, &cons, &m, &params, &reach);
-        let shared = CollapsedTiming::of(&patched);
-        let ops = compute_merit_ops(&g, &w, &patched, &cons, &m, &params, &reach, Some(&shared));
-        apply_merit_ops(&mut replayed, &ops);
-        for n in 0..g.len() {
-            for c in direct.choices(n) {
-                assert_eq!(
-                    direct.merit(n, c).to_bits(),
-                    replayed.merit(n, c).to_bits(),
-                    "node {n} option {c}"
-                );
-            }
-        }
-    }
-
     fn software_walk_for(g: &ExGraph, m: &MachineConfig, cons: &Constraints) -> Walk {
-        let ant = Ant::new(g, m, cons, 0.5);
+        let csr = CsrAdjacency::from_dfg(g);
+        let ant = Ant::new(g, m, cons, 0.5, &csr);
         let shape: Vec<(usize, usize)> = g
             .iter()
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))

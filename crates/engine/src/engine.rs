@@ -53,16 +53,6 @@ pub struct ExploreSpec {
     /// Worker threads; `0` = one per available core. Results are identical
     /// for every value — only wall time changes.
     pub jobs: usize,
-    /// Round-scoped hot-path evaluation cache (one-shot lowering plus
-    /// walk/candidate memoisation). Results are bitwise identical either
-    /// way — only wall time changes; `false` forces the legacy
-    /// re-lowering paths (benchmarks and regression pins).
-    pub eval_cache: bool,
-    /// Incremental/SoA hot-loop evaluation (persistent per-round timing
-    /// baselines, arena quotients, counter-driven scheduling) on the
-    /// eval-cache miss path. Results are bitwise identical either way;
-    /// only meaningful when [`ExploreSpec::eval_cache`] is on.
-    pub incremental: bool,
     /// Deterministic fault injection (tests and resilience drills only).
     /// `None` in production; see [`FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
@@ -128,14 +118,11 @@ pub struct EngineOutcome {
     pub workers: usize,
     /// Exploration wall time, milliseconds.
     pub explore_ms: f64,
-    /// Hot-path evaluation-cache hits summed over all jobs (0 when
-    /// [`ExploreSpec::eval_cache`] is off or the SI algorithm ran).
+    /// Hot-path evaluation-cache hits summed over all jobs (0 when the SI
+    /// algorithm ran).
     pub eval_cache_hits: u64,
     /// Hot-path evaluation-cache misses summed over all jobs.
     pub eval_cache_misses: u64,
-    /// Full ASAP passes avoided by shared-ASAP ALAP derivation, summed
-    /// over all jobs (the timing-layer bugfix made visible).
-    pub asap_saved: u64,
     /// Incremental-timing quotient vertices copied from a round baseline.
     pub incr_copied: u64,
     /// Incremental-timing quotient vertices recomputed in dirty cones.
@@ -359,7 +346,6 @@ impl Engine {
             explore_ms: start.elapsed().as_secs_f64() * 1e3,
             eval_cache_hits: eval_stats.hits(),
             eval_cache_misses: eval_stats.misses(),
-            asap_saved: eval_stats.asap_saved(),
             incr_copied: eval_stats.incr_copied(),
             incr_recomputed: eval_stats.incr_recomputed(),
         }
@@ -405,8 +391,6 @@ impl Engine {
                     self.spec.constraints,
                     self.spec.params,
                 );
-                explorer.eval_cache = self.spec.eval_cache;
-                explorer.incremental = self.spec.incremental;
                 explorer.eval_stats = Some(Arc::clone(eval_stats));
                 // The anytime hook: a token tripping mid-job stops the
                 // round loop at the next boundary, and the job returns its

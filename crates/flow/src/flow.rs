@@ -46,19 +46,6 @@ pub struct FlowConfig {
     pub sharing: SharingModel,
     /// Fraction of profiled work the explored hot blocks must cover.
     pub hot_block_coverage: f64,
-    /// Round-scoped hot-path evaluation cache (one-shot lowering plus
-    /// walk/candidate memoisation) in the MI explorer. On by default;
-    /// reports are bitwise identical either way — `false` forces the
-    /// legacy re-lowering paths for benchmarks and regression pins.
-    pub eval_cache: bool,
-    /// Incremental timing + SoA hot loop inside the eval cache: persistent
-    /// per-round ASAP/ALAP baselines updated only along the patched fan-in
-    /// and fan-out cones, arena CSR adjacency and the counter-driven list
-    /// scheduler. On by default; reports are bitwise identical either way —
-    /// `false` is the A/B switch that keeps the eval cache but forces the
-    /// full-pass timing code for benchmarks and regression pins. Has no
-    /// effect when `eval_cache` is off.
-    pub incremental: bool,
     /// Deterministic fault injection passed through to the engine.
     /// `None` (the default) in production; see [`FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
@@ -82,8 +69,6 @@ impl FlowConfig {
             budgets: Budgets::default(),
             sharing: SharingModel::default(),
             hot_block_coverage: 0.95,
-            eval_cache: true,
-            incremental: true,
             fault_plan: None,
             tracer: Tracer::disabled(),
         }
@@ -318,12 +303,10 @@ pub(crate) fn explore_program_anytime(
             });
         }
     }
-    // Timing-layer savings: full ALAP passes avoided by deriving ALAP from
-    // the ASAP numbers already in hand, and the copied/recomputed vertex
-    // split of the incremental cone updates. Same `PhaseStat` channel, so a
-    // regression in either shows up on the metrics endpoint directly.
+    // The copied/recomputed vertex split of the incremental cone updates.
+    // Same `PhaseStat` channel, so a regression shows up on the metrics
+    // endpoint directly.
     for (name, count) in [
-        ("timing.asap_saved", outcome.asap_saved),
         ("timing.incr_copied", outcome.incr_copied),
         ("timing.incr_recomputed", outcome.incr_recomputed),
     ] {
@@ -372,8 +355,6 @@ pub(crate) fn explore_spec(cfg: &FlowConfig) -> ExploreSpec {
         algorithm: cfg.algorithm,
         repeats: cfg.repeats,
         jobs: cfg.jobs,
-        eval_cache: cfg.eval_cache,
-        incremental: cfg.incremental,
         fault_plan: cfg.fault_plan.clone(),
         tracer: cfg.tracer.clone(),
     }

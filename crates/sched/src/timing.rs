@@ -155,18 +155,8 @@ pub fn max_aec(dfg: &SchedDfg, set: &NodeSet, deadline: u32) -> u32 {
     if set.is_empty() {
         return 0;
     }
-    let a = asap(dfg);
-    let l = alap_from_asap(dfg, &a, deadline);
-    max_aec_from(dfg, &a, &l, set)
-}
-
-/// [`max_aec`] against precomputed [`asap`]/[`alap`] vectors of `dfg`, so
-/// one timing analysis can serve many subgraph queries at the same
-/// deadline (the merit function asks once per operation per iteration).
-pub fn max_aec_from(dfg: &SchedDfg, asap: &[u32], alap: &[u32], set: &NodeSet) -> u32 {
-    if set.is_empty() {
-        return 0;
-    }
+    let asap = asap(dfg);
+    let alap = alap_from_asap(dfg, &asap, deadline);
     let earliest_start = set.iter().map(|n| asap[n.index()]).min().unwrap_or(0);
     let latest_finish = set
         .iter()

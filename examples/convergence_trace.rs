@@ -46,8 +46,6 @@ fn main() {
         algorithm: Algorithm::MultiIssue,
         repeats: 1,
         jobs: 1,
-        eval_cache: true,
-        incremental: true,
         fault_plan: None,
         tracer: Default::default(),
     });
