@@ -18,6 +18,7 @@
 use isex_aco::{roulette, AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{analysis, convex, ports, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
+use isex_sched::soa::SoaGraph;
 use rand::Rng;
 
 use crate::ant::Walk;
@@ -206,7 +207,9 @@ impl SingleIssueExplorer {
             Some((walk, _)) => walk.choice.clone(),
             None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
         };
-        let mut cands = extract_candidates(g, &taken, &self.constraints, &self.machine, &reach);
+        let base = SoaGraph::from_sched(&exgraph::to_sched(g));
+        let mut cands =
+            extract_candidates(g, &base, &taken, &self.constraints, &self.machine, &reach);
         // Serial saving: size (1 cycle per op on a single-issue core) minus
         // the ISE latency.
         cands.retain(|c| c.members.len() as i64 - c.latency as i64 > 0);

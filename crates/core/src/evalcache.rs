@@ -195,7 +195,7 @@ pub(crate) struct RoundEval<'a> {
     pub base_len: u32,
     /// The round's base graph (every node on implementation option 0),
     /// array form of `sched` — same indices, same adjacency.
-    base: SoaGraph,
+    pub base: SoaGraph,
     /// ASAP/ALAP/height/length baseline of `base`, computed once per round.
     bt: BaseTiming,
     /// Per-walk latency-patched copy of `base` (only `lat` ever differs:
@@ -465,13 +465,17 @@ mod tests {
     /// Every [`merit::FastPrims`] query equals its free-function reference
     /// on random walks over real hot blocks: the walk's critical set and
     /// `Max_AEC` against `isex_sched::timing` on the `collapse_groups`
-    /// quotient at the walk deadline, the rest against the `merit`,
-    /// `ports` and `convex` functions.
+    /// quotient at the walk deadline, legality repair against the
+    /// allocating `explore::grow_legal_from` (on every illegal virtual
+    /// subgraph, and on every piece `explore::enforce_ports` grows from the
+    /// walk's hardware choices), the rest against the `merit`, `ports` and
+    /// `convex` functions.
     #[test]
     fn fast_prims_match_their_references_on_hot_blocks() {
         use crate::ant::Ant;
+        use crate::explore::{enforce_ports, grow_legal_from};
         use isex_aco::PheromoneStore;
-        use isex_dfg::{convex, ports, CsrAdjacency};
+        use isex_dfg::{analysis, convex, ports, CsrAdjacency};
         use isex_sched::collapse::collapse_groups;
         use isex_sched::timing;
         use isex_workloads::{Benchmark, OptLevel};
@@ -481,6 +485,9 @@ mod tests {
         let cons = Constraints::from_machine(&m);
         let params = AcoParams::default();
         let mut queries = 0usize;
+        let mut merit_repairs = 0usize;
+        let mut port_repairs = 0usize;
+        let mut kernel = merit::GrowScratch::default();
         for (seed, &bench) in Benchmark::ALL.iter().enumerate() {
             let g = exgraph::build(&bench.program(OptLevel::O3).hottest().dfg);
             let reach = Reachability::compute(&g);
@@ -512,6 +519,7 @@ mod tests {
                 let critical_q = timing::critical_nodes(&q.dfg);
                 let mut prims = eval.walk_prims(&g, &walk);
                 let mut vs = NodeSet::new(g.len());
+                let mut legal = NodeSet::new(g.len());
                 for x in g.node_ids() {
                     let at = format!("{bench} node {}", x.index());
                     assert_eq!(
@@ -521,12 +529,19 @@ mod tests {
                     );
                     prims.virtual_subgraph_into(&walk, x, &mut vs);
                     assert_eq!(vs, merit::virtual_subgraph(&g, &walk, x), "{at}: vS_x");
-                    assert_eq!(prims.demand(&g, &vs), ports::demand(&g, &vs), "{at}: ports");
-                    assert_eq!(
-                        prims.is_convex(&vs, &reach),
-                        convex::is_convex(&vs, &reach),
-                        "{at}: convexity"
-                    );
+                    let demand = ports::demand(&g, &vs);
+                    let convex = convex::is_convex(&vs, &reach);
+                    assert_eq!(prims.demand(&g, &vs), demand, "{at}: ports");
+                    assert_eq!(prims.is_convex(&vs, &reach), convex, "{at}: convexity");
+                    if !demand.fits(cons.n_in, cons.n_out) || !convex {
+                        prims.grow_legal(&g, x, &vs, &cons, &reach, &mut legal);
+                        assert_eq!(
+                            legal,
+                            grow_legal_from(&g, x, &vs, &cons, &reach),
+                            "{at}: legal sub-blob"
+                        );
+                        merit_repairs += 1;
+                    }
                     for j in 0..g.node(x).payload().hw.len() {
                         let fast = prims.evaluate_option(&g, &walk, &vs, x, j, &m);
                         let reference = merit::evaluate_option(&g, &walk, &vs, x, j, &m);
@@ -553,9 +568,33 @@ mod tests {
                     );
                     queries += 1;
                 }
+                // Candidate extraction's port trimming over the same walk.
+                let mut hw = NodeSet::new(g.len());
+                for x in g.node_ids() {
+                    if walk.choice[x.index()].is_hardware() {
+                        hw.insert(x);
+                    }
+                }
+                for comp in analysis::components_within(&g, &hw) {
+                    for piece in convex::make_convex(&g, &comp, &reach) {
+                        enforce_ports(&g, piece, &cons, &reach, |seed, s| {
+                            let mut grown = NodeSet::new(g.len());
+                            kernel.grow(&g, &eval.base, &reach, &cons, seed, s, &mut grown);
+                            let reference = grow_legal_from(&g, seed, s, &cons, &reach);
+                            assert_eq!(grown, reference, "{bench}: enforce_ports piece");
+                            port_repairs += 1;
+                            grown
+                        });
+                    }
+                }
             }
         }
         assert!(queries > 1000, "only {queries} nodes queried");
+        assert!(merit_repairs >= 1000, "only {merit_repairs} illegal vS_x");
+        assert!(
+            port_repairs >= 50,
+            "only {port_repairs} port-trimming grows"
+        );
     }
 
     #[test]

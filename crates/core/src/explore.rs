@@ -16,6 +16,7 @@ use isex_aco::{AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{analysis, convex, ports, CsrAdjacency, NodeId, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
 use isex_sched::collapse::collapse_groups;
+use isex_sched::soa::SoaGraph;
 use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp, UnitClass};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -457,7 +458,14 @@ impl MultiIssueExplorer {
             );
         }
         let _extract_span = isex_trace::span("aco.extract");
-        let cands = extract_candidates(g, &taken, &self.constraints, &self.machine, &reach);
+        let cands = extract_candidates(
+            g,
+            &eval.base,
+            &taken,
+            &self.constraints,
+            &self.machine,
+            &reach,
+        );
         let base_len = eval.base_len;
         let mut ranked: Vec<(CurCandidate, u32, u32)> = cands
             .into_iter()
@@ -563,9 +571,11 @@ pub(crate) fn schedule_with_lowered(
 
 /// Extracts legal ISE candidates from the converged option assignment:
 /// connected components of taken-hardware nodes, legalised by Make-Convex
-/// and port trimming, size ≥ 2.
+/// and port trimming, size ≥ 2. `base` is `g` in array form (the round's
+/// [`SoaGraph`]), over which port trimming grows its legal pieces.
 pub(crate) fn extract_candidates(
     g: &ExGraph,
+    base: &SoaGraph,
     taken: &[ImplChoice],
     constraints: &Constraints,
     machine: &MachineConfig,
@@ -578,10 +588,16 @@ pub(crate) fn extract_candidates(
             hw.insert(n);
         }
     }
+    let mut kernel = merit::GrowScratch::default();
+    let mut grow_legal = |seed: NodeId, s: &NodeSet| {
+        let mut grown = NodeSet::new(g.len());
+        kernel.grow(g, base, reach, constraints, seed, s, &mut grown);
+        grown
+    };
     let mut out = Vec::new();
     for comp in analysis::components_within(g, &hw) {
         for piece in convex::make_convex(g, &comp, reach) {
-            for legal in enforce_ports(g, piece, constraints, reach) {
+            for legal in enforce_ports(g, piece, constraints, reach, &mut grow_legal) {
                 if legal.len() >= 2 {
                     out.push(materialize(g, &legal, taken, machine));
                 }
@@ -595,17 +611,19 @@ pub(crate) fn extract_candidates(
 /// `OUT(S) ≤ N_out`.
 ///
 /// A piece that already fits is kept whole. An oversized piece is covered
-/// by *greedily grown* maximal legal sub-pieces: starting from the piece's
-/// earliest member, neighbours are absorbed while the union stays convex
-/// and within the port budget (preferring absorptions that minimise the
-/// input count — internalising values is what shrinks `IN(S)`). The
-/// remainder is processed the same way, so long dependence chains shatter
-/// into few large chunks instead of many two-op crumbs.
+/// by *greedily grown* maximal legal sub-pieces: `grow_legal(seed, s)`
+/// grows one from the piece's earliest member, absorbing neighbours while
+/// the union stays convex and within the port budget, smallest `IN + OUT`
+/// of the union first and the lower node index on ties (internalising
+/// values is what shrinks the port demand). The remainder is processed the
+/// same way, so long dependence chains shatter into few large chunks
+/// instead of many two-op crumbs.
 pub(crate) fn enforce_ports(
     g: &ExGraph,
     piece: NodeSet,
     constraints: &Constraints,
     reach: &Reachability,
+    mut grow_legal: impl FnMut(NodeId, &NodeSet) -> NodeSet,
 ) -> Vec<NodeSet> {
     let mut work = vec![piece];
     let mut out = Vec::new();
@@ -619,7 +637,7 @@ pub(crate) fn enforce_ports(
             continue;
         }
         let grown = match s.first() {
-            Some(seed) => grow_legal_from(g, seed, &s, constraints, reach),
+            Some(seed) => grow_legal(seed, &s),
             None => continue,
         };
         let mut rest = s;
@@ -642,6 +660,8 @@ pub(crate) fn enforce_ports(
 
 /// Grows a maximal legal (convex, port-feasible) sub-piece of `allowed`
 /// starting from `seed`, preferring absorptions that minimise port demand.
+/// The allocating reference of [`merit::GrowScratch::grow`].
+#[cfg(test)]
 pub(crate) fn grow_legal_from(
     g: &ExGraph,
     seed: NodeId,
@@ -867,7 +887,14 @@ mod tests {
         let reach = Reachability::compute(&g);
         let cons = Constraints::new(3, 2);
         let all = NodeSet::full(g.len());
-        let pieces = enforce_ports(&g, all, &cons, &reach);
+        let base = SoaGraph::from_sched(&exgraph::to_sched(&g));
+        let mut kernel = merit::GrowScratch::default();
+        let pieces = enforce_ports(&g, all, &cons, &reach, |seed, s| {
+            let mut grown = NodeSet::new(g.len());
+            kernel.grow(&g, &base, &reach, &cons, seed, s, &mut grown);
+            assert_eq!(grown, grow_legal_from(&g, seed, s, &cons, &reach));
+            grown
+        });
         assert!(!pieces.is_empty());
         for p in &pieces {
             let d = ports::demand(&g, p);

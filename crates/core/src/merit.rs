@@ -133,7 +133,11 @@ pub(crate) fn walk_merit_ops(
 ) -> Vec<MeritOp> {
     let critical = prims.critical;
     let mut ops: Vec<MeritOp> = Vec::new();
-    let mut vs_buf = NodeSet::new(g.len());
+    // The per-node buffers live in the round scratch; they are moved out
+    // for the walk so the queries below can borrow `prims` mutably.
+    let mut vs_buf = std::mem::replace(&mut prims.scratch.vs, NodeSet::new(0));
+    let mut legal = std::mem::replace(&mut prims.scratch.legal, NodeSet::new(0));
+    let mut evals = std::mem::take(&mut prims.scratch.evals);
     for x in g.node_ids() {
         let xi = x.index() as u32;
         let op = g.node(x).payload();
@@ -171,7 +175,6 @@ pub(crate) fn walk_merit_ops(
         let demand = prims.demand(g, &vs_buf);
         let io_ok = demand.fits(constraints.n_in, constraints.n_out);
         let convex_ok = prims.is_convex(&vs_buf, reach);
-        let legal_store;
         let vs: &NodeSet = if !io_ok || !convex_ok {
             for j in 0..op.hw.len() {
                 if !io_ok {
@@ -181,19 +184,18 @@ pub(crate) fn walk_merit_ops(
                     ops.push((xi, ImplChoice::Hw(j), params.beta_convex));
                 }
             }
-            legal_store = crate::explore::grow_legal_from(g, x, &vs_buf, constraints, reach);
-            if legal_store.len() < 2 {
+            prims.grow_legal(g, x, &vs_buf, constraints, reach, &mut legal);
+            if legal.len() < 2 {
                 continue;
             }
-            &legal_store
+            &legal
         } else {
             &vs_buf
         };
 
         // Case 4: performance and area scoring.
-        let evals: Vec<VsEval> = (0..op.hw.len())
-            .map(|j| prims.evaluate_option(g, walk, vs, x, j, machine))
-            .collect();
+        evals.clear();
+        evals.extend((0..op.hw.len()).map(|j| prims.evaluate_option(g, walk, vs, x, j, machine)));
         let et_max_reduction = evals.iter().map(|e| e.et_cycles).min().unwrap_or(1);
         let area_max = evals.iter().map(|e| e.area).fold(0.0f64, f64::max).max(1.0);
         let sw_cycles = prims.software_cycles(g, vs);
@@ -220,12 +222,16 @@ pub(crate) fn walk_merit_ops(
             ops.push((xi, ImplChoice::Hw(j), factor));
         }
     }
+    prims.scratch.vs = vs_buf;
+    prims.scratch.legal = legal;
+    prims.scratch.evals = evals;
     ops
 }
 
 /// Per-round scratch of the fast merit primitives: hardware-choice
 /// connected components (recomputed once per walk), the longest-path finish
-/// buffer, and the demand/convexity sets. Steady state allocates nothing.
+/// buffer, the demand/convexity sets, the legality-repair kernel and the
+/// per-node buffers of [`walk_merit_ops`]. Steady state allocates nothing.
 pub(crate) struct FastMeritScratch {
     /// Component id per node for the current walk; `u32::MAX` when the node
     /// did not choose hardware.
@@ -245,6 +251,13 @@ pub(crate) struct FastMeritScratch {
     /// Descendants/ancestors unions of the convexity test.
     desc: NodeSet,
     anc: NodeSet,
+    /// Legality repair (merit case 3).
+    grow: GrowScratch,
+    /// The virtual subgraph, its legal sub-blob and the per-option
+    /// evaluations of the node [`walk_merit_ops`] is scoring.
+    vs: NodeSet,
+    legal: NodeSet,
+    evals: Vec<VsEval>,
 }
 
 impl Default for FastMeritScratch {
@@ -259,6 +272,10 @@ impl Default for FastMeritScratch {
             stack: Vec::new(),
             desc: NodeSet::new(0),
             anc: NodeSet::new(0),
+            grow: GrowScratch::default(),
+            vs: NodeSet::new(0),
+            legal: NodeSet::new(0),
+            evals: Vec::new(),
         }
     }
 }
@@ -279,6 +296,8 @@ impl FastMeritScratch {
             self.ext = NodeSet::new(n);
             self.desc = NodeSet::new(n);
             self.anc = NodeSet::new(n);
+            self.vs = NodeSet::new(n);
+            self.legal = NodeSet::new(n);
         }
         for v in 0..n {
             if !walk.choice[v].is_hardware() || self.comp_id[v] != u32::MAX {
@@ -322,8 +341,9 @@ impl FastMeritScratch {
 ///
 /// Each query equals a free-function reference — [`virtual_subgraph`],
 /// [`ports::demand`], [`isex_dfg::convex::is_convex`], [`evaluate_option`],
-/// [`software_cycles`] and `isex_sched::timing::max_aec` on the walk's
-/// collapsed graph — which the unit tests check on real hot blocks.
+/// [`software_cycles`], `isex_sched::timing::max_aec` on the walk's
+/// collapsed graph, and the allocating greedy `explore::grow_legal_from`
+/// for legality repair — which the unit tests check on real hot blocks.
 pub(crate) struct FastPrims<'a> {
     pub scratch: &'a mut FastMeritScratch,
     pub base: &'a SoaGraph,
@@ -424,6 +444,22 @@ impl FastPrims<'_> {
             .all(|((d, a), v)| d & a & !v == 0)
     }
 
+    /// The maximal legal sub-blob of `vs` grown from `x` into `out` (merit
+    /// case 3); see [`GrowScratch::grow`].
+    pub(crate) fn grow_legal(
+        &mut self,
+        g: &ExGraph,
+        x: NodeId,
+        vs: &NodeSet,
+        constraints: &Constraints,
+        reach: &Reachability,
+        out: &mut NodeSet,
+    ) {
+        self.scratch
+            .grow
+            .grow(g, self.base, reach, constraints, x, vs, out);
+    }
+
     /// `ET(vS_x,HW-j)` and area of option `j` of `x` within `vs`.
     pub(crate) fn evaluate_option(
         &mut self,
@@ -496,6 +532,226 @@ impl FastPrims<'_> {
             latest = latest.max(self.alap[qv] + self.extra + self.qlat[qv]);
         }
         latest.saturating_sub(earliest)
+    }
+}
+
+/// Scratch of the legality-repair kernel [`GrowScratch::grow`]: the
+/// grown set's descendant/ancestor unions, its candidate frontier and its
+/// port bookkeeping, updated as members are absorbed.
+pub(crate) struct GrowScratch {
+    /// Unions of the strict descendants / ancestors of the grown members.
+    desc: NodeSet,
+    anc: NodeSet,
+    /// Allowed nodes adjacent to the grown set and outside it.
+    frontier: NodeSet,
+    /// External producers read by the grown set, and how many there are.
+    ext: NodeSet,
+    n_ext: usize,
+    /// Distinct live-in values read by the grown set.
+    live_ins: Vec<u32>,
+    /// Per grown member: its distinct successors outside the grown set.
+    ext_succs: Vec<u32>,
+    /// `OUT` of the grown set: members that are live out or feed a
+    /// non-member.
+    outputs: usize,
+}
+
+impl Default for GrowScratch {
+    fn default() -> Self {
+        GrowScratch {
+            desc: NodeSet::new(0),
+            anc: NodeSet::new(0),
+            frontier: NodeSet::new(0),
+            ext: NodeSet::new(0),
+            n_ext: 0,
+            live_ins: Vec::new(),
+            ext_succs: Vec::new(),
+            outputs: 0,
+        }
+    }
+}
+
+impl GrowScratch {
+    /// Grows into `grown` a maximal legal (convex, port-feasible) sub-blob
+    /// of `allowed` from `seed`: while some frontier node fits, absorb the
+    /// one with the smallest `(IN + OUT, index)` of the enlarged set.
+    ///
+    /// The grown set is convex at every step, so convexity of
+    /// `grown ∪ {v}` is one word-level test against the kept unions `D`
+    /// and `A` of its members' descendants and ancestors,
+    /// `(D ∪ desc v) ∧ (A ∪ anc v) ∧ ¬grown = ∅`, and its port demand
+    /// follows from `v`'s own operands and successors alone. Both equal
+    /// [`ports::demand`] and [`isex_dfg::convex::is_convex`] on the
+    /// enlarged set. Nothing is allocated once the scratch has been sized
+    /// for the graph.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn grow(
+        &mut self,
+        g: &ExGraph,
+        base: &SoaGraph,
+        reach: &Reachability,
+        constraints: &Constraints,
+        seed: NodeId,
+        allowed: &NodeSet,
+        grown: &mut NodeSet,
+    ) {
+        let n = base.len();
+        if self.ext_succs.len() != n {
+            self.desc = NodeSet::new(n);
+            self.anc = NodeSet::new(n);
+            self.frontier = NodeSet::new(n);
+            self.ext = NodeSet::new(n);
+            self.ext_succs = vec![0; n];
+        }
+        self.desc.clear();
+        self.anc.clear();
+        self.frontier.clear();
+        self.ext.clear();
+        self.n_ext = 0;
+        self.live_ins.clear();
+        self.outputs = 0;
+        grown.clear();
+        self.absorb(g, base, reach, allowed, grown, seed);
+        loop {
+            // Ascending index order, so only a strictly smaller demand
+            // displaces the incumbent: ties go to the lower index.
+            let mut best: Option<(usize, NodeId)> = None;
+            for v in &self.frontier {
+                let (inputs, outputs) = self.demand_with(g, base, grown, v);
+                if inputs > constraints.n_in || outputs > constraints.n_out {
+                    continue;
+                }
+                let key = inputs + outputs;
+                if best.is_some_and(|(bk, _)| bk <= key) {
+                    continue;
+                }
+                if self.convex_with(reach, grown, v) {
+                    best = Some((key, v));
+                }
+            }
+            match best {
+                Some((_, v)) => self.absorb(g, base, reach, allowed, grown, v),
+                None => break,
+            }
+        }
+    }
+
+    /// `(IN, OUT)` of `grown ∪ {v}` for a non-member `v`.
+    fn demand_with(
+        &self,
+        g: &ExGraph,
+        base: &SoaGraph,
+        grown: &NodeSet,
+        v: NodeId,
+    ) -> (usize, usize) {
+        let node = g.node(v);
+        // `v` stops being an external producer; its producers outside the
+        // set start being one.
+        let mut inputs = self.n_ext - usize::from(self.ext.contains(v));
+        for &p in base.preds(v.index()) {
+            let p = NodeId::new(p);
+            if !grown.contains(p) && !self.ext.contains(p) {
+                inputs += 1;
+            }
+        }
+        inputs += self.live_ins.len();
+        let operands = node.operands();
+        for (i, op) in operands.iter().enumerate() {
+            if let Operand::LiveIn(li) = *op {
+                if !self.live_ins.contains(&(li.index() as u32)) && !operands[..i].contains(op) {
+                    inputs += 1;
+                }
+            }
+        }
+        // A member producer whose only outside consumer was `v` stops
+        // escaping; `v` escapes unless it is internal to the set.
+        let mut outputs = self.outputs;
+        for &p in base.preds(v.index()) {
+            let pid = NodeId::new(p);
+            if grown.contains(pid) && self.ext_succs[p as usize] == 1 && !g.node(pid).is_live_out()
+            {
+                outputs -= 1;
+            }
+        }
+        if node.is_live_out()
+            || base
+                .succs(v.index())
+                .iter()
+                .any(|&s| !grown.contains(NodeId::new(s)))
+        {
+            outputs += 1;
+        }
+        (inputs, outputs)
+    }
+
+    /// Convexity of `grown ∪ {v}`, given that `grown` is convex: no node
+    /// outside it is both a descendant and an ancestor of its members.
+    /// `v` needs no bit of its own in the mask: it is in neither of its
+    /// own (strict) rows, and being in both `D` and `A` would put it on a
+    /// path between two members of the convex grown set.
+    fn convex_with(&self, reach: &Reachability, grown: &NodeSet, v: NodeId) -> bool {
+        let (d, a, m) = (self.desc.as_words(), self.anc.as_words(), grown.as_words());
+        let (dv, av) = (
+            reach.descendants(v).as_words(),
+            reach.ancestors(v).as_words(),
+        );
+        (0..m.len()).all(|i| (d[i] | dv[i]) & (a[i] | av[i]) & !m[i] == 0)
+    }
+
+    /// Adds `v` to `grown` and updates the unions, the port bookkeeping and
+    /// the frontier.
+    fn absorb(
+        &mut self,
+        g: &ExGraph,
+        base: &SoaGraph,
+        reach: &Reachability,
+        allowed: &NodeSet,
+        grown: &mut NodeSet,
+        v: NodeId,
+    ) {
+        let vi = v.index();
+        let node = g.node(v);
+        grown.insert(v);
+        self.frontier.remove(v);
+        self.desc.union_with(reach.descendants(v));
+        self.anc.union_with(reach.ancestors(v));
+        if self.ext.remove(v) {
+            self.n_ext -= 1;
+        }
+        for &p in base.preds(vi) {
+            let pid = NodeId::new(p);
+            if grown.contains(pid) {
+                self.ext_succs[p as usize] -= 1;
+                if self.ext_succs[p as usize] == 0 && !g.node(pid).is_live_out() {
+                    self.outputs -= 1;
+                }
+            } else if self.ext.insert(pid) {
+                self.n_ext += 1;
+            }
+        }
+        for op in node.operands() {
+            if let Operand::LiveIn(li) = *op {
+                let raw = li.index() as u32;
+                if !self.live_ins.contains(&raw) {
+                    self.live_ins.push(raw);
+                }
+            }
+        }
+        let outside = base
+            .succs(vi)
+            .iter()
+            .filter(|&&s| !grown.contains(NodeId::new(s)))
+            .count();
+        self.ext_succs[vi] = outside as u32;
+        if node.is_live_out() || outside > 0 {
+            self.outputs += 1;
+        }
+        for &w in base.preds(vi).iter().chain(base.succs(vi)) {
+            let w = NodeId::new(w);
+            if allowed.contains(w) && !grown.contains(w) {
+                self.frontier.insert(w);
+            }
+        }
     }
 }
 
@@ -671,6 +927,57 @@ mod tests {
             hw < sw,
             "violating subgraph must not attract hardware choices"
         );
+    }
+
+    /// `s = add(x, w)` with the consumers `a = add(s, y)` (node 1) and
+    /// `b = xor(s, x or z)` (node 2), all three live out. Under `N_in = 3`,
+    /// `N_out = 2` the three never fit together, so growing from `s`
+    /// absorbs exactly one consumer: the greedy's first pick. `{s, a}`
+    /// costs `IN + OUT = 3 + 2`; `{s, b}` costs the same when `b` reads
+    /// `z`, and `2 + 2` when it reads `x`, already an input.
+    fn fork_grown_from_s(b_reads_x: bool) -> NodeSet {
+        let mut dfg = ProgramDfg::new();
+        let (x, w, y, z) = (dfg.live_in(), dfg.live_in(), dfg.live_in(), dfg.live_in());
+        let s = dfg.add_node(
+            Operation::new(Opcode::Add),
+            vec![Operand::LiveIn(x), Operand::LiveIn(w)],
+        );
+        let a = dfg.add_node(
+            Operation::new(Opcode::Add),
+            vec![Operand::Node(s), Operand::LiveIn(y)],
+        );
+        let b_rhs = if b_reads_x { x } else { z };
+        let b = dfg.add_node(
+            Operation::new(Opcode::Xor),
+            vec![Operand::Node(s), Operand::LiveIn(b_rhs)],
+        );
+        for n in [s, a, b] {
+            dfg.set_live_out(n, true);
+        }
+        let g = exgraph::build(&dfg);
+        let cons = Constraints::new(3, 2);
+        let reach = Reachability::compute(&g);
+        let base = SoaGraph::from_sched(&exgraph::to_sched(&g));
+        let all = NodeSet::full(g.len());
+        let mut grown = NodeSet::new(g.len());
+        GrowScratch::default().grow(&g, &base, &reach, &cons, s, &all, &mut grown);
+        let reference = crate::explore::grow_legal_from(&g, s, &all, &cons, &reach);
+        assert_eq!(grown, reference, "kernel and reference disagree");
+        grown
+    }
+
+    fn members(set: &NodeSet) -> Vec<usize> {
+        set.iter().map(|n| n.index()).collect()
+    }
+
+    #[test]
+    fn legality_repair_breaks_demand_ties_on_lower_index() {
+        assert_eq!(members(&fork_grown_from_s(false)), [0, 1]);
+    }
+
+    #[test]
+    fn legality_repair_prefers_lower_demand_over_lower_index() {
+        assert_eq!(members(&fork_grown_from_s(true)), [0, 2]);
     }
 
     fn software_walk_for(g: &ExGraph, m: &MachineConfig, cons: &Constraints) -> Walk {

@@ -303,8 +303,10 @@ fn tight_deadline_yields_degraded_200_within_budget() {
     // A run that would take seconds, boxed into a 1-second budget: the
     // watchdog trips the run at the budget minus grace, the engine hands
     // back its best-so-far partial, and the waiter gets a 200 with
-    // `"degraded": true` instead of an empty-handed 504.
-    let mut req = slow(0xDEAD);
+    // `"degraded": true` instead of an empty-handed 504. Three times the
+    // repeats of `slow`, whose single run can finish inside the budget.
+    let full = request(0xDEAD, SLOW_EFFORT, 12);
+    let mut req = full.clone();
     req.timeout_ms = Some(1_000);
     let t0 = Instant::now();
     let response = client::explore(&addr, &req).expect("partial answer, not an error");
@@ -337,7 +339,6 @@ fn tight_deadline_yields_degraded_200_within_budget() {
     // The partial must never have entered a cache tier: the same
     // exploration with a full budget recomputes from scratch and matches a
     // direct run bitwise.
-    let full = slow(0xDEAD);
     let again = client::explore(&addr, &full).expect("full-budget run");
     assert!(!again.cached, "degraded result must not have been cached");
     assert!(!again.degraded);
