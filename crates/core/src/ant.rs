@@ -9,7 +9,8 @@
 //! they can pack with an already-scheduled parent in the same time slot.
 
 use isex_aco::{roulette, ImplChoice, PheromoneStore};
-use isex_dfg::{analysis, ports, CsrAdjacency, NodeId, NodeSet};
+use isex_dfg::ports::{self, PortDemand};
+use isex_dfg::{CsrAdjacency, NodeId, NodeSet, Operand};
 use isex_isa::MachineConfig;
 use isex_sched::resources::ResourceTable;
 use isex_sched::{SchedOp, UnitClass};
@@ -127,16 +128,42 @@ impl SpFunction {
     }
 }
 
-/// Reusable buffers for [`Ant::run_with`]: the Ready-Matrix entry and
-/// weight vectors, the scheduled flags and the resource table. One scratch
-/// serves every walk of a round (and across rounds of shrinking graphs).
+/// Reusable buffers for [`Ant::run_with`]. One scratch serves every walk
+/// of a round (and across rounds of shrinking graphs), so a walk allocates
+/// nothing beyond the [`Walk`] it returns.
+///
+/// - `eq1`/`eq1_off`: the Eq. 1 weight `attraction + λ·sp` of every
+///   `(node, option)`, filled once per walk; node `i`'s options occupy
+///   `eq1[eq1_off[i]..eq1_off[i + 1]]` in [`PheromoneStore::choice_iter`]
+///   order.
+/// - `ready`: the Ready-Matrix's operations, ascending, kept by the
+///   `pending` predecessor counters; `entries`/`weights` are one step's
+///   roulette input, built from `ready` alone.
+/// - `hw`: the hardware-scheduling buffers ([`HwScratch`]).
 #[derive(Debug, Default)]
 pub(crate) struct AntScratch {
+    eq1: Vec<f64>,
+    eq1_off: Vec<u32>,
+    ready: Vec<NodeId>,
+    pending: Vec<u32>,
     entries: Vec<(NodeId, ImplChoice)>,
     weights: Vec<f64>,
-    scheduled: Vec<bool>,
-    pending: Vec<u32>,
+    hw: HwScratch,
     resources: Option<ResourceTable>,
+}
+
+/// Buffers of Operation-Scheduling for hardware options (Fig. 4.3.4).
+#[derive(Debug, Default)]
+struct HwScratch {
+    /// Each hardware node's combinational finish time (ns) within its
+    /// group: the longest in-group path ending at the node.
+    finish_in_group: Vec<f64>,
+    /// Candidate groups of the current hardware pick.
+    cands: Vec<usize>,
+    /// Successful and rejected joins, so the walk invariant test can tell
+    /// it exercised both outcomes.
+    #[cfg(test)]
+    joins: [usize; 2],
 }
 
 /// The per-round immutable context of the walks.
@@ -151,6 +178,8 @@ pub(crate) struct Ant<'a> {
     /// Frozen CSR adjacency of `g` for the hot loops (readiness counters,
     /// allocation-free pred scans).
     adj: &'a CsrAdjacency,
+    /// `(IN, OUT)` of every singleton `{n}`: the demand of a new group.
+    singleton: Vec<PortDemand>,
 }
 
 impl<'a> Ant<'a> {
@@ -164,14 +193,8 @@ impl<'a> Ant<'a> {
         lambda: f64,
         adj: &'a CsrAdjacency,
     ) -> Self {
-        Ant {
-            g,
-            machine,
-            constraints,
-            lambda,
-            sp: SpFunction::ChildCount.values(g),
-            adj,
-        }
+        let sp = SpFunction::ChildCount.values(g);
+        Self::with_sp(g, machine, constraints, lambda, sp, adj)
     }
 
     /// Builds the context with an explicit SP function, computing its
@@ -186,13 +209,36 @@ impl<'a> Ant<'a> {
         sched: &isex_sched::SchedDfg,
         adj: &'a CsrAdjacency,
     ) -> Self {
+        let sp = sp_function.values_on(g, sched);
+        Self::with_sp(g, machine, constraints, lambda, sp, adj)
+    }
+
+    fn with_sp(
+        g: &'a ExGraph,
+        machine: &'a MachineConfig,
+        constraints: &'a Constraints,
+        lambda: f64,
+        sp: Vec<f64>,
+        adj: &'a CsrAdjacency,
+    ) -> Self {
+        let mut one = NodeSet::new(g.len());
+        let singleton = g
+            .node_ids()
+            .map(|n| {
+                one.insert(n);
+                let d = ports::demand(g, &one);
+                one.remove(n);
+                d
+            })
+            .collect();
         Ant {
             g,
             machine,
             constraints,
             lambda,
-            sp: sp_function.values_on(g, sched),
+            sp,
             adj,
+            singleton,
         }
     }
 
@@ -221,49 +267,67 @@ impl<'a> Ant<'a> {
             tet: 0,
         };
         let AntScratch {
+            eq1,
+            eq1_off,
+            ready,
+            pending,
             entries,
             weights,
-            scheduled,
-            pending,
+            hw,
             resources,
         } = scratch;
-        scheduled.clear();
-        scheduled.resize(k, false);
+        // The store is read-only during a walk, so every Eq. 1 weight is
+        // computed once here, bit-identical to a per-step recomputation.
+        eq1.clear();
+        eq1_off.clear();
+        for i in 0..k {
+            eq1_off.push(eq1.len() as u32);
+            for c in store.choice_iter(i) {
+                eq1.push(store.attraction(i, c) + self.lambda * self.sp[i]);
+            }
+        }
+        eq1_off.push(eq1.len() as u32);
+        // Counter-maintained readiness: pending[n] == 0 exactly when every
+        // predecessor is scheduled, and `ready` lists those unscheduled
+        // nodes in ascending order.
         self.adj.pred_counts_into(pending);
+        ready.clear();
+        ready.extend(
+            (0..k)
+                .filter(|&i| pending[i] == 0)
+                .map(|i| NodeId::new(i as u32)),
+        );
+        hw.finish_in_group.clear();
+        hw.finish_in_group.resize(k, 0.0);
         let rt = resources.get_or_insert_with(|| ResourceTable::new(*self.machine));
         rt.reset(*self.machine);
-        let mut remaining = k;
 
-        while remaining > 0 {
-            // Ready-Matrix: (operation, option) entries for ready ops.
+        for _ in 0..k {
+            // Ready-Matrix: (operation, option) entries for ready ops, in
+            // ascending node order and store option order.
+            debug_assert!(!ready.is_empty(), "DAG always has a ready node");
             entries.clear();
             weights.clear();
-            // Counter-maintained readiness: pending[n] == 0 exactly when
-            // every predecessor is scheduled; entries are listed in
-            // ascending node order.
-            for i in 0..k {
-                if scheduled[i] || pending[i] != 0 {
-                    continue;
-                }
-                let n = NodeId::new(i as u32);
-                for c in store.choice_iter(i) {
-                    entries.push((n, c));
-                    weights.push(store.attraction(i, c) + self.lambda * self.sp[i]);
-                }
+            for &n in ready.iter() {
+                let i = n.index();
+                entries.extend(store.choice_iter(i).map(|c| (n, c)));
+                weights.extend_from_slice(&eq1[eq1_off[i] as usize..eq1_off[i + 1] as usize]);
             }
-            debug_assert!(!entries.is_empty(), "DAG always has a ready node");
-            let pick = roulette(rng, weights);
-            let (n, c) = entries[pick];
+            let (n, c) = entries[roulette(rng, weights)];
+            let at = ready.binary_search(&n).expect("picked node is ready");
+            ready.remove(at);
             walk.choice[n.index()] = c;
             match c {
                 ImplChoice::Sw(j) => self.schedule_sw(&mut walk, rt, n, j),
-                ImplChoice::Hw(j) => self.schedule_hw(&mut walk, rt, n, j),
+                ImplChoice::Hw(j) => self.schedule_hw(&mut walk, rt, hw, n, j),
             }
-            scheduled[n.index()] = true;
             for &sc in self.adj.succs(n.index()) {
                 pending[sc.index()] -= 1;
+                if pending[sc.index()] == 0 {
+                    let at = ready.binary_search(&sc).unwrap_err();
+                    ready.insert(at, sc);
+                }
             }
-            remaining -= 1;
         }
 
         walk.tet = self
@@ -311,33 +375,45 @@ impl<'a> Ant<'a> {
     /// Operation-Scheduling for a hardware option (Fig. 4.3.4): first try
     /// to pack `n` with the ISE group of a parent in that group's time
     /// slot; otherwise open a new group at the earliest feasible slot.
-    fn schedule_hw(&self, walk: &mut Walk, rt: &mut ResourceTable, n: NodeId, j: usize) {
+    fn schedule_hw(
+        &self,
+        walk: &mut Walk,
+        rt: &mut ResourceTable,
+        hw: &mut HwScratch,
+        n: NodeId,
+        j: usize,
+    ) {
         // Candidate groups: open groups containing a parent, latest issue
-        // first (the paper packs at `LTS_i`, the latest parent's slot).
-        let mut cands: Vec<usize> = self
-            .adj
-            .preds(n.index())
-            .iter()
-            .filter_map(|p| walk.group_of[p.index()])
-            .filter(|&gi| walk.groups[gi].open)
-            .collect();
-        cands.sort_unstable();
-        cands.dedup();
-        cands.sort_by_key(|&gi| std::cmp::Reverse(walk.groups[gi].issue));
+        // first (the paper packs at `LTS_i`, the latest parent's slot),
+        // ties by group index.
+        hw.cands.clear();
+        hw.cands.extend(
+            self.adj
+                .preds(n.index())
+                .iter()
+                .filter_map(|p| walk.group_of[p.index()])
+                .filter(|&gi| walk.groups[gi].open),
+        );
+        hw.cands.sort_unstable();
+        hw.cands.dedup();
+        hw.cands
+            .sort_unstable_by_key(|&gi| (std::cmp::Reverse(walk.groups[gi].issue), gi));
 
-        for gi in cands {
-            if self.try_join(walk, rt, n, j, gi) {
+        for ci in 0..hw.cands.len() {
+            let gi = hw.cands[ci];
+            let joined = self.try_join(walk, rt, hw, n, j, gi);
+            #[cfg(test)]
+            {
+                hw.joins[usize::from(!joined)] += 1;
+            }
+            if joined {
                 self.close_pred_groups(walk, n, Some(gi));
                 return;
             }
         }
 
         // New singleton group.
-        let demand = {
-            let mut s = NodeSet::new(self.g.len());
-            s.insert(n);
-            ports::demand(self.g, &s)
-        };
+        let demand = self.singleton[n.index()];
         let delay = self.g.node(n).payload().hw[j].delay_ns;
         let latency = self.machine.cycles_for_delay_ns(delay);
         let op = SchedOp::new(latency, demand.inputs, demand.outputs, UnitClass::Asfu);
@@ -358,6 +434,7 @@ impl<'a> Ant<'a> {
             writes: demand.outputs,
             open: true,
         });
+        hw.finish_in_group[n.index()] = delay;
         walk.group_of[n.index()] = Some(gi);
         walk.issue[n.index()] = cycle;
         self.close_pred_groups(walk, n, Some(gi));
@@ -367,38 +444,94 @@ impl<'a> Ant<'a> {
     /// group's current slot is too early for `n`'s external inputs, the
     /// whole (still open) group slides to a later slot — Fig. 4.3.4's
     /// "while cannot pack operation i … at CTS_i: CTS_i++".
+    ///
+    /// Every member was scheduled before `n`, so `n` is no member's
+    /// predecessor: it joins as a sink of `members ∪ {n}`. The union's port
+    /// demand and delay therefore follow from the group's committed values
+    /// and `n`'s own edges, without materialising the union.
     fn try_join(
         &self,
         walk: &mut Walk,
         rt: &mut ResourceTable,
+        hw: &mut HwScratch,
         n: NodeId,
         j: usize,
         gi: usize,
     ) -> bool {
-        let mut union = walk.groups[gi].members.clone();
-        union.insert(n);
-        let demand = ports::demand(self.g, &union);
-        if !demand.fits(self.constraints.n_in, self.constraints.n_out) {
+        let group = &walk.groups[gi];
+        let members = &group.members;
+        let node = self.g.node(n);
+        let preds = self.adj.preds(n.index());
+
+        // IN(members ∪ {n}): the group's inputs plus every value `n` reads
+        // that neither a member produces nor a member already reads.
+        let mut inputs = group.reads;
+        for &p in preds {
+            let read_by_group = self
+                .adj
+                .succs(p.index())
+                .iter()
+                .any(|&s| members.contains(s));
+            if !members.contains(p) && !read_by_group {
+                inputs += 1;
+            }
+        }
+        let operands = node.operands();
+        for (i, op) in operands.iter().enumerate() {
+            if matches!(op, Operand::LiveIn(_))
+                && !operands[..i].contains(op)
+                && !members
+                    .iter()
+                    .any(|m| self.g.node(m).operands().contains(op))
+            {
+                inputs += 1;
+            }
+        }
+        // OUT(members ∪ {n}): `n` escapes if anything consumes it; a member
+        // feeding `n` stops escaping once `n` was its last outside consumer.
+        let mut outputs = group.writes;
+        if node.is_live_out() || !self.adj.succs(n.index()).is_empty() {
+            outputs += 1;
+        }
+        for &p in preds {
+            if members.contains(p)
+                && !self.g.node(p).is_live_out()
+                && self
+                    .adj
+                    .succs(p.index())
+                    .iter()
+                    .all(|&s| s == n || members.contains(s))
+            {
+                outputs -= 1;
+            }
+        }
+        if inputs > self.constraints.n_in || outputs > self.constraints.n_out {
             return false;
         }
-        // Grown combinational delay and latency.
-        let delay = analysis::weighted_longest_path_within(self.g, &union, |y, op| {
-            if y == n {
-                op.hw[j].delay_ns
-            } else {
-                match walk.choice[y.index()] {
-                    ImplChoice::Hw(h) => op.hw[h].delay_ns,
-                    ImplChoice::Sw(_) => unreachable!("group members chose hardware"),
-                }
-            }
-        });
+        // Grown combinational delay: the members' in-group finish times do
+        // not change, so the union's longest path is the group's or the one
+        // ending at `n`. `max` is exact, hence bit-identical to
+        // `analysis::weighted_longest_path_within` over the union.
+        let start = preds
+            .iter()
+            .filter(|&&p| members.contains(p))
+            .map(|p| hw.finish_in_group[p.index()])
+            .fold(0.0f64, f64::max);
+        let finish_n = start + node.payload().hw[j].delay_ns;
+        let delay = group.delay_ns.max(finish_n);
         let latency = self.machine.cycles_for_delay_ns(delay);
 
-        // Earliest slot at which every external input of the union is ready.
+        // Earliest slot at which every external input of the union is
+        // ready: the members' external inputs (`n` feeds no member) and
+        // `n`'s own.
         let mut t_needed = 0;
         self.adj
-            .for_external_preds(&union, |p| t_needed = t_needed.max(walk.finish(self.g, p)));
-        let issue = walk.groups[gi].issue;
+            .for_external_preds(members, |p| t_needed = t_needed.max(walk.finish(self.g, p)));
+        for &p in preds {
+            if !members.contains(p) {
+                t_needed = t_needed.max(walk.finish(self.g, p));
+            }
+        }
 
         // Re-place the grown group: release the old footprint, find the
         // earliest slot where the union's inputs are ready and the (possibly
@@ -406,32 +539,23 @@ impl<'a> Ant<'a> {
         // group is open — nobody has observed its finish time — so moving
         // its slot is legal; this is Fig. 4.3.4's `CTS++` loop generalised
         // to both directions and to occupancy-changing growth.
-        let old_op = SchedOp::new(
-            walk.groups[gi].latency,
-            walk.groups[gi].reads,
-            walk.groups[gi].writes,
-            UnitClass::Asfu,
-        );
-        let new_op = SchedOp::new(latency, demand.inputs, demand.outputs, UnitClass::Asfu);
-        rt.uncommit(issue, &old_op);
-        let new_issue = match rt.earliest_fit(t_needed, &new_op) {
-            Some(c) => {
-                rt.commit(c, &new_op);
-                c
-            }
-            None => {
-                rt.commit(issue, &old_op); // roll back
-                return false;
-            }
+        let old_op = SchedOp::new(group.latency, group.reads, group.writes, UnitClass::Asfu);
+        let new_op = SchedOp::new(latency, inputs, outputs, UnitClass::Asfu);
+        rt.uncommit(group.issue, &old_op);
+        let Some(new_issue) = rt.earliest_fit(t_needed, &new_op) else {
+            rt.commit(group.issue, &old_op); // roll back
+            return false;
         };
+        rt.commit(new_issue, &new_op);
 
         let group = &mut walk.groups[gi];
-        group.members = union;
-        group.reads = demand.inputs;
-        group.writes = demand.outputs;
+        group.members.insert(n);
+        group.reads = inputs;
+        group.writes = outputs;
         group.delay_ns = delay;
         group.latency = latency;
         group.issue = new_issue;
+        hw.finish_in_group[n.index()] = finish_n;
         walk.group_of[n.index()] = Some(gi);
         for m in &group.members {
             walk.issue[m.index()] = new_issue;
@@ -483,6 +607,83 @@ mod tests {
         (Ant::new(g, machine, cons, 0.5, csr), store)
     }
 
+    /// Biases every node's merits towards hardware (`true`) or software:
+    /// `Sw(0)` and every `Hw(j)` get opposite extreme merits.
+    fn force(g: &ExGraph, store: &mut PheromoneStore, hardware: bool) {
+        let (sw, hw) = if hardware { (1e-9, 1e9) } else { (1e9, 1e-9) };
+        for n in 0..g.len() {
+            store.set_merit(n, ImplChoice::Sw(0), sw);
+            for j in 0..g.node(NodeId::new(n as u32)).payload().hw.len() {
+                store.set_merit(n, ImplChoice::Hw(j), hw);
+            }
+        }
+    }
+
+    /// Every group a walk forms equals a from-scratch recomputation over
+    /// its member set: port demand, combinational delay (bit for bit),
+    /// latency, and one shared issue slot no earlier than any external
+    /// input. Random walks on every benchmark's O3 hot block, under the
+    /// default store and under one that forces hardware so that many joins
+    /// happen and some are rejected.
+    #[test]
+    fn walk_groups_match_from_scratch_recomputation() {
+        use isex_dfg::analysis;
+        use isex_workloads::{Benchmark, OptLevel};
+
+        let m = MachineConfig::preset_2issue_4r2w();
+        let cons = Constraints::from_machine(&m);
+        let mut scratch = AntScratch::default();
+        let mut groups = 0usize;
+        for (seed, &bench) in Benchmark::ALL.iter().enumerate() {
+            let g = exgraph::build(&bench.program(OptLevel::O3).hottest().dfg);
+            let csr = CsrAdjacency::from_dfg(&g);
+            let (ant, default_store) = context(&g, &m, &cons, &csr);
+            let mut forced = default_store.clone();
+            force(&g, &mut forced, true);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+            for store in [&default_store, &forced] {
+                for _ in 0..16 {
+                    let w = ant.run_with(store, &mut rng, &mut scratch);
+                    for (id, _) in g.iter() {
+                        let hw = w.choice[id.index()].is_hardware();
+                        assert_eq!(w.group_of[id.index()].is_some(), hw, "{bench}: {id:?}");
+                    }
+                    for (gi, gr) in w.groups.iter().enumerate() {
+                        let at = format!("{bench} group {gi}");
+                        let demand = ports::demand(&g, &gr.members);
+                        assert_eq!(
+                            (gr.reads, gr.writes),
+                            (demand.inputs, demand.outputs),
+                            "{at}"
+                        );
+                        let delay = analysis::weighted_longest_path_within(
+                            &g,
+                            &gr.members,
+                            |y, op| match w.choice[y.index()] {
+                                ImplChoice::Hw(h) => op.hw[h].delay_ns,
+                                ImplChoice::Sw(_) => panic!("{at}: software member"),
+                            },
+                        );
+                        assert_eq!(gr.delay_ns.to_bits(), delay.to_bits(), "{at}: delay");
+                        assert_eq!(gr.latency, m.cycles_for_delay_ns(gr.delay_ns), "{at}");
+                        for mem in &gr.members {
+                            assert_eq!(w.group_of[mem.index()], Some(gi), "{at}");
+                            assert_eq!(w.issue[mem.index()], gr.issue, "{at}: issue");
+                        }
+                        csr.for_external_preds(&gr.members, |p| {
+                            assert!(w.finish(&g, p) <= gr.issue, "{at}: input not ready");
+                        });
+                        groups += 1;
+                    }
+                }
+            }
+        }
+        let [joined, rejected] = scratch.hw.joins;
+        assert!(groups >= 1000, "only {groups} groups checked");
+        assert!(joined >= 1000, "only {joined} successful joins");
+        assert!(rejected >= 100, "only {rejected} rejected joins");
+    }
+
     #[test]
     fn walk_schedules_every_node_and_respects_deps() {
         let g = chain3();
@@ -519,18 +720,7 @@ mod tests {
         let cons = Constraints::from_machine(&m);
         let csr = CsrAdjacency::from_dfg(&g);
         let (ant, mut store) = context(&g, &m, &cons, &csr);
-        for n in 0..3 {
-            store.set_merit(n, ImplChoice::Sw(0), 1e-9);
-            for (jj, _) in g
-                .node(NodeId::new(n as u32))
-                .payload()
-                .hw
-                .iter()
-                .enumerate()
-            {
-                store.set_merit(n, ImplChoice::Hw(jj), 1e9);
-            }
-        }
+        force(&g, &mut store, true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let w = ant.run(&store, &mut rng);
         assert!(w.choice.iter().all(|c| c.is_hardware()));
@@ -549,18 +739,7 @@ mod tests {
         let cons = Constraints::from_machine(&m);
         let csr = CsrAdjacency::from_dfg(&g);
         let (ant, mut store) = context(&g, &m, &cons, &csr);
-        for n in 0..3 {
-            store.set_merit(n, ImplChoice::Sw(0), 1e9);
-            for (jj, _) in g
-                .node(NodeId::new(n as u32))
-                .payload()
-                .hw
-                .iter()
-                .enumerate()
-            {
-                store.set_merit(n, ImplChoice::Hw(jj), 1e-9);
-            }
-        }
+        force(&g, &mut store, false);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let w = ant.run(&store, &mut rng);
         assert!(w.choice.iter().all(|c| !c.is_hardware()));
@@ -599,12 +778,7 @@ mod tests {
         let cons = Constraints::from_machine(&m);
         let csr = CsrAdjacency::from_dfg(&g);
         let (ant, mut store) = context(&g, &m, &cons, &csr);
-        for n in 0..g.len() {
-            store.set_merit(n, ImplChoice::Sw(0), 1e-9);
-            for j in 0..g.node(NodeId::new(n as u32)).payload().hw.len() {
-                store.set_merit(n, ImplChoice::Hw(j), 1e9);
-            }
-        }
+        force(&g, &mut store, true);
         for seed in 0..20u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let w = ant.run(&store, &mut rng);
@@ -689,18 +863,7 @@ mod tests {
         let cons = Constraints::new(2, 1);
         let csr = CsrAdjacency::from_dfg(&g);
         let (ant, mut store) = context(&g, &m, &cons, &csr);
-        for n in 0..g.len() {
-            store.set_merit(n, ImplChoice::Sw(0), 1e-9);
-            for (jj, _) in g
-                .node(NodeId::new(n as u32))
-                .payload()
-                .hw
-                .iter()
-                .enumerate()
-            {
-                store.set_merit(n, ImplChoice::Hw(jj), 1e9);
-            }
-        }
+        force(&g, &mut store, true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let w = ant.run(&store, &mut rng);
         for gr in &w.groups {

@@ -19,8 +19,9 @@ pub(crate) struct TrailState {
     /// `TET_old`: best-known execution time (`None` before the first
     /// iteration — the first result always counts as an improvement).
     pub tet_old: Option<u32>,
-    /// Issue cycles of the previous iteration.
-    pub prev_issue: Option<Vec<u32>>,
+    /// Issue cycles of the previous iteration (empty before the first;
+    /// overwritten in place by every update).
+    pub prev_issue: Vec<u32>,
 }
 
 /// Applies Fig. 4.3.5 for one iteration's walk.
@@ -37,9 +38,11 @@ pub(crate) fn update(
     for n in 0..store.len() {
         let reordered = state
             .prev_issue
-            .as_ref()
-            .is_some_and(|prev| walk.issue[n] < prev[n]);
-        for c in store.choices(n) {
+            .get(n)
+            .is_some_and(|&prev| walk.issue[n] < prev);
+        // By index: `add_trail` needs the store mutably between options.
+        for o in 0..store.choice_iter(n).count() {
+            let c = store.choice_iter(n).nth(o).expect("option index in range");
             let selected = c == walk.choice[n];
             let mut delta = if improved {
                 if selected {
@@ -71,7 +74,8 @@ pub(crate) fn update(
     if improved {
         state.tet_old = Some(walk.tet);
     }
-    state.prev_issue = Some(walk.issue.clone());
+    state.prev_issue.clear();
+    state.prev_issue.extend_from_slice(&walk.issue);
 }
 
 #[cfg(test)]
