@@ -8,10 +8,14 @@
 //! tools both act on — memoised candidate evaluation is what makes
 //! iterative-improvement ISE search tractable).
 //!
-//! [`RoundEval`] lowers the round's [`ExGraph`] exactly once, keeps it in
-//! struct-of-arrays form with an ASAP/ALAP/height baseline, and answers
-//! each walk's merit analysis and each candidate's schedule length by
-//! updating that baseline only inside the cones a walk's groups dirty. On
+//! [`RoundEval`] lowers the round's [`ExGraph`] exactly once and keeps it
+//! in struct-of-arrays form. A walk's merit analysis times the walk with a
+//! counter-driven pass over that base graph and its reverse, each group
+//! one unit and no quotient built ([`walk_timing_into`]), and then
+//! answers each hardware component's queries once for all its members
+//! ([`merit::FastPrims::component`]). A candidate's schedule length
+//! collapses the candidate into the numbered quotient the list scheduler's
+//! tie-breaks need ([`collapse_soa`]) and schedules it by counters. On
 //! top sit two memo tables keyed by canonical `u64` fingerprints: walk →
 //! recorded merit-op sequence, and candidate `(members, footprint)` →
 //! schedule length. Keys compare by full `Vec<u64>` equality — the
@@ -28,12 +32,11 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use isex_aco::{AcoParams, ImplChoice};
-use isex_dfg::{NodeSet, Reachability};
+use isex_dfg::{NodeId, NodeSet, Reachability};
 use isex_isa::MachineConfig;
 use isex_sched::soa::{
-    alap_incremental_into, asap_incremental_into, collapse_soa, height_incremental_into,
-    length_from_asap, schedule_len_counters, BaseTiming, CounterSchedScratch, IncrStats, Quotient,
-    QuotientScratch, SoaGraph,
+    collapse_soa, height_into, schedule_len_counters, walk_timing_into, CounterSchedScratch,
+    Quotient, QuotientScratch, SoaGraph, WalkTiming,
 };
 use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp, UnitClass};
 
@@ -101,8 +104,6 @@ type FxBuild = BuildHasherDefault<FxHasher>;
 pub struct EvalStats {
     hits: AtomicU64,
     misses: AtomicU64,
-    incr_copied: AtomicU64,
-    incr_recomputed: AtomicU64,
 }
 
 impl EvalStats {
@@ -116,28 +117,10 @@ impl EvalStats {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Quotient vertices whose timing was copied from the persistent
-    /// per-round baseline.
-    pub fn incr_copied(&self) -> u64 {
-        self.incr_copied.load(Ordering::Relaxed)
-    }
-
-    /// Quotient vertices whose timing was recomputed inside a dirty cone.
-    pub fn incr_recomputed(&self) -> u64 {
-        self.incr_recomputed.load(Ordering::Relaxed)
-    }
-
     /// Adds a batch of counts (one exploration's worth).
     pub fn add(&self, hits: u64, misses: u64) {
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Adds one exploration's worth of incremental-timing counters.
-    pub fn add_timing(&self, copied: u64, recomputed: u64) {
-        self.incr_copied.fetch_add(copied, Ordering::Relaxed);
-        self.incr_recomputed
-            .fetch_add(recomputed, Ordering::Relaxed);
     }
 }
 
@@ -181,8 +164,7 @@ fn candidate_key(members: &NodeSet, footprint: &SchedOp) -> Vec<u64> {
     key
 }
 
-/// One round's shared lowering, persistent SoA timing state and memo
-/// tables. Dropped (and with it every cached entry) when the round ends —
+/// One round's shared lowering, SoA timing buffers and memo tables. Dropped (and with it every cached entry) when the round ends —
 /// commitment collapses the graph, so nothing cached can survive it. Every
 /// scratch buffer a miss needs lives here, so steady-state evaluation
 /// allocates nothing.
@@ -196,18 +178,13 @@ pub(crate) struct RoundEval<'a> {
     /// The round's base graph (every node on implementation option 0),
     /// array form of `sched` — same indices, same adjacency.
     pub base: SoaGraph,
-    /// ASAP/ALAP/height/length baseline of `base`, computed once per round.
-    bt: BaseTiming,
-    /// Per-walk latency-patched copy of `base` (only `lat` ever differs:
-    /// software options change latency, never ports or unit class).
-    patched: SoaGraph,
+    /// Per-node latencies of the walk being timed (software options change
+    /// latency, never ports or unit class).
+    walk_lat: Vec<u32>,
+    timing: WalkTiming,
     qscratch: QuotientScratch,
     quotient: Quotient,
-    asap: Vec<u32>,
-    alap: Vec<u32>,
     height: Vec<i64>,
-    needs: Vec<bool>,
-    groups: Vec<(NodeSet, SchedOp)>,
     critical: NodeSet,
     sched_scratch: CounterSchedScratch,
     fast: merit::FastMeritScratch,
@@ -217,16 +194,12 @@ pub(crate) struct RoundEval<'a> {
     pub hits: u64,
     /// Memo misses this round.
     pub misses: u64,
-    /// Incremental-timing vertices copied from the baseline this round.
-    pub incr_copied: u64,
-    /// Incremental-timing vertices recomputed this round.
-    pub incr_recomputed: u64,
 }
 
 impl<'a> RoundEval<'a> {
-    /// Lowers `g` once and builds the round's timing baseline. `base_len`
-    /// is the schedule length of `g`, which the caller already knows (the
-    /// block baseline, or the previous round's committed candidate length).
+    /// Lowers `g` once. `base_len` is the schedule length of `g`, which the
+    /// caller already knows (the block baseline, or the previous round's
+    /// committed candidate length).
     pub fn new(g: &ExGraph, machine: &'a MachineConfig, base_len: u32) -> Self {
         let _span = isex_trace::span_with("eval.lower", || vec![("ops", g.len().to_string())]);
         let sched = exgraph::to_sched(g);
@@ -236,22 +209,16 @@ impl<'a> RoundEval<'a> {
             "carried base length must match a fresh schedule"
         );
         let base = SoaGraph::from_sched(&sched);
-        let bt = BaseTiming::of(&base);
-        let patched = base.clone();
         RoundEval {
             machine,
             sched,
             base_len,
             base,
-            bt,
-            patched,
+            walk_lat: Vec::new(),
+            timing: WalkTiming::default(),
             qscratch: QuotientScratch::default(),
             quotient: Quotient::default(),
-            asap: Vec::new(),
-            alap: Vec::new(),
             height: Vec::new(),
-            needs: Vec::new(),
-            groups: Vec::new(),
             critical: NodeSet::new(g.len()),
             sched_scratch: CounterSchedScratch::default(),
             fast: merit::FastMeritScratch::default(),
@@ -259,14 +226,12 @@ impl<'a> RoundEval<'a> {
             cand_memo: HashMap::default(),
             hits: 0,
             misses: 0,
-            incr_copied: 0,
-            incr_recomputed: 0,
         }
     }
 
     /// The merit-op sequence of `walk`, memoised: converged rounds resample
-    /// identical walks, whose whole analysis (quotient build, critical
-    /// path, virtual subgraphs, option evaluation) this skips. The recorded
+    /// identical walks, whose whole analysis (walk timing, critical path,
+    /// virtual subgraphs, option evaluation) this skips. The recorded
     /// sequence replays the exact `scale_merit` calls, so applying a cached
     /// sequence is bit-identical to recomputing it.
     pub fn merit_ops(
@@ -300,49 +265,29 @@ impl<'a> RoundEval<'a> {
 
     /// Times `walk` ("identify the critical path using instruction
     /// scheduling", §4.0) and returns the merit queries over that timing.
-    /// The walk's groups collapse into single instructions on the
-    /// latency-patched base graph; ASAP and ALAP are updated from the round
-    /// baseline only inside the dirty cones.
+    /// Each of the walk's groups is one unit on the latency-patched base
+    /// graph; ASAP comes from a counter-driven pass and ALAP from its
+    /// reverse, with no quotient built.
     fn walk_prims(&mut self, g: &ExGraph, walk: &Walk) -> merit::FastPrims<'_> {
-        // Patch per-walk software latencies onto the base arrays (hardware
+        // Per-walk software latencies on top of the base ones (hardware
         // members keep the option-0 placeholder: they sit inside a group).
-        self.patched.lat.copy_from_slice(&self.base.lat);
+        self.walk_lat.clone_from(&self.base.lat);
         for (i, c) in walk.choice.iter().enumerate() {
             if let ImplChoice::Sw(j) = *c {
-                self.patched.lat[i] = g
-                    .node(isex_dfg::NodeId::new(i as u32))
-                    .payload()
-                    .sched_op(j)
-                    .latency;
+                self.walk_lat[i] = g.node(NodeId::new(i as u32)).payload().sched_op(j).latency;
             }
         }
-        self.groups.clear();
-        self.groups.extend(walk.groups.iter().map(|gr| {
-            (
-                gr.members.clone(),
-                SchedOp::new(gr.latency, gr.reads, gr.writes, UnitClass::Asfu),
-            )
-        }));
-        collapse_soa(
-            &self.patched,
-            &self.groups,
-            &mut self.qscratch,
-            &mut self.quotient,
+        walk_timing_into(
+            &self.base,
+            &self.walk_lat,
+            walk.groups.iter().map(|gr| (&gr.members, gr.latency)),
+            &mut self.timing,
         );
-        let q = &self.quotient;
-        let lat = &self.base.lat;
-        let st_a = asap_incremental_into(q, &self.bt, lat, &mut self.asap, &mut self.needs);
-        let len = length_from_asap(&q.graph, &self.asap);
-        let st_l = alap_incremental_into(q, &self.bt, lat, len, &mut self.alap, &mut self.needs);
-        let mut st = IncrStats::default();
-        st.absorb(st_a);
-        st.absorb(st_l);
-        self.incr_copied += st.copied;
-        self.incr_recomputed += st.recomputed;
+        let t = &self.timing;
         self.critical.clear();
         for n in g.node_ids() {
-            let qv = q.node_map[n.index()] as usize;
-            if self.alap[qv] == self.asap[qv] {
+            let u = t.unit[n.index()] as usize;
+            if t.alap[u] == t.asap[u] {
                 self.critical.insert(n);
             }
         }
@@ -352,20 +297,17 @@ impl<'a> RoundEval<'a> {
         merit::FastPrims {
             scratch: &mut self.fast,
             base: &self.base,
-            node_map: &self.quotient.node_map,
-            qlat: &self.quotient.graph.lat,
-            asap: &self.asap,
-            alap: &self.alap,
-            extra: walk.tet.max(len) - len,
+            timing: t,
+            extra: walk.tet.max(t.len) - t.len,
             critical: &self.critical,
         }
     }
 
     /// Schedule length of the round's graph with `members` frozen into one
     /// ISE of the given footprint, memoised. The quotient is built on the
-    /// SoA base graph with the numbering `collapse_groups` would give,
-    /// heights are recomputed only inside the group's fan-in cone, and a
-    /// counter-driven list scheduler replays the height-priority schedule.
+    /// SoA base graph with the numbering `collapse_groups` would give (the
+    /// scheduler's tie-breaks depend on it), and a counter-driven list
+    /// scheduler replays the height-priority schedule.
     pub fn candidate_len(&mut self, members: &NodeSet, footprint: SchedOp) -> u32 {
         let key = candidate_key(members, &footprint);
         if let Some(&len) = self.cand_memo.get(&key) {
@@ -373,23 +315,13 @@ impl<'a> RoundEval<'a> {
             return len;
         }
         self.misses += 1;
-        self.groups.clear();
-        self.groups.push((members.clone(), footprint));
         collapse_soa(
             &self.base,
-            &self.groups,
+            &[(members.clone(), footprint)],
             &mut self.qscratch,
             &mut self.quotient,
         );
-        let st = height_incremental_into(
-            &self.quotient,
-            &self.bt,
-            &self.base.lat,
-            &mut self.height,
-            &mut self.needs,
-        );
-        self.incr_copied += st.copied;
-        self.incr_recomputed += st.recomputed;
+        height_into(&self.quotient.graph, &mut self.height);
         let len = schedule_len_counters(
             &self.quotient.graph,
             self.machine,
@@ -405,7 +337,7 @@ impl<'a> RoundEval<'a> {
 mod tests {
     use super::*;
     use crate::exgraph::ExKind;
-    use isex_dfg::{NodeId, Operand};
+    use isex_dfg::Operand;
     use isex_isa::{Opcode, Operation, ProgramDfg};
 
     fn chain() -> ExGraph {
@@ -469,7 +401,10 @@ mod tests {
     /// allocating `explore::grow_legal_from` (on every illegal virtual
     /// subgraph, and on every piece `explore::enforce_ports` grows from the
     /// walk's hardware choices), the rest against the `merit`, `ports` and
-    /// `convex` functions.
+    /// `convex` functions. Every hardware-chosen node's per-component
+    /// answers are checked against the same references on its fresh
+    /// `vS_x`, including those served from the walk's component cache, and
+    /// members of an illegal component must get no cached case-4 answers.
     #[test]
     fn fast_prims_match_their_references_on_hot_blocks() {
         use crate::ant::Ant;
@@ -487,6 +422,8 @@ mod tests {
         let mut queries = 0usize;
         let mut merit_repairs = 0usize;
         let mut port_repairs = 0usize;
+        let mut reused = 0usize;
+        let mut illegal_members = 0usize;
         let mut kernel = merit::GrowScratch::default();
         for (seed, &bench) in Benchmark::ALL.iter().enumerate() {
             let g = exgraph::build(&bench.program(OptLevel::O3).hottest().dfg);
@@ -500,7 +437,7 @@ mod tests {
             let store = PheromoneStore::new(&shape, &params);
             let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
-            for _ in 0..8 {
+            for _ in 0..12 {
                 let walk = ant.run(&store, &mut rng);
                 let lowered = g.map(|id, op| match walk.choice[id.index()] {
                     ImplChoice::Sw(j) => op.sched_op(j),
@@ -529,18 +466,46 @@ mod tests {
                     );
                     prims.virtual_subgraph_into(&walk, x, &mut vs);
                     assert_eq!(vs, merit::virtual_subgraph(&g, &walk, x), "{at}: vS_x");
+                    // Software cycles, critical membership and `Max_AEC`
+                    // of a set, from the references.
+                    let fresh = |set: &NodeSet| {
+                        let mut set_q = NodeSet::new(q.dfg.len());
+                        for y in set {
+                            set_q.insert(q.node_map[y.index()]);
+                        }
+                        merit::SetAnswers {
+                            sw_cycles: merit::software_cycles(&g, set),
+                            critical: set_q.intersects(&critical_q),
+                            max_aec: timing::max_aec(&q.dfg, &set_q, deadline),
+                        }
+                    };
                     let demand = ports::demand(&g, &vs);
                     let convex = convex::is_convex(&vs, &reach);
-                    assert_eq!(prims.demand(&g, &vs), demand, "{at}: ports");
-                    assert_eq!(prims.is_convex(&vs, &reach), convex, "{at}: convexity");
-                    if !demand.fits(cons.n_in, cons.n_out) || !convex {
+                    let is_legal = demand.fits(cons.n_in, cons.n_out) && convex;
+                    let expect = merit::VsAnswers {
+                        demand,
+                        convex,
+                        scored: is_legal.then(|| fresh(&vs)),
+                    };
+                    assert_eq!(prims.answers(&g, &vs, &cons, &reach), expect, "{at}: vS_x");
+                    let hw = walk.choice[x.index()].is_hardware();
+                    if hw {
+                        let cached = prims.component(&g, x, &vs, &cons, &reach);
+                        assert_eq!(cached, expect, "{at}: component answers");
+                    }
+                    if !is_legal {
+                        // Every such node, a member of an illegal component
+                        // included, scores its own legal sub-blob.
                         prims.grow_legal(&g, x, &vs, &cons, &reach, &mut legal);
                         assert_eq!(
                             legal,
                             grow_legal_from(&g, x, &vs, &cons, &reach),
                             "{at}: legal sub-blob"
                         );
+                        let sub = prims.set_answers(&g, &legal);
+                        assert_eq!(sub, fresh(&legal), "{at}: sub-blob answers");
                         merit_repairs += 1;
+                        illegal_members += usize::from(hw);
                     }
                     for j in 0..g.node(x).payload().hw.len() {
                         let fast = prims.evaluate_option(&g, &walk, &vs, x, j, &m);
@@ -552,20 +517,6 @@ mod tests {
                             "{at}: area option {j}"
                         );
                     }
-                    assert_eq!(
-                        prims.software_cycles(&g, &vs),
-                        merit::software_cycles(&g, &vs),
-                        "{at}: software cycles"
-                    );
-                    let mut vs_q = NodeSet::new(q.dfg.len());
-                    for y in &vs {
-                        vs_q.insert(q.node_map[y.index()]);
-                    }
-                    assert_eq!(
-                        prims.max_aec(&vs),
-                        timing::max_aec(&q.dfg, &vs_q, deadline),
-                        "{at}: Max_AEC"
-                    );
                     queries += 1;
                 }
                 // Candidate extraction's port trimming over the same walk.
@@ -588,8 +539,14 @@ mod tests {
                     }
                 }
             }
+            reused += eval.fast.reused;
         }
         assert!(queries > 1000, "only {queries} nodes queried");
+        assert!(reused >= 1000, "only {reused} component answers reused");
+        assert!(
+            illegal_members >= 100,
+            "only {illegal_members} members of illegal components"
+        );
         assert!(merit_repairs >= 1000, "only {merit_repairs} illegal vS_x");
         assert!(
             port_repairs >= 50,

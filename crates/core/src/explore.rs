@@ -214,8 +214,6 @@ impl MultiIssueExplorer {
         let mut known_len = baseline;
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
-        let mut incr_copied = 0u64;
-        let mut incr_recomputed = 0u64;
 
         let round_cap = match self.params.max_rounds {
             0 => MAX_ROUNDS,
@@ -251,8 +249,6 @@ impl MultiIssueExplorer {
             );
             cache_hits += out.cache_hits;
             cache_misses += out.cache_misses;
-            incr_copied += out.incr_copied;
-            incr_recomputed += out.incr_recomputed;
             let base_len = out.base_len;
             known_len = base_len;
             // A candidate with zero *immediate* saving may still be half of
@@ -342,7 +338,6 @@ impl MultiIssueExplorer {
         }
         if let Some(stats) = &self.eval_stats {
             stats.add(cache_hits, cache_misses);
-            stats.add_timing(incr_copied, incr_recomputed);
         }
         Exploration {
             candidates: commits,
@@ -506,8 +501,6 @@ impl MultiIssueExplorer {
             base_len,
             cache_hits: eval.hits,
             cache_misses: eval.misses,
-            incr_copied: eval.incr_copied,
-            incr_recomputed: eval.incr_recomputed,
         }
     }
 }
@@ -525,10 +518,6 @@ struct RoundOutcome {
     cache_hits: u64,
     /// Evaluation-cache misses this round.
     cache_misses: u64,
-    /// Incremental-timing vertices copied from the round baseline.
-    incr_copied: u64,
-    /// Incremental-timing vertices recomputed inside dirty cones.
-    incr_recomputed: u64,
 }
 
 /// Total ASFU silicon area implied by a walk's hardware choices.

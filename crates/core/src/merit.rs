@@ -16,7 +16,7 @@
 use isex_aco::{ImplChoice, PheromoneStore};
 use isex_dfg::{analysis, ports, NodeId, NodeSet, Operand, Reachability};
 use isex_isa::MachineConfig;
-use isex_sched::soa::SoaGraph;
+use isex_sched::soa::{SoaGraph, WalkTiming};
 
 use crate::ant::Walk;
 use crate::candidate::Constraints;
@@ -94,7 +94,7 @@ pub(crate) fn evaluate_option(
 
 /// Software execution cycles of `vs` on the core: its latency-weighted
 /// dependence chain (the multi-issue lower bound the ISE must beat). The
-/// reference for [`FastPrims::software_cycles`].
+/// reference for [`FastPrims::set_answers`]' software cycles.
 #[cfg(test)]
 pub(crate) fn software_cycles(g: &ExGraph, vs: &NodeSet) -> u32 {
     analysis::weighted_longest_path_within(g, vs, |_, op| op.sw_delays[0] as f64).round() as u32
@@ -135,8 +135,8 @@ pub(crate) fn walk_merit_ops(
     let mut ops: Vec<MeritOp> = Vec::new();
     // The per-node buffers live in the round scratch; they are moved out
     // for the walk so the queries below can borrow `prims` mutably.
-    let mut vs_buf = std::mem::replace(&mut prims.scratch.vs, NodeSet::new(0));
-    let mut legal = std::mem::replace(&mut prims.scratch.legal, NodeSet::new(0));
+    let mut vs_buf = std::mem::take(&mut prims.scratch.vs);
+    let mut legal = std::mem::take(&mut prims.scratch.legal);
     let mut evals = std::mem::take(&mut prims.scratch.evals);
     for x in g.node_ids() {
         let xi = x.index() as u32;
@@ -171,16 +171,20 @@ pub(crate) fn walk_merit_ops(
         // smaller legal ISE, so case 4 is evaluated on the maximal legal
         // sub-blob around `x` — otherwise on dense blocks every hardware
         // merit collapses and the search starves (the paper's penalties
-        // assume the violating state is transient).
-        let demand = prims.demand(g, &vs_buf);
-        let io_ok = demand.fits(constraints.n_in, constraints.n_out);
-        let convex_ok = prims.is_convex(&vs_buf, reach);
-        let vs: &NodeSet = if !io_ok || !convex_ok {
+        // assume the violating state is transient). A hardware-chosen `x`'s
+        // `vS_x` is its component, answered once per walk.
+        let comp = if walk.choice[x.index()].is_hardware() {
+            prims.component(g, x, &vs_buf, constraints, reach)
+        } else {
+            prims.answers(g, &vs_buf, constraints, reach)
+        };
+        let io_ok = comp.demand.fits(constraints.n_in, constraints.n_out);
+        let (vs, set) = if !io_ok || !comp.convex {
             for j in 0..op.hw.len() {
                 if !io_ok {
                     ops.push((xi, ImplChoice::Hw(j), params.beta_io));
                 }
-                if !convex_ok {
+                if !comp.convex {
                     ops.push((xi, ImplChoice::Hw(j), params.beta_convex));
                 }
             }
@@ -188,9 +192,9 @@ pub(crate) fn walk_merit_ops(
             if legal.len() < 2 {
                 continue;
             }
-            &legal
+            (&legal, prims.set_answers(g, &legal))
         } else {
-            &vs_buf
+            (&vs_buf, comp.scored.expect("a legal set is scored"))
         };
 
         // Case 4: performance and area scoring.
@@ -198,26 +202,23 @@ pub(crate) fn walk_merit_ops(
         evals.extend((0..op.hw.len()).map(|j| prims.evaluate_option(g, walk, vs, x, j, machine)));
         let et_max_reduction = evals.iter().map(|e| e.et_cycles).min().unwrap_or(1);
         let area_max = evals.iter().map(|e| e.area).fold(0.0f64, f64::max).max(1.0);
-        let sw_cycles = prims.software_cycles(g, vs);
-        let vs_critical = vs.iter().any(|y| critical.contains(y));
-        let max_aec = prims.max_aec(vs);
         for (j, ev) in evals.iter().enumerate() {
-            let saving = sw_cycles as i64 - ev.et_cycles as i64;
+            let saving = set.sw_cycles as i64 - ev.et_cycles as i64;
             // Criterion (1): positive savings scale merit up proportionally;
             // a useless option decays instead.
             let perf = if saving > 0 { saving as f64 } else { 0.5 };
             ops.push((xi, ImplChoice::Hw(j), perf));
             // Criteria (2)–(4): area-aware adjustment.
-            let factor = if vs_critical {
+            let factor = if set.critical {
                 if ev.et_cycles == et_max_reduction {
                     area_max / ev.area.max(1.0)
                 } else {
                     1.0 / (1.0 + (ev.et_cycles - et_max_reduction) as f64)
                 }
-            } else if ev.et_cycles <= max_aec {
+            } else if ev.et_cycles <= set.max_aec {
                 area_max / ev.area.max(1.0)
             } else {
-                1.0 / (1.0 + (ev.et_cycles - max_aec) as f64)
+                1.0 / (1.0 + (ev.et_cycles - set.max_aec) as f64)
             };
             ops.push((xi, ImplChoice::Hw(j), factor));
         }
@@ -228,10 +229,38 @@ pub(crate) fn walk_merit_ops(
     ops
 }
 
+/// The case-4 answers that depend on the scored set alone, not on which of
+/// its members is being scored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SetAnswers {
+    /// Software execution cycles of the set: its latency-weighted
+    /// dependence chain.
+    pub sw_cycles: u32,
+    /// Whether some member is on the walk's critical path.
+    pub critical: bool,
+    /// The `Max_AEC` slack window of the set.
+    pub max_aec: u32,
+}
+
+/// What merit cases 3 and 4 read of a virtual subgraph before they look at
+/// the scored node itself ([`FastPrims::answers`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct VsAnswers {
+    /// `IN/OUT` port demand.
+    pub demand: ports::PortDemand,
+    /// Convexity.
+    pub convex: bool,
+    /// The set answers when the set is legal. `None` otherwise: each
+    /// member then scores its own legal sub-blob.
+    pub scored: Option<SetAnswers>,
+}
+
 /// Per-round scratch of the fast merit primitives: hardware-choice
-/// connected components (recomputed once per walk), the longest-path finish
-/// buffer, the demand/convexity sets, the legality-repair kernel and the
-/// per-node buffers of [`walk_merit_ops`]. Steady state allocates nothing.
+/// connected components and their answers (recomputed once per walk), the
+/// longest-path finish buffer, the demand/convexity sets, the
+/// legality-repair kernel and the per-node buffers of [`walk_merit_ops`].
+/// Steady state allocates nothing.
+#[derive(Default)]
 pub(crate) struct FastMeritScratch {
     /// Component id per node for the current walk; `u32::MAX` when the node
     /// did not choose hardware.
@@ -239,6 +268,12 @@ pub(crate) struct FastMeritScratch {
     /// Component member sets, pooled across walks.
     comps: Vec<NodeSet>,
     n_comps: usize,
+    /// Per component of the current walk, its answers once some member
+    /// has asked ([`FastPrims::component`]).
+    answers: Vec<Option<VsAnswers>>,
+    /// Component answers served from `answers` (checked by the oracle test).
+    #[cfg(test)]
+    pub(crate) reused: usize,
     /// Longest-path finish times. Stale entries are never read: members are
     /// visited in ascending index order and every predecessor of a member
     /// inside the set has a smaller index (the topological-order invariant
@@ -260,32 +295,14 @@ pub(crate) struct FastMeritScratch {
     evals: Vec<VsEval>,
 }
 
-impl Default for FastMeritScratch {
-    fn default() -> Self {
-        FastMeritScratch {
-            comp_id: Vec::new(),
-            comps: Vec::new(),
-            n_comps: 0,
-            finish: Vec::new(),
-            ext: NodeSet::new(0),
-            live_ins: Vec::new(),
-            stack: Vec::new(),
-            desc: NodeSet::new(0),
-            anc: NodeSet::new(0),
-            grow: GrowScratch::default(),
-            vs: NodeSet::new(0),
-            legal: NodeSet::new(0),
-            evals: Vec::new(),
-        }
-    }
-}
-
 impl FastMeritScratch {
     /// Recomputes the walk-dependent state: the connected components of the
     /// hardware-chosen nodes (connectivity through hardware nodes only,
-    /// edges taken as undirected). The virtual subgraph of any `x` is then
-    /// `{x} ∪ ⋃ comp(v)` over the hardware-chosen neighbours `v` of `x` —
-    /// exactly the set the per-node DFS of [`virtual_subgraph`] discovers.
+    /// edges taken as undirected), with their answers cleared. The virtual
+    /// subgraph of any `x` is then `{x} ∪ ⋃ comp(v)` over the
+    /// hardware-chosen neighbours `v` of `x` — exactly the set the per-node
+    /// DFS of [`virtual_subgraph`] discovers — which for a hardware-chosen
+    /// `x` is its own component.
     pub(crate) fn prepare(&mut self, base: &SoaGraph, walk: &Walk) {
         let n = base.len();
         self.comp_id.clear();
@@ -329,15 +346,18 @@ impl FastMeritScratch {
                 }
             }
         }
+        self.answers.clear();
+        self.answers.resize(self.n_comps, None);
     }
 }
 
 /// The graph queries of the merit computation for one walk, answered from
 /// the round's SoA arrays and [`FastMeritScratch`]: virtual subgraphs by
-/// word-level component union, longest paths and port demand scanning
-/// members only, and `Max_AEC` read directly from the walk's quotient
-/// timing vectors (`alap` holds slots at deadline `len`; the walk's
-/// deadline shifts every slot uniformly, folded in as `extra`).
+/// word-level component union, the per-component answers once per walk,
+/// longest paths and port demand scanning members only, and `Max_AEC` read
+/// directly from the walk's timing vectors (`alap` holds slots at deadline
+/// `len`; the walk's deadline shifts every slot uniformly, folded in as
+/// `extra`).
 ///
 /// Each query equals a free-function reference — [`virtual_subgraph`],
 /// [`ports::demand`], [`isex_dfg::convex::is_convex`], [`evaluate_option`],
@@ -347,26 +367,28 @@ impl FastMeritScratch {
 pub(crate) struct FastPrims<'a> {
     pub scratch: &'a mut FastMeritScratch,
     pub base: &'a SoaGraph,
-    /// Original-node → quotient-node map of this walk's quotient.
-    pub node_map: &'a [u32],
-    /// Quotient latencies, ASAP and ALAP-at-`len`.
-    pub qlat: &'a [u32],
-    pub asap: &'a [u32],
-    pub alap: &'a [u32],
+    /// The walk's timing, read per base node through its unit.
+    pub timing: &'a WalkTiming,
     /// `walk deadline − len`, the uniform ALAP shift.
     pub extra: u32,
     /// Critical-path membership per original node (ASAP = ALAP in the
-    /// walk's quotient).
+    /// walk's timing).
     pub critical: &'a NodeSet,
 }
 
 impl FastPrims<'_> {
-    /// Fills `out` with the virtual subgraph of `x` (Fig. 4.3.6).
+    /// Fills `out` with the virtual subgraph of `x` (Fig. 4.3.6): a
+    /// hardware-chosen `x`'s component, or `x` plus its hardware
+    /// neighbours' components.
     pub(crate) fn virtual_subgraph_into(&mut self, walk: &Walk, x: NodeId, out: &mut NodeSet) {
         out.clear();
-        out.insert(x);
         let xi = x.index() as u32;
-        let s = &mut *self.scratch;
+        let s = &*self.scratch;
+        if s.comp_id[xi as usize] != u32::MAX {
+            out.union_with(&s.comps[s.comp_id[xi as usize] as usize]);
+            return;
+        }
+        out.insert(x);
         let mut last = u32::MAX;
         for &v in self
             .base
@@ -384,8 +406,71 @@ impl FastPrims<'_> {
         }
     }
 
+    /// The answers of the component of a hardware-chosen `x`, whose set
+    /// `vs` is (its `vS_x`): computed when the first member asks and
+    /// served to the others for the rest of the walk.
+    pub(crate) fn component(
+        &mut self,
+        g: &ExGraph,
+        x: NodeId,
+        vs: &NodeSet,
+        constraints: &Constraints,
+        reach: &Reachability,
+    ) -> VsAnswers {
+        let k = self.scratch.comp_id[x.index()] as usize;
+        debug_assert!(vs == &self.scratch.comps[k], "vs must be x's component");
+        if let Some(answers) = self.scratch.answers[k] {
+            #[cfg(test)]
+            {
+                self.scratch.reused += 1;
+            }
+            return answers;
+        }
+        let answers = self.answers(g, vs, constraints, reach);
+        self.scratch.answers[k] = Some(answers);
+        answers
+    }
+
+    /// The port demand and convexity of `vs` and, when it is legal, its
+    /// set answers.
+    pub(crate) fn answers(
+        &mut self,
+        g: &ExGraph,
+        vs: &NodeSet,
+        constraints: &Constraints,
+        reach: &Reachability,
+    ) -> VsAnswers {
+        let demand = self.demand(g, vs);
+        let convex = self.is_convex(vs, reach);
+        let legal = convex && demand.fits(constraints.n_in, constraints.n_out);
+        VsAnswers {
+            demand,
+            convex,
+            scored: legal.then(|| self.set_answers(g, vs)),
+        }
+    }
+
+    /// The case-4 answers of `vs` that do not depend on the scored node.
+    /// `Max_AEC` is read from the walk's timing through each member's unit.
+    pub(crate) fn set_answers(&mut self, g: &ExGraph, vs: &NodeSet) -> SetAnswers {
+        let (sw_delay, _) =
+            self.longest_within(vs, |y| (g.node(y).payload().sw_delays[0] as f64, 0.0));
+        let t = self.timing;
+        let (mut earliest, mut latest) = (u32::MAX, 0u32);
+        for y in vs {
+            let u = t.unit[y.index()] as usize;
+            earliest = earliest.min(t.asap[u]);
+            latest = latest.max(t.alap[u] + self.extra + t.lat[u]);
+        }
+        SetAnswers {
+            sw_cycles: sw_delay.round() as u32,
+            critical: vs.intersects(self.critical),
+            max_aec: latest.saturating_sub(earliest),
+        }
+    }
+
     /// `IN/OUT` port demand of `vs`.
-    pub(crate) fn demand(&mut self, g: &ExGraph, vs: &NodeSet) -> ports::PortDemand {
+    fn demand(&mut self, g: &ExGraph, vs: &NodeSet) -> ports::PortDemand {
         let s = &mut *self.scratch;
         s.ext.clear();
         s.live_ins.clear();
@@ -426,7 +511,7 @@ impl FastPrims<'_> {
     }
 
     /// Convexity of `vs`.
-    pub(crate) fn is_convex(&mut self, vs: &NodeSet, reach: &Reachability) -> bool {
+    fn is_convex(&mut self, vs: &NodeSet, reach: &Reachability) -> bool {
         let s = &mut *self.scratch;
         s.desc.clear();
         s.anc.clear();
@@ -470,19 +555,29 @@ impl FastPrims<'_> {
         j: usize,
         machine: &MachineConfig,
     ) -> VsEval {
+        let (delay, area) = self.longest_within(vs, |y| {
+            let op = g.node(y).payload();
+            let h = match walk.choice[y.index()] {
+                _ if y == x => j,
+                ImplChoice::Hw(h) => h,
+                ImplChoice::Sw(_) => 0,
+            };
+            (op.hw[h].delay_ns, op.hw[h].area_um2)
+        });
+        VsEval {
+            et_cycles: machine.cycles_for_delay_ns(delay),
+            area,
+        }
+    }
+
+    /// The longest delay-weighted path through `vs` (in-set edges only) and
+    /// the members' summed area, under per-member `(delay, area)` costs.
+    fn longest_within(&mut self, vs: &NodeSet, cost: impl Fn(NodeId) -> (f64, f64)) -> (f64, f64) {
         let finish = &mut self.scratch.finish;
         let mut best = 0.0f64;
         let mut area = 0.0f64;
         for y in vs {
-            let op = g.node(y).payload();
-            let (d, a) = if y == x {
-                (op.hw[j].delay_ns, op.hw[j].area_um2)
-            } else {
-                match walk.choice[y.index()] {
-                    ImplChoice::Hw(h) => (op.hw[h].delay_ns, op.hw[h].area_um2),
-                    ImplChoice::Sw(_) => (op.hw[0].delay_ns, op.hw[0].area_um2),
-                }
-            };
+            let (d, a) = cost(y);
             let mut start = 0.0f64;
             for &p in self.base.preds(y.index()) {
                 if vs.contains(NodeId::new(p)) {
@@ -494,50 +589,14 @@ impl FastPrims<'_> {
             best = best.max(f);
             area += a;
         }
-        VsEval {
-            et_cycles: machine.cycles_for_delay_ns(best),
-            area,
-        }
-    }
-
-    /// Software execution cycles of `vs` on the core.
-    pub(crate) fn software_cycles(&mut self, g: &ExGraph, vs: &NodeSet) -> u32 {
-        let finish = &mut self.scratch.finish;
-        let mut best = 0.0f64;
-        for y in vs {
-            let d = g.node(y).payload().sw_delays[0] as f64;
-            let mut start = 0.0f64;
-            for &p in self.base.preds(y.index()) {
-                if vs.contains(NodeId::new(p)) {
-                    start = start.max(finish[p as usize]);
-                }
-            }
-            let f = start + d;
-            finish[y.index()] = f;
-            best = best.max(f);
-        }
-        best.round() as u32
-    }
-
-    /// The `Max_AEC` slack window of `vs` (members in base node space).
-    pub(crate) fn max_aec(&self, vs: &NodeSet) -> u32 {
-        if vs.is_empty() {
-            return 0;
-        }
-        let mut earliest = u32::MAX;
-        let mut latest = 0u32;
-        for y in vs {
-            let qv = self.node_map[y.index()] as usize;
-            earliest = earliest.min(self.asap[qv]);
-            latest = latest.max(self.alap[qv] + self.extra + self.qlat[qv]);
-        }
-        latest.saturating_sub(earliest)
+        (best, area)
     }
 }
 
 /// Scratch of the legality-repair kernel [`GrowScratch::grow`]: the
 /// grown set's descendant/ancestor unions, its candidate frontier and its
 /// port bookkeeping, updated as members are absorbed.
+#[derive(Default)]
 pub(crate) struct GrowScratch {
     /// Unions of the strict descendants / ancestors of the grown members.
     desc: NodeSet,
@@ -554,21 +613,6 @@ pub(crate) struct GrowScratch {
     /// `OUT` of the grown set: members that are live out or feed a
     /// non-member.
     outputs: usize,
-}
-
-impl Default for GrowScratch {
-    fn default() -> Self {
-        GrowScratch {
-            desc: NodeSet::new(0),
-            anc: NodeSet::new(0),
-            frontier: NodeSet::new(0),
-            ext: NodeSet::new(0),
-            n_ext: 0,
-            live_ins: Vec::new(),
-            ext_succs: Vec::new(),
-            outputs: 0,
-        }
-    }
 }
 
 impl GrowScratch {

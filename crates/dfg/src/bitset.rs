@@ -27,7 +27,7 @@ const BITS: usize = 64;
 /// assert!(s.contains(NodeId::new(3)));
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![NodeId::new(3), NodeId::new(7)]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct NodeSet {
     blocks: Vec<u64>,
     universe: usize,

@@ -123,10 +123,6 @@ pub struct EngineOutcome {
     pub eval_cache_hits: u64,
     /// Hot-path evaluation-cache misses summed over all jobs.
     pub eval_cache_misses: u64,
-    /// Incremental-timing quotient vertices copied from a round baseline.
-    pub incr_copied: u64,
-    /// Incremental-timing quotient vertices recomputed in dirty cones.
-    pub incr_recomputed: u64,
 }
 
 /// Runs exploration jobs deterministically in parallel.
@@ -346,8 +342,6 @@ impl Engine {
             explore_ms: start.elapsed().as_secs_f64() * 1e3,
             eval_cache_hits: eval_stats.hits(),
             eval_cache_misses: eval_stats.misses(),
-            incr_copied: eval_stats.incr_copied(),
-            incr_recomputed: eval_stats.incr_recomputed(),
         }
     }
 

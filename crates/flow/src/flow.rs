@@ -303,22 +303,6 @@ pub(crate) fn explore_program_anytime(
             });
         }
     }
-    // The copied/recomputed vertex split of the incremental cone updates.
-    // Same `PhaseStat` channel, so a regression shows up on the metrics
-    // endpoint directly.
-    for (name, count) in [
-        ("timing.incr_copied", outcome.incr_copied),
-        ("timing.incr_recomputed", outcome.incr_recomputed),
-    ] {
-        if count > 0 {
-            metrics.phase_profile.0.push(isex_engine::PhaseStat {
-                name: name.to_string(),
-                count,
-                total_ms: 0.0,
-                max_ms: 0.0,
-            });
-        }
-    }
     (patterns, hot.len(), iterations, metrics, provenance)
 }
 

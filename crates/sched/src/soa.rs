@@ -1,5 +1,5 @@
 //! Struct-of-arrays hot-loop kernels: arena graph, exact quotient
-//! collapse, incremental (cone-limited) timing and a counter-driven list
+//! collapse, quotient-free walk timing and a counter-driven list
 //! scheduler.
 //!
 //! The exploration loop evaluates thousands of ISE patches per round, and
@@ -12,10 +12,11 @@
 //! * [`collapse_soa`] — the quotient construction of
 //!   [`collapse_groups`](crate::collapse::collapse_groups) replayed on the
 //!   arrays, producing *bit-identical vertex numbering* (same Kahn order,
-//!   same edge dedup) without emitting a `Dfg`;
-//! * [`BaseTiming`] + the `*_incremental_into` kernels — persistent
-//!   per-round ASAP/ALAP/height state updated only along the fan-in/out
-//!   cones a patch actually dirties, with copy/recompute counters;
+//!   same edge dedup) without emitting a `Dfg`; the list scheduler's
+//!   tie-breaks need that numbering;
+//! * [`walk_timing_into`] — ASAP/ALAP of a walk whose groups are collapsed,
+//!   by a counter-driven pass over the base CSR and its reverse, with no
+//!   quotient at all (timing values do not depend on a vertex numbering);
 //! * [`schedule_len_counters`] — the list scheduler driven by ready
 //!   counters and a completion heap instead of a per-cycle all-nodes
 //!   rescan, decision-identical to [`list_schedule`](crate::list_schedule).
@@ -66,30 +67,24 @@ impl SoaGraph {
     /// Lowers `dfg` into arrays.
     pub fn from_sched(dfg: &SchedDfg) -> Self {
         let mut g = SoaGraph::default();
-        g.rebuild(dfg);
-        g
-    }
-
-    /// Rebuilds in place from `dfg`, reusing every buffer.
-    pub fn rebuild(&mut self, dfg: &SchedDfg) {
-        self.clear();
         for (_, n) in dfg.iter() {
             let op = n.payload();
-            self.lat.push(op.latency);
-            self.reads.push(op.reads as u32);
-            self.writes.push(op.writes as u32);
-            self.class.push(op.class);
+            g.lat.push(op.latency);
+            g.reads.push(op.reads as u32);
+            g.writes.push(op.writes as u32);
+            g.class.push(op.class);
         }
-        self.pred_off.push(0);
+        g.pred_off.push(0);
         for id in dfg.node_ids() {
-            self.pred.extend(dfg.preds(id).map(|p| p.index() as u32));
-            self.pred_off.push(self.pred.len() as u32);
+            g.pred.extend(dfg.preds(id).map(|p| p.index() as u32));
+            g.pred_off.push(g.pred.len() as u32);
         }
-        self.succ_off.push(0);
+        g.succ_off.push(0);
         for id in dfg.node_ids() {
-            self.succ.extend(dfg.succs(id).map(|s| s.index() as u32));
-            self.succ_off.push(self.succ.len() as u32);
+            g.succ.extend(dfg.succs(id).map(|s| s.index() as u32));
+            g.succ_off.push(g.succ.len() as u32);
         }
+        g
     }
 
     fn clear(&mut self) {
@@ -180,57 +175,8 @@ pub fn height_into(g: &SoaGraph, out: &mut Vec<i64>) {
     }
 }
 
-/// Persistent per-round timing state of a base [`SoaGraph`]: ASAP, ALAP at
-/// the dependence-only length, heights and the length itself. The
-/// incremental kernels update quotient timing against this baseline,
-/// touching only the cones an ISE patch dirties.
-#[derive(Clone, Debug, Default)]
-pub struct BaseTiming {
-    /// ASAP start per base node.
-    pub asap: Vec<u32>,
-    /// ALAP start per base node at deadline [`BaseTiming::dep_len`].
-    pub alap: Vec<u32>,
-    /// Latency-weighted height per base node.
-    pub height: Vec<i64>,
-    /// Dependence-only schedule length of the base graph.
-    pub dep_len: u32,
-}
-
-impl BaseTiming {
-    /// Runs the three full passes once over `g`.
-    pub fn of(g: &SoaGraph) -> Self {
-        let mut t = BaseTiming::default();
-        asap_into(g, &mut t.asap);
-        t.dep_len = length_from_asap(g, &t.asap);
-        alap_into(g, t.dep_len, &mut t.alap);
-        height_into(g, &mut t.height);
-        t
-    }
-}
-
-/// Copy/recompute counters of the incremental timing kernels: `copied`
-/// vertices took their value straight from the [`BaseTiming`] baseline,
-/// `recomputed` vertices were inside a dirty cone. Their sum per pass is
-/// the quotient size; the copied share is the work the incremental layer
-/// removed relative to a full pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IncrStats {
-    /// Vertices whose timing was copied from the baseline.
-    pub copied: u64,
-    /// Vertices whose timing was recomputed from neighbours.
-    pub recomputed: u64,
-}
-
-impl IncrStats {
-    /// Accumulates another pass' counters.
-    pub fn absorb(&mut self, other: IncrStats) {
-        self.copied += other.copied;
-        self.recomputed += other.recomputed;
-    }
-}
-
 /// The quotient graph produced by [`collapse_soa`]: arrays plus the
-/// base→quotient mapping and each quotient vertex's origin.
+/// base→quotient mapping.
 #[derive(Clone, Debug, Default)]
 pub struct Quotient {
     /// The quotient in SoA form; vertex ids match the emission order of
@@ -238,19 +184,6 @@ pub struct Quotient {
     pub graph: SoaGraph,
     /// For every base node, its quotient vertex.
     pub node_map: Vec<u32>,
-    /// For every group (by input index), its quotient vertex.
-    pub group_node: Vec<u32>,
-    /// Origin of every quotient vertex: `base node index` for an
-    /// un-collapsed single, or `-(1 + group index)` for a group vertex.
-    pub orig: Vec<i64>,
-}
-
-impl Quotient {
-    /// Returns `true` if quotient vertex `v` is a collapsed group.
-    #[inline]
-    pub fn is_group(&self, v: usize) -> bool {
-        self.orig[v] < 0
-    }
 }
 
 /// Reusable working memory for [`collapse_soa`].
@@ -379,7 +312,6 @@ pub fn collapse_soa(
     // Emit payload arrays in quotient-topological order.
     let q = &mut out.graph;
     q.clear();
-    out.orig.clear();
     for &v in &s.topo {
         if (v as usize) < gn {
             let fp = &groups[v as usize].1;
@@ -387,14 +319,12 @@ pub fn collapse_soa(
             q.reads.push(fp.reads as u32);
             q.writes.push(fp.writes as u32);
             q.class.push(fp.class);
-            out.orig.push(-(1 + v as i64));
         } else {
             let n = s.singles[v as usize - gn] as usize;
             q.lat.push(base.lat[n]);
             q.reads.push(base.reads[n]);
             q.writes.push(base.writes[n]);
             q.class.push(base.class[n]);
-            out.orig.push(n as i64);
         }
     }
 
@@ -444,151 +374,141 @@ pub fn collapse_soa(
     out.node_map.clear();
     out.node_map
         .extend((0..k).map(|n| s.new_id[s.vx[n] as usize]));
-    out.group_node.clear();
-    out.group_node.extend((0..gn).map(|i| s.new_id[i]));
 }
 
-/// Quotient ASAP with cone-limited recomputation: vertices outside the
-/// fan-out cones of patched nodes (group members and latency changes) copy
-/// their baseline value; everything inside is recomputed. The result
-/// equals a full [`asap_into`] pass over the quotient, value for value.
+/// The timing of one walk over a base graph, computed by
+/// [`walk_timing_into`]. Every group is one *unit*, represented by its
+/// first (lowest-index) member; every other node is a unit of its own.
+/// The unit-indexed vectors are indexed by the representative's base index;
+/// their entries at other members are unspecified.
+#[derive(Clone, Debug, Default)]
+pub struct WalkTiming {
+    /// The unit (representative base node) of every base node.
+    pub unit: Vec<u32>,
+    /// Latency per unit.
+    pub lat: Vec<u32>,
+    /// ASAP start per unit.
+    pub asap: Vec<u32>,
+    /// ALAP start per unit at deadline [`WalkTiming::len`].
+    pub alap: Vec<u32>,
+    /// Dependence-only schedule length of the walk.
+    pub len: u32,
+    /// The next member of the same unit, ascending (`u32::MAX` after the
+    /// last).
+    next: Vec<u32>,
+    /// Crossing in-edges of each unit not yet resolved.
+    pending: Vec<u32>,
+    /// Units in the order they resolved (a topological order).
+    order: Vec<u32>,
+}
+
+/// Times a walk on `g` without building a quotient: `lat` holds every
+/// node's latency in this walk, and each non-empty `(members, latency)`
+/// group is collapsed into one unit of that latency.
 ///
-/// `base_lat` is the base graph's latency vector (to detect per-walk
-/// latency patches on singles).
-pub fn asap_incremental_into(
-    q: &Quotient,
-    base: &BaseTiming,
-    base_lat: &[u32],
-    out: &mut Vec<u32>,
-    needs: &mut Vec<bool>,
-) -> IncrStats {
-    let g = &q.graph;
-    let n = g.len();
-    out.clear();
-    out.resize(n, 0);
-    needs.clear();
-    needs.resize(n, false);
-    let mut stats = IncrStats::default();
-    for v in 0..n {
-        let orig = q.orig[v];
-        let dirty_self = orig < 0 || g.lat[v] != base_lat[orig as usize];
-        if dirty_self || needs[v] {
-            let start = g
-                .preds(v)
-                .iter()
-                .map(|&p| out[p as usize] + g.lat[p as usize])
-                .max()
-                .unwrap_or(0);
-            out[v] = start;
-            stats.recomputed += 1;
-            // The finish time is what successors observe; only a changed
-            // finish (or a group vertex, which has no baseline) dirties
-            // the fan-out.
-            let finish_changed =
-                orig < 0 || start + g.lat[v] != base.asap[orig as usize] + base_lat[orig as usize];
-            if finish_changed {
-                for &sc in g.succs(v) {
-                    needs[sc as usize] = true;
-                }
-            }
-        } else {
-            out[v] = base.asap[orig as usize];
-            stats.copied += 1;
+/// A unit's pending count is its number of crossing base in-edges (from
+/// another unit). The forward pass resolves a unit when its count reaches
+/// zero, fixing its ASAP and pushing its finish to the units it feeds; the
+/// backward pass takes ALAP at the walk's length in the reverse of that
+/// order. Starts are a max or a min over neighbours, so any topological
+/// order gives the same values, and no edge sort, dedup or vertex
+/// renumbering is needed. For every base node `n`, `asap[unit[n]]`,
+/// `alap[unit[n]]` and `lat[unit[n]]` equal [`asap_into`], [`alap_into`]
+/// at [`length_from_asap`] and the latency on the [`collapse_soa`]
+/// quotient at `node_map[n]`. Nothing is allocated once the buffers have
+/// grown to the graph.
+///
+/// # Panics
+///
+/// Panics if some group is not convex (its unit would sit on a cycle).
+/// Overlapping groups are a caller error, checked in debug builds.
+pub fn walk_timing_into<'s>(
+    g: &SoaGraph,
+    lat: &[u32],
+    groups: impl IntoIterator<Item = (&'s NodeSet, u32)>,
+    t: &mut WalkTiming,
+) {
+    let k = g.len();
+    t.unit.clear();
+    t.unit.extend(0..k as u32);
+    t.lat.clear();
+    t.lat.extend_from_slice(lat);
+    t.next.clear();
+    t.next.resize(k, u32::MAX);
+    let mut units = k;
+    for (members, glat) in groups {
+        let mut it = members.iter().map(|m| m.index() as u32);
+        let rep = it.next().expect("groups are non-empty");
+        debug_assert_eq!(t.unit[rep as usize], rep, "node {rep} in two groups");
+        t.lat[rep as usize] = glat;
+        let mut prev = rep;
+        for m in it {
+            debug_assert_eq!(t.unit[m as usize], m, "node {m} in two groups");
+            t.unit[m as usize] = rep;
+            t.next[prev as usize] = m;
+            prev = m;
+            units -= 1;
         }
     }
-    stats
-}
 
-/// Quotient ALAP at deadline `deadline` with cone-limited recomputation
-/// against the baseline ALAP (taken at the base dependence length and
-/// shifted uniformly — exact for the integer min/minus recurrence). The
-/// result equals a full [`alap_into`] pass at `deadline`.
-pub fn alap_incremental_into(
-    q: &Quotient,
-    base: &BaseTiming,
-    base_lat: &[u32],
-    deadline: u32,
-    out: &mut Vec<u32>,
-    needs: &mut Vec<bool>,
-) -> IncrStats {
-    let g = &q.graph;
-    let n = g.len();
-    let shift = deadline as i64 - base.dep_len as i64;
-    out.clear();
-    out.resize(n, 0);
-    needs.clear();
-    needs.resize(n, false);
-    let mut stats = IncrStats::default();
-    for v in (0..n).rev() {
-        let orig = q.orig[v];
-        let dirty_self = orig < 0 || g.lat[v] != base_lat[orig as usize];
-        if dirty_self || needs[v] {
-            let lat = g.lat[v];
-            let a = g
-                .succs(v)
-                .iter()
-                .map(|&sc| out[sc as usize])
-                .min()
-                .map(|earliest_succ| earliest_succ - lat)
-                .unwrap_or(deadline - lat);
-            out[v] = a;
-            stats.recomputed += 1;
-            // Predecessors observe this vertex's start; a shifted-baseline
-            // match means their min is undisturbed.
-            let start_changed = orig < 0 || a as i64 != base.alap[orig as usize] as i64 + shift;
-            if start_changed {
-                for &p in g.preds(v) {
-                    needs[p as usize] = true;
-                }
+    t.pending.clear();
+    t.pending.resize(k, 0);
+    for n in 0..k {
+        let u = t.unit[n];
+        for &p in g.preds(n) {
+            if t.unit[p as usize] != u {
+                t.pending[u as usize] += 1;
             }
-        } else {
-            out[v] = (base.alap[orig as usize] as i64 + shift) as u32;
-            stats.copied += 1;
         }
     }
-    stats
-}
+    t.asap.clear();
+    t.asap.resize(k, 0);
+    t.order.clear();
+    t.order
+        .extend((0..k as u32).filter(|&v| t.unit[v as usize] == v && t.pending[v as usize] == 0));
+    let (mut i, mut len) = (0, 0);
+    while let Some(&u) = t.order.get(i) {
+        i += 1;
+        let finish = t.asap[u as usize] + t.lat[u as usize];
+        len = len.max(finish);
+        let mut m = u;
+        while m != u32::MAX {
+            for &sc in g.succs(m as usize) {
+                let su = t.unit[sc as usize] as usize;
+                if su as u32 != u {
+                    t.asap[su] = t.asap[su].max(finish);
+                    t.pending[su] -= 1;
+                    if t.pending[su] == 0 {
+                        t.order.push(su as u32);
+                    }
+                }
+            }
+            m = t.next[m as usize];
+        }
+    }
+    assert_eq!(
+        t.order.len(),
+        units,
+        "walk timing is cyclic: some group is not convex"
+    );
+    t.len = len;
 
-/// Quotient heights with cone-limited recomputation (only the fan-in cone
-/// of a group or latency patch is revisited). The result equals a full
-/// [`height_into`] pass over the quotient.
-pub fn height_incremental_into(
-    q: &Quotient,
-    base: &BaseTiming,
-    base_lat: &[u32],
-    out: &mut Vec<i64>,
-    needs: &mut Vec<bool>,
-) -> IncrStats {
-    let g = &q.graph;
-    let n = g.len();
-    out.clear();
-    out.resize(n, 0);
-    needs.clear();
-    needs.resize(n, false);
-    let mut stats = IncrStats::default();
-    for v in (0..n).rev() {
-        let orig = q.orig[v];
-        let dirty_self = orig < 0 || g.lat[v] != base_lat[orig as usize];
-        if dirty_self || needs[v] {
-            let h = g.lat[v] as i64
-                + g.succs(v)
-                    .iter()
-                    .map(|&sc| out[sc as usize])
-                    .max()
-                    .unwrap_or(0);
-            out[v] = h;
-            stats.recomputed += 1;
-            if orig < 0 || h != base.height[orig as usize] {
-                for &p in g.preds(v) {
-                    needs[p as usize] = true;
+    t.alap.clear();
+    t.alap.resize(k, 0);
+    for &u in t.order.iter().rev() {
+        let mut earliest_succ = len;
+        let mut m = u;
+        while m != u32::MAX {
+            for &sc in g.succs(m as usize) {
+                let su = t.unit[sc as usize];
+                if su != u {
+                    earliest_succ = earliest_succ.min(t.alap[su as usize]);
                 }
             }
-        } else {
-            out[v] = base.height[orig as usize];
-            stats.copied += 1;
+            m = t.next[m as usize];
         }
+        t.alap[u as usize] = earliest_succ - t.lat[u as usize];
     }
-    stats
 }
 
 /// Reusable buffers for [`schedule_len_counters`].
@@ -708,10 +628,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn alu(lat: u32) -> SchedOp {
-        SchedOp::new(lat, 1, 1, UnitClass::Alu)
-    }
-
     /// Random DAG with varied latencies/classes, operands drawn from
     /// earlier nodes (so index order is topological by construction).
     fn random_dfg(rng: &mut StdRng, k: usize) -> SchedDfg {
@@ -807,14 +723,10 @@ mod tests {
                     .collect::<Vec<_>>(),
                 "node_map must match vertex numbering exactly"
             );
-            assert_eq!(
-                q.group_node,
-                reference
-                    .group_nodes
-                    .iter()
-                    .map(|n| n.index() as u32)
-                    .collect::<Vec<_>>()
-            );
+            for ((set, _), gv) in groups.iter().zip(&reference.group_nodes) {
+                let first = set.first().expect("non-empty group").index();
+                assert_eq!(q.node_map[first], gv.index() as u32, "group vertex");
+            }
             for v in 0..q.graph.len() {
                 let vid = NodeId::new(v as u32);
                 let op = reference.dfg.node(vid).payload();
@@ -871,79 +783,6 @@ mod tests {
             schedule_len_counters(&soa, &blocking, &prio, &mut scratch),
             6
         );
-    }
-
-    #[test]
-    fn incremental_timing_matches_full_passes() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut scratch = QuotientScratch::default();
-        let mut q = Quotient::default();
-        let (mut asap, mut alap, mut needs) = (Vec::new(), Vec::new(), Vec::new());
-        let mut height = Vec::new();
-        for _ in 0..40 {
-            let k = rng.gen_range(4..40);
-            let dfg = random_dfg(&mut rng, k);
-            let base = SoaGraph::from_sched(&dfg);
-            let bt = BaseTiming::of(&base);
-            let groups = random_groups(&mut rng, dfg.len());
-            // Patch a few latencies, as a walk's software choices would.
-            let mut patched = base.clone();
-            for _ in 0..rng.gen_range(0..4) {
-                let n = rng.gen_range(0..patched.len());
-                patched.lat[n] = rng.gen_range(1..4);
-            }
-            collapse_soa(&patched, &groups, &mut scratch, &mut q);
-            let st = asap_incremental_into(&q, &bt, &base.lat, &mut asap, &mut needs);
-            let mut full = Vec::new();
-            asap_into(&q.graph, &mut full);
-            assert_eq!(asap, full, "incremental ASAP diverged");
-            assert_eq!(st.copied + st.recomputed, q.graph.len() as u64);
-            let len = length_from_asap(&q.graph, &asap);
-            alap_incremental_into(&q, &bt, &base.lat, len + 2, &mut alap, &mut needs);
-            let mut full_alap = Vec::new();
-            alap_into(&q.graph, len + 2, &mut full_alap);
-            assert_eq!(alap, full_alap, "incremental ALAP diverged");
-            height_incremental_into(&q, &bt, &base.lat, &mut height, &mut needs);
-            let mut full_h = Vec::new();
-            height_into(&q.graph, &mut full_h);
-            assert_eq!(height, full_h, "incremental height diverged");
-        }
-    }
-
-    #[test]
-    fn incremental_copy_dominates_far_from_the_patch() {
-        // Long chain, group at the very end: everything before the group's
-        // fan-in cone must be copied, not recomputed.
-        let mut g = SchedDfg::new();
-        let mut prev = g.add_node(alu(1), vec![]);
-        for _ in 0..30 {
-            prev = g.add_node(alu(1), vec![Operand::Node(prev)]);
-        }
-        let k = g.len();
-        let mut set = NodeSet::new(k);
-        set.insert(NodeId::new(k as u32 - 2));
-        set.insert(NodeId::new(k as u32 - 1));
-        let base = SoaGraph::from_sched(&g);
-        let bt = BaseTiming::of(&base);
-        let mut scratch = QuotientScratch::default();
-        let mut q = Quotient::default();
-        collapse_soa(
-            &base,
-            &[(set, SchedOp::new(1, 2, 1, UnitClass::Asfu))],
-            &mut scratch,
-            &mut q,
-        );
-        let (mut asap, mut needs) = (Vec::new(), Vec::new());
-        let st = asap_incremental_into(&q, &bt, &base.lat, &mut asap, &mut needs);
-        assert!(
-            st.copied >= 28,
-            "ASAP outside the tail cone must be copied: {st:?}"
-        );
-        let mut height = Vec::new();
-        let sh = height_incremental_into(&q, &bt, &base.lat, &mut height, &mut needs);
-        // Heights flow sink-to-source: the patched tail dirties the whole
-        // fan-in cone here (a chain), so nearly everything recomputes.
-        assert_eq!(sh.copied + sh.recomputed, q.graph.len() as u64);
     }
 
     #[test]

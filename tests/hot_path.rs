@@ -177,33 +177,14 @@ fn cache_counters_surface_in_phase_profile() {
         hit.count,
         miss.count
     );
-    let copied = metrics
-        .phase_profile
-        .get("timing.incr_copied")
-        .expect("incremental run must report copied vertices");
-    let recomputed = metrics
-        .phase_profile
-        .get("timing.incr_recomputed")
-        .expect("incremental run must report recomputed vertices");
-    assert!(
-        copied.count > 0 && recomputed.count > 0,
-        "cone updates must both copy and recompute: {} copied / {} recomputed",
-        copied.count,
-        recomputed.count
-    );
 
     let mut si = quick_cfg();
     si.algorithm = Algorithm::SingleIssue;
     let (_, metrics) = run_flow_observed(&si, &program, 7, &NullSink);
     assert!(
-        [
-            "eval.cache_hit",
-            "eval.cache_miss",
-            "timing.incr_copied",
-            "timing.incr_recomputed"
-        ]
-        .iter()
-        .all(|name| metrics.phase_profile.get(name).is_none()),
+        ["eval.cache_hit", "eval.cache_miss"]
+            .iter()
+            .all(|name| metrics.phase_profile.get(name).is_none()),
         "the SI explorer has no evaluation cache and must not report its counters"
     );
 }
