@@ -148,9 +148,6 @@ struct Worker {
     /// Job ids currently assigned to this worker.
     inflight: Vec<u64>,
     jobs_done: u64,
-    /// Observability capability negotiated at handshake: the session may
-    /// carry `TraceChunk` / `MetricsReport` frames.
-    obs: bool,
 }
 
 /// Latency bucket upper bounds, milliseconds. Log-spaced: job latency
@@ -248,7 +245,7 @@ struct InflightJob {
     block: usize,
     worker_id: u64,
     /// The `job.dispatch` span this job's remote spans re-parent onto
-    /// (`None` when the run is untraced or the worker lacks `obs`).
+    /// (`None` when the run is untraced).
     span_id: Option<u64>,
     /// For the dispatch→result latency histogram.
     dispatched_at: Instant,
@@ -382,12 +379,10 @@ impl Coordinator {
     /// ```json
     /// {
     ///   "workers_alive": 2,
-    ///   "eval": {"cache_hit": 0.83, "hits": 120, "misses": 24},
     ///   "worker": {
     ///     "w0": {
     ///       "alive": 1, "breaker_open": 0,
     ///       "jobs_completed": 9, "jobs_failed": 0,
-    ///       "eval_cache_hits": 60, "eval_cache_misses": 12,
     ///       "latency_p50_ms": 25, "latency_p95_ms": 100, "latency_jobs": 9,
     ///       "phases": {"engine_job": 9, ...}
     ///     }
@@ -398,8 +393,6 @@ impl Coordinator {
         use serde::Value;
         let state = lock_unpoisoned(&self.shared.state);
         let now = Instant::now();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
         let mut names: Vec<&String> = state.telemetry.keys().collect();
         names.sort();
         let mut workers = Vec::new();
@@ -424,21 +417,11 @@ impl Coordinator {
                 ("latency_jobs".to_string(), Value::U64(t.latency.total)),
             ];
             if let Some(report) = &t.report {
-                hits += report.eval_cache_hits;
-                misses += report.eval_cache_misses;
                 fields.push((
                     "jobs_completed".to_string(),
                     Value::U64(report.jobs_completed),
                 ));
                 fields.push(("jobs_failed".to_string(), Value::U64(report.jobs_failed)));
-                fields.push((
-                    "eval_cache_hits".to_string(),
-                    Value::U64(report.eval_cache_hits),
-                ));
-                fields.push((
-                    "eval_cache_misses".to_string(),
-                    Value::U64(report.eval_cache_misses),
-                ));
                 let phases: Vec<(String, Value)> = report
                     .phase_profile
                     .0
@@ -451,23 +434,10 @@ impl Coordinator {
             }
             workers.push((sanitize_metric_segment(name), Value::Object(fields)));
         }
-        let rate = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
         Value::Object(vec![
             (
                 "workers_alive".to_string(),
                 Value::U64(state.workers.iter().filter(|w| w.alive).count() as u64),
-            ),
-            (
-                "eval".to_string(),
-                Value::Object(vec![
-                    ("cache_hit".to_string(), Value::F64(rate)),
-                    ("hits".to_string(), Value::U64(hits)),
-                    ("misses".to_string(), Value::U64(misses)),
-                ]),
             ),
             ("worker".to_string(), Value::Object(workers)),
         ])
@@ -954,11 +924,10 @@ impl Coordinator {
                 let remaining = d.saturating_duration_since(now).as_millis() as u64;
                 remaining.saturating_sub(DISPATCH_OVERHEAD_MS).max(1)
             });
-            // On traced runs against an obs-capable worker, the dispatch
-            // gets its own span and the worker is asked to ship its spans
-            // back, re-parented under this id — the cross-process link in
-            // the merged trace.
-            let collect = workers[slot].obs && tracer.is_enabled();
+            // On traced runs the dispatch gets its own span and the worker
+            // is asked to ship its spans back, re-parented under this id —
+            // the cross-process link in the merged trace.
+            let collect = tracer.is_enabled();
             let span = collect.then(|| {
                 let worker_name = workers[slot].name.clone();
                 let job_id = run_state.next_job_id;
@@ -982,7 +951,7 @@ impl Coordinator {
                 attempt,
                 trace_id: run_state.trace_id.clone(),
                 budget_ms,
-                collect_spans: collect.then_some(true),
+                collect_spans: collect,
                 parent_span: span_id,
             });
             let worker = &mut workers[slot];
@@ -1281,14 +1250,9 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         return;
     };
     let _ = write_half.set_write_timeout(Some(Duration::from_secs(10)));
-    // The obs capability is echoed back only when the worker advertised
-    // it — the `TraceChunk` / `MetricsReport` opcodes never flow on a
-    // session where either side stayed silent about them.
-    let obs = hello.obs == Some(true);
     let ack = Message::HelloAck(HelloAck {
         version: PROTOCOL_VERSION,
         heartbeat_ms: shared.config.heartbeat_ms,
-        obs: obs.then_some(true),
     });
     if write_frame(&mut write_half, &ack.encode()).is_err() {
         return;
@@ -1306,7 +1270,6 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             last_beat: Instant::now(),
             inflight: Vec::new(),
             jobs_done: 0,
-            obs,
         });
     }
     shared.wake.notify_all();
@@ -1372,11 +1335,6 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 }
             }
             Message::TraceChunk(chunk) => {
-                if !worker.obs {
-                    // The opcode was never negotiated on this session.
-                    drop(state);
-                    break;
-                }
                 if let Some(run_state) = run.as_mut() {
                     // Accept only spans for the active traced run, keyed
                     // through a live job assignment — late chunks for a
@@ -1396,10 +1354,6 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 }
             }
             Message::MetricsReport(report) => {
-                if !worker.obs {
-                    drop(state);
-                    break;
-                }
                 let name = report.worker.clone();
                 telemetry.entry(name).or_default().report = Some(report);
             }
@@ -1522,10 +1476,10 @@ mod tests {
                 max_ms: 0.0,
             },
             PhaseStat {
-                name: "eval.cache_hit".to_string(),
+                name: "store.hit".to_string(),
                 count: 7,
-                total_ms: 1.5,
-                max_ms: 0.5,
+                total_ms: 0.0,
+                max_ms: 0.0,
             },
         ]);
         let counters = RunCounters {

@@ -109,10 +109,10 @@ impl ExploreRunner for ClusterRunner {
         self.coordinator.workers_alive() > 0
     }
 
-    /// The federated cluster rollup: `workers_alive`, the cluster-wide
-    /// eval-cache hit rate, and per-worker liveness, breaker state, job
-    /// latency quantiles and heartbeat-reported counters — one `cluster`
-    /// section in `GET /metrics`, JSON and Prometheus alike.
+    /// The federated cluster rollup: `workers_alive` and per-worker
+    /// liveness, breaker state, job latency quantiles and
+    /// heartbeat-reported counters — one `cluster` section in
+    /// `GET /metrics`, JSON and Prometheus alike.
     fn metrics_sections(&self) -> Vec<(String, serde::Value)> {
         vec![("cluster".to_string(), self.coordinator.metrics_value())]
     }
@@ -223,7 +223,7 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
                 i += 1;
             }
             "--die-after-jobs" => {
-                config.die_after_jobs = Some(
+                config.die_at_job = Some(
                     need(args, i, "--die-after-jobs")?
                         .parse()
                         .map_err(|_| "bad --die-after-jobs")?,

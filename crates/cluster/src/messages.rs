@@ -16,8 +16,10 @@ use crate::wire::{Frame, OpCode, WireError};
 
 /// The cluster protocol version. A worker and coordinator must agree
 /// exactly: results are merged bitwise, so "close enough" versions are
-/// exactly the bug this check refuses.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// exactly the bug this check refuses. Version 2 sessions always carry
+/// [`TraceChunk`] and [`MetricsReport`] frames; there is no capability
+/// negotiation.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Worker → coordinator: first frame on a connection.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -28,13 +30,6 @@ pub struct Hello {
     pub name: String,
     /// Blocks the worker will hold in flight at once (≥ 1).
     pub capacity: usize,
-    /// Observability capability: `Some(true)` advertises that this worker
-    /// can ship [`OpCode::TraceChunk`] / [`OpCode::MetricsReport`] frames.
-    /// Absent on the wire when unset, so version-1 peers interoperate
-    /// unchanged — the new opcodes only ever flow on sessions where BOTH
-    /// [`Hello::obs`] and [`HelloAck::obs`] were `true`.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub obs: Option<bool>,
 }
 
 /// Coordinator → worker: accepts the [`Hello`].
@@ -44,11 +39,6 @@ pub struct HelloAck {
     pub version: u32,
     /// Interval at which the worker must send [`OpCode::Heartbeat`].
     pub heartbeat_ms: u64,
-    /// Echoed observability capability: `Some(true)` only when the worker
-    /// advertised [`Hello::obs`] and this coordinator accepts the new
-    /// frames. Absent for version-1 workers (see [`Hello::obs`]).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub obs: Option<bool>,
 }
 
 /// Coordinator → worker: explore one block of one run.
@@ -79,20 +69,14 @@ pub struct JobAssign {
     /// that trips its run's [`CancelToken`](isex_engine::CancelToken) at
     /// the budget, so the result comes back as a *degraded best-so-far
     /// partial* instead of the job overrunning the run's deadline.
-    /// `None` = unbudgeted (explore to completion). Absent on the wire
-    /// when unset, so protocol version 1 peers interoperate unchanged.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// `None` = unbudgeted (explore to completion).
     pub budget_ms: Option<u64>,
-    /// `Some(true)` asks the worker to collect spans for this job and ship
-    /// them back as [`TraceChunk`] frames. Only set on `obs`-negotiated
-    /// sessions when the originating request is traced; absent otherwise
-    /// (version-1 interop, same contract as `budget_ms`).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub collect_spans: Option<bool>,
+    /// Asks the worker to collect spans for this job and ship them back as
+    /// [`TraceChunk`] frames; set when the originating request is traced.
+    pub collect_spans: bool,
     /// The coordinator-side `job.dispatch` span id — the *remote parent*
     /// the worker's root span is re-attached under when its spans are
-    /// merged into the request's trace. Absent when the run is untraced.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// merged into the request's trace. `None` when the run is untraced.
     pub parent_span: Option<u64>,
 }
 
@@ -117,7 +101,6 @@ pub const TRACE_CHUNK_SPANS: usize = 2048;
 /// Worker → coordinator: a bounded batch of closed spans for one job,
 /// sent *before* the job's [`JobResult`] on the same connection so the
 /// coordinator holds the full span set by the time the run can complete.
-/// Only flows on `obs`-negotiated sessions (see [`Hello::obs`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceChunk {
     /// The [`JobAssign::job_id`] these spans belong to.
@@ -136,9 +119,9 @@ pub struct TraceChunk {
 }
 
 /// Worker → coordinator: cumulative worker-process telemetry, sent on the
-/// heartbeat cadence over `obs`-negotiated sessions. All counters are
-/// monotonic totals since worker start — the coordinator keeps the latest
-/// report per worker, so a lost frame only delays freshness.
+/// heartbeat cadence. All counters are monotonic totals since worker
+/// start — the coordinator keeps the latest report per worker, so a lost
+/// frame only delays freshness.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsReport {
     /// The reporting worker's name.
@@ -147,10 +130,6 @@ pub struct MetricsReport {
     pub jobs_completed: u64,
     /// Jobs whose entry carried a failure.
     pub jobs_failed: u64,
-    /// Evaluation-cache hits across all jobs so far.
-    pub eval_cache_hits: u64,
-    /// Evaluation-cache misses across all jobs so far.
-    pub eval_cache_misses: u64,
     /// The worker's cumulative per-phase span aggregate (merged across
     /// jobs with [`PhaseProfile::absorb`], so it never grows unboundedly).
     pub phase_profile: PhaseProfile,
@@ -235,12 +214,10 @@ mod tests {
                 version: PROTOCOL_VERSION,
                 name: "w0".to_string(),
                 capacity: 2,
-                obs: Some(true),
             }),
             Message::HelloAck(HelloAck {
                 version: PROTOCOL_VERSION,
                 heartbeat_ms: 250,
-                obs: Some(true),
             }),
             Message::Job(JobAssign {
                 job_id: 7,
@@ -250,7 +227,7 @@ mod tests {
                 attempt: 1,
                 trace_id: "tr-abc".to_string(),
                 budget_ms: Some(1_500),
-                collect_spans: Some(true),
+                collect_spans: true,
                 parent_span: Some(42),
             }),
             Message::TraceChunk(TraceChunk {
@@ -272,8 +249,6 @@ mod tests {
                 worker: "w0".to_string(),
                 jobs_completed: 3,
                 jobs_failed: 1,
-                eval_cache_hits: 120,
-                eval_cache_misses: 40,
                 phase_profile: PhaseProfile(vec![isex_trace::PhaseStat {
                     name: "aco.construct".to_string(),
                     count: 9,
@@ -318,71 +293,6 @@ mod tests {
             ),
             other => panic!("expected Result, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn unbudgeted_assign_is_wire_compatible_with_version_1_peers() {
-        // A frame from a peer that predates `budget_ms` must still decode
-        // (the field defaults to None) …
-        let legacy = Frame {
-            opcode: OpCode::Job,
-            payload: br#"{"job_id":1,"request":"{}","fault_plan":null,"block_index":0,"attempt":0,"trace_id":"t"}"#
-                .to_vec(),
-        };
-        match Message::decode(&legacy).unwrap() {
-            Message::Job(assign) => assert_eq!(assign.budget_ms, None),
-            other => panic!("expected Job, got {other:?}"),
-        }
-        // … and an unbudgeted assign we encode must not emit the field, so
-        // old peers never see an unknown key.
-        let assign = JobAssign {
-            job_id: 1,
-            request: "{}".to_string(),
-            fault_plan: None,
-            block_index: 0,
-            attempt: 0,
-            trace_id: "t".to_string(),
-            budget_ms: None,
-            collect_spans: None,
-            parent_span: None,
-        };
-        let frame = Message::Job(assign).encode();
-        let text = std::str::from_utf8(&frame.payload).unwrap();
-        for field in ["budget_ms", "collect_spans", "parent_span"] {
-            assert!(!text.contains(field), "unexpected field `{field}`: {text}");
-        }
-    }
-
-    #[test]
-    fn obs_capability_is_wire_compatible_with_version_1_peers() {
-        // A version-1 Hello (no `obs` key) decodes with the capability off …
-        let legacy = Frame {
-            opcode: OpCode::Hello,
-            payload: br#"{"version":1,"name":"w0","capacity":1}"#.to_vec(),
-        };
-        match Message::decode(&legacy).unwrap() {
-            Message::Hello(hello) => assert_eq!(hello.obs, None),
-            other => panic!("expected Hello, got {other:?}"),
-        }
-        // … a version-1 HelloAck likewise …
-        let legacy_ack = Frame {
-            opcode: OpCode::HelloAck,
-            payload: br#"{"version":1,"heartbeat_ms":250}"#.to_vec(),
-        };
-        match Message::decode(&legacy_ack).unwrap() {
-            Message::HelloAck(ack) => assert_eq!(ack.obs, None),
-            other => panic!("expected HelloAck, got {other:?}"),
-        }
-        // … and a capability-less ack we encode never emits the key, so the
-        // handshake a version-1 worker sees is byte-for-byte the old one.
-        let ack = HelloAck {
-            version: PROTOCOL_VERSION,
-            heartbeat_ms: 250,
-            obs: None,
-        };
-        let frame = Message::HelloAck(ack).encode();
-        let text = std::str::from_utf8(&frame.payload).unwrap();
-        assert!(!text.contains("obs"), "unexpected field: {text}");
     }
 
     #[test]

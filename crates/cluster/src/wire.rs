@@ -43,12 +43,10 @@ pub enum OpCode {
     /// Either direction: orderly close (empty payload).
     Goodbye = 6,
     /// Worker → coordinator: a bounded batch of the worker's closed spans
-    /// for one job (only sent on sessions that negotiated the `obs`
-    /// capability — see [`Hello::obs`](crate::messages::Hello::obs) — so
-    /// version-1 peers never see the opcode).
+    /// for one job.
     TraceChunk = 7,
     /// Worker → coordinator: cumulative worker telemetry riding the
-    /// heartbeat cadence (same `obs` capability gate as `TraceChunk`).
+    /// heartbeat cadence.
     MetricsReport = 8,
 }
 

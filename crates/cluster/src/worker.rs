@@ -1,7 +1,6 @@
 //! The cluster worker: dial the coordinator, heartbeat, explore blocks.
 //!
-//! A worker is a thin shell around
-//! [`explore_block_entry`](isex_flow::explore_block_entry) — the same
+//! A worker is a thin shell around [`explore_block_entry`] — the same
 //! per-block unit the checkpoint path runs — so the entry it ships back
 //! is bitwise the entry a local run would have produced. Everything else
 //! here is plumbing: the [`Hello`] handshake, a heartbeat thread beating
@@ -20,7 +19,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use isex_engine::{CancelToken, Cancelled, FaultPlan, NullSink};
-use isex_flow::explore_block_entry_with_stats;
+use isex_flow::{explore_block_entry, hot_blocks};
 use isex_serve::ExploreRequest;
 use isex_trace::{OwnedSpan, PhaseProfile};
 
@@ -46,7 +45,7 @@ pub struct WorkerConfig {
     /// Fault-drill hook: die (return an error, dropping the connection)
     /// upon *receiving* the Nth job, before exploring it — the
     /// deterministic stand-in for `kill -9` mid-assignment.
-    pub die_after_jobs: Option<usize>,
+    pub die_at_job: Option<usize>,
     /// Redial after a lost connection instead of exiting.
     pub reconnect: bool,
     /// Delay between dial attempts, milliseconds.
@@ -62,7 +61,7 @@ impl Default for WorkerConfig {
             name: "worker".to_string(),
             capacity: 1,
             trace_dir: None,
-            die_after_jobs: None,
+            die_at_job: None,
             reconnect: true,
             retry_ms: 200,
             max_dial_attempts: 50,
@@ -76,7 +75,7 @@ enum Session {
     Closed,
     /// Connection lost (severed, coordinator died): maybe reconnect.
     Lost,
-    /// The `die_after_jobs` drill fired: exit with an error.
+    /// The `die_at_job` drill fired: exit with an error.
     Died,
 }
 
@@ -89,8 +88,6 @@ enum Session {
 struct Telemetry {
     jobs_completed: u64,
     jobs_failed: u64,
-    eval_cache_hits: u64,
-    eval_cache_misses: u64,
     phase_profile: PhaseProfile,
 }
 
@@ -100,8 +97,6 @@ impl Telemetry {
             worker: worker.to_string(),
             jobs_completed: self.jobs_completed,
             jobs_failed: self.jobs_failed,
-            eval_cache_hits: self.eval_cache_hits,
-            eval_cache_misses: self.eval_cache_misses,
             phase_profile: self.phase_profile.clone(),
         }
     }
@@ -109,7 +104,7 @@ impl Telemetry {
 
 /// Runs a worker until the coordinator closes the session (`Ok`), the
 /// connection is lost with reconnect disabled or exhausted, or the
-/// `die_after_jobs` drill fires (both `Err`).
+/// `die_at_job` drill fires (both `Err`).
 pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
     let mut jobs_received = 0usize;
     // Telemetry survives reconnects: the counters describe the process.
@@ -160,16 +155,13 @@ fn serve_session(
         version: PROTOCOL_VERSION,
         name: config.name.clone(),
         capacity: config.capacity.max(1),
-        obs: Some(true),
     });
     if write_frame(&mut stream, &hello.encode()).is_err() {
         return Ok(Session::Lost);
     }
-    let (heartbeat_ms, obs) = match read_frame(&mut stream) {
+    let heartbeat_ms = match read_frame(&mut stream) {
         Ok(Some(frame)) => match Message::decode(&frame) {
-            Ok(Message::HelloAck(ack)) if ack.version == PROTOCOL_VERSION => {
-                (ack.heartbeat_ms, ack.obs == Some(true))
-            }
+            Ok(Message::HelloAck(ack)) if ack.version == PROTOCOL_VERSION => ack.heartbeat_ms,
             Ok(Message::HelloAck(ack)) => {
                 return Err(format!(
                     "coordinator speaks protocol {} but this worker speaks {}",
@@ -183,9 +175,9 @@ fn serve_session(
     };
 
     // Heartbeats go from their own thread through a shared write half, so
-    // a long-running block cannot starve the liveness signal. On
-    // obs-negotiated sessions each beat also carries a MetricsReport —
-    // the federation payload rides the cadence that already exists.
+    // a long-running block cannot starve the liveness signal. Each beat
+    // also carries a MetricsReport — the federation payload rides the
+    // cadence that already exists.
     let write_half = Arc::new(Mutex::new(stream.try_clone().map_err(|e| e.to_string())?));
     let stop = Arc::new(AtomicBool::new(false));
     let beat_half = Arc::clone(&write_half);
@@ -197,20 +189,15 @@ fn serve_session(
         .spawn(move || {
             while !beat_stop.load(Ordering::Acquire) {
                 std::thread::sleep(Duration::from_millis(heartbeat_ms.max(10)));
-                let report = obs.then(|| {
-                    beat_telemetry
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .report(&beat_name)
-                });
+                let report = beat_telemetry
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .report(&beat_name);
                 let mut half = beat_half.lock().unwrap_or_else(|e| e.into_inner());
-                if write_frame(&mut *half, &Message::Heartbeat.encode()).is_err() {
+                if write_frame(&mut *half, &Message::Heartbeat.encode()).is_err()
+                    || write_frame(&mut *half, &Message::MetricsReport(report).encode()).is_err()
+                {
                     return;
-                }
-                if let Some(report) = report {
-                    if write_frame(&mut *half, &Message::MetricsReport(report).encode()).is_err() {
-                        return;
-                    }
                 }
             }
         })
@@ -229,13 +216,14 @@ fn serve_session(
         match message {
             Message::Job(assign) => {
                 *jobs_received += 1;
-                if config.die_after_jobs.is_some_and(|n| *jobs_received >= n) {
+                if config.die_at_job.is_some_and(|n| *jobs_received >= n) {
                     break 'conn Session::Died;
                 }
-                let (result, trace) = match run_job(config, &assign, obs, telemetry) {
+                let (result, trace) = match run_job(config, &assign, telemetry) {
                     Ok(r) => r,
                     Err(e) => {
-                        // A job this worker cannot even parse is a protocol
+                        // A job this worker cannot even parse, or one naming
+                        // a block outside the run's hot list, is a protocol
                         // breach: drop the connection so the coordinator
                         // re-dispatches elsewhere instead of waiting.
                         eprintln!("isex-worker {}: job {}: {e}", config.name, assign.job_id);
@@ -338,13 +326,13 @@ impl Drop for BudgetTimer {
 type JobTrace = (Vec<OwnedSpan>, Vec<(u64, String)>);
 
 /// Resolves one [`JobAssign`] to its [`JobResult`] by running the shared
-/// per-block exploration unit. When the assignment asks for spans (and the
-/// session negotiated `obs`), the job's closed spans come back alongside
-/// the result for shipping as [`TraceChunk`] frames.
+/// per-block exploration unit. When the assignment asks for spans, the
+/// job's closed spans come back alongside the result for shipping as
+/// [`TraceChunk`] frames. A `block_index` outside the run's hot list is an
+/// `Err`, never a panic: the index came off the wire.
 fn run_job(
     config: &WorkerConfig,
     assign: &JobAssign,
-    obs: bool,
     telemetry: &Arc<Mutex<Telemetry>>,
 ) -> Result<(JobResult, Option<JobTrace>), String> {
     let parsed =
@@ -354,14 +342,21 @@ fn run_job(
     if let Some(spec) = &assign.fault_plan {
         cfg.fault_plan = Some(FaultPlan::parse(spec).map_err(|e| format!("bad fault plan: {e}"))?);
     }
-    let ship_spans = obs && assign.collect_spans == Some(true);
+    let program = request.program();
+    let hot = hot_blocks(&cfg, &program).len();
+    if assign.block_index >= hot {
+        return Err(format!(
+            "block index {} outside the hot list ({hot} blocks)",
+            assign.block_index
+        ));
+    }
+    let ship_spans = assign.collect_spans;
     let tracer = if ship_spans || config.trace_dir.is_some() {
         isex_trace::Tracer::with_trace_id(&assign.trace_id)
     } else {
         isex_trace::Tracer::disabled()
     };
     cfg.tracer = tracer.clone();
-    let program = request.program();
 
     // A budgeted job self-cancels at its deadline: the timer trips the
     // token, `explore_block_entry` returns a *degraded* best-so-far entry
@@ -371,7 +366,7 @@ fn run_job(
     let _budget = assign
         .budget_ms
         .and_then(|ms| BudgetTimer::arm(cancel.clone(), Duration::from_millis(ms.max(1))));
-    let (entry, stats) = {
+    let entry = {
         let _attach = tracer.attach();
         let _span = tracer.span_with("worker.block", || {
             vec![
@@ -381,7 +376,7 @@ fn run_job(
                 ("trace", assign.trace_id.clone()),
             ]
         });
-        explore_block_entry_with_stats(
+        explore_block_entry(
             &cfg,
             &program,
             request.seed,
@@ -398,8 +393,6 @@ fn run_job(
         if entry.error.is_some() {
             t.jobs_failed += 1;
         }
-        t.eval_cache_hits += stats.eval_cache_hits;
-        t.eval_cache_misses += stats.eval_cache_misses;
         t.phase_profile.absorb(tracer.phase_profile().0);
     }
 

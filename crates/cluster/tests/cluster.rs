@@ -8,11 +8,11 @@
 //! single-node [`run_flow`] with the same request.
 
 use std::io::Write as _;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use isex_cluster::messages::{Hello, Message, PROTOCOL_VERSION};
+use isex_cluster::messages::{Hello, HelloAck, JobAssign, Message, PROTOCOL_VERSION};
 use isex_cluster::wire::{read_frame, write_frame};
 use isex_cluster::{ClusterRunner, Coordinator, CoordinatorConfig, WorkerConfig};
 use isex_engine::{CancelToken, FaultPlan, NullSink, RunMetrics};
@@ -143,7 +143,7 @@ fn killed_worker_is_redispatched_without_changing_the_answer() {
     // w-dies receives its first assignment and drops dead before running
     // it — the deterministic stand-in for `kill -9` mid-run.
     let dying = spawn_worker_with(coord.addr(), "w-dies", |c| {
-        c.die_after_jobs = Some(1);
+        c.die_at_job = Some(1);
         c.reconnect = false;
     });
     let survivor = spawn_worker(coord.addr(), "w-lives");
@@ -259,7 +259,6 @@ fn silent_worker_is_expired_by_the_heartbeat_sentinel() {
         version: PROTOCOL_VERSION,
         name: "zombie".to_string(),
         capacity: 1,
-        obs: None,
     });
     write_frame(&mut stream, &hello.encode()).expect("hello");
     let ack = read_frame(&mut stream).expect("ack frame").expect("ack");
@@ -551,15 +550,27 @@ fn hostile_bytes_on_the_cluster_port_do_not_wedge_the_coordinator() {
     garbage.write_all(&[0xde, 0xad, 0xbe, 0xef, 0xff]).unwrap();
     drop(garbage);
 
-    // A version-skewed Hello is refused.
-    let mut skewed = TcpStream::connect(coord.addr()).expect("connect");
-    let hello = Message::Hello(Hello {
-        version: PROTOCOL_VERSION + 1,
-        name: "future".to_string(),
-        capacity: 1,
-        obs: None,
-    });
-    write_frame(&mut skewed, &hello.encode()).unwrap();
+    // A version-skewed Hello is refused with a Goodbye, from the past
+    // (version 1, whose sessions negotiated their observability frames)
+    // as from the future.
+    let mut skewed = Vec::new();
+    for version in [1, PROTOCOL_VERSION + 1] {
+        let mut stream = TcpStream::connect(coord.addr()).expect("connect");
+        let hello = Message::Hello(Hello {
+            version,
+            name: format!("v{version}"),
+            capacity: 1,
+        });
+        write_frame(&mut stream, &hello.encode()).unwrap();
+        let reply = read_frame(&mut stream).expect("reply").expect("a frame");
+        assert_eq!(
+            Message::decode(&reply).unwrap(),
+            Message::Goodbye,
+            "version {version} must be refused"
+        );
+        skewed.push(stream);
+    }
+    assert_eq!(coord.workers_alive(), 0, "no skewed worker registered");
 
     // And a real worker still registers and serves.
     let w0 = spawn_worker(coord.addr(), "ok");
@@ -574,4 +585,48 @@ fn hostile_bytes_on_the_cluster_port_do_not_wedge_the_coordinator() {
     drop(skewed);
     Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
     let _ = w0.join();
+}
+
+#[test]
+fn out_of_range_block_index_fails_the_job_without_panicking_the_worker() {
+    // A hand-rolled coordinator: accept the real worker's Hello, ack it,
+    // then assign a block far outside the run's hot list.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let config = WorkerConfig {
+        connect: listener.local_addr().unwrap().to_string(),
+        name: "bounds".to_string(),
+        reconnect: false,
+        retry_ms: 50,
+        ..WorkerConfig::default()
+    };
+    let worker = std::thread::spawn(move || isex_cluster::run_worker(&config));
+
+    let (mut stream, _) = listener.accept().expect("worker dials");
+    let hello = read_frame(&mut stream)
+        .expect("hello frame")
+        .expect("hello");
+    assert!(matches!(Message::decode(&hello), Ok(Message::Hello(_))));
+    let ack = Message::HelloAck(HelloAck {
+        version: PROTOCOL_VERSION,
+        heartbeat_ms: 1_000,
+    });
+    write_frame(&mut stream, &ack.encode()).expect("ack");
+    let assign = Message::Job(JobAssign {
+        job_id: 1,
+        request: small_request(91).to_json(),
+        fault_plan: None,
+        block_index: 10_000,
+        attempt: 0,
+        trace_id: "bounds".to_string(),
+        budget_ms: None,
+        collect_spans: false,
+        parent_span: None,
+    });
+    write_frame(&mut stream, &assign.encode()).expect("assign");
+
+    let outcome = worker.join();
+    assert!(
+        matches!(outcome, Ok(Err(_))),
+        "the bad job drops the session, not the process: {outcome:?}"
+    );
 }

@@ -48,21 +48,17 @@ fn arb_entry() -> impl Strategy<Value = CheckpointEntry> {
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        ("[ -~]{0,32}", 1usize..8, any::<u32>(), arb_obs()).prop_map(
-            |(name, capacity, version, obs)| {
-                Message::Hello(Hello {
-                    version,
-                    name,
-                    capacity,
-                    obs,
-                })
-            }
-        ),
-        (any::<u32>(), 1u64..10_000, arb_obs()).prop_map(|(version, heartbeat_ms, obs)| {
+        ("[ -~]{0,32}", 1usize..8, any::<u32>()).prop_map(|(name, capacity, version)| {
+            Message::Hello(Hello {
+                version,
+                name,
+                capacity,
+            })
+        }),
+        (any::<u32>(), 1u64..10_000).prop_map(|(version, heartbeat_ms)| {
             Message::HelloAck(HelloAck {
                 version,
                 heartbeat_ms,
-                obs,
             })
         }),
         (
@@ -75,7 +71,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 "[a-z0-9-]{0,24}",
                 any::<bool>(),
                 1u64..600_000,
-                arb_obs(),
+                any::<bool>(),
                 any::<bool>(),
                 any::<u64>(),
             ),
@@ -128,31 +124,26 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (
             "[a-z0-9]{1,12}",
             (any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>()),
             proptest::collection::vec(("[a-z.]{1,16}", any::<u64>(), 0u32..1000, 0u32..1000), 0..4),
         )
-            .prop_map(
-                |(worker, (jobs_completed, jobs_failed), (hits, misses), phases)| {
-                    Message::MetricsReport(MetricsReport {
-                        worker,
-                        jobs_completed,
-                        jobs_failed,
-                        eval_cache_hits: hits,
-                        eval_cache_misses: misses,
-                        phase_profile: PhaseProfile(
-                            phases
-                                .into_iter()
-                                .map(|(name, count, total, max)| PhaseStat {
-                                    name,
-                                    count,
-                                    total_ms: total as f64,
-                                    max_ms: max as f64,
-                                })
-                                .collect(),
-                        ),
-                    })
-                },
-            ),
+            .prop_map(|(worker, (jobs_completed, jobs_failed), phases)| {
+                Message::MetricsReport(MetricsReport {
+                    worker,
+                    jobs_completed,
+                    jobs_failed,
+                    phase_profile: PhaseProfile(
+                        phases
+                            .into_iter()
+                            .map(|(name, count, total, max)| PhaseStat {
+                                name,
+                                count,
+                                total_ms: total as f64,
+                                max_ms: max as f64,
+                            })
+                            .collect(),
+                    ),
+                })
+            },),
         Just(Message::Heartbeat),
         Just(Message::Goodbye),
     ]
@@ -342,7 +333,6 @@ fn back_to_back_frames_parse_in_order() {
             version: PROTOCOL_VERSION,
             name: "w0".to_string(),
             capacity: 1,
-            obs: None,
         })
         .encode()
         .encode(),
@@ -362,10 +352,4 @@ fn back_to_back_frames_parse_in_order() {
         Message::Goodbye
     );
     assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
-}
-
-/// `Option<bool>` built from two bools (the vendored proptest has no
-/// `Arbitrary for Option`).
-fn arb_obs() -> impl Strategy<Value = Option<bool>> {
-    (any::<bool>(), any::<bool>()).prop_map(|(set, v)| set.then_some(v))
 }

@@ -1,173 +1,43 @@
-//! Round-scoped hot-path evaluation: one-shot lowering plus memoisation.
-//!
-//! Profiling shows the exploration loop dominated by redundant scheduling
-//! work: every `schedule_len` call re-lowers the whole graph, every merit
-//! update rebuilds the same quotient machinery, and near pheromone
-//! convergence the ants resample *identical* walks whose analysis is then
-//! recomputed from scratch (the observation ISEGEN and the ByoRISC DSE
-//! tools both act on — memoised candidate evaluation is what makes
-//! iterative-improvement ISE search tractable).
+//! Round-scoped hot-path evaluation: one-shot lowering, no memo tables.
 //!
 //! [`RoundEval`] lowers the round's [`ExGraph`] exactly once and keeps it
-//! in struct-of-arrays form. A walk's merit analysis times the walk with a
-//! counter-driven pass over that base graph and its reverse, each group
-//! one unit and no quotient built ([`walk_timing_into`]), and then
-//! answers each hardware component's queries once for all its members
-//! ([`merit::FastPrims::component`]). A candidate's schedule length
-//! collapses the candidate into the numbered quotient the list scheduler's
-//! tie-breaks need ([`collapse_soa`]) and schedules it by counters. On
-//! top sit two memo tables keyed by canonical `u64` fingerprints: walk →
-//! recorded merit-op sequence, and candidate `(members, footprint)` →
-//! schedule length. Keys compare by full `Vec<u64>` equality — the
-//! FxHash-style hasher only speeds up bucket lookup, so hash collisions
-//! cannot change results.
+//! in struct-of-arrays form, shared by the SP values, every walk's merit
+//! analysis and every candidate's schedule length. A walk's merit
+//! analysis times the walk with a counter-driven pass over that base graph
+//! and its reverse, each group one unit and no quotient built
+//! ([`walk_timing_into`]), and then answers each hardware component's
+//! queries once for all its members ([`merit::FastPrims::component`]). A
+//! candidate's schedule length collapses the candidate into the numbered
+//! quotient the list scheduler's tie-breaks need ([`collapse_soa`]) and
+//! schedules it by counters.
 //!
-//! The cache is *round-scoped by construction*: committing a candidate
-//! collapses the graph, and the next round builds a fresh `RoundEval`, so
-//! no invalidation logic is needed (or possible to get wrong).
+//! Nothing is memoised. Memoised candidate evaluation is what keeps
+//! iterative-improvement ISE search tractable in ISEGEN, but here a walk
+//! memo answered about 5% of lookups, and a candidate memo cannot hit at
+//! all: the candidates of a round are disjoint pieces of one choice
+//! vector, each scheduled once. Both cost more than they saved.
+//!
+//! The state is *round-scoped by construction*: committing a candidate
+//! collapses the graph, and the next round builds a fresh `RoundEval`.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use isex_aco::{AcoParams, ImplChoice};
+use isex_aco::{AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{NodeId, NodeSet, Reachability};
 use isex_isa::MachineConfig;
 use isex_sched::soa::{
     collapse_soa, height_into, schedule_len_counters, walk_timing_into, CounterSchedScratch,
     Quotient, QuotientScratch, SoaGraph, WalkTiming,
 };
-use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp, UnitClass};
+use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp};
 
 use crate::ant::Walk;
 use crate::candidate::Constraints;
 use crate::exgraph::{self, ExGraph};
-use crate::merit::{self, MeritOp};
+use crate::merit;
 
-/// An FxHash-style multiply-rotate hasher, vendored like PR 1's dependency
-/// stand-ins (no new crates). Quality is sufficient for bucket selection;
-/// correctness never depends on it because the map keys are compared by
-/// full equality.
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Default for FxHasher {
-    /// Starts from the seed rather than zero so the all-zero input is not a
-    /// fixed point (zero words then still advance the state, making key
-    /// length matter).
-    fn default() -> Self {
-        FxHasher { hash: FX_SEED }
-    }
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
-
-/// Cumulative hit/miss counters of the evaluation cache, shared between an
-/// explorer and whoever reports the run (the engine folds them into
-/// `RunMetrics.phase_profile`, which the Prometheus endpoint re-exports).
-#[derive(Debug, Default)]
-pub struct EvalStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl EvalStats {
-    /// Cache hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses recorded so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Adds a batch of counts (one exploration's worth).
-    pub fn add(&self, hits: u64, misses: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-    }
-}
-
-/// The canonical fingerprint of everything the merit update reads from a
-/// walk: the per-node option vector, each group's member words and frozen
-/// footprint, and the TET. Two walks with equal keys are interchangeable
-/// inputs to the merit computation.
-fn walk_key(walk: &Walk) -> Vec<u64> {
-    let mut key = Vec::with_capacity(2 + walk.choice.len() + walk.groups.len() * 3);
-    key.push(walk.tet as u64);
-    key.push(walk.groups.len() as u64);
-    for c in &walk.choice {
-        key.push(match *c {
-            ImplChoice::Sw(j) => (j as u64) << 1,
-            ImplChoice::Hw(j) => ((j as u64) << 1) | 1,
-        });
-    }
-    // Member bitsets all share the round's universe, so each group
-    // contributes a fixed number of words and the encoding stays
-    // prefix-free without explicit separators.
-    for gr in &walk.groups {
-        key.push(((gr.latency as u64) << 32) | ((gr.reads as u64) << 16) | gr.writes as u64);
-        key.extend_from_slice(gr.members.as_words());
-    }
-    key
-}
-
-/// The canonical fingerprint of a candidate evaluation: member words plus
-/// the frozen footprint (class is always the ASFU and is asserted, not
-/// encoded).
-fn candidate_key(members: &NodeSet, footprint: &SchedOp) -> Vec<u64> {
-    debug_assert_eq!(footprint.class, UnitClass::Asfu);
-    let words = members.as_words();
-    let mut key = Vec::with_capacity(1 + words.len());
-    key.push(
-        ((footprint.latency as u64) << 32)
-            | ((footprint.reads as u64) << 16)
-            | footprint.writes as u64,
-    );
-    key.extend_from_slice(words);
-    key
-}
-
-/// One round's shared lowering, SoA timing buffers and memo tables. Dropped (and with it every cached entry) when the round ends —
-/// commitment collapses the graph, so nothing cached can survive it. Every
-/// scratch buffer a miss needs lives here, so steady-state evaluation
-/// allocates nothing.
+/// One round's shared lowering and SoA timing buffers, dropped when the
+/// round ends (commitment collapses the graph). Every scratch buffer an
+/// evaluation needs lives here, so steady-state evaluation allocates
+/// nothing.
 pub(crate) struct RoundEval<'a> {
     machine: &'a MachineConfig,
     /// The round's graph lowered once (`to_sched`), shared by the SP values
@@ -188,12 +58,6 @@ pub(crate) struct RoundEval<'a> {
     critical: NodeSet,
     sched_scratch: CounterSchedScratch,
     fast: merit::FastMeritScratch,
-    merit_memo: HashMap<Vec<u64>, Rc<Vec<MeritOp>>, FxBuild>,
-    cand_memo: HashMap<Vec<u64>, u32, FxBuild>,
-    /// Memo hits this round.
-    pub hits: u64,
-    /// Memo misses this round.
-    pub misses: u64,
 }
 
 impl<'a> RoundEval<'a> {
@@ -222,35 +86,24 @@ impl<'a> RoundEval<'a> {
             critical: NodeSet::new(g.len()),
             sched_scratch: CounterSchedScratch::default(),
             fast: merit::FastMeritScratch::default(),
-            merit_memo: HashMap::default(),
-            cand_memo: HashMap::default(),
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// The merit-op sequence of `walk`, memoised: converged rounds resample
-    /// identical walks, whose whole analysis (walk timing, critical path,
-    /// virtual subgraphs, option evaluation) this skips. The recorded
-    /// sequence replays the exact `scale_merit` calls, so applying a cached
-    /// sequence is bit-identical to recomputing it.
-    pub fn merit_ops(
+    /// Applies the merit update of `walk` to `store` (step 8 of Fig.
+    /// 4.3.1): the walk's timing, critical path, virtual subgraphs and
+    /// option evaluation, one pass per walk.
+    pub fn update_merits(
         &mut self,
         g: &ExGraph,
         walk: &Walk,
         constraints: &Constraints,
         params: &AcoParams,
         reach: &Reachability,
-    ) -> Rc<Vec<MeritOp>> {
-        let key = walk_key(walk);
-        if let Some(ops) = self.merit_memo.get(&key) {
-            self.hits += 1;
-            return Rc::clone(ops);
-        }
-        self.misses += 1;
+        store: &mut PheromoneStore,
+    ) {
         let machine = self.machine;
         let mut prims = self.walk_prims(g, walk);
-        let ops = Rc::new(merit::walk_merit_ops(
+        merit::update_merits(
             g,
             walk,
             constraints,
@@ -258,9 +111,8 @@ impl<'a> RoundEval<'a> {
             params,
             reach,
             &mut prims,
-        ));
-        self.merit_memo.insert(key, Rc::clone(&ops));
-        ops
+            store,
+        );
     }
 
     /// Times `walk` ("identify the critical path using instruction
@@ -304,17 +156,11 @@ impl<'a> RoundEval<'a> {
     }
 
     /// Schedule length of the round's graph with `members` frozen into one
-    /// ISE of the given footprint, memoised. The quotient is built on the
+    /// ISE of the given footprint. The quotient is built on the
     /// SoA base graph with the numbering `collapse_groups` would give (the
     /// scheduler's tie-breaks depend on it), and a counter-driven list
     /// scheduler replays the height-priority schedule.
     pub fn candidate_len(&mut self, members: &NodeSet, footprint: SchedOp) -> u32 {
-        let key = candidate_key(members, &footprint);
-        if let Some(&len) = self.cand_memo.get(&key) {
-            self.hits += 1;
-            return len;
-        }
-        self.misses += 1;
         collapse_soa(
             &self.base,
             &[(members.clone(), footprint)],
@@ -322,14 +168,12 @@ impl<'a> RoundEval<'a> {
             &mut self.quotient,
         );
         height_into(&self.quotient.graph, &mut self.height);
-        let len = schedule_len_counters(
+        schedule_len_counters(
             &self.quotient.graph,
             self.machine,
             &self.height,
             &mut self.sched_scratch,
-        );
-        self.cand_memo.insert(key, len);
-        len
+        )
     }
 }
 
@@ -339,6 +183,7 @@ mod tests {
     use crate::exgraph::ExKind;
     use isex_dfg::Operand;
     use isex_isa::{Opcode, Operation, ProgramDfg};
+    use isex_sched::UnitClass;
 
     fn chain() -> ExGraph {
         let mut dfg = ProgramDfg::new();
@@ -360,38 +205,25 @@ mod tests {
     }
 
     #[test]
-    fn hasher_distributes_and_is_deterministic() {
-        let hash = |words: &[u64]| {
-            let mut h = FxHasher::default();
-            for &w in words {
-                h.write_u64(w);
-            }
-            h.finish()
-        };
-        assert_eq!(hash(&[1, 2, 3]), hash(&[1, 2, 3]));
-        assert_ne!(hash(&[1, 2, 3]), hash(&[3, 2, 1]));
-        assert_ne!(hash(&[0]), hash(&[0, 0]));
-    }
-
-    #[test]
-    fn candidate_len_matches_freeze_path_and_hits_on_repeat() {
+    fn candidate_len_matches_freeze_path() {
         let g = chain();
         let m = MachineConfig::preset_2issue_4r2w();
         let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
         let mut members = NodeSet::new(g.len());
         members.insert(NodeId::new(0));
         members.insert(NodeId::new(1));
-        let fp = SchedOp::new(1, 2, 1, UnitClass::Asfu);
-        let cached = eval.candidate_len(&members, fp);
-        let frozen = exgraph::freeze(&g, &members, fp, usize::MAX).dfg;
-        assert_eq!(cached, exgraph::schedule_len(&frozen, &m));
-        assert_eq!((eval.hits, eval.misses), (0, 1));
-        assert_eq!(eval.candidate_len(&members, fp), cached);
-        assert_eq!((eval.hits, eval.misses), (1, 1));
-        // A different footprint on the same members is a different key.
-        let slow = SchedOp::new(3, 2, 1, UnitClass::Asfu);
-        assert!(eval.candidate_len(&members, slow) >= cached);
-        assert_eq!((eval.hits, eval.misses), (1, 2));
+        // Two footprints on the same members, each against a fresh freeze,
+        // with the round's scratch reused between them.
+        for fp in [
+            SchedOp::new(1, 2, 1, UnitClass::Asfu),
+            SchedOp::new(3, 2, 1, UnitClass::Asfu),
+        ] {
+            let frozen = exgraph::freeze(&g, &members, fp, usize::MAX).dfg;
+            assert_eq!(
+                eval.candidate_len(&members, fp),
+                exgraph::schedule_len(&frozen, &m)
+            );
+        }
     }
 
     /// Every [`merit::FastPrims`] query equals its free-function reference
@@ -409,7 +241,6 @@ mod tests {
     fn fast_prims_match_their_references_on_hot_blocks() {
         use crate::ant::Ant;
         use crate::explore::{enforce_ports, grow_legal_from};
-        use isex_aco::PheromoneStore;
         use isex_dfg::{analysis, convex, ports, CsrAdjacency};
         use isex_sched::collapse::collapse_groups;
         use isex_sched::timing;

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ant::{Ant, AntScratch};
 use crate::candidate::{Constraints, IseCandidate};
-use crate::evalcache::{EvalStats, RoundEval};
+use crate::evalcache::RoundEval;
 use crate::exgraph::{self, ExGraph, ExKind};
 use crate::merit;
 use crate::trail::{self, TrailState};
@@ -126,10 +126,6 @@ pub struct MultiIssueExplorer {
     /// The scheduling-priority function of Eq. 1 (default: child count,
     /// the paper's choice; Ch. 6 names the alternatives as future work).
     pub sp_function: crate::ant::SpFunction,
-    /// Optional shared hit/miss counters for the evaluation cache (the
-    /// engine threads one [`EvalStats`] through all its explorers and
-    /// exports the totals via `RunMetrics.phase_profile`).
-    pub eval_stats: Option<Arc<EvalStats>>,
     /// Optional cooperative stop flag, checked between rounds. When it
     /// trips, the explorer returns the committed best-so-far candidates
     /// with [`Exploration::degraded`] set instead of running to
@@ -146,7 +142,6 @@ impl MultiIssueExplorer {
             constraints,
             params: AcoParams::default(),
             sp_function: crate::ant::SpFunction::default(),
-            eval_stats: None,
             stop: None,
         }
     }
@@ -167,7 +162,6 @@ impl MultiIssueExplorer {
             constraints,
             params,
             sp_function: crate::ant::SpFunction::default(),
-            eval_stats: None,
             stop: None,
         }
     }
@@ -212,8 +206,6 @@ impl MultiIssueExplorer {
         // baseline before any commit, then the committed candidate's
         // measured `with_len`.
         let mut known_len = baseline;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
 
         let round_cap = match self.params.max_rounds {
             0 => MAX_ROUNDS,
@@ -247,8 +239,6 @@ impl MultiIssueExplorer {
                 trace.as_deref_mut(),
                 known_len,
             );
-            cache_hits += out.cache_hits;
-            cache_misses += out.cache_misses;
             let base_len = out.base_len;
             known_len = base_len;
             // A candidate with zero *immediate* saving may still be half of
@@ -336,9 +326,6 @@ impl MultiIssueExplorer {
             );
             commits[i].saved_cycles = without.saturating_sub(all_len);
         }
-        if let Some(stats) = &self.eval_stats {
-            stats.add(cache_hits, cache_misses);
-        }
         Exploration {
             candidates: commits,
             baseline_cycles: baseline,
@@ -352,10 +339,9 @@ impl MultiIssueExplorer {
     /// One exploration round: ACO to convergence, extraction, evaluation.
     ///
     /// A [`RoundEval`] lowers the graph once, shares that lowering with the
-    /// SP function, the merit analysis and candidate ranking, and memoises
-    /// repeated walks and candidates; `known_len` (the schedule length
-    /// carried from the previous round's commit) is the round's base
-    /// length.
+    /// SP function, the merit analysis and candidate ranking; `known_len`
+    /// (the schedule length carried from the previous round's commit) is
+    /// the round's base length.
     fn round<R: Rng + ?Sized>(
         &self,
         g: &ExGraph,
@@ -419,8 +405,14 @@ impl MultiIssueExplorer {
             }
             {
                 let _s = isex_trace::span("aco.merit");
-                let ops = eval.merit_ops(g, &walk, &self.constraints, &self.params, &reach);
-                merit::apply_merit_ops(&mut store, &ops);
+                eval.update_merits(
+                    g,
+                    &walk,
+                    &self.constraints,
+                    &self.params,
+                    &reach,
+                    &mut store,
+                );
             }
             let area = walk_area(g, &walk);
             let better = match &best {
@@ -499,8 +491,6 @@ impl MultiIssueExplorer {
             ranked,
             best_tet: best.as_ref().map(|(w, _)| w.tet).unwrap_or(u32::MAX),
             base_len,
-            cache_hits: eval.hits,
-            cache_misses: eval.misses,
         }
     }
 }
@@ -514,10 +504,6 @@ struct RoundOutcome {
     best_tet: u32,
     /// Schedule length of the round's graph with no new ISE.
     base_len: u32,
-    /// Evaluation-cache hits this round.
-    cache_hits: u64,
-    /// Evaluation-cache misses this round.
-    cache_misses: u64,
 }
 
 /// Total ASFU silicon area implied by a walk's hardware choices.

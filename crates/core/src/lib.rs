@@ -64,7 +64,6 @@ pub mod explore;
 
 pub use baseline::SingleIssueExplorer;
 pub use candidate::{Constraints, IseCandidate};
-pub use evalcache::EvalStats;
 pub use exact::ExactExplorer;
 pub use exgraph::{ExGraph, ExKind, ExOp};
 pub use explore::{Exploration, MultiIssueExplorer, TraceEntry};

@@ -100,29 +100,11 @@ pub(crate) fn software_cycles(g: &ExGraph, vs: &NodeSet) -> u32 {
     analysis::weighted_longest_path_within(g, vs, |_, op| op.sw_delays[0] as f64).round() as u32
 }
 
-/// One recorded merit multiplication: `(node index, option, factor)`.
-///
-/// The merit update is a pure function of the walk given a fixed graph and
-/// parameters, so the round cache stores these sequences and replays them.
-/// Replaying the *exact* `scale_merit` calls — never pre-multiplied
-/// factors — keeps the floating-point results bit-identical to a fresh
-/// computation (f64 multiplication is not associative).
-pub(crate) type MeritOp = (u32, ImplChoice, f64);
-
-/// Applies a merit-op sequence (step 8 of Fig. 4.3.1) and normalises
-/// merits.
-pub(crate) fn apply_merit_ops(store: &mut PheromoneStore, ops: &[MeritOp]) {
-    for &(node, choice, factor) in ops {
-        store.scale_merit(node as usize, choice, factor);
-    }
-    store.normalize_merits();
-}
-
-/// The merit computation of one iteration as a replayable op sequence (the
-/// store is only ever touched through `scale_merit`, so recording the calls
-/// captures the whole update). Every graph query goes through `prims`, the
-/// walk's timing and scratch state.
-pub(crate) fn walk_merit_ops(
+/// The merit update of one iteration (step 8 of Fig. 4.3.1): scales each
+/// option's merit in `store`, then normalises. Every graph query goes
+/// through `prims`, the walk's timing and scratch state.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn update_merits(
     g: &ExGraph,
     walk: &Walk,
     constraints: &Constraints,
@@ -130,20 +112,20 @@ pub(crate) fn walk_merit_ops(
     params: &isex_aco::AcoParams,
     reach: &Reachability,
     prims: &mut FastPrims,
-) -> Vec<MeritOp> {
+    store: &mut PheromoneStore,
+) {
     let critical = prims.critical;
-    let mut ops: Vec<MeritOp> = Vec::new();
     // The per-node buffers live in the round scratch; they are moved out
     // for the walk so the queries below can borrow `prims` mutably.
     let mut vs_buf = std::mem::take(&mut prims.scratch.vs);
     let mut legal = std::mem::take(&mut prims.scratch.legal);
     let mut evals = std::mem::take(&mut prims.scratch.evals);
     for x in g.node_ids() {
-        let xi = x.index() as u32;
+        let xi = x.index();
         let op = g.node(x).payload();
         // Software merit: merit ×= ET(x, SW-i) (Eq. 3 of §4.3's merit part).
         for (i, d) in op.sw_delays.iter().enumerate() {
-            ops.push((xi, ImplChoice::Sw(i), *d as f64));
+            store.scale_merit(xi, ImplChoice::Sw(i), *d as f64);
         }
         if op.hw.is_empty() {
             continue;
@@ -152,7 +134,7 @@ pub(crate) fn walk_merit_ops(
         // Case 1: critical-path boost.
         if critical.contains(x) {
             for j in 0..op.hw.len() {
-                ops.push((xi, ImplChoice::Hw(j), 1.0 / params.beta_cp));
+                store.scale_merit(xi, ImplChoice::Hw(j), 1.0 / params.beta_cp);
             }
         }
 
@@ -161,7 +143,7 @@ pub(crate) fn walk_merit_ops(
         // Case 2: nothing to fuse with.
         if vs_buf.len() == 1 {
             for j in 0..op.hw.len() {
-                ops.push((xi, ImplChoice::Hw(j), params.beta_size));
+                store.scale_merit(xi, ImplChoice::Hw(j), params.beta_size);
             }
             continue;
         }
@@ -182,10 +164,10 @@ pub(crate) fn walk_merit_ops(
         let (vs, set) = if !io_ok || !comp.convex {
             for j in 0..op.hw.len() {
                 if !io_ok {
-                    ops.push((xi, ImplChoice::Hw(j), params.beta_io));
+                    store.scale_merit(xi, ImplChoice::Hw(j), params.beta_io);
                 }
                 if !comp.convex {
-                    ops.push((xi, ImplChoice::Hw(j), params.beta_convex));
+                    store.scale_merit(xi, ImplChoice::Hw(j), params.beta_convex);
                 }
             }
             prims.grow_legal(g, x, &vs_buf, constraints, reach, &mut legal);
@@ -207,7 +189,7 @@ pub(crate) fn walk_merit_ops(
             // Criterion (1): positive savings scale merit up proportionally;
             // a useless option decays instead.
             let perf = if saving > 0 { saving as f64 } else { 0.5 };
-            ops.push((xi, ImplChoice::Hw(j), perf));
+            store.scale_merit(xi, ImplChoice::Hw(j), perf);
             // Criteria (2)–(4): area-aware adjustment.
             let factor = if set.critical {
                 if ev.et_cycles == et_max_reduction {
@@ -220,13 +202,13 @@ pub(crate) fn walk_merit_ops(
             } else {
                 1.0 / (1.0 + (ev.et_cycles - set.max_aec) as f64)
             };
-            ops.push((xi, ImplChoice::Hw(j), factor));
+            store.scale_merit(xi, ImplChoice::Hw(j), factor);
         }
     }
     prims.scratch.vs = vs_buf;
     prims.scratch.legal = legal;
     prims.scratch.evals = evals;
-    ops
+    store.normalize_merits();
 }
 
 /// The case-4 answers that depend on the scored set alone, not on which of
@@ -258,7 +240,7 @@ pub(crate) struct VsAnswers {
 /// Per-round scratch of the fast merit primitives: hardware-choice
 /// connected components and their answers (recomputed once per walk), the
 /// longest-path finish buffer, the demand/convexity sets, the
-/// legality-repair kernel and the per-node buffers of [`walk_merit_ops`].
+/// legality-repair kernel and the per-node buffers of [`update_merits`].
 /// Steady state allocates nothing.
 #[derive(Default)]
 pub(crate) struct FastMeritScratch {
@@ -289,7 +271,7 @@ pub(crate) struct FastMeritScratch {
     /// Legality repair (merit case 3).
     grow: GrowScratch,
     /// The virtual subgraph, its legal sub-blob and the per-option
-    /// evaluations of the node [`walk_merit_ops`] is scoring.
+    /// evaluations of the node [`update_merits`] is scoring.
     vs: NodeSet,
     legal: NodeSet,
     evals: Vec<VsEval>,
@@ -919,7 +901,7 @@ mod tests {
         w.choice[1] = ImplChoice::Hw(0);
         w.choice[2] = ImplChoice::Hw(0);
         let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
-        apply_merit_ops(&mut store, &eval.merit_ops(&g, &w, &cons, &params, &reach));
+        eval.update_merits(&g, &w, &cons, &params, &reach, &mut store);
         // After the update the chain's hardware options outweigh software.
         for n in [0usize, 1, 2] {
             let hw = store.merit(n, ImplChoice::Hw(0));
@@ -963,7 +945,7 @@ mod tests {
         // The β_IO penalty compounds across iterations; after a handful of
         // violating iterations the hardware option must fall below software.
         for _ in 0..10 {
-            apply_merit_ops(&mut store, &eval.merit_ops(&g, &w, &cons, &params, &reach));
+            eval.update_merits(&g, &w, &cons, &params, &reach, &mut store);
         }
         let hw = store.merit(0, ImplChoice::Hw(0));
         let sw = store.merit(0, ImplChoice::Sw(0));

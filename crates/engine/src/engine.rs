@@ -1,12 +1,9 @@
 //! The engine proper: job fan-out, per-block best-of-N reduction.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use isex_aco::AcoParams;
-use isex_core::{
-    Constraints, EvalStats, Exploration, MultiIssueExplorer, SingleIssueExplorer, TraceEntry,
-};
+use isex_core::{Constraints, Exploration, MultiIssueExplorer, SingleIssueExplorer, TraceEntry};
 use isex_isa::{MachineConfig, ProgramDfg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,11 +115,6 @@ pub struct EngineOutcome {
     pub workers: usize,
     /// Exploration wall time, milliseconds.
     pub explore_ms: f64,
-    /// Hot-path evaluation-cache hits summed over all jobs (0 when the SI
-    /// algorithm ran).
-    pub eval_cache_hits: u64,
-    /// Hot-path evaluation-cache misses summed over all jobs.
-    pub eval_cache_misses: u64,
 }
 
 /// Runs exploration jobs deterministically in parallel.
@@ -221,12 +213,9 @@ impl Engine {
         let workers = worker_count(self.spec.jobs);
         let start = Instant::now();
         let jobs = ExploreJob::plan_subset(indices, repeats, master_seed);
-        // Counters only — safe to share across workers without affecting
-        // determinism (each job's exploration never reads them).
-        let eval_stats = Arc::new(EvalStats::default());
         let outcome = run_jobs_anytime(&jobs, self.spec.jobs, cancel, |pos, job| {
             // Jobs are planned task-major, `repeats` per task.
-            self.run_job(tasks[pos / repeats], *job, sink, cancel, &eval_stats)
+            self.run_job(tasks[pos / repeats], *job, sink, cancel)
         });
 
         let mut results = Vec::with_capacity(tasks.len());
@@ -340,8 +329,6 @@ impl Engine {
             worker_restarts: outcome.worker_restarts,
             workers,
             explore_ms: start.elapsed().as_secs_f64() * 1e3,
-            eval_cache_hits: eval_stats.hits(),
-            eval_cache_misses: eval_stats.misses(),
         }
     }
 
@@ -351,7 +338,6 @@ impl Engine {
         job: ExploreJob,
         sink: &dyn EventSink,
         cancel: &CancelToken,
-        eval_stats: &Arc<EvalStats>,
     ) -> Exploration {
         // Attach per job, not per worker: the pool's threads are scoped to
         // one engine call, and the guard flushes this thread's buffered
@@ -385,7 +371,6 @@ impl Engine {
                     self.spec.constraints,
                     self.spec.params,
                 );
-                explorer.eval_stats = Some(Arc::clone(eval_stats));
                 // The anytime hook: a token tripping mid-job stops the
                 // round loop at the next boundary, and the job returns its
                 // best-so-far (degraded) exploration instead of burning the

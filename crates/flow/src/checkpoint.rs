@@ -243,9 +243,9 @@ fn append_entry(file: &mut File, entry: &CheckpointEntry) -> std::io::Result<()>
 ///
 /// # Panics
 ///
-/// Panics if `block_index` is outside the run's hot list (callers resolve
-/// indices from the same `(cfg, program)` pair, so a bad index is a
-/// protocol violation, not an expected condition).
+/// Panics if `block_index` is outside the run's hot list. Callers that take
+/// the index from outside input (the cluster worker) check it against
+/// [`hot_blocks`] first.
 pub fn explore_block_entry(
     cfg: &FlowConfig,
     program: &Program,
@@ -254,33 +254,6 @@ pub fn explore_block_entry(
     sink: &dyn EventSink,
     cancel: &CancelToken,
 ) -> Result<CheckpointEntry, Cancelled> {
-    explore_block_entry_with_stats(cfg, program, seed, block_index, sink, cancel)
-        .map(|(entry, _)| entry)
-}
-
-/// Worker-side telemetry from one block exploration that deliberately does
-/// NOT ride the [`CheckpointEntry`] (the entry crosses the cluster wire and
-/// the journal bitwise; these numbers are observability, not results).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BlockExploreStats {
-    /// Evaluation-cache hits during the block's exploration (0 when the
-    /// cache is off or the algorithm bypasses it).
-    pub eval_cache_hits: u64,
-    /// Evaluation-cache misses during the block's exploration.
-    pub eval_cache_misses: u64,
-}
-
-/// [`explore_block_entry`] plus the block's [`BlockExploreStats`] — the
-/// variant cluster workers use so eval-cache effectiveness can be
-/// federated back to the coordinator without touching the entry format.
-pub fn explore_block_entry_with_stats(
-    cfg: &FlowConfig,
-    program: &Program,
-    seed: u64,
-    block_index: usize,
-    sink: &dyn EventSink,
-    cancel: &CancelToken,
-) -> Result<(CheckpointEntry, BlockExploreStats), Cancelled> {
     let key = run_key(cfg, program, seed);
     let hot = hot_blocks(cfg, program);
     let block = *hot.get(block_index).unwrap_or_else(|| {
@@ -302,16 +275,12 @@ fn entry_for_block(
     seed: u64,
     sink: &dyn EventSink,
     cancel: &CancelToken,
-) -> Result<(CheckpointEntry, BlockExploreStats), Cancelled> {
+) -> Result<CheckpointEntry, Cancelled> {
     let task = BlockTask {
         name: block.name.as_str(),
         dfg: &block.dfg,
     };
     let outcome = engine.explore_subset_anytime(&[task], &[index], seed, sink, cancel);
-    let stats = BlockExploreStats {
-        eval_cache_hits: outcome.eval_cache_hits,
-        eval_cache_misses: outcome.eval_cache_misses,
-    };
     let entry = match outcome.blocks.first() {
         Some(result) => CheckpointEntry {
             run_key: key.to_string(),
@@ -369,7 +338,7 @@ fn entry_for_block(
             rounds_completed: Some(0),
         },
     };
-    Ok((entry, stats))
+    Ok(entry)
 }
 
 /// The reduce half shared by checkpointed and clustered runs: folds one
@@ -486,7 +455,7 @@ pub fn run_flow_checkpointed(
         if entries.iter().any(|e| e.block_index == index) {
             continue;
         }
-        let (entry, _) = entry_for_block(&engine, block, index, &key, seed, sink, cancel)?;
+        let entry = entry_for_block(&engine, block, index, &key, seed, sink, cancel)?;
         if entry.degraded {
             // A degraded entry is a best-so-far partial; journaling it
             // would make the resumed run inherit the cut instead of

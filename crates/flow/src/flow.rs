@@ -286,23 +286,6 @@ pub(crate) fn explore_program_anytime(
     metrics.blocks_degraded = provenance.iter().filter(|p| p.degraded).count();
     metrics.degraded = outcome.cancelled || metrics.blocks_degraded > 0;
     metrics.candidates_generated = patterns.len();
-    // Surface evaluation-cache effectiveness through the same channel as
-    // span aggregates: `PhaseStat` counts. The serve layer re-exports every
-    // profile entry as `isexd_phases_*`, so the hit rate lands on the
-    // Prometheus endpoint with no schema change.
-    if outcome.eval_cache_hits + outcome.eval_cache_misses > 0 {
-        for (name, count) in [
-            ("eval.cache_hit", outcome.eval_cache_hits),
-            ("eval.cache_miss", outcome.eval_cache_misses),
-        ] {
-            metrics.phase_profile.0.push(isex_engine::PhaseStat {
-                name: name.to_string(),
-                count,
-                total_ms: 0.0,
-                max_ms: 0.0,
-            });
-        }
-    }
     (patterns, hot.len(), iterations, metrics, provenance)
 }
 
@@ -471,13 +454,8 @@ pub fn run_flow_cancellable(
     metrics.phases.total_ms = start.elapsed().as_secs_f64() * 1e3;
     // Every span above is closed by now, so the aggregate covers the whole
     // run. An untraced run leaves the profile empty — the report itself
-    // never depends on the tracer. Counter-style entries accumulated during
-    // exploration (the eval-cache stats) are kept alongside the span
-    // aggregate; the profile stays sorted by name.
-    let mut profile = cfg.tracer.phase_profile();
-    profile.0.append(&mut metrics.phase_profile.0);
-    profile.0.sort_by(|a, b| a.name.cmp(&b.name));
-    metrics.phase_profile = profile;
+    // never depends on the tracer.
+    metrics.phase_profile = cfg.tracer.phase_profile();
     Ok((report, metrics))
 }
 

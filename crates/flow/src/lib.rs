@@ -49,8 +49,8 @@ pub mod report;
 pub mod select;
 
 pub use checkpoint::{
-    explore_block_entry, explore_block_entry_with_stats, finish_from_entries, load_journal,
-    run_flow_checkpointed, run_key, BlockExploreStats, CheckpointEntry, CheckpointError,
+    explore_block_entry, finish_from_entries, load_journal, run_flow_checkpointed, run_key,
+    CheckpointEntry, CheckpointError,
 };
 pub use flow::{
     hot_blocks, run_flow, run_flow_cancellable, run_flow_observed, Algorithm, BlockOutcome,

@@ -647,38 +647,23 @@ fn render_top(addr: &str, doc: &serde::Value, interval_ms: u64, once: bool) -> S
         n(&["latency", "explore", "count"]),
     );
     if let Some(cluster) = top_walk(doc, &["cluster"]) {
-        let hits = top_num(cluster, &["eval", "hits"]);
-        let misses = top_num(cluster, &["eval", "misses"]);
-        let rate = if hits + misses > 0.0 {
-            100.0 * hits / (hits + misses)
-        } else {
-            0.0
-        };
         let _ = writeln!(
             out,
-            "\ncluster  {:.0} worker(s) alive   eval-cache hit {rate:.1}% ({hits:.0}/{:.0})",
+            "\ncluster  {:.0} worker(s) alive",
             top_num(cluster, &["workers_alive"]),
-            hits + misses,
         );
         if let Some(serde::Value::Object(workers)) = cluster.get("worker") {
             let _ = writeln!(
                 out,
-                "  {:<14} {:<6} {:<8} {:>9} {:>9} {:>6} {:>7} {:>9}",
-                "worker", "alive", "breaker", "p50 ms", "p95 ms", "jobs", "failed", "cache-hit"
+                "  {:<14} {:<6} {:<8} {:>9} {:>9} {:>6} {:>7}",
+                "worker", "alive", "breaker", "p50 ms", "p95 ms", "jobs", "failed"
             );
             for (name, w) in workers {
                 let alive = top_num(w, &["alive"]) > 0.0;
                 let open = top_num(w, &["breaker_open"]) > 0.0;
-                let whits = top_num(w, &["eval_cache_hits"]);
-                let wmiss = top_num(w, &["eval_cache_misses"]);
-                let wrate = if whits + wmiss > 0.0 {
-                    format!("{:.1}%", 100.0 * whits / (whits + wmiss))
-                } else {
-                    "-".to_string()
-                };
                 let _ = writeln!(
                     out,
-                    "  {:<14} {:<6} {:<8} {:>9.1} {:>9.1} {:>6.0} {:>7.0} {:>9}",
+                    "  {:<14} {:<6} {:<8} {:>9.1} {:>9.1} {:>6.0} {:>7.0}",
                     name,
                     if alive { "yes" } else { "DEAD" },
                     if open { "OPEN" } else { "closed" },
@@ -686,7 +671,6 @@ fn render_top(addr: &str, doc: &serde::Value, interval_ms: u64, once: bool) -> S
                     top_num(w, &["latency_p95_ms"]),
                     top_num(w, &["jobs_completed"]),
                     top_num(w, &["jobs_failed"]),
-                    wrate,
                 );
             }
         }
