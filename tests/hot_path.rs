@@ -6,8 +6,9 @@
 //! `tests/golden/` holds the exact `serde_json::to_string` bytes of one
 //! `FlowReport` per registry program (7 benchmarks × O0/O3) and seed
 //! {3, 11, 29} — MI on `preset_2issue_4r2w`, `repeats = 2`,
-//! `max_iterations = 40` — plus the engine bench's smoke report (crc32 O3
-//! at the bench's own settings, seed `0xE46`). The checker re-runs every
+//! `max_iterations = 40` — the same programs under the single-issue
+//! baseline (SI) at seed 3 (`si_*.json`), plus the engine bench's smoke
+//! report (crc32 O3 at the bench's own settings, seed `0xE46`). The checker re-runs every
 //! case at `jobs ∈ {1, 4}` and never writes a file. Regenerate with
 //!
 //! ```text
@@ -23,6 +24,9 @@ use isex::prelude::*;
 use rand::SeedableRng;
 
 const SEEDS: [u64; 3] = [3, 11, 29];
+
+/// The seed of the single-issue baseline's goldens.
+const SI_SEED: u64 = 3;
 
 /// One golden report: the file it lives in and how to reproduce it.
 struct Golden {
@@ -63,6 +67,17 @@ fn goldens() -> Vec<Golden> {
                     seed,
                 });
             }
+            let mut si = quick_cfg();
+            si.algorithm = Algorithm::SingleIssue;
+            out.push(Golden {
+                file: format!(
+                    "si_{bench}_{}_s{SI_SEED}.json",
+                    opt.to_string().to_lowercase()
+                ),
+                program: bench.program(opt),
+                cfg: si,
+                seed: SI_SEED,
+            });
         }
     }
     out.push(Golden {
