@@ -103,16 +103,22 @@ impl AcoParams {
     /// # Errors
     ///
     /// Returns a human-readable message naming the first out-of-range
-    /// parameter: `alpha`, `lambda` and the βs must lie in `(0, 1]` (βs
-    /// strictly below 1 per Fig. 4.3.7), `p_end` in `(0, 1)`, the ρs must be
-    /// non-negative, and `max_iterations` positive.
+    /// parameter. Every value must be finite: `alpha` in `[0, 1]`, the βs
+    /// in `(0, 1]`, `p_end` in `(0, 1)`, `lambda`, the ρs and `init_trail`
+    /// non-negative, the initial merits positive, and `max_iterations`
+    /// positive. A non-finite or out-of-range trail, merit or `lambda`
+    /// would make every Eq. 1 weight non-finite or zero, silently turning
+    /// each walk into uniform picks.
     pub fn validate(&self) -> Result<(), String> {
         let in01 = |v: f64| v > 0.0 && v <= 1.0;
         if !(self.alpha >= 0.0 && self.alpha <= 1.0) {
             return Err(format!("alpha must be in [0,1], got {}", self.alpha));
         }
-        if self.lambda < 0.0 || self.lambda.is_nan() {
-            return Err(format!("lambda must be non-negative, got {}", self.lambda));
+        if !(self.lambda >= 0.0 && self.lambda.is_finite()) {
+            return Err(format!(
+                "lambda must be a non-negative number, got {}",
+                self.lambda
+            ));
         }
         for (name, v) in [
             ("rho1", self.rho1),
@@ -138,8 +144,19 @@ impl AcoParams {
         if !(self.p_end > 0.0 && self.p_end < 1.0) {
             return Err(format!("p_end must be in (0,1), got {}", self.p_end));
         }
-        if self.init_merit_sw <= 0.0 || self.init_merit_hw <= 0.0 {
-            return Err("initial merits must be positive".to_string());
+        for (name, v) in [
+            ("init_merit_sw", self.init_merit_sw),
+            ("init_merit_hw", self.init_merit_hw),
+        ] {
+            if !(v > 0.0 && v.is_finite()) {
+                return Err(format!("{name} must be a positive number, got {v}"));
+            }
+        }
+        if !(self.init_trail >= 0.0 && self.init_trail.is_finite()) {
+            return Err(format!(
+                "init_trail must be a non-negative number, got {}",
+                self.init_trail
+            ));
         }
         if self.max_iterations == 0 {
             return Err("max_iterations must be positive".to_string());
@@ -199,5 +216,61 @@ mod tests {
             ..AcoParams::default()
         };
         assert!(bad.validate().unwrap_err().contains("max_iterations"));
+        // Values that pass a plain `<= 0.0` test but break every Eq. 1
+        // weight.
+        for (name, bad) in [
+            (
+                "init_merit_sw",
+                AcoParams {
+                    init_merit_sw: f64::NAN,
+                    ..AcoParams::default()
+                },
+            ),
+            (
+                "init_merit_hw",
+                AcoParams {
+                    init_merit_hw: f64::INFINITY,
+                    ..AcoParams::default()
+                },
+            ),
+            (
+                "init_trail",
+                AcoParams {
+                    init_trail: -1.0,
+                    ..AcoParams::default()
+                },
+            ),
+            (
+                "init_trail",
+                AcoParams {
+                    init_trail: f64::NAN,
+                    ..AcoParams::default()
+                },
+            ),
+            (
+                "init_trail",
+                AcoParams {
+                    init_trail: f64::INFINITY,
+                    ..AcoParams::default()
+                },
+            ),
+            (
+                "lambda",
+                AcoParams {
+                    lambda: f64::INFINITY,
+                    ..AcoParams::default()
+                },
+            ),
+            (
+                "lambda",
+                AcoParams {
+                    lambda: f64::NAN,
+                    ..AcoParams::default()
+                },
+            ),
+        ] {
+            let err = bad.validate().expect_err(name);
+            assert!(err.contains(name), "{name}: {err}");
+        }
     }
 }

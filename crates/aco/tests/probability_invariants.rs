@@ -79,6 +79,62 @@ proptest! {
         }
     }
 
+    /// The flat accessors address exactly the options the `(node, choice)`
+    /// API does: each node's index range follows the previous one's, maps
+    /// onto `choice_iter` in order, and reads and writes the same trail,
+    /// merit and attraction bits. `best_option` equals the first maximum of
+    /// `selected_probability`.
+    #[test]
+    fn flat_accessors_agree_with_the_option_api(
+        shape in arb_shape(),
+        muts in arb_mutations(),
+        alpha in 0.0f64..1.0,
+        delta in -50.0f64..50.0,
+    ) {
+        let params = AcoParams { alpha, ..AcoParams::default() };
+        let mut store = PheromoneStore::new(&shape, &params);
+        for m in &muts {
+            mutate(&mut store, &shape, m);
+        }
+        let mut next = 0;
+        for (n, &(sw, hw)) in shape.iter().enumerate() {
+            let range = store.options(n);
+            prop_assert_eq!(range.clone(), next..next + sw + hw, "node {}", n);
+            next = range.end;
+            let flat: Vec<ImplChoice> = range.clone().map(|i| store.choice_at(n, i)).collect();
+            prop_assert_eq!(&flat, &store.choice_iter(n).collect::<Vec<_>>());
+            for i in range {
+                let c = store.choice_at(n, i);
+                let expect = alpha * store.trail(n, c) + (1.0 - alpha) * store.merit(n, c);
+                prop_assert_eq!(store.attraction_at(i).to_bits(), expect.to_bits());
+                prop_assert_eq!(store.attraction_at(i).to_bits(), store.attraction(n, c).to_bits());
+                let (mut by_index, mut by_choice) = (store.clone(), store.clone());
+                by_index.add_trail_at(i, delta);
+                by_choice.add_trail(n, c, delta);
+                for m in 0..shape.len() {
+                    for d in store.choice_iter(m) {
+                        prop_assert_eq!(
+                            by_index.trail(m, d).to_bits(),
+                            by_choice.trail(m, d).to_bits(),
+                            "add_trail_at({}) touched node {} {}", i, m, d
+                        );
+                    }
+                }
+            }
+            let mut first_max = None::<(ImplChoice, f64)>;
+            for c in store.choice_iter(n) {
+                let p = store.selected_probability(n, c);
+                if first_max.is_none_or(|(_, bp)| p > bp) {
+                    first_max = Some((c, p));
+                }
+            }
+            let (bc, bp) = store.best_option(n);
+            let (fc, fp) = first_max.unwrap();
+            prop_assert_eq!((bc, bp.to_bits()), (fc, fp.to_bits()));
+        }
+        prop_assert_eq!(next, store.options(shape.len() - 1).end);
+    }
+
     #[test]
     fn trails_never_go_negative(shape in arb_shape(), muts in arb_mutations()) {
         let params = AcoParams::default();
@@ -140,4 +196,28 @@ proptest! {
             }
         }
     }
+}
+
+/// Node 0 of `[(1, 2), (2, 0), (1, 1)]`: a naive flat index for one option
+/// past its last would silently read the next option slot.
+fn three_nodes() -> PheromoneStore {
+    PheromoneStore::new(&[(1, 2), (2, 0), (1, 1)], &AcoParams::default())
+}
+
+#[test]
+#[should_panic(expected = "operation 0 has no option HW-3")]
+fn hardware_option_past_the_last_panics() {
+    three_nodes().trail(0, ImplChoice::Hw(2));
+}
+
+#[test]
+#[should_panic(expected = "operation 0 has no option SW-2")]
+fn software_option_past_the_last_panics() {
+    three_nodes().merit(0, ImplChoice::Sw(1));
+}
+
+#[test]
+#[should_panic(expected = "operation 1 has no option SW-3")]
+fn software_option_past_a_software_only_node_panics() {
+    three_nodes().add_trail(1, ImplChoice::Sw(2), 1.0);
 }

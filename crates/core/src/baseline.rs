@@ -25,6 +25,7 @@ use crate::ant::Walk;
 use crate::candidate::{Constraints, IseCandidate};
 use crate::exgraph::{self, ExGraph, ExKind};
 use crate::explore::{extract_candidates, CurCandidate, Exploration};
+use crate::merit::PortMasks;
 use crate::trail::{self, TrailState};
 
 const MAX_ROUNDS: usize = 32;
@@ -185,8 +186,9 @@ impl SingleIssueExplorer {
         // Keep the best sampled assignment (smallest serial time, then
         // area), mirroring the MI explorer's best-walk extraction.
         let mut best: Option<(Walk, f64)> = None;
+        let mut weights = Vec::new();
         for _ in 0..self.params.max_iterations {
-            let walk = self.pick_options(g, &store, rng);
+            let walk = self.pick_options(g, &store, rng, &mut weights);
             *iterations += 1;
             trail::update(&mut store, &walk, &mut tstate, &self.params);
             self.update_merits(&mut store, g, &walk, &reach);
@@ -208,8 +210,16 @@ impl SingleIssueExplorer {
             None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
         };
         let base = SoaGraph::from_sched(&exgraph::to_sched(g));
-        let mut cands =
-            extract_candidates(g, &base, &taken, &self.constraints, &self.machine, &reach);
+        let masks = PortMasks::new(g);
+        let mut cands = extract_candidates(
+            g,
+            &base,
+            &masks,
+            &taken,
+            &self.constraints,
+            &self.machine,
+            &reach,
+        );
         // Serial saving: size (1 cycle per op on a single-issue core) minus
         // the ISE latency.
         cands.retain(|c| c.members.len() as i64 - c.latency as i64 > 0);
@@ -223,18 +233,21 @@ impl SingleIssueExplorer {
 
     /// Choose an implementation option per operation — no scheduling, so
     /// the "walk" is just an option assignment with a serial time estimate.
+    /// `weights` is the reused roulette buffer.
     fn pick_options<R: Rng + ?Sized>(
         &self,
         g: &ExGraph,
         store: &PheromoneStore,
         rng: &mut R,
+        weights: &mut Vec<f64>,
     ) -> Walk {
         let k = g.len();
         let mut choice = vec![ImplChoice::Sw(0); k];
         for (n, slot) in choice.iter_mut().enumerate() {
-            let options = store.choices(n);
-            let weights: Vec<f64> = options.iter().map(|&c| store.attraction(n, c)).collect();
-            *slot = options[roulette(rng, &weights)];
+            let options = store.options(n);
+            weights.clear();
+            weights.extend(options.clone().map(|i| store.attraction_at(i)));
+            *slot = store.choice_at(n, options.start + roulette(rng, weights));
         }
         // Serial execution time: software ops cost their latency, each
         // hardware component costs its ISE latency once.
@@ -265,6 +278,7 @@ impl SingleIssueExplorer {
         Walk {
             choice,
             issue: vec![0; k], // no ordering information
+            finish: vec![0; k],
             group_of: vec![None; k],
             groups: Vec::new(),
             tet,
@@ -420,7 +434,7 @@ mod tests {
             }
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let w = si.pick_options(&g, &store, &mut rng);
+        let w = si.pick_options(&g, &store, &mut rng, &mut Vec::new());
         assert_eq!(w.tet, g.len() as u32);
     }
 }

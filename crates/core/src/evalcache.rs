@@ -32,7 +32,7 @@ use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp};
 use crate::ant::Walk;
 use crate::candidate::Constraints;
 use crate::exgraph::{self, ExGraph};
-use crate::merit;
+use crate::merit::{self, PortMasks};
 
 /// One round's shared lowering and SoA timing buffers, dropped when the
 /// round ends (commitment collapses the graph). Every scratch buffer an
@@ -92,6 +92,7 @@ impl<'a> RoundEval<'a> {
     /// Applies the merit update of `walk` to `store` (step 8 of Fig.
     /// 4.3.1): the walk's timing, critical path, virtual subgraphs and
     /// option evaluation, one pass per walk.
+    #[allow(clippy::too_many_arguments)]
     pub fn update_merits(
         &mut self,
         g: &ExGraph,
@@ -99,10 +100,11 @@ impl<'a> RoundEval<'a> {
         constraints: &Constraints,
         params: &AcoParams,
         reach: &Reachability,
+        masks: &PortMasks,
         store: &mut PheromoneStore,
     ) {
         let machine = self.machine;
-        let mut prims = self.walk_prims(g, walk);
+        let mut prims = self.walk_prims(g, walk, masks);
         merit::update_merits(
             g,
             walk,
@@ -120,7 +122,12 @@ impl<'a> RoundEval<'a> {
     /// Each of the walk's groups is one unit on the latency-patched base
     /// graph; ASAP comes from a counter-driven pass and ALAP from its
     /// reverse, with no quotient built.
-    fn walk_prims(&mut self, g: &ExGraph, walk: &Walk) -> merit::FastPrims<'_> {
+    fn walk_prims<'s>(
+        &'s mut self,
+        g: &ExGraph,
+        walk: &Walk,
+        masks: &'s PortMasks,
+    ) -> merit::FastPrims<'s> {
         // Per-walk software latencies on top of the base ones (hardware
         // members keep the option-0 placeholder: they sit inside a group).
         self.walk_lat.clone_from(&self.base.lat);
@@ -149,6 +156,7 @@ impl<'a> RoundEval<'a> {
         merit::FastPrims {
             scratch: &mut self.fast,
             base: &self.base,
+            masks,
             timing: t,
             extra: walk.tet.max(t.len) - t.len,
             critical: &self.critical,
@@ -267,6 +275,7 @@ mod tests {
                 .collect();
             let store = PheromoneStore::new(&shape, &params);
             let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
+            let masks = PortMasks::new(&g);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
             for _ in 0..12 {
                 let walk = ant.run(&store, &mut rng);
@@ -285,7 +294,7 @@ mod tests {
                 let q = collapse_groups(&lowered, &groups);
                 let deadline = walk.tet.max(timing::dep_length(&q.dfg));
                 let critical_q = timing::critical_nodes(&q.dfg);
-                let mut prims = eval.walk_prims(&g, &walk);
+                let mut prims = eval.walk_prims(&g, &walk, &masks);
                 let mut vs = NodeSet::new(g.len());
                 let mut legal = NodeSet::new(g.len());
                 for x in g.node_ids() {
@@ -327,7 +336,7 @@ mod tests {
                     if !is_legal {
                         // Every such node, a member of an illegal component
                         // included, scores its own legal sub-blob.
-                        prims.grow_legal(&g, x, &vs, &cons, &reach, &mut legal);
+                        prims.grow_legal(x, &vs, &cons, &reach, &mut legal);
                         assert_eq!(
                             legal,
                             grow_legal_from(&g, x, &vs, &cons, &reach),
@@ -361,7 +370,7 @@ mod tests {
                     for piece in convex::make_convex(&g, &comp, &reach) {
                         enforce_ports(&g, piece, &cons, &reach, |seed, s| {
                             let mut grown = NodeSet::new(g.len());
-                            kernel.grow(&g, &eval.base, &reach, &cons, seed, s, &mut grown);
+                            kernel.grow(&eval.base, &masks, &reach, &cons, seed, s, &mut grown);
                             let reference = grow_legal_from(&g, seed, s, &cons, &reach);
                             assert_eq!(grown, reference, "{bench}: enforce_ports piece");
                             port_repairs += 1;

@@ -21,7 +21,7 @@ use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp, Un
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::ant::{Ant, AntScratch};
+use crate::ant::{Ant, AntScratch, Walk};
 use crate::candidate::{Constraints, IseCandidate};
 use crate::evalcache::RoundEval;
 use crate::exgraph::{self, ExGraph, ExKind};
@@ -381,22 +381,26 @@ impl MultiIssueExplorer {
         // walk (smallest TET, then smallest ASFU area). Waiting for formal
         // `P_END` convergence is unnecessary — and on noisy schedules the
         // trail dynamics of Fig. 4.3.5 may hover without converging.
-        let mut best: Option<(crate::ant::Walk, f64)> = None;
+        // Every walk is written into `walk`; an improvement swaps it with
+        // `best`, whose old contents the next walk overwrites.
+        let mut walk = Walk::default();
+        let mut best = Walk::default();
+        let mut best_area: Option<f64> = None;
         for it in 0..self.params.max_iterations {
-            let walk = {
+            {
                 let _s = isex_trace::span("aco.construct");
-                ant.run_with(&store, rng, &mut ant_scratch)
-            };
+                ant.run_into(&store, rng, &mut ant_scratch, &mut walk);
+            }
             *iterations += 1;
             if let Some(trace) = trace.as_deref_mut() {
                 trace.push(TraceEntry {
                     round: round_no,
                     iteration: it + 1,
                     tet: walk.tet,
-                    best_tet: best
-                        .as_ref()
-                        .map(|(b, _)| b.tet.min(walk.tet))
-                        .unwrap_or(walk.tet),
+                    best_tet: match best_area {
+                        Some(_) => best.tet.min(walk.tet),
+                        None => walk.tet,
+                    },
                 });
             }
             {
@@ -411,24 +415,27 @@ impl MultiIssueExplorer {
                     &self.constraints,
                     &self.params,
                     &reach,
+                    &ant.masks,
                     &mut store,
                 );
             }
             let area = walk_area(g, &walk);
-            let better = match &best {
+            let better = match best_area {
                 None => true,
-                Some((b, barea)) => walk.tet < b.tet || (walk.tet == b.tet && area < *barea),
+                Some(barea) => walk.tet < best.tet || (walk.tet == best.tet && area < barea),
             };
             if better {
-                best = Some((walk, area));
+                std::mem::swap(&mut walk, &mut best);
+                best_area = Some(area);
             }
             if store.converged(self.params.p_end) {
                 break;
             }
         }
+        let best_tet = best_area.map(|_| best.tet);
 
-        let taken: Vec<ImplChoice> = match &best {
-            Some((walk, _)) => walk.choice.clone(),
+        let taken: Vec<ImplChoice> = match best_area {
+            Some(_) => best.choice,
             None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
         };
         if debug_enabled() {
@@ -448,6 +455,7 @@ impl MultiIssueExplorer {
         let cands = extract_candidates(
             g,
             &eval.base,
+            &ant.masks,
             &taken,
             &self.constraints,
             &self.machine,
@@ -474,7 +482,7 @@ impl MultiIssueExplorer {
                 "[round] base_len={} dep_len={} best_tet={}",
                 base_len,
                 isex_sched::timing::dep_length(sched),
-                best.as_ref().map(|(w, _)| w.tet).unwrap_or(0),
+                best_tet.unwrap_or(0),
             );
             for (c, s, _) in ranked.iter().take(4) {
                 eprintln!(
@@ -489,7 +497,7 @@ impl MultiIssueExplorer {
         }
         RoundOutcome {
             ranked,
-            best_tet: best.as_ref().map(|(w, _)| w.tet).unwrap_or(u32::MAX),
+            best_tet: best_tet.unwrap_or(u32::MAX),
             base_len,
         }
     }
@@ -507,7 +515,7 @@ struct RoundOutcome {
 }
 
 /// Total ASFU silicon area implied by a walk's hardware choices.
-pub(crate) fn walk_area(g: &ExGraph, walk: &crate::ant::Walk) -> f64 {
+pub(crate) fn walk_area(g: &ExGraph, walk: &Walk) -> f64 {
     g.iter()
         .map(|(id, n)| match walk.choice[id.index()] {
             ImplChoice::Hw(j) => n.payload().hw[j].area_um2,
@@ -547,10 +555,12 @@ pub(crate) fn schedule_with_lowered(
 /// Extracts legal ISE candidates from the converged option assignment:
 /// connected components of taken-hardware nodes, legalised by Make-Convex
 /// and port trimming, size ≥ 2. `base` is `g` in array form (the round's
-/// [`SoaGraph`]), over which port trimming grows its legal pieces.
+/// [`SoaGraph`]) and `masks` its port rows, over which port trimming grows
+/// its legal pieces.
 pub(crate) fn extract_candidates(
     g: &ExGraph,
     base: &SoaGraph,
+    masks: &merit::PortMasks,
     taken: &[ImplChoice],
     constraints: &Constraints,
     machine: &MachineConfig,
@@ -566,7 +576,7 @@ pub(crate) fn extract_candidates(
     let mut kernel = merit::GrowScratch::default();
     let mut grow_legal = |seed: NodeId, s: &NodeSet| {
         let mut grown = NodeSet::new(g.len());
-        kernel.grow(g, base, reach, constraints, seed, s, &mut grown);
+        kernel.grow(base, masks, reach, constraints, seed, s, &mut grown);
         grown
     };
     let mut out = Vec::new();
@@ -863,10 +873,11 @@ mod tests {
         let cons = Constraints::new(3, 2);
         let all = NodeSet::full(g.len());
         let base = SoaGraph::from_sched(&exgraph::to_sched(&g));
+        let masks = merit::PortMasks::new(&g);
         let mut kernel = merit::GrowScratch::default();
         let pieces = enforce_ports(&g, all, &cons, &reach, |seed, s| {
             let mut grown = NodeSet::new(g.len());
-            kernel.grow(&g, &base, &reach, &cons, seed, s, &mut grown);
+            kernel.grow(&base, &masks, &reach, &cons, seed, s, &mut grown);
             assert_eq!(grown, grow_legal_from(&g, seed, s, &cons, &reach));
             grown
         });

@@ -40,10 +40,8 @@ pub(crate) fn update(
             .prev_issue
             .get(n)
             .is_some_and(|&prev| walk.issue[n] < prev);
-        // By index: `add_trail` needs the store mutably between options.
-        for o in 0..store.choice_iter(n).count() {
-            let c = store.choice_iter(n).nth(o).expect("option index in range");
-            let selected = c == walk.choice[n];
+        for i in store.options(n) {
+            let selected = store.choice_at(n, i) == walk.choice[n];
             let mut delta = if improved {
                 if selected {
                     params.rho1
@@ -68,7 +66,7 @@ pub(crate) fn update(
             if !delta.is_finite() {
                 delta = 0.0;
             }
-            store.add_trail(n, c, delta);
+            store.add_trail_at(i, delta);
         }
     }
     if improved {
@@ -87,6 +85,7 @@ mod tests {
         Walk {
             choice: vec![choice],
             issue: vec![issue],
+            finish: vec![issue + 1],
             group_of: vec![None],
             groups: Vec::new(),
             tet,
