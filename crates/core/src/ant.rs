@@ -13,7 +13,8 @@ use isex_dfg::ports::PortDemand;
 use isex_dfg::{CsrAdjacency, NodeId, NodeSet};
 use isex_isa::MachineConfig;
 use isex_sched::resources::ResourceTable;
-use isex_sched::{SchedOp, UnitClass};
+use isex_sched::soa::SoaGraph;
+use isex_sched::{Priority, SchedOp, UnitClass};
 use rand::Rng;
 
 use crate::candidate::Constraints;
@@ -84,33 +85,19 @@ pub enum SpFunction {
 impl SpFunction {
     /// Computes the normalised (`[0, 1]`) priority of every node.
     pub fn values(self, g: &ExGraph) -> Vec<f64> {
-        match self {
-            // ChildCount (the paper's default) never needs the lowering.
-            SpFunction::ChildCount => {
-                Self::normalise(g.node_ids().map(|n| g.child_count(n) as f64).collect())
-            }
-            _ => self.values_on(g, &crate::exgraph::to_sched(g)),
-        }
+        self.values_on(&crate::exgraph::to_soa(g))
     }
 
-    /// [`SpFunction::values`] on a caller-provided lowering of `g` (which
-    /// must equal `to_sched(g)`), so the round's single `SchedDfg` serves
-    /// the Height/Mobility priorities too.
-    pub(crate) fn values_on(self, g: &ExGraph, sched: &isex_sched::SchedDfg) -> Vec<f64> {
-        let raw: Vec<f64> = match self {
-            SpFunction::ChildCount => g.node_ids().map(|n| g.child_count(n) as f64).collect(),
-            SpFunction::Height => isex_sched::Priority::Height
-                .values(sched)
-                .into_iter()
-                .map(|v| v as f64)
-                .collect(),
-            SpFunction::Mobility => isex_sched::Priority::Mobility
-                .values(sched)
-                .into_iter()
-                .map(|v| v as f64)
-                .collect(),
+    /// [`SpFunction::values`] on the array form of `g` (`to_soa(g)`), so
+    /// the round's single `SoaGraph` serves the SP function too.
+    pub(crate) fn values_on(self, base: &SoaGraph) -> Vec<f64> {
+        let priority = match self {
+            SpFunction::ChildCount => Priority::ChildCount,
+            SpFunction::Height => Priority::Height,
+            SpFunction::Mobility => Priority::Mobility,
         };
-        Self::normalise(raw)
+        let raw = priority.values(base).into_iter().map(|v| v as f64);
+        Self::normalise(raw.collect())
     }
 
     fn normalise(raw: Vec<f64>) -> Vec<f64> {
@@ -247,17 +234,17 @@ impl<'a> Ant<'a> {
 
     /// Builds the context with an explicit SP function, computing its
     /// values on a caller-provided lowering of `g` (the round's shared
-    /// `SchedDfg`).
+    /// `SoaGraph`).
     pub(crate) fn with_sp_on(
         g: &'a ExGraph,
         machine: &'a MachineConfig,
         constraints: &'a Constraints,
         lambda: f64,
         sp_function: SpFunction,
-        sched: &isex_sched::SchedDfg,
+        base: &SoaGraph,
         adj: &'a CsrAdjacency,
     ) -> Self {
-        let sp = sp_function.values_on(g, sched);
+        let sp = sp_function.values_on(base);
         Self::with_sp(g, machine, constraints, lambda, sp, adj)
     }
 

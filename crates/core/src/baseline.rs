@@ -18,7 +18,6 @@
 use isex_aco::{roulette, AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{analysis, convex, ports, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
-use isex_sched::soa::SoaGraph;
 use rand::Rng;
 
 use crate::ant::Walk;
@@ -209,7 +208,7 @@ impl SingleIssueExplorer {
             Some((walk, _)) => walk.choice.clone(),
             None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
         };
-        let base = SoaGraph::from_sched(&exgraph::to_sched(g));
+        let base = exgraph::to_soa(g);
         let masks = PortMasks::new(g);
         let mut cands = extract_candidates(
             g,

@@ -1,15 +1,16 @@
 //! Round-scoped hot-path evaluation: one-shot lowering, no memo tables.
 //!
-//! [`RoundEval`] lowers the round's [`ExGraph`] exactly once and keeps it
-//! in struct-of-arrays form, shared by the SP values, every walk's merit
-//! analysis and every candidate's schedule length. A walk's merit
-//! analysis times the walk with a counter-driven pass over that base graph
-//! and its reverse, each group one unit and no quotient built
-//! ([`walk_timing_into`]), and then answers each hardware component's
-//! queries once for all its members ([`merit::FastPrims::component`]). A
-//! candidate's schedule length collapses the candidate into the numbered
-//! quotient the list scheduler's tie-breaks need ([`collapse_soa`]) and
-//! schedules it by counters.
+//! [`RoundEval`] lowers the round's [`ExGraph`] exactly once, into
+//! struct-of-arrays form ([`exgraph::to_soa`]), shared by the SP values,
+//! the `ISEX_DEBUG` diagnostics, every walk's merit analysis and every
+//! candidate's schedule length. A walk's merit analysis times the walk
+//! with a counter-driven pass over that base graph and its reverse, each
+//! group one unit and no quotient built ([`walk_timing_into`]), and then
+//! answers each hardware component's queries once for all its members
+//! ([`merit::FastPrims::component`]). A candidate's schedule length comes
+//! from [`collapsed_len`], which the leave-one-out sweep shares: the
+//! groups are collapsed into the numbered quotient the list scheduler's
+//! tie-breaks need ([`collapse_soa`]) and the quotient is list-scheduled.
 //!
 //! Nothing is memoised. Memoised candidate evaluation is what keeps
 //! iterative-improvement ISE search tractable in ISEGEN, but here a walk
@@ -24,10 +25,9 @@ use isex_aco::{AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{NodeId, NodeSet, Reachability};
 use isex_isa::MachineConfig;
 use isex_sched::soa::{
-    collapse_soa, height_into, schedule_len_counters, walk_timing_into, CounterSchedScratch,
-    Quotient, QuotientScratch, SoaGraph, WalkTiming,
+    collapse_soa, walk_timing_into, Quotient, QuotientScratch, SoaGraph, WalkTiming,
 };
-use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp};
+use isex_sched::{schedule_soa, ListScratch, Priority, SchedOp};
 
 use crate::ant::Walk;
 use crate::candidate::Constraints;
@@ -40,23 +40,17 @@ use crate::merit::{self, PortMasks};
 /// nothing.
 pub(crate) struct RoundEval<'a> {
     machine: &'a MachineConfig,
-    /// The round's graph lowered once (`to_sched`), shared by the SP values
-    /// and the `ISEX_DEBUG` diagnostics.
-    pub sched: SchedDfg,
-    /// Schedule length of `sched` with no new ISE (the round's `base_len`).
+    /// Schedule length of `base` with no new ISE (the round's `base_len`).
     pub base_len: u32,
-    /// The round's base graph (every node on implementation option 0),
-    /// array form of `sched` — same indices, same adjacency.
+    /// The round's graph lowered once (`to_soa`: every node on
+    /// implementation option 0) — same indices, same adjacency.
     pub base: SoaGraph,
     /// Per-node latencies of the walk being timed (software options change
     /// latency, never ports or unit class).
     walk_lat: Vec<u32>,
     timing: WalkTiming,
-    qscratch: QuotientScratch,
-    quotient: Quotient,
-    height: Vec<i64>,
     critical: NodeSet,
-    sched_scratch: CounterSchedScratch,
+    collapse: CollapseScratch,
     fast: merit::FastMeritScratch,
 }
 
@@ -66,25 +60,20 @@ impl<'a> RoundEval<'a> {
     /// committed candidate length).
     pub fn new(g: &ExGraph, machine: &'a MachineConfig, base_len: u32) -> Self {
         let _span = isex_trace::span_with("eval.lower", || vec![("ops", g.len().to_string())]);
-        let sched = exgraph::to_sched(g);
+        let base = exgraph::to_soa(g);
         debug_assert_eq!(
             base_len,
-            list_schedule_len(&sched, machine, Priority::Height, &mut ListScratch::new()),
+            exgraph::schedule_len(g, machine),
             "carried base length must match a fresh schedule"
         );
-        let base = SoaGraph::from_sched(&sched);
         RoundEval {
             machine,
-            sched,
             base_len,
             base,
             walk_lat: Vec::new(),
             timing: WalkTiming::default(),
-            qscratch: QuotientScratch::default(),
-            quotient: Quotient::default(),
-            height: Vec::new(),
             critical: NodeSet::new(g.len()),
-            sched_scratch: CounterSchedScratch::default(),
+            collapse: CollapseScratch::default(),
             fast: merit::FastMeritScratch::default(),
         }
     }
@@ -164,25 +153,40 @@ impl<'a> RoundEval<'a> {
     }
 
     /// Schedule length of the round's graph with `members` frozen into one
-    /// ISE of the given footprint. The quotient is built on the
-    /// SoA base graph with the numbering `collapse_groups` would give (the
-    /// scheduler's tie-breaks depend on it), and a counter-driven list
-    /// scheduler replays the height-priority schedule.
+    /// ISE of the given footprint.
     pub fn candidate_len(&mut self, members: &NodeSet, footprint: SchedOp) -> u32 {
-        collapse_soa(
+        collapsed_len(
             &self.base,
             &[(members.clone(), footprint)],
-            &mut self.qscratch,
-            &mut self.quotient,
-        );
-        height_into(&self.quotient.graph, &mut self.height);
-        schedule_len_counters(
-            &self.quotient.graph,
             self.machine,
-            &self.height,
-            &mut self.sched_scratch,
+            &mut self.collapse,
         )
     }
+}
+
+/// Reusable buffers for [`collapsed_len`]: the quotient, its construction
+/// scratch and the list scheduler's.
+#[derive(Debug, Default)]
+pub(crate) struct CollapseScratch {
+    qscratch: QuotientScratch,
+    quotient: Quotient,
+    list: ListScratch,
+}
+
+/// Schedule length of `base` with every `(members, footprint)` group
+/// collapsed into one instruction: [`collapse_soa`] builds the quotient
+/// with the numbering `collapse_groups` would give (the scheduler's
+/// tie-breaks depend on it), and the height-priority list scheduler
+/// schedules it. Candidate ranking and the leave-one-out sweep both go
+/// through here.
+pub(crate) fn collapsed_len(
+    base: &SoaGraph,
+    groups: &[(NodeSet, SchedOp)],
+    machine: &MachineConfig,
+    s: &mut CollapseScratch,
+) -> u32 {
+    collapse_soa(base, groups, &mut s.qscratch, &mut s.quotient);
+    schedule_soa(&s.quotient.graph, machine, Priority::Height, &mut s.list)
 }
 
 #[cfg(test)]

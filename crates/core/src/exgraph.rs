@@ -10,7 +10,8 @@
 use isex_dfg::{Dfg, NodeId, NodeSet};
 use isex_isa::{HwOption, MachineConfig, ProgramDfg};
 use isex_sched::collapse::{collapse_groups, CollapsedGraph};
-use isex_sched::{SchedDfg, SchedOp, UnitClass};
+use isex_sched::soa::SoaGraph;
+use isex_sched::{schedule_soa, ListScratch, Priority, SchedOp, UnitClass};
 
 /// What an exploration node stands for.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,11 +106,11 @@ pub fn freeze(
     collapse_groups(g, &[(members.clone(), frozen)])
 }
 
-/// Lowers the exploration graph to schedulable form with every node on its
+/// Lowers the exploration graph to array form with every node on its
 /// first software option (frozen ISEs on their fixed latency). This is the
-/// "no new ISE" schedule of the current round.
-pub fn to_sched(g: &ExGraph) -> SchedDfg {
-    g.map(|_, op| op.sched_op(0))
+/// "no new ISE" graph of the current round.
+pub fn to_soa(g: &ExGraph) -> SoaGraph {
+    SoaGraph::from_dfg(g, |op| op.sched_op(0))
 }
 
 /// The schedule length of `g` with no new ISEs, under the given machine.
@@ -119,7 +120,12 @@ pub fn to_sched(g: &ExGraph) -> SchedDfg {
 /// weaknesses of a particular ready-list heuristic (the child-count SP is
 /// still what ranks operations *inside* the exploration walks, per §4.3).
 pub fn schedule_len(g: &ExGraph, machine: &MachineConfig) -> u32 {
-    isex_sched::list_schedule(&to_sched(g), machine, isex_sched::Priority::Height).length
+    schedule_soa(
+        &to_soa(g),
+        machine,
+        Priority::Height,
+        &mut ListScratch::new(),
+    )
 }
 
 #[cfg(test)]

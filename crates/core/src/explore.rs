@@ -15,15 +15,14 @@ use std::sync::{Arc, OnceLock};
 use isex_aco::{AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{analysis, convex, ports, CsrAdjacency, NodeId, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
-use isex_sched::collapse::collapse_groups;
-use isex_sched::soa::SoaGraph;
-use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp, UnitClass};
+use isex_sched::soa::{self, SoaGraph};
+use isex_sched::{schedule_soa, ListScratch, Priority, SchedOp, UnitClass};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::ant::{Ant, AntScratch, Walk};
 use crate::candidate::{Constraints, IseCandidate};
-use crate::evalcache::RoundEval;
+use crate::evalcache::{collapsed_len, CollapseScratch, RoundEval};
 use crate::exgraph::{self, ExGraph, ExKind};
 use crate::merit;
 use crate::trail::{self, TrailState};
@@ -194,10 +193,13 @@ impl MultiIssueExplorer {
         // The original graph is lowered once and the lowering shared
         // between the baseline measurement and the leave-one-out sweep at
         // the end.
-        let mut loo_scratch = ListScratch::new();
-        let g0_sched = exgraph::to_sched(&g0);
-        let baseline =
-            list_schedule_len(&g0_sched, &self.machine, Priority::Height, &mut loo_scratch);
+        let base0 = exgraph::to_soa(&g0);
+        let baseline = schedule_soa(
+            &base0,
+            &self.machine,
+            Priority::Height,
+            &mut ListScratch::new(),
+        );
         let mut current = g0.clone();
         let mut commits: Vec<IseCandidate> = Vec::new();
         let mut iterations = 0usize;
@@ -313,18 +315,22 @@ impl MultiIssueExplorer {
         // the schedule degrades without it (jointly-necessary candidates
         // each carry the joint gain, which is what selection should see).
         // With the shared lowering this is k+1 quotient collapses of one
-        // `SchedDfg`.
-        let all_len =
-            schedule_with_lowered(&g0_sched, &commits, None, &self.machine, &mut loo_scratch);
-        for i in 0..commits.len() {
-            let without = schedule_with_lowered(
-                &g0_sched,
-                &commits,
-                Some(i),
-                &self.machine,
-                &mut loo_scratch,
-            );
-            commits[i].saved_cycles = without.saturating_sub(all_len);
+        // `SoaGraph`; a frozen candidate collapses to
+        // `SchedOp::new(latency, inputs, outputs, Asfu)`.
+        let groups: Vec<(NodeSet, SchedOp)> = commits
+            .iter()
+            .map(|c| {
+                let fp = SchedOp::new(c.latency, c.inputs, c.outputs, UnitClass::Asfu);
+                (c.nodes.clone(), fp)
+            })
+            .collect();
+        let mut loo = CollapseScratch::default();
+        let all_len = collapsed_len(&base0, &groups, &self.machine, &mut loo);
+        for (i, c) in commits.iter_mut().enumerate() {
+            let mut without = groups.clone();
+            without.remove(i);
+            let without_len = collapsed_len(&base0, &without, &self.machine, &mut loo);
+            c.saved_cycles = without_len.saturating_sub(all_len);
         }
         Exploration {
             candidates: commits,
@@ -371,7 +377,7 @@ impl MultiIssueExplorer {
             &self.constraints,
             self.params.lambda,
             self.sp_function,
-            &eval.sched,
+            &eval.base,
             &csr,
         );
         let mut ant_scratch = AntScratch::default();
@@ -476,12 +482,15 @@ impl MultiIssueExplorer {
                 .then(b.0.members.len().cmp(&a.0.members.len()))
         });
         if debug_enabled() {
-            let sched = &eval.sched;
-            let crit = isex_sched::timing::critical_nodes(sched);
+            let (mut asap, mut alap) = (Vec::new(), Vec::new());
+            soa::asap_into(&eval.base, &mut asap);
+            let dep_len = soa::length_from_asap(&eval.base, &asap);
+            soa::alap_into(&eval.base, dep_len, &mut alap);
+            let on_crit = |n: NodeId| asap[n.index()] == alap[n.index()];
             eprintln!(
                 "[round] base_len={} dep_len={} best_tet={}",
                 base_len,
-                isex_sched::timing::dep_length(sched),
+                dep_len,
                 best_tet.unwrap_or(0),
             );
             for (c, s, _) in ranked.iter().take(4) {
@@ -491,7 +500,7 @@ impl MultiIssueExplorer {
                     c.latency,
                     s,
                     c.members.iter().map(|n| n.index()).collect::<Vec<_>>(),
-                    c.members.iter().filter(|n| crit.contains(*n)).count()
+                    c.members.iter().filter(|&n| on_crit(n)).count()
                 );
             }
         }
@@ -522,34 +531,6 @@ pub(crate) fn walk_area(g: &ExGraph, walk: &Walk) -> f64 {
             ImplChoice::Sw(_) => 0.0,
         })
         .sum()
-}
-
-/// Schedule length of the original graph with the given committed
-/// candidates frozen in (optionally skipping one) — used for leave-one-out
-/// gain attribution. Collapses the candidates directly on the shared
-/// lowering `g0_sched`: a frozen candidate lowers to
-/// `SchedOp::new(latency, inputs, outputs, Asfu)`, so the k leave-one-out
-/// evaluations reuse one lowering and one scheduler scratch.
-pub(crate) fn schedule_with_lowered(
-    g0_sched: &SchedDfg,
-    commits: &[IseCandidate],
-    skip: Option<usize>,
-    machine: &MachineConfig,
-    scratch: &mut ListScratch,
-) -> u32 {
-    let groups: Vec<(NodeSet, SchedOp)> = commits
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| Some(*i) != skip)
-        .map(|(_, c)| {
-            (
-                c.nodes.clone(),
-                SchedOp::new(c.latency, c.inputs, c.outputs, UnitClass::Asfu),
-            )
-        })
-        .collect();
-    let collapsed = collapse_groups(g0_sched, &groups);
-    list_schedule_len(&collapsed.dfg, machine, Priority::Height, scratch)
 }
 
 /// Extracts legal ISE candidates from the converged option assignment:
@@ -872,7 +853,7 @@ mod tests {
         let reach = Reachability::compute(&g);
         let cons = Constraints::new(3, 2);
         let all = NodeSet::full(g.len());
-        let base = SoaGraph::from_sched(&exgraph::to_sched(&g));
+        let base = exgraph::to_soa(&g);
         let masks = merit::PortMasks::new(&g);
         let mut kernel = merit::GrowScratch::default();
         let pieces = enforce_ports(&g, all, &cons, &reach, |seed, s| {

@@ -488,8 +488,8 @@ impl FastMeritScratch {
 ///
 /// Each query equals a free-function reference — [`virtual_subgraph`],
 /// [`ports::demand`], [`isex_dfg::convex::is_convex`], [`evaluate_option`],
-/// [`software_cycles`], `isex_sched::timing::max_aec` on the walk's
-/// collapsed graph, and the allocating greedy `explore::grow_legal_from`
+/// [`software_cycles`], the `isex-sched` reference `timing::max_aec` on the
+/// walk's collapsed graph, and the allocating greedy `explore::grow_legal_from`
 /// for legality repair — which the unit tests check on real hot blocks.
 pub(crate) struct FastPrims<'a> {
     pub scratch: &'a mut FastMeritScratch,
@@ -1084,7 +1084,7 @@ mod tests {
         let g = exgraph::build(&dfg);
         let cons = Constraints::new(3, 2);
         let reach = Reachability::compute(&g);
-        let base = SoaGraph::from_sched(&exgraph::to_sched(&g));
+        let base = exgraph::to_soa(&g);
         let all = NodeSet::full(g.len());
         let mut grown = NodeSet::new(g.len());
         let masks = PortMasks::new(&g);

@@ -7,7 +7,7 @@
 
 use isex_dfg::{NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
-use isex_sched::collapse::{collapse, IseUnit};
+use isex_sched::collapse::collapse_groups;
 use isex_sched::{list_schedule, unit, Priority, SchedOp, UnitClass};
 
 use crate::select::SelectedIse;
@@ -42,24 +42,21 @@ pub fn replace_in_block(
     // serialise another block (single ASFU slot, multi-cycle latency).
     let mut claimed = NodeSet::new(dfg.len());
     let mut matches: Vec<(usize, NodeSet)> = Vec::new();
-    let mut kept_units: Vec<IseUnit> = Vec::new();
+    let mut kept_units: Vec<(NodeSet, SchedOp)> = Vec::new();
     let mut best_cycles = cycles_before;
     for (rank, sel) in selection.iter().enumerate() {
         for image in sel.pattern.find_matches(dfg, &reach) {
             if image.intersects(&claimed) {
                 continue;
             }
-            let unit = IseUnit {
-                nodes: image.clone(),
-                op: SchedOp::new(
-                    sel.pattern.latency,
-                    sel.pattern.inputs,
-                    sel.pattern.outputs,
-                    UnitClass::Asfu,
-                ),
-            };
-            kept_units.push(unit);
-            let collapsed = collapse(&sched, &kept_units);
+            let op = SchedOp::new(
+                sel.pattern.latency,
+                sel.pattern.inputs,
+                sel.pattern.outputs,
+                UnitClass::Asfu,
+            );
+            kept_units.push((image.clone(), op));
+            let collapsed = collapse_groups(&sched, &kept_units);
             let len = list_schedule(&collapsed.dfg, machine, Priority::Height).length;
             if len <= best_cycles {
                 best_cycles = len;

@@ -2,43 +2,22 @@
 //!
 //! ISE replacement (§3.1, final design-flow stage) substitutes matched
 //! subgraphs with single ISE instructions, after which "the code is
-//! scheduled again to obtain execution time" (§5.1). [`collapse`] performs
-//! the substitution on a [`SchedDfg`]: each selected subgraph becomes one
-//! node whose latency/port footprint the caller supplies, and all edges are
-//! re-routed through the quotient graph.
+//! scheduled again to obtain execution time" (§5.1). [`collapse_groups`]
+//! performs the substitution on a DFG of any payload — a
+//! [`SchedDfg`](crate::SchedDfg) for replacement, the explorer's graph when
+//! it freezes a committed ISE: each selected subgraph becomes one node
+//! whose payload the caller supplies, and all edges are re-routed through
+//! the quotient graph. It is also the reference that
+//! [`collapse_soa`](crate::soa::collapse_soa) replays on arrays.
 
 use isex_dfg::{Dfg, NodeId, NodeSet, Operand};
 
-use crate::unit::{SchedDfg, SchedOp};
-
-/// One ISE instance to collapse: the member nodes and the footprint of the
-/// resulting single instruction.
-#[derive(Clone, Debug)]
-pub struct IseUnit {
-    /// Member operations (must be convex and pairwise disjoint from other
-    /// collapsed units).
-    pub nodes: NodeSet,
-    /// Footprint of the collapsed instruction (latency = ceil of the ASFU
-    /// critical delay, reads = `IN(S)`, writes = `OUT(S)`, class `Asfu`).
-    pub op: SchedOp,
-}
-
-/// The result of a collapse: the quotient graph plus the node mapping.
-#[derive(Clone, Debug)]
-pub struct Collapsed {
-    /// The quotient graph: one node per un-collapsed operation and per ISE.
-    pub dfg: SchedDfg,
-    /// For every original node, the quotient node that now contains it.
-    pub node_map: Vec<NodeId>,
-    /// For every ISE (by input index), its quotient node.
-    pub ise_nodes: Vec<NodeId>,
-}
-
-/// Payload-generic version of [`Collapsed`], produced by
-/// [`collapse_groups`].
+/// The result of [`collapse_groups`]: the quotient graph plus the node
+/// mapping.
 #[derive(Clone, Debug)]
 pub struct CollapsedGraph<N> {
-    /// The quotient graph.
+    /// The quotient graph: one node per un-collapsed operation and per
+    /// group.
     pub dfg: Dfg<N>,
     /// For every original node, the quotient node that now contains it.
     pub node_map: Vec<NodeId>,
@@ -46,18 +25,26 @@ pub struct CollapsedGraph<N> {
     pub group_nodes: Vec<NodeId>,
 }
 
-/// Collapses each subgraph of `ises` into a single node.
+/// Collapses each `(set, payload)` group of any payload-typed DFG into a
+/// single node carrying `payload`. Edges are deduplicated and re-routed
+/// through the quotient graph; the group node's operands are the distinct
+/// external inputs of the set (constants are dropped — they are hard-wired
+/// into the collapsed unit).
+///
+/// For an ISE, the payload is the footprint of the single instruction:
+/// latency = ceil of the ASFU critical delay, reads = `IN(S)`, writes =
+/// `OUT(S)`, class `Asfu`.
 ///
 /// # Panics
 ///
-/// Panics if the ISE node sets overlap, or if the quotient graph is cyclic
-/// (which happens exactly when some set is not convex).
+/// Panics if group sets overlap or if the quotient graph is cyclic (i.e.
+/// some set is not convex).
 ///
 /// # Example
 ///
 /// ```
 /// use isex_dfg::{NodeSet, Operand};
-/// use isex_sched::collapse::{collapse, IseUnit};
+/// use isex_sched::collapse::collapse_groups;
 /// use isex_sched::{SchedDfg, SchedOp, UnitClass};
 ///
 /// let mut g = SchedDfg::new();
@@ -68,30 +55,9 @@ pub struct CollapsedGraph<N> {
 /// let mut s = NodeSet::new(3);
 /// s.insert(b);
 /// s.insert(c);
-/// let ise = IseUnit { nodes: s, op: SchedOp::new(1, 1, 1, UnitClass::Asfu) };
-/// let out = collapse(&g, &[ise]);
+/// let out = collapse_groups(&g, &[(s, SchedOp::new(1, 1, 1, UnitClass::Asfu))]);
 /// assert_eq!(out.dfg.len(), 2); // a + the ISE
 /// ```
-pub fn collapse(dfg: &SchedDfg, ises: &[IseUnit]) -> Collapsed {
-    let groups: Vec<(NodeSet, SchedOp)> = ises.iter().map(|i| (i.nodes.clone(), i.op)).collect();
-    let out = collapse_groups(dfg, &groups);
-    Collapsed {
-        dfg: out.dfg,
-        node_map: out.node_map,
-        ise_nodes: out.group_nodes,
-    }
-}
-
-/// Collapses each `(set, payload)` group of any payload-typed DFG into a
-/// single node carrying `payload`. Edges are deduplicated and re-routed
-/// through the quotient graph; the group node's operands are the distinct
-/// external inputs of the set (constants are dropped — they are hard-wired
-/// into the collapsed unit).
-///
-/// # Panics
-///
-/// Panics if group sets overlap or if the quotient graph is cyclic (i.e.
-/// some set is not convex).
 pub fn collapse_groups<N: Clone>(dfg: &Dfg<N>, groups: &[(NodeSet, N)]) -> CollapsedGraph<N> {
     let k = dfg.len();
     let ises = groups;
@@ -256,7 +222,7 @@ pub fn collapse_groups<N: Clone>(dfg: &Dfg<N>, groups: &[(NodeSet, N)]) -> Colla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::unit::UnitClass;
+    use crate::unit::{SchedDfg, SchedOp, UnitClass};
 
     fn alu() -> SchedOp {
         SchedOp::new(1, 1, 1, UnitClass::Alu)
@@ -278,15 +244,9 @@ mod tests {
         let mut s = NodeSet::new(4);
         s.insert(b);
         s.insert(c);
-        let out = collapse(
-            &g,
-            &[IseUnit {
-                nodes: s,
-                op: asfu(1),
-            }],
-        );
+        let out = collapse_groups(&g, &[(s, asfu(1))]);
         assert_eq!(out.dfg.len(), 3);
-        let ise = out.ise_nodes[0];
+        let ise = out.group_nodes[0];
         assert_eq!(out.dfg.preds(ise).count(), 1);
         assert_eq!(out.dfg.succs(ise).count(), 1);
         assert_eq!(out.node_map[b.index()], ise);
@@ -309,14 +269,8 @@ mod tests {
         let mut s = NodeSet::new(2);
         s.insert(m);
         s.insert(n);
-        let out = collapse(
-            &g,
-            &[IseUnit {
-                nodes: s,
-                op: asfu(1),
-            }],
-        );
-        let ise = out.ise_nodes[0];
+        let out = collapse_groups(&g, &[(s, asfu(1))]);
+        let ise = out.group_nodes[0];
         assert_eq!(out.dfg.len(), 1);
         assert_eq!(
             out.dfg.node(ise).operands().len(),
@@ -349,22 +303,10 @@ mod tests {
         for n in [n6, n7, n8] {
             s678.insert(n);
         }
-        let out = collapse(
-            &g,
-            &[
-                IseUnit {
-                    nodes: s35,
-                    op: asfu(1),
-                },
-                IseUnit {
-                    nodes: s678,
-                    op: asfu(1),
-                },
-            ],
-        );
+        let out = collapse_groups(&g, &[(s35, asfu(1)), (s678, asfu(1))]);
         assert_eq!(out.dfg.len(), 6); // 1,2,4,9 + two ISEs
-        let ise35 = out.ise_nodes[0];
-        let ise678 = out.ise_nodes[1];
+        let ise35 = out.group_nodes[0];
+        let ise678 = out.group_nodes[1];
         assert_eq!(out.dfg.preds(ise35).count(), 1, "feeds from op 2");
         assert_eq!(out.dfg.preds(ise678).count(), 1, "feeds from op 4");
         assert!(out.dfg.node(ise678).is_live_out());
@@ -386,19 +328,7 @@ mod tests {
         s1.insert(b);
         let mut s2 = NodeSet::new(2);
         s2.insert(b);
-        collapse(
-            &g,
-            &[
-                IseUnit {
-                    nodes: s1,
-                    op: asfu(1),
-                },
-                IseUnit {
-                    nodes: s2,
-                    op: asfu(1),
-                },
-            ],
-        );
+        collapse_groups(&g, &[(s1, asfu(1)), (s2, asfu(1))]);
     }
 
     #[test]
@@ -412,13 +342,7 @@ mod tests {
         let mut s = NodeSet::new(3);
         s.insert(a);
         s.insert(c);
-        collapse(
-            &g,
-            &[IseUnit {
-                nodes: s,
-                op: asfu(1),
-            }],
-        );
+        collapse_groups(&g, &[(s, asfu(1))]);
     }
 
     #[test]
@@ -426,7 +350,7 @@ mod tests {
         let mut g = SchedDfg::new();
         let a = g.add_node(alu(), vec![]);
         let b = g.add_node(alu(), vec![Operand::Node(a)]);
-        let out = collapse(&g, &[]);
+        let out = collapse_groups(&g, &[]);
         assert_eq!(out.dfg.len(), 2);
         assert_eq!(out.node_map[a.index()].index(), 0);
         assert_eq!(out.node_map[b.index()].index(), 1);

@@ -8,14 +8,22 @@
 //! * a schedulable program form ([`SchedDfg`] = `Dfg<SchedOp>`) and the
 //!   lowering from the ISA-level [`ProgramDfg`](isex_isa::ProgramDfg)
 //!   ([`unit::lower`]);
+//! * the struct-of-arrays graph every schedule and hot-loop timing pass
+//!   runs on ([`soa::SoaGraph`]), with its ASAP/ALAP/height kernels, the
+//!   quotient collapse of ISE groups ([`soa::collapse_soa`]) and the
+//!   quotient-free timing of an ant walk ([`soa::walk_timing_into`]);
 //! * a per-cycle resource model — issue slots, register-file read/write
 //!   ports, multiplier and memory units ([`resources`]);
-//! * an in-order list scheduler with pluggable priority
-//!   ([`list::list_schedule`], [`Priority`]);
-//! * dependence-only timing: ASAP/ALAP, mobility, critical-path membership
-//!   and the `Max_AEC` slack window of the merit function ([`timing`]);
+//! * one in-order list scheduler with pluggable priority
+//!   ([`list::schedule_soa`] on a `SoaGraph`, [`list_schedule`] on a
+//!   `SchedDfg`, [`Priority`]);
+//! * dependence-only timing on a `SchedDfg`: ASAP/ALAP, mobility,
+//!   critical-path membership and the `Max_AEC` slack window of the merit
+//!   function ([`timing`]) — the reference the `soa` kernels are tested
+//!   against;
 //! * collapsing of chosen ISE subgraphs into single schedulable units
-//!   ([`collapse`]).
+//!   ([`collapse`]);
+//! * a text timeline of a schedule ([`display`]).
 //!
 //! # Example
 //!
@@ -47,5 +55,5 @@ pub mod soa;
 pub mod timing;
 pub mod unit;
 
-pub use list::{list_schedule, list_schedule_len, ListScratch, Priority, Schedule};
+pub use list::{list_schedule, list_schedule_len, schedule_soa, ListScratch, Priority, Schedule};
 pub use unit::{SchedDfg, SchedOp, UnitClass};

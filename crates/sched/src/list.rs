@@ -4,12 +4,20 @@
 //! scheduling"; the same scheduler is used stand-alone to evaluate final
 //! code (ISE replacement is followed by "schedule the code again to obtain
 //! execution time", §5.1).
+//!
+//! One scheduling loop, [`schedule_soa`], serves every caller. It runs on a
+//! [`SoaGraph`]: [`list_schedule`] and [`list_schedule_len`] lower a
+//! [`SchedDfg`] into the graph their [`ListScratch`] holds, and the
+//! explorer, whose graphs are already in array form, calls it directly.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use isex_dfg::NodeId;
 use isex_isa::MachineConfig;
 
 use crate::resources::ResourceTable;
-use crate::timing;
+use crate::soa::{self, SoaGraph};
 use crate::unit::SchedDfg;
 
 /// The scheduling-priority (SP) function used to rank ready operations.
@@ -30,31 +38,28 @@ pub enum Priority {
 
 impl Priority {
     /// Computes the static priority value of every node (larger = sooner).
-    pub fn values(self, dfg: &SchedDfg) -> Vec<i64> {
+    pub fn values(self, g: &SoaGraph) -> Vec<i64> {
         let mut out = Vec::new();
-        self.values_into(dfg, &mut out);
+        self.values_into(g, &mut out);
         out
     }
 
     /// Like [`Priority::values`], but writes into `out` (cleared first) so
     /// a caller scheduling many graphs can reuse one allocation.
-    pub fn values_into(self, dfg: &SchedDfg, out: &mut Vec<i64>) {
-        out.clear();
+    pub fn values_into(self, g: &SoaGraph, out: &mut Vec<i64>) {
         match self {
             Priority::ChildCount => {
-                out.extend(dfg.node_ids().map(|n| dfg.child_count(n) as i64));
+                out.clear();
+                out.extend((0..g.len()).map(|v| g.succs(v).len() as i64));
             }
-            Priority::Height => {
-                // latency-weighted height: cycles from issue to end of chain
-                out.resize(dfg.len(), 0);
-                for u in (0..dfg.len()).rev() {
-                    let uid = NodeId::new(u as u32);
-                    let lat = dfg.node(uid).payload().latency as i64;
-                    out[u] = lat + dfg.succs(uid).map(|s| out[s.index()]).max().unwrap_or(0);
-                }
-            }
+            // latency-weighted height: cycles from issue to end of chain
+            Priority::Height => soa::height_into(g, out),
             Priority::Mobility => {
-                out.extend(timing::mobility(dfg).into_iter().map(|m| -(m as i64)));
+                let (mut asap, mut alap) = (Vec::new(), Vec::new());
+                soa::asap_into(g, &mut asap);
+                soa::alap_into(g, soa::length_from_asap(g, &asap), &mut alap);
+                out.clear();
+                out.extend(asap.iter().zip(&alap).map(|(a, l)| -((l - a) as i64)));
             }
         }
     }
@@ -107,7 +112,7 @@ impl Schedule {
 /// ```
 pub fn list_schedule(dfg: &SchedDfg, machine: &MachineConfig, priority: Priority) -> Schedule {
     let mut scratch = ListScratch::new();
-    let length = schedule_into(dfg, machine, priority, &mut scratch);
+    let length = list_schedule_len(dfg, machine, priority, &mut scratch);
     Schedule {
         start: std::mem::take(&mut scratch.start),
         length,
@@ -115,28 +120,34 @@ pub fn list_schedule(dfg: &SchedDfg, machine: &MachineConfig, priority: Priority
 }
 
 /// [`list_schedule`] for callers that only need the makespan, reusing the
-/// buffers in `scratch` so the hot loop (one schedule per candidate
-/// evaluation) allocates nothing.
+/// buffers in `scratch` (the lowered graph included) across calls.
 pub fn list_schedule_len(
     dfg: &SchedDfg,
     machine: &MachineConfig,
     priority: Priority,
     scratch: &mut ListScratch,
 ) -> u32 {
-    schedule_into(dfg, machine, priority, scratch)
+    let mut g = std::mem::take(&mut scratch.graph);
+    g.assign(dfg, |op| *op);
+    let length = schedule_soa(&g, machine, priority, scratch);
+    scratch.graph = g;
+    length
 }
 
-/// Reusable buffers for the list scheduler: issue cycles, scheduled flags,
-/// priorities, the per-cycle ready list and the resource table.
+/// Reusable buffers for the list scheduler: the lowered graph, issue
+/// cycles, priorities, pending-predecessor counters, the ready list, the
+/// completion heap and the resource table.
 ///
-/// One `ListScratch` serves any sequence of `(dfg, machine)` pairs — every
-/// buffer is cleared (not reallocated) at the start of each schedule.
+/// One `ListScratch` serves any sequence of `(graph, machine)` pairs —
+/// every buffer is cleared (not reallocated) at the start of each schedule.
 #[derive(Debug, Default)]
 pub struct ListScratch {
+    graph: SoaGraph,
     start: Vec<u32>,
-    scheduled: Vec<bool>,
     prio: Vec<i64>,
-    ready: Vec<NodeId>,
+    pending: Vec<u32>,
+    ready: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
     resources: Option<ResourceTable>,
 }
 
@@ -147,82 +158,226 @@ impl ListScratch {
     }
 }
 
-/// The scheduler core: fills `scratch.start` and returns the makespan.
-fn schedule_into(
-    dfg: &SchedDfg,
+/// Schedules `g` on `machine` with the given priority and returns the
+/// makespan. This is the crate's one list-scheduling loop.
+///
+/// Each cycle, the data-ready nodes (every predecessor issued and
+/// completed) are issued greedily in `(-priority, index)` order as far as
+/// [`ResourceTable::can_issue`] admits; the index breaks ties, so the
+/// schedule is deterministic and depends on the node numbering. Readiness
+/// is kept by predecessor counters and a completion heap rather than a
+/// rescan of every node, so a cycle costs O(ready), and cycles in which
+/// nothing is ready are skipped (no decision could change in them).
+///
+/// # Panics
+///
+/// Panics if some operation's port demand exceeds the machine even in an
+/// empty cycle, as [`list_schedule`] documents.
+pub fn schedule_soa(
+    g: &SoaGraph,
     machine: &MachineConfig,
     priority: Priority,
     scratch: &mut ListScratch,
 ) -> u32 {
     // One thread-local read when no tracer is attached — the scheduler is
     // called per candidate evaluation, so this must stay near-free.
-    let _span = isex_trace::span_with("sched.list", || vec![("ops", dfg.len().to_string())]);
-    let k = dfg.len();
-    let ListScratch {
-        start,
-        scheduled,
-        prio,
-        ready,
-        resources,
-    } = scratch;
-    start.clear();
-    start.resize(k, 0);
-    scheduled.clear();
-    scheduled.resize(k, false);
-    priority.values_into(dfg, prio);
-    let resources = resources.get_or_insert_with(|| ResourceTable::new(*machine));
-    resources.reset(*machine);
-    let mut remaining = k;
-    let mut cycle: u32 = 0;
-
+    let _span = isex_trace::span_with("sched.list", || vec![("ops", g.len().to_string())]);
+    let k = g.len();
     // Pre-check impossibility so the loop below cannot spin forever.
-    for (id, node) in dfg.iter() {
-        let op = node.payload();
+    for v in 0..k {
         assert!(
-            op.reads <= machine.read_ports && op.writes <= machine.write_ports,
-            "operation {id:?} demands {}R/{}W, machine has {}R/{}W",
-            op.reads,
-            op.writes,
+            g.reads[v] as usize <= machine.read_ports
+                && g.writes[v] as usize <= machine.write_ports,
+            "operation {v} demands {}R/{}W, machine has {}R/{}W",
+            g.reads[v],
+            g.writes[v],
             machine.read_ports,
             machine.write_ports
         );
     }
+    let ListScratch {
+        start,
+        prio,
+        pending,
+        ready,
+        heap,
+        resources,
+        ..
+    } = scratch;
+    priority.values_into(g, prio);
+    start.clear();
+    start.resize(k, 0);
+    pending.clear();
+    pending.extend((0..k).map(|v| g.preds(v).len() as u32));
+    ready.clear();
+    ready.extend((0..k as u32).filter(|&v| pending[v as usize] == 0));
+    heap.clear();
+    let rt = resources.get_or_insert_with(|| ResourceTable::new(*machine));
+    rt.reset(*machine);
+    let mut remaining = k;
+    let mut cycle: u32 = 0;
 
     while remaining > 0 {
-        // Data-ready: all predecessors issued and completed by `cycle`.
-        ready.clear();
-        ready.extend(dfg.node_ids().filter(|&n| {
-            !scheduled[n.index()]
-                && dfg.preds(n).all(|p| {
-                    scheduled[p.index()]
-                        && start[p.index()] + dfg.node(p).payload().latency <= cycle
-                })
-        }));
-        // Priority order; node id breaks ties deterministically.
-        ready.sort_by_key(|&n| (-prio[n.index()], n.index()));
-        for &n in ready.iter() {
-            let op = dfg.node(n).payload();
-            if resources.can_issue(cycle, op) {
-                resources.commit(cycle, op);
-                start[n.index()] = cycle;
-                scheduled[n.index()] = true;
-                remaining -= 1;
+        while let Some(&Reverse((finish, node))) = heap.peek() {
+            if finish > cycle {
+                break;
+            }
+            heap.pop();
+            for &s in g.succs(node as usize) {
+                pending[s as usize] -= 1;
+                if pending[s as usize] == 0 {
+                    ready.push(s);
+                }
             }
         }
+        if ready.is_empty() {
+            // Nothing can become ready before the next completion.
+            let &Reverse((finish, _)) = heap.peek().expect("in-flight work exists");
+            cycle = finish;
+            continue;
+        }
+        // Priority order; node index breaks ties deterministically.
+        ready.sort_unstable_by_key(|&v| (-prio[v as usize], v));
+        let mut keep = 0;
+        for i in 0..ready.len() {
+            let v = ready[i];
+            let op = g.op(v as usize);
+            if rt.can_issue(cycle, &op) {
+                rt.commit(cycle, &op);
+                start[v as usize] = cycle;
+                heap.push(Reverse((cycle + op.latency, v)));
+                remaining -= 1;
+            } else {
+                ready[keep] = v;
+                keep += 1;
+            }
+        }
+        ready.truncate(keep);
         cycle += 1;
     }
 
-    dfg.iter()
-        .map(|(id, n)| start[id.index()] + n.payload().latency)
-        .max()
-        .unwrap_or(0)
+    (0..k).map(|v| start[v] + g.lat[v]).max().unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collapse::collapse_groups;
+    use crate::soa::tests::{random_dfg, random_groups};
+    use crate::timing;
     use crate::unit::{SchedOp, UnitClass};
     use isex_dfg::Operand;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-cycle rescan scheduler, kept as the reference for
+    /// [`schedule_soa`]: every cycle it rescans all nodes for data
+    /// readiness and issues the ready ones in `(-prio, index)` order.
+    fn rescan_schedule(dfg: &SchedDfg, machine: &MachineConfig, prio: &[i64]) -> Schedule {
+        let k = dfg.len();
+        let mut start = vec![0u32; k];
+        let mut scheduled = vec![false; k];
+        let mut rt = ResourceTable::new(*machine);
+        let (mut remaining, mut cycle) = (k, 0u32);
+        while remaining > 0 {
+            let mut ready: Vec<NodeId> = dfg
+                .node_ids()
+                .filter(|&n| {
+                    !scheduled[n.index()]
+                        && dfg.preds(n).all(|p| {
+                            scheduled[p.index()]
+                                && start[p.index()] + dfg.node(p).payload().latency <= cycle
+                        })
+                })
+                .collect();
+            ready.sort_by_key(|&n| (-prio[n.index()], n.index()));
+            for n in ready {
+                let op = dfg.node(n).payload();
+                if rt.can_issue(cycle, op) {
+                    rt.commit(cycle, op);
+                    start[n.index()] = cycle;
+                    scheduled[n.index()] = true;
+                    remaining -= 1;
+                }
+            }
+            cycle += 1;
+        }
+        let length = dfg
+            .iter()
+            .map(|(id, n)| start[id.index()] + n.payload().latency)
+            .max()
+            .unwrap_or(0);
+        Schedule { start, length }
+    }
+
+    /// Priority values computed independently of the `soa` kernels:
+    /// child counts on the `Dfg`, height as `len − ALAP` at the
+    /// dependence-only length, and negated [`timing::mobility`].
+    fn reference_priority(priority: Priority, dfg: &SchedDfg) -> Vec<i64> {
+        match priority {
+            Priority::ChildCount => dfg.node_ids().map(|n| dfg.child_count(n) as i64).collect(),
+            Priority::Height => {
+                let len = timing::dep_length(dfg);
+                timing::alap(dfg, len)
+                    .iter()
+                    .map(|&l| (len - l) as i64)
+                    .collect()
+            }
+            Priority::Mobility => timing::mobility(dfg).iter().map(|&m| -(m as i64)).collect(),
+        }
+    }
+
+    /// The counter-driven scheduler must issue every node in the same cycle
+    /// as the rescan reference: random DAGs and their quotients under
+    /// random ISE groups (so `Asfu` vertices appear), every priority, on
+    /// pipelined and blocking-ASFU machines, one scratch reused throughout.
+    #[test]
+    fn counter_scheduler_matches_rescan_scheduler() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut scratch = ListScratch::new();
+        let machines = [
+            MachineConfig::preset_2issue_4r2w(),
+            MachineConfig::preset_4issue_10r5w(),
+            MachineConfig::new(1, 4, 2),
+        ];
+        let (mut schedules, mut asfu_delayed) = (0usize, 0usize);
+        for i in 0..40 {
+            let k = rng.gen_range(2..50);
+            let dfg = random_dfg(&mut rng, k);
+            let groups = random_groups(&mut rng, k);
+            let quotient = collapse_groups(&dfg, &groups).dfg;
+            for (g, name) in [(&dfg, "base"), (&quotient, "quotient")] {
+                let soa_graph = SoaGraph::from_sched(g);
+                for p in [Priority::ChildCount, Priority::Height, Priority::Mobility] {
+                    let prio = reference_priority(p, g);
+                    assert_eq!(p.values(&soa_graph), prio, "graph {i} {name}: {p:?} values");
+                    for m in machines {
+                        let mut blocking = m;
+                        blocking.asfu_pipelined = false;
+                        let mut starts = Vec::new();
+                        for machine in [m, blocking] {
+                            let expect = rescan_schedule(g, &machine, &prio);
+                            let length = list_schedule_len(g, &machine, p, &mut scratch);
+                            let got = Schedule {
+                                start: scratch.start.clone(),
+                                length,
+                            };
+                            assert_eq!(got, expect, "graph {i} {name}: {p:?} on {machine:?}");
+                            starts.push(got.start);
+                            schedules += 1;
+                        }
+                        // The machines differ only in ASFU pipelining.
+                        asfu_delayed += usize::from(starts[0] != starts[1]);
+                    }
+                }
+            }
+        }
+        assert_eq!(schedules, 40 * 2 * 3 * 3 * 2);
+        assert!(
+            asfu_delayed >= 30,
+            "a blocking ASFU delayed an issue in only {asfu_delayed} schedules"
+        );
+    }
 
     fn alu(reads: usize) -> SchedOp {
         SchedOp::new(1, reads, 1, UnitClass::Alu)

@@ -1,6 +1,6 @@
-//! Struct-of-arrays hot-loop kernels: arena graph, exact quotient
-//! collapse, quotient-free walk timing and a counter-driven list
-//! scheduler.
+//! Struct-of-arrays graph form and its kernels: the arena graph the list
+//! scheduler runs on, dependence-only timing, exact quotient collapse and
+//! quotient-free walk timing.
 //!
 //! The exploration loop evaluates thousands of ISE patches per round, and
 //! each evaluation used to rebuild a pointer-rich [`SchedDfg`] quotient and
@@ -8,7 +8,12 @@
 //! data-oriented replacements:
 //!
 //! * [`SoaGraph`] — latency/read/write/class vectors plus flat CSR
-//!   adjacency arenas, no per-node allocations;
+//!   adjacency arenas, no per-node allocations; built from any payload
+//!   DFG ([`SoaGraph::from_dfg`]) and scheduled by
+//!   [`schedule_soa`](crate::list::schedule_soa);
+//! * [`asap_into`], [`alap_into`], [`length_from_asap`] and
+//!   [`height_into`] — the [`timing`](crate::timing) passes on arrays, and
+//!   the values behind [`Priority`](crate::Priority);
 //! * [`collapse_soa`] — the quotient construction of
 //!   [`collapse_groups`](crate::collapse::collapse_groups) replayed on the
 //!   arrays, producing *bit-identical vertex numbering* (same Kahn order,
@@ -16,26 +21,18 @@
 //!   tie-breaks need that numbering;
 //! * [`walk_timing_into`] — ASAP/ALAP of a walk whose groups are collapsed,
 //!   by a counter-driven pass over the base CSR and its reverse, with no
-//!   quotient at all (timing values do not depend on a vertex numbering);
-//! * [`schedule_len_counters`] — the list scheduler driven by ready
-//!   counters and a completion heap instead of a per-cycle all-nodes
-//!   rescan, decision-identical to [`list_schedule`](crate::list_schedule).
+//!   quotient at all (timing values do not depend on a vertex numbering).
 //!
 //! # Determinism
 //!
 //! Every kernel here is documented (and tested) to reproduce its
-//! `Dfg`-walking counterpart *exactly*: quotient vertex ids, schedule
-//! lengths and all timing vectors are equal value for value, so a caller
-//! may switch representations per evaluation without perturbing a single
-//! downstream f64.
+//! `Dfg`-walking counterpart *exactly*: quotient vertex ids and all timing
+//! vectors are equal value for value, so a caller may switch
+//! representations per evaluation without perturbing a single downstream
+//! f64.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use isex_dfg::{Dfg, NodeSet};
 
-use isex_dfg::NodeSet;
-use isex_isa::MachineConfig;
-
-use crate::resources::ResourceTable;
 use crate::unit::{SchedDfg, SchedOp, UnitClass};
 
 /// A schedulable graph in struct-of-arrays form: per-node footprint
@@ -43,7 +40,7 @@ use crate::unit::{SchedDfg, SchedOp, UnitClass};
 /// (distinct neighbours, first-occurrence order — the same sequences
 /// [`isex_dfg::Dfg::preds`]/[`succs`](isex_dfg::Dfg::succs) yield).
 ///
-/// Node indices follow the source [`SchedDfg`] (or, for a quotient built
+/// Node indices follow the source DFG (or, for a quotient built
 /// by [`collapse_soa`], the emission order of
 /// [`collapse_groups`](crate::collapse::collapse_groups)); the index order
 /// is topological.
@@ -66,25 +63,37 @@ pub struct SoaGraph {
 impl SoaGraph {
     /// Lowers `dfg` into arrays.
     pub fn from_sched(dfg: &SchedDfg) -> Self {
+        Self::from_dfg(dfg, |op| *op)
+    }
+
+    /// Lowers a DFG of any payload into arrays, `op_of` giving each node's
+    /// scheduling footprint.
+    pub fn from_dfg<N>(dfg: &Dfg<N>, op_of: impl Fn(&N) -> SchedOp) -> Self {
         let mut g = SoaGraph::default();
-        for (_, n) in dfg.iter() {
-            let op = n.payload();
-            g.lat.push(op.latency);
-            g.reads.push(op.reads as u32);
-            g.writes.push(op.writes as u32);
-            g.class.push(op.class);
-        }
-        g.pred_off.push(0);
-        for id in dfg.node_ids() {
-            g.pred.extend(dfg.preds(id).map(|p| p.index() as u32));
-            g.pred_off.push(g.pred.len() as u32);
-        }
-        g.succ_off.push(0);
-        for id in dfg.node_ids() {
-            g.succ.extend(dfg.succs(id).map(|s| s.index() as u32));
-            g.succ_off.push(g.succ.len() as u32);
-        }
+        g.assign(dfg, op_of);
         g
+    }
+
+    /// [`SoaGraph::from_dfg`] into `self`, reusing its allocations.
+    pub(crate) fn assign<N>(&mut self, dfg: &Dfg<N>, op_of: impl Fn(&N) -> SchedOp) {
+        self.clear();
+        for (_, n) in dfg.iter() {
+            let op = op_of(n.payload());
+            self.lat.push(op.latency);
+            self.reads.push(op.reads as u32);
+            self.writes.push(op.writes as u32);
+            self.class.push(op.class);
+        }
+        self.pred_off.push(0);
+        for id in dfg.node_ids() {
+            self.pred.extend(dfg.preds(id).map(|p| p.index() as u32));
+            self.pred_off.push(self.pred.len() as u32);
+        }
+        self.succ_off.push(0);
+        for id in dfg.node_ids() {
+            self.succ.extend(dfg.succs(id).map(|s| s.index() as u32));
+            self.succ_off.push(self.succ.len() as u32);
+        }
     }
 
     fn clear(&mut self) {
@@ -117,6 +126,16 @@ impl SoaGraph {
     pub fn succs(&self, v: usize) -> &[u32] {
         &self.succ[self.succ_off[v] as usize..self.succ_off[v + 1] as usize]
     }
+
+    /// The scheduling footprint of node `v`.
+    pub(crate) fn op(&self, v: usize) -> SchedOp {
+        SchedOp {
+            latency: self.lat[v],
+            reads: self.reads[v] as usize,
+            writes: self.writes[v] as usize,
+            class: self.class[v],
+        }
+    }
 }
 
 /// Earliest start of every node (resources ignored), written into `out`.
@@ -143,19 +162,32 @@ pub fn length_from_asap(g: &SoaGraph, asap: &[u32]) -> u32 {
 /// Latest start of every node such that everything finishes by `deadline`,
 /// written into `out`. Equal to
 /// [`timing::alap`](crate::timing::alap) on the source graph.
+///
+/// # Panics
+///
+/// Panics if `deadline` is smaller than the dependence-only length — no
+/// valid ALAP exists then.
 pub fn alap_into(g: &SoaGraph, deadline: u32, out: &mut Vec<u32>) {
     out.clear();
     out.resize(g.len(), 0);
     for v in (0..g.len()).rev() {
-        let lat = g.lat[v];
-        let s = g
+        let latest_finish = g
             .succs(v)
             .iter()
             .map(|&s| out[s as usize])
             .min()
-            .map(|earliest_succ| earliest_succ - lat)
-            .unwrap_or(deadline - lat);
-        out[v] = s;
+            .unwrap_or(deadline);
+        // A start goes negative exactly when `deadline` is below the
+        // dependence-only length, so the check costs no extra pass.
+        out[v] = match latest_finish.checked_sub(g.lat[v]) {
+            Some(start) => start,
+            None => {
+                let mut asap = Vec::new();
+                asap_into(g, &mut asap);
+                let len = length_from_asap(g, &asap);
+                panic!("deadline {deadline} below dependence-only length {len}")
+            }
+        };
     }
 }
 
@@ -511,118 +543,10 @@ pub fn walk_timing_into<'s>(
     }
 }
 
-/// Reusable buffers for [`schedule_len_counters`].
-#[derive(Debug, Default)]
-pub struct CounterSchedScratch {
-    start: Vec<u32>,
-    pending: Vec<u32>,
-    ready: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    resources: Option<ResourceTable>,
-}
-
-/// List-schedules `g` on `machine` with the given priority values,
-/// returning the makespan.
-///
-/// Decision-identical to
-/// [`list_schedule_len`](crate::list_schedule_len): per cycle the
-/// data-ready set, its `(-priority, index)` order and the greedy resource
-/// admissions are exactly those of the per-cycle rescan — but readiness is
-/// maintained by predecessor counters plus a completion heap, so a cycle
-/// costs O(ready) instead of O(nodes × edges), and cycles in which nothing
-/// can start are skipped outright (the rescan path idles through them
-/// issuing nothing, which cannot change any decision).
-///
-/// # Panics
-///
-/// Panics if some operation's port demand exceeds the machine even in an
-/// empty cycle, like the rescan path.
-pub fn schedule_len_counters(
-    g: &SoaGraph,
-    machine: &MachineConfig,
-    prio: &[i64],
-    s: &mut CounterSchedScratch,
-) -> u32 {
-    let k = g.len();
-    for v in 0..k {
-        assert!(
-            g.reads[v] as usize <= machine.read_ports
-                && g.writes[v] as usize <= machine.write_ports,
-            "operation {v} demands {}R/{}W, machine has {}R/{}W",
-            g.reads[v],
-            g.writes[v],
-            machine.read_ports,
-            machine.write_ports
-        );
-    }
-    s.start.clear();
-    s.start.resize(k, 0);
-    s.pending.clear();
-    s.pending
-        .extend((0..k).map(|v| g.pred_off[v + 1] - g.pred_off[v]));
-    s.ready.clear();
-    s.ready
-        .extend((0..k as u32).filter(|&v| s.pending[v as usize] == 0));
-    s.heap.clear();
-    let rt = s
-        .resources
-        .get_or_insert_with(|| ResourceTable::new(*machine));
-    rt.reset(*machine);
-    let mut remaining = k;
-    let mut cycle: u32 = 0;
-
-    while remaining > 0 {
-        while let Some(&Reverse((finish, node))) = s.heap.peek() {
-            if finish > cycle {
-                break;
-            }
-            s.heap.pop();
-            for &sc in g.succs(node as usize) {
-                s.pending[sc as usize] -= 1;
-                if s.pending[sc as usize] == 0 {
-                    s.ready.push(sc);
-                }
-            }
-        }
-        if s.ready.is_empty() {
-            // Nothing can become ready before the next completion; the
-            // rescan path burns these cycles issuing nothing.
-            let &Reverse((finish, _)) = s.heap.peek().expect("in-flight work exists");
-            cycle = finish;
-            continue;
-        }
-        s.ready.sort_unstable_by_key(|&v| (-prio[v as usize], v));
-        let mut keep = 0;
-        for i in 0..s.ready.len() {
-            let v = s.ready[i] as usize;
-            let op = SchedOp {
-                latency: g.lat[v],
-                reads: g.reads[v] as usize,
-                writes: g.writes[v] as usize,
-                class: g.class[v],
-            };
-            if rt.can_issue(cycle, &op) {
-                rt.commit(cycle, &op);
-                s.start[v] = cycle;
-                s.heap.push(Reverse((cycle + g.lat[v], v as u32)));
-                remaining -= 1;
-            } else {
-                s.ready[keep] = v as u32;
-                keep += 1;
-            }
-        }
-        s.ready.truncate(keep);
-        cycle += 1;
-    }
-
-    (0..k).map(|v| s.start[v] + g.lat[v]).max().unwrap_or(0)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::collapse::collapse_groups;
-    use crate::list::{list_schedule_len, ListScratch, Priority};
     use crate::timing;
     use isex_dfg::{NodeId, Operand};
     use rand::rngs::StdRng;
@@ -630,7 +554,7 @@ mod tests {
 
     /// Random DAG with varied latencies/classes, operands drawn from
     /// earlier nodes (so index order is topological by construction).
-    fn random_dfg(rng: &mut StdRng, k: usize) -> SchedDfg {
+    pub(crate) fn random_dfg(rng: &mut StdRng, k: usize) -> SchedDfg {
         let mut g = SchedDfg::new();
         let x = g.live_in();
         for i in 0..k {
@@ -660,8 +584,8 @@ mod tests {
     }
 
     /// A random family of disjoint convex groups of `dfg` (contiguous
-    /// index ranges are always convex).
-    fn random_groups(rng: &mut StdRng, k: usize) -> Vec<(NodeSet, SchedOp)> {
+    /// index ranges are always convex), each an `Asfu` footprint.
+    pub(crate) fn random_groups(rng: &mut StdRng, k: usize) -> Vec<(NodeSet, SchedOp)> {
         let mut groups = Vec::new();
         let mut next = 0usize;
         while next + 1 < k && groups.len() < 3 {
@@ -697,8 +621,22 @@ mod tests {
             assert_eq!(alap, timing::alap(&dfg, len + 3));
             let mut h = Vec::new();
             height_into(&g, &mut h);
-            assert_eq!(h, Priority::Height.values(&dfg));
+            // Height is the distance from issue to the end of the chain.
+            let at_len = timing::alap(&dfg, len);
+            assert!(h.iter().zip(&at_len).all(|(&h, &l)| h == (len - l) as i64));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "deadline 4 below dependence-only length 5")]
+    fn alap_below_length_panics() {
+        let mut dfg = SchedDfg::new();
+        let a = dfg.add_node(SchedOp::new(2, 1, 1, UnitClass::Alu), vec![]);
+        dfg.add_node(
+            SchedOp::new(3, 1, 1, UnitClass::Alu),
+            vec![Operand::Node(a)],
+        );
+        alap_into(&SoaGraph::from_sched(&dfg), 4, &mut Vec::new());
     }
 
     #[test]
@@ -742,54 +680,5 @@ mod tests {
                 assert_eq!(soa_preds, dfg_preds, "pred set of vertex {v}");
             }
         }
-    }
-
-    #[test]
-    fn counter_scheduler_matches_rescan_scheduler() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut list_scratch = ListScratch::new();
-        let mut soa_scratch = CounterSchedScratch::default();
-        let machines = [
-            MachineConfig::preset_2issue_4r2w(),
-            MachineConfig::preset_4issue_10r5w(),
-            MachineConfig::new(1, 4, 2),
-        ];
-        for i in 0..40 {
-            let k = rng.gen_range(1..50);
-            let dfg = random_dfg(&mut rng, k);
-            let g = SoaGraph::from_sched(&dfg);
-            let mut prio = Vec::new();
-            height_into(&g, &mut prio);
-            let m = machines[i % machines.len()];
-            let expect = list_schedule_len(&dfg, &m, Priority::Height, &mut list_scratch);
-            let got = schedule_len_counters(&g, &m, &prio, &mut soa_scratch);
-            assert_eq!(got, expect, "graph {i}");
-        }
-    }
-
-    #[test]
-    fn counter_scheduler_handles_blocking_asfu() {
-        let mut g = SchedDfg::new();
-        let ise = SchedOp::new(3, 2, 1, UnitClass::Asfu);
-        g.add_node(ise, vec![]);
-        g.add_node(ise, vec![]);
-        let mut blocking = MachineConfig::preset_4issue_10r5w();
-        blocking.asfu_pipelined = false;
-        let soa = SoaGraph::from_sched(&g);
-        let mut prio = Vec::new();
-        height_into(&soa, &mut prio);
-        let mut scratch = CounterSchedScratch::default();
-        assert_eq!(
-            schedule_len_counters(&soa, &blocking, &prio, &mut scratch),
-            6
-        );
-    }
-
-    #[test]
-    fn empty_graph_schedules_to_zero() {
-        let g = SoaGraph::default();
-        let m = MachineConfig::default();
-        let mut scratch = CounterSchedScratch::default();
-        assert_eq!(schedule_len_counters(&g, &m, &[], &mut scratch), 0);
     }
 }

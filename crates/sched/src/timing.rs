@@ -6,6 +6,11 @@
 //! time" (§4.0 step 1) and "how much may a non-critical subgraph slip
 //! without hurting the schedule" (§4.3 criterion (3)).
 //!
+//! The explorer does not call this module: it times its graphs with the
+//! array kernels of [`soa`](crate::soa). These passes over a [`SchedDfg`]
+//! are the reference those kernels are tested against, and the API the
+//! benchmark's layer harness times.
+//!
 //! # Topological-order invariant
 //!
 //! Every pass in this module visits nodes in index order (forward for ASAP,

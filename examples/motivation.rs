@@ -8,7 +8,7 @@
 
 use isex::dfg::NodeSet;
 use isex::prelude::*;
-use isex::sched::collapse::{collapse, IseUnit};
+use isex::sched::collapse::collapse_groups;
 use isex::sched::unit;
 
 fn example_dfg() -> ProgramDfg {
@@ -63,11 +63,8 @@ fn main() {
     for i in 0..4u32 {
         chain.insert(isex::dfg::NodeId::new(i));
     }
-    let ise = IseUnit {
-        nodes: chain,
-        op: SchedOp::new(2, 3, 1, UnitClass::Asfu),
-    };
-    let with_ise = collapse(&sched_dfg, &[ise]);
+    let ise = (chain, SchedOp::new(2, 3, 1, UnitClass::Asfu));
+    let with_ise = collapse_groups(&sched_dfg, &[ise]);
 
     let single = MachineConfig::new(1, 4, 2);
     let dual = MachineConfig::preset_2issue_6r3w();

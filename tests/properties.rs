@@ -3,7 +3,7 @@
 
 use isex::dfg::{analysis, convex, ports, NodeId, NodeSet, Reachability};
 use isex::prelude::*;
-use isex::sched::collapse::{collapse, IseUnit};
+use isex::sched::collapse::collapse_groups;
 use isex::sched::{timing, unit};
 use isex::workloads::random::{random_dfg, RandomDfgConfig};
 use proptest::prelude::*;
@@ -153,12 +153,9 @@ proptest! {
             .iter()
             .filter(|&n| sched_dfg.node(n).is_live_out())
             .count();
-        let out = collapse(
+        let out = collapse_groups(
             &sched_dfg,
-            &[IseUnit {
-                nodes: set.clone(),
-                op: SchedOp::new(1, 4, 2, UnitClass::Asfu),
-            }],
+            &[(set.clone(), SchedOp::new(1, 4, 2, UnitClass::Asfu))],
         );
         prop_assert_eq!(out.dfg.len(), dfg.len() - set.len() + 1);
         let after_live_outs = out.dfg.iter().filter(|(_, n)| n.is_live_out()).count();
