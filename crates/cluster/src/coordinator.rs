@@ -2,34 +2,36 @@
 //! sentinels, and re-dispatch.
 //!
 //! Workers dial in over TCP and announce themselves
-//! ([`Hello`](crate::messages::Hello)); the
-//! coordinator shards a run's hot-block job space across them, one
-//! canonical block index per [`JobAssign`]. Because every job seed derives
-//! from the block's canonical index — not from which node runs it or in
-//! what order — the merged result is bitwise identical to a single-node
-//! run at any worker count, placement, or failure history.
+//! ([`Hello`](crate::messages::Hello)); the coordinator shards a run's
+//! `(block, repeat)` job space across them, one job per [`JobAssign`].
+//! Because every job seed derives from `(seed, block, repeat)` — not from
+//! which node runs it or in what order — and a block's repeats are
+//! reduced in repeat order once all are back, the merged result is
+//! bitwise identical to a single-node run at any worker count, placement,
+//! or failure history.
 //!
 //! # Liveness and re-dispatch
 //!
 //! Workers heartbeat every [`CoordinatorConfig::heartbeat_ms`]. A worker
 //! whose connection drops, or that goes silent for
 //! `heartbeat_ms × heartbeat_misses`, is declared dead and its in-flight
-//! blocks return to the pending queue for re-dispatch. If *every* worker
-//! is dead, the coordinator explores pending blocks locally — a cluster
-//! of zero degrades to the single-node flow, it never hangs.
+//! jobs return to the pending queue for re-dispatch. If *every* worker
+//! is dead, the coordinator runs pending jobs locally, one at a time — a
+//! cluster of zero degrades to the single-node flow, it never hangs.
 //!
 //! # Exactly-once completion
 //!
-//! Re-dispatch can race a slow worker against its replacement, so a block
-//! may finish twice; the first [`JobResult`](crate::messages::JobResult)
-//! wins and later duplicates
-//! are dropped (identical by determinism, so "first" is not a choice that
-//! shows in the output). With a journal directory configured, completed
-//! entries are appended to the PR-3 checkpoint journal as they arrive —
-//! a crashed coordinator resumes from it and re-explores only the rest.
+//! Re-dispatch can race a slow worker against its replacement, so a job
+//! may finish twice; the first [`RepeatResult`](crate::messages::RepeatResult)
+//! for a `(block, repeat)` wins and later duplicates are dropped
+//! (identical by determinism, so "first" is not a choice that shows in
+//! the output). When a block's last repeat lands, the block is reduced
+//! with [`entry_from_repeats`] — the same reduction a local run uses —
+//! and, with a journal directory configured, its entry is appended to the
+//! checkpoint journal: a crashed coordinator resumes from it and
+//! re-explores only the rest.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,14 +39,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use isex_engine::{CancelToken, Cancelled, EventSink, FaultPlan, RunMetrics};
+use isex_engine::{
+    CancelToken, Cancelled, EventSink, ExploreJob, FaultPlan, RepeatOutcome, RepeatSlots, RunEvent,
+    RunMetrics, Seq,
+};
 use isex_flow::{
-    explore_block_entry, finish_from_entries, hot_blocks, load_journal, run_key, CheckpointEntry,
-    FlowConfig, FlowReport,
+    append_entry, entry_from_repeats, explore_block_repeat, finish_from_entries, hot_blocks,
+    load_journal, run_key, CheckpointEntry, FlowConfig, FlowReport,
 };
 use isex_serve::ExploreRequest;
 use isex_trace::{OwnedSpan, PhaseProfile, PhaseStat, Tracer};
-use isex_workloads::Program;
+use isex_workloads::{BasicBlock, Program};
 
 use crate::messages::{HelloAck, JobAssign, Message, MetricsReport, PROTOCOL_VERSION};
 use crate::wire::{read_frame, write_frame, Frame, OpCode};
@@ -216,6 +221,14 @@ struct RunCounters {
     breaker_trips: u64,
 }
 
+/// One unit of cluster work: repeat `repeat` of the hot block at
+/// canonical index `block`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct JobKey {
+    block: usize,
+    repeat: usize,
+}
+
 /// The in-progress run (at most one at a time; concurrent callers queue).
 struct RunState {
     key: String,
@@ -224,14 +237,20 @@ struct RunState {
     trace_id: String,
     /// The run's compute deadline. Dispatch stamps each [`JobAssign`] with
     /// the budget *remaining at dispatch time* (minus wire overhead), so
-    /// re-dispatched blocks get only what is actually left.
+    /// re-dispatched jobs get only what is actually left.
     deadline: Option<Instant>,
-    pending: VecDeque<usize>,
-    /// Dispatch attempts per block (indexes the hot list).
-    attempts: Vec<usize>,
+    /// Jobs awaiting dispatch, block-major in repeat order.
+    pending: VecDeque<JobKey>,
+    /// Dispatch attempts per job.
+    attempts: HashMap<JobKey, usize>,
     /// job id → dispatch-time metadata.
     inflight: HashMap<u64, InflightJob>,
-    /// Completed entries keyed by block index; first completion wins.
+    /// Job outcomes as they arrive; first completion wins.
+    slots: RepeatSlots,
+    /// Jobs whose outcome landed since the run loop last looked.
+    arrived: Vec<JobKey>,
+    /// Reduced entries keyed by block index: resumed from the journal, or
+    /// folded from all of the block's repeats.
     completed: BTreeMap<usize, CheckpointEntry>,
     /// Worker span batches awaiting injection into the run's tracer when
     /// the run finishes (empty on untraced runs).
@@ -240,9 +259,34 @@ struct RunState {
     counters: RunCounters,
 }
 
+impl RunState {
+    fn is_done(&self, job: JobKey) -> bool {
+        self.completed.contains_key(&job.block) || self.slots.get(job.block, job.repeat).is_some()
+    }
+
+    /// Records a job's outcome for the run loop; a duplicate is dropped.
+    fn accept(&mut self, job: JobKey, outcome: RepeatOutcome) -> bool {
+        if self.completed.contains_key(&job.block)
+            || !self.slots.fill(job.block, job.repeat, outcome)
+        {
+            return false;
+        }
+        self.arrived.push(job);
+        true
+    }
+
+    /// Puts an unfinished job back in the pending queue.
+    fn requeue(&mut self, job: JobKey) {
+        if !self.is_done(job) && !self.pending.contains(&job) {
+            self.counters.redispatched += 1;
+            self.pending.push_back(job);
+        }
+    }
+}
+
 /// What the coordinator remembers about one dispatched job.
 struct InflightJob {
-    block: usize,
+    job: JobKey,
     worker_id: u64,
     /// The `job.dispatch` span this job's remote spans re-parent onto
     /// (`None` when the run is untraced).
@@ -469,21 +513,23 @@ impl Coordinator {
 
     /// Runs one exploration across the cluster and merges the result.
     ///
-    /// Blocks until every hot block has exactly one completed entry, then
-    /// reduces them with [`finish_from_entries`] — the same reduce the
-    /// checkpoint path uses, so the report is byte-identical to a local
-    /// [`run_flow`](isex_flow::run_flow) with the same request.
+    /// Blocks until every hot block has exactly one reduced entry — each
+    /// folded with [`entry_from_repeats`] from its repeats in repeat order
+    /// — then reduces the entries with [`finish_from_entries`], the same
+    /// reduce the checkpoint path uses, so the report is byte-identical to
+    /// a local [`run_flow`](isex_flow::run_flow) with the same request.
     ///
     /// With a `deadline`, every [`JobAssign`] is stamped with the budget
     /// remaining at dispatch time (workers self-cancel and ship degraded
     /// partials), and `cancel` tripping finishes the run *with what it
-    /// has*: completed entries merge as-is, unfinished blocks become
-    /// degraded empty entries, and the report comes back `Ok` with
+    /// has*: each unfinished block reduces from the repeats it has, the
+    /// missing ones skipped, and the report comes back `Ok` with
     /// [`FlowReport::degraded`](isex_flow::FlowReport) set — never an
     /// error.
     ///
-    /// `sink` only observes locally-executed blocks (fallback path);
-    /// engine events do not cross the wire.
+    /// `sink` sees engine events for locally-executed jobs (fallback
+    /// path) and coordinator-side `JobStart`/`JobFinish`/`JobFailed` for
+    /// remote ones; engine events do not cross the wire.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &self,
@@ -496,12 +542,10 @@ impl Coordinator {
         deadline: Option<Instant>,
     ) -> Result<(FlowReport, RunMetrics), Cancelled> {
         let start = Instant::now();
-        let key = run_key(cfg, program, request.seed);
-        let hot_names: Vec<String> = hot_blocks(cfg, program)
-            .iter()
-            .map(|b| b.name.clone())
-            .collect();
-        let hot_len = hot_names.len();
+        let seed = request.seed;
+        let key = run_key(cfg, program, seed);
+        let hot = hot_blocks(cfg, program);
+        let repeats = cfg.repeats.max(1);
 
         // Resume: pre-complete blocks the journal already holds.
         let journal_path = self
@@ -509,7 +553,7 @@ impl Coordinator {
             .config
             .journal_dir
             .as_ref()
-            .map(|dir| dir.join(format!("run-{:016x}.jsonl", fnv1a(&key))));
+            .map(|dir| dir.join(journal_file_name(&key)));
         let mut resumed_entries = Vec::new();
         if let Some(path) = &journal_path {
             if let Some(dir) = path.parent() {
@@ -541,19 +585,16 @@ impl Coordinator {
                     // run cut mid-flight.
                     let alive = state.workers.iter().filter(|w| w.alive).count();
                     drop(state);
-                    let entries = fill_missing_degraded(BTreeMap::new(), &hot_names, &key);
-                    return Ok(self.finish(
-                        cfg,
-                        program,
-                        request.seed,
+                    let slots = RepeatSlots::new(hot.len(), repeats);
+                    let entries = cut_entries(&hot, &key, BTreeMap::new(), &slots);
+                    let end = RunEnd {
                         entries,
-                        hot_len,
-                        start,
-                        0,
-                        RunCounters::default(),
-                        Vec::new(),
-                        alive,
-                    ));
+                        counters: RunCounters::default(),
+                        worker_totals: Vec::new(),
+                        workers_alive: alive,
+                        trace_chunks: Vec::new(),
+                    };
+                    return Ok(self.finish(cfg, program, seed, hot.len(), start, 0, end));
                 }
                 let (next, _) = self
                     .shared
@@ -564,13 +605,14 @@ impl Coordinator {
             }
             let mut completed = BTreeMap::new();
             for entry in resumed_entries {
-                if entry.block_index < hot_len {
+                if entry.block_index < hot.len() {
                     completed.entry(entry.block_index).or_insert(entry);
                 }
             }
             resumed = completed.len();
-            let pending: VecDeque<usize> = (0..hot_len)
+            let pending: VecDeque<JobKey> = (0..hot.len())
                 .filter(|b| !completed.contains_key(b))
+                .flat_map(|block| (0..repeats).map(move |repeat| JobKey { block, repeat }))
                 .collect();
             state.run = Some(RunState {
                 key: key.clone(),
@@ -579,8 +621,10 @@ impl Coordinator {
                 trace_id: trace_id.to_string(),
                 deadline,
                 pending,
-                attempts: vec![0; hot_len],
+                attempts: HashMap::new(),
                 inflight: HashMap::new(),
+                slots: RepeatSlots::new(hot.len(), repeats),
+                arrived: Vec::new(),
                 completed,
                 trace_chunks: Vec::new(),
                 next_job_id: 1,
@@ -590,46 +634,34 @@ impl Coordinator {
         self.shared.wake.notify_all();
 
         // The drive loop. Each pass holds the lock once: sentinel-checks
-        // workers, dispatches pending blocks, and drains newly completed
-        // entries for journaling; journal appends and local fallback
-        // exploration happen with the lock released.
-        let mut journaled: Vec<usize> = Vec::new();
-        // Blocks currently out on a worker, by dispatch time: the source
-        // of the coordinator-side `JobStart`/`JobFinish` events that give
+        // workers, dispatches pending jobs, slots newly arrived outcomes
+        // and reduces every block whose last repeat landed; events,
+        // journal appends and local fallback jobs happen with the lock
+        // released.
+        //
+        // Jobs currently out on a worker, by dispatch time: the source of
+        // the coordinator-side `JobStart`/`JobFinish` events that give
         // `/v1/jobs/{id}/events` pollers progress on remote work (engine
-        // events themselves never cross the wire). Local-fallback blocks
-        // are absent — `explore_block_entry` emits its own engine events.
-        let mut remote_started: HashMap<usize, Instant> = HashMap::new();
-        let (entries, counters, worker_totals, workers_alive, last_fresh, trace_chunks) = loop {
+        // events themselves never cross the wire). Local-fallback jobs are
+        // absent — the engine emits their events itself.
+        let mut remote_started: HashMap<JobKey, Instant> = HashMap::new();
+        let end = loop {
             if cancel.is_cancelled() {
-                // Deadline: finish with what the cluster has. Completed
-                // entries merge as-is, everything still pending or in
-                // flight becomes a degraded empty entry, and results that
-                // race in later are dropped with the cleared run.
+                // Deadline: finish with what the cluster has. Reduced
+                // blocks merge as-is, every other block reduces from the
+                // repeats it has, and results that race in later are
+                // dropped with the cleared run.
                 let mut state = lock_unpoisoned(&self.shared.state);
-                let ClusterState { workers, run, .. } = &mut *state;
-                let run_state = run.as_mut().expect("run installed above");
+                let run_state = state.run.as_mut().expect("run installed above");
                 let completed = std::mem::take(&mut run_state.completed);
-                let counters = std::mem::take(&mut run_state.counters);
-                let chunks = std::mem::take(&mut run_state.trace_chunks);
-                let totals: Vec<(String, u64)> = workers
-                    .iter()
-                    .filter(|w| w.jobs_done > 0)
-                    .map(|w| (w.name.clone(), w.jobs_done))
-                    .collect();
-                let alive = workers.iter().filter(|w| w.alive).count();
-                for w in workers.iter_mut() {
-                    w.inflight.clear();
-                    w.jobs_done = 0;
-                }
-                *run = None;
-                drop(state);
-                let entries = fill_missing_degraded(completed, &hot_names, &key);
-                break (entries, counters, totals, alive, Vec::new(), chunks);
+                let entries = cut_entries(&hot, &key, completed, &run_state.slots);
+                break end_run(&mut state, entries);
             }
+            let dispatched: Vec<JobKey>;
+            let mut events: Vec<RunEvent> = Vec::new();
             let mut fresh: Vec<CheckpointEntry> = Vec::new();
-            let mut local_block: Option<usize> = None;
-            let dispatched: Vec<usize>;
+            let mut local_job: Option<JobKey> = None;
+            let mut done: Option<RunEnd> = None;
             {
                 let mut state = lock_unpoisoned(&self.shared.state);
                 self.expire_silent_workers(&mut state);
@@ -641,62 +673,49 @@ impl Coordinator {
                     ..
                 } = &mut *state;
                 let run_state = run.as_mut().expect("run installed above");
-                for (&block, entry) in &run_state.completed {
-                    if !journaled.contains(&block) {
-                        journaled.push(block);
+                for job in std::mem::take(&mut run_state.arrived) {
+                    if let (Some(t0), Some(outcome)) = (
+                        remote_started.remove(&job),
+                        run_state.slots.get(job.block, job.repeat),
+                    ) {
+                        let name = &hot[job.block].name;
+                        events.push(remote_finish_event(name, job, outcome, ms_since(t0), seed));
+                    }
+                    if run_state.completed.contains_key(&job.block) {
+                        continue;
+                    }
+                    if let Some(outcomes) = run_state.slots.complete(job.block) {
+                        let entry = entry_from_repeats(&key, hot[job.block], job.block, &outcomes);
                         fresh.push(entry.clone());
+                        run_state.completed.insert(job.block, entry);
                     }
-                }
-                if run_state.completed.len() == hot_len {
-                    let entries: Vec<CheckpointEntry> =
-                        run_state.completed.values().cloned().collect();
-                    let counters = std::mem::take(&mut run_state.counters);
-                    let chunks = std::mem::take(&mut run_state.trace_chunks);
-                    let totals: Vec<(String, u64)> = workers
-                        .iter()
-                        .filter(|w| w.jobs_done > 0)
-                        .map(|w| (w.name.clone(), w.jobs_done))
-                        .collect();
-                    let alive = workers.iter().filter(|w| w.alive).count();
-                    for w in workers.iter_mut() {
-                        w.inflight.clear();
-                        w.jobs_done = 0;
-                    }
-                    *run = None;
-                    // Entries drained *this* pass haven't been journaled
-                    // yet — hand them out with the break.
-                    break (
-                        entries,
-                        counters,
-                        totals,
-                        alive,
-                        std::mem::take(&mut fresh),
-                        chunks,
-                    );
                 }
                 let now = Instant::now();
-                if !run_state.pending.is_empty()
+                if run_state.completed.len() == hot.len() {
+                    let entries = std::mem::take(&mut run_state.completed)
+                        .into_values()
+                        .collect();
+                    done = Some(end_run(&mut state, entries));
+                } else if !run_state.pending.is_empty()
                     && !workers.iter().any(|w| dispatchable(breakers, w, now))
                 {
                     // Cluster of zero — none connected, or every breaker
-                    // open: take one block and run it here.
-                    let block = run_state.pending.pop_front().expect("non-empty");
-                    run_state.attempts[block] += 1;
-                    local_block = Some(block);
+                    // open: take one job and run it here.
+                    let job = run_state.pending.pop_front().expect("non-empty");
+                    *run_state.attempts.entry(job).or_default() += 1;
+                    local_job = Some(job);
                 }
             }
 
             // Announce this pass's remote dispatches and completions with
             // the lock released (a sink may block on IO). A re-dispatched
-            // block announces again — truthfully: it started again.
-            for &block in &dispatched {
-                remote_started.insert(block, Instant::now());
-                sink.emit(remote_start_event(&hot_names[block], block, request.seed));
+            // job announces again — truthfully: it started again.
+            for &job in &dispatched {
+                remote_started.insert(job, Instant::now());
+                sink.emit(remote_start_event(&hot[job.block].name, job, seed));
             }
-            for entry in &fresh {
-                if let Some(t0) = remote_started.remove(&entry.block_index) {
-                    sink.emit(remote_finish_event(entry, ms_since(t0), request.seed));
-                }
+            for event in events.drain(..) {
+                sink.emit(event);
             }
 
             // Journal first: an entry must be durable before anything
@@ -712,60 +731,60 @@ impl Coordinator {
                     }
                 }
             }
+            if let Some(end) = done {
+                break end;
+            }
 
-            if let Some(block) = local_block {
-                // Anytime semantics: a deadline tripping mid-block comes
-                // back as an `Ok` degraded entry; the next loop pass sees
-                // the cancelled token and finishes with partials.
-                let entry =
-                    match explore_block_entry(cfg, program, request.seed, block, sink, cancel) {
-                        Ok(entry) => entry,
-                        Err(Cancelled) => {
-                            self.abandon_run();
-                            return Err(Cancelled);
-                        }
-                    };
+            if let Some(job) = local_job {
+                // Anytime semantics: a deadline tripping mid-job comes back
+                // as a degraded exploration (or a skip); the next loop pass
+                // sees the cancelled token and finishes with partials.
+                let outcome =
+                    explore_block_repeat(cfg, program, seed, job.block, job.repeat, sink, cancel);
                 let mut state = lock_unpoisoned(&self.shared.state);
                 if let Some(run_state) = state.run.as_mut() {
                     run_state.counters.local += 1;
-                    run_state.completed.entry(block).or_insert(entry);
+                    run_state.accept(job, outcome);
                 }
-                drop(state);
-                self.shared.wake.notify_all();
                 continue;
             }
 
-            if fresh.is_empty() {
+            if dispatched.is_empty() && fresh.is_empty() {
                 // Nothing to do until a result, a worker change, or the
-                // next heartbeat deadline.
+                // next heartbeat deadline. A result that landed since the
+                // pass released the lock is picked up at once.
                 let state = lock_unpoisoned(&self.shared.state);
-                let tick = self.shared.config.heartbeat_ms.clamp(10, 100);
-                let _ = self
-                    .shared
-                    .wake
-                    .wait_timeout(state, Duration::from_millis(tick))
-                    .unwrap_or_else(PoisonError::into_inner);
+                if state.run.as_ref().is_some_and(|r| r.arrived.is_empty()) {
+                    let tick = self.shared.config.heartbeat_ms.clamp(10, 100);
+                    let _ = self
+                        .shared
+                        .wake
+                        .wait_timeout(state, Duration::from_millis(tick))
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
             }
         };
         self.shared.wake.notify_all();
-        for entry in &last_fresh {
-            if let Some(t0) = remote_started.remove(&entry.block_index) {
-                sink.emit(remote_finish_event(entry, ms_since(t0), request.seed));
-            }
-        }
-        if let Some(file) = &mut journal {
-            for entry in last_fresh.iter().filter(|e| !e.degraded) {
-                if let Err(e) = append_entry(file, entry) {
-                    eprintln!("isex-cluster: journal append failed: {e}");
-                    break;
-                }
-            }
-        }
+        Ok(self.finish(cfg, program, seed, hot.len(), start, resumed, end))
+    }
 
-        // Merge the workers' span batches into the request's tracer so the
-        // run exports as ONE multi-process Chrome trace. Strictly an
-        // observation: the report below is computed from `entries` alone.
-        for chunk in trace_chunks {
+    /// The shared reduce-and-account tail: merges the workers' span
+    /// batches into the request's tracer, folds entries into the report,
+    /// and stamps run timing plus the `cluster.*` phase stats.
+    #[allow(clippy::too_many_arguments)]
+    fn finish(
+        &self,
+        cfg: &FlowConfig,
+        program: &Program,
+        seed: u64,
+        hot_len: usize,
+        start: Instant,
+        resumed: usize,
+        end: RunEnd,
+    ) -> (FlowReport, RunMetrics) {
+        // One multi-process Chrome trace per run. Strictly an observation:
+        // the report below is computed from the entries alone.
+        for chunk in end.trace_chunks {
             cfg.tracer.inject_remote(
                 &chunk.process,
                 chunk.parent,
@@ -774,39 +793,8 @@ impl Coordinator {
                 &chunk.threads,
             );
         }
-
-        Ok(self.finish(
-            cfg,
-            program,
-            request.seed,
-            entries,
-            hot_len,
-            start,
-            resumed,
-            counters,
-            worker_totals,
-            workers_alive,
-        ))
-    }
-
-    /// The shared reduce-and-account tail: folds entries into the report
-    /// and stamps run timing plus the `cluster.*` phase stats.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        cfg: &FlowConfig,
-        program: &Program,
-        seed: u64,
-        entries: Vec<CheckpointEntry>,
-        hot_len: usize,
-        start: Instant,
-        resumed: usize,
-        counters: RunCounters,
-        worker_totals: Vec<(String, u64)>,
-        workers_alive: usize,
-    ) -> (FlowReport, RunMetrics) {
         let explore_ms = start.elapsed().as_secs_f64() * 1e3;
-        let (report, mut metrics) = finish_from_entries(cfg, program, seed, entries, hot_len);
+        let (report, mut metrics) = finish_from_entries(cfg, program, seed, end.entries, hot_len);
         metrics.blocks_resumed = resumed;
         metrics.phases.explore_ms = explore_ms;
         metrics.phases.total_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -817,9 +805,9 @@ impl Coordinator {
         // would orphan pre-cluster records.
         fold_cluster_stats(
             &mut metrics.phase_profile,
-            &counters,
-            &worker_totals,
-            workers_alive,
+            &end.counters,
+            &end.worker_totals,
+            end.workers_alive,
         );
         (report, metrics)
     }
@@ -855,16 +843,16 @@ impl Coordinator {
         }
     }
 
-    /// Assigns pending blocks to dispatchable workers (alive, breaker
+    /// Assigns pending jobs to dispatchable workers (alive, breaker
     /// closed or half-open-probing) with spare capacity, consuming
     /// transport `drop` faults at the moment of dispatch. With a run
     /// deadline, each assignment is stamped with the budget remaining *at
-    /// dispatch time* minus wire overhead — so a re-dispatched block asks
+    /// dispatch time* minus wire overhead — so a re-dispatched job asks
     /// its new worker only for what the run can still afford.
     ///
-    /// Returns the block indices actually shipped this pass, so the run
-    /// loop can announce them on its event sink outside the lock.
-    fn dispatch(&self, state: &mut ClusterState, tracer: &Tracer) -> Vec<usize> {
+    /// Returns the jobs actually shipped this pass, so the run loop can
+    /// announce them on its event sink outside the lock.
+    fn dispatch(&self, state: &mut ClusterState, tracer: &Tracer) -> Vec<JobKey> {
         let mut sent = Vec::new();
         let ClusterState {
             workers,
@@ -875,8 +863,21 @@ impl Coordinator {
         let Some(run_state) = run.as_mut() else {
             return sent;
         };
-        while let Some(&block) = run_state.pending.front() {
-            let now = Instant::now();
+        let now = Instant::now();
+        let remaining_ms = run_state
+            .deadline
+            .map(|d| d.saturating_duration_since(now).as_millis() as u64);
+        if remaining_ms.is_some_and(|ms| ms <= DISPATCH_OVERHEAD_MS) {
+            // Past the deadline no job could come back in time: every
+            // pending one is skipped, as the engine skips the jobs it has
+            // not started when its token trips, and each block reduces
+            // from the repeats already out.
+            for job in std::mem::take(&mut run_state.pending) {
+                run_state.accept(job, RepeatOutcome::Skipped);
+            }
+            return sent;
+        }
+        while let Some(&job) = run_state.pending.front() {
             // Least-loaded dispatchable worker, ties broken by connection
             // order.
             let Some(slot) = workers
@@ -889,78 +890,66 @@ impl Coordinator {
                 return sent;
             };
             run_state.pending.pop_front();
-            let attempt = run_state.attempts[block];
-            run_state.attempts[block] += 1;
+            let attempts = run_state.attempts.entry(job).or_default();
+            let attempt = *attempts;
+            *attempts += 1;
 
             let dropped = run_state
                 .fault_plan
                 .as_ref()
-                .is_some_and(|plan| plan.drops(block, attempt));
-            if dropped {
-                // Injected network fault: sever this worker's connection
-                // instead of sending. Its reader thread sees EOF and the
-                // block (plus anything else it held) is re-dispatched.
-                let worker = &mut workers[slot];
-                worker.alive = false;
-                let _ = worker.stream.shutdown(Shutdown::Both);
-                run_state.counters.redispatched += 1;
-                requeue_worker_inflight(run_state, worker);
-                run_state.pending.push_back(block);
-                if breakers
-                    .entry(worker.name.clone())
-                    .or_default()
-                    .record_failure(
-                        self.shared.config.breaker_threshold,
-                        self.shared.config.breaker_cooloff(),
-                        now,
-                    )
-                {
-                    run_state.counters.breaker_trips += 1;
-                }
-                continue;
-            }
-
-            let budget_ms = run_state.deadline.map(|d| {
-                let remaining = d.saturating_duration_since(now).as_millis() as u64;
-                remaining.saturating_sub(DISPATCH_OVERHEAD_MS).max(1)
-            });
-            // On traced runs the dispatch gets its own span and the worker
-            // is asked to ship its spans back, re-parented under this id —
-            // the cross-process link in the merged trace.
-            let collect = tracer.is_enabled();
-            let span = collect.then(|| {
-                let worker_name = workers[slot].name.clone();
-                let job_id = run_state.next_job_id;
-                tracer.span_with("job.dispatch", move || {
-                    vec![
-                        ("job_id", job_id.to_string()),
-                        ("block", block.to_string()),
-                        ("worker", worker_name),
-                    ]
-                })
-            });
-            let span_id = span.as_ref().and_then(|s| s.id());
-            let assign = Message::Job(JobAssign {
-                job_id: run_state.next_job_id,
-                request: run_state.request_json.clone(),
-                fault_plan: run_state
-                    .fault_plan
-                    .as_ref()
-                    .map(|p| p.source().to_string()),
-                block_index: block,
-                attempt,
-                trace_id: run_state.trace_id.clone(),
-                budget_ms,
-                collect_spans: collect,
-                parent_span: span_id,
+                .is_some_and(|plan| plan.drops(job.block, attempt));
+            let job_id = run_state.next_job_id;
+            let assign = (!dropped).then(|| {
+                let budget_ms = remaining_ms.map(|ms| ms - DISPATCH_OVERHEAD_MS);
+                // On traced runs the dispatch gets its own span and the
+                // worker is asked to ship its spans back, re-parented under
+                // this id — the cross-process link in the merged trace.
+                let collect = tracer.is_enabled();
+                let span_id = collect
+                    .then(|| {
+                        let worker_name = workers[slot].name.clone();
+                        tracer.span_with("job.dispatch", move || {
+                            vec![
+                                ("job_id", job_id.to_string()),
+                                ("block", job.block.to_string()),
+                                ("repeat", job.repeat.to_string()),
+                                ("worker", worker_name),
+                            ]
+                        })
+                    })
+                    .and_then(|span| span.id());
+                let message = Message::Job(JobAssign {
+                    job_id,
+                    request: run_state.request_json.clone(),
+                    fault_plan: run_state
+                        .fault_plan
+                        .as_ref()
+                        .map(|p| p.source().to_string()),
+                    block_index: job.block,
+                    repeat: job.repeat,
+                    attempt,
+                    trace_id: run_state.trace_id.clone(),
+                    budget_ms,
+                    collect_spans: collect,
+                    parent_span: span_id,
+                });
+                (message, span_id)
             });
             let worker = &mut workers[slot];
-            if write_frame(&mut worker.stream, &assign.encode()).is_err() {
+            let shipped = assign.and_then(|(message, span_id)| {
+                write_frame(&mut worker.stream, &message.encode())
+                    .ok()
+                    .map(|()| span_id)
+            });
+            let Some(span_id) = shipped else {
+                // An injected `drop` fault, or a failed write: sever this
+                // worker's connection. Its reader thread sees EOF, and the
+                // job (plus anything else it held) is re-dispatched.
                 worker.alive = false;
                 let _ = worker.stream.shutdown(Shutdown::Both);
                 run_state.counters.redispatched += 1;
                 requeue_worker_inflight(run_state, worker);
-                run_state.pending.push_back(block);
+                run_state.pending.push_back(job);
                 if breakers
                     .entry(worker.name.clone())
                     .or_default()
@@ -973,34 +962,22 @@ impl Coordinator {
                     run_state.counters.breaker_trips += 1;
                 }
                 continue;
-            }
+            };
             run_state.inflight.insert(
-                run_state.next_job_id,
+                job_id,
                 InflightJob {
-                    block,
+                    job,
                     worker_id: worker.id,
                     span_id,
                     dispatched_at: now,
                     dispatch_ns: tracer.elapsed_ns(),
                 },
             );
-            worker.inflight.push(run_state.next_job_id);
+            worker.inflight.push(job_id);
             run_state.next_job_id += 1;
-            sent.push(block);
+            sent.push(job);
         }
         sent
-    }
-
-    /// Clears the active run (cancellation path).
-    fn abandon_run(&self) {
-        let mut state = lock_unpoisoned(&self.shared.state);
-        state.run = None;
-        for worker in &mut state.workers {
-            worker.inflight.clear();
-            worker.jobs_done = 0;
-        }
-        drop(state);
-        self.shared.wake.notify_all();
     }
 
     /// Severs every worker and joins the acceptor.
@@ -1038,36 +1015,56 @@ impl Drop for Coordinator {
 /// deadline trips, or the best-so-far work is lost to the race.
 const DISPATCH_OVERHEAD_MS: u64 = 25;
 
-/// Pads `completed` out to one entry per hot block, synthesizing a
-/// degraded empty entry (zero rounds, no patterns) for each block the
-/// deadline cut before any result arrived — the same shape the engine
-/// produces for a block whose every repeat was skipped.
-fn fill_missing_degraded(
-    completed: BTreeMap<usize, CheckpointEntry>,
-    hot_names: &[String],
+/// The entries of a run cut by its deadline: every reduced block as-is,
+/// every other block reduced from the repeats it has, the missing ones
+/// [`RepeatOutcome::Skipped`] — a block with none is a degraded empty
+/// entry, the same shape the engine produces for a block whose every
+/// repeat was skipped.
+fn cut_entries(
+    hot: &[&BasicBlock],
     key: &str,
+    mut completed: BTreeMap<usize, CheckpointEntry>,
+    slots: &RepeatSlots,
 ) -> Vec<CheckpointEntry> {
-    let mut entries: Vec<CheckpointEntry> = completed.into_values().collect();
-    for (index, name) in hot_names.iter().enumerate() {
-        if entries.iter().any(|e| e.block_index == index) {
-            continue;
-        }
-        entries.push(CheckpointEntry {
-            run_key: key.to_string(),
-            block_index: index,
-            block: name.clone(),
-            iterations: 0,
-            jobs_completed: 0,
-            jobs_failed: 0,
-            worker_restarts: 0,
-            spread: None,
-            patterns: Vec::new(),
-            error: None,
-            degraded: true,
-            rounds_completed: Some(0),
-        });
+    for (index, block) in hot.iter().enumerate() {
+        completed
+            .entry(index)
+            .or_insert_with(|| entry_from_repeats(key, block, index, &slots.cut(index)));
     }
-    entries
+    completed.into_values().collect()
+}
+
+/// Everything a finished (or cut) run hands to [`Coordinator::finish`].
+struct RunEnd {
+    entries: Vec<CheckpointEntry>,
+    counters: RunCounters,
+    worker_totals: Vec<(String, u64)>,
+    workers_alive: usize,
+    trace_chunks: Vec<PendingTrace>,
+}
+
+/// Uninstalls the active run, collecting its counters, per-worker job
+/// totals and span batches; late results for it are dropped from here on.
+fn end_run(state: &mut ClusterState, entries: Vec<CheckpointEntry>) -> RunEnd {
+    let run = state.run.take().expect("run installed");
+    let worker_totals = state
+        .workers
+        .iter()
+        .filter(|w| w.jobs_done > 0)
+        .map(|w| (w.name.clone(), w.jobs_done))
+        .collect();
+    let workers_alive = state.workers.iter().filter(|w| w.alive).count();
+    for w in &mut state.workers {
+        w.inflight.clear();
+        w.jobs_done = 0;
+    }
+    RunEnd {
+        entries,
+        counters: run.counters,
+        worker_totals,
+        workers_alive,
+        trace_chunks: run.trace_chunks,
+    }
 }
 
 fn stat(name: &str, count: u64) -> PhaseStat {
@@ -1083,53 +1080,57 @@ fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// The coordinator-side `JobStart` for a block shipped to a worker. The
-/// seq is `0` here — the receiving sink stamps emission order — and the
-/// trace id is stamped by the server's tagging sink; `repeat` is `0`
-/// because a cluster job covers a whole block entry, every repeat.
-fn remote_start_event(block: &str, block_index: usize, seed: u64) -> isex_engine::RunEvent {
-    isex_engine::RunEvent::JobStart {
+/// The coordinator-side `JobStart` for a job shipped to a worker, with
+/// the job's real repeat and derived seed. The seq is `0` here — the
+/// receiving sink stamps emission order — and the trace id is stamped by
+/// the server's tagging sink.
+fn remote_start_event(block: &str, job: JobKey, seed: u64) -> RunEvent {
+    RunEvent::JobStart {
         block: block.to_string(),
-        block_index,
-        repeat: 0,
-        seed,
-        seq: isex_engine::Seq(0),
+        block_index: job.block,
+        repeat: job.repeat,
+        seed: ExploreJob::new(job.block, job.repeat, seed).seed,
+        seq: Seq(0),
         trace: None,
     }
 }
 
-/// The coordinator-side terminal event for a remotely-completed block
-/// entry: `JobFinish` with the entry's own spread and counters (elapsed
-/// is dispatch-to-merge wall time as the coordinator observed it), or
-/// `JobFailed` when every repeat of the block panicked on the worker.
+/// The coordinator-side terminal event for a remotely-completed job:
+/// `JobFailed` when it panicked on the worker, otherwise `JobFinish` with
+/// the exploration's own counters (zeros for a skipped job; elapsed is
+/// dispatch-to-arrival wall time as the coordinator observed it).
 fn remote_finish_event(
-    entry: &CheckpointEntry,
+    block: &str,
+    job: JobKey,
+    outcome: &RepeatOutcome,
     elapsed_ms: f64,
     seed: u64,
-) -> isex_engine::RunEvent {
-    if entry.spread.is_none() {
-        if let Some(error) = &entry.error {
-            return isex_engine::RunEvent::JobFailed {
-                block: entry.block.clone(),
-                block_index: entry.block_index,
-                repeat: 0,
-                seed,
+) -> RunEvent {
+    let exploration = match outcome {
+        RepeatOutcome::Panicked(error) => {
+            return RunEvent::JobFailed {
+                block: block.to_string(),
+                block_index: job.block,
+                repeat: job.repeat,
+                seed: ExploreJob::new(job.block, job.repeat, seed).seed,
                 error: error.clone(),
-                seq: isex_engine::Seq(0),
+                seq: Seq(0),
                 trace: None,
-            };
+            }
         }
-    }
-    isex_engine::RunEvent::JobFinish {
-        block: entry.block.clone(),
-        block_index: entry.block_index,
-        repeat: 0,
-        baseline_cycles: entry.spread.as_ref().map_or(0, |s| s.baseline_cycles),
-        cycles: entry.spread.as_ref().map_or(0, |s| s.best_cycles),
-        iterations: entry.iterations,
-        candidates: entry.patterns.len(),
+        RepeatOutcome::Explored(e) => Some(e),
+        RepeatOutcome::Skipped => None,
+    };
+    RunEvent::JobFinish {
+        block: block.to_string(),
+        block_index: job.block,
+        repeat: job.repeat,
+        baseline_cycles: exploration.map_or(0, |e| e.baseline_cycles),
+        cycles: exploration.map_or(0, |e| e.cycles_with_ises),
+        iterations: exploration.map_or(0, |e| e.iterations),
+        candidates: exploration.map_or(0, |e| e.candidates.len()),
         elapsed_ms,
-        seq: isex_engine::Seq(0),
+        seq: Seq(0),
         trace: None,
     }
 }
@@ -1159,14 +1160,11 @@ fn fold_cluster_stats(
     profile.absorb(stats);
 }
 
-/// Returns a dead worker's in-flight blocks to the pending queue.
+/// Returns a dead worker's in-flight jobs to the pending queue.
 fn requeue_worker_inflight(run: &mut RunState, worker: &mut Worker) {
     for job_id in worker.inflight.drain(..) {
         if let Some(job) = run.inflight.remove(&job_id) {
-            if !run.completed.contains_key(&job.block) && !run.pending.contains(&job.block) {
-                run.counters.redispatched += 1;
-                run.pending.push_back(job.block);
-            }
+            run.requeue(job.job);
         }
     }
 }
@@ -1186,24 +1184,9 @@ fn sanitize_metric_segment(name: &str) -> String {
     }
 }
 
-/// FNV-1a, for stable journal file names derived from the run key.
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in s.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Appends one journal entry with the same flush-and-fsync discipline as
-/// the single-node checkpoint path.
-fn append_entry(file: &mut std::fs::File, entry: &CheckpointEntry) -> std::io::Result<()> {
-    let line = serde_json::to_string(entry).expect("entry serializes");
-    file.write_all(line.as_bytes())?;
-    file.write_all(b"\n")?;
-    file.flush()?;
-    file.sync_data()
+/// The journal file of the run with key `key`: `run-<fnv1a64(key)>.jsonl`.
+fn journal_file_name(key: &str) -> String {
+    format!("run-{:016x}.jsonl", isex_store::fnv1a64(key.as_bytes()))
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -1292,44 +1275,45 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         worker.last_beat = Instant::now();
         match message {
             Message::Heartbeat => {}
-            Message::Result(result) => {
+            Message::RepeatResult(result) => {
                 worker.inflight.retain(|&id| id != result.job_id);
                 if let Some(run_state) = run.as_mut() {
-                    if let Some(job) = run_state.inflight.remove(&result.job_id) {
-                        let block = job.block;
+                    if let Some(inflight) = run_state.inflight.remove(&result.job_id) {
+                        let job = inflight.job;
                         // Dispatch→result latency, by worker name.
                         telemetry
                             .entry(worker.name.clone())
                             .or_default()
                             .latency
                             .observe(
-                                job.dispatched_at
+                                inflight
+                                    .dispatched_at
                                     .elapsed()
                                     .as_millis()
                                     .min(u64::MAX as u128) as u64,
                             );
-                        // Guard the merge: the entry must come from the
+                        // Guard the merge: the outcome must come from the
                         // connection the job was assigned to, be the
                         // installed run's (matching key), and be for the
-                        // block assigned. A *degraded* entry is a
-                        // legitimate answer — the worker self-cancelled at
-                        // its stamped budget and shipped its best-so-far.
-                        if job.worker_id == worker.id
-                            && result.entry.run_key == run_state.key
-                            && result.entry.block_index == block
+                        // `(block, repeat)` assigned. A *degraded*
+                        // exploration is a legitimate answer — the worker
+                        // self-cancelled at its stamped budget and shipped
+                        // its best-so-far.
+                        if inflight.worker_id == worker.id
+                            && result.run_key == run_state.key
+                            && result.block_index == job.block
+                            && result.repeat == job.repeat
                         {
-                            worker.jobs_done += 1;
-                            run_state.completed.entry(block).or_insert(result.entry);
+                            if run_state.accept(job, result.outcome) {
+                                worker.jobs_done += 1;
+                            }
                             // A delivered result closes the name's breaker.
                             breakers
                                 .entry(worker.name.clone())
                                 .or_default()
                                 .record_success();
-                        } else if !run_state.completed.contains_key(&block)
-                            && !run_state.pending.contains(&block)
-                        {
-                            run_state.counters.redispatched += 1;
-                            run_state.pending.push_back(block);
+                        } else {
+                            run_state.requeue(job);
                         }
                     }
                 }
@@ -1363,7 +1347,7 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 break;
             }
             // A worker has no business sending these; treat as hostile.
-            Message::Hello(_) | Message::HelloAck(_) | Message::Job(_) => {
+            Message::Hello(_) | Message::HelloAck(_) | Message::Job(_) | Message::Result(_) => {
                 drop(state);
                 break;
             }
@@ -1532,6 +1516,16 @@ mod tests {
         assert_eq!(sanitize_metric_segment("node-3.local"), "node_3_local");
         assert_eq!(sanitize_metric_segment("flow.explore"), "flow_explore");
         assert_eq!(sanitize_metric_segment(""), "_");
+    }
+
+    #[test]
+    fn journal_names_hash_the_run_key_with_fnv1a64() {
+        // Pinned: the name a journal got before the store's FNV became the
+        // one hash, so existing journals keep resuming.
+        assert_eq!(
+            journal_file_name("isex-cluster-journal-pin"),
+            "run-d67fdb67deef5a73.jsonl"
+        );
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! and survives node death via heartbeat sentinels plus job re-dispatch.
 //!
 //! The subsystem leans entirely on the engine's determinism contract:
-//! every job's seed derives from its block's *canonical* index, so a
-//! block explored on any node — or re-dispatched after its first node
-//! died — yields bitwise the same [`CheckpointEntry`](isex_flow::CheckpointEntry),
-//! and the merged [`FlowReport`] is byte-identical
-//! to a single-node run. Distribution changes *where* work happens, never
+//! every job's seed derives from its block's *canonical* index and its
+//! repeat, so a repeat explored on any node — or re-dispatched after its
+//! first node died — yields bitwise the same
+//! [`RepeatOutcome`](isex_flow::RepeatOutcome). The coordinator reduces a
+//! block's outcomes in repeat order with
+//! [`entry_from_repeats`](isex_flow::entry_from_repeats), the reduction a
+//! local run uses, so the merged [`FlowReport`] is byte-identical to a
+//! single-node run. Distribution changes *where* work happens, never
 //! *what* the answer is.
 //!
 //! Pieces:
@@ -18,10 +21,11 @@
 //! * [`wire`] — the frame format (`[opcode][len][payload]`), written for
 //!   hostile input;
 //! * [`messages`] — typed messages over those frames;
-//! * [`coordinator`] — sharding, heartbeat sentinel, re-dispatch,
-//!   checkpoint-journal reuse, zero-worker local fallback;
+//! * [`coordinator`] — per-job sharding, heartbeat sentinel,
+//!   re-dispatch, repeat-order reduction, checkpoint-journal reuse,
+//!   zero-worker local fallback;
 //! * [`worker`] — the remote shell around
-//!   [`explore_block_entry`](isex_flow::explore_block_entry);
+//!   [`explore_block_repeat`](isex_flow::explore_block_repeat);
 //! * [`ClusterRunner`] — plugs the coordinator into the `isexd` HTTP
 //!   server ([`isex_serve::start_with_runner`]) so `POST /v1/explore`
 //!   transparently scales out.
@@ -51,7 +55,9 @@ use isex_serve::ExploreRunner;
 use isex_workloads::Program;
 
 pub use coordinator::{Coordinator, CoordinatorConfig};
-pub use messages::{Hello, HelloAck, JobAssign, JobResult, Message, PROTOCOL_VERSION};
+pub use messages::{
+    Hello, HelloAck, JobAssign, JobResult, Message, RepeatResult, PROTOCOL_VERSION,
+};
 pub use wire::{Frame, OpCode, WireError, MAX_FRAME_BYTES};
 pub use worker::{run_worker, WorkerConfig};
 
@@ -61,7 +67,7 @@ pub use worker::{run_worker, WorkerConfig};
 /// The HTTP surface, queue, cache and deadline machinery of `isexd` are
 /// untouched: determinism makes a clustered run indistinguishable from a
 /// local one in its result, so the server cannot tell (and need not care)
-/// where the blocks actually ran.
+/// where the jobs actually ran.
 pub struct ClusterRunner {
     coordinator: Arc<Coordinator>,
 }

@@ -3,12 +3,13 @@
 //! Each [`OpCode`] with a payload carries one serde struct as JSON. The
 //! JSON-in-binary-framing split is deliberate: framing needs to be cheap
 //! and hostile-input-safe (see [`wire`](crate::wire)), while the payloads
-//! reuse the workspace's existing serde types — most importantly
-//! [`CheckpointEntry`], which already round-trips losslessly through JSON
-//! (the checkpoint journal depends on it), so a result crossing the wire
-//! is bit-for-bit the entry a local run would have produced.
+//! reuse the workspace's existing serde types. A [`RepeatResult`] carries
+//! one repeat's [`RepeatOutcome`] — for a completed repeat, the
+//! exploration itself, whose `f64` candidate areas round-trip bit-exactly
+//! through JSON — so the coordinator's best-of-N tie-break compares
+//! exactly what a local run would.
 
-use isex_flow::CheckpointEntry;
+use isex_flow::{CheckpointEntry, RepeatOutcome};
 use isex_trace::{OwnedSpan, PhaseProfile};
 use serde::{Deserialize, Serialize};
 
@@ -16,10 +17,11 @@ use crate::wire::{Frame, OpCode, WireError};
 
 /// The cluster protocol version. A worker and coordinator must agree
 /// exactly: results are merged bitwise, so "close enough" versions are
-/// exactly the bug this check refuses. Version 2 sessions always carry
-/// [`TraceChunk`] and [`MetricsReport`] frames; there is no capability
-/// negotiation.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// exactly the bug this check refuses. Version 3 makes one
+/// `(block, repeat)` the unit of work: a [`JobAssign`] names a repeat and
+/// a [`RepeatResult`] answers it. Every session carries [`TraceChunk`] and
+/// [`MetricsReport`] frames; there is no capability negotiation.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Worker → coordinator: first frame on a connection.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -28,7 +30,7 @@ pub struct Hello {
     pub version: u32,
     /// Worker name (diagnostics, per-worker counters, trace file names).
     pub name: String,
-    /// Blocks the worker will hold in flight at once (≥ 1).
+    /// `(block, repeat)` jobs the worker will hold in flight at once (≥ 1).
     pub capacity: usize,
 }
 
@@ -41,15 +43,16 @@ pub struct HelloAck {
     pub heartbeat_ms: u64,
 }
 
-/// Coordinator → worker: explore one block of one run.
+/// Coordinator → worker: explore one repeat of one block of one run.
 ///
 /// A job is fully described by the run's request plus a canonical block
-/// index — any node resolving the same `(request, fault_plan)` computes
-/// the same hot list, so a bare index is a complete, placement-independent
-/// unit of work.
+/// index and a repeat — any node resolving the same `(request,
+/// fault_plan)` computes the same hot list, and the job's seed derives
+/// from `(seed, block_index, repeat)` alone, so the pair is a complete,
+/// placement-independent unit of work.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobAssign {
-    /// Coordinator-unique id; echoed in the matching [`JobResult`].
+    /// Coordinator-unique id; echoed in the matching [`RepeatResult`].
     pub job_id: u64,
     /// The run's `/v1/explore` request as its client JSON (see
     /// [`ExploreRequest::to_json`](isex_serve::ExploreRequest::to_json)).
@@ -59,7 +62,10 @@ pub struct JobAssign {
     pub fault_plan: Option<String>,
     /// Canonical index of the block in the run's hot list.
     pub block_index: usize,
-    /// Dispatch attempt for this block, 0-based (re-dispatches increment).
+    /// Which of the block's repeats to explore (0-based).
+    pub repeat: usize,
+    /// Dispatch attempt for this `(block, repeat)` job, 0-based
+    /// (re-dispatches increment).
     pub attempt: usize,
     /// The originating request's trace id, stamped on the worker's spans
     /// and trace files.
@@ -80,15 +86,43 @@ pub struct JobAssign {
     pub parent_span: Option<u64>,
 }
 
-/// Worker → coordinator: one finished block.
+/// Worker → coordinator: one finished `(block, repeat)` job.
+///
+/// The coordinator slots the outcome by `(block_index, repeat)` and, once
+/// all of a block's repeats are in, reduces them in repeat order — never
+/// in arrival order — to the block's journal entry.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct JobResult {
+pub struct RepeatResult {
     /// The id from the [`JobAssign`] this answers.
     pub job_id: u64,
     /// The reporting worker's name.
     pub worker: String,
-    /// The block's exploration result — the same entry a checkpointed
-    /// local run would have journaled.
+    /// The run's [`run_key`](isex_flow::run_key); a result for another run
+    /// is refused.
+    pub run_key: String,
+    /// The assigned block's canonical index.
+    pub block_index: usize,
+    /// The assigned repeat.
+    pub repeat: usize,
+    /// What the repeat produced: an exploration (degraded when its budget
+    /// cut it), a caught panic's payload, or a skip.
+    pub outcome: RepeatOutcome,
+}
+
+/// A whole block's [`CheckpointEntry`] as one frame.
+///
+/// No protocol-3 session sends it: a coordinator drops the worker that
+/// does. It stays because the benchmark's layer harness (`perfbench`,
+/// `cluster.frame_roundtrip_us`) times its encode and decode; the next
+/// change to the benchmark moves that metric to [`RepeatResult`] and
+/// deletes this message.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct JobResult {
+    /// A job id.
+    pub job_id: u64,
+    /// The reporting worker's name.
+    pub worker: String,
+    /// A block's journal entry.
     pub entry: CheckpointEntry,
 }
 
@@ -126,9 +160,10 @@ pub struct TraceChunk {
 pub struct MetricsReport {
     /// The reporting worker's name.
     pub worker: String,
-    /// Jobs the worker finished (including degraded partials).
+    /// `(block, repeat)` jobs the worker finished (including degraded
+    /// partials and caught panics).
     pub jobs_completed: u64,
-    /// Jobs whose entry carried a failure.
+    /// Jobs whose repeat panicked.
     pub jobs_failed: u64,
     /// The worker's cumulative per-phase span aggregate (merged across
     /// jobs with [`PhaseProfile::absorb`], so it never grows unboundedly).
@@ -144,8 +179,10 @@ pub enum Message {
     HelloAck(HelloAck),
     /// See [`JobAssign`].
     Job(JobAssign),
-    /// See [`JobResult`].
+    /// See [`JobResult`]; never sent on a protocol-3 session.
     Result(JobResult),
+    /// See [`RepeatResult`].
+    RepeatResult(RepeatResult),
     /// Liveness beacon.
     Heartbeat,
     /// Orderly close.
@@ -179,6 +216,7 @@ impl Message {
             Message::HelloAck(m) => json_frame(OpCode::HelloAck, m),
             Message::Job(m) => json_frame(OpCode::Job, m),
             Message::Result(m) => json_frame(OpCode::Result, m),
+            Message::RepeatResult(m) => json_frame(OpCode::RepeatResult, m),
             Message::Heartbeat => Frame::control(OpCode::Heartbeat),
             Message::Goodbye => Frame::control(OpCode::Goodbye),
             Message::TraceChunk(m) => json_frame(OpCode::TraceChunk, m),
@@ -195,6 +233,7 @@ impl Message {
             OpCode::HelloAck => Message::HelloAck(decode_json(frame)?),
             OpCode::Job => Message::Job(decode_json(frame)?),
             OpCode::Result => Message::Result(decode_json(frame)?),
+            OpCode::RepeatResult => Message::RepeatResult(decode_json(frame)?),
             OpCode::Heartbeat => Message::Heartbeat,
             OpCode::Goodbye => Message::Goodbye,
             OpCode::TraceChunk => Message::TraceChunk(decode_json(frame)?),
@@ -224,6 +263,7 @@ mod tests {
                 request: r#"{"bench":"crc32"}"#.to_string(),
                 fault_plan: Some("panic:1/8".to_string()),
                 block_index: 3,
+                repeat: 2,
                 attempt: 1,
                 trace_id: "tr-abc".to_string(),
                 budget_ms: Some(1_500),
@@ -293,6 +333,75 @@ mod tests {
             ),
             other => panic!("expected Result, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn exploration_areas_survive_the_wire_bit_exactly() {
+        // The coordinator's tie-break compares `total_area()`, so every
+        // candidate area must come back with the same bits — including
+        // values with no short decimal form, whole numbers (which print
+        // without a fraction), and the extremes of the positive range.
+        let areas = [
+            0.1 + 0.2,
+            1.0 / 3.0,
+            123_456.789_012_345_6,
+            4096.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            1e-300,
+            2f64.powi(60) + 2048.0,
+        ];
+        let candidates = areas
+            .iter()
+            .enumerate()
+            .map(|(i, &area_um2)| isex_core::IseCandidate {
+                nodes: isex_dfg::NodeSet::new(4),
+                choices: vec![(isex_dfg::NodeId::new(i as u32 % 4), i)],
+                delay_ns: area_um2 / 7.0,
+                latency: 1,
+                area_um2,
+                inputs: 2,
+                outputs: 1,
+                saved_cycles: 1,
+            })
+            .collect();
+        let exploration = isex_core::Exploration {
+            candidates,
+            baseline_cycles: 40,
+            cycles_with_ises: 31,
+            rounds: 4,
+            iterations: 120,
+            degraded: false,
+        };
+        let m = Message::RepeatResult(RepeatResult {
+            job_id: 5,
+            worker: "w0".to_string(),
+            run_key: "k".to_string(),
+            block_index: 1,
+            repeat: 1,
+            outcome: RepeatOutcome::Explored(exploration.clone()),
+        });
+        let back = match Message::decode(&m.encode()).unwrap() {
+            Message::RepeatResult(r) => r,
+            other => panic!("expected RepeatResult, got {other:?}"),
+        };
+        let RepeatOutcome::Explored(back) = back.outcome else {
+            panic!("expected an exploration");
+        };
+        let bits = |e: &isex_core::Exploration| -> Vec<(u64, u64)> {
+            e.candidates
+                .iter()
+                .map(|c| (c.area_um2.to_bits(), c.delay_ns.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&exploration));
+        assert_eq!(
+            back.total_area().to_bits(),
+            exploration.total_area().to_bits()
+        );
+        assert_eq!(back, exploration);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::io::{Read, Write};
 
 /// Hard cap on a frame payload. Cluster payloads are one JSON-encoded
-/// block result at most — a few hundred KiB for pathological pattern
+/// repeat outcome at most — a few hundred KiB for pathological candidate
 /// lists — so 8 MiB is generous headroom, while still refusing the
 /// `len = 0xffff_ffff` allocation a hostile peer could claim.
 pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
@@ -34,9 +34,11 @@ pub enum OpCode {
     Hello = 1,
     /// Coordinator → worker: accept and announce the heartbeat interval.
     HelloAck = 2,
-    /// Coordinator → worker: explore one block.
+    /// Coordinator → worker: explore one repeat of one block.
     Job = 3,
-    /// Worker → coordinator: one block's finished [`CheckpointEntry`](isex_flow::CheckpointEntry).
+    /// A whole block's [`CheckpointEntry`](isex_flow::CheckpointEntry);
+    /// no protocol-3 session sends it (see
+    /// [`JobResult`](crate::messages::JobResult)).
     Result = 4,
     /// Worker → coordinator: liveness beacon (empty payload).
     Heartbeat = 5,
@@ -48,6 +50,8 @@ pub enum OpCode {
     /// Worker → coordinator: cumulative worker telemetry riding the
     /// heartbeat cadence.
     MetricsReport = 8,
+    /// Worker → coordinator: one `(block, repeat)` job's outcome.
+    RepeatResult = 9,
 }
 
 impl OpCode {
@@ -63,6 +67,7 @@ impl OpCode {
             6 => Some(OpCode::Goodbye),
             7 => Some(OpCode::TraceChunk),
             8 => Some(OpCode::MetricsReport),
+            9 => Some(OpCode::RepeatResult),
             _ => None,
         }
     }

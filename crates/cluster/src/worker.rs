@@ -1,8 +1,9 @@
-//! The cluster worker: dial the coordinator, heartbeat, explore blocks.
+//! The cluster worker: dial the coordinator, heartbeat, explore repeats.
 //!
-//! A worker is a thin shell around [`explore_block_entry`] — the same
-//! per-block unit the checkpoint path runs — so the entry it ships back
-//! is bitwise the entry a local run would have produced. Everything else
+//! A worker is a thin shell around [`explore_block_repeat`] — one
+//! `(block, repeat)` job under the engine's pool supervision — so the
+//! outcome it ships back is bitwise the one the same repeat yields in a
+//! local run. Everything else
 //! here is plumbing: the [`Hello`] handshake, a heartbeat thread beating
 //! at the coordinator-announced interval, per-job budget timers that trip
 //! the run's cancel token so a deadline-pressed job ships a degraded
@@ -18,13 +19,13 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use isex_engine::{CancelToken, Cancelled, FaultPlan, NullSink};
-use isex_flow::{explore_block_entry, hot_blocks};
+use isex_engine::{CancelToken, FaultPlan, NullSink, RepeatOutcome};
+use isex_flow::{explore_block_repeat, hot_blocks, run_key};
 use isex_serve::ExploreRequest;
 use isex_trace::{OwnedSpan, PhaseProfile};
 
 use crate::messages::{
-    Hello, JobAssign, JobResult, Message, MetricsReport, TraceChunk, PROTOCOL_VERSION,
+    Hello, JobAssign, Message, MetricsReport, RepeatResult, TraceChunk, PROTOCOL_VERSION,
     TRACE_CHUNK_SPANS,
 };
 use crate::wire::{read_frame, write_frame};
@@ -36,11 +37,13 @@ pub struct WorkerConfig {
     pub connect: String,
     /// Name announced in [`Hello`] (counters, traces, logs).
     pub name: String,
-    /// Blocks held in flight at once (the coordinator pipelines up to
-    /// this many assignments onto the connection).
+    /// `(block, repeat)` jobs held in flight at once (the coordinator
+    /// pipelines up to this many assignments onto the connection).
     pub capacity: usize,
     /// When set, each job writes a Chrome-trace JSON here, named
-    /// `<trace-id>.<worker>.b<block>.trace.json`.
+    /// `<trace-id>.<worker>.b<block>.r<repeat>.trace.json` — one file per
+    /// `(block, repeat)`, so two repeats of one block never overwrite
+    /// each other.
     pub trace_dir: Option<PathBuf>,
     /// Fault-drill hook: die (return an error, dropping the connection)
     /// upon *receiving* the Nth job, before exploring it — the
@@ -249,7 +252,7 @@ fn serve_session(
                         }
                     }
                 }
-                let frame = Message::Result(result).encode();
+                let frame = Message::RepeatResult(result).encode();
                 if write_frame(&mut *half, &frame).is_err() {
                     break 'conn Session::Lost;
                 }
@@ -259,6 +262,7 @@ fn serve_session(
             Message::Hello(_)
             | Message::HelloAck(_)
             | Message::Result(_)
+            | Message::RepeatResult(_)
             | Message::TraceChunk(_)
             | Message::MetricsReport(_) => break 'conn Session::Lost,
         }
@@ -325,16 +329,17 @@ impl Drop for BudgetTimer {
 /// A job's shippable trace: the worker-local spans plus thread names.
 type JobTrace = (Vec<OwnedSpan>, Vec<(u64, String)>);
 
-/// Resolves one [`JobAssign`] to its [`JobResult`] by running the shared
-/// per-block exploration unit. When the assignment asks for spans, the
-/// job's closed spans come back alongside the result for shipping as
+/// Resolves one [`JobAssign`] to its [`RepeatResult`] by running the
+/// shared per-repeat unit. When the assignment asks for spans, the job's
+/// closed spans come back alongside the result for shipping as
 /// [`TraceChunk`] frames. A `block_index` outside the run's hot list is an
-/// `Err`, never a panic: the index came off the wire.
+/// `Err`, never a panic: the index came off the wire. (Any `repeat` is a
+/// valid job: its seed derives from it like any other.)
 fn run_job(
     config: &WorkerConfig,
     assign: &JobAssign,
     telemetry: &Arc<Mutex<Telemetry>>,
-) -> Result<(JobResult, Option<JobTrace>), String> {
+) -> Result<(RepeatResult, Option<JobTrace>), String> {
     let parsed =
         serde_json::parse(&assign.request).map_err(|e| format!("bad request JSON: {e}"))?;
     let request = ExploreRequest::from_json(&parsed).map_err(|e| format!("bad request: {e}"))?;
@@ -359,38 +364,39 @@ fn run_job(
     cfg.tracer = tracer.clone();
 
     // A budgeted job self-cancels at its deadline: the timer trips the
-    // token, `explore_block_entry` returns a *degraded* best-so-far entry
-    // (never `Err` — anytime semantics), and the coordinator folds it into
+    // token, the repeat comes back as a *degraded* best-so-far exploration
+    // (or a skip, if it never started), and the coordinator folds it into
     // a degraded report instead of waiting on work the run can't afford.
     let cancel = CancelToken::new();
     let _budget = assign
         .budget_ms
         .and_then(|ms| BudgetTimer::arm(cancel.clone(), Duration::from_millis(ms.max(1))));
-    let entry = {
+    let outcome = {
         let _attach = tracer.attach();
         let _span = tracer.span_with("worker.block", || {
             vec![
                 ("worker", config.name.clone()),
                 ("block", assign.block_index.to_string()),
+                ("repeat", assign.repeat.to_string()),
                 ("attempt", assign.attempt.to_string()),
                 ("trace", assign.trace_id.clone()),
             ]
         });
-        explore_block_entry(
+        explore_block_repeat(
             &cfg,
             &program,
             request.seed,
             assign.block_index,
+            assign.repeat,
             &NullSink,
             &cancel,
         )
-        .map_err(|Cancelled| "cancelled".to_string())?
     };
 
     {
         let mut t = telemetry.lock().unwrap_or_else(PoisonError::into_inner);
         t.jobs_completed += 1;
-        if entry.error.is_some() {
+        if matches!(outcome, RepeatOutcome::Panicked(_)) {
             t.jobs_failed += 1;
         }
         t.phase_profile.absorb(tracer.phase_profile().0);
@@ -398,11 +404,10 @@ fn run_job(
 
     if let Some(dir) = &config.trace_dir {
         let _ = std::fs::create_dir_all(dir);
-        let path = dir.join(format!(
-            "{}.{}.b{}.trace.json",
-            assign.trace_id, config.name, assign.block_index
-        ));
-        let _ = std::fs::write(path, tracer.chrome_trace());
+        let _ = std::fs::write(
+            dir.join(trace_file_name(assign, &config.name)),
+            tracer.chrome_trace(),
+        );
     }
 
     let trace = ship_spans.then(|| {
@@ -418,11 +423,23 @@ fn run_job(
     });
 
     Ok((
-        JobResult {
+        RepeatResult {
             job_id: assign.job_id,
             worker: config.name.clone(),
-            entry,
+            run_key: run_key(&cfg, &program, request.seed),
+            block_index: assign.block_index,
+            repeat: assign.repeat,
+            outcome,
         },
         trace,
     ))
+}
+
+/// The per-job trace file under [`WorkerConfig::trace_dir`]:
+/// `<trace-id>.<worker>.b<block>.r<repeat>.trace.json`.
+fn trace_file_name(assign: &JobAssign, worker: &str) -> String {
+    format!(
+        "{}.{}.b{}.r{}.trace.json",
+        assign.trace_id, worker, assign.block_index, assign.repeat
+    )
 }

@@ -125,7 +125,7 @@ fn two_workers_merge_byte_identical_to_single_node() {
     let remote_jobs = stat_count(&metrics, "cluster.worker.w0.jobs")
         + stat_count(&metrics, "cluster.worker.w1.jobs");
     assert_eq!(
-        remote_jobs as usize, metrics.blocks_explored,
+        remote_jobs as usize, metrics.jobs_total,
         "every block ran remotely"
     );
 
@@ -166,7 +166,7 @@ fn killed_worker_is_redispatched_without_changing_the_answer() {
     assert_eq!(stat_count(&metrics, "cluster.worker.w-dies.jobs"), 0);
     assert_eq!(
         stat_count(&metrics, "cluster.worker.w-lives.jobs") as usize,
-        metrics.blocks_explored,
+        metrics.jobs_total,
         "the survivor picked up every block"
     );
 
@@ -212,7 +212,7 @@ fn zero_workers_fall_back_to_local_execution() {
     );
     assert_eq!(
         stat_count(&metrics, "cluster.jobs_local") as usize,
-        metrics.blocks_explored
+        metrics.jobs_total
     );
     assert_eq!(stat_count(&metrics, "cluster.workers_alive"), 0);
 }
@@ -436,7 +436,7 @@ fn flapping_worker_trips_its_breaker_and_the_run_falls_back_local() {
     );
     assert_eq!(
         stat_count(&metrics, "cluster.jobs_local") as usize,
-        metrics.blocks_explored,
+        metrics.jobs_total,
         "with the breaker open, every block ran on the local fallback"
     );
     assert_eq!(stat_count(&metrics, "cluster.worker.flappy.jobs"), 0);
@@ -616,6 +616,7 @@ fn out_of_range_block_index_fails_the_job_without_panicking_the_worker() {
         request: small_request(91).to_json(),
         fault_plan: None,
         block_index: 10_000,
+        repeat: 0,
         attempt: 0,
         trace_id: "bounds".to_string(),
         budget_ms: None,
@@ -629,4 +630,168 @@ fn out_of_range_block_index_fails_the_job_without_panicking_the_worker() {
         matches!(outcome, Ok(Err(_))),
         "the bad job drops the session, not the process: {outcome:?}"
     );
+}
+
+/// adpcm at -O3 has a single hot block: all of the request's work is that
+/// block's repeats.
+fn one_block_request(seed: u64) -> ExploreRequest {
+    ExploreRequest {
+        bench: Benchmark::Adpcm,
+        seed,
+        repeats: 2,
+        effort: 30,
+        jobs: 1,
+        ..ExploreRequest::default()
+    }
+}
+
+#[test]
+fn one_heavy_block_splits_its_repeats_across_two_workers() {
+    let coord = coordinator(200, None);
+    let w0 = spawn_worker(coord.addr(), "s0");
+    let w1 = spawn_worker(coord.addr(), "s1");
+    assert!(coord.wait_for_workers(2, Duration::from_secs(10)));
+
+    let request = one_block_request(13);
+    let (report, metrics) = cluster_run(&coord, &request, None);
+    assert_eq!(metrics.blocks_explored, 1, "one hot block");
+    assert_eq!(metrics.jobs_total, 2);
+    assert_eq!(
+        report_json(&report),
+        report_json(&single_node(&request, None)),
+        "repeats of one block on two workers reduce to the single-node bytes"
+    );
+    for worker in ["s0", "s1"] {
+        assert!(
+            stat_count(&metrics, &format!("cluster.worker.{worker}.jobs")) >= 1,
+            "worker {worker} ran one of the block's repeats"
+        );
+    }
+
+    Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
+    let _ = (w0.join(), w1.join());
+}
+
+#[test]
+fn worker_trace_files_are_named_per_repeat() {
+    use serde::Value;
+
+    let dir = std::env::temp_dir().join(format!("isex-cluster-traces-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let coord = coordinator(200, None);
+    // One worker runs both repeats of the one block: without the repeat
+    // in the file name the second trace would overwrite the first.
+    let trace_dir = dir.clone();
+    let w0 = spawn_worker_with(coord.addr(), "tf", move |c| c.trace_dir = Some(trace_dir));
+    assert!(coord.wait_for_workers(1, Duration::from_secs(10)));
+
+    let request = one_block_request(17);
+    let (report, _) = cluster_run(&coord, &request, None);
+    assert_eq!(
+        report_json(&report),
+        report_json(&single_node(&request, None))
+    );
+    for repeat in 0..2 {
+        let path = dir.join(format!("trace-test.tf.b0.r{repeat}.trace.json"));
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{} missing: {e}", path.display()));
+        let parsed = serde_json::parse(&text).expect("chrome trace is valid JSON");
+        let span_repeats: Vec<&str> = parsed
+            .as_array()
+            .expect("trace-event array")
+            .iter()
+            .filter(|e| e.get("name").and_then(Value::as_str) == Some("worker.block"))
+            .filter_map(|e| e.get("args")?.get("repeat")?.as_str())
+            .collect();
+        assert_eq!(
+            span_repeats,
+            vec![repeat.to_string().as_str()],
+            "{} holds its own repeat's worker.block span",
+            path.display()
+        );
+    }
+
+    Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
+    let _ = w0.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn duplicate_repeat_results_are_dropped() {
+    use isex_cluster::messages::RepeatResult;
+    use isex_engine::RepeatOutcome;
+
+    let coord = coordinator(1_000, None);
+    // A hand-rolled worker that answers every job with the real outcome,
+    // then sends a conflicting copy of the same result: the first answer
+    // for a `(block, repeat)` must win.
+    let mut stream = TcpStream::connect(coord.addr()).expect("connect");
+    let hello = Message::Hello(Hello {
+        version: PROTOCOL_VERSION,
+        name: "twice".to_string(),
+        capacity: 1,
+    });
+    write_frame(&mut stream, &hello.encode()).expect("hello");
+    let ack = read_frame(&mut stream).expect("ack frame").expect("ack");
+    assert!(matches!(Message::decode(&ack), Ok(Message::HelloAck(_))));
+    let answerer = std::thread::spawn(move || {
+        let mut answered = 0usize;
+        while let Ok(Some(frame)) = read_frame(&mut stream) {
+            let Ok(Message::Job(assign)) = Message::decode(&frame) else {
+                continue;
+            };
+            let parsed = serde_json::parse(&assign.request).expect("request JSON");
+            let request = ExploreRequest::from_json(&parsed).expect("request");
+            let cfg = request.flow_config();
+            let program = request.program();
+            let outcome = isex_flow::explore_block_repeat(
+                &cfg,
+                &program,
+                request.seed,
+                assign.block_index,
+                assign.repeat,
+                &NullSink,
+                &CancelToken::new(),
+            );
+            let result = |outcome| {
+                Message::RepeatResult(RepeatResult {
+                    job_id: assign.job_id,
+                    worker: "twice".to_string(),
+                    run_key: isex_flow::run_key(&cfg, &program, request.seed),
+                    block_index: assign.block_index,
+                    repeat: assign.repeat,
+                    outcome,
+                })
+            };
+            for message in [
+                result(outcome),
+                result(RepeatOutcome::Panicked("duplicate".to_string())),
+                Message::Heartbeat,
+            ] {
+                if write_frame(&mut stream, &message.encode()).is_err() {
+                    return answered;
+                }
+            }
+            answered += 1;
+        }
+        answered
+    });
+    assert!(coord.wait_for_workers(1, Duration::from_secs(5)));
+
+    let request = small_request(67);
+    let (report, metrics) = cluster_run(&coord, &request, None);
+    assert_eq!(
+        report_json(&report),
+        report_json(&single_node(&request, None)),
+        "a conflicting duplicate must not change the merged report"
+    );
+    assert_eq!(metrics.jobs_failed, 0, "the duplicate panic was dropped");
+    assert_eq!(
+        stat_count(&metrics, "cluster.worker.twice.jobs") as usize,
+        metrics.jobs_total,
+        "each job counted once"
+    );
+
+    Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
+    assert_eq!(answerer.join().expect("answerer"), metrics.jobs_total);
 }

@@ -5,10 +5,13 @@
 //! a typed [`WireError`]; well-formed messages round-trip losslessly.
 
 use isex_cluster::messages::{
-    Hello, HelloAck, JobAssign, JobResult, Message, MetricsReport, TraceChunk, PROTOCOL_VERSION,
+    Hello, HelloAck, JobAssign, JobResult, Message, MetricsReport, RepeatResult, TraceChunk,
+    PROTOCOL_VERSION,
 };
 use isex_cluster::wire::{read_frame, Frame, OpCode, WireError, MAX_FRAME_BYTES};
-use isex_flow::CheckpointEntry;
+use isex_core::{Exploration, IseCandidate};
+use isex_dfg::{NodeId, NodeSet};
+use isex_flow::{CheckpointEntry, RepeatOutcome};
 use isex_trace::{OwnedSpan, PhaseProfile, PhaseStat};
 use proptest::prelude::*;
 
@@ -46,6 +49,67 @@ fn arb_entry() -> impl Strategy<Value = CheckpointEntry> {
         )
 }
 
+/// Every positive finite `f64` bit pattern (subnormals included): the
+/// areas a candidate can carry.
+fn arb_area() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(|bits| f64::from_bits(bits % 0x7ff0_0000_0000_0000))
+}
+
+fn arb_candidate() -> impl Strategy<Value = IseCandidate> {
+    (
+        (1usize..40, proptest::collection::vec(0u32..40, 0..6)),
+        (arb_area(), arb_area(), 0u32..8),
+        (0usize..6, 0usize..4, 0u32..20),
+    )
+        .prop_map(
+            |((universe, members), (delay_ns, area_um2, latency), (inputs, outputs, saved))| {
+                let mut nodes = NodeSet::new(universe);
+                for m in members {
+                    nodes.insert(NodeId::new(m % universe as u32));
+                }
+                let choices = nodes.iter().map(|n| (n, n.index() % 3)).collect();
+                IseCandidate {
+                    nodes,
+                    choices,
+                    delay_ns,
+                    latency,
+                    area_um2,
+                    inputs,
+                    outputs,
+                    saved_cycles: saved,
+                }
+            },
+        )
+}
+
+fn arb_outcome() -> impl Strategy<Value = RepeatOutcome> {
+    prop_oneof![
+        (
+            proptest::collection::vec(arb_candidate(), 0..4),
+            (0u32..500, 0u32..500),
+            (0usize..50, 0usize..10_000, any::<bool>()),
+        )
+            .prop_map(
+                |(
+                    candidates,
+                    (baseline_cycles, cycles_with_ises),
+                    (rounds, iterations, degraded),
+                )| {
+                    RepeatOutcome::Explored(Exploration {
+                        candidates,
+                        baseline_cycles,
+                        cycles_with_ises,
+                        rounds,
+                        iterations,
+                        degraded,
+                    })
+                }
+            ),
+        "[ -~]{0,40}".prop_map(RepeatOutcome::Panicked),
+        Just(RepeatOutcome::Skipped),
+    ]
+}
+
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         ("[ -~]{0,32}", 1usize..8, any::<u32>()).prop_map(|(name, capacity, version)| {
@@ -66,7 +130,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
             "[ -~]{0,64}",
             (any::<bool>(), "[a-z:/@. 0-9]{0,24}"),
             0usize..64,
-            0usize..16,
+            (0usize..8, 0usize..16),
             (
                 "[a-z0-9-]{0,24}",
                 any::<bool>(),
@@ -82,7 +146,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     request,
                     (with_plan, plan),
                     block_index,
-                    attempt,
+                    (repeat, attempt),
                     (trace_id, with_budget, budget, collect_spans, with_parent, parent),
                 )| {
                     Message::Job(JobAssign {
@@ -90,6 +154,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                         request,
                         fault_plan: with_plan.then_some(plan),
                         block_index,
+                        repeat,
                         attempt,
                         trace_id,
                         budget_ms: with_budget.then_some(budget),
@@ -105,6 +170,23 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 entry,
             })
         }),
+        (
+            (any::<u64>(), "[a-z0-9]{1,12}", "[a-z0-9{}\",:]{0,40}"),
+            (0usize..64, 0usize..8),
+            arb_outcome(),
+        )
+            .prop_map(
+                |((job_id, worker, run_key), (block_index, repeat), outcome)| {
+                    Message::RepeatResult(RepeatResult {
+                        job_id,
+                        worker,
+                        run_key,
+                        block_index,
+                        repeat,
+                        outcome,
+                    })
+                }
+            ),
         (
             any::<u64>(),
             "[a-z0-9]{1,12}",
@@ -278,6 +360,26 @@ proptest! {
         frame.payload[at] ^= flip;
         let _ = Message::decode(&frame); // Ok or Malformed, never panic
     }
+
+    #[test]
+    fn mutated_repeat_result_payloads_never_panic(
+        outcome in arb_outcome(),
+        flip in any::<u8>(),
+        at_permille in 0usize..1000,
+    ) {
+        let mut frame = Message::RepeatResult(RepeatResult {
+            job_id: 1,
+            worker: "w".to_string(),
+            run_key: "k".to_string(),
+            block_index: 0,
+            repeat: 1,
+            outcome,
+        })
+        .encode();
+        let at = at_permille * (frame.payload.len() - 1) / 1000;
+        frame.payload[at] ^= flip;
+        let _ = Message::decode(&frame); // Ok or Malformed, never panic
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -317,11 +419,12 @@ fn every_known_opcode_round_trips_and_unknowns_do_not() {
         OpCode::Goodbye,
         OpCode::TraceChunk,
         OpCode::MetricsReport,
+        OpCode::RepeatResult,
     ] {
         assert_eq!(OpCode::from_u8(op as u8), Some(op));
     }
     assert_eq!(OpCode::from_u8(0), None);
-    assert_eq!(OpCode::from_u8(9), None);
+    assert_eq!(OpCode::from_u8(10), None);
     assert_eq!(OpCode::from_u8(255), None);
 }
 

@@ -40,7 +40,7 @@ impl Constraints {
 /// `nodes` and `choices` are in the *original* DFG's node coordinates, even
 /// when the candidate was found in a later round on a partially collapsed
 /// graph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IseCandidate {
     /// Member operations of the subgraph `S`.
     pub nodes: NodeSet,

@@ -54,7 +54,7 @@ pub struct TraceEntry {
 }
 
 /// The result of exploring one basic block.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Exploration {
     /// Committed ISE candidates, in discovery order, in original-DFG
     /// coordinates.

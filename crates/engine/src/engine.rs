@@ -1,4 +1,5 @@
-//! The engine proper: job fan-out, per-block best-of-N reduction.
+//! The engine proper: job fan-out under pool supervision, per-block
+//! best-of-N reduction (see [`reduce_repeats`]).
 
 use std::time::Instant;
 
@@ -15,6 +16,7 @@ use crate::fault::FaultPlan;
 use crate::job::ExploreJob;
 use crate::metrics::{BlockFailure, BlockSpread};
 use crate::pool::{run_jobs_anytime, worker_count};
+use crate::reduce::{reduce_repeats, BlockReduction, RepeatOutcome};
 
 /// Which explorer drives a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -210,13 +212,11 @@ impl Engine {
     ) -> EngineOutcome {
         assert_eq!(tasks.len(), indices.len(), "one canonical index per task");
         let repeats = self.spec.repeats.max(1);
-        let workers = worker_count(self.spec.jobs);
         let start = Instant::now();
         let jobs = ExploreJob::plan_subset(indices, repeats, master_seed);
-        let outcome = run_jobs_anytime(&jobs, self.spec.jobs, cancel, |pos, job| {
-            // Jobs are planned task-major, `repeats` per task.
-            self.run_job(tasks[pos / repeats], *job, sink, cancel)
-        });
+        // Jobs are planned task-major, `repeats` per task.
+        let (outcomes, worker_restarts, cancelled) =
+            self.run_outcomes(&jobs, |pos| tasks[pos / repeats], sink, cancel);
 
         let mut results = Vec::with_capacity(tasks.len());
         let mut failures = Vec::new();
@@ -224,99 +224,21 @@ impl Engine {
         let mut jobs_completed = 0usize;
         let mut jobs_failed = 0usize;
         let mut jobs_skipped = 0usize;
-        for (t, ((task, &block_index), per_block)) in tasks
-            .iter()
-            .zip(indices.iter())
-            .zip(outcome.results.chunks(repeats))
-            .enumerate()
+        for ((task, &block_index), per_block) in
+            tasks.iter().zip(indices).zip(outcomes.chunks(repeats))
         {
-            let survivors: Vec<&Exploration> = per_block
-                .iter()
-                .filter_map(|slot| slot.as_ref().and_then(|r| r.as_ref().ok()))
-                .collect();
-            jobs_completed += survivors.len();
-            jobs_skipped += per_block.iter().filter(|slot| slot.is_none()).count();
-            let mut panics = 0usize;
-            for (rep, slot) in per_block.iter().enumerate() {
-                if let Some(Err(p)) = slot {
-                    panics += 1;
-                    sink.emit(RunEvent::JobFailed {
-                        block: task.name.to_string(),
-                        block_index,
-                        repeat: rep,
-                        seed: jobs[t * repeats + rep].seed,
-                        error: p.payload.clone(),
-                        seq: crate::events::Seq(0),
-                        trace: None,
-                    });
+            for outcome in per_block {
+                match outcome {
+                    RepeatOutcome::Explored(_) => jobs_completed += 1,
+                    RepeatOutcome::Panicked(_) => jobs_failed += 1,
+                    RepeatOutcome::Skipped => jobs_skipped += 1,
                 }
             }
-            jobs_failed += panics;
-            if survivors.is_empty() {
-                if panics > 0 {
-                    let error = per_block
-                        .iter()
-                        .find_map(|slot| slot.as_ref().and_then(|r| r.as_ref().err()))
-                        .map(|p| p.payload.clone())
-                        .unwrap_or_default();
-                    failures.push(BlockFailure {
-                        block: task.name.to_string(),
-                        block_index,
-                        repeats_failed: repeats,
-                        error,
-                    });
-                } else {
-                    // Every repeat was skipped by the trip: nothing ran,
-                    // nothing failed — the block simply has no result yet.
-                    skipped_blocks.push(block_index);
-                }
-                continue;
+            match reduce_repeats(task.name, block_index, per_block) {
+                BlockReduction::Kept(result) => results.push(result),
+                BlockReduction::Failed(failure) => failures.push(failure),
+                BlockReduction::Skipped => skipped_blocks.push(block_index),
             }
-            let iterations = survivors.iter().map(|e| e.iterations).sum();
-            // Identical tie-break as the historical serial flow: cycles
-            // first, then area, first-seen wins — in repeat order. On a
-            // full tie a non-degraded exploration beats a degraded one, so
-            // partial work never shadows an equally good canonical repeat.
-            let mut best: Option<&Exploration> = None;
-            for &e in &survivors {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        e.cycles_with_ises < b.cycles_with_ises
-                            || (e.cycles_with_ises == b.cycles_with_ises
-                                && e.total_area() < b.total_area())
-                            || (e.cycles_with_ises == b.cycles_with_ises
-                                && e.total_area() == b.total_area()
-                                && b.degraded
-                                && !e.degraded)
-                    }
-                };
-                if better {
-                    best = Some(e);
-                }
-            }
-            let best = best.expect("at least one survivor").clone();
-            let spread = BlockSpread {
-                block: task.name.to_string(),
-                repeats,
-                baseline_cycles: best.baseline_cycles,
-                best_cycles: best.cycles_with_ises,
-                worst_cycles: survivors
-                    .iter()
-                    .map(|e| e.cycles_with_ises)
-                    .max()
-                    .expect("at least one survivor"),
-            };
-            let repeats_completed = survivors.len();
-            let degraded = best.degraded || repeats_completed + panics < repeats;
-            results.push(BlockResult {
-                block_index,
-                best,
-                iterations,
-                spread,
-                repeats_completed,
-                degraded,
-            });
         }
         EngineOutcome {
             blocks: results,
@@ -325,11 +247,85 @@ impl Engine {
             jobs_completed,
             jobs_failed,
             jobs_skipped,
-            cancelled: outcome.cancelled,
-            worker_restarts: outcome.worker_restarts,
-            workers,
+            cancelled,
+            worker_restarts,
+            workers: worker_count(self.spec.jobs),
             explore_ms: start.elapsed().as_secs_f64() * 1e3,
         }
+    }
+
+    /// Runs every repeat of one block through the pool and returns their
+    /// outcomes in repeat order, unreduced — the input
+    /// [`reduce_repeats`] takes. `block_index` is the block's canonical
+    /// index, which the seeds derive from.
+    pub fn explore_repeats(
+        &self,
+        task: BlockTask<'_>,
+        block_index: usize,
+        master_seed: u64,
+        sink: &dyn EventSink,
+        cancel: &CancelToken,
+    ) -> Vec<RepeatOutcome> {
+        let jobs = ExploreJob::plan_subset(&[block_index], self.spec.repeats, master_seed);
+        self.run_outcomes(&jobs, |_| task, sink, cancel).0
+    }
+
+    /// Runs one `(block, repeat)` job under the same pool supervision as a
+    /// whole run: a panic comes back as [`RepeatOutcome::Panicked`] (and a
+    /// `JobFailed` event), a token tripped before the start as
+    /// [`RepeatOutcome::Skipped`], and a token tripped mid-rounds as a
+    /// degraded exploration. The outcome is bitwise the one the same job
+    /// yields inside an all-blocks run, because its seed is `job.seed`.
+    pub fn explore_repeat(
+        &self,
+        task: BlockTask<'_>,
+        job: ExploreJob,
+        sink: &dyn EventSink,
+        cancel: &CancelToken,
+    ) -> RepeatOutcome {
+        let (mut outcomes, _, _) =
+            self.run_outcomes(std::slice::from_ref(&job), |_| task, sink, cancel);
+        outcomes.pop().expect("one job, one outcome")
+    }
+
+    /// The supervised fan-out behind every entry point: runs `jobs` on the
+    /// pool, `task_of(i)` naming job `i`'s block, and returns one outcome
+    /// per job in job order, the pool's restart count, and whether the
+    /// token skipped any job. Panicked jobs are reported as `JobFailed`
+    /// events, in job order, once the pool has joined.
+    fn run_outcomes<'t>(
+        &self,
+        jobs: &[ExploreJob],
+        task_of: impl Fn(usize) -> BlockTask<'t> + Sync,
+        sink: &dyn EventSink,
+        cancel: &CancelToken,
+    ) -> (Vec<RepeatOutcome>, usize, bool) {
+        let pool = run_jobs_anytime(jobs, self.spec.jobs, cancel, |pos, job| {
+            self.run_job(task_of(pos), *job, sink, cancel)
+        });
+        let outcomes = pool
+            .results
+            .into_iter()
+            .zip(jobs)
+            .enumerate()
+            .map(|(pos, (slot, job))| match slot {
+                Some(Ok(exploration)) => RepeatOutcome::Explored(exploration),
+                Some(Err(panic)) => {
+                    sink.emit(RunEvent::JobFailed {
+                        block: task_of(pos).name.to_string(),
+                        block_index: job.block_index,
+                        repeat: job.repeat,
+                        seed: job.seed,
+                        error: panic.payload.clone(),
+                        seq: crate::events::Seq(0),
+                        trace: None,
+                    });
+                    RepeatOutcome::Panicked(panic.payload)
+                }
+                None => RepeatOutcome::Skipped,
+            })
+            .collect();
+        (outcomes, pool.worker_restarts, pool.cancelled)
     }
 
     fn run_job(

@@ -24,14 +24,16 @@
 //! Examples: `panic:1/3` (every job panics with probability 1/3),
 //! `delay:1/5:20ms` (1 in 5 jobs sleeps 20 ms), `panic@2.0` (block 2,
 //! repeat 0 panics), `cancel:1/8 seed:7`, `drop@1.0` (sever the worker
-//! connection carrying block 1's first dispatch).
+//! connection carrying the first dispatch of each of block 1's jobs).
 //!
 //! The `drop` kind is a *network* fault: it is a no-op inside the engine
 //! (a single process has no connection to sever) and takes effect at the
 //! cluster transport layer, where the coordinator consults
-//! [`FaultPlan::drops`] with `(block, dispatch attempt)` coordinates and
-//! severs the chosen worker's connection instead of sending the job —
-//! making partition drills as reproducible as the in-process kinds.
+//! [`FaultPlan::drops`] with `(block, dispatch attempt)` coordinates —
+//! the attempt counted per `(block, repeat)` job, so `drop@B.A` severs
+//! the A-th dispatch of every repeat of block B — and severs the chosen
+//! worker's connection instead of sending the job, making partition
+//! drills as reproducible as the in-process kinds.
 
 use crate::cancel::CancelToken;
 use crate::seed::derive_seed;
@@ -143,7 +145,8 @@ impl FaultPlan {
     }
 
     /// Whether the cluster transport should sever the connection carrying
-    /// dispatch `attempt` of `block` instead of delivering it. Pure in
+    /// dispatch `attempt` of a job of `block` (attempts count per
+    /// `(block, repeat)` job) instead of delivering it. Pure in
     /// `(plan seed ⊕ drop salt, block, attempt)`, so a partition drill
     /// severs the same dispatches on every run — the engine-level kinds
     /// never alias it (distinct salt).

@@ -14,21 +14,23 @@ pub struct ExploreJob {
 }
 
 impl ExploreJob {
+    /// Job `repeat` of the block at canonical index `block_index`, seeded
+    /// from `(master_seed, block_index, repeat)` alone.
+    pub fn new(block_index: usize, repeat: usize, master_seed: u64) -> ExploreJob {
+        ExploreJob {
+            block_index,
+            repeat,
+            seed: derive_seed(master_seed, block_index as u64, repeat as u64),
+        }
+    }
+
     /// Plans the full job list for `blocks` blocks × `repeats` repeats, in
     /// block-major order. The order is part of the determinism contract:
     /// results are committed by job index, so the reduction over repeats
     /// sees them in this order regardless of which worker ran what.
     pub fn plan(blocks: usize, repeats: usize, master_seed: u64) -> Vec<ExploreJob> {
-        let repeats = repeats.max(1);
-        (0..blocks)
-            .flat_map(|block_index| {
-                (0..repeats).map(move |repeat| ExploreJob {
-                    block_index,
-                    repeat,
-                    seed: derive_seed(master_seed, block_index as u64, repeat as u64),
-                })
-            })
-            .collect()
+        let indices: Vec<usize> = (0..blocks).collect();
+        ExploreJob::plan_subset(&indices, repeats, master_seed)
     }
 
     /// Plans jobs for a *subset* of a run's blocks, identified by their
@@ -41,11 +43,7 @@ impl ExploreJob {
         indices
             .iter()
             .flat_map(|&block_index| {
-                (0..repeats).map(move |repeat| ExploreJob {
-                    block_index,
-                    repeat,
-                    seed: derive_seed(master_seed, block_index as u64, repeat as u64),
-                })
+                (0..repeats).map(move |repeat| ExploreJob::new(block_index, repeat, master_seed))
             })
             .collect()
     }

@@ -17,6 +17,7 @@ mod fault;
 mod job;
 mod metrics;
 mod pool;
+mod reduce;
 mod seed;
 
 pub use cancel::{CancelToken, Cancelled};
@@ -29,4 +30,5 @@ pub use pool::{
     run_jobs, run_jobs_anytime, run_jobs_cancellable, run_jobs_supervised, worker_count,
     AnytimeOutcome, JobPanic, PoolOutcome,
 };
+pub use reduce::{reduce_repeats, BlockReduction, RepeatOutcome, RepeatSlots};
 pub use seed::derive_seed;

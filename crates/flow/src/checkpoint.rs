@@ -33,11 +33,16 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::time::Instant;
 
-use isex_engine::{BlockSpread, BlockTask, CancelToken, Cancelled, Engine, EventSink, RunMetrics};
-use isex_workloads::Program;
+use isex_engine::{
+    reduce_repeats, BlockReduction, BlockSpread, CancelToken, Cancelled, Engine, EventSink,
+    ExploreJob, RepeatOutcome, RunMetrics,
+};
+use isex_workloads::{BasicBlock, Program};
 use serde::{Deserialize, Serialize};
 
-use crate::flow::{explore_spec, hot_blocks, replace_and_report, FlowConfig, FlowReport};
+use crate::flow::{
+    block_task, explore_spec, hot_blocks, replace_and_report, FlowConfig, FlowReport,
+};
 use crate::merge::WeightedPattern;
 use crate::select;
 
@@ -219,8 +224,9 @@ fn repair_torn_tail(path: &Path) -> std::io::Result<()> {
 }
 
 /// Appends one entry, then flushes and fsyncs so the entry survives any
-/// crash that happens after this returns.
-fn append_entry(file: &mut File, entry: &CheckpointEntry) -> std::io::Result<()> {
+/// crash that happens after this returns. The one journal writer: the
+/// checkpointed flow and the cluster coordinator both append through it.
+pub fn append_entry(file: &mut File, entry: &CheckpointEntry) -> std::io::Result<()> {
     let line = serde_json::to_string(entry).expect("entry serializes");
     file.write_all(line.as_bytes())?;
     file.write_all(b"\n")?;
@@ -228,13 +234,25 @@ fn append_entry(file: &mut File, entry: &CheckpointEntry) -> std::io::Result<()>
     file.sync_data()
 }
 
+/// The hot block at canonical index `block_index`.
+///
+/// # Panics
+///
+/// Panics if the index is outside the run's hot list.
+fn hot_block<'p>(cfg: &FlowConfig, program: &'p Program, block_index: usize) -> &'p BasicBlock {
+    let hot = hot_blocks(cfg, program);
+    let len = hot.len();
+    hot.get(block_index)
+        .copied()
+        .unwrap_or_else(|| panic!("block index {block_index} outside the hot list ({len} blocks)"))
+}
+
 /// Explores exactly one block of the run's hot list, identified by its
 /// canonical index, and packages the outcome as a [`CheckpointEntry`].
 ///
-/// This is the shared unit of work behind both the checkpoint/resume path
-/// and the cluster worker: seeds derive from the canonical index, so an
-/// entry produced here — on any node — is bitwise identical to what the
-/// same block yields inside an uninterrupted all-blocks run.
+/// Seeds derive from the canonical index, so an entry produced here — on
+/// any node — is bitwise identical to what the same block yields inside an
+/// uninterrupted all-blocks run.
 ///
 /// Anytime semantics: a token tripping mid-block yields an `Ok` entry with
 /// [`CheckpointEntry::degraded`] set (the block's best-so-far) instead of
@@ -243,9 +261,7 @@ fn append_entry(file: &mut File, entry: &CheckpointEntry) -> std::io::Result<()>
 ///
 /// # Panics
 ///
-/// Panics if `block_index` is outside the run's hot list. Callers that take
-/// the index from outside input (the cluster worker) check it against
-/// [`hot_blocks`] first.
+/// Panics if `block_index` is outside the run's hot list.
 pub fn explore_block_entry(
     cfg: &FlowConfig,
     program: &Program,
@@ -254,43 +270,96 @@ pub fn explore_block_entry(
     sink: &dyn EventSink,
     cancel: &CancelToken,
 ) -> Result<CheckpointEntry, Cancelled> {
-    let key = run_key(cfg, program, seed);
-    let hot = hot_blocks(cfg, program);
-    let block = *hot.get(block_index).unwrap_or_else(|| {
-        panic!(
-            "block index {block_index} outside the hot list ({} blocks)",
-            hot.len()
-        )
-    });
+    let block = hot_block(cfg, program, block_index);
     let engine = Engine::new(explore_spec(cfg));
-    entry_for_block(&engine, block, block_index, &key, seed, sink, cancel)
+    let key = run_key(cfg, program, seed);
+    Ok(block_entry(
+        &engine,
+        block,
+        block_index,
+        &key,
+        seed,
+        sink,
+        cancel,
+    ))
 }
 
-/// One engine call over one hot block, reduced to its journal entry.
-fn entry_for_block(
+/// Runs one `(block, repeat)` job of the run — the cluster's unit of work —
+/// and returns its unreduced outcome. The outcome is bitwise the one the
+/// same repeat yields inside [`explore_block_entry`] or a whole run;
+/// [`entry_from_repeats`] folds a block's outcomes into its entry.
+///
+/// # Panics
+///
+/// Panics if `block_index` is outside the run's hot list. Callers that take
+/// the index from outside input (the cluster worker) check it against
+/// [`hot_blocks`] first.
+pub fn explore_block_repeat(
+    cfg: &FlowConfig,
+    program: &Program,
+    seed: u64,
+    block_index: usize,
+    repeat: usize,
+    sink: &dyn EventSink,
+    cancel: &CancelToken,
+) -> RepeatOutcome {
+    let block = hot_block(cfg, program, block_index);
+    Engine::new(explore_spec(cfg)).explore_repeat(
+        block_task(block),
+        ExploreJob::new(block_index, repeat, seed),
+        sink,
+        cancel,
+    )
+}
+
+/// All of one block's repeats through `engine`'s pool, reduced to the
+/// block's journal entry.
+fn block_entry(
     engine: &Engine,
-    block: &isex_workloads::BasicBlock,
+    block: &BasicBlock,
     index: usize,
     key: &str,
     seed: u64,
     sink: &dyn EventSink,
     cancel: &CancelToken,
-) -> Result<CheckpointEntry, Cancelled> {
-    let task = BlockTask {
-        name: block.name.as_str(),
-        dfg: &block.dfg,
+) -> CheckpointEntry {
+    let outcomes = engine.explore_repeats(block_task(block), index, seed, sink, cancel);
+    entry_from_repeats(key, block, index, &outcomes)
+}
+
+/// Reduces one block's repeat outcomes, given in repeat order, to its
+/// journal entry through the engine's [`reduce_repeats`].
+///
+/// Every path that builds a [`CheckpointEntry`] goes through here: the
+/// checkpointed run, [`explore_block_entry`], and the cluster coordinator
+/// once all of a block's repeats are back (or, on a deadline, with the
+/// missing ones as [`RepeatOutcome::Skipped`]).
+pub fn entry_from_repeats(
+    key: &str,
+    block: &BasicBlock,
+    block_index: usize,
+    outcomes: &[RepeatOutcome],
+) -> CheckpointEntry {
+    let count = |want: fn(&RepeatOutcome) -> bool| outcomes.iter().filter(|o| want(o)).count();
+    let jobs_failed = count(|o| matches!(o, RepeatOutcome::Panicked(_)));
+    let base = CheckpointEntry {
+        run_key: key.to_string(),
+        block_index,
+        block: block.name.clone(),
+        iterations: 0,
+        jobs_completed: count(|o| matches!(o, RepeatOutcome::Explored(_))),
+        jobs_failed,
+        // Pool supervision resurrects one worker per caught panic.
+        worker_restarts: jobs_failed,
+        spread: None,
+        patterns: Vec::new(),
+        error: None,
+        degraded: false,
+        rounds_completed: None,
     };
-    let outcome = engine.explore_subset_anytime(&[task], &[index], seed, sink, cancel);
-    let entry = match outcome.blocks.first() {
-        Some(result) => CheckpointEntry {
-            run_key: key.to_string(),
-            block_index: index,
-            block: block.name.clone(),
+    match reduce_repeats(&block.name, block_index, outcomes) {
+        BlockReduction::Kept(result) => CheckpointEntry {
             iterations: result.iterations,
-            jobs_completed: outcome.jobs_completed,
-            jobs_failed: outcome.jobs_failed,
-            worker_restarts: outcome.worker_restarts,
-            spread: Some(result.spread.clone()),
             patterns: result
                 .best
                 .candidates
@@ -300,45 +369,23 @@ fn entry_for_block(
                     gain: cand.saved_cycles as u64 * block.exec_count,
                 })
                 .collect(),
-            error: None,
+            spread: Some(result.spread),
             degraded: result.degraded,
             rounds_completed: result.degraded.then_some(result.best.rounds),
+            ..base
         },
-        None if !outcome.failures.is_empty() => {
-            let failure = outcome.failures.first().expect("checked non-empty");
-            CheckpointEntry {
-                run_key: key.to_string(),
-                block_index: index,
-                block: block.name.clone(),
-                iterations: 0,
-                jobs_completed: outcome.jobs_completed,
-                jobs_failed: outcome.jobs_failed,
-                worker_restarts: outcome.worker_restarts,
-                spread: None,
-                patterns: Vec::new(),
-                error: Some(failure.error.clone()),
-                degraded: false,
-                rounds_completed: None,
-            }
-        }
+        BlockReduction::Failed(failure) => CheckpointEntry {
+            error: Some(failure.error),
+            ..base
+        },
         // Every repeat was skipped by the trip: a degraded empty entry —
         // no result yet, but no failure either.
-        None => CheckpointEntry {
-            run_key: key.to_string(),
-            block_index: index,
-            block: block.name.clone(),
-            iterations: 0,
-            jobs_completed: 0,
-            jobs_failed: 0,
-            worker_restarts: outcome.worker_restarts,
-            spread: None,
-            patterns: Vec::new(),
-            error: None,
+        BlockReduction::Skipped => CheckpointEntry {
             degraded: true,
             rounds_completed: Some(0),
+            ..base
         },
-    };
-    Ok(entry)
+    }
 }
 
 /// The reduce half shared by checkpointed and clustered runs: folds one
@@ -455,7 +502,7 @@ pub fn run_flow_checkpointed(
         if entries.iter().any(|e| e.block_index == index) {
             continue;
         }
-        let entry = entry_for_block(&engine, block, index, &key, seed, sink, cancel)?;
+        let entry = block_entry(&engine, block, index, &key, seed, sink, cancel);
         if entry.degraded {
             // A degraded entry is a best-so-far partial; journaling it
             // would make the resumed run inherit the cut instead of
@@ -561,6 +608,120 @@ mod tests {
         let key_other = run_key(&cfg, &program, 3);
         assert!(load_journal(&path, &key_other).unwrap().is_empty());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every ordering of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for rest in permutations(n - 1) {
+            for at in 0..=rest.len() {
+                let mut p = rest.clone();
+                p.insert(at, n - 1);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// Slots block 0's `outcomes` (given in repeat order) in `order` of
+    /// arrival, then reduces the block as a cluster coordinator does: from
+    /// the complete set, or from a cut when some repeat never arrived.
+    fn arrive(
+        key: &str,
+        block: &BasicBlock,
+        outcomes: &[Option<RepeatOutcome>],
+        order: &[usize],
+    ) -> CheckpointEntry {
+        let mut slots = isex_engine::RepeatSlots::new(1, outcomes.len());
+        for &repeat in order {
+            if let Some(outcome) = &outcomes[repeat] {
+                assert!(slots.fill(0, repeat, outcome.clone()));
+            }
+        }
+        let reduced = slots.complete(0).unwrap_or_else(|| slots.cut(0));
+        entry_from_repeats(key, block, 0, &reduced)
+    }
+
+    #[test]
+    fn arrival_order_never_reaches_the_reduction() {
+        let program = Benchmark::Crc32.program(OptLevel::O3);
+        let mut cfg = quick_cfg();
+        cfg.repeats = 4;
+        cfg.jobs = 1;
+        cfg.params.max_iterations = 20;
+        // Repeat 1 panics; repeat 2 trips the run's token at its start, so
+        // it comes back degraded and repeat 3 never starts.
+        cfg.fault_plan = Some(isex_engine::FaultPlan::parse("panic@0.1 cancel@0.2").unwrap());
+        let seed = 5;
+        let key = run_key(&cfg, &program, seed);
+        let block = hot_blocks(&cfg, &program)[0];
+        let expected =
+            explore_block_entry(&cfg, &program, seed, 0, &NullSink, &CancelToken::new()).unwrap();
+        let real = Engine::new(explore_spec(&cfg)).explore_repeats(
+            block_task(block),
+            0,
+            seed,
+            &NullSink,
+            &CancelToken::new(),
+        );
+        let explored = |o: &RepeatOutcome| match o {
+            RepeatOutcome::Explored(e) => Some(e.clone()),
+            _ => None,
+        };
+        assert!(matches!(real[1], RepeatOutcome::Panicked(_)));
+        assert!(explored(&real[2]).is_some_and(|e| e.degraded));
+        assert_eq!(real[3], RepeatOutcome::Skipped);
+
+        // The real outcomes, in every arrival order, with the skipped
+        // repeat both delivered (a job skipped at dispatch) and missing (a
+        // deadline cut): always `explore_block_entry`'s entry.
+        let delivered: Vec<Option<RepeatOutcome>> = real.iter().cloned().map(Some).collect();
+        let mut missing = delivered.clone();
+        missing[3] = None;
+        for order in permutations(real.len()) {
+            assert_eq!(
+                arrive(&key, block, &delivered, &order),
+                expected,
+                "{order:?}"
+            );
+            assert_eq!(arrive(&key, block, &missing, &order), expected, "{order:?}");
+        }
+
+        // Ties: equal cycles and area, one of them degraded; equal cycles
+        // and a larger area; a panic; a skip. The kept exploration is the
+        // first non-degraded one of the full tie in repeat order — `rounds`
+        // tells the tied ones apart — whatever order the repeats arrive in.
+        let base = explored(&real[0]).unwrap();
+        assert!(
+            !base.candidates.is_empty(),
+            "the area tie-break needs a candidate"
+        );
+        let with = |rounds: usize, degraded: bool, extra_area: f64| {
+            let mut e = base.clone();
+            e.rounds = rounds;
+            e.degraded = degraded;
+            e.candidates[0].area_um2 += extra_area;
+            RepeatOutcome::Explored(e)
+        };
+        let tied = vec![
+            Some(with(1, true, 0.0)),
+            Some(with(7, false, 0.0)),
+            Some(with(9, false, 0.0)),
+            Some(with(3, false, 1.0)),
+            Some(RepeatOutcome::Panicked("boom".into())),
+            Some(RepeatOutcome::Skipped),
+        ];
+        let in_repeat_order: Vec<RepeatOutcome> = tied.iter().flatten().cloned().collect();
+        let reference = entry_from_repeats(&key, block, 0, &in_repeat_order);
+        assert!(reference.degraded, "a skipped repeat degrades the block");
+        assert_eq!(reference.rounds_completed, Some(7));
+        assert_eq!((reference.jobs_completed, reference.jobs_failed), (4, 1));
+        for order in permutations(tied.len()) {
+            assert_eq!(arrive(&key, block, &tied, &order), reference, "{order:?}");
+        }
     }
 
     #[test]

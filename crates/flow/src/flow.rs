@@ -224,13 +224,7 @@ pub(crate) fn explore_program_anytime(
     let _trace = cfg.tracer.attach();
     let hot = hot_blocks(cfg, program);
     let engine = Engine::new(explore_spec(cfg));
-    let tasks: Vec<BlockTask<'_>> = hot
-        .iter()
-        .map(|b| BlockTask {
-            name: b.name.as_str(),
-            dfg: &b.dfg,
-        })
-        .collect();
+    let tasks: Vec<BlockTask<'_>> = hot.iter().map(|b| block_task(b)).collect();
     let indices: Vec<usize> = (0..tasks.len()).collect();
     let outcome = {
         let _s = cfg.tracer.span_with("flow.explore", || {
@@ -311,6 +305,14 @@ pub fn hot_blocks<'a>(cfg: &FlowConfig, program: &'a Program) -> Vec<&'a BasicBl
         hot.push(b);
     }
     hot
+}
+
+/// The engine task exploring `block`.
+pub(crate) fn block_task(block: &BasicBlock) -> BlockTask<'_> {
+    BlockTask {
+        name: block.name.as_str(),
+        dfg: &block.dfg,
+    }
 }
 
 /// The engine spec a flow config implies.

@@ -49,13 +49,14 @@ pub mod report;
 pub mod select;
 
 pub use checkpoint::{
-    explore_block_entry, finish_from_entries, load_journal, run_flow_checkpointed, run_key,
-    CheckpointEntry, CheckpointError,
+    append_entry, entry_from_repeats, explore_block_entry, explore_block_repeat,
+    finish_from_entries, load_journal, run_flow_checkpointed, run_key, CheckpointEntry,
+    CheckpointError,
 };
 pub use flow::{
     hot_blocks, run_flow, run_flow_cancellable, run_flow_observed, Algorithm, BlockOutcome,
     FlowConfig, FlowReport,
 };
-pub use isex_engine::{CancelToken, Cancelled, FaultPlan};
+pub use isex_engine::{CancelToken, Cancelled, FaultPlan, RepeatOutcome};
 pub use pattern::IsePattern;
 pub use select::SelectedIse;
