@@ -14,7 +14,7 @@
 
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -182,16 +182,17 @@ fn serve_session(
     // also carries a MetricsReport — the federation payload rides the
     // cadence that already exists.
     let write_half = Arc::new(Mutex::new(stream.try_clone().map_err(|e| e.to_string())?));
-    let stop = Arc::new(AtomicBool::new(false));
+    // Dropping `stop` at session end wakes the beater mid-wait, so the
+    // session ends at once instead of up to one heartbeat later.
+    let (stop, stopped) = mpsc::channel::<()>();
     let beat_half = Arc::clone(&write_half);
-    let beat_stop = Arc::clone(&stop);
     let beat_telemetry = Arc::clone(telemetry);
     let beat_name = config.name.clone();
     let beater = std::thread::Builder::new()
         .name(format!("isex-worker-{}-beat", config.name))
         .spawn(move || {
-            while !beat_stop.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(heartbeat_ms.max(10)));
+            let beat = Duration::from_millis(heartbeat_ms.max(10));
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(beat) {
                 let report = beat_telemetry
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -267,7 +268,7 @@ fn serve_session(
             | Message::MetricsReport(_) => break 'conn Session::Lost,
         }
     };
-    stop.store(true, Ordering::Release);
+    drop(stop);
     let _ = stream.shutdown(Shutdown::Both);
     let _ = beater.join();
     Ok(session)

@@ -377,6 +377,11 @@ fn tight_deadline_makes_workers_ship_degraded_partials() {
     assert!(report.degraded, "report carries the degradation marker");
     assert!(metrics.degraded);
     assert!(metrics.blocks_degraded >= 1);
+    assert_eq!(
+        metrics.jobs_completed + metrics.jobs_failed + metrics.jobs_skipped,
+        metrics.jobs_total,
+        "job accounting must add up on a cut run: {metrics:?}"
+    );
     assert!(
         report
             .per_block
@@ -794,4 +799,26 @@ fn duplicate_repeat_results_are_dropped() {
 
     Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
     assert_eq!(answerer.join().expect("answerer"), metrics.jobs_total);
+}
+
+#[test]
+fn workers_exit_promptly_after_goodbye() {
+    // A heartbeat far longer than the bound: a worker must notice the
+    // coordinator's Goodbye at once, not after sleeping out a beat.
+    let coord = coordinator(5_000, None);
+    let w0 = spawn_worker(coord.addr(), "exit0");
+    let w1 = spawn_worker(coord.addr(), "exit1");
+    assert!(coord.wait_for_workers(2, Duration::from_secs(10)));
+    // Registration precedes a worker's read of its HelloAck; a served run
+    // proves a session is past it, with its heartbeat thread waiting.
+    cluster_run(&coord, &small_request(3), None);
+    let started = std::time::Instant::now();
+    Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
+    w0.join().expect("worker 0 exits cleanly");
+    w1.join().expect("worker 1 exits cleanly");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(2_500),
+        "shutdown plus joining the workers took {elapsed:?}"
+    );
 }

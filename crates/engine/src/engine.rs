@@ -1,5 +1,6 @@
-//! The engine proper: job fan-out under pool supervision, per-block
-//! best-of-N reduction (see [`reduce_repeats`]).
+//! The engine proper: `(block, repeat)` job fan-out under pool
+//! supervision. The per-block best-of-N reduction is
+//! [`reduce_repeats`](crate::reduce_repeats).
 
 use std::time::Instant;
 
@@ -10,13 +11,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::CancelToken;
 use crate::events::{EventSink, RunEvent};
 use crate::fault::FaultPlan;
 use crate::job::ExploreJob;
-use crate::metrics::{BlockFailure, BlockSpread};
-use crate::pool::{run_jobs_anytime, worker_count};
-use crate::reduce::{reduce_repeats, BlockReduction, RepeatOutcome};
+use crate::metrics::BlockSpread;
+use crate::pool::run_jobs_anytime;
+use crate::reduce::RepeatOutcome;
 
 /// Which explorer drives a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -73,7 +74,7 @@ pub struct BlockTask<'a> {
 /// The kept (best-of-N) exploration of one block.
 #[derive(Clone, Debug)]
 pub struct BlockResult {
-    /// Index into the task list passed to [`Engine::explore_blocks`].
+    /// The block's canonical index in the run's hot list.
     pub block_index: usize,
     /// The best exploration over the block's repeats.
     pub best: Exploration,
@@ -85,45 +86,16 @@ pub struct BlockResult {
     /// was cut short).
     pub repeats_completed: usize,
     /// Whether this block's kept result is best-so-far rather than
-    /// canonical: some repeats were skipped after a cancellation, or the
-    /// kept exploration itself was cut mid-rounds.
+    /// canonical: some repeats were skipped after a cancellation, or some
+    /// surviving exploration was cut mid-rounds.
     pub degraded: bool,
-}
-
-/// Aggregate outcome of one engine run.
-#[derive(Clone, Debug)]
-pub struct EngineOutcome {
-    /// Per-block kept results, in task order. Blocks whose every repeat
-    /// panicked are absent here and listed in `failures` instead.
-    pub blocks: Vec<BlockResult>,
-    /// Blocks that produced no kept exploration (every repeat panicked).
-    pub failures: Vec<BlockFailure>,
-    /// Canonical indices of blocks whose every repeat was skipped by a
-    /// tripped token before it could start — no result, but no failure
-    /// either. Empty unless `cancelled`.
-    pub skipped_blocks: Vec<usize>,
-    /// Jobs that ran to completion.
-    pub jobs_completed: usize,
-    /// Jobs that panicked and were isolated by pool supervision.
-    pub jobs_failed: usize,
-    /// Jobs never started because the token tripped first.
-    pub jobs_skipped: usize,
-    /// Whether the token tripped before every job completed — the outcome
-    /// is a valid best-so-far partial, not the canonical answer.
-    pub cancelled: bool,
-    /// Workers logically resurrected after a caught panic.
-    pub worker_restarts: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Exploration wall time, milliseconds.
-    pub explore_ms: f64,
 }
 
 /// Runs exploration jobs deterministically in parallel.
 ///
-/// For a fixed master seed the outcome is bitwise identical at any worker
+/// For a fixed master seed the outcomes are bitwise identical at any worker
 /// count: every job's seed comes from [`crate::derive_seed`], jobs never
-/// share RNG state, and results are reduced in job order, not completion
+/// share RNG state, and outcomes come back in job order, not completion
 /// order.
 pub struct Engine {
     spec: ExploreSpec,
@@ -140,134 +112,37 @@ impl Engine {
         &self.spec
     }
 
-    /// Explores every block `repeats` times, keeping each block's best
-    /// exploration (fewest cycles, ties broken by smaller area).
-    pub fn explore_blocks(
+    /// Runs every `(block, repeat)` job of `blocks` on **one** pool and
+    /// returns each block's outcomes in repeat order, blocks in the order
+    /// given — the input [`reduce_repeats`](crate::reduce_repeats) takes.
+    ///
+    /// `blocks[i].1` is the block's canonical index in the run's hot list;
+    /// its jobs' seeds derive from that index, so exploring any subset of
+    /// a run's blocks (one at a time, on resume, on another node) yields
+    /// the outcomes the same blocks get in an all-blocks call. All jobs
+    /// share one pool, so a worker that finishes a small block steals the
+    /// next job of a large one. A panicking job comes back as
+    /// [`RepeatOutcome::Panicked`], a job the token kept from starting as
+    /// [`RepeatOutcome::Skipped`], and a job cut mid-rounds as a degraded
+    /// exploration.
+    pub fn explore(
         &self,
-        blocks: &[BlockTask<'_>],
-        master_seed: u64,
-        sink: &dyn EventSink,
-    ) -> EngineOutcome {
-        self.try_explore_blocks(blocks, master_seed, sink, &CancelToken::new())
-            .expect("a fresh token never cancels")
-    }
-
-    /// [`explore_blocks`](Engine::explore_blocks) with cooperative
-    /// cancellation: no new job starts once `cancel` trips, the in-progress
-    /// jobs finish, and the run returns [`Cancelled`] instead of a partial
-    /// outcome. A token that trips only after the last job completed still
-    /// yields `Ok` — the full (and deterministic) outcome exists.
-    pub fn try_explore_blocks(
-        &self,
-        blocks: &[BlockTask<'_>],
+        blocks: &[(BlockTask<'_>, usize)],
         master_seed: u64,
         sink: &dyn EventSink,
         cancel: &CancelToken,
-    ) -> Result<EngineOutcome, Cancelled> {
-        let indices: Vec<usize> = (0..blocks.len()).collect();
-        self.try_explore_subset(blocks, &indices, master_seed, sink, cancel)
-    }
-
-    /// Explores a *subset* of a run's blocks, preserving their canonical
-    /// block indices for seed derivation.
-    ///
-    /// `indices[i]` is the position `tasks[i]` holds in the full run's hot
-    /// list; job seeds derive from that canonical index, so exploring
-    /// blocks one at a time (the checkpoint/resume path) yields results
-    /// bitwise identical to one all-blocks call. Panicking jobs are
-    /// isolated: a block keeps the best of its surviving repeats, and a
-    /// block whose every repeat panicked lands in
-    /// [`EngineOutcome::failures`] instead of aborting the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks` and `indices` differ in length.
-    pub fn try_explore_subset(
-        &self,
-        tasks: &[BlockTask<'_>],
-        indices: &[usize],
-        master_seed: u64,
-        sink: &dyn EventSink,
-        cancel: &CancelToken,
-    ) -> Result<EngineOutcome, Cancelled> {
-        let outcome = self.explore_subset_anytime(tasks, indices, master_seed, sink, cancel);
-        if outcome.cancelled {
-            return Err(Cancelled);
-        }
-        Ok(outcome)
-    }
-
-    /// [`try_explore_subset`](Engine::try_explore_subset) with anytime
-    /// semantics: a tripped token yields the best-so-far partial outcome
-    /// (`cancelled: true`, per-block degraded provenance) instead of
-    /// discarding completed work. With an untripped token the outcome is
-    /// bitwise identical to the non-anytime path.
-    pub fn explore_subset_anytime(
-        &self,
-        tasks: &[BlockTask<'_>],
-        indices: &[usize],
-        master_seed: u64,
-        sink: &dyn EventSink,
-        cancel: &CancelToken,
-    ) -> EngineOutcome {
-        assert_eq!(tasks.len(), indices.len(), "one canonical index per task");
+    ) -> Vec<Vec<RepeatOutcome>> {
         let repeats = self.spec.repeats.max(1);
-        let start = Instant::now();
-        let jobs = ExploreJob::plan_subset(indices, repeats, master_seed);
-        // Jobs are planned task-major, `repeats` per task.
-        let (outcomes, worker_restarts, cancelled) =
-            self.run_outcomes(&jobs, |pos| tasks[pos / repeats], sink, cancel);
-
-        let mut results = Vec::with_capacity(tasks.len());
-        let mut failures = Vec::new();
-        let mut skipped_blocks = Vec::new();
-        let mut jobs_completed = 0usize;
-        let mut jobs_failed = 0usize;
-        let mut jobs_skipped = 0usize;
-        for ((task, &block_index), per_block) in
-            tasks.iter().zip(indices).zip(outcomes.chunks(repeats))
-        {
-            for outcome in per_block {
-                match outcome {
-                    RepeatOutcome::Explored(_) => jobs_completed += 1,
-                    RepeatOutcome::Panicked(_) => jobs_failed += 1,
-                    RepeatOutcome::Skipped => jobs_skipped += 1,
-                }
-            }
-            match reduce_repeats(task.name, block_index, per_block) {
-                BlockReduction::Kept(result) => results.push(result),
-                BlockReduction::Failed(failure) => failures.push(failure),
-                BlockReduction::Skipped => skipped_blocks.push(block_index),
-            }
-        }
-        EngineOutcome {
-            blocks: results,
-            failures,
-            skipped_blocks,
-            jobs_completed,
-            jobs_failed,
-            jobs_skipped,
-            cancelled,
-            worker_restarts,
-            workers: worker_count(self.spec.jobs),
-            explore_ms: start.elapsed().as_secs_f64() * 1e3,
-        }
-    }
-
-    /// Runs every repeat of one block through the pool and returns their
-    /// outcomes in repeat order, unreduced — the input
-    /// [`reduce_repeats`] takes. `block_index` is the block's canonical
-    /// index, which the seeds derive from.
-    pub fn explore_repeats(
-        &self,
-        task: BlockTask<'_>,
-        block_index: usize,
-        master_seed: u64,
-        sink: &dyn EventSink,
-        cancel: &CancelToken,
-    ) -> Vec<RepeatOutcome> {
-        let jobs = ExploreJob::plan_subset(&[block_index], self.spec.repeats, master_seed);
-        self.run_outcomes(&jobs, |_| task, sink, cancel).0
+        let indices: Vec<usize> = blocks.iter().map(|&(_, index)| index).collect();
+        // Jobs are planned block-major, `repeats` per block.
+        let jobs = ExploreJob::plan_subset(&indices, repeats, master_seed);
+        let mut outcomes = self
+            .run_outcomes(&jobs, |pos| blocks[pos / repeats].0, sink, cancel)
+            .into_iter();
+        blocks
+            .iter()
+            .map(|_| outcomes.by_ref().take(repeats).collect())
+            .collect()
     }
 
     /// Runs one `(block, repeat)` job under the same pool supervision as a
@@ -283,15 +158,14 @@ impl Engine {
         sink: &dyn EventSink,
         cancel: &CancelToken,
     ) -> RepeatOutcome {
-        let (mut outcomes, _, _) =
-            self.run_outcomes(std::slice::from_ref(&job), |_| task, sink, cancel);
-        outcomes.pop().expect("one job, one outcome")
+        self.run_outcomes(std::slice::from_ref(&job), |_| task, sink, cancel)
+            .pop()
+            .expect("one job, one outcome")
     }
 
-    /// The supervised fan-out behind every entry point: runs `jobs` on the
+    /// The supervised fan-out behind both entry points: runs `jobs` on the
     /// pool, `task_of(i)` naming job `i`'s block, and returns one outcome
-    /// per job in job order, the pool's restart count, and whether the
-    /// token skipped any job. Panicked jobs are reported as `JobFailed`
+    /// per job in job order. Panicked jobs are reported as `JobFailed`
     /// events, in job order, once the pool has joined.
     fn run_outcomes<'t>(
         &self,
@@ -299,12 +173,11 @@ impl Engine {
         task_of: impl Fn(usize) -> BlockTask<'t> + Sync,
         sink: &dyn EventSink,
         cancel: &CancelToken,
-    ) -> (Vec<RepeatOutcome>, usize, bool) {
+    ) -> Vec<RepeatOutcome> {
         let pool = run_jobs_anytime(jobs, self.spec.jobs, cancel, |pos, job| {
             self.run_job(task_of(pos), *job, sink, cancel)
         });
-        let outcomes = pool
-            .results
+        pool.results
             .into_iter()
             .zip(jobs)
             .enumerate()
@@ -324,8 +197,7 @@ impl Engine {
                 }
                 None => RepeatOutcome::Skipped,
             })
-            .collect();
-        (outcomes, pool.worker_restarts, pool.cancelled)
+            .collect()
     }
 
     fn run_job(

@@ -24,20 +24,14 @@ impl ExploreJob {
         }
     }
 
-    /// Plans the full job list for `blocks` blocks × `repeats` repeats, in
-    /// block-major order. The order is part of the determinism contract:
-    /// results are committed by job index, so the reduction over repeats
-    /// sees them in this order regardless of which worker ran what.
-    pub fn plan(blocks: usize, repeats: usize, master_seed: u64) -> Vec<ExploreJob> {
-        let indices: Vec<usize> = (0..blocks).collect();
-        ExploreJob::plan_subset(&indices, repeats, master_seed)
-    }
-
-    /// Plans jobs for a *subset* of a run's blocks, identified by their
-    /// canonical indices in the full hot list. Seeds derive from those
-    /// canonical indices, so exploring any subset — one block at a time,
-    /// on resume, in any grouping — yields jobs bitwise identical to the
-    /// ones [`ExploreJob::plan`] would assign the same blocks.
+    /// Plans the jobs of the blocks at canonical indices `indices` in the
+    /// run's hot list, `repeats` per block, in block-major order. The order
+    /// is part of the determinism contract: outcomes are committed by job
+    /// index, so the reduction over repeats sees them in this order
+    /// regardless of which worker ran what. Seeds derive from the canonical
+    /// indices, so exploring any subset of a run's blocks — one block at a
+    /// time, on resume, in any grouping — yields the jobs an all-blocks
+    /// plan assigns the same blocks.
     pub fn plan_subset(indices: &[usize], repeats: usize, master_seed: u64) -> Vec<ExploreJob> {
         let repeats = repeats.max(1);
         indices
@@ -55,7 +49,7 @@ mod tests {
 
     #[test]
     fn plan_is_block_major_and_seeded() {
-        let jobs = ExploreJob::plan(2, 3, 99);
+        let jobs = ExploreJob::plan_subset(&[0, 1], 3, 99);
         assert_eq!(jobs.len(), 6);
         assert_eq!(
             jobs.iter()
@@ -73,6 +67,6 @@ mod tests {
 
     #[test]
     fn zero_repeats_still_runs_once() {
-        assert_eq!(ExploreJob::plan(3, 0, 1).len(), 3);
+        assert_eq!(ExploreJob::plan_subset(&[0, 1, 2], 0, 1).len(), 3);
     }
 }

@@ -1,14 +1,17 @@
 //! Deterministic parallel exploration engine.
 //!
-//! Owns the execution of ISE exploration runs: turning a program's blocks
-//! into [`ExploreJob`]s, deriving a per-job RNG seed that does not depend on
-//! scheduling, fanning jobs out over a scoped-thread worker pool, and
-//! collecting run telemetry ([`RunMetrics`]) plus an optional event stream.
+//! Owns the execution of ISE exploration runs: turning a run's blocks into
+//! `(block, repeat)` [`ExploreJob`]s, deriving a per-job RNG seed that does
+//! not depend on scheduling, fanning every job of a run out over one
+//! scoped-thread worker pool ([`Engine::explore`]; one job alone with
+//! [`Engine::explore_repeat`]), and reducing a block's [`RepeatOutcome`]s
+//! to its best-of-N result ([`reduce_repeats`]). It also defines the run
+//! telemetry ([`RunMetrics`]) and the optional event stream.
 //!
 //! The central contract is **bitwise determinism**: for a fixed master seed
 //! the engine produces identical results for any worker count, because every
 //! job's seed is a pure function of `(master_seed, block_index, repeat)` and
-//! results are committed in job order, not completion order.
+//! outcomes are returned in job order, not completion order.
 
 mod cancel;
 mod engine;
@@ -21,14 +24,11 @@ mod reduce;
 mod seed;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use engine::{Algorithm, BlockResult, BlockTask, Engine, EngineOutcome, ExploreSpec};
+pub use engine::{Algorithm, BlockResult, BlockTask, Engine, ExploreSpec};
 pub use events::{EventSink, JsonlSink, NullSink, RunEvent, Seq, TaggedSink, VecSink};
 pub use fault::{FaultKind, FaultPlan};
 pub use job::ExploreJob;
 pub use metrics::{BlockFailure, BlockSpread, PhaseProfile, PhaseStat, PhaseTimes, RunMetrics};
-pub use pool::{
-    run_jobs, run_jobs_anytime, run_jobs_cancellable, run_jobs_supervised, worker_count,
-    AnytimeOutcome, JobPanic, PoolOutcome,
-};
+pub use pool::{run_jobs, run_jobs_anytime, worker_count, AnytimeOutcome, JobPanic};
 pub use reduce::{reduce_repeats, BlockReduction, RepeatOutcome, RepeatSlots};
 pub use seed::derive_seed;

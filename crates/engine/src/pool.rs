@@ -1,17 +1,20 @@
 //! A scoped-thread worker pool with deterministic result ordering and
 //! panic isolation.
 //!
-//! [`run_jobs_supervised`] is the fault-tolerant core: each job runs under
+//! [`run_jobs_anytime`] is the one fan-out: each job runs under
 //! `catch_unwind`, a panic becomes a structured [`JobPanic`] in that job's
 //! result slot, and the worker that caught it keeps draining the queue —
 //! logically, the supervisor resurrected it. The restart count is reported
-//! so telemetry can distinguish a clean run from a survived one.
+//! so telemetry can distinguish a clean run from a survived one, and a
+//! tripped [`CancelToken`] leaves the slots it kept from starting empty
+//! instead of discarding the work already done. [`run_jobs`] is the plain
+//! wrapper for callers with nothing to cancel and panics to propagate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::CancelToken;
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -42,16 +45,6 @@ pub struct JobPanic {
     pub index: usize,
     /// The panic payload, stringified (`&str`/`String` payloads verbatim).
     pub payload: String,
-}
-
-/// What a supervised fan-out produced.
-#[derive(Debug)]
-pub struct PoolOutcome<R> {
-    /// Per-item results in item order: `Ok` for completed jobs, `Err` for
-    /// jobs whose closure panicked.
-    pub results: Vec<Result<R, JobPanic>>,
-    /// Panics caught (= workers logically resurrected by the supervisor).
-    pub worker_restarts: usize,
 }
 
 /// What an anytime fan-out produced: every slot that completed before the
@@ -86,81 +79,33 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the pool busy even when per-item cost varies wildly (hot blocks next to
 /// tiny ones).
 ///
-/// Panics in `f` propagate once the scope joins.
+/// Panics in `f` propagate once every item has run.
 pub fn run_jobs<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_jobs_cancellable(items, workers, &CancelToken::new(), f)
-        .expect("a fresh token never cancels")
-}
-
-/// [`run_jobs`] with cooperative cancellation: the pool checks `cancel`
-/// before claiming each item, so an in-progress `f` always finishes but no
-/// new item starts once the token trips. Returns [`Cancelled`] if any item
-/// was skipped; a token that trips only after every item completed still
-/// yields `Ok` (the full result set exists, so there is nothing to abandon).
-pub fn run_jobs_cancellable<T, R, F>(
-    items: &[T],
-    workers: usize,
-    cancel: &CancelToken,
-    f: F,
-) -> Result<Vec<R>, Cancelled>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let outcome = run_jobs_supervised(items, workers, cancel, f)?;
-    outcome
+    run_jobs_anytime(items, workers, &CancelToken::new(), f)
         .results
         .into_iter()
-        .map(|r| match r {
-            Ok(v) => Ok(v),
-            // Callers of the unsupervised API expect job panics to
-            // propagate, not to be swallowed into a partial result set.
+        .map(|slot| match slot.expect("a fresh token never cancels") {
+            Ok(v) => v,
             Err(p) => panic!("job {} panicked: {}", p.index, p.payload),
         })
         .collect()
 }
 
-/// The fault-isolating fan-out: like [`run_jobs_cancellable`], but a panic
-/// in `f` is caught, recorded as that item's [`JobPanic`], and the worker
-/// carries on with the next item. The outcome reports how many panics were
-/// caught. Determinism is preserved: a panicking job affects only its own
-/// slot, because jobs share no RNG or accumulator state.
-pub fn run_jobs_supervised<T, R, F>(
-    items: &[T],
-    workers: usize,
-    cancel: &CancelToken,
-    f: F,
-) -> Result<PoolOutcome<R>, Cancelled>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let outcome = run_jobs_anytime(items, workers, cancel, f);
-    if outcome.cancelled {
-        return Err(Cancelled);
-    }
-    Ok(PoolOutcome {
-        results: outcome
-            .results
-            .into_iter()
-            .map(|slot| slot.expect("uncancelled outcome has every slot"))
-            .collect(),
-        worker_restarts: outcome.worker_restarts,
-    })
-}
-
-/// The anytime fan-out: like [`run_jobs_supervised`], but a tripped token
-/// does not discard the work already done. Every job completed (or caught
+/// The fault-isolating, anytime fan-out: like [`run_jobs`], but a panic in
+/// `f` is caught, recorded as that item's [`JobPanic`], and the worker
+/// carries on with the next item; and the pool checks `cancel` before
+/// claiming each item, so an in-progress `f` always finishes but no new
+/// item starts once the token trips. Every job completed (or caught
 /// panicking) before the trip keeps its slot; slots never claimed stay
 /// `None`. A token that trips only after the last item completed reports
 /// `cancelled: false` — the full, deterministic result set exists.
+/// Determinism is preserved: a panicking job affects only its own slot,
+/// because jobs share no RNG or accumulator state.
 pub fn run_jobs_anytime<T, R, F>(
     items: &[T],
     workers: usize,
@@ -268,8 +213,9 @@ mod tests {
         token.cancel();
         let items: Vec<u32> = (0..8).collect();
         for workers in [1, 4] {
-            let out = run_jobs_cancellable(&items, workers, &token, |_, &x| x);
-            assert_eq!(out, Err(Cancelled), "workers={workers}");
+            let out = run_jobs_anytime(&items, workers, &token, |_, &x| x);
+            assert!(out.cancelled, "workers={workers}");
+            assert!(out.results.iter().all(Option::is_none), "workers={workers}");
         }
     }
 
@@ -278,7 +224,7 @@ mod tests {
         let token = CancelToken::new();
         let items: Vec<usize> = (0..64).collect();
         let seen = AtomicUsize::new(0);
-        let out = run_jobs_cancellable(&items, 2, &token, |i, _| {
+        let out = run_jobs_anytime(&items, 2, &token, |i, _| {
             seen.fetch_add(1, Ordering::Relaxed);
             if i == 3 {
                 token.cancel();
@@ -286,34 +232,45 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
             i
         });
-        assert_eq!(out, Err(Cancelled));
-        // In-flight jobs finish; nothing new starts after the trip. With 2
-        // workers at most one extra job can already be claimed.
-        assert!(seen.load(Ordering::Relaxed) < items.len());
+        assert!(out.cancelled);
+        // In-flight jobs finish and keep their slots; nothing new starts
+        // after the trip. With 2 workers at most one extra job can already
+        // be claimed.
+        let ran = seen.load(Ordering::Relaxed);
+        assert!(ran < items.len());
+        assert_eq!(out.results.iter().filter(|r| r.is_some()).count(), ran);
+        assert!(matches!(out.results[3], Some(Ok(3))));
     }
 
     #[test]
     fn late_cancel_after_completion_still_returns_results() {
         let token = CancelToken::new();
         let items: Vec<u32> = (0..10).collect();
-        let out = run_jobs_cancellable(&items, 4, &token, |_, &x| x * 2).unwrap();
+        let out = run_jobs_anytime(&items, 4, &token, |_, &x| x * 2);
         token.cancel();
-        assert_eq!(out, (0..10).map(|x| x * 2).collect::<Vec<_>>());
+        assert!(!out.cancelled);
+        let values: Vec<u32> = out
+            .results
+            .into_iter()
+            .map(|r| r.unwrap().unwrap())
+            .collect();
+        assert_eq!(values, (0..10).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn supervised_pool_isolates_panics_and_counts_restarts() {
         let items: Vec<usize> = (0..32).collect();
         for workers in [1, 4] {
-            let outcome = run_jobs_supervised(&items, workers, &CancelToken::new(), |_, &x| {
+            let outcome = run_jobs_anytime(&items, workers, &CancelToken::new(), |_, &x| {
                 if x % 8 == 3 {
                     panic!("boom at {x}");
                 }
                 x * 2
-            })
-            .unwrap();
+            });
+            assert!(!outcome.cancelled);
             assert_eq!(outcome.worker_restarts, 4, "workers={workers}");
             for (i, r) in outcome.results.iter().enumerate() {
+                let r = r.as_ref().expect("every slot ran");
                 if i % 8 == 3 {
                     let p = r.as_ref().unwrap_err();
                     assert_eq!(p.index, i);
@@ -330,15 +287,16 @@ mod tests {
         // One worker, first item panics: the remaining items must still
         // complete on the same (logically restarted) worker.
         let items: Vec<usize> = (0..6).collect();
-        let outcome = run_jobs_supervised(&items, 1, &CancelToken::new(), |_, &x| {
+        let outcome = run_jobs_anytime(&items, 1, &CancelToken::new(), |_, &x| {
             if x == 0 {
                 panic!("first job dies");
             }
             x
-        })
-        .unwrap();
-        assert!(outcome.results[0].is_err());
-        assert!(outcome.results[1..].iter().all(|r| r.is_ok()));
+        });
+        assert!(matches!(outcome.results[0], Some(Err(_))));
+        assert!(outcome.results[1..]
+            .iter()
+            .all(|r| matches!(r, Some(Ok(_)))));
         assert_eq!(outcome.worker_restarts, 1);
     }
 
@@ -347,10 +305,25 @@ mod tests {
         let items: Vec<u64> = (0..40).collect();
         let clean = run_jobs(&items, 4, |i, &x| (i as u64) * 100 + x);
         let supervised =
-            run_jobs_supervised(&items, 4, &CancelToken::new(), |i, &x| (i as u64) * 100 + x)
-                .unwrap();
+            run_jobs_anytime(&items, 4, &CancelToken::new(), |i, &x| (i as u64) * 100 + x);
         assert_eq!(supervised.worker_restarts, 0);
-        let unwrapped: Vec<u64> = supervised.results.into_iter().map(|r| r.unwrap()).collect();
+        let unwrapped: Vec<u64> = supervised
+            .results
+            .into_iter()
+            .map(|r| r.unwrap().unwrap())
+            .collect();
         assert_eq!(unwrapped, clean);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 2 panicked: boom")]
+    fn run_jobs_propagates_a_job_panic() {
+        let items: Vec<usize> = (0..4).collect();
+        run_jobs(&items, 2, |i, _| {
+            if i == 2 {
+                panic!("boom");
+            }
+            i
+        });
     }
 }

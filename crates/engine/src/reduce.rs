@@ -1,9 +1,9 @@
 //! The best-of-N reduction: one block's repeat outcomes to its kept result.
 //!
-//! Every path that explores a block — the all-blocks pool, the
-//! checkpointed run, and a cluster coordinator folding per-repeat results
-//! off the wire — collects one [`RepeatOutcome`] per repeat and hands them
-//! here **in repeat order**. Arrival order never reaches the reduction,
+//! Every path that explores a block — a local run, the checkpointed run,
+//! and a cluster coordinator folding per-repeat results off the wire —
+//! collects one [`RepeatOutcome`] per repeat and hands them here **in
+//! repeat order**. Arrival order never reaches the reduction,
 //! so where or when a repeat ran cannot show in the kept result.
 
 use isex_core::Exploration;
@@ -43,8 +43,9 @@ pub enum BlockReduction {
 /// [`Exploration::total_area`], then first-seen in repeat order — except
 /// that on a full tie a non-degraded exploration beats a degraded one, so
 /// partial work never shadows an equally good canonical repeat. The block
-/// is degraded when the kept exploration is, or when any repeat was
-/// skipped. The spread counts every planned repeat (`outcomes.len()`).
+/// is degraded when any surviving exploration is — a repeat cut mid-rounds
+/// might have won had it run on — or when any repeat was skipped. The
+/// spread counts every planned repeat (`outcomes.len()`).
 pub fn reduce_repeats(
     block: &str,
     block_index: usize,
@@ -90,7 +91,8 @@ pub fn reduce_repeats(
             None => BlockReduction::Skipped,
         };
     };
-    let skipped = outcomes.iter().any(|o| matches!(o, RepeatOutcome::Skipped));
+    let cut = survivors.iter().any(|e| e.degraded)
+        || outcomes.iter().any(|o| matches!(o, RepeatOutcome::Skipped));
     BlockReduction::Kept(BlockResult {
         block_index,
         best: best.clone(),
@@ -107,7 +109,7 @@ pub fn reduce_repeats(
                 .expect("at least one survivor"),
         },
         repeats_completed: survivors.len(),
-        degraded: best.degraded || skipped,
+        degraded: cut,
     })
 }
 
@@ -238,7 +240,21 @@ mod tests {
             Explored(exploration(10, &[5.0], false)),
         ]);
         assert!(!r.best.degraded);
-        assert!(!r.degraded);
+        assert!(r.degraded, "the cut repeat might have won had it run on");
+    }
+
+    #[test]
+    fn a_worse_degraded_repeat_still_degrades_the_block() {
+        use RepeatOutcome::Explored;
+        let r = kept(&[
+            Explored(exploration(10, &[5.0], false)),
+            Explored(exploration(14, &[2.0], true)),
+        ]);
+        assert!(!r.best.degraded, "the canonical repeat is kept");
+        assert!(
+            r.degraded,
+            "a repeat was cut, so the block is not canonical"
+        );
     }
 
     #[test]

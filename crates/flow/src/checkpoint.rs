@@ -1,14 +1,19 @@
-//! Crash-safe checkpointing of flow runs.
+//! Block entries — the one intermediate form of every run — and
+//! crash-safe checkpointing.
+//!
+//! Every [`FlowReport`] is reduced from one [`CheckpointEntry`] per hot
+//! block by [`finish_from_entries`]. A local run builds its entries with
+//! [`explore_entries`]; a cluster coordinator builds them from repeat
+//! outcomes off the wire with [`entry_from_repeats`], the same reduction.
 //!
 //! [`run_flow_checkpointed`] explores the hot set one block at a time and
-//! journals each finished block to an append-only JSONL file *before*
-//! moving on. If the process dies — `kill -9`, OOM, power loss — a re-run
-//! with the same journal path skips every block whose entry is present and
-//! re-explores only the rest. Because job seeds derive from a block's
-//! *canonical* index in the hot list (see
-//! [`isex_engine::Engine::try_explore_subset`]), the resumed run's
-//! [`FlowReport`] is bitwise identical to an
-//! uninterrupted one.
+//! journals each finished block's entry to an append-only JSONL file
+//! *before* moving on. If the process dies — `kill -9`, OOM, power loss — a
+//! re-run with the same journal path skips every block whose entry is
+//! present and re-explores only the rest. Because job seeds derive from a
+//! block's *canonical* index in the hot list (see
+//! [`isex_engine::Engine::explore`]), the resumed run's [`FlowReport`] is
+//! bitwise identical to an uninterrupted one.
 //!
 //! # Journal format
 //!
@@ -104,15 +109,16 @@ pub struct CheckpointEntry {
     pub patterns: Vec<WeightedPattern>,
     /// First panic payload when the whole block failed.
     pub error: Option<String>,
-    /// Whether the kept result is best-so-far rather than canonical: the
-    /// exploration was cut mid-rounds, or some repeats were skipped by a
-    /// tripped token. Degraded entries are never *journaled* — a resume
-    /// must recompute the block — but they do travel the cluster wire so
-    /// the coordinator can fold worker partials into a degraded report.
+    /// Whether the entry is best-so-far rather than canonical: some repeat
+    /// was cut mid-rounds, or skipped by a tripped token — a failed block
+    /// included, since the skipped repeat might have survived. Degraded
+    /// entries are never *journaled* — a resume must recompute the block —
+    /// but they do travel the cluster wire so the coordinator can fold
+    /// worker partials into a degraded report.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub degraded: bool,
     /// ACO rounds the kept exploration completed; stamped only on
-    /// degraded entries (`Some(0)` when every repeat was skipped).
+    /// degraded entries (`Some(0)` when no repeat explored).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub rounds_completed: Option<usize>,
 }
@@ -239,12 +245,13 @@ pub fn append_entry(file: &mut File, entry: &CheckpointEntry) -> std::io::Result
 /// # Panics
 ///
 /// Panics if the index is outside the run's hot list.
-fn hot_block<'p>(cfg: &FlowConfig, program: &'p Program, block_index: usize) -> &'p BasicBlock {
-    let hot = hot_blocks(cfg, program);
-    let len = hot.len();
-    hot.get(block_index)
-        .copied()
-        .unwrap_or_else(|| panic!("block index {block_index} outside the hot list ({len} blocks)"))
+fn hot_block<'p>(hot: &[&'p BasicBlock], block_index: usize) -> &'p BasicBlock {
+    hot.get(block_index).copied().unwrap_or_else(|| {
+        panic!(
+            "block index {block_index} outside the hot list ({} blocks)",
+            hot.len()
+        )
+    })
 }
 
 /// Explores exactly one block of the run's hot list, identified by its
@@ -270,18 +277,9 @@ pub fn explore_block_entry(
     sink: &dyn EventSink,
     cancel: &CancelToken,
 ) -> Result<CheckpointEntry, Cancelled> {
-    let block = hot_block(cfg, program, block_index);
-    let engine = Engine::new(explore_spec(cfg));
-    let key = run_key(cfg, program, seed);
-    Ok(block_entry(
-        &engine,
-        block,
-        block_index,
-        &key,
-        seed,
-        sink,
-        cancel,
-    ))
+    let hot = hot_blocks(cfg, program);
+    let entry = explore_indices(cfg, program, seed, &hot, &[block_index], sink, cancel).pop();
+    Ok(entry.expect("one block, one entry"))
 }
 
 /// Runs one `(block, repeat)` job of the run — the cluster's unit of work —
@@ -303,7 +301,7 @@ pub fn explore_block_repeat(
     sink: &dyn EventSink,
     cancel: &CancelToken,
 ) -> RepeatOutcome {
-    let block = hot_block(cfg, program, block_index);
+    let block = hot_block(&hot_blocks(cfg, program), block_index);
     Engine::new(explore_spec(cfg)).explore_repeat(
         block_task(block),
         ExploreJob::new(block_index, repeat, seed),
@@ -312,28 +310,69 @@ pub fn explore_block_repeat(
     )
 }
 
-/// All of one block's repeats through `engine`'s pool, reduced to the
-/// block's journal entry.
-fn block_entry(
-    engine: &Engine,
-    block: &BasicBlock,
-    index: usize,
-    key: &str,
+/// Explores every hot block of the run and reduces each block's repeats to
+/// its entry, in canonical block order — the exploration half of every
+/// local run, ahead of [`finish_from_entries`].
+///
+/// All `(block, repeat)` jobs share one engine pool, so a worker that
+/// finishes a small block steals the next job of a large one. Anytime: once
+/// `cancel` trips no new job starts, running jobs stop at the next ACO
+/// round boundary, and the cut blocks come back as degraded entries.
+pub fn explore_entries(
+    cfg: &FlowConfig,
+    program: &Program,
     seed: u64,
     sink: &dyn EventSink,
     cancel: &CancelToken,
-) -> CheckpointEntry {
-    let outcomes = engine.explore_repeats(block_task(block), index, seed, sink, cancel);
-    entry_from_repeats(key, block, index, &outcomes)
+) -> Vec<CheckpointEntry> {
+    let hot = hot_blocks(cfg, program);
+    let indices: Vec<usize> = (0..hot.len()).collect();
+    explore_indices(cfg, program, seed, &hot, &indices, sink, cancel)
+}
+
+/// Explores the hot blocks at canonical `indices` in one engine call
+/// (under the `flow.explore` span) and reduces each to its entry (under
+/// `flow.patterns`), in `indices` order.
+fn explore_indices(
+    cfg: &FlowConfig,
+    program: &Program,
+    seed: u64,
+    hot: &[&BasicBlock],
+    indices: &[usize],
+    sink: &dyn EventSink,
+    cancel: &CancelToken,
+) -> Vec<CheckpointEntry> {
+    let _trace = cfg.tracer.attach();
+    let blocks: Vec<_> = indices
+        .iter()
+        .map(|&i| (block_task(hot_block(hot, i)), i))
+        .collect();
+    let outcomes = {
+        let _s = cfg.tracer.span_with("flow.explore", || {
+            vec![
+                ("blocks", blocks.len().to_string()),
+                ("seed", seed.to_string()),
+            ]
+        });
+        Engine::new(explore_spec(cfg)).explore(&blocks, seed, sink, cancel)
+    };
+    let _s = cfg.tracer.span("flow.patterns");
+    let key = run_key(cfg, program, seed);
+    indices
+        .iter()
+        .zip(&outcomes)
+        .map(|(&i, outcomes)| entry_from_repeats(&key, hot[i], i, outcomes))
+        .collect()
 }
 
 /// Reduces one block's repeat outcomes, given in repeat order, to its
 /// journal entry through the engine's [`reduce_repeats`].
 ///
-/// Every path that builds a [`CheckpointEntry`] goes through here: the
-/// checkpointed run, [`explore_block_entry`], and the cluster coordinator
-/// once all of a block's repeats are back (or, on a deadline, with the
-/// missing ones as [`RepeatOutcome::Skipped`]).
+/// Every path that builds a [`CheckpointEntry`] goes through here:
+/// [`explore_entries`] (and so every local run), the checkpointed run,
+/// [`explore_block_entry`], and the cluster coordinator once all of a
+/// block's repeats are back (or, on a deadline, with the missing ones as
+/// [`RepeatOutcome::Skipped`]).
 pub fn entry_from_repeats(
     key: &str,
     block: &BasicBlock,
@@ -342,6 +381,9 @@ pub fn entry_from_repeats(
 ) -> CheckpointEntry {
     let count = |want: fn(&RepeatOutcome) -> bool| outcomes.iter().filter(|o| want(o)).count();
     let jobs_failed = count(|o| matches!(o, RepeatOutcome::Panicked(_)));
+    // A skipped repeat might have changed the block's answer, kept or
+    // failed: without it the entry is best-so-far, not canonical.
+    let skipped = count(|o| matches!(o, RepeatOutcome::Skipped)) > 0;
     let base = CheckpointEntry {
         run_key: key.to_string(),
         block_index,
@@ -354,8 +396,8 @@ pub fn entry_from_repeats(
         spread: None,
         patterns: Vec::new(),
         error: None,
-        degraded: false,
-        rounds_completed: None,
+        degraded: skipped,
+        rounds_completed: skipped.then_some(0),
     };
     match reduce_repeats(&block.name, block_index, outcomes) {
         BlockReduction::Kept(result) => CheckpointEntry {
@@ -380,26 +422,28 @@ pub fn entry_from_repeats(
         },
         // Every repeat was skipped by the trip: a degraded empty entry —
         // no result yet, but no failure either.
-        BlockReduction::Skipped => CheckpointEntry {
-            degraded: true,
-            rounds_completed: Some(0),
-            ..base
-        },
+        BlockReduction::Skipped => base,
     }
 }
 
-/// The reduce half shared by checkpointed and clustered runs: folds one
-/// [`CheckpointEntry`] per hot block into the final [`FlowReport`] and
-/// [`RunMetrics`].
+/// The reduce half of every run — local, checkpointed and clustered: folds
+/// one [`CheckpointEntry`] per hot block into the final [`FlowReport`] and
+/// [`RunMetrics`], selecting (under the `flow.select` span) and replacing
+/// (under `flow.replace`) on the way.
 ///
 /// Entries are sorted by canonical block index before reduction, so the
 /// result is independent of completion order — a journal replay, a resumed
 /// run and a cluster merge over any worker placement all reduce to the
 /// same bytes as one uninterrupted [`run_flow`](crate::run_flow).
 ///
+/// Jobs of the `hot_len × repeats` plan that no entry accounts for as
+/// completed or failed count as skipped, and any skipped job or degraded
+/// entry makes the run degraded. Only degraded blocks carry
+/// `rounds_completed` provenance in the report.
+///
 /// The caller owns the exploration-phase accounting it alone can see:
-/// `phases.explore_ms`, `phases.total_ms` and `blocks_resumed` are left
-/// zeroed here.
+/// `phases.explore_ms`, `phases.total_ms`, `blocks_resumed` and
+/// `phase_profile` are left zeroed here.
 pub fn finish_from_entries(
     cfg: &FlowConfig,
     program: &Program,
@@ -415,7 +459,7 @@ pub fn finish_from_entries(
     metrics.benchmark = program.name.clone();
     metrics.jobs_total = hot_len * cfg.repeats.max(1);
     metrics.blocks_explored = hot_len;
-    for entry in &entries {
+    for entry in &mut entries {
         iterations += entry.iterations;
         metrics.ant_iterations += entry.iterations;
         metrics.jobs_completed += entry.jobs_completed;
@@ -439,19 +483,36 @@ pub fn finish_from_entries(
         if entry.degraded {
             metrics.blocks_degraded += 1;
         }
-        patterns.extend(entry.patterns.iter().cloned());
+        patterns.append(&mut entry.patterns);
     }
-    metrics.degraded = metrics.blocks_degraded > 0;
+    metrics.jobs_skipped = metrics
+        .jobs_total
+        .saturating_sub(metrics.jobs_completed + metrics.jobs_failed);
+    metrics.degraded = metrics.blocks_degraded > 0 || metrics.jobs_skipped > 0;
     metrics.candidates_generated = patterns.len();
 
     let select_start = Instant::now();
-    let selected = select::select_with(patterns, &cfg.budgets, cfg.sharing);
+    let selected = {
+        let _s = cfg.tracer.span_with("flow.select", || {
+            vec![("candidates", patterns.len().to_string())]
+        });
+        select::select_with(patterns, &cfg.budgets, cfg.sharing)
+    };
     metrics.phases.select_ms = select_start.elapsed().as_secs_f64() * 1e3;
     metrics.candidates_accepted = selected.len();
 
     let replace_start = Instant::now();
-    let mut report = replace_and_report(cfg, program, selected, hot_len, iterations);
+    let mut report = {
+        let _s = cfg.tracer.span_with("flow.replace", || {
+            vec![("ises", selected.len().to_string())]
+        });
+        replace_and_report(cfg, program, selected, hot_len, iterations)
+    };
     metrics.phases.replace_ms = replace_start.elapsed().as_secs_f64() * 1e3;
+    // Degraded runs carry their provenance on the report itself, so the
+    // partial is self-describing wherever it travels (responses, journals,
+    // CLI output). Clean runs stamp nothing — the serde-skipped fields
+    // keep their reports byte-identical to canonical output.
     if metrics.degraded {
         report.degraded = true;
         for outcome in &mut report.per_block {
@@ -496,13 +557,12 @@ pub fn run_flow_checkpointed(
     repair_torn_tail(path)?;
     let mut journal = OpenOptions::new().create(true).append(true).open(path)?;
 
-    let hot = hot_blocks(cfg, program);
-    let engine = Engine::new(explore_spec(cfg));
-    for (index, block) in hot.iter().enumerate() {
+    let hot_len = hot_blocks(cfg, program).len();
+    for index in 0..hot_len {
         if entries.iter().any(|e| e.block_index == index) {
             continue;
         }
-        let entry = block_entry(&engine, block, index, &key, seed, sink, cancel);
+        let entry = explore_block_entry(cfg, program, seed, index, sink, cancel)?;
         if entry.degraded {
             // A degraded entry is a best-so-far partial; journaling it
             // would make the resumed run inherit the cut instead of
@@ -516,7 +576,7 @@ pub fn run_flow_checkpointed(
     }
 
     let explore_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (report, mut metrics) = finish_from_entries(cfg, program, seed, entries, hot.len());
+    let (report, mut metrics) = finish_from_entries(cfg, program, seed, entries, hot_len);
     metrics.blocks_resumed = resumed;
     metrics.phases.explore_ms = explore_ms;
     metrics.phases.total_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -660,13 +720,15 @@ mod tests {
         let block = hot_blocks(&cfg, &program)[0];
         let expected =
             explore_block_entry(&cfg, &program, seed, 0, &NullSink, &CancelToken::new()).unwrap();
-        let real = Engine::new(explore_spec(&cfg)).explore_repeats(
-            block_task(block),
-            0,
-            seed,
-            &NullSink,
-            &CancelToken::new(),
-        );
+        let real = Engine::new(explore_spec(&cfg))
+            .explore(
+                &[(block_task(block), 0)],
+                seed,
+                &NullSink,
+                &CancelToken::new(),
+            )
+            .pop()
+            .unwrap();
         let explored = |o: &RepeatOutcome| match o {
             RepeatOutcome::Explored(e) => Some(e.clone()),
             _ => None,
@@ -722,6 +784,33 @@ mod tests {
         for order in permutations(tied.len()) {
             assert_eq!(arrive(&key, block, &tied, &order), reference, "{order:?}");
         }
+    }
+
+    #[test]
+    fn a_failed_block_with_a_skipped_repeat_is_degraded_and_not_journaled() {
+        let program = Benchmark::Crc32.program(OptLevel::O3);
+        let mut cfg = quick_cfg();
+        cfg.jobs = 1;
+        // Block 0's first repeat trips the run's token, then panics; its
+        // second repeat never starts and might have survived.
+        cfg.fault_plan = Some(isex_engine::FaultPlan::parse("cancel@0.0 panic@0.0").unwrap());
+        let entry =
+            explore_block_entry(&cfg, &program, 3, 0, &NullSink, &CancelToken::new()).unwrap();
+        assert!(entry.error.is_some());
+        assert_eq!((entry.jobs_completed, entry.jobs_failed), (0, 1));
+        assert!(entry.degraded, "the failure is best-so-far, not canonical");
+        assert_eq!(entry.rounds_completed, Some(0));
+
+        let path = temp_journal("failed-skip");
+        let _ = std::fs::remove_file(&path);
+        let run = run_flow_checkpointed(&cfg, &program, 3, &NullSink, &CancelToken::new(), &path);
+        assert!(matches!(run, Err(CheckpointError::Cancelled)));
+        let key = run_key(&cfg, &program, 3);
+        assert!(
+            load_journal(&path, &key).unwrap().is_empty(),
+            "a cut failure must be recomputed on resume, not inherited"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! re-runs only selection + replacement per budget point, exactly like a
 //! real flow would.
 
+use isex_engine::{CancelToken, NullSink};
 use isex_isa::MachineConfig;
 use isex_workloads::{Benchmark, OptLevel};
 use serde::{Deserialize, Serialize};
 
-use crate::flow::{self, Algorithm, FlowConfig};
+use crate::checkpoint::{explore_entries, finish_from_entries};
+use crate::flow::{Algorithm, FlowConfig};
 use crate::select::Budgets;
 
 /// The silicon-area constraints of Fig. 5.2.1, µm².
@@ -128,12 +130,12 @@ fn sweep(
     let mut out = Vec::new();
     for &bench in benchmarks {
         let program = bench.program(point.opt);
-        let (patterns, explored, iterations) = flow::explore_program(&cfg, &program, seed);
+        let entries = explore_entries(&cfg, &program, seed, &NullSink, &CancelToken::new());
         for &v in values {
             let mut cfg_v = cfg.clone();
             cfg_v.budgets = budget_of(v);
-            let report =
-                flow::finish_flow(&cfg_v, &program, patterns.clone(), explored, iterations);
+            let (report, _) =
+                finish_from_entries(&cfg_v, &program, seed, entries.clone(), entries.len());
             out.push(Measurement {
                 config: point.label.clone(),
                 benchmark: bench.name().to_string(),

@@ -6,8 +6,7 @@ use std::time::Instant;
 use isex_aco::AcoParams;
 use isex_core::Constraints;
 use isex_engine::{
-    BlockTask, CancelToken, Cancelled, Engine, EventSink, ExploreSpec, FaultPlan, NullSink,
-    RunMetrics,
+    BlockTask, CancelToken, Cancelled, EventSink, ExploreSpec, FaultPlan, NullSink, RunMetrics,
 };
 use isex_isa::MachineConfig;
 use isex_trace::Tracer;
@@ -18,8 +17,7 @@ use serde::{Deserialize, Serialize};
 // so `flow::Algorithm` keeps working.
 pub use isex_engine::Algorithm;
 
-use crate::merge::WeightedPattern;
-use crate::pattern::IsePattern;
+use crate::checkpoint::{explore_entries, finish_from_entries};
 use crate::replace;
 use crate::select::{self, Budgets, SelectedIse, SharingModel};
 
@@ -98,10 +96,10 @@ pub struct BlockOutcome {
     /// Number of ISE instances placed in the block.
     pub matches: usize,
     /// ACO rounds completed by the block's kept exploration. Stamped only
-    /// on degraded runs, and only for explored (hot) blocks — `0` for a
-    /// hot block whose every repeat was skipped. Absent from serialized
-    /// form otherwise, so clean reports stay byte-identical to
-    /// pre-anytime output.
+    /// on degraded blocks (see [`BlockOutcome::degraded`]) — `0` for a hot
+    /// block whose every repeat was skipped. Absent from serialized form
+    /// otherwise, so clean reports stay byte-identical to pre-anytime
+    /// output.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub rounds_completed: Option<usize>,
     /// Whether this block's exploration was cut short (skipped repeats or
@@ -147,140 +145,6 @@ impl FlowReport {
         }
         1.0 - self.cycles_after as f64 / self.cycles_before as f64
     }
-}
-
-/// The exploration half of the flow: profile, pick hot blocks, explore each
-/// `repeats` times keeping the best result, and return the gain-weighted
-/// patterns. Exposed separately so budget sweeps can explore once and
-/// re-select many times.
-pub fn explore_program(
-    cfg: &FlowConfig,
-    program: &Program,
-    seed: u64,
-) -> (Vec<WeightedPattern>, usize, usize) {
-    let (patterns, explored, iterations, _) =
-        explore_program_observed(cfg, program, seed, &NullSink);
-    (patterns, explored, iterations)
-}
-
-/// [`explore_program`] with telemetry: also emits engine events to `sink`
-/// and returns partially-filled [`RunMetrics`] (exploration phase only —
-/// [`run_flow_observed`] completes the selection/replacement fields).
-pub fn explore_program_observed(
-    cfg: &FlowConfig,
-    program: &Program,
-    seed: u64,
-    sink: &dyn EventSink,
-) -> (Vec<WeightedPattern>, usize, usize, RunMetrics) {
-    explore_program_cancellable(cfg, program, seed, sink, &CancelToken::new())
-        .expect("a fresh token never cancels")
-}
-
-/// [`explore_program_observed`] with cooperative cancellation and
-/// *anytime* semantics: once `cancel` trips no new exploration job starts,
-/// in-progress explorations stop at the next ACO round boundary, and the
-/// run returns the best-so-far partial patterns with
-/// [`RunMetrics::degraded`] set — never an error. The `Result` signature
-/// is kept for caller stability; the `Err` variant is no longer produced.
-pub fn explore_program_cancellable(
-    cfg: &FlowConfig,
-    program: &Program,
-    seed: u64,
-    sink: &dyn EventSink,
-    cancel: &CancelToken,
-) -> Result<(Vec<WeightedPattern>, usize, usize, RunMetrics), Cancelled> {
-    let (patterns, explored, iterations, metrics, _) =
-        explore_program_anytime(cfg, program, seed, sink, cancel);
-    Ok((patterns, explored, iterations, metrics))
-}
-
-/// Anytime provenance of one explored block, threaded from the engine
-/// outcome to the final report's [`BlockOutcome`] rows.
-pub(crate) struct BlockProvenance {
-    /// Block label (matches [`BlockOutcome::name`]).
-    pub name: String,
-    /// ACO rounds the kept exploration completed (`0` when every repeat
-    /// was skipped).
-    pub rounds_completed: usize,
-    /// Whether the block's kept result is best-so-far, not canonical.
-    pub degraded: bool,
-}
-
-/// The anytime core: explores as much as the token allows and reports what
-/// it got, with per-block provenance.
-pub(crate) fn explore_program_anytime(
-    cfg: &FlowConfig,
-    program: &Program,
-    seed: u64,
-    sink: &dyn EventSink,
-    cancel: &CancelToken,
-) -> (
-    Vec<WeightedPattern>,
-    usize,
-    usize,
-    RunMetrics,
-    Vec<BlockProvenance>,
-) {
-    let _trace = cfg.tracer.attach();
-    let hot = hot_blocks(cfg, program);
-    let engine = Engine::new(explore_spec(cfg));
-    let tasks: Vec<BlockTask<'_>> = hot.iter().map(|b| block_task(b)).collect();
-    let indices: Vec<usize> = (0..tasks.len()).collect();
-    let outcome = {
-        let _s = cfg.tracer.span_with("flow.explore", || {
-            vec![
-                ("blocks", tasks.len().to_string()),
-                ("seed", seed.to_string()),
-            ]
-        });
-        engine.explore_subset_anytime(&tasks, &indices, seed, sink, cancel)
-    };
-
-    let _pattern_span = cfg.tracer.span("flow.patterns");
-    let mut patterns = Vec::new();
-    let mut iterations = 0usize;
-    let mut metrics = RunMetrics::empty(seed, outcome.workers);
-    metrics.algorithm = cfg.algorithm.to_string();
-    metrics.benchmark = program.name.clone();
-    metrics.jobs_total = tasks.len() * cfg.repeats.max(1);
-    metrics.jobs_completed = outcome.jobs_completed;
-    metrics.jobs_failed = outcome.jobs_failed;
-    metrics.worker_restarts = outcome.worker_restarts;
-    metrics.block_failures = outcome.failures.clone();
-    metrics.blocks_explored = hot.len();
-    metrics.phases.explore_ms = outcome.explore_ms;
-    let mut provenance = Vec::new();
-    for result in &outcome.blocks {
-        let block = hot[result.block_index];
-        iterations += result.iterations;
-        metrics.ant_iterations += result.iterations;
-        metrics.block_spread.push(result.spread.clone());
-        provenance.push(BlockProvenance {
-            name: block.name.clone(),
-            rounds_completed: result.best.rounds,
-            degraded: result.degraded,
-        });
-        for cand in &result.best.candidates {
-            patterns.push(WeightedPattern {
-                pattern: IsePattern::from_candidate(cand, &block.dfg),
-                gain: cand.saved_cycles as u64 * block.exec_count,
-            });
-        }
-    }
-    // Hot blocks whose every repeat was skipped by the trip have no result
-    // at all — still part of the partial report's provenance.
-    for &block_index in &outcome.skipped_blocks {
-        provenance.push(BlockProvenance {
-            name: hot[block_index].name.clone(),
-            rounds_completed: 0,
-            degraded: true,
-        });
-    }
-    metrics.jobs_skipped = outcome.jobs_skipped;
-    metrics.blocks_degraded = provenance.iter().filter(|p| p.degraded).count();
-    metrics.degraded = outcome.cancelled || metrics.blocks_degraded > 0;
-    metrics.candidates_generated = patterns.len();
-    (patterns, hot.len(), iterations, metrics, provenance)
 }
 
 /// The profiling-driven hot set: heaviest blocks first until
@@ -329,19 +193,8 @@ pub(crate) fn explore_spec(cfg: &FlowConfig) -> ExploreSpec {
     }
 }
 
-/// The selection/replacement half of the flow, given explored patterns.
-pub fn finish_flow(
-    cfg: &FlowConfig,
-    program: &Program,
-    patterns: Vec<WeightedPattern>,
-    explored_blocks: usize,
-    iterations: usize,
-) -> FlowReport {
-    let selected = select::select_with(patterns, &cfg.budgets, cfg.sharing);
-    replace_and_report(cfg, program, selected, explored_blocks, iterations)
-}
-
-/// Replacement over every block plus whole-program accounting.
+/// Replacement over every block plus whole-program accounting; the tail
+/// of [`finish_from_entries`], which every report comes from.
 pub(crate) fn replace_and_report(
     cfg: &FlowConfig,
     program: &Program,
@@ -403,8 +256,9 @@ pub fn run_flow_observed(
 /// impose deadlines (the `isexd` server's per-request timeout). Anytime
 /// semantics: once `cancel` trips, exploration stops at the next round
 /// boundary and the run returns a *partial* report — each block's
-/// best-so-far candidates, per-block `rounds_completed`/`degraded`
-/// provenance, and [`RunMetrics::degraded`] set — instead of an error.
+/// best-so-far candidates, `rounds_completed`/`degraded` provenance on
+/// every cut block, and [`RunMetrics::degraded`] set — instead of an
+/// error.
 /// Selection/replacement are not interruptible — they are orders of
 /// magnitude cheaper than exploration. The `Result` signature is kept for
 /// caller stability; the `Err` variant is no longer produced. A token that
@@ -419,40 +273,11 @@ pub fn run_flow_cancellable(
 ) -> Result<(FlowReport, RunMetrics), Cancelled> {
     let _trace = cfg.tracer.attach();
     let start = Instant::now();
-    let (patterns, explored, iterations, mut metrics, provenance) =
-        explore_program_anytime(cfg, program, seed, sink, cancel);
-
-    let select_start = Instant::now();
-    let selected = {
-        let _s = cfg.tracer.span_with("flow.select", || {
-            vec![("candidates", patterns.len().to_string())]
-        });
-        select::select_with(patterns, &cfg.budgets, cfg.sharing)
-    };
-    metrics.phases.select_ms = select_start.elapsed().as_secs_f64() * 1e3;
-    metrics.candidates_accepted = selected.len();
-
-    let replace_start = Instant::now();
-    let mut report = {
-        let _s = cfg.tracer.span_with("flow.replace", || {
-            vec![("ises", selected.len().to_string())]
-        });
-        replace_and_report(cfg, program, selected, explored, iterations)
-    };
-    // Degraded runs carry their provenance on the report itself, so the
-    // partial is self-describing wherever it travels (responses, journals,
-    // CLI output). Clean runs stamp nothing — the serde-skipped fields
-    // keep their reports byte-identical to `run_flow`'s.
-    if metrics.degraded {
-        report.degraded = true;
-        for outcome in &mut report.per_block {
-            if let Some(p) = provenance.iter().find(|p| p.name == outcome.name) {
-                outcome.rounds_completed = Some(p.rounds_completed);
-                outcome.degraded = p.degraded;
-            }
-        }
-    }
-    metrics.phases.replace_ms = replace_start.elapsed().as_secs_f64() * 1e3;
+    let entries = explore_entries(cfg, program, seed, sink, cancel);
+    let explore_ms = start.elapsed().as_secs_f64() * 1e3;
+    let hot_len = entries.len();
+    let (report, mut metrics) = finish_from_entries(cfg, program, seed, entries, hot_len);
+    metrics.phases.explore_ms = explore_ms;
     metrics.phases.total_ms = start.elapsed().as_secs_f64() * 1e3;
     // Every span above is closed by now, so the aggregate covers the whole
     // run. An untraced run leaves the profile empty — the report itself

@@ -17,7 +17,9 @@
 //!   followed by rescheduling;
 //! * [`flow`] — the [`run_flow`] driver with the paper's
 //!   "5 explorations per block, keep the best" repetition;
-//! * [`checkpoint`] — crash-safe block-grain journaling and resume
+//! * [`checkpoint`] — the per-block [`CheckpointEntry`] every report is
+//!   reduced from ([`explore_entries`] → [`finish_from_entries`]), plus
+//!   crash-safe block-grain journaling and resume
 //!   ([`run_flow_checkpointed`]);
 //! * [`experiment`] — the parameter sweeps behind every evaluation figure.
 //!
@@ -49,7 +51,7 @@ pub mod report;
 pub mod select;
 
 pub use checkpoint::{
-    append_entry, entry_from_repeats, explore_block_entry, explore_block_repeat,
+    append_entry, entry_from_repeats, explore_block_entry, explore_block_repeat, explore_entries,
     finish_from_entries, load_journal, run_flow_checkpointed, run_key, CheckpointEntry,
     CheckpointError,
 };

@@ -2,14 +2,17 @@
 //! iterations and rounds (the dynamics behind thesis Fig. 2.2.1's ant
 //! story, measured on a real kernel).
 //!
-//! Consumes the engine's event stream: the run goes through
-//! [`isex::engine::Engine`] with a [`isex::engine::VecSink`], and every
-//! printed round is a `RoundSummary` event. Prints a per-round ASCII
+//! Consumes the engine's event stream: one `(block, repeat)` job goes
+//! through [`isex::engine::Engine::explore_repeat`] with a
+//! [`isex::engine::VecSink`], and every printed round is a `RoundSummary`
+//! event. Prints a per-round ASCII
 //! sparkline of the walk TETs and the best-so-far trajectory.
 //!
 //! Run with: `cargo run --release --example convergence_trace [bench]`
 
-use isex::engine::{BlockTask, Engine, ExploreSpec, RunEvent, VecSink};
+use isex::engine::{
+    BlockTask, CancelToken, Engine, ExploreJob, ExploreSpec, RepeatOutcome, RunEvent, VecSink,
+};
 use isex::prelude::*;
 
 fn sparkline(values: &[u32]) -> String {
@@ -50,16 +53,18 @@ fn main() {
         tracer: Default::default(),
     });
     let sink = VecSink::new();
-    let outcome = engine.explore_blocks(
-        &[BlockTask {
+    let outcome = engine.explore_repeat(
+        BlockTask {
             name: &block.name,
             dfg: &block.dfg,
-        }],
-        0x7ace,
+        },
+        ExploreJob::new(0, 0, 0x7ace),
         &sink,
+        &CancelToken::new(),
     );
-
-    let result = &outcome.blocks[0].best;
+    let RepeatOutcome::Explored(result) = outcome else {
+        panic!("{}: exploration failed: {outcome:?}", program.name);
+    };
     println!(
         "{}: {} ops, {} -> {} cycles over {} rounds / {} iterations\n",
         program.name,

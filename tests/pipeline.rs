@@ -2,6 +2,7 @@
 //! both explorers, multiple machines.
 
 use isex::flow::select::Budgets;
+use isex::flow::{explore_entries, finish_from_entries, CancelToken};
 use isex::prelude::*;
 
 fn quick(algorithm: Algorithm, machine: MachineConfig) -> FlowConfig {
@@ -115,7 +116,7 @@ fn reduction_is_monotone_in_area_budget() {
     let machine = MachineConfig::preset_2issue_4r2w();
     let program = Benchmark::Bitcount.program(OptLevel::O3);
     let cfg0 = quick(Algorithm::MultiIssue, machine);
-    let (patterns, explored, iters) = isex::flow::flow::explore_program(&cfg0, &program, 17);
+    let entries = explore_entries(&cfg0, &program, 17, &NullSink, &CancelToken::new());
     let mut last = -1.0f64;
     for budget in [0.0, 10_000.0, 40_000.0, 160_000.0] {
         let mut cfg = cfg0.clone();
@@ -123,8 +124,7 @@ fn reduction_is_monotone_in_area_budget() {
             area_um2: Some(budget),
             max_ises: None,
         };
-        let report =
-            isex::flow::flow::finish_flow(&cfg, &program, patterns.clone(), explored, iters);
+        let (report, _) = finish_from_entries(&cfg, &program, 17, entries.clone(), entries.len());
         assert!(
             report.reduction() >= last - 1e-9,
             "budget {budget}: {} < {last}",
