@@ -8,6 +8,7 @@ fn main() {
             "isexd-coordinator: distributed isexd\n\
              cluster flags: --cluster-addr HOST:PORT  --heartbeat-ms N\n\
              \x20              --heartbeat-misses N      --journal-dir DIR\n\
+             \x20              --breaker-threshold N     --breaker-cooloff-ms N\n\
              plus every isexd flag (--addr, --workers, --queue-cap, ...)"
         );
         return;

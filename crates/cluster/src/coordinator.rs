@@ -32,11 +32,10 @@
 //! re-explores only the rest.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use isex_engine::{
@@ -47,6 +46,9 @@ use isex_flow::{
     append_entry, entry_from_repeats, explore_block_repeat, finish_from_entries, hot_blocks,
     load_journal, run_key, CheckpointEntry, FlowConfig, FlowReport,
 };
+use isex_serve::listener::Listener;
+use isex_serve::metrics::Histogram;
+use isex_serve::queue::lock_unpoisoned;
 use isex_serve::ExploreRequest;
 use isex_trace::{OwnedSpan, PhaseProfile, PhaseStat, Tracer};
 use isex_workloads::{BasicBlock, Program};
@@ -155,51 +157,6 @@ struct Worker {
     jobs_done: u64,
 }
 
-/// Latency bucket upper bounds, milliseconds. Log-spaced: job latency
-/// spans sub-millisecond cache-hot blocks to multi-second deep explores.
-const LATENCY_BUCKETS_MS: [u64; 11] = [1, 2, 5, 10, 25, 50, 100, 250, 1000, 2500, 10_000];
-
-/// A fixed-bucket latency histogram (dispatch → result, per worker).
-/// Quantiles are read as the upper bound of the covering bucket — coarse,
-/// but allocation-free and monotone, which is all a federation rollup
-/// needs.
-#[derive(Clone, Debug, Default)]
-struct LatencyHistogram {
-    counts: [u64; LATENCY_BUCKETS_MS.len() + 1],
-    total: u64,
-}
-
-impl LatencyHistogram {
-    fn observe(&mut self, ms: u64) {
-        let slot = LATENCY_BUCKETS_MS
-            .iter()
-            .position(|&bound| ms <= bound)
-            .unwrap_or(LATENCY_BUCKETS_MS.len());
-        self.counts[slot] += 1;
-        self.total += 1;
-    }
-
-    /// Upper bound of the bucket containing quantile `q` (0 when empty;
-    /// the overflow bucket reports the largest finite bound).
-    fn quantile_ms(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (slot, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return LATENCY_BUCKETS_MS
-                    .get(slot)
-                    .copied()
-                    .unwrap_or(LATENCY_BUCKETS_MS[LATENCY_BUCKETS_MS.len() - 1]);
-            }
-        }
-        LATENCY_BUCKETS_MS[LATENCY_BUCKETS_MS.len() - 1]
-    }
-}
-
 /// Federated telemetry for one worker *name* — like the breakers, keyed
 /// by identity rather than connection so it survives redials, and kept
 /// across runs so `/metrics` shows the cluster between explorations too.
@@ -209,7 +166,7 @@ struct WorkerTelemetry {
     report: Option<MetricsReport>,
     /// Dispatch→result latency observed by the coordinator itself (covers
     /// wire + queue + compute, which is what a caller actually waits on).
-    latency: LatencyHistogram,
+    latency: Histogram,
 }
 
 /// Counters accumulated over one run, surfaced as `cluster.*` phase stats.
@@ -319,6 +276,12 @@ struct ClusterState {
     telemetry: HashMap<String, WorkerTelemetry>,
 }
 
+impl ClusterState {
+    fn workers_alive(&self) -> usize {
+        self.workers.iter().filter(|w| w.alive).count()
+    }
+}
+
 /// Can `worker` be assigned a job right now? Alive, breaker closed — or
 /// half-open with nothing in flight (the single probe job).
 fn dispatchable(breakers: &HashMap<String, Breaker>, worker: &Worker, now: Instant) -> bool {
@@ -332,22 +295,34 @@ fn dispatchable(breakers: &HashMap<String, Breaker>, worker: &Worker, now: Insta
     }
 }
 
-/// Records a worker failure on its name's breaker, counting a trip on the
-/// active run when the breaker (re)opens.
-fn breaker_failure(
+/// Declares `worker` dead: severs its stream, charges its name's breaker
+/// when `charge` (counting a trip on the active run if that opens it), and
+/// returns its in-flight jobs to the run's pending queue.
+fn drop_worker(
+    worker: &mut Worker,
+    run: Option<&mut RunState>,
     breakers: &mut HashMap<String, Breaker>,
-    run: &mut Option<RunState>,
-    name: &str,
-    threshold: u32,
-    cooloff: Duration,
+    config: &CoordinatorConfig,
+    charge: bool,
 ) {
-    let opened = breakers
-        .entry(name.to_string())
-        .or_default()
-        .record_failure(threshold, cooloff, Instant::now());
+    worker.alive = false;
+    let _ = worker.stream.shutdown(Shutdown::Both);
+    let opened = charge
+        && breakers
+            .entry(worker.name.clone())
+            .or_default()
+            .record_failure(
+                config.breaker_threshold,
+                config.breaker_cooloff(),
+                Instant::now(),
+            );
+    let Some(run) = run else { return };
     if opened {
-        if let Some(run_state) = run.as_mut() {
-            run_state.counters.breaker_trips += 1;
+        run.counters.breaker_trips += 1;
+    }
+    for job_id in worker.inflight.drain(..) {
+        if let Some(job) = run.inflight.remove(&job_id) {
+            run.requeue(job.job);
         }
     }
 }
@@ -360,24 +335,16 @@ struct Shared {
     next_worker_id: AtomicU64,
 }
 
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A running coordinator. Dropping it severs every worker connection and
 /// joins its threads.
 pub struct Coordinator {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl Coordinator {
     /// Binds the worker-facing listener and starts accepting workers.
     pub fn start(config: CoordinatorConfig) -> std::io::Result<Coordinator> {
-        let listener = TcpListener::bind(&config.listen_addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             config,
             state: Mutex::new(ClusterState {
@@ -390,30 +357,25 @@ impl Coordinator {
             shutdown: AtomicBool::new(false),
             next_worker_id: AtomicU64::new(1),
         });
-        let acceptor_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name("isex-cluster-accept".to_string())
-            .spawn(move || accept_loop(listener, acceptor_shared))
-            .expect("spawn cluster acceptor");
-        Ok(Coordinator {
-            shared,
-            local_addr,
-            acceptor: Some(acceptor),
-        })
+        let stop_shared = Arc::clone(&shared);
+        let conn_shared = Arc::clone(&shared);
+        let listener = Listener::spawn(
+            &shared.config.listen_addr,
+            "isex-cluster",
+            move || stop_shared.shutdown.load(Ordering::Acquire),
+            move |stream| serve_worker_connection(stream, &conn_shared),
+        )?;
+        Ok(Coordinator { shared, listener })
     }
 
     /// The worker-facing address actually bound (resolves `:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.addr()
     }
 
     /// Workers currently connected and alive.
     pub fn workers_alive(&self) -> usize {
-        lock_unpoisoned(&self.shared.state)
-            .workers
-            .iter()
-            .filter(|w| w.alive)
-            .count()
+        lock_unpoisoned(&self.shared.state).workers_alive()
     }
 
     /// The federated cluster rollup as a JSON value, shaped for the serve
@@ -427,7 +389,7 @@ impl Coordinator {
     ///     "w0": {
     ///       "alive": 1, "breaker_open": 0,
     ///       "jobs_completed": 9, "jobs_failed": 0,
-    ///       "latency_p50_ms": 25, "latency_p95_ms": 100, "latency_jobs": 9,
+    ///       "latency_p50_ms": 21.7, "latency_p95_ms": 88.4, "latency_jobs": 9,
     ///       "phases": {"engine_job": 9, ...}
     ///     }
     ///   }
@@ -452,13 +414,13 @@ impl Coordinator {
                 ("breaker_open".to_string(), Value::U64(breaker_open as u64)),
                 (
                     "latency_p50_ms".to_string(),
-                    Value::U64(t.latency.quantile_ms(0.50)),
+                    Value::F64(t.latency.quantile_ms(0.50)),
                 ),
                 (
                     "latency_p95_ms".to_string(),
-                    Value::U64(t.latency.quantile_ms(0.95)),
+                    Value::F64(t.latency.quantile_ms(0.95)),
                 ),
-                ("latency_jobs".to_string(), Value::U64(t.latency.total)),
+                ("latency_jobs".to_string(), Value::U64(t.latency.count())),
             ];
             if let Some(report) = &t.report {
                 fields.push((
@@ -481,7 +443,7 @@ impl Coordinator {
         Value::Object(vec![
             (
                 "workers_alive".to_string(),
-                Value::U64(state.workers.iter().filter(|w| w.alive).count() as u64),
+                Value::U64(state.workers_alive() as u64),
             ),
             ("worker".to_string(), Value::Object(workers)),
         ])
@@ -495,7 +457,7 @@ impl Coordinator {
         let deadline = Instant::now() + timeout;
         let mut state = lock_unpoisoned(&self.shared.state);
         loop {
-            if state.workers.iter().filter(|w| w.alive).count() >= n {
+            if state.workers_alive() >= n {
                 return true;
             }
             let now = Instant::now();
@@ -583,7 +545,7 @@ impl Coordinator {
                     // slot: answer with an all-degraded empty report
                     // rather than an error — same anytime contract as a
                     // run cut mid-flight.
-                    let alive = state.workers.iter().filter(|w| w.alive).count();
+                    let alive = state.workers_alive();
                     drop(state);
                     let slots = RepeatSlots::new(hot.len(), repeats);
                     let entries = cut_entries(&hot, &key, BTreeMap::new(), &slots);
@@ -812,7 +774,7 @@ impl Coordinator {
         (report, metrics)
     }
 
-    /// Declares silent workers dead and requeues their in-flight blocks.
+    /// Declares silent workers dead and requeues their in-flight jobs.
     fn expire_silent_workers(&self, state: &mut ClusterState) {
         let limit = Duration::from_millis(
             self.shared.config.heartbeat_ms * self.shared.config.heartbeat_misses.max(1) as u64,
@@ -826,19 +788,10 @@ impl Coordinator {
         } = state;
         for worker in workers.iter_mut() {
             if worker.alive && now.duration_since(worker.last_beat) > limit {
-                worker.alive = false;
-                let _ = worker.stream.shutdown(Shutdown::Both);
-                breaker_failure(
-                    breakers,
-                    run,
-                    &worker.name,
-                    self.shared.config.breaker_threshold,
-                    self.shared.config.breaker_cooloff(),
-                );
                 if let Some(run_state) = run.as_mut() {
                     run_state.counters.heartbeats_missed += 1;
-                    requeue_worker_inflight(run_state, worker);
                 }
+                drop_worker(worker, run.as_mut(), breakers, &self.shared.config, true);
             }
         }
     }
@@ -945,22 +898,15 @@ impl Coordinator {
                 // An injected `drop` fault, or a failed write: sever this
                 // worker's connection. Its reader thread sees EOF, and the
                 // job (plus anything else it held) is re-dispatched.
-                worker.alive = false;
-                let _ = worker.stream.shutdown(Shutdown::Both);
+                drop_worker(
+                    worker,
+                    Some(&mut *run_state),
+                    breakers,
+                    &self.shared.config,
+                    true,
+                );
                 run_state.counters.redispatched += 1;
-                requeue_worker_inflight(run_state, worker);
                 run_state.pending.push_back(job);
-                if breakers
-                    .entry(worker.name.clone())
-                    .or_default()
-                    .record_failure(
-                        self.shared.config.breaker_threshold,
-                        self.shared.config.breaker_cooloff(),
-                        now,
-                    )
-                {
-                    run_state.counters.breaker_trips += 1;
-                }
                 continue;
             };
             run_state.inflight.insert(
@@ -998,9 +944,7 @@ impl Coordinator {
             }
         }
         self.shared.wake.notify_all();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        self.listener.join();
     }
 }
 
@@ -1053,7 +997,7 @@ fn end_run(state: &mut ClusterState, entries: Vec<CheckpointEntry>) -> RunEnd {
         .filter(|w| w.jobs_done > 0)
         .map(|w| (w.name.clone(), w.jobs_done))
         .collect();
-    let workers_alive = state.workers.iter().filter(|w| w.alive).count();
+    let workers_alive = state.workers_alive();
     for w in &mut state.workers {
         w.inflight.clear();
         w.jobs_done = 0;
@@ -1160,15 +1104,6 @@ fn fold_cluster_stats(
     profile.absorb(stats);
 }
 
-/// Returns a dead worker's in-flight jobs to the pending queue.
-fn requeue_worker_inflight(run: &mut RunState, worker: &mut Worker) {
-    for job_id in worker.inflight.drain(..) {
-        if let Some(job) = run.inflight.remove(&job_id) {
-            run.requeue(job.job);
-        }
-    }
-}
-
 /// Maps an externally-supplied name (worker names arrive off the wire,
 /// phase names contain dots) onto a legal metric-name segment:
 /// `[a-zA-Z0-9_]+`, never empty.
@@ -1187,26 +1122,6 @@ fn sanitize_metric_segment(name: &str) -> String {
 /// The journal file of the run with key `key`: `run-<fnv1a64(key)>.jsonl`.
 fn journal_file_name(key: &str) -> String {
     format!("run-{:016x}.jsonl", isex_store::fnv1a64(key.as_bytes()))
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("isex-cluster-reader".to_string())
-                    .spawn(move || serve_worker_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
 }
 
 /// One worker connection: handshake, then a read loop that feeds
@@ -1285,13 +1200,7 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                             .entry(worker.name.clone())
                             .or_default()
                             .latency
-                            .observe(
-                                inflight
-                                    .dispatched_at
-                                    .elapsed()
-                                    .as_millis()
-                                    .min(u64::MAX as u128) as u64,
-                            );
+                            .observe_ms(ms_since(inflight.dispatched_at));
                         // Guard the merge: the outcome must come from the
                         // connection the job was assigned to, be the
                         // installed run's (matching key), and be for the
@@ -1367,21 +1276,8 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         ..
     } = &mut *state;
     if let Some(worker) = workers.iter_mut().find(|w| w.id == worker_id) {
-        let was_alive = worker.alive;
-        worker.alive = false;
-        let _ = worker.stream.shutdown(Shutdown::Both);
-        if was_alive && !clean_exit && !shared.shutdown.load(Ordering::Acquire) {
-            breaker_failure(
-                breakers,
-                run,
-                &worker.name.clone(),
-                shared.config.breaker_threshold,
-                shared.config.breaker_cooloff(),
-            );
-        }
-        if let Some(run_state) = run.as_mut() {
-            requeue_worker_inflight(run_state, worker);
-        }
+        let charge = worker.alive && !clean_exit && !shared.shutdown.load(Ordering::Acquire);
+        drop_worker(worker, run.as_mut(), breakers, &shared.config, charge);
     }
     drop(state);
     shared.wake.notify_all();
@@ -1495,19 +1391,6 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted, "profile stays name-sorted");
-    }
-
-    #[test]
-    fn latency_histogram_quantiles_are_bucket_upper_bounds() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.quantile_ms(0.5), 0, "empty histogram reads 0");
-        for ms in [1, 1, 3, 8, 40, 90, 20_000] {
-            h.observe(ms);
-        }
-        assert_eq!(h.total, 7);
-        assert_eq!(h.quantile_ms(0.5), 10, "4th of 7 lands in the ≤10 bucket");
-        assert_eq!(h.quantile_ms(0.95), 10_000, "overflow reports last bound");
-        assert_eq!(h.quantile_ms(0.0), 1);
     }
 
     #[test]

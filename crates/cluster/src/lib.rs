@@ -51,6 +51,7 @@ use std::sync::Arc;
 
 use isex_engine::{Cancelled, EventSink, RunMetrics};
 use isex_flow::{FlowConfig, FlowReport};
+use isex_serve::flags::Flags;
 use isex_serve::ExploreRunner;
 use isex_workloads::Program;
 
@@ -76,11 +77,6 @@ impl ClusterRunner {
     /// A runner fronting `coordinator`.
     pub fn new(coordinator: Arc<Coordinator>) -> ClusterRunner {
         ClusterRunner { coordinator }
-    }
-
-    /// The fronted coordinator (tests reach counters through this).
-    pub fn coordinator(&self) -> &Arc<Coordinator> {
-        &self.coordinator
     }
 }
 
@@ -124,10 +120,32 @@ impl ExploreRunner for ClusterRunner {
     }
 }
 
-fn need(args: &[String], i: usize, flag: &str) -> Result<String, String> {
-    args.get(i + 1)
-        .cloned()
-        .ok_or_else(|| format!("{flag} needs a value"))
+/// Splits `isexd-coordinator`'s flags: the cluster flags into a
+/// [`CoordinatorConfig`], everything else, in order, into the standard
+/// `isexd` [`ServerConfig`](isex_serve::ServerConfig).
+fn coordinator_config(
+    args: &[String],
+) -> Result<(CoordinatorConfig, isex_serve::ServerConfig), String> {
+    let mut cluster = CoordinatorConfig {
+        listen_addr: "127.0.0.1:8473".to_string(),
+        ..CoordinatorConfig::default()
+    };
+    let mut rest = Vec::new();
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
+            "--cluster-addr" => cluster.listen_addr = flags.value(flag)?,
+            "--heartbeat-ms" => cluster.heartbeat_ms = flags.parse(flag)?,
+            "--heartbeat-misses" => cluster.heartbeat_misses = flags.parse(flag)?,
+            "--journal-dir" => cluster.journal_dir = Some(flags.value(flag)?.into()),
+            "--breaker-threshold" => cluster.breaker_threshold = flags.parse(flag)?,
+            "--breaker-cooloff-ms" => cluster.breaker_cooloff_ms = Some(flags.parse(flag)?),
+            // Pass-through flags and their values land here one token at a
+            // time, preserving order for the server's own parser.
+            other => rest.push(other.to_string()),
+        }
+    }
+    Ok((cluster, isex_serve::ServerConfig::from_args(&rest)?))
 }
 
 /// The `isexd-coordinator` entry point: an `isexd` server whose explores
@@ -136,56 +154,7 @@ fn need(args: &[String], i: usize, flag: &str) -> Result<String, String> {
 /// `--breaker-cooloff-ms`) are consumed here; everything else is the
 /// standard `isexd` flag set.
 pub fn coordinator_main(args: &[String]) -> Result<(), String> {
-    let mut cluster = CoordinatorConfig {
-        listen_addr: "127.0.0.1:8473".to_string(),
-        ..CoordinatorConfig::default()
-    };
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cluster-addr" => {
-                cluster.listen_addr = need(args, i, "--cluster-addr")?;
-                i += 1;
-            }
-            "--heartbeat-ms" => {
-                cluster.heartbeat_ms = need(args, i, "--heartbeat-ms")?
-                    .parse()
-                    .map_err(|_| "bad --heartbeat-ms")?;
-                i += 1;
-            }
-            "--heartbeat-misses" => {
-                cluster.heartbeat_misses = need(args, i, "--heartbeat-misses")?
-                    .parse()
-                    .map_err(|_| "bad --heartbeat-misses")?;
-                i += 1;
-            }
-            "--journal-dir" => {
-                cluster.journal_dir = Some(need(args, i, "--journal-dir")?.into());
-                i += 1;
-            }
-            "--breaker-threshold" => {
-                cluster.breaker_threshold = need(args, i, "--breaker-threshold")?
-                    .parse()
-                    .map_err(|_| "bad --breaker-threshold")?;
-                i += 1;
-            }
-            "--breaker-cooloff-ms" => {
-                cluster.breaker_cooloff_ms = Some(
-                    need(args, i, "--breaker-cooloff-ms")?
-                        .parse()
-                        .map_err(|_| "bad --breaker-cooloff-ms")?,
-                );
-                i += 1;
-            }
-            // Pass-through flags and their values land here one token at a
-            // time, preserving order for the server's own parser.
-            other => rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let server_config = isex_serve::ServerConfig::from_args(&rest)?;
-
+    let (cluster, server_config) = coordinator_config(args)?;
     let coordinator =
         Arc::new(Coordinator::start(cluster).map_err(|e| format!("cluster listener: {e}"))?);
     eprintln!(
@@ -194,61 +163,24 @@ pub fn coordinator_main(args: &[String]) -> Result<(), String> {
     );
     let runner = Arc::new(ClusterRunner::new(coordinator));
     let handle = isex_serve::start_with_runner(server_config, runner).map_err(|e| e.to_string())?;
-    eprintln!("isexd-coordinator listening on http://{}", handle.addr());
-    isex_serve::signal::install();
-    while !isex_serve::signal::shutdown_requested() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    eprintln!("isexd-coordinator: draining and shutting down");
-    handle.shutdown();
+    isex_serve::serve_until_shutdown(handle, "isexd-coordinator");
     Ok(())
 }
 
-/// The `isexd-worker` entry point.
-pub fn worker_main(args: &[String]) -> Result<(), String> {
+/// Reads `isexd-worker`'s flags into a [`WorkerConfig`].
+fn worker_config(args: &[String]) -> Result<WorkerConfig, String> {
     let mut config = WorkerConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--connect" => {
-                config.connect = need(args, i, "--connect")?;
-                i += 1;
-            }
-            "--name" => {
-                config.name = need(args, i, "--name")?;
-                i += 1;
-            }
-            "--capacity" => {
-                config.capacity = need(args, i, "--capacity")?
-                    .parse()
-                    .map_err(|_| "bad --capacity")?;
-                i += 1;
-            }
-            "--trace-dir" => {
-                config.trace_dir = Some(need(args, i, "--trace-dir")?.into());
-                i += 1;
-            }
-            "--die-after-jobs" => {
-                config.die_at_job = Some(
-                    need(args, i, "--die-after-jobs")?
-                        .parse()
-                        .map_err(|_| "bad --die-after-jobs")?,
-                );
-                i += 1;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
+            "--connect" => config.connect = flags.value(flag)?,
+            "--name" => config.name = flags.value(flag)?,
+            "--capacity" => config.capacity = flags.parse(flag)?,
+            "--trace-dir" => config.trace_dir = Some(flags.value(flag)?.into()),
+            "--die-after-jobs" => config.die_at_job = Some(flags.parse(flag)?),
             "--no-reconnect" => config.reconnect = false,
-            "--retry-ms" => {
-                config.retry_ms = need(args, i, "--retry-ms")?
-                    .parse()
-                    .map_err(|_| "bad --retry-ms")?;
-                i += 1;
-            }
-            "--dial-attempts" => {
-                config.max_dial_attempts = need(args, i, "--dial-attempts")?
-                    .parse()
-                    .map_err(|_| "bad --dial-attempts")?;
-                i += 1;
-            }
+            "--retry-ms" => config.retry_ms = flags.parse(flag)?,
+            "--dial-attempts" => config.max_dial_attempts = flags.parse(flag)?,
             other => {
                 return Err(format!(
                     "unknown flag `{other}` (valid: --connect, --name, --capacity, \
@@ -257,8 +189,99 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
                 ))
             }
         }
-        i += 1;
     }
+    Ok(config)
+}
+
+/// The `isexd-worker` entry point.
+pub fn worker_main(args: &[String]) -> Result<(), String> {
+    let config = worker_config(args)?;
     eprintln!("isexd-worker `{}` dialling {}", config.name, config.connect);
     run_worker(&config)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn every_daemon_flag_parses_and_errors_keep_their_text() {
+        // Every cluster flag, with every isexd flag passed through.
+        let (cluster, server) = coordinator_config(&args(
+            "--cluster-addr 10.0.0.1:1 --addr 10.0.0.1:2 --heartbeat-ms 7 --workers 3 \
+             --heartbeat-misses 4 --queue-cap 5 --journal-dir /j --cache-cap 6 \
+             --breaker-threshold 8 --timeout-ms 9 --breaker-cooloff-ms 10 \
+             --read-timeout-ms 11 --write-timeout-ms 12 --fault-plan panic:1/4 \
+             --trace-dir /t --trace-keep 13 --store-dir /s --store-max-bytes 14 \
+             --jobs-keep 15",
+        ))
+        .unwrap();
+        assert_eq!(cluster.listen_addr, "10.0.0.1:1");
+        assert_eq!((cluster.heartbeat_ms, cluster.heartbeat_misses), (7, 4));
+        assert_eq!(cluster.journal_dir, Some("/j".into()));
+        assert_eq!(cluster.breaker_threshold, 8);
+        assert_eq!(cluster.breaker_cooloff_ms, Some(10));
+        assert_eq!(server.addr, "10.0.0.1:2");
+        assert_eq!(
+            (
+                server.engine_workers,
+                server.queue_capacity,
+                server.cache_capacity,
+                server.default_timeout_ms,
+                server.read_timeout_ms,
+                server.write_timeout_ms,
+            ),
+            (3, 5, 6, 9, 11, 12)
+        );
+        assert_eq!(server.fault_plan.unwrap().source(), "panic:1/4");
+        assert_eq!(server.trace_dir, Some("/t".into()));
+        assert_eq!(server.trace_keep, 13);
+        assert_eq!(server.store_dir, Some("/s".into()));
+        assert_eq!((server.store_max_bytes, server.jobs_keep), (14, 15));
+
+        let worker = worker_config(&args(
+            "--connect 10.0.0.1:3 --name w9 --capacity 2 --trace-dir /w \
+             --die-after-jobs 5 --no-reconnect --retry-ms 6 --dial-attempts 7",
+        ))
+        .unwrap();
+        assert_eq!(
+            (worker.connect.as_str(), worker.name.as_str()),
+            ("10.0.0.1:3", "w9")
+        );
+        assert_eq!(worker.capacity, 2);
+        assert_eq!(worker.trace_dir, Some("/w".into()));
+        assert_eq!(worker.die_at_job, Some(5));
+        assert!(!worker.reconnect);
+        assert_eq!((worker.retry_ms, worker.max_dial_attempts), (6, 7));
+
+        let coordinator_err = |line: &str| coordinator_config(&args(line)).err().unwrap();
+        let worker_err = |line: &str| worker_config(&args(line)).err().unwrap();
+        assert_eq!(
+            coordinator_err("--heartbeat-ms"),
+            "--heartbeat-ms needs a value"
+        );
+        assert_eq!(
+            coordinator_err("--breaker-threshold x"),
+            "bad --breaker-threshold"
+        );
+        assert_eq!(coordinator_err("--addr"), "--addr needs a value");
+        assert_eq!(coordinator_err("--workers two"), "bad --workers");
+        assert_eq!(
+            coordinator_err("--bogus"),
+            "unknown flag `--bogus` (valid: --addr, --workers, --queue-cap, --cache-cap, \
+             --timeout-ms, --read-timeout-ms, --write-timeout-ms, --fault-plan, --trace-dir, \
+             --trace-keep, --store-dir, --store-max-bytes, --jobs-keep)"
+        );
+        assert_eq!(worker_err("--capacity"), "--capacity needs a value");
+        assert_eq!(worker_err("--retry-ms soon"), "bad --retry-ms");
+        assert_eq!(
+            worker_err("--bogus"),
+            "unknown flag `--bogus` (valid: --connect, --name, --capacity, --trace-dir, \
+             --die-after-jobs, --no-reconnect, --retry-ms, --dial-attempts)"
+        );
+    }
 }

@@ -133,7 +133,7 @@ pub struct JobResult {
 pub const TRACE_CHUNK_SPANS: usize = 2048;
 
 /// Worker → coordinator: a bounded batch of closed spans for one job,
-/// sent *before* the job's [`JobResult`] on the same connection so the
+/// sent *before* the job's [`RepeatResult`] on the same connection so the
 /// coordinator holds the full span set by the time the run can complete.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceChunk {

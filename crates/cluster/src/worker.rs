@@ -5,8 +5,8 @@
 //! outcome it ships back is bitwise the one the same repeat yields in a
 //! local run. Everything else
 //! here is plumbing: the [`Hello`] handshake, a heartbeat thread beating
-//! at the coordinator-announced interval, per-job budget timers that trip
-//! the run's cancel token so a deadline-pressed job ships a degraded
+//! at the coordinator-announced interval, a per-job [`DeadlineTimer`] that
+//! trips the run's cancel token so a deadline-pressed job ships a degraded
 //! best-so-far partial instead of overrunning, optional per-job Chrome traces
 //! (named by the propagated trace id and this worker's name, with span
 //! `tid`s labelled by the worker's thread name), and reconnect-with-
@@ -15,12 +15,12 @@
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use isex_engine::{CancelToken, FaultPlan, NullSink, RepeatOutcome};
+use isex_engine::{CancelToken, DeadlineTimer, FaultPlan, NullSink, RepeatOutcome};
 use isex_flow::{explore_block_repeat, hot_blocks, run_key};
+use isex_serve::queue::lock_unpoisoned;
 use isex_serve::ExploreRequest;
 use isex_trace::{OwnedSpan, PhaseProfile};
 
@@ -193,11 +193,8 @@ fn serve_session(
         .spawn(move || {
             let beat = Duration::from_millis(heartbeat_ms.max(10));
             while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(beat) {
-                let report = beat_telemetry
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .report(&beat_name);
-                let mut half = beat_half.lock().unwrap_or_else(|e| e.into_inner());
+                let report = lock_unpoisoned(&beat_telemetry).report(&beat_name);
+                let mut half = lock_unpoisoned(&beat_half);
                 if write_frame(&mut *half, &Message::Heartbeat.encode()).is_err()
                     || write_frame(&mut *half, &Message::MetricsReport(report).encode()).is_err()
                 {
@@ -234,7 +231,7 @@ fn serve_session(
                         break 'conn Session::Lost;
                     }
                 };
-                let mut half = write_half.lock().unwrap_or_else(|e| e.into_inner());
+                let mut half = lock_unpoisoned(&write_half);
                 // Span chunks go out before the result on the same
                 // connection: frames are ordered, so the coordinator holds
                 // the job's full span set by the time the result can
@@ -272,59 +269,6 @@ fn serve_session(
     let _ = stream.shutdown(Shutdown::Both);
     let _ = beater.join();
     Ok(session)
-}
-
-/// Trips a [`CancelToken`] once the job's `budget_ms` elapses, so the
-/// exploration below returns its best-so-far partial instead of blowing
-/// the run's deadline. Dropping the timer (job finished in time) stops the
-/// thread without tripping anything.
-struct BudgetTimer {
-    done: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl BudgetTimer {
-    fn arm(cancel: CancelToken, budget: Duration) -> Option<BudgetTimer> {
-        let done = Arc::new((Mutex::new(false), Condvar::new()));
-        let shared = Arc::clone(&done);
-        let deadline = Instant::now() + budget;
-        let thread = std::thread::Builder::new()
-            .name("isex-worker-budget".to_string())
-            .spawn(move || {
-                let (lock, signal) = &*shared;
-                let mut finished = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    if *finished {
-                        return;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        cancel.cancel();
-                        return;
-                    }
-                    let (next, _) = signal
-                        .wait_timeout(finished, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    finished = next;
-                }
-            })
-            .ok()?;
-        Some(BudgetTimer {
-            done,
-            thread: Some(thread),
-        })
-    }
-}
-
-impl Drop for BudgetTimer {
-    fn drop(&mut self) {
-        let (lock, signal) = &*self.done;
-        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        signal.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
 }
 
 /// A job's shippable trace: the worker-local spans plus thread names.
@@ -369,9 +313,10 @@ fn run_job(
     // (or a skip, if it never started), and the coordinator folds it into
     // a degraded report instead of waiting on work the run can't afford.
     let cancel = CancelToken::new();
-    let _budget = assign
-        .budget_ms
-        .and_then(|ms| BudgetTimer::arm(cancel.clone(), Duration::from_millis(ms.max(1))));
+    let _budget = assign.budget_ms.and_then(|ms| {
+        let deadline = Instant::now() + Duration::from_millis(ms.max(1));
+        DeadlineTimer::arm(cancel.clone(), move || Some(deadline))
+    });
     let outcome = {
         let _attach = tracer.attach();
         let _span = tracer.span_with("worker.block", || {
@@ -395,7 +340,7 @@ fn run_job(
     };
 
     {
-        let mut t = telemetry.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut t = lock_unpoisoned(telemetry);
         t.jobs_completed += 1;
         if matches!(outcome, RepeatOutcome::Panicked(_)) {
             t.jobs_failed += 1;

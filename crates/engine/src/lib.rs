@@ -23,7 +23,7 @@ mod pool;
 mod reduce;
 mod seed;
 
-pub use cancel::{CancelToken, Cancelled};
+pub use cancel::{CancelToken, Cancelled, DeadlineTimer};
 pub use engine::{Algorithm, BlockResult, BlockTask, Engine, ExploreSpec};
 pub use events::{EventSink, JsonlSink, NullSink, RunEvent, Seq, TaggedSink, VecSink};
 pub use fault::{FaultKind, FaultPlan};

@@ -250,16 +250,6 @@ pub fn write_response<W: Write>(
     stream.flush()
 }
 
-/// [`write_response`] specialised to `application/json`.
-pub fn write_json_response<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &str,
-    extra_headers: &[(&str, String)],
-) -> std::io::Result<()> {
-    write_response(stream, status, "application/json", body, extra_headers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,8 @@
 //! and written as a Chrome-trace JSON + event JSONL pair named by that ID
 //! (see [`trace`]).
 //!
-//! The serving core is three small mechanisms:
+//! The serving core is a few small mechanisms, behind one shared
+//! [`listener`] (the coordinator accepts its workers through it too):
 //!
 //! * a **bounded job queue** ([`queue`]) feeding an engine worker pool,
 //!   with `503` + `Retry-After` backpressure when full;
@@ -41,7 +42,7 @@
 //!   explorations into one engine run with N waiters and gives every
 //!   admitted exploration an ID for the async endpoints;
 //! * **cooperative deadlines with anytime results** — a budgeted run gets
-//!   its deadline minus a grace window; a watchdog trips the run's
+//!   its deadline minus a grace window; a deadline timer trips the run's
 //!   [`CancelToken`](isex_engine::CancelToken) at that budget and the
 //!   engine hands back its best-so-far partial, served as `200` with
 //!   `"degraded": true` inside the still-open HTTP deadline (`504` remains
@@ -69,8 +70,10 @@
 pub mod cache;
 pub mod client;
 pub mod events;
+pub mod flags;
 pub mod http;
 pub mod jobs;
+pub mod listener;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;
@@ -80,6 +83,6 @@ pub mod trace;
 
 pub use protocol::{ExploreRequest, ExploreResponse};
 pub use server::{
-    run, run_from_args, start, start_with_runner, ExploreRunner, LocalRunner, ServerConfig,
-    ServerHandle,
+    run, run_from_args, serve_until_shutdown, start, start_with_runner, ExploreRunner, LocalRunner,
+    ServerConfig, ServerHandle,
 };

@@ -4,8 +4,9 @@
 //! immediate 503 with `Retry-After`, which is the backpressure contract),
 //! then wait on the job's completion slot with a deadline. Engine workers
 //! `pop` (blocking), run the flow with the job's [`CancelToken`], and
-//! `complete` the slot. A waiter that hits its deadline trips the token on
-//! its way out, so the worker abandons the run at the next job boundary.
+//! `complete` the slot. Waiting never cancels by itself: the job table
+//! trips the token when the last waiter of a non-detached job leaves, and
+//! the run's deadline timer trips it at the compute budget.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -24,7 +25,7 @@ use crate::protocol::ExploreRequest;
 /// set an outcome), so a lock poisoned by a panicking thread holds nothing
 /// torn — recover instead of cascading the panic into every thread that
 /// shares the lock.
-pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -126,34 +127,11 @@ impl Job {
         self.events.close();
     }
 
-    /// A copy of the outcome, if delivered. Unlike
-    /// [`wait_until`](Job::wait_until) this never consumes the slot, so any
-    /// number of observers (coalesced waiters, async status pollers) can
-    /// each read the same result.
+    /// A copy of the outcome, if delivered. Reading never consumes the
+    /// slot, so any number of observers (coalesced waiters, async status
+    /// pollers) can each read the same result.
     pub fn peek_outcome(&self) -> Option<JobOutcome> {
         lock_unpoisoned(&self.outcome).clone()
-    }
-
-    /// Waits for the outcome until `deadline`. On timeout, trips the
-    /// job's cancel token and returns `None` — the worker (if it ever
-    /// picks the job up) will skip or abandon it.
-    pub fn wait_until(&self, deadline: Instant) -> Option<JobOutcome> {
-        let mut slot = lock_unpoisoned(&self.outcome);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return Some(outcome);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.cancel.cancel();
-                return None;
-            }
-            let (next, _) = self
-                .ready
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = next;
-        }
     }
 
     /// Waits for the outcome until `deadline`, *without* consuming it and
@@ -180,13 +158,23 @@ impl Job {
     }
 }
 
-/// Returned by [`JobQueue::try_push`] when the queue is at capacity.
+/// Why [`JobQueue::try_push`] refused a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueFull;
+pub enum PushRefused {
+    /// The queue is at capacity.
+    Full,
+    /// The shutdown drain closed the queue: no worker will pop it again.
+    Closed,
+}
+
+struct Waiting {
+    jobs: VecDeque<Arc<Job>>,
+    closed: bool,
+}
 
 /// A bounded MPMC queue with an in-flight counter and job accounting.
 pub struct JobQueue {
-    queue: Mutex<VecDeque<Arc<Job>>>,
+    queue: Mutex<Waiting>,
     available: Condvar,
     capacity: usize,
     in_flight: AtomicUsize,
@@ -201,7 +189,10 @@ impl JobQueue {
     /// have already left the queue and do not count).
     pub fn new(capacity: usize) -> Self {
         JobQueue {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Waiting {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
             available: Condvar::new(),
             capacity,
             in_flight: AtomicUsize::new(0),
@@ -212,13 +203,17 @@ impl JobQueue {
         }
     }
 
-    /// Enqueues without blocking; a full queue is the caller's 503.
-    pub fn try_push(&self, job: Arc<Job>) -> Result<(), QueueFull> {
+    /// Enqueues without blocking; a full or closed queue is the caller's
+    /// 503.
+    pub fn try_push(&self, job: Arc<Job>) -> Result<(), PushRefused> {
         let mut queue = lock_unpoisoned(&self.queue);
-        if queue.len() >= self.capacity {
-            return Err(QueueFull);
+        if queue.closed {
+            return Err(PushRefused::Closed);
         }
-        queue.push_back(job);
+        if queue.jobs.len() >= self.capacity {
+            return Err(PushRefused::Full);
+        }
+        queue.jobs.push_back(job);
         drop(queue);
         self.available.notify_one();
         Ok(())
@@ -234,7 +229,7 @@ impl JobQueue {
             if shutdown.load(Ordering::Acquire) {
                 return None;
             }
-            if let Some(job) = queue.pop_front() {
+            if let Some(job) = queue.jobs.pop_front() {
                 return Some(job);
             }
             let (next, _) = self
@@ -250,15 +245,18 @@ impl JobQueue {
         self.available.notify_all();
     }
 
-    /// Removes and returns every queued job (shutdown drain).
+    /// Closes the queue and removes and returns every queued job
+    /// (shutdown drain); every later [`try_push`](JobQueue::try_push) is
+    /// refused with [`PushRefused::Closed`].
     pub fn drain(&self) -> Vec<Arc<Job>> {
         let mut queue = lock_unpoisoned(&self.queue);
-        queue.drain(..).collect()
+        queue.closed = true;
+        queue.jobs.drain(..).collect()
     }
 
     /// Jobs waiting in the queue.
     pub fn depth(&self) -> usize {
-        lock_unpoisoned(&self.queue).len()
+        lock_unpoisoned(&self.queue).jobs.len()
     }
 
     /// The waiting-room size.
@@ -370,8 +368,19 @@ mod tests {
         let q = JobQueue::new(2);
         assert!(q.try_push(job()).is_ok());
         assert!(q.try_push(job()).is_ok());
-        assert_eq!(q.try_push(job()), Err(QueueFull));
+        assert_eq!(q.try_push(job()), Err(PushRefused::Full));
         assert_eq!(q.depth(), 2);
+    }
+
+    #[test]
+    fn push_after_the_shutdown_drain_is_refused() {
+        let q = JobQueue::new(4);
+        q.try_push(job()).unwrap();
+        assert_eq!(q.drain().len(), 1);
+        // A connection thread that passed its shutdown check before the
+        // drain must not strand its job in a queue no worker will pop.
+        assert_eq!(q.try_push(job()), Err(PushRefused::Closed));
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -384,14 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn waiter_timeout_trips_the_cancel_token() {
-        let j = job();
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(j.wait_until(deadline).is_none());
-        assert!(j.cancel.is_cancelled());
-    }
-
-    #[test]
     fn completion_wakes_the_waiter() {
         let j = job();
         let j2 = Arc::clone(&j);
@@ -399,7 +400,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
             j2.complete(JobOutcome::Rejected("test"));
         });
-        let got = j.wait_until(Instant::now() + Duration::from_secs(5));
+        let got = j.wait_shared_until(Instant::now() + Duration::from_secs(5));
         t.join().unwrap();
         assert!(matches!(got, Some(JobOutcome::Rejected(_))));
     }

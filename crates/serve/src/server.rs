@@ -3,7 +3,7 @@
 //!
 //! Threading model — all std, no async runtime:
 //!
-//! * one **acceptor** thread on a non-blocking listener (so it can poll the
+//! * one **acceptor** thread on the shared [`Listener`] (it polls the
 //!   shutdown flag);
 //! * one short-lived **connection** thread per request (`Connection:
 //!   close`, bounded by socket timeouts);
@@ -11,30 +11,33 @@
 //!   [`JobQueue`] and running [`run_flow_cancellable`].
 //!
 //! Backpressure is explicit: a connection never blocks on a full queue, it
-//! answers `503` + `Retry-After` immediately. Deadlines are cooperative:
-//! the waiting connection trips the job's [`CancelToken`](isex_engine::CancelToken) and answers
-//! `504`; the worker abandons the run at the next engine-job boundary.
-//! Graceful shutdown stops accepting, lets in-flight runs finish (their
-//! waiters still get `200`), rejects queued-but-unstarted jobs with `503`,
-//! then joins every thread.
+//! answers `503` + `Retry-After` immediately. Deadlines are cooperative: a
+//! [`DeadlineTimer`] trips the job's [`CancelToken`](isex_engine::CancelToken)
+//! at its compute budget and the engine hands back a best-so-far partial;
+//! a waiter that still runs out of time answers `504`, and the last waiter
+//! of a non-detached job to leave cancels it. Graceful shutdown stops
+//! accepting, lets in-flight runs finish (their waiters still get `200`),
+//! rejects queued-but-unstarted jobs with `503`, then joins every thread.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use isex_engine::{Cancelled, EventSink, RunMetrics};
+use isex_engine::{Cancelled, DeadlineTimer, EventSink, RunMetrics};
 use isex_flow::{run_flow_cancellable, FlowConfig, FlowReport};
 use isex_workloads::Program;
 use serde::Value;
 
 use crate::cache::{CachedResult, ResultCache};
+use crate::flags::Flags;
 use crate::http::{self, HttpError, Request};
-use crate::jobs::{JobTable, Submitted};
+use crate::jobs::{JobRecord, JobTable, Submitted};
+use crate::listener::Listener;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{self, ExploreRequest};
-use crate::queue::{Job, JobOutcome, JobQueue};
+use crate::queue::{Job, JobOutcome, JobQueue, PushRefused};
 
 /// How the server executes an exploration once it is dequeued.
 ///
@@ -165,85 +168,24 @@ impl ServerConfig {
     /// Shared by the `isexd` binary and `isex serve`.
     pub fn from_args(args: &[String]) -> Result<Self, String> {
         let mut config = ServerConfig::default();
-        let mut i = 0;
-        let need = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--addr" => {
-                    config.addr = need(args, i, "--addr")?;
-                    i += 1;
-                }
-                "--workers" => {
-                    config.engine_workers = need(args, i, "--workers")?
-                        .parse()
-                        .map_err(|_| "bad --workers")?;
-                    i += 1;
-                }
-                "--queue-cap" => {
-                    config.queue_capacity = need(args, i, "--queue-cap")?
-                        .parse()
-                        .map_err(|_| "bad --queue-cap")?;
-                    i += 1;
-                }
-                "--cache-cap" => {
-                    config.cache_capacity = need(args, i, "--cache-cap")?
-                        .parse()
-                        .map_err(|_| "bad --cache-cap")?;
-                    i += 1;
-                }
-                "--timeout-ms" => {
-                    config.default_timeout_ms = need(args, i, "--timeout-ms")?
-                        .parse()
-                        .map_err(|_| "bad --timeout-ms")?;
-                    i += 1;
-                }
-                "--read-timeout-ms" => {
-                    config.read_timeout_ms = need(args, i, "--read-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "bad --read-timeout-ms")?;
-                    i += 1;
-                }
-                "--write-timeout-ms" => {
-                    config.write_timeout_ms = need(args, i, "--write-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "bad --write-timeout-ms")?;
-                    i += 1;
-                }
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_arg() {
+            match flag {
+                "--addr" => config.addr = flags.value(flag)?,
+                "--workers" => config.engine_workers = flags.parse(flag)?,
+                "--queue-cap" => config.queue_capacity = flags.parse(flag)?,
+                "--cache-cap" => config.cache_capacity = flags.parse(flag)?,
+                "--timeout-ms" => config.default_timeout_ms = flags.parse(flag)?,
+                "--read-timeout-ms" => config.read_timeout_ms = flags.parse(flag)?,
+                "--write-timeout-ms" => config.write_timeout_ms = flags.parse(flag)?,
                 "--fault-plan" => {
-                    let spec = need(args, i, "--fault-plan")?;
-                    config.fault_plan = Some(isex_engine::FaultPlan::parse(&spec)?);
-                    i += 1;
+                    config.fault_plan = Some(isex_engine::FaultPlan::parse(&flags.value(flag)?)?)
                 }
-                "--trace-dir" => {
-                    config.trace_dir = Some(need(args, i, "--trace-dir")?.into());
-                    i += 1;
-                }
-                "--trace-keep" => {
-                    config.trace_keep = need(args, i, "--trace-keep")?
-                        .parse()
-                        .map_err(|_| "bad --trace-keep")?;
-                    i += 1;
-                }
-                "--store-dir" => {
-                    config.store_dir = Some(need(args, i, "--store-dir")?.into());
-                    i += 1;
-                }
-                "--store-max-bytes" => {
-                    config.store_max_bytes = need(args, i, "--store-max-bytes")?
-                        .parse()
-                        .map_err(|_| "bad --store-max-bytes")?;
-                    i += 1;
-                }
-                "--jobs-keep" => {
-                    config.jobs_keep = need(args, i, "--jobs-keep")?
-                        .parse()
-                        .map_err(|_| "bad --jobs-keep")?;
-                    i += 1;
-                }
+                "--trace-dir" => config.trace_dir = Some(flags.value(flag)?.into()),
+                "--trace-keep" => config.trace_keep = flags.parse(flag)?,
+                "--store-dir" => config.store_dir = Some(flags.value(flag)?.into()),
+                "--store-max-bytes" => config.store_max_bytes = flags.parse(flag)?,
+                "--jobs-keep" => config.jobs_keep = flags.parse(flag)?,
                 other => {
                     return Err(format!(
                         "unknown flag `{other}` (valid: --addr, --workers, --queue-cap, \
@@ -253,7 +195,6 @@ impl ServerConfig {
                     ))
                 }
             }
-            i += 1;
         }
         Ok(config)
     }
@@ -287,22 +228,20 @@ pub struct ServerState {
     /// Executes dequeued explorations ([`LocalRunner`] unless the server
     /// was started with [`start_with_runner`]).
     pub runner: Arc<dyn ExploreRunner>,
-    active_connections: AtomicUsize,
 }
 
 /// A running server; dropping it without [`shutdown`](ServerHandle::shutdown)
 /// leaves the threads running detached.
 pub struct ServerHandle {
     state: Arc<ServerState>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    listener: Listener,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The address actually bound (resolves `:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.addr()
     }
 
     /// The shared state (tests poke counters through this).
@@ -320,12 +259,12 @@ impl ServerHandle {
     /// in-flight runs, join every thread.
     pub fn shutdown(mut self) {
         self.request_shutdown();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        self.listener.join();
         // Queued-but-unstarted jobs are rejected so their waiters get an
         // immediate 503 instead of silently losing the race with workers
-        // that are already exiting.
+        // that are already exiting. The drain also closes the queue: a
+        // connection thread that passed its shutdown check just before
+        // the flag tripped is refused at the push, never stranded.
         for job in self.state.queue.drain() {
             job.complete(JobOutcome::Rejected("server shutting down"));
         }
@@ -334,11 +273,7 @@ impl ServerHandle {
         }
         // Connection threads answer from completed slots and exit; give
         // them a bounded window to flush.
-        let patience = Instant::now() + Duration::from_secs(10);
-        while self.state.active_connections.load(Ordering::Acquire) > 0 && Instant::now() < patience
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.listener.wait_idle(Duration::from_secs(10));
     }
 }
 
@@ -353,10 +288,6 @@ pub fn start_with_runner(
     config: ServerConfig,
     runner: Arc<dyn ExploreRunner>,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let local_addr = listener.local_addr()?;
-
     if let Some(dir) = &config.trace_dir {
         std::fs::create_dir_all(dir)?;
     }
@@ -376,9 +307,16 @@ pub fn start_with_runner(
         store,
         jobs: JobTable::new(config.jobs_keep),
         runner,
-        active_connections: AtomicUsize::new(0),
         config,
     });
+    let stop_state = Arc::clone(&state);
+    let conn_state = Arc::clone(&state);
+    let listener = Listener::spawn(
+        &state.config.addr,
+        "isexd",
+        move || stop_state.shutdown.load(Ordering::Acquire),
+        move |stream| handle_connection(stream, &conn_state),
+    )?;
 
     let mut workers = Vec::new();
     for i in 0..state.config.engine_workers.max(1) {
@@ -391,42 +329,11 @@ pub fn start_with_runner(
         );
     }
 
-    let acceptor_state = Arc::clone(&state);
-    let acceptor = std::thread::Builder::new()
-        .name("isexd-acceptor".to_string())
-        .spawn(move || accept_loop(listener, acceptor_state))
-        .expect("spawn acceptor");
-
     Ok(ServerHandle {
         state,
-        local_addr,
-        acceptor: Some(acceptor),
+        listener,
         workers,
     })
-}
-
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
-    loop {
-        if state.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                state.active_connections.fetch_add(1, Ordering::AcqRel);
-                let state = Arc::clone(&state);
-                let _ = std::thread::Builder::new()
-                    .name("isexd-conn".to_string())
-                    .spawn(move || {
-                        handle_connection(stream, &state);
-                        state.active_connections.fetch_sub(1, Ordering::AcqRel);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
@@ -451,64 +358,6 @@ fn worker_loop(state: &Arc<ServerState>) {
     }
 }
 
-/// Trips a budgeted job's cancel token at its compute deadline so the
-/// engine hands back a best-so-far partial while the waiter's (slightly
-/// later) HTTP deadline is still open. The deadline is re-read on every
-/// wake, so a coalesced waiter extending the budget mid-run is honoured.
-/// Dropping the watchdog (run finished, or the worker is unwinding)
-/// retires the timer thread.
-struct Watchdog {
-    done: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Watchdog {
-    fn arm(job: &Arc<Job>) -> Option<Watchdog> {
-        job.deadline()?;
-        let job = Arc::clone(job);
-        let done = Arc::new((Mutex::new(false), Condvar::new()));
-        let waiter = Arc::clone(&done);
-        let thread = std::thread::Builder::new()
-            .name("isexd-watchdog".to_string())
-            .spawn(move || {
-                let (lock, cvar) = &*waiter;
-                let mut finished = crate::queue::lock_unpoisoned(lock);
-                loop {
-                    if *finished {
-                        return;
-                    }
-                    let Some(deadline) = job.deadline() else {
-                        return;
-                    };
-                    let now = Instant::now();
-                    if now >= deadline {
-                        job.cancel.cancel();
-                        return;
-                    }
-                    let (next, _) = cvar
-                        .wait_timeout(finished, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    finished = next;
-                }
-            })
-            .ok()?;
-        Some(Watchdog {
-            done,
-            thread: Some(thread),
-        })
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        *crate::queue::lock_unpoisoned(&self.done.0) = true;
-        self.done.1.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -527,7 +376,10 @@ fn run_one(state: &Arc<ServerState>, job: &Arc<Job>) {
         return;
     }
     let in_flight = state.queue.start_job();
-    let _watchdog = Watchdog::arm(job);
+    // The compute deadline is re-read on every wake, so a coalesced waiter
+    // extending the budget mid-run is honoured.
+    let deadline_job = Arc::clone(job);
+    let _timer = DeadlineTimer::arm(job.cancel.clone(), move || deadline_job.deadline());
     let mut cfg = job.request.flow_config();
     cfg.fault_plan = state.config.fault_plan.clone();
     let tracer = match &state.config.trace_dir {
@@ -648,46 +500,45 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(
         state.config.write_timeout_ms.max(1),
     )));
-    let request = match http::read_request(
+    let (status, msg) = match http::read_request(
         &mut stream,
         state.config.max_body_bytes,
         state.config.max_head_bytes,
     ) {
-        Ok(r) => r,
-        Err(HttpError::BadRequest(m)) => {
-            respond_control(state, &mut stream, 400, &protocol::error_json(&m), &[]);
-            return;
-        }
-        Err(HttpError::PayloadTooLarge(n)) => {
-            let msg = format!(
+        Ok(request) => return route(state, &mut stream, &request),
+        Err(HttpError::BadRequest(m)) => (400, m),
+        Err(HttpError::PayloadTooLarge(n)) => (
+            413,
+            format!(
                 "body of {n} bytes exceeds the {}-byte cap",
                 state.config.max_body_bytes
-            );
-            respond_control(state, &mut stream, 413, &protocol::error_json(&msg), &[]);
-            return;
-        }
-        Err(HttpError::HeadTooLarge(n)) => {
-            let msg = format!(
+            ),
+        ),
+        Err(HttpError::HeadTooLarge(n)) => (
+            413,
+            format!(
                 "request head of {n} bytes exceeds the {}-byte cap",
                 state.config.max_head_bytes
-            );
-            respond_control(state, &mut stream, 413, &protocol::error_json(&msg), &[]);
-            return;
-        }
-        Err(HttpError::Timeout) => {
-            // Slow client (slowloris or a stalled sender): tell it why the
-            // request died rather than silently dropping the socket.
-            let msg = format!(
+            ),
+        ),
+        // Slow client (slowloris or a stalled sender): tell it why the
+        // request died rather than silently dropping the socket.
+        Err(HttpError::Timeout) => (
+            408,
+            format!(
                 "request not received within {}ms",
                 state.config.read_timeout_ms
-            );
-            respond_control(state, &mut stream, 408, &protocol::error_json(&msg), &[]);
-            return;
-        }
+            ),
+        ),
         // Other socket-level failure: nothing sensible to answer.
         Err(HttpError::Io(_)) => return,
     };
+    let body = protocol::error_json(&msg);
+    respond_control(state, &mut stream, status, "application/json", &body, &[]);
+}
 
+/// Answers one well-formed request.
+fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) {
     // Every routed request gets a trace ID — the client's (when
     // well-formed) or a freshly minted one — echoed on the response and,
     // for explores, stamped through the run's spans and events.
@@ -695,13 +546,18 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
         .header(crate::trace::TRACE_HEADER)
         .and_then(crate::trace::accept_trace_id)
         .unwrap_or_else(crate::trace::mint_trace_id);
-    let echo = [(crate::trace::TRACE_HEADER, trace_id.clone())];
 
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/explore") => handle_explore(state, &mut stream, &request, &trace_id),
-        ("POST", "/v1/jobs") => handle_job_submit(state, &mut stream, &request, &trace_id),
+    // `no-store` on `/readyz` and `/metrics`: a readiness verdict is only
+    // honest at the instant it was computed, and a scrape must see live
+    // counters — an intermediary replaying a cached copy would hide
+    // saturation or recovery.
+    let no_store = Some(("cache-control", "no-store".to_string()));
+    let mut content_type = "application/json";
+    let (status, body, extra) = match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/v1/explore") => return handle_explore(state, stream, request, &trace_id),
+        ("POST", "/v1/jobs") => return handle_job_submit(state, stream, request, &trace_id),
         ("GET", path) if path.starts_with("/v1/jobs/") => {
-            handle_job_status(state, &mut stream, &request, &trace_id)
+            return handle_job_status(state, stream, request, &trace_id)
         }
         ("GET", "/healthz") => {
             // Liveness: the process is up and answering. Always 200 — a
@@ -715,21 +571,18 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
                     Value::Bool(state.shutdown.load(Ordering::Acquire)),
                 ),
             ]));
-            respond_control(state, &mut stream, 200, &body, &echo);
+            (200, body, None)
         }
         ("GET", "/readyz") => {
             // Readiness: whether new work admitted *now* would be served.
             // Unready (503) while shutting down, while the queue is
             // saturated, or while the runner has nowhere to execute (a
             // cluster front-end with zero live workers).
-            let shutting_down = state.shutdown.load(Ordering::Acquire);
-            let queue_saturated = state.queue.depth() >= state.queue.capacity();
-            let runner_ready = state.runner.ready();
-            let reason = if shutting_down {
+            let reason = if state.shutdown.load(Ordering::Acquire) {
                 Some("shutting down")
-            } else if queue_saturated {
+            } else if state.queue.depth() >= state.queue.capacity() {
                 Some("queue saturated")
-            } else if !runner_ready {
+            } else if !state.runner.ready() {
                 Some("runner not ready (no workers available)")
             } else {
                 None
@@ -751,85 +604,56 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             if let Some(reason) = reason {
                 fields.push(("reason".to_string(), Value::String(reason.to_string())));
             }
-            let body = serde_json::value_to_string(&Value::Object(fields));
             let status = if reason.is_none() { 200 } else { 503 };
-            // `no-store`: a readiness verdict is only honest at the instant
-            // it was computed — an intermediary replaying a cached 200
-            // would hide saturation, a cached 503 would hide recovery.
-            let headers = [
-                (crate::trace::TRACE_HEADER, trace_id.clone()),
-                ("cache-control", "no-store".to_string()),
-            ];
-            respond_control(state, &mut stream, status, &body, &headers);
+            (
+                status,
+                serde_json::value_to_string(&Value::Object(fields)),
+                no_store,
+            )
         }
         ("GET", "/metrics") => {
             let extra = metrics_extra(state);
-            // `no-store` for the same reason as `/readyz`: a scrape must
-            // see live counters, never an intermediary's stale copy.
-            let headers = [
-                (crate::trace::TRACE_HEADER, trace_id.clone()),
-                ("cache-control", "no-store".to_string()),
-            ];
-            if request.query_param("format") == Some("prometheus") {
-                let body = state
+            let body = if request.query_param("format") == Some("prometheus") {
+                content_type = "text/plain; version=0.0.4";
+                state
                     .metrics
-                    .render_prometheus(&state.queue, &state.cache, &extra);
-                respond_control_typed(
-                    state,
-                    &mut stream,
-                    200,
-                    "text/plain; version=0.0.4",
-                    &body,
-                    &headers,
-                );
+                    .render_prometheus(&state.queue, &state.cache, &extra)
             } else {
-                let body = serde_json::value_to_string(&state.metrics.snapshot(
+                serde_json::value_to_string(&state.metrics.snapshot(
                     &state.queue,
                     &state.cache,
                     &extra,
-                ));
-                respond_control(state, &mut stream, 200, &body, &headers);
-            }
+                ))
+            };
+            (200, body, no_store)
         }
         // Known path, wrong method: 405 with an `Allow` header naming what
         // the path *does* accept, per RFC 9110 §15.5.6.
-        (_, path @ ("/v1/explore" | "/v1/jobs")) => {
-            respond_405(state, &mut stream, path, "POST", &echo);
-        }
-        (_, path)
-            if path == "/healthz"
-                || path == "/readyz"
-                || path == "/metrics"
-                || path.starts_with("/v1/jobs/") =>
-        {
-            let path = path.to_string();
-            respond_405(state, &mut stream, &path, "GET", &echo);
-        }
+        (_, path @ ("/v1/explore" | "/v1/jobs")) => method_not_allowed(path, "POST"),
+        (_, path @ ("/healthz" | "/readyz" | "/metrics")) => method_not_allowed(path, "GET"),
+        (_, path) if path.starts_with("/v1/jobs/") => method_not_allowed(path, "GET"),
         (_, path) => {
             let msg = format!(
                 "no route `{path}` (try /v1/explore, /v1/jobs, /healthz, /readyz, /metrics)"
             );
-            respond_control(state, &mut stream, 404, &protocol::error_json(&msg), &echo);
+            (404, protocol::error_json(&msg), None)
         }
-    }
+    };
+    let mut headers = vec![(crate::trace::TRACE_HEADER, trace_id)];
+    headers.extend(extra);
+    respond_control(state, stream, status, content_type, &body, &headers);
 }
 
-fn respond_405(
-    state: &Arc<ServerState>,
-    stream: &mut TcpStream,
-    path: &str,
-    allow: &str,
-    echo: &[(&str, String)],
-) {
-    let mut headers: Vec<(&str, String)> = echo.to_vec();
-    headers.push(("allow", allow.to_string()));
-    respond_control(
-        state,
-        stream,
+/// A control route's answer: status, body and one extra header.
+type ControlAnswer = (u16, String, Option<(&'static str, String)>);
+
+fn method_not_allowed(path: &str, allow: &'static str) -> ControlAnswer {
+    let msg = format!("method not allowed on `{path}` (allow: {allow})");
+    (
         405,
-        &protocol::error_json(&format!("method not allowed on `{path}` (allow: {allow})")),
-        &headers,
-    );
+        protocol::error_json(&msg),
+        Some(("allow", allow.to_string())),
+    )
 }
 
 /// The caller-owned `/metrics` sections: the persistent store's counters
@@ -877,7 +701,7 @@ fn metrics_extra(state: &Arc<ServerState>) -> Vec<(String, Value)> {
 /// provenance guard, promoted into the memory cache, and served; an entry
 /// that decodes but fails the guard is removed (it can never serve a hit)
 /// and counted as a miss.
-fn lookup_tiers(state: &Arc<ServerState>, key: &str) -> Option<(Arc<CachedResult>, &'static str)> {
+fn lookup_tiers(state: &ServerState, key: &str) -> Option<(Arc<CachedResult>, &'static str)> {
     if let Some(hit) = state.cache.lookup(key) {
         return Some((hit, "memory"));
     }
@@ -900,102 +724,146 @@ fn lookup_tiers(state: &Arc<ServerState>, key: &str) -> Option<(Arc<CachedResult
     }
 }
 
+/// What [`admit`] did with an exploration.
+enum Admission {
+    /// A cache tier already held the answer; `source` is `"memory"` or
+    /// `"store"`. The request comes back for the async job record.
+    Hit(ExploreRequest, Arc<CachedResult>, &'static str),
+    /// A fresh run, queued.
+    Queued(Arc<JobRecord>),
+    /// Joined an identical run already queued or running.
+    Coalesced(Arc<JobRecord>),
+}
+
+/// The admission steps both explore endpoints share: parse the body, look
+/// up the cache tiers, refuse during shutdown, shed a synchronous request
+/// whose budget the estimated queue wait would eat, submit to the job
+/// table, grant the run its compute budget, then queue a fresh run. Answers
+/// the canonical key, the request's deadline in ms and the admission; a
+/// refusal is `(status, message)`.
+fn admit(
+    state: &ServerState,
+    request: &Request,
+    trace_id: &str,
+    detached: bool,
+) -> Result<(String, u64, Admission), (u16, String)> {
+    let explore = parse_explore_body(request).map_err(|msg| (400, msg))?;
+    let key = explore.canonical_key();
+    let timeout_ms = explore
+        .timeout_ms
+        .unwrap_or(state.config.default_timeout_ms);
+    if let Some((hit, source)) = lookup_tiers(state, &key) {
+        return Ok((key, timeout_ms, Admission::Hit(explore, hit, source)));
+    }
+    if state.shutdown.load(Ordering::Acquire) {
+        return Err((503, "server shutting down".to_string()));
+    }
+
+    // Deadline-aware admission, synchronous requests only: estimate this
+    // request's queue wait (EWMA of recent run cost × queue depth ÷
+    // workers) and shed it *now* with 503 + Retry-After when the whole
+    // budget would be eaten before a worker even picked it up — a cheap,
+    // honest refusal beats holding the connection open to time out. An
+    // empty queue admits everything: a tight deadline with a free worker
+    // is served best-effort (a degraded 200), never refused.
+    if !detached {
+        let est_wait_ms = state
+            .metrics
+            .estimated_queue_wait_ms(state.queue.depth(), state.config.engine_workers.max(1));
+        if est_wait_ms > timeout_ms as f64 {
+            state.metrics.shed_overload.fetch_add(1, Ordering::Relaxed);
+            return Err((503, format!(
+                "estimated queue wait {est_wait_ms:.0}ms exceeds the {timeout_ms}ms budget; retry later"
+            )));
+        }
+    }
+
+    // Every run is budgeted, detached ones too: a job must not pin a
+    // worker past the deadline its submitter asked for. A coalescing
+    // submitter with a longer budget *extends* the run's compute deadline
+    // (never shrinks it), so the fullest answer anyone asked for stays
+    // reachable.
+    let budget = Instant::now() + Duration::from_millis(run_budget_ms(timeout_ms));
+    let record = match state
+        .jobs
+        .submit(explore, key.clone(), trace_id.to_string(), detached)
+    {
+        Submitted::Coalesced(record) => {
+            state.metrics.bump_phase("jobs.coalesced", 1);
+            record.job.extend_deadline(budget);
+            return Ok((key, timeout_ms, Admission::Coalesced(record)));
+        }
+        Submitted::New(record) => record,
+    };
+    record.job.extend_deadline(budget);
+    match state.queue.try_push(Arc::clone(&record.job)) {
+        Ok(()) => Ok((key, timeout_ms, Admission::Queued(record))),
+        Err(refused) => {
+            state.jobs.abort(&record);
+            let msg = match refused {
+                PushRefused::Full => {
+                    state
+                        .metrics
+                        .rejected_queue_full
+                        .fetch_add(1, Ordering::Relaxed);
+                    format!(
+                        "queue full ({} waiting); retry later",
+                        state.config.queue_capacity
+                    )
+                }
+                PushRefused::Closed => "server shutting down".to_string(),
+            };
+            Err((503, msg))
+        }
+    }
+}
+
+/// Writes an explore or job endpoint's JSON answer with the trace-ID echo
+/// (and `Retry-After` on a `503`); `started` feeds the synchronous explore
+/// latency histogram.
+fn reply(
+    state: &ServerState,
+    stream: &mut TcpStream,
+    trace_id: &str,
+    status: u16,
+    body: &str,
+    started: Option<Instant>,
+) {
+    let mut headers = Vec::with_capacity(2);
+    if status == 503 {
+        headers.push(("retry-after", state.config.retry_after_secs.to_string()));
+    }
+    headers.push((crate::trace::TRACE_HEADER, trace_id.to_string()));
+    let _ = http::write_response(stream, status, "application/json", body, &headers);
+    state.metrics.count_status(status);
+    if let Some(started) = started {
+        state
+            .metrics
+            .explore_latency
+            .observe_ms(started.elapsed().as_secs_f64() * 1e3);
+    }
+}
+
+/// `POST /v1/explore`: admit, then wait for the run and answer `200` with
+/// the report (degraded when the compute budget cut it), or the error.
 fn handle_explore(
     state: &Arc<ServerState>,
     stream: &mut TcpStream,
     request: &Request,
     trace_id: &str,
 ) {
-    let started = Instant::now();
-    let mut respond = |status: u16, body: &str, extra: &[(&str, String)]| {
-        let mut headers: Vec<(&str, String)> = extra.to_vec();
-        headers.push((crate::trace::TRACE_HEADER, trace_id.to_string()));
-        let _ = http::write_json_response(stream, status, body, &headers);
-        state.metrics.count_status(status);
-        state
-            .metrics
-            .explore_latency
-            .observe_ms(started.elapsed().as_secs_f64() * 1e3);
-    };
-
-    let explore = match parse_explore_body(request) {
-        Ok(r) => r,
-        Err(msg) => {
-            respond(400, &protocol::error_json(&msg), &[]);
-            return;
+    let started = Some(Instant::now());
+    let mut respond =
+        |status: u16, body: &str| reply(state, stream, trace_id, status, body, started);
+    let (key, timeout_ms, record, source) = match admit(state, request, trace_id, false) {
+        Err((status, msg)) => return respond(status, &protocol::error_json(&msg)),
+        Ok((key, _, Admission::Hit(_, hit, source))) => {
+            let body = protocol::explore_response_json(source, &key, &hit.report, &hit.metrics);
+            return respond(200, &body);
         }
-    };
-
-    let key = explore.canonical_key();
-    if let Some((hit, source)) = lookup_tiers(state, &key) {
-        let body = protocol::explore_response_json(source, &key, &hit.report, &hit.metrics);
-        respond(200, &body, &[]);
-        return;
-    }
-
-    let retry = [("retry-after", state.config.retry_after_secs.to_string())];
-    if state.shutdown.load(Ordering::Acquire) {
-        respond(503, &protocol::error_json("server shutting down"), &retry);
-        return;
-    }
-
-    let timeout_ms = explore
-        .timeout_ms
-        .unwrap_or(state.config.default_timeout_ms);
-
-    // Deadline-aware admission: estimate this request's queue wait (EWMA
-    // of recent run cost × queue depth ÷ workers) and shed it *now* with
-    // 503 + Retry-After when the whole budget would be eaten before a
-    // worker even picked it up — a cheap, honest refusal beats holding the
-    // connection open to time out. An empty queue admits everything: a
-    // tight deadline with a free worker is served best-effort (a degraded
-    // 200), never refused.
-    let est_wait_ms = state
-        .metrics
-        .estimated_queue_wait_ms(state.queue.depth(), state.config.engine_workers.max(1));
-    if est_wait_ms > timeout_ms as f64 {
-        state.metrics.shed_overload.fetch_add(1, Ordering::Relaxed);
-        let msg = format!(
-            "estimated queue wait {est_wait_ms:.0}ms exceeds the {timeout_ms}ms budget; retry later"
-        );
-        respond(503, &protocol::error_json(&msg), &retry);
-        return;
-    }
-
-    let submitted = state
-        .jobs
-        .submit(explore, key.clone(), trace_id.to_string(), false);
-    let (record, source) = match submitted {
-        Submitted::New(record) => {
-            record
-                .job
-                .extend_deadline(Instant::now() + Duration::from_millis(run_budget_ms(timeout_ms)));
-            if state.queue.try_push(Arc::clone(&record.job)).is_err() {
-                state.jobs.abort(&record);
-                state
-                    .metrics
-                    .rejected_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                let msg = format!(
-                    "queue full ({} waiting); retry later",
-                    state.config.queue_capacity
-                );
-                respond(503, &protocol::error_json(&msg), &retry);
-                return;
-            }
-            (record, "run")
-        }
-        Submitted::Coalesced(record) => {
-            // An identical exploration is already in flight: share its one
-            // engine run instead of queueing a second. A longer budget than
-            // the original waiter's *extends* the run's compute deadline
-            // (never shrinks it), so the fullest answer anyone asked for
-            // stays reachable.
-            state.metrics.bump_phase("jobs.coalesced", 1);
-            record
-                .job
-                .extend_deadline(Instant::now() + Duration::from_millis(run_budget_ms(timeout_ms)));
-            (record, "coalesced")
+        Ok((key, timeout_ms, Admission::Queued(record))) => (key, timeout_ms, record, "run"),
+        Ok((key, timeout_ms, Admission::Coalesced(record))) => {
+            (key, timeout_ms, record, "coalesced")
         }
     };
 
@@ -1018,15 +886,13 @@ fn handle_explore(
             }
             let body =
                 protocol::explore_response_json(source, &key, &result.report, &result.metrics);
-            respond(200, &body, &[]);
+            respond(200, &body);
         }
-        Some(JobOutcome::Rejected(reason)) => {
-            respond(503, &protocol::error_json(reason), &retry);
-        }
+        Some(JobOutcome::Rejected(reason)) => respond(503, &protocol::error_json(reason)),
         Some(JobOutcome::Failed(cause)) => {
             // The worker caught a panic in this run; the supervisor already
             // resurrected it. The client gets the structured cause.
-            respond(500, &protocol::error_json(&cause), &[]);
+            respond(500, &protocol::error_json(&cause));
         }
         Some(JobOutcome::Cancelled) => {
             // The run was cancelled while this waiter was still waiting —
@@ -1037,7 +903,6 @@ fn handle_explore(
             respond(
                 500,
                 &protocol::error_json("run cancelled before completion; a retry starts fresh"),
-                &[],
             );
         }
         None => {
@@ -1046,7 +911,7 @@ fn handle_explore(
                 .deadline_timeouts
                 .fetch_add(1, Ordering::Relaxed);
             let msg = format!("deadline of {timeout_ms}ms exceeded; run cancelled");
-            respond(504, &protocol::error_json(&msg), &[]);
+            respond(504, &protocol::error_json(&msg));
         }
     }
 }
@@ -1079,91 +944,32 @@ fn handle_job_submit(
     request: &Request,
     trace_id: &str,
 ) {
-    let respond = |stream: &mut TcpStream, status: u16, body: &str, extra: &[(&str, String)]| {
-        let mut headers: Vec<(&str, String)> = extra.to_vec();
-        headers.push((crate::trace::TRACE_HEADER, trace_id.to_string()));
-        let _ = http::write_json_response(stream, status, body, &headers);
-        state.metrics.count_status(status);
-    };
-
-    let explore = match parse_explore_body(request) {
-        Ok(r) => r,
-        Err(msg) => {
-            respond(stream, 400, &protocol::error_json(&msg), &[]);
-            return;
+    let body = match admit(state, request, trace_id, true) {
+        Err((status, msg)) => {
+            return reply(
+                state,
+                stream,
+                trace_id,
+                status,
+                &protocol::error_json(&msg),
+                None,
+            )
         }
-    };
-    let key = explore.canonical_key();
-
-    if let Some((hit, source)) = lookup_tiers(state, &key) {
-        let record =
-            state
-                .jobs
-                .admit_completed(explore, key.clone(), JobOutcome::Done(hit), source);
-        respond(
-            stream,
-            202,
-            &protocol::job_submitted_json(&record.id, &key, "done", false),
-            &[],
-        );
-        return;
-    }
-
-    let retry = [("retry-after", state.config.retry_after_secs.to_string())];
-    if state.shutdown.load(Ordering::Acquire) {
-        respond(
-            stream,
-            503,
-            &protocol::error_json("server shutting down"),
-            &retry,
-        );
-        return;
-    }
-
-    let timeout_ms = explore
-        .timeout_ms
-        .unwrap_or(state.config.default_timeout_ms);
-    match state
-        .jobs
-        .submit(explore, key.clone(), trace_id.to_string(), true)
-    {
-        Submitted::New(record) => {
-            // Async runs are budgeted too: a detached job must not pin a
-            // worker past the deadline its submitter asked for.
-            record
-                .job
-                .extend_deadline(Instant::now() + Duration::from_millis(run_budget_ms(timeout_ms)));
-            if state.queue.try_push(Arc::clone(&record.job)).is_err() {
-                state.jobs.abort(&record);
+        Ok((key, _, Admission::Hit(explore, hit, source))) => {
+            let record =
                 state
-                    .metrics
-                    .rejected_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                let msg = format!(
-                    "queue full ({} waiting); retry later",
-                    state.config.queue_capacity
-                );
-                respond(stream, 503, &protocol::error_json(&msg), &retry);
-                return;
-            }
-            respond(
-                stream,
-                202,
-                &protocol::job_submitted_json(&record.id, &key, "queued", false),
-                &[],
-            );
+                    .jobs
+                    .admit_completed(explore, key.clone(), JobOutcome::Done(hit), source);
+            protocol::job_submitted_json(&record.id, &key, "done", false)
         }
-        Submitted::Coalesced(record) => {
-            state.metrics.bump_phase("jobs.coalesced", 1);
-            let status = record.status().as_str();
-            respond(
-                stream,
-                202,
-                &protocol::job_submitted_json(&record.id, &key, status, true),
-                &[],
-            );
+        Ok((key, _, Admission::Queued(record))) => {
+            protocol::job_submitted_json(&record.id, &key, "queued", false)
         }
-    }
+        Ok((key, _, Admission::Coalesced(record))) => {
+            protocol::job_submitted_json(&record.id, &key, record.status().as_str(), true)
+        }
+    };
+    reply(state, stream, trace_id, 202, &body, None);
 }
 
 /// Which view of a job a `GET /v1/jobs/...` path names.
@@ -1191,9 +997,7 @@ fn handle_job_status(
     trace_id: &str,
 ) {
     let respond = |stream: &mut TcpStream, status: u16, body: &str| {
-        let headers = [(crate::trace::TRACE_HEADER, trace_id.to_string())];
-        let _ = http::write_json_response(stream, status, body, &headers);
-        state.metrics.count_status(status);
+        reply(state, stream, trace_id, status, body, None)
     };
 
     let rest = request.path.strip_prefix("/v1/jobs/").unwrap_or("");
@@ -1280,63 +1084,26 @@ fn handle_job_status(
         record.job.peek_outcome()
     };
 
-    let body = match outcome {
-        Some(JobOutcome::Done(result)) => protocol::job_status_json(
-            &record.id,
-            &record.key,
-            "done",
-            record.origin,
-            Some((&result.report, &result.metrics)),
-            None,
-        ),
-        Some(JobOutcome::Failed(cause)) => protocol::job_status_json(
-            &record.id,
-            &record.key,
-            "failed",
-            record.origin,
-            None,
-            Some(&cause),
-        ),
-        Some(JobOutcome::Rejected(reason)) => protocol::job_status_json(
-            &record.id,
-            &record.key,
-            "rejected",
-            record.origin,
-            None,
-            Some(reason),
-        ),
-        Some(JobOutcome::Cancelled) => protocol::job_status_json(
-            &record.id,
-            &record.key,
-            "cancelled",
-            record.origin,
-            None,
-            Some("run cancelled"),
-        ),
-        None => protocol::job_status_json(
-            &record.id,
-            &record.key,
-            record.status().as_str(),
-            record.origin,
-            None,
-            None,
-        ),
+    let (status, result, error) = match &outcome {
+        Some(JobOutcome::Done(result)) => ("done", Some((&result.report, &result.metrics)), None),
+        Some(JobOutcome::Failed(cause)) => ("failed", None, Some(cause.as_str())),
+        Some(JobOutcome::Rejected(reason)) => ("rejected", None, Some(*reason)),
+        Some(JobOutcome::Cancelled) => ("cancelled", None, Some("run cancelled")),
+        None => (record.status().as_str(), None, None),
     };
+    let body = protocol::job_status_json(
+        &record.id,
+        &record.key,
+        status,
+        record.origin,
+        result,
+        error,
+    );
     respond(stream, 200, &body);
 }
 
 fn respond_control(
-    state: &Arc<ServerState>,
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    extra: &[(&str, String)],
-) {
-    respond_control_typed(state, stream, status, "application/json", body, extra);
-}
-
-fn respond_control_typed(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -1356,13 +1123,19 @@ fn respond_control_typed(
 /// [`request_shutdown`](ServerHandle::request_shutdown)), then drains and
 /// returns — the `isexd` main loop.
 pub fn run(config: ServerConfig) -> std::io::Result<()> {
-    let handle = start(config)?;
-    eprintln!("isexd listening on http://{}", handle.addr());
+    serve_until_shutdown(start(config)?, "isexd");
+    Ok(())
+}
+
+/// The daemon loop of `isexd` and `isexd-coordinator`: announces `handle`'s
+/// address, waits for SIGTERM/SIGINT or a
+/// [`request_shutdown`](ServerHandle::request_shutdown), then drains.
+pub fn serve_until_shutdown(handle: ServerHandle, name: &str) {
+    eprintln!("{name} listening on http://{}", handle.addr());
     crate::signal::install();
     while !crate::signal::shutdown_requested() && !handle.state().shutdown.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(100));
     }
-    eprintln!("isexd: draining in-flight jobs and shutting down");
+    eprintln!("{name}: draining in-flight jobs and shutting down");
     handle.shutdown();
-    Ok(())
 }

@@ -9,14 +9,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// Whether a termination signal has been received (or [`trigger`] called).
+/// Whether a termination signal has been received.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::Acquire)
-}
-
-/// Trips the flag programmatically (tests, embedders).
-pub fn trigger() {
-    SHUTDOWN.store(true, Ordering::Release);
 }
 
 #[cfg(unix)]

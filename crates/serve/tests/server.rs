@@ -353,6 +353,38 @@ fn tight_deadline_yields_degraded_200_within_budget() {
 }
 
 #[test]
+fn async_job_coalescing_onto_a_tight_run_extends_its_deadline() {
+    let cfg = ServerConfig {
+        engine_workers: 1,
+        ..config()
+    };
+    let handle = start(cfg).expect("start server");
+    let addr = handle.addr().to_string();
+
+    // A sync run whose budget is far shorter than its work...
+    let mut tight = slow(0xC0A1);
+    tight.timeout_ms = Some(400);
+    let (addr_sync, sync_req) = (addr.clone(), tight.clone());
+    let sync = std::thread::spawn(move || client::explore(&addr_sync, &sync_req));
+    wait_for_metric(&addr, Duration::from_secs(30), "sync run in flight", |m| {
+        metric_u64(m, &["queue", "in_flight"]) == 1
+    });
+
+    // ...joined by an async job for the same exploration with a long
+    // budget: the run must get the longer budget, not stop at the first.
+    let mut patient = tight;
+    patient.timeout_ms = Some(600_000);
+    let submitted = client::submit_job(&addr, &patient).expect("submit");
+    assert!(submitted.coalesced, "same canonical key joins the run");
+    let done = client::wait_job(&addr, &submitted.job_id, 600_000).expect("wait");
+    assert_eq!(done.status, "done", "error: {:?}", done.error);
+    assert!(!done.report.expect("report").degraded, "full-budget report");
+    assert!(!done.metrics.expect("metrics").degraded);
+    let _ = sync.join().expect("join");
+    handle.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_the_in_flight_job() {
     let cfg = ServerConfig {
         engine_workers: 1,

@@ -66,6 +66,7 @@ use std::process::ExitCode;
 
 use isex::flow::select::Budgets;
 use isex::prelude::*;
+use isex::serve::flags::Flags;
 use isex::serve::protocol::ExploreRequest;
 use isex::workloads::registry;
 
@@ -130,106 +131,48 @@ impl Default for Options {
 fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
     let mut opts = Options::default();
     let mut positional = Vec::new();
-    let mut i = 0;
-    let need = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
             "--opt" => {
-                opts.opt = match need(args, i, "--opt")?.as_str() {
+                opts.opt = match flags.value(flag)?.as_str() {
                     "O0" | "o0" => OptLevel::O0,
                     "O3" | "o3" => OptLevel::O3,
                     other => return Err(format!("unknown opt level `{other}`")),
-                };
-                i += 1;
+                }
             }
             "--machine" => {
-                let name = need(args, i, "--machine")?;
+                let name = flags.value(flag)?;
                 opts.machine = MachineConfig::by_name(&name)
                     .ok_or_else(|| format!("unknown machine `{name}` (try `isex list`)"))?;
                 opts.machine_name = name.to_ascii_lowercase();
-                i += 1;
             }
             "--algorithm" => {
-                opts.algorithm = match need(args, i, "--algorithm")?.as_str() {
+                opts.algorithm = match flags.value(flag)?.as_str() {
                     "mi" | "MI" => Algorithm::MultiIssue,
                     "si" | "SI" => Algorithm::SingleIssue,
                     other => return Err(format!("unknown algorithm `{other}`")),
-                };
-                i += 1;
+                }
             }
-            "--seed" => {
-                opts.seed = need(args, i, "--seed")?.parse().map_err(|_| "bad --seed")?;
-                i += 1;
-            }
-            "--repeats" => {
-                opts.repeats = need(args, i, "--repeats")?
-                    .parse()
-                    .map_err(|_| "bad --repeats")?;
-                i += 1;
-            }
-            "--iters" => {
-                opts.iters = need(args, i, "--iters")?
-                    .parse()
-                    .map_err(|_| "bad --iters")?;
-                i += 1;
-            }
-            "--area" => {
-                opts.area = Some(need(args, i, "--area")?.parse().map_err(|_| "bad --area")?);
-                i += 1;
-            }
-            "--max-ises" => {
-                opts.max_ises = Some(
-                    need(args, i, "--max-ises")?
-                        .parse()
-                        .map_err(|_| "bad --max-ises")?,
-                );
-                i += 1;
-            }
-            "--jobs" => {
-                opts.jobs = need(args, i, "--jobs")?.parse().map_err(|_| "bad --jobs")?;
-                i += 1;
-            }
-            "--bench" => {
-                opts.bench = Some(need(args, i, "--bench")?);
-                i += 1;
-            }
-            "--server" => {
-                opts.server = Some(need(args, i, "--server")?);
-                i += 1;
-            }
-            "--retries" => {
-                opts.retries = need(args, i, "--retries")?
-                    .parse()
-                    .map_err(|_| "bad --retries")?;
-                i += 1;
-            }
-            "--checkpoint" => {
-                opts.checkpoint = Some(need(args, i, "--checkpoint")?);
-                i += 1;
-            }
+            "--seed" => opts.seed = flags.parse(flag)?,
+            "--repeats" => opts.repeats = flags.parse(flag)?,
+            "--iters" => opts.iters = flags.parse(flag)?,
+            "--area" => opts.area = Some(flags.parse(flag)?),
+            "--max-ises" => opts.max_ises = Some(flags.parse(flag)?),
+            "--jobs" => opts.jobs = flags.parse(flag)?,
+            "--bench" => opts.bench = Some(flags.value(flag)?),
+            "--server" => opts.server = Some(flags.value(flag)?),
+            "--retries" => opts.retries = flags.parse(flag)?,
+            "--checkpoint" => opts.checkpoint = Some(flags.value(flag)?),
             "--fault-plan" => {
                 opts.fault_plan = Some(
-                    isex::flow::FaultPlan::parse(&need(args, i, "--fault-plan")?)
+                    isex::flow::FaultPlan::parse(&flags.value(flag)?)
                         .map_err(|e| format!("bad --fault-plan: {e}"))?,
-                );
-                i += 1;
+                )
             }
-            "--metrics" => {
-                opts.metrics = Some(need(args, i, "--metrics")?);
-                i += 1;
-            }
-            "--events" => {
-                opts.events = Some(need(args, i, "--events")?);
-                i += 1;
-            }
-            "--trace" => {
-                opts.trace = Some(need(args, i, "--trace")?);
-                i += 1;
-            }
+            "--metrics" => opts.metrics = Some(flags.value(flag)?),
+            "--events" => opts.events = Some(flags.value(flag)?),
+            "--trace" => opts.trace = Some(flags.value(flag)?),
             "--async" => opts.async_jobs = true,
             "--profile" => opts.profile = true,
             "--verilog" => opts.verilog = true,
@@ -237,7 +180,6 @@ fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             pos => positional.push(pos.to_string()),
         }
-        i += 1;
     }
     Ok((opts, positional))
 }
@@ -444,29 +386,13 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
         .ok_or("store needs an action: ls, stats, gc, clear")?;
     let mut dir: Option<String> = None;
     let mut max_bytes: Option<u64> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--store-dir" => {
-                dir = Some(
-                    args.get(i + 1)
-                        .cloned()
-                        .ok_or("--store-dir needs a value")?,
-                );
-                i += 1;
-            }
-            "--max-bytes" => {
-                max_bytes = Some(
-                    args.get(i + 1)
-                        .ok_or("--max-bytes needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --max-bytes")?,
-                );
-                i += 1;
-            }
+    let mut flags = Flags::new(&args[1..]);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
+            "--store-dir" => dir = Some(flags.value(flag)?),
+            "--max-bytes" => max_bytes = Some(flags.parse(flag)?),
             other => return Err(format!("unknown store flag `{other}`")),
         }
-        i += 1;
     }
     let dir = dir.ok_or("store needs --store-dir DIR")?;
     // Open with no budget: maintenance must never evict as a side effect —
@@ -524,25 +450,14 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     let mut server: Option<String> = None;
     let mut interval_ms: u64 = 2_000;
     let mut once = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--server" => {
-                server = Some(args.get(i + 1).cloned().ok_or("--server needs a value")?);
-                i += 1;
-            }
-            "--interval-ms" => {
-                interval_ms = args
-                    .get(i + 1)
-                    .ok_or("--interval-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --interval-ms")?;
-                i += 1;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
+            "--server" => server = Some(flags.value(flag)?),
+            "--interval-ms" => interval_ms = flags.parse(flag)?,
             "--once" => once = true,
             other => return Err(format!("unknown top flag `{other}`")),
         }
-        i += 1;
     }
     let addr = server.ok_or("top needs --server HOST:PORT")?;
     loop {
