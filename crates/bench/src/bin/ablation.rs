@@ -45,7 +45,10 @@ fn average_reduction(
 }
 
 fn main() {
-    let args = harness_from_args();
+    let args = harness_from_args().unwrap_or_else(|e| {
+        eprintln!("ablation: {e}");
+        std::process::exit(2)
+    });
     let (effort, benches) = (args.effort, args.benches);
     let machine = MachineConfig::preset_2issue_4r2w();
     let cons = Constraints::from_machine(&machine);

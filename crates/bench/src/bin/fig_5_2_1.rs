@@ -7,12 +7,17 @@
 //!
 //! Run with: `cargo run --release -p isex-bench --bin fig_5_2_1 [--quick]`
 
-use isex_bench::{effort_from_args, pct, TextTable};
+use isex_bench::{harness_from_args, pct, TextTable};
 use isex_flow::experiment::{self, AREA_CONSTRAINTS};
 use isex_workloads::Benchmark;
 
 fn main() {
-    let effort = effort_from_args();
+    let effort = harness_from_args()
+        .unwrap_or_else(|e| {
+            eprintln!("fig_5_2_1: {e}");
+            std::process::exit(2)
+        })
+        .effort;
     println!("Fig. 5.2.1: execution-time reduction under silicon-area constraints");
     println!(
         "(7 benchmarks averaged; effort: {} repeats, {} iterations)\n",

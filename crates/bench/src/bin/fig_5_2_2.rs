@@ -4,12 +4,17 @@
 //!
 //! Run with: `cargo run --release -p isex-bench --bin fig_5_2_2 [--quick]`
 
-use isex_bench::{effort_from_args, pct, TextTable};
+use isex_bench::{harness_from_args, pct, TextTable};
 use isex_flow::experiment::{self, ISE_COUNTS};
 use isex_workloads::Benchmark;
 
 fn main() {
-    let effort = effort_from_args();
+    let effort = harness_from_args()
+        .unwrap_or_else(|e| {
+            eprintln!("fig_5_2_2: {e}");
+            std::process::exit(2)
+        })
+        .effort;
     println!("Fig. 5.2.2: execution-time reduction for different numbers of ISEs");
     println!(
         "(7 benchmarks averaged; effort: {} repeats, {} iterations)\n",

@@ -8,14 +8,19 @@
 //!
 //! Run with: `cargo run --release -p isex-bench --bin fig_5_2_3 [--quick]`
 
-use isex_bench::{effort_from_args, pct, TextTable};
+use isex_bench::{harness_from_args, pct, TextTable};
 use isex_flow::experiment::{self, ConfigPoint, ISE_COUNTS};
 use isex_flow::Algorithm;
 use isex_isa::MachineConfig;
 use isex_workloads::{Benchmark, OptLevel};
 
 fn main() {
-    let effort = effort_from_args();
+    let effort = harness_from_args()
+        .unwrap_or_else(|e| {
+            eprintln!("fig_5_2_3: {e}");
+            std::process::exit(2)
+        })
+        .effort;
     println!("Fig. 5.2.3: silicon-area cost vs execution-time reduction");
     println!(
         "(7 benchmarks averaged on the 2-issue 4/2 O3 configuration; effort: {} repeats, {} iterations)\n",

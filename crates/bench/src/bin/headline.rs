@@ -50,7 +50,10 @@ fn stats(xs: &[f64]) -> (f64, f64, f64) {
 }
 
 fn main() {
-    let args = harness_from_args();
+    let args = harness_from_args().unwrap_or_else(|e| {
+        eprintln!("headline: {e}");
+        std::process::exit(2)
+    });
     let (effort, benches) = (args.effort, args.benches);
     let configs: Vec<ConfigPoint> = experiment::evaluation_configs()
         .into_iter()

@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use isex_engine::Flags;
 use isex_flow::experiment::SweepEffort;
 use isex_workloads::{registry, Benchmark};
 
@@ -30,71 +31,47 @@ pub struct HarnessArgs {
 /// `--paper` (5 repeats, 200 iterations — default),
 /// `--repeats N --iters M`, `--jobs N` exploration worker threads
 /// (0 = one per core; results are identical for every value), and
-/// `--bench NAME` (repeatable) to regenerate a benchmark subset.
-pub fn harness_from_args() -> HarnessArgs {
-    let args: Vec<String> = std::env::args().collect();
+/// `--bench NAME` (repeatable) to regenerate a benchmark subset. A missing
+/// or bad value, an unknown flag or an unknown benchmark is an error that
+/// names it.
+pub fn harness_from_args() -> Result<HarnessArgs, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    harness_from(&args)
+}
+
+fn harness_from(args: &[String]) -> Result<HarnessArgs, String> {
     let mut effort = SweepEffort::paper();
     let mut jobs = 0;
     let mut benches: Vec<Benchmark> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
             "--quick" => effort = SweepEffort::quick(),
             "--paper" => effort = SweepEffort::paper(),
-            "--repeats" => {
-                i += 1;
-                effort.repeats = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--repeats needs a number");
-            }
-            "--iters" => {
-                i += 1;
-                effort.max_iterations = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--iters needs a number");
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--jobs needs a number");
-            }
+            "--repeats" => effort.repeats = flags.parse(flag)?,
+            "--iters" => effort.max_iterations = flags.parse(flag)?,
+            "--jobs" => jobs = flags.parse(flag)?,
             "--bench" => {
-                i += 1;
-                let name = args.get(i).expect("--bench needs a name");
-                match registry::resolve(name) {
-                    Ok(b) => {
-                        if !benches.contains(&b) {
-                            benches.push(b);
-                        }
-                    }
-                    Err(e) => panic!("{e}"),
+                let b = registry::resolve(&flags.value(flag)?).map_err(|e| e.to_string())?;
+                if !benches.contains(&b) {
+                    benches.push(b);
                 }
             }
             other => {
-                panic!(
+                return Err(format!(
                     "unknown argument {other}; use --quick/--paper/--repeats N/--iters M/\
                      --jobs N/--bench NAME"
-                )
+                ))
             }
         }
-        i += 1;
     }
     if benches.is_empty() {
         benches = Benchmark::ALL.to_vec();
     }
-    HarnessArgs {
+    Ok(HarnessArgs {
         effort: effort.with_jobs(jobs),
         benches,
-    }
-}
-
-/// Backwards-compatible effort-only accessor (ignores the benchmark filter).
-pub fn effort_from_args() -> SweepEffort {
-    harness_from_args().effort
+    })
 }
 
 /// Formats a fraction as a percentage with two decimals.
@@ -177,6 +154,22 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn bad_harness_flags_are_errors_that_name_the_flag() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+            harness_from(&args).err()
+        };
+        assert_eq!(parse("--quick --jobs").unwrap(), "--jobs needs a value");
+        assert_eq!(parse("--iters many").unwrap(), "bad --iters");
+        assert!(parse("--fast")
+            .unwrap()
+            .starts_with("unknown argument --fast"));
+        assert!(parse("--bench nosuch").is_some());
+        let args = harness_from(&["--bench".into(), "crc32".into()]).unwrap();
+        assert_eq!(args.benches, vec![Benchmark::Crc32]);
     }
 
     #[test]

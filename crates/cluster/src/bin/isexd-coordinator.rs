@@ -7,9 +7,11 @@ fn main() {
         eprintln!(
             "isexd-coordinator: distributed isexd\n\
              cluster flags: --cluster-addr HOST:PORT  --heartbeat-ms N\n\
-             \x20              --heartbeat-misses N      --journal-dir DIR\n\
-             \x20              --breaker-threshold N     --breaker-cooloff-ms N\n\
-             plus every isexd flag (--addr, --workers, --queue-cap, ...)"
+             \x20              --heartbeat-misses N      --breaker-threshold N\n\
+             \x20              --breaker-cooloff-ms N\n\
+             plus every isexd flag (--addr, --workers, --queue-cap, ...);\n\
+             with --store-dir DIR, completed blocks are saved in that store\n\
+             and a restarted coordinator resumes from them"
         );
         return;
     }

@@ -27,8 +27,8 @@
 //! (identical by determinism, so "first" is not a choice that shows in
 //! the output). When a block's last repeat lands, the block is reduced
 //! with [`entry_from_repeats`] — the same reduction a local run uses —
-//! and, with a journal directory configured, its entry is appended to the
-//! checkpoint journal: a crashed coordinator resumes from it and
+//! and, with a store directory configured, its entry is saved there
+//! through [`Checkpoints`]: a crashed coordinator resumes from it and
 //! re-explores only the rest.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -43,8 +43,8 @@ use isex_engine::{
     RunMetrics, Seq,
 };
 use isex_flow::{
-    append_entry, entry_from_repeats, explore_block_repeat, finish_from_entries, hot_blocks,
-    load_journal, run_key, CheckpointEntry, FlowConfig, FlowReport,
+    entry_from_repeats, explore_block_repeat, finish_from_entries, hot_blocks, run_key,
+    CheckpointEntry, Checkpoints, FlowConfig, FlowReport,
 };
 use isex_serve::listener::Listener;
 use isex_serve::metrics::Histogram;
@@ -65,9 +65,10 @@ pub struct CoordinatorConfig {
     pub heartbeat_ms: u64,
     /// Consecutive missed beats before a silent worker is declared dead.
     pub heartbeat_misses: u32,
-    /// When set, each run appends completed blocks to a checkpoint journal
-    /// here (named by a hash of the run key) and resumes from it.
-    pub journal_dir: Option<PathBuf>,
+    /// When set, each run saves its completed blocks as entries of the
+    /// result store in this directory (the one `--store-dir` names) and
+    /// resumes from them.
+    pub store_dir: Option<PathBuf>,
     /// Consecutive failures (unclean disconnects, missed-heartbeat
     /// expiries, dispatch write errors) after which a worker *name* is
     /// circuit-broken: no dispatch until the cooloff elapses, then one
@@ -86,7 +87,7 @@ impl Default for CoordinatorConfig {
             listen_addr: "127.0.0.1:0".to_string(),
             heartbeat_ms: 500,
             heartbeat_misses: 3,
-            journal_dir: None,
+            store_dir: None,
             breaker_threshold: 3,
             breaker_cooloff_ms: None,
         }
@@ -206,7 +207,7 @@ struct RunState {
     slots: RepeatSlots,
     /// Jobs whose outcome landed since the run loop last looked.
     arrived: Vec<JobKey>,
-    /// Reduced entries keyed by block index: resumed from the journal, or
+    /// Reduced entries keyed by block index: resumed from the store, or
     /// folded from all of the block's repeats.
     completed: BTreeMap<usize, CheckpointEntry>,
     /// Worker span batches awaiting injection into the run's tracer when
@@ -329,6 +330,8 @@ fn drop_worker(
 
 struct Shared {
     config: CoordinatorConfig,
+    /// The block entries of [`CoordinatorConfig::store_dir`], when set.
+    checkpoints: Option<Checkpoints>,
     state: Mutex<ClusterState>,
     wake: Condvar,
     shutdown: AtomicBool,
@@ -343,10 +346,17 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Binds the worker-facing listener and starts accepting workers.
+    /// Opens the store directory, if any, binds the worker-facing listener
+    /// and starts accepting workers.
     pub fn start(config: CoordinatorConfig) -> std::io::Result<Coordinator> {
+        let checkpoints = config
+            .store_dir
+            .as_deref()
+            .map(Checkpoints::open)
+            .transpose()?;
         let shared = Arc::new(Shared {
             config,
+            checkpoints,
             state: Mutex::new(ClusterState {
                 workers: Vec::new(),
                 run: None,
@@ -509,54 +519,52 @@ impl Coordinator {
         let hot = hot_blocks(cfg, program);
         let repeats = cfg.repeats.max(1);
 
-        // Resume: pre-complete blocks the journal already holds.
-        let journal_path = self
-            .shared
-            .config
-            .journal_dir
-            .as_ref()
-            .map(|dir| dir.join(journal_file_name(&key)));
-        let mut resumed_entries = Vec::new();
-        if let Some(path) = &journal_path {
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            match load_journal(path, &key) {
-                Ok(entries) => resumed_entries = entries,
-                Err(e) => eprintln!("isex-cluster: journal {} unreadable: {e}", path.display()),
-            }
-        }
-        let mut journal = journal_path.as_ref().and_then(|path| {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| eprintln!("isex-cluster: journal {} unwritable: {e}", path.display()))
-                .ok()
-        });
+        // Resume: pre-complete blocks the store already holds.
+        let completed: BTreeMap<usize, CheckpointEntry> = match &self.shared.checkpoints {
+            Some(checkpoints) => (0..hot.len())
+                .filter_map(|index| Some((index, checkpoints.lookup(&key, index)?)))
+                .collect(),
+            None => BTreeMap::new(),
+        };
+        let resumed = completed.len();
+        let pending: VecDeque<JobKey> = (0..hot.len())
+            .filter(|b| !completed.contains_key(b))
+            .flat_map(|block| (0..repeats).map(move |repeat| JobKey { block, repeat }))
+            .collect();
+        let run = RunState {
+            key: key.clone(),
+            request_json: request.to_json(),
+            fault_plan: cfg.fault_plan.clone(),
+            trace_id: trace_id.to_string(),
+            deadline,
+            pending,
+            attempts: HashMap::new(),
+            inflight: HashMap::new(),
+            slots: RepeatSlots::new(hot.len(), repeats),
+            arrived: Vec::new(),
+            completed,
+            trace_chunks: Vec::new(),
+            next_job_id: 1,
+            counters: RunCounters::default(),
+        };
 
-        // Install the run (serializing with any run already in progress).
-        let resumed;
-        {
+        let end = 'run: {
+            // Install the run (serializing with any run already in
+            // progress).
             let mut state = lock_unpoisoned(&self.shared.state);
             while state.run.is_some() {
                 if cancel.is_cancelled() {
                     // The deadline expired before this run even got the
-                    // slot: answer with an all-degraded empty report
-                    // rather than an error — same anytime contract as a
-                    // run cut mid-flight.
-                    let alive = state.workers_alive();
-                    drop(state);
-                    let slots = RepeatSlots::new(hot.len(), repeats);
-                    let entries = cut_entries(&hot, &key, BTreeMap::new(), &slots);
-                    let end = RunEnd {
+                    // slot: cut it with the blocks it resumed, as a
+                    // deadline cuts a run mid-flight.
+                    let entries = cut_entries(&hot, &key, run.completed, &run.slots);
+                    break 'run RunEnd {
                         entries,
-                        counters: RunCounters::default(),
+                        counters: run.counters,
                         worker_totals: Vec::new(),
-                        workers_alive: alive,
+                        workers_alive: state.workers_alive(),
                         trace_chunks: Vec::new(),
                     };
-                    return Ok(self.finish(cfg, program, seed, hot.len(), start, 0, end));
                 }
                 let (next, _) = self
                     .shared
@@ -565,40 +573,30 @@ impl Coordinator {
                     .unwrap_or_else(PoisonError::into_inner);
                 state = next;
             }
-            let mut completed = BTreeMap::new();
-            for entry in resumed_entries {
-                if entry.block_index < hot.len() {
-                    completed.entry(entry.block_index).or_insert(entry);
-                }
-            }
-            resumed = completed.len();
-            let pending: VecDeque<JobKey> = (0..hot.len())
-                .filter(|b| !completed.contains_key(b))
-                .flat_map(|block| (0..repeats).map(move |repeat| JobKey { block, repeat }))
-                .collect();
-            state.run = Some(RunState {
-                key: key.clone(),
-                request_json: request.to_json(),
-                fault_plan: cfg.fault_plan.clone(),
-                trace_id: trace_id.to_string(),
-                deadline,
-                pending,
-                attempts: HashMap::new(),
-                inflight: HashMap::new(),
-                slots: RepeatSlots::new(hot.len(), repeats),
-                arrived: Vec::new(),
-                completed,
-                trace_chunks: Vec::new(),
-                next_job_id: 1,
-                counters: RunCounters::default(),
-            });
-        }
+            state.run = Some(run);
+            drop(state);
+            self.shared.wake.notify_all();
+            self.drive(cfg, program, seed, &hot, sink, cancel)
+        };
         self.shared.wake.notify_all();
+        Ok(self.finish(cfg, program, seed, hot.len(), start, resumed, end))
+    }
 
+    /// Drives the installed run until every hot block has its entry, or
+    /// until `cancel` trips and the run is cut, and uninstalls it.
+    fn drive(
+        &self,
+        cfg: &FlowConfig,
+        program: &Program,
+        seed: u64,
+        hot: &[&BasicBlock],
+        sink: &dyn EventSink,
+        cancel: &CancelToken,
+    ) -> RunEnd {
         // The drive loop. Each pass holds the lock once: sentinel-checks
         // workers, dispatches pending jobs, slots newly arrived outcomes
         // and reduces every block whose last repeat landed; events,
-        // journal appends and local fallback jobs happen with the lock
+        // checkpoint saves and local fallback jobs happen with the lock
         // released.
         //
         // Jobs currently out on a worker, by dispatch time: the source of
@@ -607,17 +605,17 @@ impl Coordinator {
         // events themselves never cross the wire). Local-fallback jobs are
         // absent — the engine emits their events itself.
         let mut remote_started: HashMap<JobKey, Instant> = HashMap::new();
-        let end = loop {
+        loop {
             if cancel.is_cancelled() {
                 // Deadline: finish with what the cluster has. Reduced
                 // blocks merge as-is, every other block reduces from the
                 // repeats it has, and results that race in later are
                 // dropped with the cleared run.
                 let mut state = lock_unpoisoned(&self.shared.state);
-                let run_state = state.run.as_mut().expect("run installed above");
+                let run_state = state.run.as_mut().expect("run installed");
                 let completed = std::mem::take(&mut run_state.completed);
-                let entries = cut_entries(&hot, &key, completed, &run_state.slots);
-                break end_run(&mut state, entries);
+                let entries = cut_entries(hot, &run_state.key, completed, &run_state.slots);
+                return end_run(&mut state, entries);
             }
             let dispatched: Vec<JobKey>;
             let mut events: Vec<RunEvent> = Vec::new();
@@ -647,7 +645,12 @@ impl Coordinator {
                         continue;
                     }
                     if let Some(outcomes) = run_state.slots.complete(job.block) {
-                        let entry = entry_from_repeats(&key, hot[job.block], job.block, &outcomes);
+                        let entry = entry_from_repeats(
+                            &run_state.key,
+                            hot[job.block],
+                            job.block,
+                            &outcomes,
+                        );
                         fresh.push(entry.clone());
                         run_state.completed.insert(job.block, entry);
                     }
@@ -680,21 +683,18 @@ impl Coordinator {
                 sink.emit(event);
             }
 
-            // Journal first: an entry must be durable before anything
-            // downstream of it, exactly like the single-node journal.
-            // Degraded partials never touch the journal — a resumed run
-            // must recompute the block canonically, not inherit the cut.
-            if let Some(file) = &mut journal {
-                for entry in fresh.iter().filter(|e| !e.degraded) {
-                    if let Err(e) = append_entry(file, entry) {
-                        eprintln!("isex-cluster: journal append failed: {e}");
-                        journal = None;
-                        break;
+            // Save first: an entry must be durable before anything
+            // downstream of it, exactly like the single-node checkpoint. A
+            // failed save costs only a re-exploration on resume.
+            if let Some(checkpoints) = &self.shared.checkpoints {
+                for entry in &fresh {
+                    if let Err(e) = checkpoints.save(entry) {
+                        eprintln!("isex-cluster: checkpoint save failed: {e}");
                     }
                 }
             }
             if let Some(end) = done {
-                break end;
+                return end;
             }
 
             if let Some(job) = local_job {
@@ -725,9 +725,7 @@ impl Coordinator {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             }
-        };
-        self.shared.wake.notify_all();
-        Ok(self.finish(cfg, program, seed, hot.len(), start, resumed, end))
+        }
     }
 
     /// The shared reduce-and-account tail: merges the workers' span
@@ -1081,7 +1079,7 @@ fn remote_finish_event(
 
 /// Folds the run's `cluster.*` counters into the profile via
 /// [`PhaseProfile::absorb`]: a stat whose name the profile already holds
-/// (a resumed run's journaled counters, or a worker's federated
+/// (a resumed run's saved counters, or a worker's federated
 /// `cluster.*` entries arriving through `finish_from_entries`) is *summed
 /// into* the existing entry instead of appended as a duplicate, and the
 /// profile stays name-sorted.
@@ -1117,11 +1115,6 @@ fn sanitize_metric_segment(name: &str) -> String {
     } else {
         out
     }
-}
-
-/// The journal file of the run with key `key`: `run-<fnv1a64(key)>.jsonl`.
-fn journal_file_name(key: &str) -> String {
-    format!("run-{:016x}.jsonl", isex_store::fnv1a64(key.as_bytes()))
 }
 
 /// One worker connection: handshake, then a read loop that feeds
@@ -1399,16 +1392,6 @@ mod tests {
         assert_eq!(sanitize_metric_segment("node-3.local"), "node_3_local");
         assert_eq!(sanitize_metric_segment("flow.explore"), "flow_explore");
         assert_eq!(sanitize_metric_segment(""), "_");
-    }
-
-    #[test]
-    fn journal_names_hash_the_run_key_with_fnv1a64() {
-        // Pinned: the name a journal got before the store's FNV became the
-        // one hash, so existing journals keep resuming.
-        assert_eq!(
-            journal_file_name("isex-cluster-journal-pin"),
-            "run-d67fdb67deef5a73.jsonl"
-        );
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   hostile input;
 //! * [`messages`] — typed messages over those frames;
 //! * [`coordinator`] — per-job sharding, heartbeat sentinel,
-//!   re-dispatch, repeat-order reduction, checkpoint-journal reuse,
-//!   zero-worker local fallback;
+//!   re-dispatch, repeat-order reduction, resume from the block entries
+//!   it saves in the `--store-dir` result store, zero-worker local
+//!   fallback;
 //! * [`worker`] — the remote shell around
 //!   [`explore_block_repeat`](isex_flow::explore_block_repeat);
 //! * [`ClusterRunner`] — plugs the coordinator into the `isexd` HTTP
@@ -49,9 +50,8 @@ pub mod worker;
 
 use std::sync::Arc;
 
-use isex_engine::{Cancelled, EventSink, RunMetrics};
+use isex_engine::{Cancelled, EventSink, Flags, RunMetrics};
 use isex_flow::{FlowConfig, FlowReport};
-use isex_serve::flags::Flags;
 use isex_serve::ExploreRunner;
 use isex_workloads::Program;
 
@@ -122,7 +122,8 @@ impl ExploreRunner for ClusterRunner {
 
 /// Splits `isexd-coordinator`'s flags: the cluster flags into a
 /// [`CoordinatorConfig`], everything else, in order, into the standard
-/// `isexd` [`ServerConfig`](isex_serve::ServerConfig).
+/// `isexd` [`ServerConfig`](isex_serve::ServerConfig). The coordinator
+/// saves its block entries in the server's `--store-dir`.
 fn coordinator_config(
     args: &[String],
 ) -> Result<(CoordinatorConfig, isex_serve::ServerConfig), String> {
@@ -137,7 +138,6 @@ fn coordinator_config(
             "--cluster-addr" => cluster.listen_addr = flags.value(flag)?,
             "--heartbeat-ms" => cluster.heartbeat_ms = flags.parse(flag)?,
             "--heartbeat-misses" => cluster.heartbeat_misses = flags.parse(flag)?,
-            "--journal-dir" => cluster.journal_dir = Some(flags.value(flag)?.into()),
             "--breaker-threshold" => cluster.breaker_threshold = flags.parse(flag)?,
             "--breaker-cooloff-ms" => cluster.breaker_cooloff_ms = Some(flags.parse(flag)?),
             // Pass-through flags and their values land here one token at a
@@ -145,14 +145,15 @@ fn coordinator_config(
             other => rest.push(other.to_string()),
         }
     }
-    Ok((cluster, isex_serve::ServerConfig::from_args(&rest)?))
+    let server = isex_serve::ServerConfig::from_args(&rest)?;
+    cluster.store_dir = server.store_dir.clone();
+    Ok((cluster, server))
 }
 
 /// The `isexd-coordinator` entry point: an `isexd` server whose explores
 /// run on the cluster. Cluster flags (`--cluster-addr`, `--heartbeat-ms`,
-/// `--heartbeat-misses`, `--journal-dir`, `--breaker-threshold`,
-/// `--breaker-cooloff-ms`) are consumed here; everything else is the
-/// standard `isexd` flag set.
+/// `--heartbeat-misses`, `--breaker-threshold`, `--breaker-cooloff-ms`)
+/// are consumed here; everything else is the standard `isexd` flag set.
 pub fn coordinator_main(args: &[String]) -> Result<(), String> {
     let (cluster, server_config) = coordinator_config(args)?;
     let coordinator =
@@ -213,7 +214,7 @@ mod tests {
         // Every cluster flag, with every isexd flag passed through.
         let (cluster, server) = coordinator_config(&args(
             "--cluster-addr 10.0.0.1:1 --addr 10.0.0.1:2 --heartbeat-ms 7 --workers 3 \
-             --heartbeat-misses 4 --queue-cap 5 --journal-dir /j --cache-cap 6 \
+             --heartbeat-misses 4 --queue-cap 5 --cache-cap 6 \
              --breaker-threshold 8 --timeout-ms 9 --breaker-cooloff-ms 10 \
              --read-timeout-ms 11 --write-timeout-ms 12 --fault-plan panic:1/4 \
              --trace-dir /t --trace-keep 13 --store-dir /s --store-max-bytes 14 \
@@ -222,7 +223,7 @@ mod tests {
         .unwrap();
         assert_eq!(cluster.listen_addr, "10.0.0.1:1");
         assert_eq!((cluster.heartbeat_ms, cluster.heartbeat_misses), (7, 4));
-        assert_eq!(cluster.journal_dir, Some("/j".into()));
+        assert_eq!(cluster.store_dir, Some("/s".into()));
         assert_eq!(cluster.breaker_threshold, 8);
         assert_eq!(cluster.breaker_cooloff_ms, Some(10));
         assert_eq!(server.addr, "10.0.0.1:2");

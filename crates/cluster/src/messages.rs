@@ -90,7 +90,7 @@ pub struct JobAssign {
 ///
 /// The coordinator slots the outcome by `(block_index, repeat)` and, once
 /// all of a block's repeats are in, reduces them in repeat order — never
-/// in arrival order — to the block's journal entry.
+/// in arrival order — to the block's entry.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RepeatResult {
     /// The id from the [`JobAssign`] this answers.
@@ -122,7 +122,7 @@ pub struct JobResult {
     pub job_id: u64,
     /// The reporting worker's name.
     pub worker: String,
-    /// A block's journal entry.
+    /// A block's entry.
     pub entry: CheckpointEntry,
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end cluster tests: determinism of the distributed merge, worker
-//! death and re-dispatch, transport fault drills, journal reuse, the
-//! heartbeat sentinel, and the Prometheus surface.
+//! death and re-dispatch, transport fault drills, resume from the store,
+//! the heartbeat sentinel, and the Prometheus surface.
 //!
 //! The load is kept tiny (1–2 hot blocks × 2 repeats × ~30 iterations) so
 //! the whole file runs in seconds on one core; every determinism check is
@@ -9,14 +9,14 @@
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Once};
 use std::time::Duration;
 
 use isex_cluster::messages::{Hello, HelloAck, JobAssign, Message, PROTOCOL_VERSION};
 use isex_cluster::wire::{read_frame, write_frame};
 use isex_cluster::{ClusterRunner, Coordinator, CoordinatorConfig, WorkerConfig};
-use isex_engine::{CancelToken, FaultPlan, NullSink, RunMetrics};
-use isex_flow::{run_flow, FlowReport};
+use isex_engine::{CancelToken, EventSink, FaultPlan, NullSink, RunEvent, RunMetrics};
+use isex_flow::{run_flow, FlowConfig, FlowReport};
 use isex_serve::ExploreRequest;
 use isex_workloads::Benchmark;
 
@@ -33,13 +33,13 @@ fn small_request(seed: u64) -> ExploreRequest {
     }
 }
 
-fn coordinator(heartbeat_ms: u64, journal_dir: Option<std::path::PathBuf>) -> Arc<Coordinator> {
+fn coordinator(heartbeat_ms: u64, store_dir: Option<std::path::PathBuf>) -> Arc<Coordinator> {
     Arc::new(
         Coordinator::start(CoordinatorConfig {
             listen_addr: "127.0.0.1:0".to_string(),
             heartbeat_ms,
             heartbeat_misses: 2,
-            journal_dir,
+            store_dir,
             ..CoordinatorConfig::default()
         })
         .expect("coordinator binds"),
@@ -74,17 +74,19 @@ fn cluster_run(
 ) -> (FlowReport, RunMetrics) {
     let mut cfg = request.flow_config();
     cfg.fault_plan = fault_plan;
+    run_with(coordinator, request, &cfg, &NullSink, &CancelToken::new())
+}
+
+fn run_with(
+    coordinator: &Coordinator,
+    request: &ExploreRequest,
+    cfg: &FlowConfig,
+    sink: &dyn EventSink,
+    cancel: &CancelToken,
+) -> (FlowReport, RunMetrics) {
     let program = request.program();
     coordinator
-        .run(
-            request,
-            &cfg,
-            &program,
-            &NullSink,
-            &CancelToken::new(),
-            "trace-test",
-            None,
-        )
+        .run(request, cfg, &program, sink, cancel, "trace-test", None)
         .expect("cluster run completes")
 }
 
@@ -230,7 +232,7 @@ fn journal_makes_block_completion_exactly_once() {
     assert_eq!(first_metrics.blocks_resumed, 0);
     assert!(first_metrics.blocks_explored > 0);
 
-    // Same request again: every block resumes from the journal; no job
+    // Same request again: every block resumes from the store; no job
     // reaches any worker.
     let (second, metrics) = cluster_run(&coord, &request, None);
     assert_eq!(report_json(&second), report_json(&first));
@@ -245,6 +247,98 @@ fn journal_makes_block_completion_exactly_once() {
 
     Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
     let _ = w0.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parks the run that emits through it at its first event until the test
+/// has passed the barrier twice: once to see the run hold the slot, once
+/// to release it.
+struct Gate(Barrier, Once);
+
+impl EventSink for Gate {
+    fn emit(&self, _: RunEvent) {
+        self.1.call_once(|| {
+            self.0.wait();
+            self.0.wait();
+        });
+    }
+}
+
+#[test]
+fn a_deadline_before_the_run_slot_cuts_from_the_resumed_blocks() {
+    let dir = std::env::temp_dir().join(format!("isex-cluster-preslot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // No workers: every job runs on the local fallback.
+    let coord = coordinator(100, Some(dir.clone()));
+    let request = small_request(61);
+    let (first, _) = cluster_run(&coord, &request, None);
+
+    let other = small_request(62);
+    let gate = Gate(Barrier::new(2), Once::new());
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(|| {
+            run_with(
+                &coord,
+                &other,
+                &other.flow_config(),
+                &gate,
+                &CancelToken::new(),
+            )
+        });
+        gate.0.wait();
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        let (report, metrics) = run_with(
+            &coord,
+            &request,
+            &request.flow_config(),
+            &NullSink,
+            &tripped,
+        );
+        gate.0.wait();
+        holder.join().expect("holder run");
+        assert_eq!(report_json(&report), report_json(&first));
+        assert!(!report.degraded && !metrics.degraded);
+        assert_eq!(metrics.blocks_resumed, metrics.blocks_explored);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_crash_mid_save_resumes_every_intact_block_on_each_restart() {
+    let dir = std::env::temp_dir().join(format!("isex-cluster-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let request = small_request(71);
+    // Full coverage gives the request more than two hot blocks, so the
+    // crash leaves one block intact, one torn and the rest unwritten.
+    let mut cfg = request.flow_config();
+    cfg.hot_block_coverage = 1.0;
+    let expected = report_json(&run_flow(&cfg, &request.program(), request.seed));
+    let restart = || coordinator(100, Some(dir.clone()));
+    let (_, metrics) = run_with(&restart(), &request, &cfg, &NullSink, &CancelToken::new());
+    let hot = metrics.blocks_explored;
+    assert!(hot >= 3, "{hot} hot blocks");
+
+    let entries = dir.join("entries");
+    let mut files: Vec<_> = std::fs::read_dir(&entries)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), hot, "one entry per block: {files:?}");
+    let torn = std::fs::read(&files[1]).unwrap();
+    std::fs::write(&files[1], &torn[..torn.len() / 2]).unwrap();
+    std::fs::write(entries.join("0000000000000000.tmp.1.0"), &torn[..9]).unwrap();
+    for file in &files[2..] {
+        std::fs::remove_file(file).unwrap();
+    }
+
+    for intact in [1, hot] {
+        let (report, metrics) =
+            run_with(&restart(), &request, &cfg, &NullSink, &CancelToken::new());
+        assert_eq!(report_json(&report), expected);
+        assert_eq!(metrics.blocks_resumed, intact);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -17,6 +17,7 @@ mod cancel;
 mod engine;
 mod events;
 mod fault;
+mod flags;
 mod job;
 mod metrics;
 mod pool;
@@ -27,6 +28,7 @@ pub use cancel::{CancelToken, Cancelled, DeadlineTimer};
 pub use engine::{Algorithm, BlockResult, BlockTask, Engine, ExploreSpec};
 pub use events::{EventSink, JsonlSink, NullSink, RunEvent, Seq, TaggedSink, VecSink};
 pub use fault::{FaultKind, FaultPlan};
+pub use flags::Flags;
 pub use job::ExploreJob;
 pub use metrics::{BlockFailure, BlockSpread, PhaseProfile, PhaseStat, PhaseTimes, RunMetrics};
 pub use pool::{run_jobs, run_jobs_anytime, worker_count, AnytimeOutcome, JobPanic};

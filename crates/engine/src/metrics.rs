@@ -81,7 +81,7 @@ pub struct RunMetrics {
     pub worker_restarts: usize,
     /// Hot blocks explored.
     pub blocks_explored: usize,
-    /// Blocks skipped because a checkpoint journal already held their
+    /// Blocks skipped because a checkpoint store already held their
     /// results (always 0 for non-checkpointed runs).
     pub blocks_resumed: usize,
     /// Blocks with no surviving exploration (every repeat panicked).

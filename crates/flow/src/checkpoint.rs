@@ -7,34 +7,22 @@
 //! outcomes off the wire with [`entry_from_repeats`], the same reduction.
 //!
 //! [`run_flow_checkpointed`] explores the hot set one block at a time and
-//! journals each finished block's entry to an append-only JSONL file
-//! *before* moving on. If the process dies — `kill -9`, OOM, power loss — a
-//! re-run with the same journal path skips every block whose entry is
-//! present and re-explores only the rest. Because job seeds derive from a
-//! block's *canonical* index in the hot list (see
+//! saves each finished block's entry to an `isex-store` directory through
+//! [`Checkpoints`] *before* moving on. If the process dies — `kill -9`,
+//! OOM, power loss — a re-run with the same directory skips every block
+//! whose entry is there and re-explores only the rest. Because job seeds
+//! derive from a block's *canonical* index in the hot list (see
 //! [`isex_engine::Engine::explore`]), the resumed run's [`FlowReport`] is
 //! bitwise identical to an uninterrupted one.
 //!
-//! # Journal format
-//!
-//! One JSON object per line, in completion order:
-//!
-//! ```text
-//! {"run_key":"…","block_index":3,"block":"crc32_loop","iterations":…,
-//!  "jobs_completed":5,"jobs_failed":0,"worker_restarts":0,
-//!  "spread":{…}|null,"patterns":[{…}],"error":null|"…"}
-//! ```
-//!
-//! Crash safety comes from the write discipline, not the format: a line is
-//! appended, flushed, and fsynced before the next block starts, so the
-//! journal always holds whole entries plus at most one torn trailing line
-//! (which the loader discards). Entries are keyed by [`run_key`], a
-//! canonical rendering of every input that affects exploration; entries
-//! from a different run (other seed, machine, params, program, …) are
-//! ignored rather than trusted.
+//! Crash safety is the store's: each entry is written to a temp file,
+//! fsync'd and renamed into place, and read back checksummed, so a crash
+//! leaves whole entries plus at most a stray temp file, and a torn or
+//! damaged entry reads as a miss. Entries are keyed by [`run_key`], a
+//! canonical rendering of every input that affects exploration, plus the
+//! block index; an entry of a different run (other seed, machine, params,
+//! program, …) is never found, let alone trusted.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::time::Instant;
 
@@ -42,6 +30,7 @@ use isex_engine::{
     reduce_repeats, BlockReduction, BlockSpread, CancelToken, Cancelled, Engine, EventSink,
     ExploreJob, RepeatOutcome, RunMetrics,
 };
+use isex_store::Store;
 use isex_workloads::{BasicBlock, Program};
 use serde::{Deserialize, Serialize};
 
@@ -54,18 +43,18 @@ use crate::select;
 /// Why a checkpointed run did not produce a report.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Journal I/O failed (the exploration state is still consistent: the
-    /// journal never holds a partially-applied block).
+    /// Checkpoint store I/O failed (the saved state is still consistent:
+    /// the store never holds a partially written entry).
     Io(std::io::Error),
-    /// The run's [`CancelToken`] tripped; completed blocks stay journaled
-    /// and a re-run resumes from them.
+    /// The run's [`CancelToken`] tripped; completed blocks stay saved and a
+    /// re-run resumes from them.
     Cancelled,
 }
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint journal I/O: {e}"),
+            CheckpointError::Io(e) => write!(f, "checkpoint store I/O: {e}"),
             CheckpointError::Cancelled => f.write_str("run cancelled"),
         }
     }
@@ -85,7 +74,7 @@ impl From<Cancelled> for CheckpointError {
     }
 }
 
-/// One journaled block: everything the flow needs from that block's
+/// One explored block: everything the flow needs from that block's
 /// exploration, plus the key binding it to its run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointEntry {
@@ -112,9 +101,9 @@ pub struct CheckpointEntry {
     /// Whether the entry is best-so-far rather than canonical: some repeat
     /// was cut mid-rounds, or skipped by a tripped token — a failed block
     /// included, since the skipped repeat might have survived. Degraded
-    /// entries are never *journaled* — a resume must recompute the block —
-    /// but they do travel the cluster wire so the coordinator can fold
-    /// worker partials into a degraded report.
+    /// entries are never *saved* by [`Checkpoints`] — a resume must
+    /// recompute the block — but they do reach the coordinator's cut path,
+    /// which folds worker partials into a degraded report.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub degraded: bool,
     /// ACO rounds the kept exploration completed; stamped only on
@@ -125,11 +114,11 @@ pub struct CheckpointEntry {
 
 /// The canonical identity of a checkpointable run: every input that can
 /// change a block's exploration result, rendered deterministically. Two
-/// runs share journal entries iff their keys are byte-identical.
+/// runs share checkpoint entries iff their keys are byte-identical.
 pub fn run_key(cfg: &FlowConfig, program: &Program, seed: u64) -> String {
     // serde_json writes struct fields in declaration order, so this is a
     // stable rendering. Budgets and sharing are deliberately absent: they
-    // only shape selection, which runs after the journaled phase.
+    // only shape selection, which runs after the checkpointed phase.
     #[derive(Serialize)]
     struct Key {
         version: String,
@@ -158,86 +147,51 @@ pub fn run_key(cfg: &FlowConfig, program: &Program, seed: u64) -> String {
     .expect("key serializes")
 }
 
-/// Loads the entries of `path` that belong to the run identified by `key`.
+/// Block entries saved in an `isex-store` directory: the checkpoint of
+/// [`run_flow_checkpointed`] and of the cluster coordinator alike.
 ///
-/// Missing file means a fresh run. Unparseable lines are tolerated *only*
-/// as the final line (the torn tail of an interrupted append); a malformed
-/// line with entries after it means the file is not a journal — it is
-/// reported as corrupt rather than silently half-used.
-pub fn load_journal(path: &Path, key: &str) -> std::io::Result<Vec<CheckpointEntry>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut entries = Vec::new();
-    let mut torn: Option<usize> = None;
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<CheckpointEntry>(&line) {
-            Ok(entry) => {
-                if let Some(bad) = torn {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "journal line {} is malformed but not the last line \
-                             — refusing to resume from a corrupt journal",
-                            bad + 1
-                        ),
-                    ));
-                }
-                if entry.run_key == key {
-                    entries.push(entry);
-                }
-            }
-            Err(_) => torn = Some(lineno),
-        }
-    }
-    Ok(entries)
+/// Each entry is one store entry keyed by its run's [`run_key`] and its
+/// block index, so it has the store's guarantees — atomic, checksummed,
+/// fsync'd — and `isex store ls` lists it.
+pub struct Checkpoints {
+    store: Store,
 }
 
-/// Truncates the residue of an append that died mid-write, so the next
-/// append starts at a clean line boundary. Without this, a new entry would
-/// concatenate onto the torn line and *both* would be lost to the next
-/// resume — the journal would stay correct but stop being monotonic.
-fn repair_torn_tail(path: &Path) -> std::io::Result<()> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    let mut valid = 0usize;
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        let terminated = line.ends_with(b"\n");
-        let intact = std::str::from_utf8(line).is_ok_and(|text| {
-            text.trim().is_empty() || serde_json::from_str::<CheckpointEntry>(text).is_ok()
-        });
-        if !terminated || !intact {
-            break;
+impl Checkpoints {
+    /// Opens (creating if needed) the store at `dir` with no byte budget,
+    /// so no saved block is evicted as a side effect.
+    pub fn open(dir: &Path) -> std::io::Result<Checkpoints> {
+        Ok(Checkpoints {
+            store: Store::open(dir, 0)?,
+        })
+    }
+
+    /// The saved entry of block `block_index` of the run `run_key`. A
+    /// missing, corrupt, undecodable or foreign entry is `None`, and the
+    /// block is explored again.
+    pub fn lookup(&self, run_key: &str, block_index: usize) -> Option<CheckpointEntry> {
+        let payload = self.store.lookup(&store_key(run_key, block_index))?;
+        let entry: CheckpointEntry =
+            serde_json::from_str(std::str::from_utf8(&payload).ok()?).ok()?;
+        (entry.run_key == run_key && entry.block_index == block_index).then_some(entry)
+    }
+
+    /// Saves `entry`; it is durable once this returns. A degraded entry is
+    /// not saved: a resumed run must recompute a cut block, not inherit
+    /// the cut.
+    pub fn save(&self, entry: &CheckpointEntry) -> std::io::Result<()> {
+        if entry.degraded {
+            return Ok(());
         }
-        valid += line.len();
+        let payload = serde_json::to_string(entry).expect("entry serializes");
+        let key = store_key(&entry.run_key, entry.block_index);
+        self.store.insert(&key, payload.as_bytes()).map(|_| ())
     }
-    if valid < bytes.len() {
-        OpenOptions::new()
-            .write(true)
-            .open(path)?
-            .set_len(valid as u64)?;
-    }
-    Ok(())
 }
 
-/// Appends one entry, then flushes and fsyncs so the entry survives any
-/// crash that happens after this returns. The one journal writer: the
-/// checkpointed flow and the cluster coordinator both append through it.
-pub fn append_entry(file: &mut File, entry: &CheckpointEntry) -> std::io::Result<()> {
-    let line = serde_json::to_string(entry).expect("entry serializes");
-    file.write_all(line.as_bytes())?;
-    file.write_all(b"\n")?;
-    file.flush()?;
-    file.sync_data()
+/// The store key of block `block_index` of the run `run_key`.
+fn store_key(run_key: &str, block_index: usize) -> String {
+    format!("checkpoint block {block_index} {run_key}")
 }
 
 /// The hot block at canonical index `block_index`.
@@ -366,7 +320,7 @@ fn explore_indices(
 }
 
 /// Reduces one block's repeat outcomes, given in repeat order, to its
-/// journal entry through the engine's [`reduce_repeats`].
+/// entry through the engine's [`reduce_repeats`].
 ///
 /// Every path that builds a [`CheckpointEntry`] goes through here:
 /// [`explore_entries`] (and so every local run), the checkpointed run,
@@ -432,8 +386,8 @@ pub fn entry_from_repeats(
 /// (under `flow.replace`) on the way.
 ///
 /// Entries are sorted by canonical block index before reduction, so the
-/// result is independent of completion order — a journal replay, a resumed
-/// run and a cluster merge over any worker placement all reduce to the
+/// result is independent of completion order — a resumed run and a
+/// cluster merge over any worker placement all reduce to the
 /// same bytes as one uninterrupted [`run_flow`](crate::run_flow).
 ///
 /// Jobs of the `hot_len × repeats` plan that no entry accounts for as
@@ -510,8 +464,8 @@ pub fn finish_from_entries(
     };
     metrics.phases.replace_ms = replace_start.elapsed().as_secs_f64() * 1e3;
     // Degraded runs carry their provenance on the report itself, so the
-    // partial is self-describing wherever it travels (responses, journals,
-    // CLI output). Clean runs stamp nothing — the serde-skipped fields
+    // partial is self-describing wherever it travels (responses, CLI
+    // output). Clean runs stamp nothing — the serde-skipped fields
     // keep their reports byte-identical to canonical output.
     if metrics.degraded {
         report.degraded = true;
@@ -528,11 +482,11 @@ pub fn finish_from_entries(
 }
 
 /// [`run_flow`](crate::run_flow) with block-grain checkpointing to the
-/// JSONL journal at `path`.
+/// store directory `dir` (see [`Checkpoints`]).
 ///
 /// Blocks are explored one engine call at a time (each with its canonical
 /// index, so seeds — and therefore results — match an all-at-once run
-/// bitwise) and journaled as they finish. On resume, journaled blocks are
+/// bitwise) and saved as they finish. On resume, saved blocks are
 /// skipped and counted in [`RunMetrics::blocks_resumed`]; their recorded
 /// job counts, iterations, spreads and failures fold into the metrics so
 /// totals match an uninterrupted run.
@@ -548,30 +502,28 @@ pub fn run_flow_checkpointed(
     seed: u64,
     sink: &dyn EventSink,
     cancel: &CancelToken,
-    path: &Path,
+    dir: &Path,
 ) -> Result<(FlowReport, RunMetrics), CheckpointError> {
     let start = Instant::now();
     let key = run_key(cfg, program, seed);
-    let mut entries = load_journal(path, &key)?;
-    let resumed = entries.len();
-    repair_torn_tail(path)?;
-    let mut journal = OpenOptions::new().create(true).append(true).open(path)?;
-
+    let checkpoints = Checkpoints::open(dir)?;
     let hot_len = hot_blocks(cfg, program).len();
+    let mut entries = Vec::with_capacity(hot_len);
+    let mut resumed = 0;
     for index in 0..hot_len {
-        if entries.iter().any(|e| e.block_index == index) {
+        if let Some(entry) = checkpoints.lookup(&key, index) {
+            resumed += 1;
+            entries.push(entry);
             continue;
         }
         let entry = explore_block_entry(cfg, program, seed, index, sink, cancel)?;
         if entry.degraded {
-            // A degraded entry is a best-so-far partial; journaling it
-            // would make the resumed run inherit the cut instead of
-            // recomputing the block canonically. Keep the journal clean
-            // and surface the historical cancel contract: completed
-            // blocks stay journaled, the rest re-explore on resume.
+            // A degraded entry is a best-so-far partial, which is never
+            // saved: completed blocks stay saved and the rest re-explore
+            // on resume.
             return Err(CheckpointError::Cancelled);
         }
-        append_entry(&mut journal, &entry)?;
+        checkpoints.save(&entry)?;
         entries.push(entry);
     }
 
@@ -597,77 +549,62 @@ mod tests {
         cfg
     }
 
-    fn temp_journal(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("isex-ckpt-{}-{tag}.jsonl", std::process::id()))
+    fn temp_store(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("isex-ckpt-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
     fn checkpointed_run_matches_plain_run_bitwise() {
         let program = Benchmark::Crc32.program(OptLevel::O3);
         let cfg = quick_cfg();
-        let path = temp_journal("fresh");
-        let _ = std::fs::remove_file(&path);
+        let dir = temp_store("fresh");
         let plain = run_flow(&cfg, &program, 9);
         let (checkpointed, metrics) =
-            run_flow_checkpointed(&cfg, &program, 9, &NullSink, &CancelToken::new(), &path)
-                .unwrap();
+            run_flow_checkpointed(&cfg, &program, 9, &NullSink, &CancelToken::new(), &dir).unwrap();
         assert_eq!(
             serde_json::to_string(&checkpointed).unwrap(),
             serde_json::to_string(&plain).unwrap()
         );
         assert_eq!(metrics.blocks_resumed, 0);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn resume_skips_journaled_blocks_and_reproduces_report() {
+    fn resume_skips_saved_blocks_and_reproduces_report() {
         let program = Benchmark::Bitcount.program(OptLevel::O3);
         let cfg = quick_cfg();
-        let path = temp_journal("resume");
-        let _ = std::fs::remove_file(&path);
+        let dir = temp_store("resume");
         let (first, first_metrics) =
-            run_flow_checkpointed(&cfg, &program, 4, &NullSink, &CancelToken::new(), &path)
-                .unwrap();
+            run_flow_checkpointed(&cfg, &program, 4, &NullSink, &CancelToken::new(), &dir).unwrap();
         assert!(first_metrics.blocks_explored > 0);
-        // Second run over the same journal: everything resumes, nothing is
+        // Second run over the same store: everything resumes, nothing is
         // re-explored, and the report is byte-identical.
         let (second, metrics) =
-            run_flow_checkpointed(&cfg, &program, 4, &NullSink, &CancelToken::new(), &path)
-                .unwrap();
+            run_flow_checkpointed(&cfg, &program, 4, &NullSink, &CancelToken::new(), &dir).unwrap();
         assert_eq!(metrics.blocks_resumed, first_metrics.blocks_explored);
         assert_eq!(
             serde_json::to_string(&second).unwrap(),
             serde_json::to_string(&first).unwrap()
         );
-        let _ = std::fs::remove_file(&path);
-    }
 
-    #[test]
-    fn foreign_and_torn_journal_lines_are_tolerated() {
-        let program = Benchmark::Crc32.program(OptLevel::O0);
-        let cfg = quick_cfg();
-        let path = temp_journal("torn");
-        let _ = std::fs::remove_file(&path);
-        let (first, _) =
-            run_flow_checkpointed(&cfg, &program, 2, &NullSink, &CancelToken::new(), &path)
+        // An entry filed under another run's or another block's key, or
+        // one that does not decode, is a miss.
+        let checkpoints = Checkpoints::open(&dir).unwrap();
+        let key = run_key(&cfg, &program, 4);
+        let saved = serde_json::to_string(&checkpoints.lookup(&key, 0).unwrap()).unwrap();
+        for (run, block) in [("another run", 0), (key.as_str(), 1)] {
+            let store_key = store_key(run, block);
+            checkpoints
+                .store
+                .insert(&store_key, saved.as_bytes())
                 .unwrap();
-        // Simulate a crash mid-append: a torn half-line at the tail.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"{\"run_key\":\"truncated mid-wri").unwrap();
+            assert_eq!(checkpoints.lookup(run, block), None, "{store_key}");
         }
-        let (again, _) =
-            run_flow_checkpointed(&cfg, &program, 2, &NullSink, &CancelToken::new(), &path)
-                .unwrap();
-        assert_eq!(
-            serde_json::to_string(&again).unwrap(),
-            serde_json::to_string(&first).unwrap()
-        );
-        // A different seed has a different run_key: existing entries are
-        // foreign to it and must not be reused.
-        let key_other = run_key(&cfg, &program, 3);
-        assert!(load_journal(&path, &key_other).unwrap().is_empty());
-        let _ = std::fs::remove_file(&path);
+        checkpoints.store.insert(&store_key(&key, 0), b"{").unwrap();
+        assert_eq!(checkpoints.lookup(&key, 0), None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Every ordering of `0..n`.
@@ -787,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_block_with_a_skipped_repeat_is_degraded_and_not_journaled() {
+    fn a_failed_block_with_a_skipped_repeat_is_degraded_and_not_saved() {
         let program = Benchmark::Crc32.program(OptLevel::O3);
         let mut cfg = quick_cfg();
         cfg.jobs = 1;
@@ -801,44 +738,17 @@ mod tests {
         assert!(entry.degraded, "the failure is best-so-far, not canonical");
         assert_eq!(entry.rounds_completed, Some(0));
 
-        let path = temp_journal("failed-skip");
-        let _ = std::fs::remove_file(&path);
-        let run = run_flow_checkpointed(&cfg, &program, 3, &NullSink, &CancelToken::new(), &path);
+        let dir = temp_store("failed-skip");
+        let run = run_flow_checkpointed(&cfg, &program, 3, &NullSink, &CancelToken::new(), &dir);
         assert!(matches!(run, Err(CheckpointError::Cancelled)));
+        let checkpoints = Checkpoints::open(&dir).unwrap();
         let key = run_key(&cfg, &program, 3);
-        assert!(
-            load_journal(&path, &key).unwrap().is_empty(),
+        checkpoints.save(&entry).unwrap();
+        assert_eq!(
+            checkpoints.lookup(&key, 0),
+            None,
             "a cut failure must be recomputed on resume, not inherited"
         );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_interior_line_is_refused() {
-        let path = temp_journal("corrupt");
-        let entry = CheckpointEntry {
-            run_key: "k".to_string(),
-            block_index: 0,
-            block: "b".to_string(),
-            iterations: 1,
-            jobs_completed: 1,
-            jobs_failed: 0,
-            worker_restarts: 0,
-            spread: None,
-            patterns: Vec::new(),
-            error: None,
-            degraded: false,
-            rounds_completed: None,
-        };
-        let good = serde_json::to_string(&entry).unwrap();
-        // Malformed line *followed by* a well-formed entry: that is not a
-        // torn tail, it is corruption — refuse to resume.
-        std::fs::write(&path, format!("not json\n{good}\n")).unwrap();
-        let err = load_journal(&path, "k").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // The same malformed text as the *last* line is a torn append.
-        std::fs::write(&path, format!("{good}\nnot json")).unwrap();
-        assert_eq!(load_journal(&path, "k").unwrap(), vec![entry]);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,8 +19,8 @@
 //!   "5 explorations per block, keep the best" repetition;
 //! * [`checkpoint`] — the per-block [`CheckpointEntry`] every report is
 //!   reduced from ([`explore_entries`] → [`finish_from_entries`]), plus
-//!   crash-safe block-grain journaling and resume
-//!   ([`run_flow_checkpointed`]);
+//!   crash-safe block-grain checkpointing to an `isex-store` directory
+//!   ([`Checkpoints`]) and resume ([`run_flow_checkpointed`]);
 //! * [`experiment`] — the parameter sweeps behind every evaluation figure.
 //!
 //! # Example
@@ -51,9 +51,9 @@ pub mod report;
 pub mod select;
 
 pub use checkpoint::{
-    append_entry, entry_from_repeats, explore_block_entry, explore_block_repeat, explore_entries,
-    finish_from_entries, load_journal, run_flow_checkpointed, run_key, CheckpointEntry,
-    CheckpointError,
+    entry_from_repeats, explore_block_entry, explore_block_repeat, explore_entries,
+    finish_from_entries, run_flow_checkpointed, run_key, CheckpointEntry, CheckpointError,
+    Checkpoints,
 };
 pub use flow::{
     hot_blocks, run_flow, run_flow_cancellable, run_flow_observed, Algorithm, BlockOutcome,

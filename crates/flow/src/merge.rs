@@ -16,7 +16,7 @@ use crate::pattern::IsePattern;
 /// A pattern annotated with its profiled gain (cycles saved × block
 /// executions), the unit the merger and selector work on.
 ///
-/// Serializable because checkpoint journals persist each explored block's
+/// Serializable because checkpoints persist each explored block's
 /// patterns; see [`crate::checkpoint`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WeightedPattern {

@@ -70,7 +70,6 @@
 pub mod cache;
 pub mod client;
 pub mod events;
-pub mod flags;
 pub mod http;
 pub mod jobs;
 pub mod listener;

@@ -25,13 +25,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use isex_engine::{Cancelled, DeadlineTimer, EventSink, RunMetrics};
+use isex_engine::{Cancelled, DeadlineTimer, EventSink, Flags, RunMetrics};
 use isex_flow::{run_flow_cancellable, FlowConfig, FlowReport};
 use isex_workloads::Program;
 use serde::Value;
 
 use crate::cache::{CachedResult, ResultCache};
-use crate::flags::Flags;
 use crate::http::{self, HttpError, Request};
 use crate::jobs::{JobRecord, JobTable, Submitted};
 use crate::listener::Listener;

@@ -3,10 +3,12 @@
 //! The store maps a **canonical request key** (the string that uniquely
 //! identifies one deterministic exploration — see
 //! `isex_serve::ExploreRequest::canonical_key`) to an opaque payload (the
-//! serialized `FlowReport` + `RunMetrics`). Because engine runs are bitwise
-//! deterministic, an exact key match *is* the answer, forever: once a hot
-//! benchmark has been explored anywhere, every `isexd` replica pointing at
-//! the same `--store-dir` serves it as an O(1) lookup.
+//! serialized `FlowReport` + `RunMetrics`); checkpoints map a run key plus
+//! block index to that block's entry (`isex_flow::Checkpoints`). Because
+//! engine runs are bitwise deterministic, an exact key match *is* the
+//! answer, forever: once a hot benchmark has been explored anywhere, every
+//! `isexd` replica pointing at the same `--store-dir` serves it as an O(1)
+//! lookup.
 //!
 //! The crate is payload-agnostic (`&[u8]` in, `Vec<u8>` out) so the
 //! serving layer owns serialization and the provenance guard on what it
@@ -33,10 +35,9 @@
 //!   always sound and a false hit is impossible short of a checksum
 //!   collision on equal-keyed content.
 //! * **The manifest is advisory**: it orders entries for LRU GC and feeds
-//!   `stats`. Replay tolerates a torn tail the way the checkpoint journal
-//!   does — and, because losing *order* (unlike losing a checkpoint) can
-//!   never change an answer, it goes further and skips any malformed line,
-//!   then reconciles against the files actually on disk. A deleted or
+//!   `stats`. Because losing *order* can never change an answer, replay
+//!   skips any malformed line — a torn tail included — then reconciles
+//!   against the files actually on disk. A deleted or
 //!   scrambled manifest costs eviction order, never data.
 //!
 //! # Sharing

@@ -27,8 +27,9 @@
 //!                          with capped exponential backoff   (default 4)
 //!   --async                --server only: submit via POST /v1/jobs and
 //!                          long-poll the job instead of one blocking call
-//!   --checkpoint PATH      journal each finished block to PATH and resume
-//!                          a matching interrupted run (local explore only)
+//!   --checkpoint DIR       save each finished block in the result store at
+//!                          DIR and resume a matching interrupted run from
+//!                          it (local explore only)
 //!   --fault-plan SPEC      deterministic fault injection, e.g.
 //!                          "panic:1/8 delay:1/4:10ms" (local explore only)
 //!   --metrics PATH         write RunMetrics JSON to PATH
@@ -50,7 +51,8 @@
 //!
 //! coordinator options (every serve option, plus):
 //!   --cluster-addr HOST:PORT  --heartbeat-ms N  --heartbeat-misses N
-//!   --journal-dir DIR
+//!   --breaker-threshold N  --breaker-cooloff-ms N
+//!   (with --store-dir, completed blocks are saved there and resumed)
 //!
 //! worker options:
 //!   --connect HOST:PORT  --name NAME  --capacity N  --trace-dir DIR
@@ -64,9 +66,9 @@
 
 use std::process::ExitCode;
 
+use isex::engine::Flags;
 use isex::flow::select::Budgets;
 use isex::prelude::*;
-use isex::serve::flags::Flags;
 use isex::serve::protocol::ExploreRequest;
 use isex::workloads::registry;
 

@@ -139,11 +139,9 @@ fn delay_faults_never_change_the_answer() {
 
 #[test]
 fn interrupted_checkpoint_resume_is_bitwise_equal_to_a_fresh_run() {
-    let path = std::env::temp_dir().join(format!(
-        "isex-fault-tolerance-ckpt-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
+    let dir =
+        std::env::temp_dir().join(format!("isex-fault-tolerance-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let cfg = base_config();
     let program = Benchmark::Crc32.program(OptLevel::O3);
     let seed = 0x2e54;
@@ -151,34 +149,39 @@ fn interrupted_checkpoint_resume_is_bitwise_equal_to_a_fresh_run() {
 
     let (plain_report, plain_metrics) = run_flow_observed(&cfg, &program, seed, &NullSink);
 
-    // A full checkpointed run journals one entry per explored block and
+    // A full checkpointed run saves one entry per explored block and
     // reproduces the plain run exactly.
     let (full_report, full_metrics) =
-        run_flow_checkpointed(&cfg, &program, seed, &NullSink, &cancel, &path)
+        run_flow_checkpointed(&cfg, &program, seed, &NullSink, &cancel, &dir)
             .expect("checkpointed run");
     assert_eq!(report_json(&full_report), report_json(&plain_report));
     assert_eq!(full_metrics.blocks_resumed, 0);
-    let journal = std::fs::read_to_string(&path).expect("journal exists");
+    let entries = dir.join("entries");
+    let mut files: Vec<_> = std::fs::read_dir(&entries)
+        .expect("entries exist")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    files.sort();
     assert_eq!(
-        journal.lines().count(),
+        files.len(),
         plain_metrics.blocks_explored,
-        "one journal line per explored block"
+        "one store entry per explored block"
     );
 
     // Simulate a crash mid-run: keep the first block's entry, plus a torn
-    // tail from an append that died between write and flush.
-    let first_line = journal.lines().next().expect("at least one entry");
-    std::fs::write(&path, format!("{first_line}\n{{\"run_key\":\"torn")).expect("truncate journal");
+    // entry and a stray temp file from a save that died mid-write.
+    let torn = std::fs::read(&files[1]).expect("second entry");
+    std::fs::write(&files[1], &torn[..torn.len() / 2]).expect("tear entry");
+    std::fs::write(entries.join("0000000000000000.tmp.1.0"), &torn[..9]).expect("temp file");
 
     let (resumed_report, resumed_metrics) =
-        run_flow_checkpointed(&cfg, &program, seed, &NullSink, &cancel, &path)
-            .expect("resumed run");
+        run_flow_checkpointed(&cfg, &program, seed, &NullSink, &cancel, &dir).expect("resumed run");
     assert_eq!(
         report_json(&resumed_report),
         report_json(&plain_report),
         "resume must be bitwise equal to an uninterrupted run"
     );
-    assert_eq!(resumed_metrics.blocks_resumed, 1, "one block was journaled");
+    assert_eq!(resumed_metrics.blocks_resumed, 1, "one block was intact");
     assert_eq!(
         resumed_metrics.blocks_explored,
         plain_metrics.blocks_explored
@@ -186,45 +189,45 @@ fn interrupted_checkpoint_resume_is_bitwise_equal_to_a_fresh_run() {
     assert_eq!(resumed_metrics.jobs_completed, plain_metrics.jobs_completed);
     assert_eq!(resumed_metrics.block_spread, plain_metrics.block_spread);
 
-    // The rewritten journal is complete again: a third run resumes
-    // everything and re-explores nothing.
+    // The store is complete again: a third run resumes everything and
+    // re-explores nothing.
     let (rerun_report, rerun_metrics) =
-        run_flow_checkpointed(&cfg, &program, seed, &NullSink, &cancel, &path)
+        run_flow_checkpointed(&cfg, &program, seed, &NullSink, &cancel, &dir)
             .expect("fully-resumed run");
     assert_eq!(report_json(&rerun_report), report_json(&plain_report));
     assert_eq!(rerun_metrics.blocks_resumed, plain_metrics.blocks_explored);
 
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn checkpointed_run_under_faults_journals_the_failure() {
-    // A panic that kills a whole block must be recorded in the journal —
-    // resume trusts the journal, so a failed block is resumed as failed,
-    // not silently retried into a different answer.
-    let path = std::env::temp_dir().join(format!(
-        "isex-fault-tolerance-faulty-ckpt-{}.jsonl",
+    // A panic that kills a whole block must be recorded in the checkpoint
+    // — resume trusts it, so a failed block is resumed as failed, not
+    // silently retried into a different answer.
+    let dir = std::env::temp_dir().join(format!(
+        "isex-fault-tolerance-faulty-ckpt-{}",
         std::process::id()
     ));
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = config_with_plan(Some("panic@0.0"));
     cfg.repeats = 1;
     let program = Benchmark::Crc32.program(OptLevel::O3);
     let cancel = CancelToken::new();
 
-    let (report, metrics) = run_flow_checkpointed(&cfg, &program, 9, &NullSink, &cancel, &path)
+    let (report, metrics) = run_flow_checkpointed(&cfg, &program, 9, &NullSink, &cancel, &dir)
         .expect("faulty checkpointed run");
     assert_eq!(metrics.block_failures.len(), 1);
 
     let (resumed_report, resumed_metrics) =
-        run_flow_checkpointed(&cfg, &program, 9, &NullSink, &cancel, &path)
+        run_flow_checkpointed(&cfg, &program, 9, &NullSink, &cancel, &dir)
             .expect("resume of faulty run");
     assert_eq!(report_json(&resumed_report), report_json(&report));
     assert_eq!(resumed_metrics.blocks_resumed, metrics.blocks_explored);
     assert_eq!(
         resumed_metrics.block_failures, metrics.block_failures,
-        "the journaled failure must survive resume"
+        "the saved failure must survive resume"
     );
 
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
