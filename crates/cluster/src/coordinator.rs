@@ -39,8 +39,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use isex_engine::{
-    CancelToken, Cancelled, EventSink, ExploreJob, FaultPlan, RepeatOutcome, RepeatSlots, RunEvent,
-    RunMetrics, Seq,
+    lock_unpoisoned, CancelToken, Cancelled, EventSink, ExploreJob, FaultPlan, RepeatOutcome,
+    RepeatSlots, RunEvent, RunMetrics, Seq,
 };
 use isex_flow::{
     entry_from_repeats, explore_block_repeat, finish_from_entries, hot_blocks, run_key,
@@ -48,7 +48,6 @@ use isex_flow::{
 };
 use isex_serve::listener::Listener;
 use isex_serve::metrics::Histogram;
-use isex_serve::queue::lock_unpoisoned;
 use isex_serve::ExploreRequest;
 use isex_trace::{OwnedSpan, PhaseProfile, PhaseStat, Tracer};
 use isex_workloads::{BasicBlock, Program};
@@ -1009,15 +1008,6 @@ fn end_run(state: &mut ClusterState, entries: Vec<CheckpointEntry>) -> RunEnd {
     }
 }
 
-fn stat(name: &str, count: u64) -> PhaseStat {
-    PhaseStat {
-        name: name.to_string(),
-        count,
-        total_ms: 0.0,
-        max_ms: 0.0,
-    }
-}
-
 fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
@@ -1090,14 +1080,17 @@ fn fold_cluster_stats(
     workers_alive: usize,
 ) {
     let mut stats = vec![
-        stat("cluster.workers_alive", workers_alive as u64),
-        stat("cluster.jobs_redispatched", counters.redispatched),
-        stat("cluster.heartbeats_missed", counters.heartbeats_missed),
-        stat("cluster.jobs_local", counters.local),
-        stat("cluster.breaker_trips", counters.breaker_trips),
+        PhaseStat::counter("cluster.workers_alive", workers_alive as u64),
+        PhaseStat::counter("cluster.jobs_redispatched", counters.redispatched),
+        PhaseStat::counter("cluster.heartbeats_missed", counters.heartbeats_missed),
+        PhaseStat::counter("cluster.jobs_local", counters.local),
+        PhaseStat::counter("cluster.breaker_trips", counters.breaker_trips),
     ];
     for (name, jobs) in worker_totals {
-        stats.push(stat(&format!("cluster.worker.{name}.jobs"), *jobs));
+        stats.push(PhaseStat::counter(
+            &format!("cluster.worker.{name}.jobs"),
+            *jobs,
+        ));
     }
     profile.absorb(stats);
 }
@@ -1342,18 +1335,8 @@ mod tests {
         // `extend(...)` appended a duplicate name; `fold_cluster_stats`
         // must sum into it instead.
         let mut profile = PhaseProfile(vec![
-            PhaseStat {
-                name: "cluster.jobs_local".to_string(),
-                count: 2,
-                total_ms: 0.0,
-                max_ms: 0.0,
-            },
-            PhaseStat {
-                name: "store.hit".to_string(),
-                count: 7,
-                total_ms: 0.0,
-                max_ms: 0.0,
-            },
+            PhaseStat::counter("cluster.jobs_local", 2),
+            PhaseStat::counter("store.hit", 7),
         ]);
         let counters = RunCounters {
             redispatched: 1,

@@ -18,9 +18,10 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use isex_engine::{CancelToken, DeadlineTimer, FaultPlan, NullSink, RepeatOutcome};
+use isex_engine::{
+    lock_unpoisoned, CancelToken, DeadlineTimer, FaultPlan, NullSink, RepeatOutcome,
+};
 use isex_flow::{explore_block_repeat, hot_blocks, run_key};
-use isex_serve::queue::lock_unpoisoned;
 use isex_serve::ExploreRequest;
 use isex_trace::{OwnedSpan, PhaseProfile};
 

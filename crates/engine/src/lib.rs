@@ -31,6 +31,9 @@ pub use fault::{FaultKind, FaultPlan};
 pub use flags::Flags;
 pub use job::ExploreJob;
 pub use metrics::{BlockFailure, BlockSpread, PhaseProfile, PhaseStat, PhaseTimes, RunMetrics};
-pub use pool::{run_jobs, run_jobs_anytime, worker_count, AnytimeOutcome, JobPanic};
+pub use pool::{
+    lock_unpoisoned, panic_message, run_jobs, run_jobs_anytime, worker_count, AnytimeOutcome,
+    JobPanic,
+};
 pub use reduce::{reduce_repeats, BlockReduction, RepeatOutcome, RepeatSlots};
 pub use seed::derive_seed;

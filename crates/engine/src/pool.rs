@@ -18,12 +18,13 @@ use crate::cancel::CancelToken;
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
-/// Every shared structure in this crate stays consistent under unwinding
-/// (slots hold completed values only; sinks append whole lines), so a
-/// poisoned lock carries no torn state — recovery is always sound here.
-/// Never `unwrap` a [`PoisonError`] on these paths: one caught panic must
-/// not cascade into killing every thread that shares the lock.
-pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// For state that stays consistent under unwinding — every shared
+/// structure here and in the serving and cluster layers is mutated in
+/// whole steps (slots hold completed values only; sinks append whole
+/// lines; queues push whole jobs), so a poisoned lock carries no torn
+/// state. Never `unwrap` a [`PoisonError`] on these paths: one caught
+/// panic must not cascade into killing every thread that shares the lock.
+pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -61,8 +62,9 @@ pub struct AnytimeOutcome<R> {
     pub cancelled: bool,
 }
 
-/// Renders a panic payload for telemetry.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a panic payload for telemetry (`&str`/`String` payloads
+/// verbatim).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -126,7 +128,7 @@ where
             restarts.fetch_add(1, Ordering::Relaxed);
             JobPanic {
                 index: i,
-                payload: panic_message(payload),
+                payload: panic_message(&*payload),
             }
         });
         *lock_unpoisoned(&slots[i]) = Some(result);

@@ -10,7 +10,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use isex_engine::RunMetrics;
+use isex_engine::{lock_unpoisoned, RunMetrics};
 use isex_flow::FlowReport;
 
 /// A finished exploration, shared between the cache and in-flight waiters.
@@ -80,7 +80,7 @@ impl ResultCache {
     /// Looks up `key`, counting the outcome and refreshing LRU order on a
     /// hit.
     pub fn lookup(&self, key: &str) -> Option<Arc<CachedResult>> {
-        let mut inner = crate::queue::lock_unpoisoned(&self.inner);
+        let mut inner = lock_unpoisoned(&self.inner);
         match inner.map.get(key).cloned() {
             Some(hit) => {
                 inner.hits += 1;
@@ -103,7 +103,7 @@ impl ResultCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = crate::queue::lock_unpoisoned(&self.inner);
+        let mut inner = lock_unpoisoned(&self.inner);
         if inner.map.insert(key.clone(), result).is_none() {
             inner.order.push_back(key);
             while inner.order.len() > self.capacity {
@@ -116,7 +116,7 @@ impl ResultCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = crate::queue::lock_unpoisoned(&self.inner);
+        let inner = lock_unpoisoned(&self.inner);
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,

@@ -17,9 +17,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use isex_engine::{EventSink, JsonlSink, RunEvent};
-
-use crate::queue::lock_unpoisoned;
+use isex_engine::{lock_unpoisoned, EventSink, JsonlSink, RunEvent};
 
 /// Events retained per job. Beyond it the oldest are evicted; a reader
 /// paging from an evicted seq learns how many lines it lost.

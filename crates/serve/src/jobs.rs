@@ -28,8 +28,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use isex_engine::lock_unpoisoned;
+
 use crate::protocol::ExploreRequest;
-use crate::queue::{lock_unpoisoned, Job, JobOutcome};
+use crate::queue::{Job, JobOutcome};
 
 /// One registered exploration: the job plus its async-tier bookkeeping.
 pub struct JobRecord {

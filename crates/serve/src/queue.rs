@@ -10,24 +10,14 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use isex_engine::CancelToken;
+use isex_engine::{lock_unpoisoned, CancelToken};
 
 use crate::cache::CachedResult;
 use crate::events::EventRing;
 use crate::protocol::ExploreRequest;
-
-/// Locks a mutex, recovering the guard if a previous holder panicked.
-///
-/// Queue and slot state is only ever mutated in whole steps (push a job,
-/// set an outcome), so a lock poisoned by a panicking thread holds nothing
-/// torn — recover instead of cascading the panic into every thread that
-/// shares the lock.
-pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// How a job ended, delivered to its waiting connection thread.
 #[derive(Clone, Debug)]

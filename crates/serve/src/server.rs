@@ -351,19 +351,9 @@ fn worker_loop(state: &Arc<ServerState>) {
                 .worker_restarts
                 .fetch_add(1, Ordering::Relaxed);
             state.metrics.runs_failed.fetch_add(1, Ordering::Relaxed);
-            let cause = panic_text(payload.as_ref());
+            let cause = isex_engine::panic_message(payload.as_ref());
             job.complete(JobOutcome::Failed(format!("worker panicked: {cause}")));
         }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -671,7 +661,6 @@ fn metrics_extra(state: &Arc<ServerState>) -> Vec<(String, Value)> {
                 ("misses".into(), Value::U64(s.misses)),
                 ("inserts".into(), Value::U64(s.inserts)),
                 ("evictions".into(), Value::U64(s.evictions)),
-                ("manifest_skipped".into(), Value::U64(s.manifest_skipped)),
             ]),
         ));
     }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::queue::lock_unpoisoned;
+use isex_engine::lock_unpoisoned;
 
 /// The trace-ID header, lower-cased as the parser stores header names.
 pub const TRACE_HEADER: &str = "x-isex-trace-id";

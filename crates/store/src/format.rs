@@ -21,6 +21,8 @@
 //! cache miss, which is always sound — the store only ever *accelerates*
 //! deterministic recomputation.
 
+use std::io::Read;
+
 /// Identifies an entry file; bumped (with [`FORMAT_VERSION`]) on layout
 /// changes so old binaries never misparse new files and vice versa.
 pub const MAGIC: [u8; 8] = *b"ISEXSTO1";
@@ -73,15 +75,10 @@ fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
 }
 
-/// Decodes a frame back to `(key, payload)`; `None` on any corruption.
-///
-/// Trailing bytes after the checksum are also corruption: a frame is a
-/// whole file, so extra bytes mean a torn or concatenated write.
-pub fn decode_entry(bytes: &[u8]) -> Option<(String, Vec<u8>)> {
-    if bytes.len() < HEADER_BYTES + CHECKSUM_BYTES || bytes[..8] != MAGIC {
-        return None;
-    }
-    if read_u32(bytes, 8)? != FORMAT_VERSION {
+/// Checks a frame header (magic, version, field caps) and returns its
+/// `(key_len, payload_len)`.
+fn header_lengths(bytes: &[u8]) -> Option<(usize, usize)> {
+    if bytes.len() < HEADER_BYTES || bytes[..8] != MAGIC || read_u32(bytes, 8)? != FORMAT_VERSION {
         return None;
     }
     let key_len = read_u32(bytes, 12)?;
@@ -89,7 +86,32 @@ pub fn decode_entry(bytes: &[u8]) -> Option<(String, Vec<u8>)> {
     if key_len > MAX_FIELD_BYTES || payload_len > MAX_FIELD_BYTES {
         return None;
     }
-    let (key_len, payload_len) = (key_len as usize, payload_len as usize);
+    Some((key_len as usize, payload_len as usize))
+}
+
+/// Reads only the key from the start of a frame. The header is checked as
+/// [`decode_entry`] checks it; the payload and checksum are not read, so a
+/// key is no promise that the whole frame decodes.
+pub(crate) fn read_key(reader: &mut impl Read) -> Option<String> {
+    let mut header = [0u8; HEADER_BYTES];
+    reader.read_exact(&mut header).ok()?;
+    let (key_len, _) = header_lengths(&header)?;
+    // `take` grows the buffer only as bytes arrive: a hostile length field
+    // never sizes an allocation.
+    let mut key = Vec::new();
+    reader.take(key_len as u64).read_to_end(&mut key).ok()?;
+    if key.len() != key_len {
+        return None;
+    }
+    String::from_utf8(key).ok()
+}
+
+/// Decodes a frame back to `(key, payload)`; `None` on any corruption.
+///
+/// Trailing bytes after the checksum are also corruption: a frame is a
+/// whole file, so extra bytes mean a torn or concatenated write.
+pub fn decode_entry(bytes: &[u8]) -> Option<(String, Vec<u8>)> {
+    let (key_len, payload_len) = header_lengths(bytes)?;
     // Checked arithmetic: hostile lengths must not wrap into a plausible
     // total or size an allocation.
     let expected = HEADER_BYTES
@@ -174,6 +196,19 @@ mod tests {
             frame.extend_from_slice(&payload_len.to_le_bytes());
             frame.extend_from_slice(&[0u8; 64]);
             assert_eq!(decode_entry(&frame), None, "{key_len}/{payload_len}");
+        }
+    }
+
+    #[test]
+    fn read_key_needs_the_whole_key_and_nothing_after_it() {
+        let frame = encode_entry("key", b"payload");
+        assert_eq!(read_key(&mut &frame[..]).as_deref(), Some("key"));
+        assert_eq!(
+            read_key(&mut &frame[..HEADER_BYTES + 3]).as_deref(),
+            Some("key")
+        );
+        for len in 0..HEADER_BYTES + 3 {
+            assert_eq!(read_key(&mut &frame[..len]), None, "truncated to {len}");
         }
     }
 

@@ -18,78 +18,53 @@
 //!
 //! ```text
 //! <dir>/
-//!   manifest.jsonl        access journal: insert / touch / remove records
 //!   entries/
 //!     <fnv64(key)>.entry  one framed entry per key (see [`format`])
 //! ```
 //!
+//! The directory is the store's only record. An entry file's mtime is its
+//! last use: it is set when the entry is written and again on every hit,
+//! so LRU order needs no journal and survives any reopen.
+//!
 //! # Durability and integrity
 //!
-//! * **Entries are atomic**: written to a temp file, flushed, `fsync`'d,
-//!   then `rename`'d into place. A crash leaves either the old entry, the
-//!   new entry, or a stray temp file — never a half-written `.entry`.
+//! * **Entries are atomic**: written to a temp file, `fsync`'d, then
+//!   `rename`'d into place. A crash leaves either the old entry, the new
+//!   entry, or a stray temp file — never a half-written `.entry`.
 //! * **Corruption reads as a miss**: the frame ([`format::decode_entry`])
 //!   validates magic, version, lengths and checksum; anything torn or
-//!   tampered returns `None` and the caller recomputes. The store can only
-//!   ever *accelerate* a deterministic computation, so a false miss is
-//!   always sound and a false hit is impossible short of a checksum
-//!   collision on equal-keyed content.
-//! * **The manifest is advisory**: it orders entries for LRU GC and feeds
-//!   `stats`. Because losing *order* can never change an answer, replay
-//!   skips any malformed line — a torn tail included — then reconciles
-//!   against the files actually on disk. A deleted or
-//!   scrambled manifest costs eviction order, never data.
+//!   tampered returns `None`, the lookup deletes the file, and the caller
+//!   recomputes. The store can only ever *accelerate* a deterministic
+//!   computation, so a false miss is always sound and a false hit is
+//!   impossible short of a checksum collision on equal-keyed content.
+//! * **Recency is advisory**: a lost mtime update costs eviction order,
+//!   never data. Equal mtimes are ranked by key, so eviction order is
+//!   deterministic.
 //!
 //! # Sharing
 //!
 //! Multiple handles — in one process or across processes — may point at
-//! one directory. Writers are safe against each other via atomic renames;
-//! a reader whose in-memory index misses probes the disk directly, so an
-//! entry inserted by another replica is found without reopening.
+//! one directory. Writers are safe against each other via atomic renames,
+//! and no handle keeps a view of its own: a lookup reads the entry file,
+//! and `stats`, `entries` and GC scan `entries/` afresh, so every handle
+//! counts one byte total and evicts in one order. Only the hit, miss,
+//! insert and eviction counters belong to a handle.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod format;
 
-use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::fs::{self, File};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use serde::{Deserialize, Serialize};
+use std::time::SystemTime;
 
 pub use format::{decode_entry, encode_entry, fnv1a64, FORMAT_VERSION};
 
-/// Manifest file name inside the store directory.
-pub const MANIFEST_FILE: &str = "manifest.jsonl";
-
 /// Entry subdirectory name.
 pub const ENTRIES_DIR: &str = "entries";
-
-/// Compact the manifest when it holds more than this many lines *and*
-/// more than 8× the live entry count — both bounds keep steady-state
-/// appends cheap while stopping unbounded growth from touch records.
-const COMPACT_MIN_LINES: u64 = 1024;
-
-/// One manifest record. `op` is `"insert"`, `"touch"` or `"remove"`;
-/// `bytes` is the entry file size for inserts and `0` otherwise.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct ManifestRecord {
-    seq: u64,
-    op: String,
-    key: String,
-    bytes: u64,
-}
-
-/// Index state for one live entry.
-#[derive(Clone, Debug)]
-struct IndexEntry {
-    bytes: u64,
-    last_seq: u64,
-}
 
 /// A live view of one stored entry, for `isex store ls` and tests.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,51 +73,41 @@ pub struct EntryInfo {
     pub key: String,
     /// Entry file size, bytes (frame overhead included).
     pub bytes: u64,
-    /// Last-access sequence number — higher means more recently used.
-    pub last_seq: u64,
+    /// Last use: the entry file's mtime, set on insert and on every hit.
+    pub last_used: SystemTime,
 }
 
 /// Store counters and gauges, for `/metrics` and `isex store stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Live entries.
+    /// Live entries in the directory.
     pub entries: u64,
-    /// Total entry-file bytes.
+    /// Total entry-file bytes in the directory.
     pub bytes: u64,
     /// Configured byte budget (`0` = unlimited).
     pub max_bytes: u64,
-    /// Lookups answered from disk.
+    /// Lookups this handle answered from disk.
     pub hits: u64,
-    /// Lookups that found nothing usable (absent, corrupt, or stale).
+    /// Lookups by this handle that found nothing usable (absent, corrupt,
+    /// or stale).
     pub misses: u64,
-    /// Entries written.
+    /// Entries this handle wrote.
     pub inserts: u64,
-    /// Entries evicted by GC.
+    /// Entries this handle's GC evicted.
     pub evictions: u64,
-    /// Manifest lines skipped as malformed during replay.
-    pub manifest_skipped: u64,
 }
 
-struct Inner {
-    index: HashMap<String, IndexEntry>,
-    manifest: File,
-    manifest_lines: u64,
-    next_seq: u64,
-    inserts: u64,
-    evictions: u64,
-    manifest_skipped: u64,
-}
-
-/// A handle on one store directory. Cheap to share behind an `Arc`; all
-/// mutation is serialized on an internal mutex (cross-process writers are
-/// serialized by the filesystem's atomic rename instead).
+/// A handle on one store directory. Cheap to share behind an `Arc`; it
+/// holds nothing but its path, budget and its own counters, so handles on
+/// one directory never disagree about what the directory holds.
 pub struct Store {
     dir: PathBuf,
     entries_dir: PathBuf,
     max_bytes: u64,
-    inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
+    inserts: AtomicU64,
+    evictions: AtomicU64,
 }
 
 /// Process-wide temp-file counter. Deliberately NOT per-[`Store`]: two
@@ -151,151 +116,42 @@ pub struct Store {
 /// steal the other's temp file mid-write.
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The entry file name for `key`.
 pub fn entry_file_name(key: &str) -> String {
     format!("{:016x}.entry", fnv1a64(key.as_bytes()))
 }
 
+/// One `.entry` file seen by a directory scan.
+struct EntryFile {
+    path: PathBuf,
+    bytes: u64,
+    last_used: SystemTime,
+}
+
 impl Store {
     /// Opens (creating if needed) the store at `dir` with a byte budget of
-    /// `max_bytes` (`0` = unlimited). Replays the manifest, reconciles it
-    /// against the entry files actually present, and compacts the manifest
-    /// when it has grown far past the live entry count.
+    /// `max_bytes` (`0` = unlimited). One pass over the entry files reads
+    /// each frame's header and key and deletes every file that can never
+    /// serve a hit — a bad header, or a key that does not hash to its file
+    /// name — then GC brings the store inside its budget. Payloads are not
+    /// read, so opening costs per file, not per byte; a torn payload is
+    /// found and deleted by the lookup that reads it.
     pub fn open(dir: &Path, max_bytes: u64) -> std::io::Result<Store> {
         let entries_dir = dir.join(ENTRIES_DIR);
         fs::create_dir_all(&entries_dir)?;
-        let manifest_path = dir.join(MANIFEST_FILE);
-
-        // Replay: malformed lines (torn tails, interleaved cross-process
-        // appends) are skipped and counted — the manifest only orders
-        // entries, it never holds data.
-        let mut index: HashMap<String, IndexEntry> = HashMap::new();
-        let mut next_seq = 1u64;
-        let mut manifest_lines = 0u64;
-        let mut manifest_skipped = 0u64;
-        match File::open(&manifest_path) {
-            Ok(file) => {
-                for line in BufReader::new(file).split(b'\n') {
-                    let line = line?;
-                    if line.iter().all(|b| b.is_ascii_whitespace()) {
-                        continue;
-                    }
-                    manifest_lines += 1;
-                    let record = std::str::from_utf8(&line)
-                        .ok()
-                        .and_then(|text| serde_json::from_str::<ManifestRecord>(text).ok());
-                    let Some(record) = record else {
-                        manifest_skipped += 1;
-                        continue;
-                    };
-                    next_seq = next_seq.max(record.seq + 1);
-                    match record.op.as_str() {
-                        "insert" => {
-                            index.insert(
-                                record.key,
-                                IndexEntry {
-                                    bytes: record.bytes,
-                                    last_seq: record.seq,
-                                },
-                            );
-                        }
-                        "touch" => {
-                            if let Some(entry) = index.get_mut(&record.key) {
-                                entry.last_seq = record.seq;
-                            }
-                        }
-                        "remove" => {
-                            index.remove(&record.key);
-                        }
-                        _ => manifest_skipped += 1,
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-
-        // Reconcile against the disk. Indexed entries whose file is gone
-        // are dropped; entry files the manifest never mentioned (it was
-        // torn, deleted, or another process wrote them) are adopted with
-        // the oldest possible age so GC prefers them first.
-        let mut on_disk: HashMap<String, u64> = HashMap::new();
-        for dirent in fs::read_dir(&entries_dir)? {
-            let dirent = dirent?;
-            let name = dirent.file_name();
-            let name = name.to_string_lossy();
-            if !name.ends_with(".entry") {
-                continue; // temp files and strangers
-            }
-            let len = dirent.metadata().map(|m| m.len()).unwrap_or(0);
-            on_disk.insert(name.into_owned(), len);
-        }
-        index.retain(|key, entry| match on_disk.get(&entry_file_name(key)) {
-            Some(&len) => {
-                entry.bytes = len;
-                true
-            }
-            None => false,
-        });
-        let indexed: std::collections::HashSet<String> =
-            index.keys().map(|k| entry_file_name(k)).collect();
-        for (file, len) in &on_disk {
-            if indexed.contains(file) {
-                continue;
-            }
-            let path = entries_dir.join(file);
-            match fs::read(&path).ok().and_then(|b| decode_entry(&b)) {
-                Some((key, _)) if entry_file_name(&key) == *file => {
-                    index.insert(
-                        key,
-                        IndexEntry {
-                            bytes: *len,
-                            last_seq: 0,
-                        },
-                    );
-                }
-                // Undecodable or misfiled: it can never serve a hit, so
-                // reclaim the space now.
-                _ => {
-                    let _ = fs::remove_file(&path);
-                }
-            }
-        }
-
-        let manifest = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&manifest_path)?;
         let store = Store {
             dir: dir.to_path_buf(),
             entries_dir,
             max_bytes,
-            inner: Mutex::new(Inner {
-                index,
-                manifest,
-                manifest_lines,
-                next_seq,
-                inserts: 0,
-                evictions: 0,
-                manifest_skipped,
-            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            inserts: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         };
-        {
-            let mut inner = lock_unpoisoned(&store.inner);
-            if inner.manifest_lines > COMPACT_MIN_LINES
-                && inner.manifest_lines > 8 * inner.index.len() as u64
-            {
-                store.compact_manifest(&mut inner)?;
-            }
-        }
-        if store.max_bytes > 0 {
-            let _ = store.gc_locked(&mut lock_unpoisoned(&store.inner), store.max_bytes);
+        // Ranking reads every header and deletes what can never hit.
+        ranked(store.entry_files()?);
+        if max_bytes > 0 {
+            let _ = store.gc_to(max_bytes);
         }
         Ok(store)
     }
@@ -305,61 +161,42 @@ impl Store {
         &self.dir
     }
 
-    /// Looks up `key`. A hit records an access (`touch`) so LRU eviction
-    /// keeps hot entries; anything unusable — absent, torn, checksum
-    /// mismatch, hash-colliding foreign key — is a counted miss.
-    ///
-    /// An index miss falls through to a direct disk probe, so entries
-    /// written by another replica sharing the directory are found without
-    /// reopening the store.
+    /// Looks up `key`. A hit sets the entry file's mtime to now, through
+    /// the descriptor the read opened, so LRU eviction keeps hot entries;
+    /// anything unusable — absent, torn, checksum mismatch, hash-colliding
+    /// foreign key — is a counted miss, and an undecodable file is deleted.
     pub fn lookup(&self, key: &str) -> Option<Vec<u8>> {
         let path = self.entries_dir.join(entry_file_name(key));
-        let decoded = fs::read(&path).ok().and_then(|b| decode_entry(&b));
-        let mut inner = lock_unpoisoned(&self.inner);
-        match decoded {
-            Some((stored_key, payload)) if stored_key == key => {
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
-                let bytes = payload.len() as u64;
-                match inner.index.get_mut(key) {
-                    Some(entry) => entry.last_seq = seq,
-                    None => {
-                        // Another replica's insert: adopt it.
-                        let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(bytes);
-                        inner.index.insert(
-                            key.to_string(),
-                            IndexEntry {
-                                bytes: len,
-                                last_seq: seq,
-                            },
-                        );
-                    }
+        let hit = File::open(&path).ok().and_then(|mut file| {
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes).ok()?;
+            match decode_entry(&bytes) {
+                Some((stored_key, payload)) if stored_key == key => {
+                    let _ = file.set_modified(SystemTime::now());
+                    Some(payload)
                 }
-                let _ = self.append_record(&mut inner, seq, "touch", key, 0, false);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
-            }
-            _ => {
-                // A dead index entry (file evicted elsewhere, or corrupt)
-                // stops occupying budget accounting.
-                if inner.index.remove(key).is_some() {
-                    let seq = inner.next_seq;
-                    inner.next_seq += 1;
-                    let _ = self.append_record(&mut inner, seq, "remove", key, 0, false);
+                // Another key hashing to this name: a miss, not damage.
+                Some(_) => None,
+                None => {
+                    let _ = fs::remove_file(&path);
+                    None
                 }
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
             }
-        }
+        });
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Inserts (or replaces) the entry for `key`, durably: the frame is
-    /// written to a temp file, flushed, `fsync`'d, renamed into place, and
-    /// journaled before this returns. When a byte budget is configured and
-    /// exceeded, least-recently-used entries are evicted until the store
-    /// fits. Returns the entry-file size in bytes.
+    /// written to a temp file stamped with the current time, `fsync`'d and
+    /// renamed into place before this returns. When a byte budget is
+    /// configured and exceeded, least-recently-used entries are evicted
+    /// until the store fits. Returns the entry-file size in bytes.
     pub fn insert(&self, key: &str, payload: &[u8]) -> std::io::Result<u64> {
         let frame = encode_entry(key, payload);
         let final_path = self.entries_dir.join(entry_file_name(key));
@@ -369,13 +206,14 @@ impl Store {
             std::process::id(),
             TEMP_COUNTER.fetch_add(1, Ordering::Relaxed),
         ));
-        {
-            let mut temp = File::create(&temp_path)?;
-            temp.write_all(&frame)?;
-            temp.flush()?;
-            temp.sync_data()?;
-        }
-        if let Err(e) = fs::rename(&temp_path, &final_path) {
+        let written = File::create(&temp_path)
+            .and_then(|mut temp| {
+                temp.write_all(&frame)?;
+                temp.set_modified(SystemTime::now())?;
+                temp.sync_data()
+            })
+            .and_then(|()| fs::rename(&temp_path, &final_path));
+        if let Err(e) = written {
             let _ = fs::remove_file(&temp_path);
             return Err(e);
         }
@@ -385,195 +223,127 @@ impl Store {
         if let Ok(d) = File::open(&self.entries_dir) {
             let _ = d.sync_all();
         }
-
-        let bytes = frame.len() as u64;
-        let mut inner = lock_unpoisoned(&self.inner);
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.index.insert(
-            key.to_string(),
-            IndexEntry {
-                bytes,
-                last_seq: seq,
-            },
-        );
-        inner.inserts += 1;
-        self.append_record(&mut inner, seq, "insert", key, bytes, true)?;
+        self.inserts.fetch_add(1, Ordering::Relaxed);
         if self.max_bytes > 0 {
-            self.gc_locked(&mut inner, self.max_bytes)?;
+            self.gc_to(self.max_bytes)?;
         }
-        Ok(bytes)
+        Ok(frame.len() as u64)
     }
 
     /// Removes `key`'s entry if present; returns whether one was removed.
     pub fn remove(&self, key: &str) -> std::io::Result<bool> {
-        let mut inner = lock_unpoisoned(&self.inner);
-        if inner.index.remove(key).is_none() {
-            return Ok(false);
+        match fs::remove_file(self.entries_dir.join(entry_file_name(key))) {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(e),
         }
-        let _ = fs::remove_file(self.entries_dir.join(entry_file_name(key)));
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        self.append_record(&mut inner, seq, "remove", key, 0, true)?;
-        Ok(true)
     }
 
     /// Evicts least-recently-used entries until total bytes fit inside
     /// `max_bytes`, returning the evicted keys (oldest first). `0` evicts
     /// everything — use [`clear`](Store::clear) for that intent instead.
     pub fn gc_to(&self, max_bytes: u64) -> std::io::Result<Vec<String>> {
-        self.gc_locked(&mut lock_unpoisoned(&self.inner), max_bytes)
-    }
-
-    fn gc_locked(&self, inner: &mut Inner, max_bytes: u64) -> std::io::Result<Vec<String>> {
         let mut evicted = Vec::new();
-        loop {
-            let total: u64 = inner.index.values().map(|e| e.bytes).sum();
+        let files = self.entry_files()?;
+        if files.iter().map(|f| f.bytes).sum::<u64>() <= max_bytes {
+            return Ok(evicted);
+        }
+        let ranked = ranked(files);
+        let mut total: u64 = ranked.iter().map(|(info, _)| info.bytes).sum();
+        for (info, path) in ranked {
             if total <= max_bytes {
                 break;
             }
-            let Some(oldest) = inner
-                .index
-                .iter()
-                .min_by_key(|(key, e)| (e.last_seq, key.as_str().to_string()))
-                .map(|(key, _)| key.clone())
-            else {
-                break;
-            };
-            inner.index.remove(&oldest);
-            let _ = fs::remove_file(self.entries_dir.join(entry_file_name(&oldest)));
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            self.append_record(inner, seq, "remove", &oldest, 0, false)?;
-            inner.evictions += 1;
-            evicted.push(oldest);
+            total -= info.bytes;
+            match fs::remove_file(&path) {
+                Ok(()) => {
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    evicted.push(info.key);
+                }
+                // Another handle evicted it first.
+                Err(e) if e.kind() == ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok(evicted)
     }
 
-    /// Deletes every entry and truncates the manifest. Returns how many
-    /// entries were deleted.
+    /// Deletes every entry. Returns how many entries were deleted.
     pub fn clear(&self) -> std::io::Result<usize> {
-        let mut inner = lock_unpoisoned(&self.inner);
-        let keys: Vec<String> = inner.index.keys().cloned().collect();
-        for key in &keys {
-            let _ = fs::remove_file(self.entries_dir.join(entry_file_name(key)));
-        }
-        inner.index.clear();
-        self.compact_manifest(&mut inner)?;
-        Ok(keys.len())
+        let files = self.entry_files()?;
+        Ok(files
+            .iter()
+            .filter(|f| fs::remove_file(&f.path).is_ok())
+            .count())
     }
 
     /// Live entries, least-recently-used first.
     pub fn entries(&self) -> Vec<EntryInfo> {
-        let inner = lock_unpoisoned(&self.inner);
-        let mut all: Vec<EntryInfo> = inner
-            .index
-            .iter()
-            .map(|(key, e)| EntryInfo {
-                key: key.clone(),
-                bytes: e.bytes,
-                last_seq: e.last_seq,
-            })
-            .collect();
-        all.sort_by(|a, b| (a.last_seq, &a.key).cmp(&(b.last_seq, &b.key)));
-        all
+        let files = self.entry_files().unwrap_or_default();
+        ranked(files).into_iter().map(|(info, _)| info).collect()
     }
 
     /// Current counters and gauges.
     pub fn stats(&self) -> StoreStats {
-        let inner = lock_unpoisoned(&self.inner);
+        let files = self.entry_files().unwrap_or_default();
         StoreStats {
-            entries: inner.index.len() as u64,
-            bytes: inner.index.values().map(|e| e.bytes).sum(),
+            entries: files.len() as u64,
+            bytes: files.iter().map(|f| f.bytes).sum(),
             max_bytes: self.max_bytes,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            inserts: inner.inserts,
-            evictions: inner.evictions,
-            manifest_skipped: inner.manifest_skipped,
+            inserts: self.inserts.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
-    /// Appends one manifest record. Inserts and explicit removes are
-    /// fsync'd (they change what a resurrected store believes it holds);
-    /// touches only flush — losing one costs eviction order, nothing else.
-    fn append_record(
-        &self,
-        inner: &mut Inner,
-        seq: u64,
-        op: &str,
-        key: &str,
-        bytes: u64,
-        durable: bool,
-    ) -> std::io::Result<()> {
-        let record = ManifestRecord {
-            seq,
-            op: op.to_string(),
-            key: key.to_string(),
-            bytes,
-        };
-        let line = serde_json::to_string(&record).expect("record serializes");
-        inner.manifest.write_all(line.as_bytes())?;
-        inner.manifest.write_all(b"\n")?;
-        inner.manifest.flush()?;
-        if durable {
-            inner.manifest.sync_data()?;
+    /// Every `.entry` file in the directory with its size and mtime. Temp
+    /// files and strangers are skipped, and so is a file another handle
+    /// removed mid-scan.
+    fn entry_files(&self) -> std::io::Result<Vec<EntryFile>> {
+        let mut files = Vec::new();
+        for dirent in fs::read_dir(&self.entries_dir)? {
+            let dirent = dirent?;
+            if !dirent.file_name().to_string_lossy().ends_with(".entry") {
+                continue;
+            }
+            let Ok(meta) = dirent.metadata() else {
+                continue;
+            };
+            files.push(EntryFile {
+                path: dirent.path(),
+                bytes: meta.len(),
+                last_used: meta.modified()?,
+            });
         }
-        inner.manifest_lines += 1;
-        Ok(())
+        Ok(files)
     }
+}
 
-    /// Rewrites the manifest to one insert record per live entry (in LRU
-    /// order, re-sequenced from 1), atomically via temp + rename.
-    fn compact_manifest(&self, inner: &mut Inner) -> std::io::Result<()> {
-        let temp_path = self.dir.join(format!(
-            "manifest.tmp.{}.{}",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut ordered: Vec<(String, u64)> = inner
-            .index
-            .iter()
-            .map(|(key, e)| (key.clone(), e.bytes))
-            .collect();
-        ordered.sort_by(|a, b| {
-            let sa = inner.index[&a.0].last_seq;
-            let sb = inner.index[&b.0].last_seq;
-            (sa, &a.0).cmp(&(sb, &b.0))
-        });
-        let mut lines = 0u64;
-        let mut next_seq = 1u64;
-        {
-            let mut temp = File::create(&temp_path)?;
-            for (key, bytes) in &ordered {
-                let record = ManifestRecord {
-                    seq: next_seq,
-                    op: "insert".to_string(),
-                    key: key.clone(),
-                    bytes: *bytes,
-                };
-                next_seq += 1;
-                lines += 1;
-                let line = serde_json::to_string(&record).expect("record serializes");
-                temp.write_all(line.as_bytes())?;
-                temp.write_all(b"\n")?;
-            }
-            temp.flush()?;
-            temp.sync_data()?;
-        }
-        let manifest_path = self.dir.join(MANIFEST_FILE);
-        fs::rename(&temp_path, &manifest_path)?;
-        for (i, (key, _)) in ordered.into_iter().enumerate() {
-            if let Some(entry) = inner.index.get_mut(&key) {
-                entry.last_seq = i as u64 + 1;
-            }
-        }
-        inner.manifest = OpenOptions::new().append(true).open(&manifest_path)?;
-        inner.manifest_lines = lines;
-        inner.next_seq = next_seq;
-        Ok(())
-    }
+/// `files` with their keys, least-recently-used first and equal mtimes
+/// by key. Only each frame's header and key are read. A file whose header
+/// names no key, or a key that does not hash to the file's name, can
+/// never serve a hit and is deleted.
+fn ranked(files: Vec<EntryFile>) -> Vec<(EntryInfo, PathBuf)> {
+    let mut ranked: Vec<(EntryInfo, PathBuf)> = files
+        .into_iter()
+        .filter_map(|f| {
+            let mut file = File::open(&f.path).ok()?;
+            let key = format::read_key(&mut file);
+            let Some(key) = key.filter(|key| f.path.ends_with(entry_file_name(key))) else {
+                let _ = fs::remove_file(&f.path);
+                return None;
+            };
+            let info = EntryInfo {
+                key,
+                bytes: f.bytes,
+                last_used: f.last_used,
+            };
+            Some((info, f.path))
+        })
+        .collect();
+    ranked.sort_by(|(a, _), (b, _)| (a.last_used, &a.key).cmp(&(b.last_used, &b.key)));
+    ranked
 }
 
 #[cfg(test)]
@@ -671,45 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn torn_manifest_tail_is_tolerated() {
-        let dir = temp_store("torntail");
-        {
-            let store = Store::open(&dir, 0).unwrap();
-            store.insert("k1", b"one").unwrap();
-            store.insert("k2", b"two").unwrap();
-        }
-        let manifest = dir.join(MANIFEST_FILE);
-        let mut f = OpenOptions::new().append(true).open(&manifest).unwrap();
-        f.write_all(b"{\"seq\":99,\"op\":\"ins").unwrap(); // torn append
-        let store = Store::open(&dir, 0).unwrap();
-        assert_eq!(store.lookup("k1").as_deref(), Some(&b"one"[..]));
-        assert_eq!(store.lookup("k2").as_deref(), Some(&b"two"[..]));
-        assert_eq!(store.stats().manifest_skipped, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn deleted_manifest_recovers_from_entry_files() {
-        let dir = temp_store("noman");
-        {
-            let store = Store::open(&dir, 0).unwrap();
-            store.insert("k1", b"one").unwrap();
-            store.insert("k2", b"two").unwrap();
-        }
-        fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
-        let store = Store::open(&dir, 0).unwrap();
-        assert_eq!(store.stats().entries, 2, "entries adopted from disk");
-        assert_eq!(store.lookup("k1").as_deref(), Some(&b"one"[..]));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn cross_handle_sharing_without_reopen() {
         let dir = temp_store("shared");
         let a = Store::open(&dir, 0).unwrap();
         let b = Store::open(&dir, 0).unwrap();
         a.insert("k", b"from a").unwrap();
-        // b has never seen k in its manifest replay; the disk probe finds it.
+        // b opened before k existed; its lookup reads the directory.
         assert_eq!(b.lookup("k").as_deref(), Some(&b"from a"[..]));
         assert_eq!(b.stats().entries, 1);
         let _ = fs::remove_dir_all(&dir);
@@ -730,27 +467,60 @@ mod tests {
     }
 
     #[test]
-    fn manifest_compaction_preserves_lru_order() {
-        let dir = temp_store("compact");
+    fn lru_order_survives_reopen() {
+        let dir = temp_store("reopen-order");
         {
             let store = Store::open(&dir, 0).unwrap();
             store.insert("hot", b"x").unwrap();
             store.insert("cold", b"y").unwrap();
-            // Touch `hot` far more than the compaction threshold.
-            for _ in 0..(COMPACT_MIN_LINES + 32) {
-                store.lookup("hot");
-            }
+            store.lookup("hot");
         }
         let store = Store::open(&dir, 0).unwrap();
-        assert!(
-            store.stats().entries == 2,
-            "compaction kept both live entries"
-        );
         let order: Vec<String> = store.entries().into_iter().map(|e| e.key).collect();
         assert_eq!(order, vec!["cold".to_string(), "hot".to_string()]);
-        // The rewritten manifest is small again.
-        let lines = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-        assert!(lines.lines().count() < 16, "{}", lines.lines().count());
+        assert_eq!(store.gc_to(store.entries()[1].bytes).unwrap(), vec!["cold"]);
+        assert!(
+            !dir.join("manifest.jsonl").exists(),
+            "the store keeps no journal"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn handles_sharing_a_directory_rank_one_lru_and_count_one_total() {
+        let dir = temp_store("shared-lru");
+        let a = Store::open(&dir, 0).unwrap();
+        let b = Store::open(&dir, 0).unwrap();
+        a.insert("y", b"older").unwrap();
+        b.insert("x", b"newer").unwrap();
+        assert_eq!(a.stats().entries, 2, "a counts b's insert");
+        let third = Store::open(&dir, 0).unwrap();
+        let one_entry = encode_entry("x", b"newer").len() as u64;
+        assert_eq!(third.gc_to(one_entry).unwrap(), vec!["y"], "y is older");
+        assert_eq!(b.lookup("x").as_deref(), Some(&b"newer"[..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_deletes_misfiled_entries() {
+        let dir = temp_store("misfiled");
+        {
+            let store = Store::open(&dir, 0).unwrap();
+            store.insert("a", b"payload").unwrap();
+        }
+        let entries = dir.join(ENTRIES_DIR);
+        fs::rename(
+            entries.join(entry_file_name("a")),
+            entries.join(entry_file_name("b")),
+        )
+        .unwrap();
+        let store = Store::open(&dir, 0).unwrap();
+        assert_eq!(
+            store.stats().entries,
+            0,
+            "a's frame under b's name never hits"
+        );
+        assert!(!entries.join(entry_file_name("b")).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -17,6 +17,18 @@ pub struct PhaseStat {
     pub max_ms: f64,
 }
 
+impl PhaseStat {
+    /// A counter-only stat: `count` events under `name`, no time.
+    pub fn counter(name: &str, count: u64) -> PhaseStat {
+        PhaseStat {
+            name: name.to_string(),
+            count,
+            total_ms: 0.0,
+            max_ms: 0.0,
+        }
+    }
+}
+
 /// A run's per-phase profile: one [`PhaseStat`] per span name, sorted by
 /// name. Lives in `RunMetrics` as `phase_profile`.
 ///

@@ -380,7 +380,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// `isex store <ls|stats|gc|clear> --store-dir DIR [--max-bytes N]`:
 /// offline inspection and maintenance of a result store — the same format
 /// the server reads, so it is safe to point at a live server's directory
-/// (every mutation goes through the same atomic rename + manifest path).
+/// (writes are the same atomic renames, and the directory is the only
+/// record). `ls` lists entries least recently used first, each with its
+/// last use (the entry file's mtime) in Unix seconds; `gc` evicts in that
+/// order.
 fn cmd_store(args: &[String]) -> Result<(), String> {
     let action = args
         .first()
@@ -403,9 +406,11 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("{dir}: {e}"))?;
     match action {
         "ls" => {
-            println!("{:>12}  {:>8}  key", "bytes", "lru-seq");
+            println!("{:>12}  {:>14}  key", "bytes", "last-used");
             for e in store.entries() {
-                println!("{:>12}  {:>8}  {}", e.bytes, e.last_seq, e.key);
+                let used = e.last_used.duration_since(std::time::UNIX_EPOCH);
+                let used = used.unwrap_or_default().as_secs_f64();
+                println!("{:>12}  {used:>14.3}  {}", e.bytes, e.key);
             }
         }
         "stats" => {
@@ -413,7 +418,6 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
             println!("dir:              {dir}");
             println!("entries:          {}", s.entries);
             println!("bytes:            {}", s.bytes);
-            println!("manifest skipped: {}", s.manifest_skipped);
         }
         "gc" => {
             let target = max_bytes.ok_or("gc needs --max-bytes N")?;
