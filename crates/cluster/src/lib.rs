@@ -21,12 +21,11 @@
 //! * [`wire`] — the frame format (`[opcode][len][payload]`), written for
 //!   hostile input;
 //! * [`messages`] — typed messages over those frames;
-//! * [`coordinator`] — per-job sharding, heartbeat sentinel,
-//!   re-dispatch, repeat-order reduction, resume from the block entries
-//!   it saves in the `--store-dir` result store, zero-worker local
-//!   fallback;
+//! * [`coordinator`] — a thin TCP driver around a pure job ledger that
+//!   shards, re-dispatches, reduces and resumes from the `--store-dir`
+//!   store, and runs what no worker can take on its own engine pool;
 //! * [`worker`] — the remote shell around
-//!   [`explore_block_repeat`](isex_flow::explore_block_repeat);
+//!   [`explore_repeats`](isex_flow::explore_repeats);
 //! * [`ClusterRunner`] — plugs the coordinator into the `isexd` HTTP
 //!   server ([`isex_serve::start_with_runner`]) so `POST /v1/explore`
 //!   transparently scales out.
@@ -44,7 +43,9 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
+mod ledger;
 pub mod messages;
+mod telemetry;
 pub mod wire;
 pub mod worker;
 

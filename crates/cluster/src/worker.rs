@@ -1,9 +1,8 @@
 //! The cluster worker: dial the coordinator, heartbeat, explore repeats.
 //!
-//! A worker is a thin shell around [`explore_block_repeat`] — one
-//! `(block, repeat)` job under the engine's pool supervision — so the
-//! outcome it ships back is bitwise the one the same repeat yields in a
-//! local run. Everything else
+//! A worker is a thin shell around [`explore_repeats`], called with the
+//! one `(block, repeat)` job it was sent, so the outcome it ships back is
+//! bitwise the one the same repeat yields in a local run. Everything else
 //! here is plumbing: the [`Hello`] handshake, a heartbeat thread beating
 //! at the coordinator-announced interval, a per-job [`DeadlineTimer`] that
 //! trips the run's cancel token so a deadline-pressed job ships a degraded
@@ -21,7 +20,7 @@ use std::time::{Duration, Instant};
 use isex_engine::{
     lock_unpoisoned, CancelToken, DeadlineTimer, FaultPlan, NullSink, RepeatOutcome,
 };
-use isex_flow::{explore_block_repeat, hot_blocks, run_key};
+use isex_flow::{explore_repeats, hot_blocks, run_key};
 use isex_serve::ExploreRequest;
 use isex_trace::{OwnedSpan, PhaseProfile};
 
@@ -329,15 +328,10 @@ fn run_job(
                 ("trace", assign.trace_id.clone()),
             ]
         });
-        explore_block_repeat(
-            &cfg,
-            &program,
-            request.seed,
-            assign.block_index,
-            assign.repeat,
-            &NullSink,
-            &cancel,
-        )
+        let job = [(assign.block_index, assign.repeat)];
+        explore_repeats(&cfg, &program, request.seed, &job, &NullSink, &cancel)
+            .pop()
+            .expect("one job, one outcome")
     };
 
     {

@@ -12,11 +12,11 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier, Once};
 use std::time::Duration;
 
-use isex_cluster::messages::{Hello, HelloAck, JobAssign, Message, PROTOCOL_VERSION};
+use isex_cluster::messages::{Hello, HelloAck, JobAssign, Message, RepeatResult, PROTOCOL_VERSION};
 use isex_cluster::wire::{read_frame, write_frame};
 use isex_cluster::{ClusterRunner, Coordinator, CoordinatorConfig, WorkerConfig};
-use isex_engine::{CancelToken, EventSink, FaultPlan, NullSink, RunEvent, RunMetrics};
-use isex_flow::{run_flow, FlowConfig, FlowReport};
+use isex_engine::{CancelToken, EventSink, FaultPlan, NullSink, RunEvent, RunMetrics, VecSink};
+use isex_flow::{explore_block_entry, run_flow, Checkpoints, FlowConfig, FlowReport};
 use isex_serve::ExploreRequest;
 use isex_workloads::Benchmark;
 
@@ -348,15 +348,7 @@ fn silent_worker_is_expired_by_the_heartbeat_sentinel() {
 
     // A hand-rolled worker that completes the handshake, then never beats
     // and swallows whatever it is assigned.
-    let mut stream = TcpStream::connect(coord.addr()).expect("connect");
-    let hello = Message::Hello(Hello {
-        version: PROTOCOL_VERSION,
-        name: "zombie".to_string(),
-        capacity: 1,
-    });
-    write_frame(&mut stream, &hello.encode()).expect("hello");
-    let ack = read_frame(&mut stream).expect("ack frame").expect("ack");
-    assert!(matches!(Message::decode(&ack), Ok(Message::HelloAck(_))));
+    let stream = hand_rolled_worker(&coord, "zombie");
     assert!(coord.wait_for_workers(1, Duration::from_secs(5)));
 
     let request = small_request(61);
@@ -815,56 +807,67 @@ fn worker_trace_files_are_named_per_repeat() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A hand-rolled worker named `name`, past its handshake.
+fn hand_rolled_worker(coord: &Coordinator, name: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(coord.addr()).expect("connect");
+    let hello = Message::Hello(Hello {
+        version: PROTOCOL_VERSION,
+        name: name.to_string(),
+        capacity: 1,
+    });
+    write_frame(&mut stream, &hello.encode()).expect("hello");
+    let ack = read_frame(&mut stream).expect("ack frame").expect("ack");
+    assert!(matches!(Message::decode(&ack), Ok(Message::HelloAck(_))));
+    stream
+}
+
+/// The answer a real worker named `worker` gives `assign`.
+fn real_answer(assign: &JobAssign, worker: &str) -> RepeatResult {
+    let request = serde_json::parse(&assign.request).expect("request JSON");
+    let request = ExploreRequest::from_json(&request).expect("request");
+    let (cfg, program, none) = (request.flow_config(), request.program(), CancelToken::new());
+    let job = [(assign.block_index, assign.repeat)];
+    let outcome = isex_flow::explore_repeats(&cfg, &program, request.seed, &job, &NullSink, &none);
+    RepeatResult {
+        job_id: assign.job_id,
+        worker: worker.to_string(),
+        run_key: isex_flow::run_key(&cfg, &program, request.seed),
+        block_index: assign.block_index,
+        repeat: assign.repeat,
+        outcome: outcome.into_iter().next().expect("one job, one outcome"),
+    }
+}
+
+/// The next job assigned on `stream`, or `None` once it closes.
+fn next_assign(stream: &mut TcpStream) -> Option<JobAssign> {
+    while let Ok(Some(frame)) = read_frame(stream) {
+        if let Ok(Message::Job(assign)) = Message::decode(&frame) {
+            return Some(assign);
+        }
+    }
+    None
+}
+
 #[test]
 fn duplicate_repeat_results_are_dropped() {
-    use isex_cluster::messages::RepeatResult;
     use isex_engine::RepeatOutcome;
 
     let coord = coordinator(1_000, None);
     // A hand-rolled worker that answers every job with the real outcome,
     // then sends a conflicting copy of the same result: the first answer
     // for a `(block, repeat)` must win.
-    let mut stream = TcpStream::connect(coord.addr()).expect("connect");
-    let hello = Message::Hello(Hello {
-        version: PROTOCOL_VERSION,
-        name: "twice".to_string(),
-        capacity: 1,
-    });
-    write_frame(&mut stream, &hello.encode()).expect("hello");
-    let ack = read_frame(&mut stream).expect("ack frame").expect("ack");
-    assert!(matches!(Message::decode(&ack), Ok(Message::HelloAck(_))));
+    let mut stream = hand_rolled_worker(&coord, "twice");
     let answerer = std::thread::spawn(move || {
         let mut answered = 0usize;
-        while let Ok(Some(frame)) = read_frame(&mut stream) {
-            let Ok(Message::Job(assign)) = Message::decode(&frame) else {
-                continue;
-            };
-            let parsed = serde_json::parse(&assign.request).expect("request JSON");
-            let request = ExploreRequest::from_json(&parsed).expect("request");
-            let cfg = request.flow_config();
-            let program = request.program();
-            let outcome = isex_flow::explore_block_repeat(
-                &cfg,
-                &program,
-                request.seed,
-                assign.block_index,
-                assign.repeat,
-                &NullSink,
-                &CancelToken::new(),
-            );
-            let result = |outcome| {
-                Message::RepeatResult(RepeatResult {
-                    job_id: assign.job_id,
-                    worker: "twice".to_string(),
-                    run_key: isex_flow::run_key(&cfg, &program, request.seed),
-                    block_index: assign.block_index,
-                    repeat: assign.repeat,
-                    outcome,
-                })
+        while let Some(assign) = next_assign(&mut stream) {
+            let first = real_answer(&assign, "twice");
+            let duplicate = RepeatResult {
+                outcome: RepeatOutcome::Panicked("duplicate".to_string()),
+                ..first.clone()
             };
             for message in [
-                result(outcome),
-                result(RepeatOutcome::Panicked("duplicate".to_string())),
+                Message::RepeatResult(first),
+                Message::RepeatResult(duplicate),
                 Message::Heartbeat,
             ] {
                 if write_frame(&mut stream, &message.encode()).is_err() {
@@ -893,6 +896,81 @@ fn duplicate_repeat_results_are_dropped() {
 
     Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
     assert_eq!(answerer.join().expect("answerer"), metrics.jobs_total);
+}
+
+#[test]
+fn a_cut_runs_late_result_leaves_the_next_run_alone() {
+    let coord = coordinator(5_000, None);
+    // A hand-rolled worker keeps run A's job until A is cut, answers it
+    // during run B, then serves B.
+    let mut stream = hand_rolled_worker(&coord, "late");
+    let gate = Arc::new(Barrier::new(2));
+    let worker_gate = Arc::clone(&gate);
+    let answerer = std::thread::spawn(move || {
+        let held = next_assign(&mut stream).expect("run A's job");
+        // A holds its job: the test cuts A and starts B. Read with a timeout:
+        // B sends nothing while this worker holds A's job, but a coordinator
+        // that took it for idle would dispatch at once.
+        worker_gate.wait();
+        worker_gate.wait();
+        let wait = Some(Duration::from_millis(500));
+        stream.set_read_timeout(wait).unwrap();
+        let early = next_assign(&mut stream);
+        stream.set_read_timeout(None).unwrap();
+        let mut reader = stream.try_clone().unwrap();
+        let later = std::iter::from_fn(|| next_assign(&mut reader));
+        for assign in std::iter::once(held).chain(early).chain(later) {
+            let result = Message::RepeatResult(real_answer(&assign, "late"));
+            if write_frame(&mut stream, &result.encode()).is_err() {
+                break;
+            }
+        }
+    });
+    assert!(coord.wait_for_workers(1, Duration::from_secs(5)));
+
+    let (a, cut) = (small_request(5), CancelToken::new());
+    std::thread::scope(|scope| {
+        let run_a = scope.spawn(|| run_with(&coord, &a, &a.flow_config(), &NullSink, &cut));
+        gate.wait();
+        cut.cancel();
+        assert!(run_a.join().expect("run A").0.degraded);
+    });
+    gate.wait();
+    let b = small_request(6);
+    let (report, metrics) = cluster_run(&coord, &b, None);
+    assert_eq!(report_json(&report), report_json(&single_node(&b, None)));
+    let requeued = stat_count(&metrics, "cluster.jobs_redispatched");
+    assert_eq!(requeued, 0, "A's late result requeued none of B's jobs");
+
+    Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
+    answerer.join().expect("answerer");
+}
+
+#[test]
+fn zero_workers_run_only_the_jobs_the_store_lacks_on_one_pool() {
+    let dir = std::env::temp_dir().join(format!("isex-cluster-subset-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut request = small_request(43);
+    request.jobs = 2;
+    let (cfg, program, none) = (request.flow_config(), request.program(), CancelToken::new());
+    // The store already holds block 0's entry.
+    let entry = explore_block_entry(&cfg, &program, request.seed, 0, &NullSink, &none).unwrap();
+    Checkpoints::open(&dir).unwrap().save(&entry).unwrap();
+
+    let (coord, sink) = (coordinator(100, Some(dir.clone())), VecSink::new());
+    let (report, metrics) = run_with(&coord, &request, &cfg, &sink, &none);
+    let single = single_node(&request, None);
+    assert_eq!(report_json(&report), report_json(&single));
+    assert!(metrics.blocks_explored >= 2);
+    assert_eq!(metrics.blocks_resumed, 1);
+    let events = sink.into_events();
+    let ran = events
+        .iter()
+        .filter(|e| matches!(e, RunEvent::JobStart { .. }))
+        .count();
+    assert_eq!(ran, (metrics.blocks_explored - 1) * request.repeats);
+    assert_eq!(stat_count(&metrics, "cluster.jobs_local") as usize, ran);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -120,11 +120,8 @@ impl Engine {
     /// its jobs' seeds derive from that index, so exploring any subset of
     /// a run's blocks (one at a time, on resume, on another node) yields
     /// the outcomes the same blocks get in an all-blocks call. All jobs
-    /// share one pool, so a worker that finishes a small block steals the
-    /// next job of a large one. A panicking job comes back as
-    /// [`RepeatOutcome::Panicked`], a job the token kept from starting as
-    /// [`RepeatOutcome::Skipped`], and a job cut mid-rounds as a degraded
-    /// exploration.
+    /// go through [`Engine::explore_jobs`] on one pool, so a worker that
+    /// finishes a small block steals the next job of a large one.
     pub fn explore(
         &self,
         blocks: &[(BlockTask<'_>, usize)],
@@ -135,64 +132,41 @@ impl Engine {
         let repeats = self.spec.repeats.max(1);
         let indices: Vec<usize> = blocks.iter().map(|&(_, index)| index).collect();
         // Jobs are planned block-major, `repeats` per block.
-        let jobs = ExploreJob::plan_subset(&indices, repeats, master_seed);
-        let mut outcomes = self
-            .run_outcomes(&jobs, |pos| blocks[pos / repeats].0, sink, cancel)
-            .into_iter();
+        let jobs: Vec<_> = ExploreJob::plan_subset(&indices, repeats, master_seed)
+            .into_iter()
+            .enumerate()
+            .map(|(pos, job)| (blocks[pos / repeats].0, job))
+            .collect();
+        let mut outcomes = self.explore_jobs(&jobs, sink, cancel).into_iter();
         blocks
             .iter()
             .map(|_| outcomes.by_ref().take(repeats).collect())
             .collect()
     }
 
-    /// Runs one `(block, repeat)` job under the same pool supervision as a
-    /// whole run: a panic comes back as [`RepeatOutcome::Panicked`] (and a
-    /// `JobFailed` event), a token tripped before the start as
-    /// [`RepeatOutcome::Skipped`], and a token tripped mid-rounds as a
-    /// degraded exploration. The outcome is bitwise the one the same job
-    /// yields inside an all-blocks run, because its seed is `job.seed`.
-    pub fn explore_repeat(
+    /// Runs any list of `(block, repeat)` jobs on **one** pool and returns
+    /// one outcome per job, in job order; each is bitwise the one the same
+    /// job yields in any other list, its seed being `job.seed`. A panic
+    /// comes back as [`RepeatOutcome::Panicked`] (and a `JobFailed` event,
+    /// once the pool has joined), a job the token kept from starting as
+    /// [`RepeatOutcome::Skipped`], and one cut mid-rounds as a degraded
+    /// exploration.
+    pub fn explore_jobs(
         &self,
-        task: BlockTask<'_>,
-        job: ExploreJob,
-        sink: &dyn EventSink,
-        cancel: &CancelToken,
-    ) -> RepeatOutcome {
-        self.run_outcomes(std::slice::from_ref(&job), |_| task, sink, cancel)
-            .pop()
-            .expect("one job, one outcome")
-    }
-
-    /// The supervised fan-out behind both entry points: runs `jobs` on the
-    /// pool, `task_of(i)` naming job `i`'s block, and returns one outcome
-    /// per job in job order. Panicked jobs are reported as `JobFailed`
-    /// events, in job order, once the pool has joined.
-    fn run_outcomes<'t>(
-        &self,
-        jobs: &[ExploreJob],
-        task_of: impl Fn(usize) -> BlockTask<'t> + Sync,
+        jobs: &[(BlockTask<'_>, ExploreJob)],
         sink: &dyn EventSink,
         cancel: &CancelToken,
     ) -> Vec<RepeatOutcome> {
-        let pool = run_jobs_anytime(jobs, self.spec.jobs, cancel, |pos, job| {
-            self.run_job(task_of(pos), *job, sink, cancel)
+        let pool = run_jobs_anytime(jobs, self.spec.jobs, cancel, |_, &(task, job)| {
+            self.run_job(task, job, sink, cancel)
         });
         pool.results
             .into_iter()
             .zip(jobs)
-            .enumerate()
-            .map(|(pos, (slot, job))| match slot {
+            .map(|(slot, &(task, job))| match slot {
                 Some(Ok(exploration)) => RepeatOutcome::Explored(exploration),
                 Some(Err(panic)) => {
-                    sink.emit(RunEvent::JobFailed {
-                        block: task_of(pos).name.to_string(),
-                        block_index: job.block_index,
-                        repeat: job.repeat,
-                        seed: job.seed,
-                        error: panic.payload.clone(),
-                        seq: crate::events::Seq(0),
-                        trace: None,
-                    });
+                    sink.emit(RunEvent::job_failed(task.name, &job, &panic.payload));
                     RepeatOutcome::Panicked(panic.payload)
                 }
                 None => RepeatOutcome::Skipped,
@@ -222,14 +196,7 @@ impl Engine {
         if let Some(plan) = &self.spec.fault_plan {
             plan.apply(job.block_index, job.repeat, cancel);
         }
-        sink.emit(RunEvent::JobStart {
-            block: task.name.to_string(),
-            block_index: job.block_index,
-            repeat: job.repeat,
-            seed: job.seed,
-            seq: crate::events::Seq(0),
-            trace: None,
-        });
+        sink.emit(RunEvent::job_start(task.name, &job));
         let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(job.seed);
         let (exploration, trace) = match self.spec.algorithm {
@@ -262,18 +229,13 @@ impl Engine {
             ),
         };
         emit_round_summaries(&trace, task.name, &job, sink);
-        sink.emit(RunEvent::JobFinish {
-            block: task.name.to_string(),
-            block_index: job.block_index,
-            repeat: job.repeat,
-            baseline_cycles: exploration.baseline_cycles,
-            cycles: exploration.cycles_with_ises,
-            iterations: exploration.iterations,
-            candidates: exploration.candidates.len(),
-            elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
-            seq: crate::events::Seq(0),
-            trace: None,
-        });
+        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        sink.emit(RunEvent::job_finish(
+            task.name,
+            &job,
+            Some(&exploration),
+            elapsed_ms,
+        ));
         exploration
     }
 }

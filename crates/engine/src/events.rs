@@ -14,7 +14,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use isex_core::Exploration;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+use crate::job::ExploreJob;
 
 /// A sink-stamped monotonic sequence number.
 ///
@@ -120,6 +123,52 @@ pub enum RunEvent {
 }
 
 impl RunEvent {
+    /// The `JobStart` of `job`, a job of the block labelled `block`.
+    pub fn job_start(block: &str, job: &ExploreJob) -> RunEvent {
+        RunEvent::JobStart {
+            block: block.to_string(),
+            block_index: job.block_index,
+            repeat: job.repeat,
+            seed: job.seed,
+            seq: Seq(0),
+            trace: None,
+        }
+    }
+
+    /// The `JobFinish` of `job`: its exploration's counters, or zeros.
+    pub fn job_finish(
+        block: &str,
+        job: &ExploreJob,
+        exploration: Option<&Exploration>,
+        elapsed_ms: f64,
+    ) -> RunEvent {
+        RunEvent::JobFinish {
+            block: block.to_string(),
+            block_index: job.block_index,
+            repeat: job.repeat,
+            baseline_cycles: exploration.map_or(0, |e| e.baseline_cycles),
+            cycles: exploration.map_or(0, |e| e.cycles_with_ises),
+            iterations: exploration.map_or(0, |e| e.iterations),
+            candidates: exploration.map_or(0, |e| e.candidates.len()),
+            elapsed_ms,
+            seq: Seq(0),
+            trace: None,
+        }
+    }
+
+    /// The `JobFailed` of `job`, which panicked with `error`.
+    pub fn job_failed(block: &str, job: &ExploreJob, error: &str) -> RunEvent {
+        RunEvent::JobFailed {
+            block: block.to_string(),
+            block_index: job.block_index,
+            repeat: job.repeat,
+            seed: job.seed,
+            error: error.to_string(),
+            seq: Seq(0),
+            trace: None,
+        }
+    }
+
     /// The sink-stamped sequence number.
     pub fn seq(&self) -> u64 {
         match self {

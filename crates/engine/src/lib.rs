@@ -3,8 +3,8 @@
 //! Owns the execution of ISE exploration runs: turning a run's blocks into
 //! `(block, repeat)` [`ExploreJob`]s, deriving a per-job RNG seed that does
 //! not depend on scheduling, fanning every job of a run out over one
-//! scoped-thread worker pool ([`Engine::explore`]; one job alone with
-//! [`Engine::explore_repeat`]), and reducing a block's [`RepeatOutcome`]s
+//! scoped-thread worker pool ([`Engine::explore`]; any job list with
+//! [`Engine::explore_jobs`]), and reducing a block's [`RepeatOutcome`]s
 //! to its best-of-N result ([`reduce_repeats`]). It also defines the run
 //! telemetry ([`RunMetrics`]) and the optional event stream.
 //!

@@ -12,21 +12,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::cancel::CancelToken;
 
-/// Locks a mutex, recovering the guard if a previous holder panicked.
-///
-/// For state that stays consistent under unwinding — every shared
-/// structure here and in the serving and cluster layers is mutated in
-/// whole steps (slots hold completed values only; sinks append whole
-/// lines; queues push whole jobs), so a poisoned lock carries no torn
-/// state. Never `unwrap` a [`PoisonError`] on these paths: one caught
-/// panic must not cascade into killing every thread that shares the lock.
-pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+pub use isex_trace::lock_unpoisoned;
 
 /// Resolves a requested worker count: `0` means "one per available core".
 pub fn worker_count(requested: usize) -> usize {

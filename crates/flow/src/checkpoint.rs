@@ -236,32 +236,32 @@ pub fn explore_block_entry(
     Ok(entry.expect("one block, one entry"))
 }
 
-/// Runs one `(block, repeat)` job of the run — the cluster's unit of work —
-/// and returns its unreduced outcome. The outcome is bitwise the one the
-/// same repeat yields inside [`explore_block_entry`] or a whole run;
-/// [`entry_from_repeats`] folds a block's outcomes into its entry.
+/// Runs `(block, repeat)` jobs of the run — the cluster's unit of work:
+/// a worker's one job, or every job a coordinator has no worker for — on
+/// one engine pool, and returns their unreduced outcomes in `jobs` order,
+/// each bitwise the one the same repeat yields in a whole run.
 ///
 /// # Panics
 ///
-/// Panics if `block_index` is outside the run's hot list. Callers that take
-/// the index from outside input (the cluster worker) check it against
-/// [`hot_blocks`] first.
-pub fn explore_block_repeat(
+/// Panics if a block index is outside the run's hot list; the cluster
+/// worker checks indices off the wire against [`hot_blocks`] first.
+pub fn explore_repeats(
     cfg: &FlowConfig,
     program: &Program,
     seed: u64,
-    block_index: usize,
-    repeat: usize,
+    jobs: &[(usize, usize)],
     sink: &dyn EventSink,
     cancel: &CancelToken,
-) -> RepeatOutcome {
-    let block = hot_block(&hot_blocks(cfg, program), block_index);
-    Engine::new(explore_spec(cfg)).explore_repeat(
-        block_task(block),
-        ExploreJob::new(block_index, repeat, seed),
-        sink,
-        cancel,
-    )
+) -> Vec<RepeatOutcome> {
+    let hot = hot_blocks(cfg, program);
+    let jobs: Vec<_> = jobs
+        .iter()
+        .map(|&(block, repeat)| {
+            let task = block_task(hot_block(&hot, block));
+            (task, ExploreJob::new(block, repeat, seed))
+        })
+        .collect();
+    Engine::new(explore_spec(cfg)).explore_jobs(&jobs, sink, cancel)
 }
 
 /// Explores every hot block of the run and reduces each block's repeats to

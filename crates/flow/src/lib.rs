@@ -51,9 +51,8 @@ pub mod report;
 pub mod select;
 
 pub use checkpoint::{
-    entry_from_repeats, explore_block_entry, explore_block_repeat, explore_entries,
-    finish_from_entries, run_flow_checkpointed, run_key, CheckpointEntry, CheckpointError,
-    Checkpoints,
+    entry_from_repeats, explore_block_entry, explore_entries, explore_repeats, finish_from_entries,
+    run_flow_checkpointed, run_key, CheckpointEntry, CheckpointError, Checkpoints,
 };
 pub use flow::{
     hot_blocks, run_flow, run_flow_cancellable, run_flow_observed, Algorithm, BlockOutcome,

@@ -47,9 +47,15 @@ pub const DEFAULT_CAPACITY: usize = 1 << 18;
 /// Per-thread buffer size before draining into the central sink.
 const FLUSH_BATCH: usize = 256;
 
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Records are only ever appended whole, so a lock poisoned by a
-    // panicking thread holds nothing torn — recover, don't cascade.
+/// Locks a mutex, recovering the guard if a previous holder panicked.
+///
+/// For state that stays consistent under unwinding — every shared
+/// structure here and in the crates above is mutated in whole steps
+/// (span records and slots hold completed values only; sinks append whole
+/// lines; queues push whole jobs), so a poisoned lock carries no torn
+/// state. Never `unwrap` a [`PoisonError`] on these paths: one caught
+/// panic must not cascade into killing every thread that shares the lock.
+pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -3,7 +3,7 @@
 //! story, measured on a real kernel).
 //!
 //! Consumes the engine's event stream: one `(block, repeat)` job goes
-//! through [`isex::engine::Engine::explore_repeat`] with a
+//! through [`isex::engine::Engine::explore_jobs`] with a
 //! [`isex::engine::VecSink`], and every printed round is a `RoundSummary`
 //! event. Prints a per-round ASCII
 //! sparkline of the walk TETs and the best-so-far trajectory.
@@ -53,15 +53,15 @@ fn main() {
         tracer: Default::default(),
     });
     let sink = VecSink::new();
-    let outcome = engine.explore_repeat(
-        BlockTask {
-            name: &block.name,
-            dfg: &block.dfg,
-        },
-        ExploreJob::new(0, 0, 0x7ace),
-        &sink,
-        &CancelToken::new(),
-    );
+    let task = BlockTask {
+        name: &block.name,
+        dfg: &block.dfg,
+    };
+    let job = (task, ExploreJob::new(0, 0, 0x7ace));
+    let outcome = engine
+        .explore_jobs(&[job], &sink, &CancelToken::new())
+        .pop()
+        .expect("one job, one outcome");
     let RepeatOutcome::Explored(result) = outcome else {
         panic!("{}: exploration failed: {outcome:?}", program.name);
     };
