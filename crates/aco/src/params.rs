@@ -63,10 +63,11 @@ pub struct AcoParams {
     /// round is declared converged by fiat (the thesis notes convergence
     /// time is unbounded in theory, §4.4).
     pub max_iterations: usize,
-    /// Deterministic round budget per block: when non-zero, exploration
-    /// stops after this many rounds even if further ISEs would commit, and
-    /// the result is marked degraded. `0` (the default) means unbudgeted —
-    /// only the explorer's hard safety cap applies. This is the
+    /// Deterministic round budget per block, binding both explorers (MI
+    /// and SI share one round loop): when non-zero, exploration stops
+    /// after this many rounds even if further ISEs would commit, and the
+    /// result is marked degraded. `0` (the default) means unbudgeted —
+    /// only the explorers' hard safety cap applies. This is the
     /// reproducible twin of the wall-clock deadline cut: a test can pin the
     /// exact partial result a deadline would have produced.
     #[serde(default)]

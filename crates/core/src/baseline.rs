@@ -9,11 +9,22 @@
 //! consider the legality of operations, but do not consider the location of
 //! operations".
 //!
+//! SI runs the same exploration driver as MI ([`crate::explore`]): the
+//! same round loop, stop flag and round budget, the same ACO iteration
+//! loop, extraction and commit. This module holds only SI's strategy, the
+//! pieces that differ: walks are option assignments with a serial time
+//! estimate, the merit update is legality-only, and candidates are ranked
+//! and credited by their serial saving, with only the top one offered for
+//! commit.
+//!
 //! The output is reported through the same [`Exploration`] type, with the
 //! before/after cycle counts measured on the *multi-issue* machine so the
 //! two explorers are compared exactly as in the paper (its "case 1":
 //! schedule the single-issue exploration result on a multi-issue
 //! processor).
+
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use isex_aco::{roulette, AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{analysis, convex, ports, NodeSet, Reachability};
@@ -21,13 +32,11 @@ use isex_isa::{MachineConfig, ProgramDfg};
 use rand::Rng;
 
 use crate::ant::Walk;
-use crate::candidate::{Constraints, IseCandidate};
-use crate::exgraph::{self, ExGraph, ExKind};
-use crate::explore::{extract_candidates, CurCandidate, Exploration};
-use crate::merit::PortMasks;
-use crate::trail::{self, TrailState};
-
-const MAX_ROUNDS: usize = 32;
+use crate::candidate::Constraints;
+use crate::evalcache::RoundEval;
+use crate::exgraph::ExGraph;
+use crate::explore::{drive, CurCandidate, Exploration, Ranked, Strategy, TraceEntry};
+use crate::merit::{self, PortMasks};
 
 /// The legality-only baseline explorer.
 ///
@@ -59,16 +68,15 @@ pub struct SingleIssueExplorer {
     pub constraints: Constraints,
     /// ACO tunables.
     pub params: AcoParams,
+    /// Optional cooperative stop flag, checked between rounds, with the
+    /// same anytime meaning as [`MultiIssueExplorer::stop`](crate::MultiIssueExplorer::stop).
+    pub stop: Option<Arc<AtomicBool>>,
 }
 
 impl SingleIssueExplorer {
     /// Creates a baseline explorer with default parameters.
     pub fn new(machine: MachineConfig, constraints: Constraints) -> Self {
-        SingleIssueExplorer {
-            machine,
-            constraints,
-            params: AcoParams::default(),
-        }
+        Self::with_params(machine, constraints, AcoParams::default())
     }
 
     /// Creates a baseline explorer with custom ACO parameters.
@@ -86,214 +94,104 @@ impl SingleIssueExplorer {
             machine,
             constraints,
             params,
+            stop: None,
         }
     }
 
     /// Explores `dfg` without scheduling awareness.
     pub fn explore<R: Rng + ?Sized>(&self, dfg: &ProgramDfg, rng: &mut R) -> Exploration {
-        let g0 = exgraph::build(dfg);
-        let baseline = exgraph::schedule_len(&g0, &self.machine);
-        let mut current = g0.clone();
-        let mut commits: Vec<IseCandidate> = Vec::new();
-        let mut iterations = 0usize;
-        let mut rounds = 0usize;
-
-        while rounds < MAX_ROUNDS {
-            rounds += 1;
-            let explorable = current
-                .iter()
-                .filter(|(_, n)| n.payload().is_explorable())
-                .count();
-            if explorable < 2 {
-                break;
-            }
-            let Some(cand) = self.round(&current, rng, &mut iterations) else {
-                break;
-            };
-            let orig_nodes: NodeSet = {
-                let mut s = NodeSet::new(g0.len());
-                for n in &cand.members {
-                    match current.node(n).payload().kind {
-                        ExKind::Op(o) => {
-                            s.insert(o);
-                        }
-                        ExKind::FrozenIse(_) => unreachable!("frozen ISEs are not explorable"),
-                    }
-                }
-                s
-            };
-            let d0 = ports::demand(&g0, &orig_nodes);
-            if !d0.fits(self.constraints.n_in, self.constraints.n_out) {
-                break;
-            }
-            // A single-issue tool estimates its gain serially: the members
-            // execute one per cycle on the core, the ISE in `latency`
-            // cycles. This estimate — not a multi-issue measurement — is
-            // what the baseline reports and what drives its selection
-            // ranking, reproducing the paper's "case 1" (a single-issue
-            // exploration result dropped onto a multi-issue machine).
-            let serial_saving = (cand.members.len() as u32).saturating_sub(cand.latency);
-            let frozen = exgraph::freeze(&current, &cand.members, cand.footprint(), commits.len());
-            let choices = cand
-                .choices
-                .iter()
-                .map(|(n, j)| match current.node(*n).payload().kind {
-                    ExKind::Op(o) => (o, *j),
-                    ExKind::FrozenIse(_) => unreachable!(),
-                })
-                .collect();
-            commits.push(IseCandidate {
-                nodes: orig_nodes,
-                choices,
-                delay_ns: cand.delay_ns,
-                latency: cand.latency,
-                area_um2: cand.area,
-                inputs: d0.inputs,
-                outputs: d0.outputs,
-                saved_cycles: serial_saving,
-            });
-            current = frozen.dfg;
-        }
-
-        let final_len = exgraph::schedule_len(&current, &self.machine);
-        Exploration {
-            candidates: commits,
-            baseline_cycles: baseline,
-            cycles_with_ises: final_len,
-            rounds,
-            iterations,
-            degraded: false,
-        }
+        drive(Strategy::Si(self), dfg, rng, None)
     }
 
-    /// One schedule-blind ACO round; returns the best candidate by *serial*
-    /// cycle saving (the only metric a single-issue explorer sees).
-    fn round<R: Rng + ?Sized>(
+    /// [`SingleIssueExplorer::explore`], recording every walk into `trace`
+    /// when one is given; the exploration is the same either way.
+    pub fn explore_with_trace<R: Rng + ?Sized>(
         &self,
-        g: &ExGraph,
+        dfg: &ProgramDfg,
         rng: &mut R,
-        iterations: &mut usize,
-    ) -> Option<CurCandidate> {
-        let reach = Reachability::compute(g);
-        let shape: Vec<(usize, usize)> = g
-            .iter()
-            .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
-            .collect();
-        let mut store = PheromoneStore::new(&shape, &self.params);
-        let mut tstate = TrailState::default();
+        trace: Option<&mut Vec<TraceEntry>>,
+    ) -> Exploration {
+        drive(Strategy::Si(self), dfg, rng, trace)
+    }
+}
 
-        // Keep the best sampled assignment (smallest serial time, then
-        // area), mirroring the MI explorer's best-walk extraction.
-        let mut best: Option<(Walk, f64)> = None;
-        let mut weights = Vec::new();
-        for _ in 0..self.params.max_iterations {
-            let walk = self.pick_options(g, &store, rng, &mut weights);
-            *iterations += 1;
-            trail::update(&mut store, &walk, &mut tstate, &self.params);
-            self.update_merits(&mut store, g, &walk, &reach);
-            let area = crate::explore::walk_area(g, &walk);
-            let better = match &best {
-                None => true,
-                Some((b, barea)) => walk.tet < b.tet || (walk.tet == b.tet && area < *barea),
-            };
-            if better {
-                best = Some((walk, area));
-            }
-            if store.converged(self.params.p_end) {
-                break;
-            }
-        }
+/// One round's SI walk builder: the round graph, its port rows, the
+/// roulette buffer and the hardware set of the walk being timed.
+pub(crate) struct Picker<'r> {
+    si: &'r SingleIssueExplorer,
+    g: &'r ExGraph,
+    pub masks: PortMasks,
+    weights: Vec<f64>,
+    hw: NodeSet,
+}
 
-        let taken: Vec<ImplChoice> = match &best {
-            Some((walk, _)) => walk.choice.clone(),
-            None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
-        };
-        let base = exgraph::to_soa(g);
-        let masks = PortMasks::new(g);
-        let mut cands = extract_candidates(
+impl<'r> Picker<'r> {
+    pub fn new(si: &'r SingleIssueExplorer, g: &'r ExGraph) -> Self {
+        Picker {
+            si,
             g,
-            &base,
-            &masks,
-            &taken,
-            &self.constraints,
-            &self.machine,
-            &reach,
-        );
-        // Serial saving: size (1 cycle per op on a single-issue core) minus
-        // the ISE latency.
-        cands.retain(|c| c.members.len() as i64 - c.latency as i64 > 0);
-        cands.sort_by(|a, b| {
-            let sa = a.members.len() as i64 - a.latency as i64;
-            let sb = b.members.len() as i64 - b.latency as i64;
-            sb.cmp(&sa).then(a.area.total_cmp(&b.area))
-        });
-        cands.into_iter().next()
+            masks: PortMasks::new(g),
+            weights: Vec::new(),
+            hw: NodeSet::new(g.len()),
+        }
     }
 
-    /// Choose an implementation option per operation — no scheduling, so
-    /// the "walk" is just an option assignment with a serial time estimate.
-    /// `weights` is the reused roulette buffer.
-    fn pick_options<R: Rng + ?Sized>(
-        &self,
-        g: &ExGraph,
+    /// Chooses an implementation option per operation — no scheduling, so
+    /// the walk is just an option assignment with a serial time estimate.
+    pub fn pick_options<R: Rng + ?Sized>(
+        &mut self,
         store: &PheromoneStore,
         rng: &mut R,
-        weights: &mut Vec<f64>,
-    ) -> Walk {
+        walk: &mut Walk,
+    ) {
+        let g = self.g;
         let k = g.len();
-        let mut choice = vec![ImplChoice::Sw(0); k];
-        for (n, slot) in choice.iter_mut().enumerate() {
+        walk.choice.clear();
+        for n in 0..k {
             let options = store.options(n);
-            weights.clear();
-            weights.extend(options.clone().map(|i| store.attraction_at(i)));
-            *slot = store.choice_at(n, options.start + roulette(rng, weights));
+            self.weights.clear();
+            self.weights
+                .extend(options.clone().map(|i| store.attraction_at(i)));
+            let pick = options.start + roulette(rng, &self.weights);
+            walk.choice.push(store.choice_at(n, pick));
         }
+        // No ordering information.
+        for v in [&mut walk.issue, &mut walk.finish] {
+            v.clear();
+            v.resize(k, 0);
+        }
+        walk.group_of.clear();
+        walk.group_of.resize(k, None);
+        walk.groups.clear();
         // Serial execution time: software ops cost their latency, each
         // hardware component costs its ISE latency once.
-        let mut hw = NodeSet::new(k);
-        for (i, c) in choice.iter().enumerate() {
-            if c.is_hardware() {
-                hw.insert(isex_dfg::NodeId::new(i as u32));
+        self.hw.clear();
+        let mut tet = 0;
+        for (id, n) in g.iter() {
+            match walk.choice[id.index()] {
+                ImplChoice::Sw(j) => tet += n.payload().sw_latency(j),
+                ImplChoice::Hw(_) => {
+                    self.hw.insert(id);
+                }
             }
         }
-        let mut tet: u32 = g
-            .iter()
-            .filter(|(id, _)| !hw.contains(*id))
-            .map(|(id, n)| {
-                let ImplChoice::Sw(j) = choice[id.index()] else {
-                    unreachable!()
-                };
-                n.payload().sw_latency(j)
-            })
-            .sum();
-        for comp in analysis::components_within(g, &hw) {
-            let delay =
-                analysis::weighted_longest_path_within(g, &comp, |y, op| match choice[y.index()] {
+        for comp in analysis::components_within(g, &self.hw) {
+            let delay = analysis::weighted_longest_path_within(g, &comp, |y, op| {
+                match walk.choice[y.index()] {
                     ImplChoice::Hw(h) => op.hw[h].delay_ns,
                     ImplChoice::Sw(_) => unreachable!(),
-                });
-            tet += self.machine.cycles_for_delay_ns(delay);
+                }
+            });
+            tet += self.si.machine.cycles_for_delay_ns(delay);
         }
-        Walk {
-            choice,
-            issue: vec![0; k], // no ordering information
-            finish: vec![0; k],
-            group_of: vec![None; k],
-            groups: Vec::new(),
-            tet,
-        }
+        walk.tet = tet;
     }
 
     /// Legality-only merit: size/IO/convexity penalties plus serial-speedup
     /// scoring; no critical-path or slack terms.
-    fn update_merits(
-        &self,
-        store: &mut PheromoneStore,
-        g: &ExGraph,
-        walk: &Walk,
-        reach: &Reachability,
-    ) {
-        let params = &self.params;
+    pub fn update_merits(&self, walk: &Walk, reach: &Reachability, store: &mut PheromoneStore) {
+        let (g, si) = (self.g, self.si);
+        let params = &si.params;
         for x in g.node_ids() {
             let op = g.node(x).payload();
             for (i, d) in op.sw_delays.iter().enumerate() {
@@ -302,7 +200,7 @@ impl SingleIssueExplorer {
             if op.hw.is_empty() {
                 continue;
             }
-            let vs = crate::merit::virtual_subgraph(g, walk, x);
+            let vs = merit::virtual_subgraph(g, walk, x);
             if vs.len() == 1 {
                 for j in 0..op.hw.len() {
                     store.scale_merit(x.index(), ImplChoice::Hw(j), params.beta_size);
@@ -310,7 +208,7 @@ impl SingleIssueExplorer {
                 continue;
             }
             let demand = ports::demand(g, &vs);
-            let io_ok = demand.fits(self.constraints.n_in, self.constraints.n_out);
+            let io_ok = demand.fits(si.constraints.n_in, si.constraints.n_out);
             let convex_ok = convex::is_convex(&vs, reach);
             if !io_ok || !convex_ok {
                 for j in 0..op.hw.len() {
@@ -323,8 +221,8 @@ impl SingleIssueExplorer {
                 }
                 continue;
             }
-            let evals: Vec<crate::merit::VsEval> = (0..op.hw.len())
-                .map(|j| crate::merit::evaluate_option(g, walk, &vs, x, j, &self.machine))
+            let evals: Vec<merit::VsEval> = (0..op.hw.len())
+                .map(|j| merit::evaluate_option(g, walk, &vs, x, j, &si.machine))
                 .collect();
             let et_best = evals.iter().map(|e| e.et_cycles).min().unwrap_or(1);
             let area_max = evals.iter().map(|e| e.area).fold(0.0f64, f64::max).max(1.0);
@@ -346,9 +244,32 @@ impl SingleIssueExplorer {
     }
 }
 
+/// SI's rank and credit: a single-issue tool estimates a candidate's gain
+/// serially — its members execute one per cycle on the core, the ISE in
+/// `latency` cycles. That estimate, not a multi-issue measurement, is what
+/// SI ranks by and credits, reproducing the paper's "case 1" (a
+/// single-issue exploration result dropped onto a multi-issue machine).
+/// Ties go to the smaller area. Only the top candidate is offered, so
+/// exploration ends when it fails the driver's port re-check.
+pub(crate) fn rank_serial(cands: Vec<CurCandidate>, eval: &mut RoundEval<'_>) -> Vec<Ranked> {
+    let serial = |c: &CurCandidate| (c.members.len() as u32).saturating_sub(c.latency);
+    cands
+        .into_iter()
+        .filter(|c| serial(c) > 0)
+        .min_by(|a, b| serial(b).cmp(&serial(a)).then(a.area.total_cmp(&b.area)))
+        .map(|c| {
+            let with_len = eval.candidate_len(&c.members, c.footprint());
+            let saved = serial(&c);
+            (c, saved, with_len)
+        })
+        .into_iter()
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exgraph;
     use isex_dfg::Operand;
     use isex_isa::{Opcode, Operation};
     use rand::SeedableRng;
@@ -433,7 +354,8 @@ mod tests {
             }
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let w = si.pick_options(&g, &store, &mut rng, &mut Vec::new());
+        let mut w = Walk::default();
+        Picker::new(&si, &g).pick_options(&store, &mut rng, &mut w);
         assert_eq!(w.tet, g.len() as u32);
     }
 }

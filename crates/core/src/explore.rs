@@ -1,5 +1,5 @@
-//! The exploration driver: rounds, convergence, candidate extraction and
-//! the public [`MultiIssueExplorer`] API.
+//! The exploration driver both explorers run, the multi-issue strategy
+//! and the public [`MultiIssueExplorer`] API.
 //!
 //! "The proposed algorithm explores ISE iteratively until no ISEs in a DFG
 //! can be found. The algorithm would be performed for several rounds …
@@ -8,6 +8,15 @@
 //! convergence; after convergence the taken hardware options induce the
 //! ISE candidate(s), Make-Convex legalises them, and the best one is
 //! committed by collapsing it into the graph before the next round.
+//!
+//! One driver owns all of that for both explorers: the round loop (stop
+//! flag, round budget, explorable check, commit in original coordinates,
+//! freeze), the ACO iteration loop (pheromone store, trail update,
+//! best-walk extraction, convergence, `aco.*` spans and [`TraceEntry`]
+//! recording) and candidate extraction. An explorer's `Strategy` supplies
+//! only what differs: how a walk is built, the merit update, and how
+//! candidates are ranked and credited. MI's strategy is here; SI's is in
+//! [`crate::baseline`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -21,14 +30,15 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::ant::{Ant, AntScratch, Walk};
+use crate::baseline::{self, Picker, SingleIssueExplorer};
 use crate::candidate::{Constraints, IseCandidate};
 use crate::evalcache::{collapsed_len, CollapseScratch, RoundEval};
 use crate::exgraph::{self, ExGraph, ExKind};
-use crate::merit;
+use crate::merit::{self, PortMasks};
 use crate::trail::{self, TrailState};
 
-/// Hard cap on exploration rounds per basic block (each committed ISE
-/// shrinks the graph, so real runs stop far earlier).
+/// Hard cap on exploration rounds per basic block, for both explorers
+/// (each committed ISE shrinks the graph, so real runs stop far earlier).
 const MAX_ROUNDS: usize = 32;
 
 /// Whether `ISEX_DEBUG` diagnostics are on. The env var is read once per
@@ -136,13 +146,7 @@ pub struct MultiIssueExplorer {
 impl MultiIssueExplorer {
     /// Creates an explorer with the paper's default parameters.
     pub fn new(machine: MachineConfig, constraints: Constraints) -> Self {
-        MultiIssueExplorer {
-            machine,
-            constraints,
-            params: AcoParams::default(),
-            sp_function: crate::ant::SpFunction::default(),
-            stop: None,
-        }
+        Self::with_params(machine, constraints, AcoParams::default())
     }
 
     /// Creates an explorer with custom ACO parameters.
@@ -168,7 +172,7 @@ impl MultiIssueExplorer {
     /// Explores `dfg`, returning the committed candidates and the
     /// before/after schedule lengths. Deterministic for a given `rng` seed.
     pub fn explore<R: Rng + ?Sized>(&self, dfg: &ProgramDfg, rng: &mut R) -> Exploration {
-        self.explore_inner(dfg, rng, None)
+        drive(Strategy::Mi(self), dfg, rng, None)
     }
 
     /// Like [`MultiIssueExplorer::explore`], additionally recording the TET
@@ -179,144 +183,132 @@ impl MultiIssueExplorer {
         rng: &mut R,
     ) -> (Exploration, Vec<TraceEntry>) {
         let mut trace = Vec::new();
-        let exploration = self.explore_inner(dfg, rng, Some(&mut trace));
+        let exploration = drive(Strategy::Mi(self), dfg, rng, Some(&mut trace));
         (exploration, trace)
     }
 
-    fn explore_inner<R: Rng + ?Sized>(
+    /// [`MultiIssueExplorer::explore`], recording every walk into `trace`
+    /// when one is given; the exploration is the same either way.
+    pub fn explore_with_trace<R: Rng + ?Sized>(
         &self,
         dfg: &ProgramDfg,
         rng: &mut R,
-        mut trace: Option<&mut Vec<TraceEntry>>,
+        trace: Option<&mut Vec<TraceEntry>>,
     ) -> Exploration {
-        let g0 = exgraph::build(dfg);
-        // The original graph is lowered once and the lowering shared
-        // between the baseline measurement and the leave-one-out sweep at
-        // the end.
-        let base0 = exgraph::to_soa(&g0);
-        let baseline = schedule_soa(
-            &base0,
-            &self.machine,
-            Priority::Height,
-            &mut ListScratch::new(),
-        );
-        let mut current = g0.clone();
-        let mut commits: Vec<IseCandidate> = Vec::new();
-        let mut iterations = 0usize;
-        let mut rounds = 0usize;
-        // Schedule length of `current`, carried across rounds: the
-        // baseline before any commit, then the committed candidate's
-        // measured `with_len`.
-        let mut known_len = baseline;
+        drive(Strategy::Mi(self), dfg, rng, trace)
+    }
+}
 
-        let round_cap = match self.params.max_rounds {
-            0 => MAX_ROUNDS,
-            budget => budget.min(MAX_ROUNDS),
+/// A ranked candidate: `(candidate, credited saving in cycles, schedule
+/// length of the round's graph with it frozen)`.
+pub(crate) type Ranked = (CurCandidate, u32, u32);
+
+/// The explorer a driver run follows. Everything the explorers share is
+/// [`drive`]'s; a strategy supplies only what differs — how a walk is
+/// built, the merit update, and how candidates are ranked and credited.
+/// Dispatch is a `match` over two statically known arms, not a trait
+/// object.
+#[derive(Clone, Copy)]
+pub(crate) enum Strategy<'a> {
+    /// The multi-issue explorer: Ready-Matrix ant walks scheduled as they
+    /// are built, the four-case merit of Fig. 4.3.7, candidates ranked by
+    /// measured schedule saving and credited leave-one-out.
+    Mi(&'a MultiIssueExplorer),
+    /// The single-issue baseline ([`crate::baseline`]): schedule-blind
+    /// walks, the legality-only merit, serial-saving rank and credit.
+    Si(&'a SingleIssueExplorer),
+}
+
+/// An explorer's machine, constraints, ACO parameters and stop flag.
+type Settings<'a> = (
+    &'a MachineConfig,
+    &'a Constraints,
+    &'a AcoParams,
+    Option<&'a AtomicBool>,
+);
+
+/// One round's walk builder.
+enum Walker<'r> {
+    /// The ant and its reused buffers (boxed: they dwarf SI's picker).
+    Mi(Ant<'r>, Box<AntScratch>),
+    Si(Picker<'r>),
+}
+
+impl<'a> Strategy<'a> {
+    fn settings(self) -> Settings<'a> {
+        match self {
+            Strategy::Mi(e) => (&e.machine, &e.constraints, &e.params, e.stop.as_deref()),
+            Strategy::Si(e) => (&e.machine, &e.constraints, &e.params, e.stop.as_deref()),
+        }
+    }
+
+    /// Sets up a round's walk builder over `g`; `base` is `g` lowered and
+    /// `csr` its frozen adjacency.
+    fn walker<'r>(self, g: &'r ExGraph, base: &SoaGraph, csr: &'r CsrAdjacency) -> Walker<'r>
+    where
+        'a: 'r,
+    {
+        match self {
+            Strategy::Mi(e) => {
+                let (lambda, sp) = (e.params.lambda, e.sp_function);
+                let ant = Ant::with_sp_on(g, &e.machine, &e.constraints, lambda, sp, base, csr);
+                Walker::Mi(ant, Box::default())
+            }
+            Strategy::Si(e) => Walker::Si(Picker::new(e, g)),
+        }
+    }
+
+    /// Ranks the round's extracted candidates best-first; `best_tet` is the
+    /// TET of the round's best sampled walk. The driver commits the first
+    /// whose ports still fit in original coordinates, and stops exploring
+    /// when none does.
+    fn rank(
+        self,
+        cands: Vec<CurCandidate>,
+        eval: &mut RoundEval<'_>,
+        best_tet: u32,
+    ) -> Vec<Ranked> {
+        let Strategy::Mi(_) = self else {
+            return baseline::rank_serial(cands, eval);
         };
-        let mut degraded = false;
-        let mut quiescent = false;
-        while rounds < round_cap {
-            if self
-                .stop
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::Acquire))
-            {
-                degraded = true;
-                break;
-            }
-            rounds += 1;
-            let explorable = current
-                .iter()
-                .filter(|(_, n)| n.payload().is_explorable())
-                .count();
-            if explorable < 2 {
-                quiescent = true;
-                break;
-            }
-            let out = self.round(
-                &current,
-                rng,
-                &mut iterations,
-                rounds,
-                trace.as_deref_mut(),
-                known_len,
-            );
-            let base_len = out.base_len;
-            known_len = base_len;
-            // A candidate with zero *immediate* saving may still be half of
-            // a jointly-improving set (two balanced chains must both be
-            // packed before the schedule drops). Commit it anyway when the
-            // best sampled walk proves a shorter schedule is reachable;
-            // gains are re-measured leave-one-out after the last round.
-            let allow_zero = out.best_tet < base_len;
-            let mut committed = false;
-            for (cand, saved, with_len) in out.ranked {
-                if saved == 0 && !allow_zero {
-                    continue;
-                }
-                let orig_nodes: NodeSet = {
-                    let mut s = NodeSet::new(g0.len());
-                    for n in &cand.members {
-                        match current.node(n).payload().kind {
-                            ExKind::Op(o) => {
-                                s.insert(o);
-                            }
-                            ExKind::FrozenIse(_) => {
-                                unreachable!("frozen ISEs have no hardware options")
-                            }
-                        }
-                    }
-                    s
-                };
-                let d0 = ports::demand(&g0, &orig_nodes);
-                if !d0.fits(self.constraints.n_in, self.constraints.n_out) {
-                    continue;
-                }
-                let choices = cand
-                    .choices
-                    .iter()
-                    .map(|(n, j)| match current.node(*n).payload().kind {
-                        ExKind::Op(o) => (o, *j),
-                        ExKind::FrozenIse(_) => unreachable!(),
-                    })
-                    .collect();
-                let candidate = IseCandidate {
-                    nodes: orig_nodes,
-                    choices,
-                    delay_ns: cand.delay_ns,
-                    latency: cand.latency,
-                    area_um2: cand.area,
-                    inputs: d0.inputs,
-                    outputs: d0.outputs,
-                    saved_cycles: saved,
-                };
-                current =
-                    exgraph::freeze(&current, &cand.members, cand.footprint(), commits.len()).dfg;
-                commits.push(candidate);
-                // Ranking already scheduled exactly this frozen graph.
-                known_len = with_len;
-                committed = true;
-                break;
-            }
-            if !committed {
-                quiescent = true;
-                break;
-            }
-        }
-        // Falling out of the loop still mid-commit on an explicit round
-        // budget is the deterministic cut; hitting the hard safety cap
-        // without a budget keeps its historical (non-degraded) meaning.
-        if !quiescent && self.params.max_rounds != 0 {
-            degraded = true;
-        }
+        // Each candidate is frozen into the round's graph and
+        // list-scheduled; its saving is the drop in schedule length. A
+        // candidate with zero *immediate* saving may still be half of a
+        // jointly-improving set (two balanced chains must both be packed
+        // before the schedule drops): keep it when the best sampled walk
+        // proves a shorter schedule is reachable; gains are re-credited
+        // leave-one-out after the last round.
+        let base_len = eval.base_len;
+        let allow_zero = best_tet < base_len;
+        let mut ranked: Vec<Ranked> = cands
+            .into_iter()
+            .map(|c| {
+                let with_len = eval.candidate_len(&c.members, c.footprint());
+                (c, base_len.saturating_sub(with_len), with_len)
+            })
+            .filter(|&(_, saved, _)| saved > 0 || allow_zero)
+            .collect();
+        // Ties go to the smaller area, then the larger candidate.
+        ranked.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then(a.0.area.total_cmp(&b.0.area))
+                .then(b.0.members.len().cmp(&a.0.members.len()))
+        });
+        ranked
+    }
 
-        debug_assert_eq!(known_len, exgraph::schedule_len(&current, &self.machine));
-        // Leave-one-out gain attribution: a candidate's value is how much
-        // the schedule degrades without it (jointly-necessary candidates
-        // each carry the joint gain, which is what selection should see).
-        // With the shared lowering this is k+1 quotient collapses of one
-        // `SoaGraph`; a frozen candidate collapses to
-        // `SchedOp::new(latency, inputs, outputs, Asfu)`.
+    /// Re-credits the committed candidates after the last round; `base0` is
+    /// the original graph lowered. SI keeps its serial credit.
+    fn credit(self, base0: &SoaGraph, commits: &mut [IseCandidate]) {
+        let Strategy::Mi(e) = self else {
+            return;
+        };
+        // Leave-one-out: a candidate's value is how much the schedule
+        // degrades without it (jointly-necessary candidates each carry the
+        // joint gain, which is what selection should see). With the shared
+        // lowering this is k+1 quotient collapses of one `SoaGraph`; a
+        // frozen candidate collapses to `SchedOp::new(latency, inputs,
+        // outputs, Asfu)`.
         let groups: Vec<(NodeSet, SchedOp)> = commits
             .iter()
             .map(|c| {
@@ -325,206 +317,300 @@ impl MultiIssueExplorer {
             })
             .collect();
         let mut loo = CollapseScratch::default();
-        let all_len = collapsed_len(&base0, &groups, &self.machine, &mut loo);
+        let all_len = collapsed_len(base0, &groups, &e.machine, &mut loo);
         for (i, c) in commits.iter_mut().enumerate() {
             let mut without = groups.clone();
             without.remove(i);
-            let without_len = collapsed_len(&base0, &without, &self.machine, &mut loo);
+            let without_len = collapsed_len(base0, &without, &e.machine, &mut loo);
             c.saved_cycles = without_len.saturating_sub(all_len);
-        }
-        Exploration {
-            candidates: commits,
-            baseline_cycles: baseline,
-            cycles_with_ises: known_len,
-            rounds,
-            iterations,
-            degraded,
-        }
-    }
-
-    /// One exploration round: ACO to convergence, extraction, evaluation.
-    ///
-    /// A [`RoundEval`] lowers the graph once, shares that lowering with the
-    /// SP function, the merit analysis and candidate ranking; `known_len`
-    /// (the schedule length carried from the previous round's commit) is
-    /// the round's base length.
-    fn round<R: Rng + ?Sized>(
-        &self,
-        g: &ExGraph,
-        rng: &mut R,
-        iterations: &mut usize,
-        round_no: usize,
-        mut trace: Option<&mut Vec<TraceEntry>>,
-        known_len: u32,
-    ) -> RoundOutcome {
-        let _round_span = isex_trace::span_with("aco.round", || {
-            vec![
-                ("round", round_no.to_string()),
-                ("nodes", g.len().to_string()),
-            ]
-        });
-        let reach = Reachability::compute(g);
-        let shape: Vec<(usize, usize)> = g
-            .iter()
-            .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
-            .collect();
-        let mut store = PheromoneStore::new(&shape, &self.params);
-        let mut eval = RoundEval::new(g, &self.machine, known_len);
-        let csr = CsrAdjacency::from_dfg(g);
-        let ant = Ant::with_sp_on(
-            g,
-            &self.machine,
-            &self.constraints,
-            self.params.lambda,
-            self.sp_function,
-            &eval.base,
-            &csr,
-        );
-        let mut ant_scratch = AntScratch::default();
-        let mut tstate = TrailState::default();
-
-        // The ACO is the search engine; the answer is the best *sampled*
-        // walk (smallest TET, then smallest ASFU area). Waiting for formal
-        // `P_END` convergence is unnecessary — and on noisy schedules the
-        // trail dynamics of Fig. 4.3.5 may hover without converging.
-        // Every walk is written into `walk`; an improvement swaps it with
-        // `best`, whose old contents the next walk overwrites.
-        let mut walk = Walk::default();
-        let mut best = Walk::default();
-        let mut best_area: Option<f64> = None;
-        for it in 0..self.params.max_iterations {
-            {
-                let _s = isex_trace::span("aco.construct");
-                ant.run_into(&store, rng, &mut ant_scratch, &mut walk);
-            }
-            *iterations += 1;
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.push(TraceEntry {
-                    round: round_no,
-                    iteration: it + 1,
-                    tet: walk.tet,
-                    best_tet: match best_area {
-                        Some(_) => best.tet.min(walk.tet),
-                        None => walk.tet,
-                    },
-                });
-            }
-            {
-                let _s = isex_trace::span("aco.pheromone_update");
-                trail::update(&mut store, &walk, &mut tstate, &self.params);
-            }
-            {
-                let _s = isex_trace::span("aco.merit");
-                eval.update_merits(
-                    g,
-                    &walk,
-                    &self.constraints,
-                    &self.params,
-                    &reach,
-                    &ant.masks,
-                    &mut store,
-                );
-            }
-            let area = walk_area(g, &walk);
-            let better = match best_area {
-                None => true,
-                Some(barea) => walk.tet < best.tet || (walk.tet == best.tet && area < barea),
-            };
-            if better {
-                std::mem::swap(&mut walk, &mut best);
-                best_area = Some(area);
-            }
-            if store.converged(self.params.p_end) {
-                break;
-            }
-        }
-        let best_tet = best_area.map(|_| best.tet);
-
-        let taken: Vec<ImplChoice> = match best_area {
-            Some(_) => best.choice,
-            None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
-        };
-        if debug_enabled() {
-            let hw_taken = taken.iter().filter(|c| c.is_hardware()).count();
-            let converged = store.converged(self.params.p_end);
-            eprintln!(
-                "[round] k={} hw_taken={} converged={} probs={:?}",
-                g.len(),
-                hw_taken,
-                converged,
-                (0..g.len().min(40))
-                    .map(|n| (store.best_option(n).1 * 100.0).round() as i32)
-                    .collect::<Vec<_>>()
-            );
-        }
-        let _extract_span = isex_trace::span("aco.extract");
-        let cands = extract_candidates(
-            g,
-            &eval.base,
-            &ant.masks,
-            &taken,
-            &self.constraints,
-            &self.machine,
-            &reach,
-        );
-        let base_len = eval.base_len;
-        let mut ranked: Vec<(CurCandidate, u32, u32)> = cands
-            .into_iter()
-            .map(|c| {
-                let with_len = eval.candidate_len(&c.members, c.footprint());
-                let saved = base_len.saturating_sub(with_len);
-                (c, saved, with_len)
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then(a.0.area.total_cmp(&b.0.area))
-                .then(b.0.members.len().cmp(&a.0.members.len()))
-        });
-        if debug_enabled() {
-            let (mut asap, mut alap) = (Vec::new(), Vec::new());
-            soa::asap_into(&eval.base, &mut asap);
-            let dep_len = soa::length_from_asap(&eval.base, &asap);
-            soa::alap_into(&eval.base, dep_len, &mut alap);
-            let on_crit = |n: NodeId| asap[n.index()] == alap[n.index()];
-            eprintln!(
-                "[round] base_len={} dep_len={} best_tet={}",
-                base_len,
-                dep_len,
-                best_tet.unwrap_or(0),
-            );
-            for (c, s, _) in ranked.iter().take(4) {
-                eprintln!(
-                    "  cand size={} lat={} saved={} members={:?} on_crit={}",
-                    c.members.len(),
-                    c.latency,
-                    s,
-                    c.members.iter().map(|n| n.index()).collect::<Vec<_>>(),
-                    c.members.iter().filter(|&n| on_crit(n)).count()
-                );
-            }
-        }
-        RoundOutcome {
-            ranked,
-            best_tet: best_tet.unwrap_or(u32::MAX),
-            base_len,
         }
     }
 }
 
-/// Outcome of one exploration round.
-struct RoundOutcome {
-    /// Candidates ranked best-first: `(candidate, saved cycles, schedule
-    /// length with the candidate frozen)`.
-    ranked: Vec<(CurCandidate, u32, u32)>,
-    /// TET of the best sampled walk (`u32::MAX` if no iteration ran).
-    best_tet: u32,
-    /// Schedule length of the round's graph with no new ISE.
-    base_len: u32,
+impl Walker<'_> {
+    /// The round graph's port rows, lent to candidate extraction.
+    fn masks(&self) -> &PortMasks {
+        match self {
+            Walker::Mi(ant, _) => &ant.masks,
+            Walker::Si(picker) => &picker.masks,
+        }
+    }
+
+    /// Overwrites `walk` with one walk drawn from `store` (steps 3–7 of
+    /// Fig. 4.3.1).
+    fn build<R: Rng + ?Sized>(&mut self, store: &PheromoneStore, rng: &mut R, walk: &mut Walk) {
+        match self {
+            Walker::Mi(ant, scratch) => ant.run_into(store, rng, scratch, walk),
+            Walker::Si(picker) => picker.pick_options(store, rng, walk),
+        }
+    }
+
+    /// Applies the merit update of `walk` to `store` (step 8).
+    fn update_merits(
+        &self,
+        eval: &mut RoundEval<'_>,
+        walk: &Walk,
+        params: &AcoParams,
+        reach: &Reachability,
+        store: &mut PheromoneStore,
+    ) {
+        match self {
+            Walker::Mi(ant, _) => eval.update_merits(
+                ant.g,
+                walk,
+                ant.constraints,
+                params,
+                reach,
+                &ant.masks,
+                store,
+            ),
+            Walker::Si(picker) => picker.update_merits(walk, reach, store),
+        }
+    }
+}
+
+/// Explores `dfg` with `strategy`: rounds until quiescence, the round cap,
+/// the [`AcoParams::max_rounds`] budget or the stop flag, one committed
+/// candidate per round. Records every walk into `trace` when given.
+pub(crate) fn drive<R: Rng + ?Sized>(
+    strategy: Strategy<'_>,
+    dfg: &ProgramDfg,
+    rng: &mut R,
+    mut trace: Option<&mut Vec<TraceEntry>>,
+) -> Exploration {
+    let (machine, constraints, params, stop) = strategy.settings();
+    let g0 = exgraph::build(dfg);
+    // The original graph is lowered once and the lowering shared between
+    // the baseline measurement and the final credit.
+    let base0 = exgraph::to_soa(&g0);
+    let baseline = schedule_soa(&base0, machine, Priority::Height, &mut ListScratch::new());
+    let mut current = g0.clone();
+    let mut commits: Vec<IseCandidate> = Vec::new();
+    let mut iterations = 0usize;
+    let mut rounds = 0usize;
+    // Schedule length of `current`, carried across rounds: the baseline
+    // before any commit, then the committed candidate's measured length.
+    let mut known_len = baseline;
+
+    let round_cap = match params.max_rounds {
+        0 => MAX_ROUNDS,
+        budget => budget.min(MAX_ROUNDS),
+    };
+    let mut degraded = false;
+    let mut quiescent = false;
+    while rounds < round_cap {
+        if stop.is_some_and(|flag| flag.load(Ordering::Acquire)) {
+            degraded = true;
+            break;
+        }
+        rounds += 1;
+        let explorable = current
+            .iter()
+            .filter(|(_, n)| n.payload().is_explorable())
+            .count();
+        if explorable < 2 {
+            quiescent = true;
+            break;
+        }
+        let ranked = round(
+            strategy,
+            &current,
+            rng,
+            &mut iterations,
+            rounds,
+            trace.as_deref_mut(),
+            known_len,
+        );
+        let commit = ranked.into_iter().find_map(|(cand, saved, with_len)| {
+            let original = |n: NodeId| match current.node(n).payload().kind {
+                ExKind::Op(o) => o,
+                ExKind::FrozenIse(_) => unreachable!("frozen ISEs have no hardware options"),
+            };
+            let mut nodes = NodeSet::new(g0.len());
+            for n in &cand.members {
+                nodes.insert(original(n));
+            }
+            let d0 = ports::demand(&g0, &nodes);
+            if !d0.fits(constraints.n_in, constraints.n_out) {
+                return None;
+            }
+            let candidate = IseCandidate {
+                nodes,
+                choices: cand
+                    .choices
+                    .iter()
+                    .map(|&(n, j)| (original(n), j))
+                    .collect(),
+                delay_ns: cand.delay_ns,
+                latency: cand.latency,
+                area_um2: cand.area,
+                inputs: d0.inputs,
+                outputs: d0.outputs,
+                saved_cycles: saved,
+            };
+            Some((cand, candidate, with_len))
+        });
+        let Some((cand, candidate, with_len)) = commit else {
+            quiescent = true;
+            break;
+        };
+        current = exgraph::freeze(&current, &cand.members, cand.footprint(), commits.len()).dfg;
+        commits.push(candidate);
+        // Ranking already scheduled exactly this frozen graph.
+        known_len = with_len;
+    }
+    // Falling out of the loop still mid-commit on an explicit round
+    // budget is the deterministic cut; hitting the hard safety cap
+    // without a budget keeps its historical (non-degraded) meaning.
+    if !quiescent && params.max_rounds != 0 {
+        degraded = true;
+    }
+
+    debug_assert_eq!(known_len, exgraph::schedule_len(&current, machine));
+    strategy.credit(&base0, &mut commits);
+    Exploration {
+        candidates: commits,
+        baseline_cycles: baseline,
+        cycles_with_ises: known_len,
+        rounds,
+        iterations,
+        degraded,
+    }
+}
+
+/// One exploration round: ACO to convergence, extraction, ranking.
+///
+/// A [`RoundEval`] lowers the graph once and shares that lowering with the
+/// walk builder, the merit update, extraction and ranking; `known_len`
+/// (the schedule length carried from the previous round's commit) is the
+/// round's base length.
+fn round<R: Rng + ?Sized>(
+    strategy: Strategy<'_>,
+    g: &ExGraph,
+    rng: &mut R,
+    iterations: &mut usize,
+    round_no: usize,
+    mut trace: Option<&mut Vec<TraceEntry>>,
+    known_len: u32,
+) -> Vec<Ranked> {
+    let (machine, constraints, params, _) = strategy.settings();
+    let _round_span = isex_trace::span_with("aco.round", || {
+        vec![
+            ("round", round_no.to_string()),
+            ("nodes", g.len().to_string()),
+        ]
+    });
+    let reach = Reachability::compute(g);
+    let shape: Vec<(usize, usize)> = g
+        .iter()
+        .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
+        .collect();
+    let mut store = PheromoneStore::new(&shape, params);
+    let mut eval = RoundEval::new(g, machine, known_len);
+    let csr = CsrAdjacency::from_dfg(g);
+    let mut walker = strategy.walker(g, &eval.base, &csr);
+    let mut tstate = TrailState::default();
+
+    // The ACO is the search engine; the answer is the best *sampled*
+    // walk (smallest TET, then smallest ASFU area). Waiting for formal
+    // `P_END` convergence is unnecessary — and on noisy schedules the
+    // trail dynamics of Fig. 4.3.5 may hover without converging.
+    // Every walk is written into `walk`; an improvement swaps it with
+    // `best`, whose old contents the next walk overwrites.
+    let mut walk = Walk::default();
+    let mut best = Walk::default();
+    let mut best_area: Option<f64> = None;
+    for it in 0..params.max_iterations {
+        {
+            let _s = isex_trace::span("aco.construct");
+            walker.build(&store, rng, &mut walk);
+        }
+        *iterations += 1;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push(TraceEntry {
+                round: round_no,
+                iteration: it + 1,
+                tet: walk.tet,
+                best_tet: best_area.map_or(walk.tet, |_| best.tet.min(walk.tet)),
+            });
+        }
+        {
+            let _s = isex_trace::span("aco.pheromone_update");
+            trail::update(&mut store, &walk, &mut tstate, params);
+        }
+        {
+            let _s = isex_trace::span("aco.merit");
+            walker.update_merits(&mut eval, &walk, params, &reach, &mut store);
+        }
+        let area = walk_area(g, &walk);
+        let better = match best_area {
+            None => true,
+            Some(barea) => walk.tet < best.tet || (walk.tet == best.tet && area < barea),
+        };
+        if better {
+            std::mem::swap(&mut walk, &mut best);
+            best_area = Some(area);
+        }
+        if store.converged(params.p_end) {
+            break;
+        }
+    }
+    let best_tet = best_area.map_or(u32::MAX, |_| best.tet);
+
+    let taken: Vec<ImplChoice> = match best_area {
+        Some(_) => best.choice,
+        None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
+    };
+    if debug_enabled() {
+        let hw_taken = taken.iter().filter(|c| c.is_hardware()).count();
+        let converged = store.converged(params.p_end);
+        eprintln!(
+            "[round] k={} hw_taken={} converged={} probs={:?}",
+            g.len(),
+            hw_taken,
+            converged,
+            (0..g.len().min(40))
+                .map(|n| (store.best_option(n).1 * 100.0).round() as i32)
+                .collect::<Vec<_>>()
+        );
+    }
+    let _extract_span = isex_trace::span("aco.extract");
+    let cands = extract_candidates(
+        g,
+        &eval.base,
+        walker.masks(),
+        &taken,
+        constraints,
+        machine,
+        &reach,
+    );
+    let ranked = strategy.rank(cands, &mut eval, best_tet);
+    if debug_enabled() {
+        let (mut asap, mut alap) = (Vec::new(), Vec::new());
+        soa::asap_into(&eval.base, &mut asap);
+        let dep_len = soa::length_from_asap(&eval.base, &asap);
+        soa::alap_into(&eval.base, dep_len, &mut alap);
+        let on_crit = |n: NodeId| asap[n.index()] == alap[n.index()];
+        eprintln!(
+            "[round] base_len={} dep_len={} best_tet={}",
+            eval.base_len, dep_len, best_tet,
+        );
+        for (c, s, _) in ranked.iter().take(4) {
+            eprintln!(
+                "  cand size={} lat={} saved={} members={:?} on_crit={}",
+                c.members.len(),
+                c.latency,
+                s,
+                c.members.iter().map(|n| n.index()).collect::<Vec<_>>(),
+                c.members.iter().filter(|&n| on_crit(n)).count()
+            );
+        }
+    }
+    ranked
 }
 
 /// Total ASFU silicon area implied by a walk's hardware choices.
-pub(crate) fn walk_area(g: &ExGraph, walk: &Walk) -> f64 {
+fn walk_area(g: &ExGraph, walk: &Walk) -> f64 {
     g.iter()
         .map(|(id, n)| match walk.choice[id.index()] {
             ImplChoice::Hw(j) => n.payload().hw[j].area_um2,
@@ -538,10 +624,10 @@ pub(crate) fn walk_area(g: &ExGraph, walk: &Walk) -> f64 {
 /// and port trimming, size ≥ 2. `base` is `g` in array form (the round's
 /// [`SoaGraph`]) and `masks` its port rows, over which port trimming grows
 /// its legal pieces.
-pub(crate) fn extract_candidates(
+fn extract_candidates(
     g: &ExGraph,
     base: &SoaGraph,
-    masks: &merit::PortMasks,
+    masks: &PortMasks,
     taken: &[ImplChoice],
     constraints: &Constraints,
     machine: &MachineConfig,
@@ -671,7 +757,7 @@ pub(crate) fn grow_legal_from(
 }
 
 /// Builds the candidate record for a legal member set.
-pub(crate) fn materialize(
+fn materialize(
     g: &ExGraph,
     set: &NodeSet,
     taken: &[ImplChoice],

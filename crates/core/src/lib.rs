@@ -12,7 +12,13 @@
 //! 2. the critical path *moves* after each new ISE, so every exploration
 //!    round re-schedules.
 //!
-//! The crate offers two explorers with one output type:
+//! The crate offers two explorers with one output type, and one
+//! exploration driver ([`explore`]) that both run: the round loop (stop
+//! flag, round budget, commit, freeze), the ACO iteration loop (trail
+//! update, best-walk extraction, convergence, traces) and candidate
+//! extraction. Each explorer is a strategy of that driver, supplying only
+//! its walk builder, its merit update and how it ranks and credits
+//! candidates:
 //!
 //! * [`MultiIssueExplorer`] — the proposed algorithm ("MI"): Ready-Matrix
 //!   ant walks interleaved with list scheduling, the trail update of

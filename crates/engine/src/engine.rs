@@ -199,34 +199,26 @@ impl Engine {
         sink.emit(RunEvent::job_start(task.name, &job));
         let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(job.seed);
-        let (exploration, trace) = match self.spec.algorithm {
-            Algorithm::MultiIssue => {
-                let mut explorer = MultiIssueExplorer::with_params(
-                    self.spec.machine,
-                    self.spec.constraints,
-                    self.spec.params,
-                );
-                // The anytime hook: a token tripping mid-job stops the
-                // round loop at the next boundary, and the job returns its
-                // best-so-far (degraded) exploration instead of burning the
-                // rest of the deadline.
-                explorer.stop = Some(cancel.flag());
-                if sink.wants_traces() {
-                    explorer.explore_traced(task.dfg, &mut rng)
-                } else {
-                    (explorer.explore(task.dfg, &mut rng), Vec::new())
-                }
+        let (machine, constraints, params) =
+            (self.spec.machine, self.spec.constraints, self.spec.params);
+        // The anytime hook: a token tripping mid-job stops the round loop
+        // at the next boundary, and the job returns its best-so-far
+        // (degraded) exploration instead of burning the rest of the
+        // deadline.
+        let stop = Some(cancel.flag());
+        let mut trace = Vec::new();
+        let record = sink.wants_traces().then_some(&mut trace);
+        let exploration = match self.spec.algorithm {
+            Algorithm::MultiIssue => MultiIssueExplorer {
+                stop,
+                ..MultiIssueExplorer::with_params(machine, constraints, params)
             }
-            // The SI baseline records no per-iteration trace.
-            Algorithm::SingleIssue => (
-                SingleIssueExplorer::with_params(
-                    self.spec.machine,
-                    self.spec.constraints,
-                    self.spec.params,
-                )
-                .explore(task.dfg, &mut rng),
-                Vec::new(),
-            ),
+            .explore_with_trace(task.dfg, &mut rng, record),
+            Algorithm::SingleIssue => SingleIssueExplorer {
+                stop,
+                ..SingleIssueExplorer::with_params(machine, constraints, params)
+            }
+            .explore_with_trace(task.dfg, &mut rng, record),
         };
         emit_round_summaries(&trace, task.name, &job, sink);
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -241,22 +233,14 @@ impl Engine {
 }
 
 fn emit_round_summaries(trace: &[TraceEntry], block: &str, job: &ExploreJob, sink: &dyn EventSink) {
-    let mut i = 0;
-    while i < trace.len() {
-        let round = trace[i].round;
-        let mut tets = Vec::new();
-        let mut best_tet = u32::MAX;
-        while i < trace.len() && trace[i].round == round {
-            tets.push(trace[i].tet);
-            best_tet = best_tet.min(trace[i].tet);
-            i += 1;
-        }
+    for walks in trace.chunk_by(|a, b| a.round == b.round) {
+        let tets: Vec<u32> = walks.iter().map(|e| e.tet).collect();
         sink.emit(RunEvent::RoundSummary {
             block: block.to_string(),
             block_index: job.block_index,
             repeat: job.repeat,
-            round,
-            best_tet,
+            round: walks[0].round,
+            best_tet: tets.iter().copied().min().unwrap_or(u32::MAX),
             tets,
             seq: crate::events::Seq(0),
             trace: None,

@@ -5,15 +5,34 @@
 use isex::dfg::{convex, ports, Reachability};
 use isex::prelude::*;
 use rand::SeedableRng;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 fn explore_all(dfg: &ProgramDfg, machine: MachineConfig, seed: u64) -> (Exploration, Exploration) {
-    let cons = Constraints::from_machine(&machine);
     let params = AcoParams {
         max_iterations: 60,
         ..AcoParams::default()
     };
-    let mi = MultiIssueExplorer::with_params(machine, cons, params);
-    let si = SingleIssueExplorer::with_params(machine, cons, params);
+    explore_both(dfg, machine, seed, params, None)
+}
+
+/// MI and SI on the same block, seed, parameters and stop flag.
+fn explore_both(
+    dfg: &ProgramDfg,
+    machine: MachineConfig,
+    seed: u64,
+    params: AcoParams,
+    stop: Option<Arc<AtomicBool>>,
+) -> (Exploration, Exploration) {
+    let cons = Constraints::from_machine(&machine);
+    let mi = MultiIssueExplorer {
+        stop: stop.clone(),
+        ..MultiIssueExplorer::with_params(machine, cons, params)
+    };
+    let si = SingleIssueExplorer {
+        stop,
+        ..SingleIssueExplorer::with_params(machine, cons, params)
+    };
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let a = mi.explore(dfg, &mut rng);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -167,4 +186,44 @@ fn critical_path_bounds_hold() {
         "baseline = dependence bound when resources are ample"
     );
     assert!(r.cycles_with_ises < dep, "ISEs break the dependence bound");
+}
+
+#[test]
+fn a_round_budget_cuts_both_explorers_after_that_round() {
+    let machine = MachineConfig::preset_2issue_4r2w();
+    let params = AcoParams {
+        max_iterations: 60,
+        max_rounds: 1,
+        ..AcoParams::default()
+    };
+    for bench in [Benchmark::Crc32, Benchmark::Blowfish, Benchmark::Jpeg] {
+        let program = bench.program(OptLevel::O3);
+        let dfg = &program.hottest().dfg;
+        let (mi, si) = explore_both(dfg, machine, 3, params, None);
+        for (tag, e) in [("MI", &mi), ("SI", &si)] {
+            assert!(e.degraded, "{tag}/{bench}: a budget cut is degraded");
+            assert_eq!(e.rounds, 1, "{tag}/{bench}");
+            assert_eq!(e.candidates.len(), 1, "{tag}/{bench}: one commit");
+        }
+    }
+}
+
+#[test]
+fn a_stop_flag_tripped_before_the_call_stops_both_explorers_at_once() {
+    let machine = MachineConfig::preset_2issue_4r2w();
+    let params = AcoParams {
+        max_iterations: 60,
+        ..AcoParams::default()
+    };
+    let program = Benchmark::Crc32.program(OptLevel::O3);
+    let dfg = &program.hottest().dfg;
+    let stop = Some(Arc::new(AtomicBool::new(true)));
+    let (mi, si) = explore_both(dfg, machine, 3, params, stop);
+    for (tag, e) in [("MI", &mi), ("SI", &si)] {
+        assert!(e.degraded, "{tag}");
+        assert_eq!(e.rounds, 0, "{tag}");
+        assert_eq!(e.iterations, 0, "{tag}");
+        assert!(e.candidates.is_empty(), "{tag}");
+        assert_eq!(e.cycles_with_ises, e.baseline_cycles, "{tag}");
+    }
 }

@@ -5,22 +5,25 @@
 //! The `FAULT_PLAN` environment variable overrides the default plan for
 //! the invariant tests, so CI can sweep a matrix of plans over the same
 //! assertions: whatever the plan, accounting must balance, results must be
-//! deterministic, and undamaged blocks must be untouched.
+//! deterministic, and undamaged blocks must be untouched. The invariant
+//! tests run both explorers: MI and SI share one round loop, so a plan
+//! must mean the same to each.
 
 use isex::flow::{run_flow_checkpointed, CancelToken, FaultPlan};
 use isex::prelude::*;
 
-fn base_config() -> FlowConfig {
-    let mut cfg =
-        FlowConfig::for_machine(Algorithm::MultiIssue, MachineConfig::preset_2issue_4r2w());
+const ALGORITHMS: [Algorithm; 2] = [Algorithm::MultiIssue, Algorithm::SingleIssue];
+
+fn base_config(algorithm: Algorithm) -> FlowConfig {
+    let mut cfg = FlowConfig::for_machine(algorithm, MachineConfig::preset_2issue_4r2w());
     cfg.params.max_iterations = 40;
     cfg.repeats = 2;
     cfg.jobs = 2;
     cfg
 }
 
-fn config_with_plan(plan: Option<&str>) -> FlowConfig {
-    let mut cfg = base_config();
+fn config_with_plan(algorithm: Algorithm, plan: Option<&str>) -> FlowConfig {
+    let mut cfg = base_config(algorithm);
     cfg.fault_plan = plan.map(|spec| FaultPlan::parse(spec).expect("valid plan"));
     cfg
 }
@@ -38,27 +41,29 @@ fn env_plan() -> String {
 #[test]
 fn any_fault_plan_keeps_the_accounting_balanced() {
     let spec = env_plan();
-    let mut cfg = config_with_plan(Some(&spec));
-    cfg.repeats = 4; // enough jobs for ratio rules to actually fire
-    let program = Benchmark::Crc32.program(OptLevel::O3);
-    let (_, m) = run_flow_observed(&cfg, &program, 0xF417, &NullSink);
+    for algorithm in ALGORITHMS {
+        let mut cfg = config_with_plan(algorithm, Some(&spec));
+        cfg.repeats = 4; // enough jobs for ratio rules to actually fire
+        let program = Benchmark::Crc32.program(OptLevel::O3);
+        let (_, m) = run_flow_observed(&cfg, &program, 0xF417, &NullSink);
 
-    assert_eq!(
-        m.jobs_completed + m.jobs_failed,
-        m.jobs_total,
-        "plan `{spec}`: every planned job must be accounted for"
-    );
-    assert_eq!(
-        m.worker_restarts, m.jobs_failed,
-        "plan `{spec}`: one supervised restart per isolated panic"
-    );
-    assert_eq!(m.jobs_total, m.blocks_explored * cfg.repeats);
-    for failure in &m.block_failures {
         assert_eq!(
-            failure.repeats_failed, cfg.repeats,
-            "a block failure means *every* repeat died"
+            m.jobs_completed + m.jobs_failed,
+            m.jobs_total,
+            "{algorithm}, plan `{spec}`: every planned job must be accounted for"
         );
-        assert!(!failure.error.is_empty());
+        assert_eq!(
+            m.worker_restarts, m.jobs_failed,
+            "{algorithm}, plan `{spec}`: one supervised restart per isolated panic"
+        );
+        assert_eq!(m.jobs_total, m.blocks_explored * cfg.repeats);
+        for failure in &m.block_failures {
+            assert_eq!(
+                failure.repeats_failed, cfg.repeats,
+                "{algorithm}: a block failure means *every* repeat died"
+            );
+            assert!(!failure.error.is_empty());
+        }
     }
 }
 
@@ -66,28 +71,31 @@ fn any_fault_plan_keeps_the_accounting_balanced() {
 fn fault_injection_is_deterministic_across_runs() {
     let spec = env_plan();
     let program = Benchmark::Crc32.program(OptLevel::O3);
-    let run = || run_flow_observed(&config_with_plan(Some(&spec)), &program, 0xD3, &NullSink);
-    let (report_a, metrics_a) = run();
-    let (report_b, metrics_b) = run();
+    for algorithm in ALGORITHMS {
+        let cfg = config_with_plan(algorithm, Some(&spec));
+        let run = || run_flow_observed(&cfg, &program, 0xD3, &NullSink);
+        let (report_a, metrics_a) = run();
+        let (report_b, metrics_b) = run();
 
-    assert_eq!(
-        report_json(&report_a),
-        report_json(&report_b),
-        "plan `{spec}`: same plan, same seed, same answer"
-    );
-    assert_eq!(metrics_a.jobs_failed, metrics_b.jobs_failed);
-    assert_eq!(metrics_a.worker_restarts, metrics_b.worker_restarts);
-    assert_eq!(metrics_a.block_failures, metrics_b.block_failures);
-    assert_eq!(metrics_a.block_spread, metrics_b.block_spread);
+        assert_eq!(
+            report_json(&report_a),
+            report_json(&report_b),
+            "{algorithm}, plan `{spec}`: same plan, same seed, same answer"
+        );
+        assert_eq!(metrics_a.jobs_failed, metrics_b.jobs_failed);
+        assert_eq!(metrics_a.worker_restarts, metrics_b.worker_restarts);
+        assert_eq!(metrics_a.block_failures, metrics_b.block_failures);
+        assert_eq!(metrics_a.block_spread, metrics_b.block_spread);
+    }
 }
 
 #[test]
 fn targeted_panic_fails_one_block_and_leaves_the_rest_bitwise_intact() {
     // One repeat per block: panicking (block 0, repeat 0) kills block 0
     // outright while every other block's exploration must be untouched.
-    let mut clean_cfg = config_with_plan(None);
+    let mut clean_cfg = config_with_plan(Algorithm::MultiIssue, None);
     clean_cfg.repeats = 1;
-    let mut fault_cfg = config_with_plan(Some("panic@0.0"));
+    let mut fault_cfg = config_with_plan(Algorithm::MultiIssue, Some("panic@0.0"));
     fault_cfg.repeats = 1;
     let program = Benchmark::Crc32.program(OptLevel::O3);
     let seed = 0x1507;
@@ -124,17 +132,52 @@ fn targeted_panic_fails_one_block_and_leaves_the_rest_bitwise_intact() {
 #[test]
 fn delay_faults_never_change_the_answer() {
     let program = Benchmark::Crc32.program(OptLevel::O3);
-    let (clean_report, clean) =
-        run_flow_observed(&config_with_plan(None), &program, 0xDE1A7, &NullSink);
-    let (slow_report, slow) = run_flow_observed(
-        &config_with_plan(Some("delay:1/1:2ms")),
-        &program,
-        0xDE1A7,
-        &NullSink,
-    );
-    assert_eq!(report_json(&clean_report), report_json(&slow_report));
-    assert_eq!(slow.jobs_failed, 0);
-    assert_eq!(clean.block_spread, slow.block_spread);
+    for algorithm in ALGORITHMS {
+        let (clean_report, clean) = run_flow_observed(
+            &config_with_plan(algorithm, None),
+            &program,
+            0xDE1A7,
+            &NullSink,
+        );
+        let (slow_report, slow) = run_flow_observed(
+            &config_with_plan(algorithm, Some("delay:1/1:2ms")),
+            &program,
+            0xDE1A7,
+            &NullSink,
+        );
+        assert_eq!(
+            report_json(&clean_report),
+            report_json(&slow_report),
+            "{algorithm}"
+        );
+        assert_eq!(slow.jobs_failed, 0);
+        assert_eq!(clean.block_spread, slow.block_spread);
+    }
+}
+
+/// A token tripped as the first job starts cuts that job at the boundary
+/// before its first round, for SI as for MI: block 0 keeps a degraded,
+/// empty exploration with `rounds_completed: Some(0)`, and every later job
+/// is skipped.
+#[test]
+fn cancel_at_the_first_job_cuts_si_at_a_round_boundary() {
+    let mut cfg = config_with_plan(Algorithm::SingleIssue, Some("cancel@0.0"));
+    cfg.jobs = 1;
+    let program = Benchmark::Crc32.program(OptLevel::O3);
+    let (report, metrics) = run_flow_observed(&cfg, &program, 0xCA7, &NullSink);
+
+    let hottest = &program.hottest().name;
+    let block0 = report
+        .per_block
+        .iter()
+        .find(|b| &b.name == hottest)
+        .expect("block 0 is in the report");
+    assert!(block0.degraded, "{block0:?}");
+    assert_eq!(block0.rounds_completed, Some(0), "cut before round 1");
+    assert_eq!(report.iterations, 0, "no ant ran after the trip");
+    assert!(report.selected.is_empty());
+    assert_eq!(metrics.jobs_completed, 1, "block 0's first repeat ran");
+    assert_eq!(metrics.jobs_skipped, metrics.jobs_total - 1);
 }
 
 #[test]
@@ -142,7 +185,7 @@ fn interrupted_checkpoint_resume_is_bitwise_equal_to_a_fresh_run() {
     let dir =
         std::env::temp_dir().join(format!("isex-fault-tolerance-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = base_config();
+    let cfg = base_config(Algorithm::MultiIssue);
     let program = Benchmark::Crc32.program(OptLevel::O3);
     let seed = 0x2e54;
     let cancel = CancelToken::new();
@@ -210,7 +253,7 @@ fn checkpointed_run_under_faults_journals_the_failure() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = config_with_plan(Some("panic@0.0"));
+    let mut cfg = config_with_plan(Algorithm::MultiIssue, Some("panic@0.0"));
     cfg.repeats = 1;
     let program = Benchmark::Crc32.program(OptLevel::O3);
     let cancel = CancelToken::new();

@@ -193,11 +193,7 @@ fn no_phase_profile_entry_reports_a_deleted_eval_layer() {
         cfg.algorithm = algorithm;
         assert_eq!(eval_entries(&cfg), Vec::<String>::new(), "{algorithm}");
         cfg.tracer = Tracer::new();
-        let spans: &[&str] = match algorithm {
-            Algorithm::MultiIssue => &["eval.lower"],
-            Algorithm::SingleIssue => &[],
-        };
-        assert_eq!(eval_entries(&cfg), spans, "{algorithm}, traced");
+        assert_eq!(eval_entries(&cfg), ["eval.lower"], "{algorithm}, traced");
     }
 }
 

@@ -3,7 +3,7 @@
 //! even when jobs panic, export Perfetto-loadable Chrome traces, and
 //! account for essentially all of a run's wall time in the phase profile.
 
-use isex::engine::VecSink;
+use isex::engine::{RunEvent, VecSink};
 use isex::flow::FaultPlan;
 use isex::prelude::*;
 use serde::Value;
@@ -33,6 +33,35 @@ fn traced_and_untraced_reports_are_bitwise_identical() {
         !traced_cfg.tracer.records().is_empty(),
         "the traced run recorded no spans"
     );
+}
+
+/// SI runs the shared round loop, so a trace-wanting sink gets its
+/// per-round `RoundSummary` events too, and recording them leaves the
+/// report untouched.
+#[test]
+fn si_runs_emit_round_summaries_without_changing_the_report() {
+    let mut cfg = quick_cfg();
+    cfg.algorithm = Algorithm::SingleIssue;
+    let program = Benchmark::Crc32.program(OptLevel::O3);
+    let plain = run_flow(&cfg, &program, 0x51);
+    let sink = VecSink::new();
+    let (traced, _) = run_flow_observed(&cfg, &program, 0x51, &sink);
+    assert_eq!(
+        serde_json::to_string(&plain).unwrap(),
+        serde_json::to_string(&traced).unwrap()
+    );
+    let summaries: Vec<_> = sink
+        .into_events()
+        .into_iter()
+        .filter_map(|e| match e {
+            RunEvent::RoundSummary { round, tets, .. } => Some((round, tets.len())),
+            _ => None,
+        })
+        .collect();
+    assert!(!summaries.is_empty(), "SI emitted no RoundSummary");
+    assert!(summaries
+        .iter()
+        .all(|&(round, walks)| round >= 1 && walks >= 1));
 }
 
 #[test]
