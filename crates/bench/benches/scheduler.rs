@@ -1,11 +1,14 @@
-//! Criterion benches for the substrate: list scheduling, reachability and
-//! convexity checking — the inner loops whose cost dominates one ACO
-//! iteration.
+//! Criterion benches for the substrate: list scheduling, the
+//! collapse-and-schedule kernel, reachability and convexity checking — the
+//! inner loops whose cost dominates one ACO iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use isex_dfg::{convex, NodeSet, Reachability};
+use isex_dfg::{convex, NodeId, NodeSet, Reachability};
 use isex_isa::MachineConfig;
-use isex_sched::{list_schedule, unit, Priority};
+use isex_sched::soa::SoaGraph;
+use isex_sched::{
+    collapsed_len, list_schedule, unit, CollapseScratch, Priority, SchedOp, UnitClass,
+};
 use isex_workloads::random::{random_dfg, RandomDfgConfig};
 use rand::SeedableRng;
 
@@ -42,6 +45,32 @@ fn list_scheduling(c: &mut Criterion) {
     group.finish();
 }
 
+/// `collapsed_len` on the same graphs, with a three-node ISE starting at
+/// every eighth node (index ranges of a DFG built in topological order
+/// are convex): the kernel behind candidate ranking and ISE replacement.
+fn collapse_and_schedule(c: &mut Criterion) {
+    let mut group = c.benchmark_group("collapsed_len");
+    for (k, dfg) in graphs(&[32, 128, 512]) {
+        let base = SoaGraph::from_sched(&unit::lower(&dfg));
+        let machine = MachineConfig::preset_4issue_10r5w();
+        let groups: Vec<(NodeSet, SchedOp)> = (0..dfg.len().saturating_sub(2))
+            .step_by(8)
+            .map(|lo| {
+                let mut set = NodeSet::new(dfg.len());
+                for n in lo..lo + 3 {
+                    set.insert(NodeId::new(n as u32));
+                }
+                (set, SchedOp::new(1, 2, 1, UnitClass::Asfu))
+            })
+            .collect();
+        let mut scratch = CollapseScratch::default();
+        group.bench_with_input(BenchmarkId::from_parameter(k), &groups, |b, gs| {
+            b.iter(|| collapsed_len(&base, gs, &machine, &mut scratch))
+        });
+    }
+    group.finish();
+}
+
 fn reachability(c: &mut Criterion) {
     let mut group = c.benchmark_group("reachability");
     for (k, dfg) in graphs(&[32, 128, 512]) {
@@ -70,5 +99,11 @@ fn convexity(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, list_scheduling, reachability, convexity);
+criterion_group!(
+    benches,
+    list_scheduling,
+    collapse_and_schedule,
+    reachability,
+    convexity
+);
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 
 use isex_aco::{ImplChoice, PheromoneStore};
 use isex_dfg::ports::PortDemand;
-use isex_dfg::{CsrAdjacency, NodeId, NodeSet};
+use isex_dfg::{NodeId, NodeSet};
 use isex_isa::MachineConfig;
 use isex_sched::resources::ResourceTable;
 use isex_sched::soa::SoaGraph;
@@ -83,14 +83,9 @@ pub enum SpFunction {
 }
 
 impl SpFunction {
-    /// Computes the normalised (`[0, 1]`) priority of every node.
-    pub fn values(self, g: &ExGraph) -> Vec<f64> {
-        self.values_on(&crate::exgraph::to_soa(g))
-    }
-
-    /// [`SpFunction::values`] on the array form of `g` (`to_soa(g)`), so
-    /// the round's single `SoaGraph` serves the SP function too.
-    pub(crate) fn values_on(self, base: &SoaGraph) -> Vec<f64> {
+    /// The normalised (`[0, 1]`) priority of every node of `base`, the
+    /// round's graph lowered.
+    fn values(self, base: &SoaGraph) -> Vec<f64> {
         let priority = match self {
             SpFunction::ChildCount => Priority::ChildCount,
             SpFunction::Height => Priority::Height,
@@ -207,9 +202,9 @@ pub(crate) struct Ant<'a> {
     pub lambda: f64,
     /// Normalised scheduling priority per node (e.g. child count).
     pub sp: Vec<f64>,
-    /// Frozen CSR adjacency of `g` for the hot loops (readiness counters,
-    /// allocation-free pred scans).
-    adj: &'a CsrAdjacency,
+    /// The round's graph lowered: its CSR rows are the walk's adjacency
+    /// (readiness counters, allocation-free pred scans).
+    base: &'a SoaGraph,
     /// The round's port rows, also lent to the merit update and candidate
     /// extraction.
     pub masks: PortMasks,
@@ -218,44 +213,18 @@ pub(crate) struct Ant<'a> {
 }
 
 impl<'a> Ant<'a> {
-    /// Builds the context with the paper's default SP function
-    /// ([`SpFunction::ChildCount`]).
-    #[cfg(test)]
+    /// Builds the round's walk context over `base`, the round's graph `g`
+    /// lowered ([`crate::exgraph::to_soa`]): the walk reads its adjacency
+    /// rows and the values of `sp_function` come from it.
     pub fn new(
         g: &'a ExGraph,
         machine: &'a MachineConfig,
         constraints: &'a Constraints,
         lambda: f64,
-        adj: &'a CsrAdjacency,
-    ) -> Self {
-        let sp = SpFunction::ChildCount.values(g);
-        Self::with_sp(g, machine, constraints, lambda, sp, adj)
-    }
-
-    /// Builds the context with an explicit SP function, computing its
-    /// values on a caller-provided lowering of `g` (the round's shared
-    /// `SoaGraph`).
-    pub(crate) fn with_sp_on(
-        g: &'a ExGraph,
-        machine: &'a MachineConfig,
-        constraints: &'a Constraints,
-        lambda: f64,
         sp_function: SpFunction,
-        base: &SoaGraph,
-        adj: &'a CsrAdjacency,
+        base: &'a SoaGraph,
     ) -> Self {
-        let sp = sp_function.values_on(base);
-        Self::with_sp(g, machine, constraints, lambda, sp, adj)
-    }
-
-    fn with_sp(
-        g: &'a ExGraph,
-        machine: &'a MachineConfig,
-        constraints: &'a Constraints,
-        lambda: f64,
-        sp: Vec<f64>,
-        adj: &'a CsrAdjacency,
-    ) -> Self {
+        let sp = sp_function.values(base);
         let masks = PortMasks::new(g);
         let singleton = (0..g.len())
             .map(|n| {
@@ -263,7 +232,7 @@ impl<'a> Ant<'a> {
                     |row: &[u64]| -> usize { row.iter().map(|w| w.count_ones() as usize).sum() };
                 PortDemand {
                     inputs: count(masks.prod(n)) + count(masks.live_ins(n)),
-                    outputs: usize::from(masks.is_live_out(n) || !adj.succs(n).is_empty()),
+                    outputs: usize::from(masks.is_live_out(n) || !base.succs(n).is_empty()),
                 }
             })
             .collect();
@@ -273,7 +242,7 @@ impl<'a> Ant<'a> {
             constraints,
             lambda,
             sp,
-            adj,
+            base,
             masks,
             singleton,
         }
@@ -330,7 +299,8 @@ impl<'a> Ant<'a> {
         // Counter-maintained readiness: pending[n] == 0 exactly when every
         // predecessor is scheduled, and `ready` holds those unscheduled
         // nodes.
-        self.adj.pred_counts_into(pending);
+        pending.clear();
+        pending.extend((0..k).map(|n| self.base.preds(n).len() as u32));
         if ready.universe() == k {
             ready.clear();
         } else {
@@ -355,10 +325,10 @@ impl<'a> Ant<'a> {
                 ImplChoice::Sw(j) => self.schedule_sw(walk, rt, n, j),
                 ImplChoice::Hw(j) => self.schedule_hw(walk, rt, hw, members, n, j),
             }
-            for &sc in self.adj.succs(n.index()) {
-                pending[sc.index()] -= 1;
-                if pending[sc.index()] == 0 {
-                    ready.insert(sc);
+            for &sc in self.base.succs(n.index()) {
+                pending[sc as usize] -= 1;
+                if pending[sc as usize] == 0 {
+                    ready.insert(NodeId::new(sc));
                 }
             }
         }
@@ -367,10 +337,10 @@ impl<'a> Ant<'a> {
     }
 
     fn earliest_start(&self, walk: &Walk, n: NodeId) -> u32 {
-        self.adj
+        self.base
             .preds(n.index())
             .iter()
-            .map(|&p| walk.finish[p.index()])
+            .map(|&p| walk.finish[p as usize])
             .max()
             .unwrap_or(0)
     }
@@ -378,8 +348,8 @@ impl<'a> Ant<'a> {
     /// Closes every open group that `n` consumed from (its finish time is
     /// now observed and must not change).
     fn close_pred_groups(&self, walk: &mut Walk, n: NodeId, except: Option<usize>) {
-        for &p in self.adj.preds(n.index()) {
-            if let Some(gp) = walk.group_of[p.index()] {
+        for &p in self.base.preds(n.index()) {
+            if let Some(gp) = walk.group_of[p as usize] {
                 if Some(gp) != except {
                     walk.groups[gp].open = false;
                 }
@@ -417,10 +387,10 @@ impl<'a> Ant<'a> {
         // ties by group index.
         hw.cands.clear();
         hw.cands.extend(
-            self.adj
+            self.base
                 .preds(n.index())
                 .iter()
-                .filter_map(|p| walk.group_of[p.index()])
+                .filter_map(|&p| walk.group_of[p as usize])
                 .filter(|&gi| walk.groups[gi].open),
         );
         hw.cands.sort_unstable();
@@ -499,14 +469,14 @@ impl<'a> Ant<'a> {
         let group = &walk.groups[gi];
         let members = &group.members;
         let words = members.as_words();
-        let preds = self.adj.preds(n.index());
+        let preds = self.base.preds(n.index());
         let masks = &self.masks;
 
         // IN(members ∪ {n}): the group's inputs plus every value `n` reads
         // that neither a member produces nor a member already reads.
         let mut inputs = group.reads;
         for &p in preds {
-            if !members.contains(p) && !intersects(masks.cons(p.index()), words) {
+            if !members.contains(NodeId::new(p)) && !intersects(masks.cons(p as usize), words) {
                 inputs += 1;
             }
         }
@@ -518,17 +488,17 @@ impl<'a> Ant<'a> {
         // OUT(members ∪ {n}): `n` escapes if anything consumes it; a member
         // feeding `n` stops escaping once `n` was its last outside consumer.
         let mut outputs = group.writes;
-        if masks.is_live_out(n.index()) || !self.adj.succs(n.index()).is_empty() {
+        if masks.is_live_out(n.index()) || !self.base.succs(n.index()).is_empty() {
             outputs += 1;
         }
         for &p in preds {
-            if members.contains(p)
-                && !masks.is_live_out(p.index())
+            if members.contains(NodeId::new(p))
+                && !masks.is_live_out(p as usize)
                 && self
-                    .adj
-                    .succs(p.index())
+                    .base
+                    .succs(p as usize)
                     .iter()
-                    .all(|&s| s == n || members.contains(s))
+                    .all(|&s| s as usize == n.index() || members.contains(NodeId::new(s)))
             {
                 outputs -= 1;
             }
@@ -542,8 +512,8 @@ impl<'a> Ant<'a> {
         // `analysis::weighted_longest_path_within` over the union.
         let start = preds
             .iter()
-            .filter(|&&p| members.contains(p))
-            .map(|p| hw.finish_in_group[p.index()])
+            .filter(|&&p| members.contains(NodeId::new(p)))
+            .map(|&p| hw.finish_in_group[p as usize])
             .fold(0.0f64, f64::max);
         let finish_n = start + self.g.node(n).payload().hw[j].delay_ns;
         let delay = group.delay_ns.max(finish_n);
@@ -554,8 +524,8 @@ impl<'a> Ant<'a> {
         // `n`'s own.
         let mut t_needed = group.inputs_ready;
         for &p in preds {
-            if !members.contains(p) {
-                t_needed = t_needed.max(walk.finish[p.index()]);
+            if !members.contains(NodeId::new(p)) {
+                t_needed = t_needed.max(walk.finish[p as usize]);
             }
         }
 
@@ -625,14 +595,15 @@ mod tests {
         g: &'a ExGraph,
         machine: &'a MachineConfig,
         cons: &'a Constraints,
-        csr: &'a CsrAdjacency,
+        base: &'a SoaGraph,
     ) -> (Ant<'a>, PheromoneStore) {
         let shape: Vec<(usize, usize)> = g
             .iter()
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
             .collect();
         let store = PheromoneStore::new(&shape, &AcoParams::default());
-        (Ant::new(g, machine, cons, 0.5, csr), store)
+        let ant = Ant::new(g, machine, cons, 0.5, SpFunction::ChildCount, base);
+        (ant, store)
     }
 
     /// Biases every node's merits towards hardware (`true`) or software:
@@ -668,8 +639,8 @@ mod tests {
         let mut groups = 0usize;
         for (seed, &bench) in Benchmark::ALL.iter().enumerate() {
             let g = exgraph::build(&bench.program(OptLevel::O3).hottest().dfg);
-            let csr = CsrAdjacency::from_dfg(&g);
-            let (ant, default_store) = context(&g, &m, &cons, &csr);
+            let base = exgraph::to_soa(&g);
+            let (ant, default_store) = context(&g, &m, &cons, &base);
             let mut forced = default_store.clone();
             force(&g, &mut forced, true);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
@@ -713,9 +684,14 @@ mod tests {
                             assert_eq!(w.group_of[mem.index()], Some(gi), "{at}");
                             assert_eq!(w.issue[mem.index()], gr.issue, "{at}: issue");
                         }
-                        csr.for_external_preds(&gr.members, |p| {
-                            assert!(w.finish[p.index()] <= gr.issue, "{at}: input not ready");
-                        });
+                        for mem in &gr.members {
+                            for &p in base.preds(mem.index()) {
+                                if !gr.members.contains(NodeId::new(p)) {
+                                    let ready = w.finish[p as usize] <= gr.issue;
+                                    assert!(ready, "{at}: input not ready");
+                                }
+                            }
+                        }
                         groups += 1;
                     }
                 }
@@ -835,8 +811,8 @@ mod tests {
         let g = chain3();
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
-        let csr = CsrAdjacency::from_dfg(&g);
-        let (ant, store) = context(&g, &m, &cons, &csr);
+        let base = exgraph::to_soa(&g);
+        let (ant, store) = context(&g, &m, &cons, &base);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for _ in 0..50 {
             let w = ant.run(&store, &mut rng);
@@ -864,8 +840,8 @@ mod tests {
         let g = chain3();
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
-        let csr = CsrAdjacency::from_dfg(&g);
-        let (ant, mut store) = context(&g, &m, &cons, &csr);
+        let base = exgraph::to_soa(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &base);
         force(&g, &mut store, true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let w = ant.run(&store, &mut rng);
@@ -883,8 +859,8 @@ mod tests {
         let g = chain3();
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
-        let csr = CsrAdjacency::from_dfg(&g);
-        let (ant, mut store) = context(&g, &m, &cons, &csr);
+        let base = exgraph::to_soa(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &base);
         force(&g, &mut store, false);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let w = ant.run(&store, &mut rng);
@@ -922,8 +898,8 @@ mod tests {
         let g = exgraph::build(&dfg);
         let m = MachineConfig::preset_2issue_6r3w();
         let cons = Constraints::from_machine(&m);
-        let csr = CsrAdjacency::from_dfg(&g);
-        let (ant, mut store) = context(&g, &m, &cons, &csr);
+        let base = exgraph::to_soa(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &base);
         force(&g, &mut store, true);
         for seed in 0..20u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -949,7 +925,7 @@ mod tests {
 
     #[test]
     fn sp_functions_are_normalised() {
-        let g = chain3();
+        let g = exgraph::to_soa(&chain3());
         for f in [
             SpFunction::ChildCount,
             SpFunction::Height,
@@ -1007,8 +983,8 @@ mod tests {
         let g = exgraph::build(&dfg);
         let m = MachineConfig::preset_4issue_10r5w();
         let cons = Constraints::new(2, 1);
-        let csr = CsrAdjacency::from_dfg(&g);
-        let (ant, mut store) = context(&g, &m, &cons, &csr);
+        let base = exgraph::to_soa(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &base);
         force(&g, &mut store, true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let w = ant.run(&store, &mut rng);

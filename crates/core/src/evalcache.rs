@@ -1,16 +1,18 @@
 //! Round-scoped hot-path evaluation: one-shot lowering, no memo tables.
 //!
-//! [`RoundEval`] lowers the round's [`ExGraph`] exactly once, into
-//! struct-of-arrays form ([`exgraph::to_soa`]), shared by the SP values,
-//! the `ISEX_DEBUG` diagnostics, every walk's merit analysis and every
-//! candidate's schedule length. A walk's merit analysis times the walk
+//! The round lowers its [`ExGraph`] exactly once, into struct-of-arrays
+//! form ([`crate::exgraph::to_soa`]). [`RoundEval`] borrows that
+//! lowering, as do the walk builder and candidate extraction, so one
+//! graph serves the SP values, the ant walk's adjacency, every walk's
+//! merit analysis and every candidate's schedule length. A walk's merit analysis times the walk
 //! with a counter-driven pass over that base graph and its reverse, each
 //! group one unit and no quotient built ([`walk_timing_into`]), and then
 //! answers each hardware component's queries once for all its members
 //! ([`merit::FastPrims::component`]). A candidate's schedule length comes
-//! from [`collapsed_len`], which the leave-one-out sweep shares: the
-//! groups are collapsed into the numbered quotient the list scheduler's
-//! tie-breaks need ([`collapse_soa`]) and the quotient is list-scheduled.
+//! from `isex-sched`'s [`collapsed_len`], which the leave-one-out sweep
+//! and ISE replacement share: the groups are collapsed into the numbered
+//! quotient the list scheduler's tie-breaks need and the quotient is
+//! list-scheduled.
 //!
 //! Nothing is memoised. Memoised candidate evaluation is what keeps
 //! iterative-improvement ISE search tractable in ISEGEN, but here a walk
@@ -24,27 +26,25 @@
 use isex_aco::{AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{NodeId, NodeSet, Reachability};
 use isex_isa::MachineConfig;
-use isex_sched::soa::{
-    collapse_soa, walk_timing_into, Quotient, QuotientScratch, SoaGraph, WalkTiming,
-};
-use isex_sched::{schedule_soa, ListScratch, Priority, SchedOp};
+use isex_sched::soa::{walk_timing_into, SoaGraph, WalkTiming};
+use isex_sched::{collapsed_len, CollapseScratch, SchedOp};
 
 use crate::ant::Walk;
 use crate::candidate::Constraints;
-use crate::exgraph::{self, ExGraph};
+use crate::exgraph::ExGraph;
 use crate::merit::{self, PortMasks};
 
-/// One round's shared lowering and SoA timing buffers, dropped when the
-/// round ends (commitment collapses the graph). Every scratch buffer an
-/// evaluation needs lives here, so steady-state evaluation allocates
-/// nothing.
+/// One round's evaluation over its shared lowering, with the SoA timing
+/// buffers, dropped when the round ends (commitment collapses the graph).
+/// Every scratch buffer an evaluation needs lives here, so steady-state
+/// evaluation allocates nothing.
 pub(crate) struct RoundEval<'a> {
     machine: &'a MachineConfig,
     /// Schedule length of `base` with no new ISE (the round's `base_len`).
     pub base_len: u32,
     /// The round's graph lowered once (`to_soa`: every node on
     /// implementation option 0) — same indices, same adjacency.
-    pub base: SoaGraph,
+    base: &'a SoaGraph,
     /// Per-node latencies of the walk being timed (software options change
     /// latency, never ports or unit class).
     walk_lat: Vec<u32>,
@@ -55,24 +55,17 @@ pub(crate) struct RoundEval<'a> {
 }
 
 impl<'a> RoundEval<'a> {
-    /// Lowers `g` once. `base_len` is the schedule length of `g`, which the
-    /// caller already knows (the block baseline, or the previous round's
-    /// committed candidate length).
-    pub fn new(g: &ExGraph, machine: &'a MachineConfig, base_len: u32) -> Self {
-        let _span = isex_trace::span_with("eval.lower", || vec![("ops", g.len().to_string())]);
-        let base = exgraph::to_soa(g);
-        debug_assert_eq!(
-            base_len,
-            exgraph::schedule_len(g, machine),
-            "carried base length must match a fresh schedule"
-        );
+    /// Evaluates over `base`, the round's graph lowered. `base_len` is its
+    /// schedule length, which the caller already knows (the block
+    /// baseline, or the previous round's committed candidate length).
+    pub fn new(base: &'a SoaGraph, machine: &'a MachineConfig, base_len: u32) -> Self {
         RoundEval {
             machine,
             base_len,
             base,
             walk_lat: Vec::new(),
             timing: WalkTiming::default(),
-            critical: NodeSet::new(g.len()),
+            critical: NodeSet::new(base.len()),
             collapse: CollapseScratch::default(),
             fast: merit::FastMeritScratch::default(),
         }
@@ -126,7 +119,7 @@ impl<'a> RoundEval<'a> {
             }
         }
         walk_timing_into(
-            &self.base,
+            self.base,
             &self.walk_lat,
             walk.groups.iter().map(|gr| (&gr.members, gr.latency)),
             &mut self.timing,
@@ -139,12 +132,12 @@ impl<'a> RoundEval<'a> {
                 self.critical.insert(n);
             }
         }
-        self.fast.prepare(&self.base, walk);
+        self.fast.prepare(self.base, walk);
         // `alap` holds ALAP at deadline `len`; the walk's deadline only
         // shifts every slot by the same amount, folded into the query.
         merit::FastPrims {
             scratch: &mut self.fast,
-            base: &self.base,
+            base: self.base,
             masks,
             timing: t,
             extra: walk.tet.max(t.len) - t.len,
@@ -156,7 +149,7 @@ impl<'a> RoundEval<'a> {
     /// ISE of the given footprint.
     pub fn candidate_len(&mut self, members: &NodeSet, footprint: SchedOp) -> u32 {
         collapsed_len(
-            &self.base,
+            self.base,
             &[(members.clone(), footprint)],
             self.machine,
             &mut self.collapse,
@@ -164,35 +157,10 @@ impl<'a> RoundEval<'a> {
     }
 }
 
-/// Reusable buffers for [`collapsed_len`]: the quotient, its construction
-/// scratch and the list scheduler's.
-#[derive(Debug, Default)]
-pub(crate) struct CollapseScratch {
-    qscratch: QuotientScratch,
-    quotient: Quotient,
-    list: ListScratch,
-}
-
-/// Schedule length of `base` with every `(members, footprint)` group
-/// collapsed into one instruction: [`collapse_soa`] builds the quotient
-/// with the numbering `collapse_groups` would give (the scheduler's
-/// tie-breaks depend on it), and the height-priority list scheduler
-/// schedules it. Candidate ranking and the leave-one-out sweep both go
-/// through here.
-pub(crate) fn collapsed_len(
-    base: &SoaGraph,
-    groups: &[(NodeSet, SchedOp)],
-    machine: &MachineConfig,
-    s: &mut CollapseScratch,
-) -> u32 {
-    collapse_soa(base, groups, &mut s.qscratch, &mut s.quotient);
-    schedule_soa(&s.quotient.graph, machine, Priority::Height, &mut s.list)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exgraph::ExKind;
+    use crate::exgraph::{self, ExKind};
     use isex_dfg::Operand;
     use isex_isa::{Opcode, Operation, ProgramDfg};
     use isex_sched::UnitClass;
@@ -220,7 +188,8 @@ mod tests {
     fn candidate_len_matches_freeze_path() {
         let g = chain();
         let m = MachineConfig::preset_2issue_4r2w();
-        let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
+        let base = exgraph::to_soa(&g);
+        let mut eval = RoundEval::new(&base, &m, exgraph::schedule_len(&g, &m));
         let mut members = NodeSet::new(g.len());
         members.insert(NodeId::new(0));
         members.insert(NodeId::new(1));
@@ -251,9 +220,9 @@ mod tests {
     /// members of an illegal component must get no cached case-4 answers.
     #[test]
     fn fast_prims_match_their_references_on_hot_blocks() {
-        use crate::ant::Ant;
+        use crate::ant::{Ant, SpFunction};
         use crate::explore::{enforce_ports, grow_legal_from};
-        use isex_dfg::{analysis, convex, ports, CsrAdjacency};
+        use isex_dfg::{analysis, convex, ports};
         use isex_sched::collapse::collapse_groups;
         use isex_sched::timing;
         use isex_workloads::{Benchmark, OptLevel};
@@ -271,14 +240,14 @@ mod tests {
         for (seed, &bench) in Benchmark::ALL.iter().enumerate() {
             let g = exgraph::build(&bench.program(OptLevel::O3).hottest().dfg);
             let reach = Reachability::compute(&g);
-            let csr = CsrAdjacency::from_dfg(&g);
-            let ant = Ant::new(&g, &m, &cons, params.lambda, &csr);
+            let base = exgraph::to_soa(&g);
+            let ant = Ant::new(&g, &m, &cons, params.lambda, SpFunction::ChildCount, &base);
             let shape: Vec<(usize, usize)> = g
                 .iter()
                 .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
                 .collect();
             let store = PheromoneStore::new(&shape, &params);
-            let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
+            let mut eval = RoundEval::new(&base, &m, exgraph::schedule_len(&g, &m));
             let masks = PortMasks::new(&g);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
             for _ in 0..12 {
@@ -374,7 +343,7 @@ mod tests {
                     for piece in convex::make_convex(&g, &comp, &reach) {
                         enforce_ports(&g, piece, &cons, &reach, |seed, s| {
                             let mut grown = NodeSet::new(g.len());
-                            kernel.grow(&eval.base, &masks, &reach, &cons, seed, s, &mut grown);
+                            kernel.grow(&base, &masks, &reach, &cons, seed, s, &mut grown);
                             let reference = grow_legal_from(&g, seed, s, &cons, &reach);
                             assert_eq!(grown, reference, "{bench}: enforce_ports piece");
                             port_repairs += 1;

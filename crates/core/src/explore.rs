@@ -19,20 +19,22 @@
 //! [`crate::baseline`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use isex_aco::{AcoParams, ImplChoice, PheromoneStore};
-use isex_dfg::{analysis, convex, ports, CsrAdjacency, NodeId, NodeSet, Reachability};
+use isex_dfg::{analysis, convex, ports, NodeId, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
-use isex_sched::soa::{self, SoaGraph};
-use isex_sched::{schedule_soa, ListScratch, Priority, SchedOp, UnitClass};
+use isex_sched::soa::SoaGraph;
+use isex_sched::{
+    collapsed_len, schedule_soa, CollapseScratch, ListScratch, Priority, SchedOp, UnitClass,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::ant::{Ant, AntScratch, Walk};
 use crate::baseline::{self, Picker, SingleIssueExplorer};
 use crate::candidate::{Constraints, IseCandidate};
-use crate::evalcache::{collapsed_len, CollapseScratch, RoundEval};
+use crate::evalcache::RoundEval;
 use crate::exgraph::{self, ExGraph, ExKind};
 use crate::merit::{self, PortMasks};
 use crate::trail::{self, TrailState};
@@ -41,16 +43,8 @@ use crate::trail::{self, TrailState};
 /// (each committed ISE shrinks the graph, so real runs stop far earlier).
 const MAX_ROUNDS: usize = 32;
 
-/// Whether `ISEX_DEBUG` diagnostics are on. The env var is read once per
-/// process — the round loop must never touch `std::env` (lookups walk the
-/// environment block under a lock on most platforms).
-fn debug_enabled() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var_os("ISEX_DEBUG").is_some())
-}
-
 /// One sampled point of an exploration trace: the walk TET observed at a
-/// given round/iteration (see [`MultiIssueExplorer::explore_traced`]).
+/// given round/iteration (see [`MultiIssueExplorer::explore_with_trace`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEntry {
     /// Exploration round (1-based).
@@ -175,20 +169,9 @@ impl MultiIssueExplorer {
         drive(Strategy::Mi(self), dfg, rng, None)
     }
 
-    /// Like [`MultiIssueExplorer::explore`], additionally recording the TET
-    /// of every ant walk — the raw material for convergence plots.
-    pub fn explore_traced<R: Rng + ?Sized>(
-        &self,
-        dfg: &ProgramDfg,
-        rng: &mut R,
-    ) -> (Exploration, Vec<TraceEntry>) {
-        let mut trace = Vec::new();
-        let exploration = drive(Strategy::Mi(self), dfg, rng, Some(&mut trace));
-        (exploration, trace)
-    }
-
-    /// [`MultiIssueExplorer::explore`], recording every walk into `trace`
-    /// when one is given; the exploration is the same either way.
+    /// [`MultiIssueExplorer::explore`], recording the TET of every ant walk
+    /// into `trace` when one is given — the raw material for convergence
+    /// plots; the exploration is the same either way.
     pub fn explore_with_trace<R: Rng + ?Sized>(
         &self,
         dfg: &ProgramDfg,
@@ -242,16 +225,15 @@ impl<'a> Strategy<'a> {
         }
     }
 
-    /// Sets up a round's walk builder over `g`; `base` is `g` lowered and
-    /// `csr` its frozen adjacency.
-    fn walker<'r>(self, g: &'r ExGraph, base: &SoaGraph, csr: &'r CsrAdjacency) -> Walker<'r>
+    /// Sets up a round's walk builder over `g`; `base` is `g` lowered.
+    fn walker<'r>(self, g: &'r ExGraph, base: &'r SoaGraph) -> Walker<'r>
     where
         'a: 'r,
     {
         match self {
             Strategy::Mi(e) => {
                 let (lambda, sp) = (e.params.lambda, e.sp_function);
-                let ant = Ant::with_sp_on(g, &e.machine, &e.constraints, lambda, sp, base, csr);
+                let ant = Ant::new(g, &e.machine, &e.constraints, lambda, sp, base);
                 Walker::Mi(ant, Box::default())
             }
             Strategy::Si(e) => Walker::Si(Picker::new(e, g)),
@@ -480,10 +462,10 @@ pub(crate) fn drive<R: Rng + ?Sized>(
 
 /// One exploration round: ACO to convergence, extraction, ranking.
 ///
-/// A [`RoundEval`] lowers the graph once and shares that lowering with the
-/// walk builder, the merit update, extraction and ranking; `known_len`
-/// (the schedule length carried from the previous round's commit) is the
-/// round's base length.
+/// The round lowers the graph once; the walk builder, the [`RoundEval`]
+/// behind the merit update and ranking, and extraction all borrow that
+/// lowering. `known_len` (the schedule length carried from the previous
+/// round's commit) is the round's base length.
 fn round<R: Rng + ?Sized>(
     strategy: Strategy<'_>,
     g: &ExGraph,
@@ -506,9 +488,17 @@ fn round<R: Rng + ?Sized>(
         .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
         .collect();
     let mut store = PheromoneStore::new(&shape, params);
-    let mut eval = RoundEval::new(g, machine, known_len);
-    let csr = CsrAdjacency::from_dfg(g);
-    let mut walker = strategy.walker(g, &eval.base, &csr);
+    let base = {
+        let _span = isex_trace::span_with("eval.lower", || vec![("ops", g.len().to_string())]);
+        exgraph::to_soa(g)
+    };
+    debug_assert_eq!(
+        known_len,
+        exgraph::schedule_len(g, machine),
+        "carried base length must match a fresh schedule"
+    );
+    let mut eval = RoundEval::new(&base, machine, known_len);
+    let mut walker = strategy.walker(g, &base);
     let mut tstate = TrailState::default();
 
     // The ACO is the search engine; the answer is the best *sampled*
@@ -561,52 +551,17 @@ fn round<R: Rng + ?Sized>(
         Some(_) => best.choice,
         None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
     };
-    if debug_enabled() {
-        let hw_taken = taken.iter().filter(|c| c.is_hardware()).count();
-        let converged = store.converged(params.p_end);
-        eprintln!(
-            "[round] k={} hw_taken={} converged={} probs={:?}",
-            g.len(),
-            hw_taken,
-            converged,
-            (0..g.len().min(40))
-                .map(|n| (store.best_option(n).1 * 100.0).round() as i32)
-                .collect::<Vec<_>>()
-        );
-    }
     let _extract_span = isex_trace::span("aco.extract");
     let cands = extract_candidates(
         g,
-        &eval.base,
+        &base,
         walker.masks(),
         &taken,
         constraints,
         machine,
         &reach,
     );
-    let ranked = strategy.rank(cands, &mut eval, best_tet);
-    if debug_enabled() {
-        let (mut asap, mut alap) = (Vec::new(), Vec::new());
-        soa::asap_into(&eval.base, &mut asap);
-        let dep_len = soa::length_from_asap(&eval.base, &asap);
-        soa::alap_into(&eval.base, dep_len, &mut alap);
-        let on_crit = |n: NodeId| asap[n.index()] == alap[n.index()];
-        eprintln!(
-            "[round] base_len={} dep_len={} best_tet={}",
-            eval.base_len, dep_len, best_tet,
-        );
-        for (c, s, _) in ranked.iter().take(4) {
-            eprintln!(
-                "  cand size={} lat={} saved={} members={:?} on_crit={}",
-                c.members.len(),
-                c.latency,
-                s,
-                c.members.iter().map(|n| n.index()).collect::<Vec<_>>(),
-                c.members.iter().filter(|&n| on_crit(n)).count()
-            );
-        }
-    }
-    ranked
+    strategy.rank(cands, &mut eval, best_tet)
 }
 
 /// Total ASFU silicon area implied by a walk's hardware choices.

@@ -883,11 +883,11 @@ impl GrowScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ant::Ant;
+    use crate::ant::{Ant, SpFunction};
     use crate::evalcache::RoundEval;
     use crate::exgraph;
     use isex_aco::AcoParams;
-    use isex_dfg::{CsrAdjacency, Operand};
+    use isex_dfg::Operand;
     use isex_isa::{Opcode, Operation, ProgramDfg};
     use rand::SeedableRng;
 
@@ -919,8 +919,8 @@ mod tests {
     fn software_walk(g: &ExGraph) -> Walk {
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
-        let csr = CsrAdjacency::from_dfg(g);
-        let ant = Ant::new(g, &m, &cons, 0.5, &csr);
+        let base = exgraph::to_soa(g);
+        let ant = Ant::new(g, &m, &cons, 0.5, SpFunction::ChildCount, &base);
         let shape: Vec<(usize, usize)> = g
             .iter()
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
@@ -999,7 +999,8 @@ mod tests {
         w.choice[0] = ImplChoice::Hw(0);
         w.choice[1] = ImplChoice::Hw(0);
         w.choice[2] = ImplChoice::Hw(0);
-        let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
+        let base = exgraph::to_soa(&g);
+        let mut eval = RoundEval::new(&base, &m, exgraph::schedule_len(&g, &m));
         let masks = PortMasks::new(&g);
         eval.update_merits(&g, &w, &cons, &params, &reach, &masks, &mut store);
         // After the update the chain's hardware options outweigh software.
@@ -1041,7 +1042,8 @@ mod tests {
         let mut w = software_walk_for(&g, &m, &cons);
         w.choice[0] = ImplChoice::Hw(0);
         w.choice[1] = ImplChoice::Hw(0);
-        let mut eval = RoundEval::new(&g, &m, exgraph::schedule_len(&g, &m));
+        let base = exgraph::to_soa(&g);
+        let mut eval = RoundEval::new(&base, &m, exgraph::schedule_len(&g, &m));
         let masks = PortMasks::new(&g);
         // The β_IO penalty compounds across iterations; after a handful of
         // violating iterations the hardware option must fall below software.
@@ -1109,8 +1111,8 @@ mod tests {
     }
 
     fn software_walk_for(g: &ExGraph, m: &MachineConfig, cons: &Constraints) -> Walk {
-        let csr = CsrAdjacency::from_dfg(g);
-        let ant = Ant::new(g, m, cons, 0.5, &csr);
+        let base = exgraph::to_soa(g);
+        let ant = Ant::new(g, m, cons, 0.5, SpFunction::ChildCount, &base);
         let shape: Vec<(usize, usize)> = g
             .iter()
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))

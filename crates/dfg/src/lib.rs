@@ -15,6 +15,12 @@
 //! constraints — except the load/store opcode classification, which lives in
 //! `isex-isa` — is provided here in a payload-generic way.
 //!
+//! [`Dfg::preds`]/[`Dfg::succs`] yield each node's distinct neighbours in
+//! first-occurrence order. The hot loops do not walk them per query: each
+//! exploration round and each replaced block is frozen once into
+//! `isex-sched`'s struct-of-arrays graph (`SoaGraph`), whose CSR rows hold
+//! exactly those sequences.
+//!
 //! # Example
 //!
 //! ```
@@ -36,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod bitset;
 mod graph;
 
@@ -46,6 +51,5 @@ pub mod dot;
 pub mod ports;
 
 pub use analysis::Reachability;
-pub use arena::CsrAdjacency;
 pub use bitset::NodeSet;
 pub use graph::{Dfg, DfgNode, NodeId, Operand, ValueId};

@@ -3,12 +3,17 @@
 //! "The ISE replacement is performed to discover all instruction patterns
 //! in the DFG that match selected ISEs, prioritizes these matches and
 //! replaces the matches with ISEs"; afterwards "we … schedule the code
-//! again to obtain execution time" (§5.1).
+//! again to obtain execution time" (§5.1). The block is lowered once into
+//! a `SoaGraph`, and every trial replacement is scheduled through the
+//! explorer's collapse-and-schedule kernel, [`collapsed_len`]: the kept
+//! matches are collapsed on that graph and the quotient list-scheduled.
 
 use isex_dfg::{NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
-use isex_sched::collapse::collapse_groups;
-use isex_sched::{list_schedule, unit, Priority, SchedOp, UnitClass};
+use isex_sched::soa::SoaGraph;
+use isex_sched::{
+    collapsed_len, schedule_soa, unit, CollapseScratch, ListScratch, Priority, SchedOp, UnitClass,
+};
 
 use crate::select::SelectedIse;
 
@@ -34,8 +39,8 @@ pub fn replace_in_block(
     machine: &MachineConfig,
 ) -> BlockReplacement {
     let reach = Reachability::compute(dfg);
-    let sched = unit::lower(dfg);
-    let cycles_before = list_schedule(&sched, machine, Priority::Height).length;
+    let base = SoaGraph::from_sched(&unit::lower(dfg));
+    let cycles_before = schedule_soa(&base, machine, Priority::Height, &mut ListScratch::new());
 
     // Claim matches in rank order, but keep a match only if the rescheduled
     // block is no slower than without it — an ISE explored in one block may
@@ -44,6 +49,7 @@ pub fn replace_in_block(
     let mut matches: Vec<(usize, NodeSet)> = Vec::new();
     let mut kept_units: Vec<(NodeSet, SchedOp)> = Vec::new();
     let mut best_cycles = cycles_before;
+    let mut scratch = CollapseScratch::default();
     for (rank, sel) in selection.iter().enumerate() {
         for image in sel.pattern.find_matches(dfg, &reach) {
             if image.intersects(&claimed) {
@@ -56,8 +62,7 @@ pub fn replace_in_block(
                 UnitClass::Asfu,
             );
             kept_units.push((image.clone(), op));
-            let collapsed = collapse_groups(&sched, &kept_units);
-            let len = list_schedule(&collapsed.dfg, machine, Priority::Height).length;
+            let len = collapsed_len(&base, &kept_units, machine, &mut scratch);
             if len <= best_cycles {
                 best_cycles = len;
                 claimed.union_with(&image);

@@ -2,15 +2,54 @@
 //!
 //! ISE replacement (§3.1, final design-flow stage) substitutes matched
 //! subgraphs with single ISE instructions, after which "the code is
-//! scheduled again to obtain execution time" (§5.1). [`collapse_groups`]
-//! performs the substitution on a DFG of any payload — a
-//! [`SchedDfg`](crate::SchedDfg) for replacement, the explorer's graph when
-//! it freezes a committed ISE: each selected subgraph becomes one node
-//! whose payload the caller supplies, and all edges are re-routed through
-//! the quotient graph. It is also the reference that
-//! [`collapse_soa`](crate::soa::collapse_soa) replays on arrays.
+//! scheduled again to obtain execution time" (§5.1); the explorer does the
+//! same after each round, because "the critical path moves after each new
+//! ISE" (§4.3). Both schedule through one kernel, [`collapsed_len`]: the
+//! groups are collapsed on the block's [`SoaGraph`] by [`collapse_soa`]
+//! and the quotient is list-scheduled with height priority.
+//!
+//! [`collapse_groups`] performs the substitution on a DFG of any payload:
+//! each selected subgraph becomes one node whose payload the caller
+//! supplies, and all edges are re-routed through the quotient graph. The
+//! explorer freezes a committed ISE into its graph with it, and it is the
+//! reference that `collapse_soa` replays on arrays.
 
 use isex_dfg::{Dfg, NodeId, NodeSet, Operand};
+use isex_isa::MachineConfig;
+
+use crate::list::{schedule_soa, ListScratch, Priority};
+use crate::soa::{collapse_soa, Quotient, QuotientScratch, SoaGraph};
+use crate::unit::SchedOp;
+
+/// Reusable buffers for [`collapsed_len`]: the quotient, its construction
+/// scratch and the list scheduler's.
+#[derive(Debug, Default)]
+pub struct CollapseScratch {
+    qscratch: QuotientScratch,
+    quotient: Quotient,
+    list: ListScratch,
+}
+
+/// Schedule length of `base` with every `(members, footprint)` group
+/// collapsed into one instruction: [`collapse_soa`] builds the quotient
+/// with the numbering [`collapse_groups`] would give (the scheduler's
+/// tie-breaks depend on it), and the height-priority list scheduler
+/// schedules it. Candidate ranking, the leave-one-out sweep and ISE
+/// replacement all go through here.
+///
+/// # Panics
+///
+/// Panics if groups overlap or some group is not convex, as
+/// [`collapse_soa`] does.
+pub fn collapsed_len(
+    base: &SoaGraph,
+    groups: &[(NodeSet, SchedOp)],
+    machine: &MachineConfig,
+    s: &mut CollapseScratch,
+) -> u32 {
+    collapse_soa(base, groups, &mut s.qscratch, &mut s.quotient);
+    schedule_soa(&s.quotient.graph, machine, Priority::Height, &mut s.list)
+}
 
 /// The result of [`collapse_groups`]: the quotient graph plus the node
 /// mapping.

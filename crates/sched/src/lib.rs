@@ -8,21 +8,28 @@
 //! * a schedulable program form ([`SchedDfg`] = `Dfg<SchedOp>`) and the
 //!   lowering from the ISA-level [`ProgramDfg`](isex_isa::ProgramDfg)
 //!   ([`unit::lower`]);
-//! * the struct-of-arrays graph every schedule and hot-loop timing pass
-//!   runs on ([`soa::SoaGraph`]), with its ASAP/ALAP/height kernels, the
-//!   quotient collapse of ISE groups ([`soa::collapse_soa`]) and the
-//!   quotient-free timing of an ant walk ([`soa::walk_timing_into`]);
+//! * the struct-of-arrays graph every schedule and hot-loop pass runs on
+//!   ([`soa::SoaGraph`]: the explorer's round graph, the ant walk's
+//!   adjacency and replacement's block), with its ASAP/ALAP/height
+//!   kernels, the quotient collapse of ISE groups ([`soa::collapse_soa`])
+//!   and the quotient-free timing of an ant walk
+//!   ([`soa::walk_timing_into`]);
 //! * a per-cycle resource model — issue slots, register-file read/write
 //!   ports, multiplier and memory units ([`resources`]);
 //! * one in-order list scheduler with pluggable priority
 //!   ([`list::schedule_soa`] on a `SoaGraph`, [`list_schedule`] on a
 //!   `SchedDfg`, [`Priority`]);
+//! * one collapse-and-schedule kernel, [`collapsed_len`]: the schedule
+//!   length of a `SoaGraph` with ISE groups collapsed, which the
+//!   explorer's candidate ranking and leave-one-out credit and ISE
+//!   replacement all call;
 //! * dependence-only timing on a `SchedDfg`: ASAP/ALAP, mobility,
 //!   critical-path membership and the `Max_AEC` slack window of the merit
 //!   function ([`timing`]) — the reference the `soa` kernels are tested
 //!   against;
-//! * collapsing of chosen ISE subgraphs into single schedulable units
-//!   ([`collapse`]);
+//! * collapsing of chosen ISE subgraphs into a quotient DFG of any payload
+//!   ([`collapse::collapse_groups`]): the explorer's freeze of a committed
+//!   ISE, and the reference `collapse_soa` is tested against;
 //! * a text timeline of a schedule ([`display`]).
 //!
 //! # Example
@@ -55,5 +62,6 @@ pub mod soa;
 pub mod timing;
 pub mod unit;
 
+pub use collapse::{collapsed_len, CollapseScratch};
 pub use list::{list_schedule, list_schedule_len, schedule_soa, ListScratch, Priority, Schedule};
 pub use unit::{SchedDfg, SchedOp, UnitClass};

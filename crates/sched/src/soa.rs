@@ -10,7 +10,8 @@
 //! * [`SoaGraph`] — latency/read/write/class vectors plus flat CSR
 //!   adjacency arenas, no per-node allocations; built from any payload
 //!   DFG ([`SoaGraph::from_dfg`]) and scheduled by
-//!   [`schedule_soa`](crate::list::schedule_soa);
+//!   [`schedule_soa`](crate::list::schedule_soa). It is the explorer's one
+//!   array form of a round's graph: the ant walk reads its rows too;
 //! * [`asap_into`], [`alap_into`], [`length_from_asap`] and
 //!   [`height_into`] — the [`timing`](crate::timing) passes on arrays, and
 //!   the values behind [`Priority`](crate::Priority);
@@ -18,7 +19,9 @@
 //!   [`collapse_groups`](crate::collapse::collapse_groups) replayed on the
 //!   arrays, producing *bit-identical vertex numbering* (same Kahn order,
 //!   same edge dedup) without emitting a `Dfg`; the list scheduler's
-//!   tie-breaks need that numbering;
+//!   tie-breaks need that numbering, and
+//!   [`collapsed_len`](crate::collapse::collapsed_len) schedules the
+//!   quotient;
 //! * [`walk_timing_into`] — ASAP/ALAP of a walk whose groups are collapsed,
 //!   by a counter-driven pass over the base CSR and its reverse, with no
 //!   quotient at all (timing values do not depend on a vertex numbering).
@@ -546,9 +549,11 @@ pub fn walk_timing_into<'s>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::collapse::collapse_groups;
+    use crate::collapse::{collapse_groups, collapsed_len, CollapseScratch};
+    use crate::list::{list_schedule, Priority};
     use crate::timing;
     use isex_dfg::{NodeId, Operand};
+    use isex_isa::MachineConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -604,13 +609,46 @@ pub(crate) mod tests {
         groups
     }
 
+    /// The CSR rows hold exactly what the `Dfg` iterators yield: distinct
+    /// neighbours in first-occurrence order.
+    fn assert_same_adjacency(dfg: &SchedDfg, g: &SoaGraph) {
+        assert_eq!(g.len(), dfg.len());
+        for id in dfg.node_ids() {
+            let preds: Vec<u32> = dfg.preds(id).map(|n| n.index() as u32).collect();
+            let succs: Vec<u32> = dfg.succs(id).map(|n| n.index() as u32).collect();
+            assert_eq!(g.preds(id.index()), preds, "preds of {id:?}");
+            assert_eq!(g.succs(id.index()), succs, "succs of {id:?}");
+        }
+    }
+
     #[test]
     fn soa_timing_matches_dfg_timing() {
+        // Adjacency first, which the ant walk reads: a duplicated operand
+        // is one edge, neighbours keep first-occurrence (not ascending)
+        // order, and the empty graph has no rows.
+        let mut dfg = SchedDfg::new();
+        let op = SchedOp::new(1, 1, 1, UnitClass::Alu);
+        let a = dfg.add_node(op, vec![]);
+        let c = dfg.add_node(op, vec![]);
+        let b = dfg.add_node(
+            op,
+            vec![Operand::Node(c), Operand::Node(a), Operand::Node(c)],
+        );
+        let d = dfg.add_node(op, vec![Operand::Node(a), Operand::Node(a)]);
+        let g = SoaGraph::from_sched(&dfg);
+        assert_same_adjacency(&dfg, &g);
+        assert_eq!(g.preds(b.index()), [c.index() as u32, a.index() as u32]);
+        assert_eq!(g.preds(d.index()), [a.index() as u32], "duplicate deduped");
+        assert_eq!(g.succs(a.index()), [b.index() as u32, d.index() as u32]);
+        let empty = SoaGraph::from_sched(&SchedDfg::new());
+        assert!(empty.is_empty());
+
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..30 {
             let k = rng.gen_range(1..40);
             let dfg = random_dfg(&mut rng, k);
             let g = SoaGraph::from_sched(&dfg);
+            assert_same_adjacency(&dfg, &g);
             let mut asap = Vec::new();
             asap_into(&g, &mut asap);
             assert_eq!(asap, timing::asap(&dfg));
@@ -644,6 +682,8 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut scratch = QuotientScratch::default();
         let mut q = Quotient::default();
+        let m = MachineConfig::preset_2issue_4r2w();
+        let mut kernel = CollapseScratch::default();
         for _ in 0..40 {
             let k = rng.gen_range(4..40);
             let dfg = random_dfg(&mut rng, k);
@@ -679,6 +719,13 @@ pub(crate) mod tests {
                 dfg_preds.sort_unstable();
                 assert_eq!(soa_preds, dfg_preds, "pred set of vertex {v}");
             }
+            // The collapse-and-schedule kernel schedules exactly the graph
+            // `collapse_groups` builds.
+            assert_eq!(
+                collapsed_len(&base, &groups, &m, &mut kernel),
+                list_schedule(&reference.dfg, &m, Priority::Height).length,
+                "collapsed_len"
+            );
         }
     }
 }
