@@ -10,7 +10,7 @@
 
 use isex_aco::{ImplChoice, PheromoneStore};
 use isex_dfg::ports::PortDemand;
-use isex_dfg::{NodeId, NodeSet};
+use isex_dfg::NodeId;
 use isex_isa::MachineConfig;
 use isex_sched::resources::ResourceTable;
 use isex_sched::soa::SoaGraph;
@@ -19,13 +19,16 @@ use rand::Rng;
 
 use crate::candidate::Constraints;
 use crate::exgraph::ExGraph;
-use crate::merit::{intersects, ones, PortMasks};
+use crate::rows::{RoundRows, Row};
 
 /// An in-flight ISE group formed during one walk.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct AntGroup {
+pub(crate) struct AntGroup<const W: usize> {
     /// Member nodes (all chose a hardware option).
-    pub members: NodeSet,
+    pub members: Row<W>,
+    /// Unions of the members' producer and live-in rows.
+    prod: Row<W>,
+    live_ins: Row<W>,
     /// Issue cycle of the group's single ISE instruction.
     pub issue: u32,
     /// Combinational delay of the group, in ns.
@@ -49,7 +52,7 @@ pub(crate) struct AntGroup {
 /// place, so a round keeps two (the current and the best) and never
 /// allocates another.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct Walk {
+pub(crate) struct Walk<const W: usize> {
     /// Implementation option chosen for every node.
     pub choice: Vec<ImplChoice>,
     /// Issue cycle of every node (group members share the group's cycle).
@@ -61,7 +64,7 @@ pub(crate) struct Walk {
     /// Group membership.
     pub group_of: Vec<Option<usize>>,
     /// The groups formed.
-    pub groups: Vec<AntGroup>,
+    pub groups: Vec<AntGroup<W>>,
     /// Total execution time of the block in cycles (`TET`).
     pub tet: u32,
 }
@@ -112,17 +115,14 @@ impl SpFunction {
 ///   like the store ([`PheromoneStore::options`]), filled once per walk
 ///   and cleaned as [`isex_aco::roulette`] cleans its weights (finite and
 ///   positive, else 0).
-/// - `ready`: the Ready-Matrix's operations as a bitset (iterated in
+/// - `ready`: the Ready-Matrix's operations as a row (iterated in
 ///   ascending order), kept by the `pending` predecessor counters.
-/// - `members`: group member sets of earlier walks, recycled into new
-///   groups.
 /// - `hw`: the hardware-scheduling buffers ([`HwScratch`]).
 #[derive(Debug, Default)]
-pub(crate) struct AntScratch {
+pub(crate) struct AntScratch<const W: usize> {
     eq1: Vec<f64>,
-    ready: NodeSet,
+    ready: Row<W>,
     pending: Vec<u32>,
-    members: Vec<NodeSet>,
     hw: HwScratch,
     resources: Option<ResourceTable>,
 }
@@ -152,27 +152,27 @@ struct HwScratch {
 /// scanned by the same subtraction (or `gen_range(0..count)` when the
 /// total is not positive), and the last entry when the scan falls
 /// through.
-fn draw<R: Rng + ?Sized>(
+fn draw<R: Rng + ?Sized, const W: usize>(
     rng: &mut R,
     store: &PheromoneStore,
     eq1: &[f64],
-    ready: &NodeSet,
-) -> (NodeId, usize) {
+    ready: &Row<W>,
+) -> (usize, usize) {
     let mut total = 0.0f64;
     let mut count = 0usize;
-    for n in ready {
-        let options = store.options(n.index());
+    for n in ready.ones() {
+        let options = store.options(n);
         count += options.len();
         for i in options {
             total += eq1[i];
         }
     }
     assert!(count > 0, "cannot select from no options");
-    let mut last = (NodeId::new(0), 0);
+    let mut last = (0, 0);
     if total <= 0.0 {
         let mut at = rng.gen_range(0..count);
-        for n in ready {
-            let options = store.options(n.index());
+        for n in ready.ones() {
+            let options = store.options(n);
             if at < options.len() {
                 return (n, options.start + at);
             }
@@ -180,8 +180,8 @@ fn draw<R: Rng + ?Sized>(
         }
     } else {
         let mut target = rng.gen_range(0.0..total);
-        for n in ready {
-            for i in store.options(n.index()) {
+        for n in ready.ones() {
+            for i in store.options(n) {
                 if target < eq1[i] {
                     return (n, i);
                 }
@@ -194,7 +194,7 @@ fn draw<R: Rng + ?Sized>(
 }
 
 /// The per-round immutable context of the walks.
-pub(crate) struct Ant<'a> {
+pub(crate) struct Ant<'a, const W: usize> {
     pub g: &'a ExGraph,
     pub machine: &'a MachineConfig,
     pub constraints: &'a Constraints,
@@ -205,17 +205,18 @@ pub(crate) struct Ant<'a> {
     /// The round's graph lowered: its CSR rows are the walk's adjacency
     /// (readiness counters, allocation-free pred scans).
     base: &'a SoaGraph,
-    /// The round's port rows, also lent to the merit update and candidate
+    /// The round's rows, shared with the merit update and candidate
     /// extraction.
-    pub masks: PortMasks,
+    rows: &'a RoundRows<W>,
     /// `(IN, OUT)` of every singleton `{n}`: the demand of a new group.
     singleton: Vec<PortDemand>,
 }
 
-impl<'a> Ant<'a> {
+impl<'a, const W: usize> Ant<'a, W> {
     /// Builds the round's walk context over `base`, the round's graph `g`
-    /// lowered ([`crate::exgraph::to_soa`]): the walk reads its adjacency
-    /// rows and the values of `sp_function` come from it.
+    /// lowered ([`crate::exgraph::to_soa`]), and `rows`, its rows: the walk
+    /// reads its adjacency and the values of `sp_function` come from
+    /// `base`.
     pub fn new(
         g: &'a ExGraph,
         machine: &'a MachineConfig,
@@ -223,17 +224,13 @@ impl<'a> Ant<'a> {
         lambda: f64,
         sp_function: SpFunction,
         base: &'a SoaGraph,
+        rows: &'a RoundRows<W>,
     ) -> Self {
         let sp = sp_function.values(base);
-        let masks = PortMasks::new(g);
         let singleton = (0..g.len())
-            .map(|n| {
-                let count =
-                    |row: &[u64]| -> usize { row.iter().map(|w| w.count_ones() as usize).sum() };
-                PortDemand {
-                    inputs: count(masks.prod(n)) + count(masks.live_ins(n)),
-                    outputs: usize::from(masks.is_live_out(n) || !base.succs(n).is_empty()),
-                }
+            .map(|n| PortDemand {
+                inputs: rows.prod(n).len() + rows.live_ins(n).len(),
+                outputs: usize::from(rows.is_live_out(n) || !base.succs(n).is_empty()),
             })
             .collect();
         Ant {
@@ -243,7 +240,7 @@ impl<'a> Ant<'a> {
             lambda,
             sp,
             base,
-            masks,
+            rows,
             singleton,
         }
     }
@@ -251,29 +248,28 @@ impl<'a> Ant<'a> {
     /// Runs one full iteration on fresh buffers: chooses options and
     /// schedules every operation, returning the walk.
     #[cfg(test)]
-    pub fn run<R: Rng + ?Sized>(&self, store: &PheromoneStore, rng: &mut R) -> Walk {
+    pub fn run<R: Rng + ?Sized>(&self, store: &PheromoneStore, rng: &mut R) -> Walk<W> {
         let mut walk = Walk::default();
         self.run_into(store, rng, &mut AntScratch::default(), &mut walk);
         walk
     }
 
     /// Runs one full iteration into `walk`, overwriting it: chooses options
-    /// and schedules every operation. The previous walk's group member sets
-    /// go to `scratch`'s pool, so the round loop (hundreds of walks over
-    /// the same graph) allocates nothing once its buffers have grown.
+    /// and schedules every operation. Groups are rows held in the walk, so
+    /// the round loop (hundreds of walks over the same graph) allocates
+    /// nothing once its buffers have grown.
     pub fn run_into<R: Rng + ?Sized>(
         &self,
         store: &PheromoneStore,
         rng: &mut R,
-        scratch: &mut AntScratch,
-        walk: &mut Walk,
+        scratch: &mut AntScratch<W>,
+        walk: &mut Walk<W>,
     ) {
         let k = self.g.len();
         let AntScratch {
             eq1,
             ready,
             pending,
-            members,
             hw,
             resources,
         } = scratch;
@@ -285,7 +281,7 @@ impl<'a> Ant<'a> {
         walk.finish.resize(k, 0);
         walk.group_of.clear();
         walk.group_of.resize(k, None);
-        members.extend(walk.groups.drain(..).map(|gr| gr.members));
+        walk.groups.clear();
         // The store is read-only during a walk, so every Eq. 1 weight is
         // computed (and cleaned) once here, bit-identical to a per-step
         // recomputation.
@@ -301,14 +297,10 @@ impl<'a> Ant<'a> {
         // nodes.
         pending.clear();
         pending.extend((0..k).map(|n| self.base.preds(n).len() as u32));
-        if ready.universe() == k {
-            ready.clear();
-        } else {
-            *ready = NodeSet::new(k);
-        }
+        *ready = Row::default();
         for (n, &p) in pending.iter().enumerate() {
             if p == 0 {
-                ready.insert(NodeId::new(n as u32));
+                ready.insert(n);
             }
         }
         hw.finish_in_group.clear();
@@ -319,16 +311,16 @@ impl<'a> Ant<'a> {
         for _ in 0..k {
             let (n, i) = draw(rng, store, eq1, ready);
             ready.remove(n);
-            let c = store.choice_at(n.index(), i);
-            walk.choice[n.index()] = c;
+            let c = store.choice_at(n, i);
+            walk.choice[n] = c;
             match c {
                 ImplChoice::Sw(j) => self.schedule_sw(walk, rt, n, j),
-                ImplChoice::Hw(j) => self.schedule_hw(walk, rt, hw, members, n, j),
+                ImplChoice::Hw(j) => self.schedule_hw(walk, rt, hw, n, j),
             }
-            for &sc in self.base.succs(n.index()) {
+            for &sc in self.base.succs(n) {
                 pending[sc as usize] -= 1;
                 if pending[sc as usize] == 0 {
-                    ready.insert(NodeId::new(sc));
+                    ready.insert(sc as usize);
                 }
             }
         }
@@ -336,9 +328,9 @@ impl<'a> Ant<'a> {
         walk.tet = walk.finish.iter().copied().max().unwrap_or(0);
     }
 
-    fn earliest_start(&self, walk: &Walk, n: NodeId) -> u32 {
+    fn earliest_start(&self, walk: &Walk<W>, n: usize) -> u32 {
         self.base
-            .preds(n.index())
+            .preds(n)
             .iter()
             .map(|&p| walk.finish[p as usize])
             .max()
@@ -347,8 +339,8 @@ impl<'a> Ant<'a> {
 
     /// Closes every open group that `n` consumed from (its finish time is
     /// now observed and must not change).
-    fn close_pred_groups(&self, walk: &mut Walk, n: NodeId, except: Option<usize>) {
-        for &p in self.base.preds(n.index()) {
+    fn close_pred_groups(&self, walk: &mut Walk<W>, n: usize, except: Option<usize>) {
+        for &p in self.base.preds(n) {
             if let Some(gp) = walk.group_of[p as usize] {
                 if Some(gp) != except {
                     walk.groups[gp].open = false;
@@ -358,15 +350,15 @@ impl<'a> Ant<'a> {
     }
 
     /// Operation-Scheduling for a software option (Fig. 4.3.3).
-    fn schedule_sw(&self, walk: &mut Walk, rt: &mut ResourceTable, n: NodeId, j: usize) {
-        let op = self.g.node(n).payload().sched_op(j);
+    fn schedule_sw(&self, walk: &mut Walk<W>, rt: &mut ResourceTable, n: usize, j: usize) {
+        let op = self.g.node(NodeId::new(n as u32)).payload().sched_op(j);
         let est = self.earliest_start(walk, n);
         let cycle = rt
             .earliest_fit(est, &op)
-            .unwrap_or_else(|| panic!("operation {n:?} cannot fit the machine"));
+            .unwrap_or_else(|| panic!("operation {n} cannot fit the machine"));
         rt.commit(cycle, &op);
-        walk.issue[n.index()] = cycle;
-        walk.finish[n.index()] = cycle + op.latency;
+        walk.issue[n] = cycle;
+        walk.finish[n] = cycle + op.latency;
         self.close_pred_groups(walk, n, None);
     }
 
@@ -375,11 +367,10 @@ impl<'a> Ant<'a> {
     /// slot; otherwise open a new group at the earliest feasible slot.
     fn schedule_hw(
         &self,
-        walk: &mut Walk,
+        walk: &mut Walk<W>,
         rt: &mut ResourceTable,
         hw: &mut HwScratch,
-        pool: &mut Vec<NodeSet>,
-        n: NodeId,
+        n: usize,
         j: usize,
     ) {
         // Candidate groups: open groups containing a parent, latest issue
@@ -388,7 +379,7 @@ impl<'a> Ant<'a> {
         hw.cands.clear();
         hw.cands.extend(
             self.base
-                .preds(n.index())
+                .preds(n)
                 .iter()
                 .filter_map(|&p| walk.group_of[p as usize])
                 .filter(|&gi| walk.groups[gi].open),
@@ -412,27 +403,20 @@ impl<'a> Ant<'a> {
         }
 
         // New singleton group.
-        let demand = self.singleton[n.index()];
-        let delay = self.g.node(n).payload().hw[j].delay_ns;
+        let demand = self.singleton[n];
+        let delay = self.g.node(NodeId::new(n as u32)).payload().hw[j].delay_ns;
         let latency = self.machine.cycles_for_delay_ns(delay);
         let op = SchedOp::new(latency, demand.inputs, demand.outputs, UnitClass::Asfu);
         let est = self.earliest_start(walk, n);
         let cycle = rt
             .earliest_fit(est, &op)
-            .unwrap_or_else(|| panic!("ISE seed {n:?} cannot fit the machine"));
+            .unwrap_or_else(|| panic!("ISE seed {n} cannot fit the machine"));
         rt.commit(cycle, &op);
         let gi = walk.groups.len();
-        let k = self.g.len();
-        let mut members = match pool.pop() {
-            Some(mut set) if set.universe() == k => {
-                set.clear();
-                set
-            }
-            _ => NodeSet::new(k),
-        };
-        members.insert(n);
         walk.groups.push(AntGroup {
-            members,
+            members: Row::single(n),
+            prod: self.rows.prod(n),
+            live_ins: self.rows.live_ins(n),
             issue: cycle,
             delay_ns: delay,
             latency,
@@ -441,10 +425,10 @@ impl<'a> Ant<'a> {
             inputs_ready: est,
             open: true,
         });
-        hw.finish_in_group[n.index()] = delay;
-        walk.group_of[n.index()] = Some(gi);
-        walk.issue[n.index()] = cycle;
-        walk.finish[n.index()] = cycle + latency;
+        hw.finish_in_group[n] = delay;
+        walk.group_of[n] = Some(gi);
+        walk.issue[n] = cycle;
+        walk.finish[n] = cycle + latency;
         self.close_pred_groups(walk, n, Some(gi));
     }
 
@@ -455,51 +439,35 @@ impl<'a> Ant<'a> {
     ///
     /// Every member was scheduled before `n`, so `n` is no member's
     /// predecessor: it joins as a sink of `members ∪ {n}`. The union's port
-    /// demand and delay therefore follow from the group's committed values
-    /// and `n`'s own edges and port rows, without materialising the union.
+    /// demand and delay therefore follow from the group's kept unions and
+    /// values and `n`'s own rows, without materialising the union.
     fn try_join(
         &self,
-        walk: &mut Walk,
+        walk: &mut Walk<W>,
         rt: &mut ResourceTable,
         hw: &mut HwScratch,
-        n: NodeId,
+        n: usize,
         j: usize,
         gi: usize,
     ) -> bool {
         let group = &walk.groups[gi];
-        let members = &group.members;
-        let words = members.as_words();
-        let preds = self.base.preds(n.index());
-        let masks = &self.masks;
+        let rows = self.rows;
+        let members = group.members;
+        let with = members | Row::single(n);
+        let preds = self.base.preds(n);
 
-        // IN(members ∪ {n}): the group's inputs plus every value `n` reads
-        // that neither a member produces nor a member already reads.
-        let mut inputs = group.reads;
-        for &p in preds {
-            if !members.contains(NodeId::new(p)) && !intersects(masks.cons(p as usize), words) {
-                inputs += 1;
-            }
-        }
-        for v in ones(masks.live_ins(n.index())) {
-            if !intersects(masks.readers(v), words) {
-                inputs += 1;
-            }
-        }
+        // IN(members ∪ {n}) over the grown producer and live-in unions.
+        let prod = group.prod | rows.prod(n);
+        let live_ins = group.live_ins | rows.live_ins(n);
+        let inputs = prod.and_not(with).len() + live_ins.len();
         // OUT(members ∪ {n}): `n` escapes if anything consumes it; a member
         // feeding `n` stops escaping once `n` was its last outside consumer.
         let mut outputs = group.writes;
-        if masks.is_live_out(n.index()) || !self.base.succs(n.index()).is_empty() {
+        if rows.is_live_out(n) || !self.base.succs(n).is_empty() {
             outputs += 1;
         }
-        for &p in preds {
-            if members.contains(NodeId::new(p))
-                && !masks.is_live_out(p as usize)
-                && self
-                    .base
-                    .succs(p as usize)
-                    .iter()
-                    .all(|&s| s as usize == n.index() || members.contains(NodeId::new(s)))
-            {
+        for p in (rows.prod(n) & members).ones() {
+            if !rows.is_live_out(p) && rows.cons(p).and_not(with).is_empty() {
                 outputs -= 1;
             }
         }
@@ -510,12 +478,11 @@ impl<'a> Ant<'a> {
         // not change, so the union's longest path is the group's or the one
         // ending at `n`. `max` is exact, hence bit-identical to
         // `analysis::weighted_longest_path_within` over the union.
-        let start = preds
-            .iter()
-            .filter(|&&p| members.contains(NodeId::new(p)))
-            .map(|&p| hw.finish_in_group[p as usize])
+        let start = (rows.prod(n) & members)
+            .ones()
+            .map(|p| hw.finish_in_group[p])
             .fold(0.0f64, f64::max);
-        let finish_n = start + self.g.node(n).payload().hw[j].delay_ns;
+        let finish_n = start + self.g.node(NodeId::new(n as u32)).payload().hw[j].delay_ns;
         let delay = group.delay_ns.max(finish_n);
         let latency = self.machine.cycles_for_delay_ns(delay);
 
@@ -524,7 +491,7 @@ impl<'a> Ant<'a> {
         // `n`'s own.
         let mut t_needed = group.inputs_ready;
         for &p in preds {
-            if !members.contains(NodeId::new(p)) {
+            if !members.contains(p as usize) {
                 t_needed = t_needed.max(walk.finish[p as usize]);
             }
         }
@@ -545,18 +512,20 @@ impl<'a> Ant<'a> {
         rt.commit(new_issue, &new_op);
 
         let group = &mut walk.groups[gi];
-        group.members.insert(n);
+        group.members = with;
+        group.prod = prod;
+        group.live_ins = live_ins;
         group.reads = inputs;
         group.writes = outputs;
         group.delay_ns = delay;
         group.latency = latency;
         group.issue = new_issue;
         group.inputs_ready = t_needed;
-        hw.finish_in_group[n.index()] = finish_n;
-        walk.group_of[n.index()] = Some(gi);
-        for m in &group.members {
-            walk.issue[m.index()] = new_issue;
-            walk.finish[m.index()] = new_issue + latency;
+        hw.finish_in_group[n] = finish_n;
+        walk.group_of[n] = Some(gi);
+        for m in with.ones() {
+            walk.issue[m] = new_issue;
+            walk.finish[m] = new_issue + latency;
         }
         true
     }
@@ -567,9 +536,16 @@ mod tests {
     use super::*;
     use crate::exgraph;
     use isex_aco::{roulette, AcoParams};
-    use isex_dfg::{ports, Operand};
+    use isex_dfg::{ports, Operand, Reachability};
     use isex_isa::{Opcode, Operation, ProgramDfg};
     use rand::SeedableRng;
+
+    /// Every test block fits two-word rows.
+    const W: usize = 2;
+
+    fn rows(g: &ExGraph) -> RoundRows<W> {
+        RoundRows::new(g, &Reachability::compute(g))
+    }
 
     fn chain3() -> ExGraph {
         // add -> sll -> xor, all ISE-eligible.
@@ -596,13 +572,14 @@ mod tests {
         machine: &'a MachineConfig,
         cons: &'a Constraints,
         base: &'a SoaGraph,
-    ) -> (Ant<'a>, PheromoneStore) {
+        rows: &'a RoundRows<W>,
+    ) -> (Ant<'a, W>, PheromoneStore) {
         let shape: Vec<(usize, usize)> = g
             .iter()
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
             .collect();
         let store = PheromoneStore::new(&shape, &AcoParams::default());
-        let ant = Ant::new(g, machine, cons, 0.5, SpFunction::ChildCount, base);
+        let ant = Ant::new(g, machine, cons, 0.5, SpFunction::ChildCount, base, rows);
         (ant, store)
     }
 
@@ -640,7 +617,8 @@ mod tests {
         for (seed, &bench) in Benchmark::ALL.iter().enumerate() {
             let g = exgraph::build(&bench.program(OptLevel::O3).hottest().dfg);
             let base = exgraph::to_soa(&g);
-            let (ant, default_store) = context(&g, &m, &cons, &base);
+            let rows = rows(&g);
+            let (ant, default_store) = context(&g, &m, &cons, &base, &rows);
             let mut forced = default_store.clone();
             force(&g, &mut forced, true);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
@@ -664,29 +642,29 @@ mod tests {
                     assert_eq!(w.tet, tet, "{bench}: TET");
                     for (gi, gr) in w.groups.iter().enumerate() {
                         let at = format!("{bench} group {gi}");
-                        let demand = ports::demand(&g, &gr.members);
+                        let members = gr.members.to_node_set(g.len());
+                        let demand = ports::demand(&g, &members);
                         assert_eq!(
                             (gr.reads, gr.writes),
                             (demand.inputs, demand.outputs),
                             "{at}"
                         );
-                        let delay = analysis::weighted_longest_path_within(
-                            &g,
-                            &gr.members,
-                            |y, op| match w.choice[y.index()] {
-                                ImplChoice::Hw(h) => op.hw[h].delay_ns,
-                                ImplChoice::Sw(_) => panic!("{at}: software member"),
-                            },
-                        );
+                        let delay =
+                            analysis::weighted_longest_path_within(&g, &members, |y, op| {
+                                match w.choice[y.index()] {
+                                    ImplChoice::Hw(h) => op.hw[h].delay_ns,
+                                    ImplChoice::Sw(_) => panic!("{at}: software member"),
+                                }
+                            });
                         assert_eq!(gr.delay_ns.to_bits(), delay.to_bits(), "{at}: delay");
                         assert_eq!(gr.latency, m.cycles_for_delay_ns(gr.delay_ns), "{at}");
-                        for mem in &gr.members {
+                        for mem in &members {
                             assert_eq!(w.group_of[mem.index()], Some(gi), "{at}");
                             assert_eq!(w.issue[mem.index()], gr.issue, "{at}: issue");
                         }
-                        for mem in &gr.members {
+                        for mem in &members {
                             for &p in base.preds(mem.index()) {
-                                if !gr.members.contains(NodeId::new(p)) {
+                                if !members.contains(NodeId::new(p)) {
                                     let ready = w.finish[p as usize] <= gr.issue;
                                     assert!(ready, "{at}: input not ready");
                                 }
@@ -721,12 +699,12 @@ mod tests {
         rng: &R,
         store: &PheromoneStore,
         eq1: &[f64],
-        ready: &NodeSet,
-    ) -> (NodeId, usize) {
+        ready: &Row<3>,
+    ) -> (usize, usize) {
         let mut entries = Vec::new();
         let mut weights = Vec::new();
-        for n in ready {
-            for i in store.options(n.index()) {
+        for n in ready.ones() {
+            for i in store.options(n) {
                 entries.push((n, i));
                 weights.push(eq1[i]);
             }
@@ -771,22 +749,22 @@ mod tests {
                     e => (gen.next_u64() >> 11) as f64 * 1e-15 * 1e3f64.powi(e as i32),
                 })
                 .collect();
-            let mut ready = NodeSet::new(k);
+            let mut ready = Row::default();
             for n in 0..k {
                 if gen.next_u64() % 3 == 0 {
-                    ready.insert(NodeId::new(n as u32));
+                    ready.insert(n);
                 }
             }
             if ready.is_empty() {
-                ready.insert(NodeId::new(0));
+                ready.insert(0);
             }
             let rng = rand::rngs::StdRng::seed_from_u64(case);
             let (_, i) = assert_draw_matches_roulette(&rng, &store, &eq1, &ready);
             assert_draw_matches_roulette(&Top, &store, &eq1, &ready);
             zero_totals += usize::from(
                 ready
-                    .iter()
-                    .all(|n| store.options(n.index()).all(|i| eq1[i] == 0.0)),
+                    .ones()
+                    .all(|n| store.options(n).all(|i| eq1[i] == 0.0)),
             );
             zero_picks += usize::from(eq1[i] == 0.0);
         }
@@ -799,10 +777,10 @@ mod tests {
         // option.
         let store = PheromoneStore::new(&[(1, 1), (1, 0), (1, 1)], &AcoParams::default());
         let eq1 = [0.1, 0.2, 5.0, 0.7, 0.0];
-        let ready: NodeSet = [0, 2].map(NodeId::new).into_iter().collect();
+        let ready = Row::single(0) | Row::single(2);
         assert_eq!(
             assert_draw_matches_roulette(&Top, &store, &eq1, &ready),
-            (NodeId::new(2), 4)
+            (2, 4)
         );
     }
 
@@ -812,7 +790,8 @@ mod tests {
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
         let base = exgraph::to_soa(&g);
-        let (ant, store) = context(&g, &m, &cons, &base);
+        let rows = rows(&g);
+        let (ant, store) = context(&g, &m, &cons, &base, &rows);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for _ in 0..50 {
             let w = ant.run(&store, &mut rng);
@@ -841,7 +820,8 @@ mod tests {
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
         let base = exgraph::to_soa(&g);
-        let (ant, mut store) = context(&g, &m, &cons, &base);
+        let rows = rows(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &base, &rows);
         force(&g, &mut store, true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let w = ant.run(&store, &mut rng);
@@ -860,7 +840,8 @@ mod tests {
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
         let base = exgraph::to_soa(&g);
-        let (ant, mut store) = context(&g, &m, &cons, &base);
+        let rows = rows(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &base, &rows);
         force(&g, &mut store, false);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let w = ant.run(&store, &mut rng);
@@ -899,7 +880,8 @@ mod tests {
         let m = MachineConfig::preset_2issue_6r3w();
         let cons = Constraints::from_machine(&m);
         let base = exgraph::to_soa(&g);
-        let (ant, mut store) = context(&g, &m, &cons, &base);
+        let rows = rows(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &base, &rows);
         force(&g, &mut store, true);
         for seed in 0..20u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -908,12 +890,12 @@ mod tests {
             assert!(w.group_of[l.index()].is_none());
             // Groups whose member consumes the load issue after it finishes.
             for gr in &w.groups {
-                if gr.members.contains(f) {
+                if gr.members.contains(f.index()) {
                     assert!(
                         gr.issue >= w.finish[l.index()],
                         "seed {seed}: group with xor must wait for the load"
                     );
-                    if gr.members.contains(o) {
+                    if gr.members.contains(o.index()) {
                         // srl may or may not be packed; the xor/or fusion is
                         // the interesting slide case.
                         assert!(gr.members.len() >= 2);
@@ -984,12 +966,13 @@ mod tests {
         let m = MachineConfig::preset_4issue_10r5w();
         let cons = Constraints::new(2, 1);
         let base = exgraph::to_soa(&g);
-        let (ant, mut store) = context(&g, &m, &cons, &base);
+        let rows = rows(&g);
+        let (ant, mut store) = context(&g, &m, &cons, &base, &rows);
         force(&g, &mut store, true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let w = ant.run(&store, &mut rng);
         for gr in &w.groups {
-            let d = ports::demand(&g, &gr.members);
+            let d = ports::demand(&g, &gr.members.to_node_set(g.len()));
             assert!(d.inputs <= 2, "IN(S) respected, got {}", d.inputs);
             assert!(d.outputs <= 1, "OUT(S) respected, got {}", d.outputs);
         }

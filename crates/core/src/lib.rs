@@ -62,6 +62,7 @@ mod candidate;
 mod evalcache;
 mod exgraph;
 mod merit;
+mod rows;
 mod trail;
 
 pub mod baseline;

@@ -25,9 +25,9 @@ pub(crate) struct TrailState {
 }
 
 /// Applies Fig. 4.3.5 for one iteration's walk.
-pub(crate) fn update(
+pub(crate) fn update<const W: usize>(
     store: &mut PheromoneStore,
-    walk: &Walk,
+    walk: &Walk<W>,
     state: &mut TrailState,
     params: &AcoParams,
 ) {
@@ -81,7 +81,7 @@ mod tests {
     use super::*;
     use isex_aco::ImplChoice;
 
-    fn walk(tet: u32, choice: ImplChoice, issue: u32) -> Walk {
+    fn walk(tet: u32, choice: ImplChoice, issue: u32) -> Walk<1> {
         Walk {
             choice: vec![choice],
             issue: vec![issue],

@@ -439,7 +439,8 @@ pub struct WalkTiming {
 
 /// Times a walk on `g` without building a quotient: `lat` holds every
 /// node's latency in this walk, and each non-empty `(members, latency)`
-/// group is collapsed into one unit of that latency.
+/// group, its members' indices ascending, is collapsed into one unit of
+/// that latency.
 ///
 /// A unit's pending count is its number of crossing base in-edges (from
 /// another unit). The forward pass resolves a unit when its count reaches
@@ -457,10 +458,10 @@ pub struct WalkTiming {
 ///
 /// Panics if some group is not convex (its unit would sit on a cycle).
 /// Overlapping groups are a caller error, checked in debug builds.
-pub fn walk_timing_into<'s>(
+pub fn walk_timing_into<M: IntoIterator<Item = u32>>(
     g: &SoaGraph,
     lat: &[u32],
-    groups: impl IntoIterator<Item = (&'s NodeSet, u32)>,
+    groups: impl IntoIterator<Item = (M, u32)>,
     t: &mut WalkTiming,
 ) {
     let k = g.len();
@@ -472,7 +473,7 @@ pub fn walk_timing_into<'s>(
     t.next.resize(k, u32::MAX);
     let mut units = k;
     for (members, glat) in groups {
-        let mut it = members.iter().map(|m| m.index() as u32);
+        let mut it = members.into_iter();
         let rep = it.next().expect("groups are non-empty");
         debug_assert_eq!(t.unit[rep as usize], rep, "node {rep} in two groups");
         t.lat[rep as usize] = glat;

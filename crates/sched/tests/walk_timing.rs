@@ -147,8 +147,9 @@ proptest! {
         // Time an ungrouped walk first, so the real one runs on reused
         // buffers, as it does across the walks of a round.
         let mut t = WalkTiming::default();
-        walk_timing_into(&base, &base.lat, [], &mut t);
-        walk_timing_into(&base, &lat, groups.iter().map(|(set, op)| (set, op.latency)), &mut t);
+        let members = |set: &NodeSet| set.iter().map(|m| m.index() as u32).collect::<Vec<_>>();
+        walk_timing_into(&base, &base.lat, Vec::<(Vec<u32>, u32)>::new(), &mut t);
+        walk_timing_into(&base, &lat, groups.iter().map(|(set, op)| (members(set), op.latency)), &mut t);
         prop_assert_eq!(t.len, len, "walk length");
         let mut units = 0;
         for n in 0..base.len() {
