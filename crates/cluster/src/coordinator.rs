@@ -29,13 +29,14 @@ use isex_flow::{
     FlowConfig, FlowReport,
 };
 use isex_serve::listener::Listener;
+use isex_serve::metrics::Metric;
 use isex_serve::ExploreRequest;
 use isex_trace::Tracer;
 use isex_workloads::Program;
 
 use crate::ledger::{Action, ClusterCore, Dispatch, Event, RunEnd, RunPlan};
 use crate::messages::{HelloAck, JobAssign, Message, PROTOCOL_VERSION};
-use crate::telemetry::{metrics_value, WorkerTelemetry};
+use crate::telemetry::{self, WorkerTelemetry};
 use crate::wire::{read_frame, write_frame, Frame, OpCode};
 
 /// Tunables for one coordinator instance.
@@ -236,9 +237,15 @@ impl Coordinator {
         self.shared.lock().core.workers_alive()
     }
 
-    /// The federated cluster rollup as a JSON value, shaped for the serve
-    /// tier's `/metrics` document (and, through it, the Prometheus
-    /// exposition — every key is already a legal metric-name segment):
+    /// The federated cluster rollup: the `cluster` section of the serve
+    /// tier's `/metrics` tree, each leaf with its kind (every key is
+    /// already a legal metric-name segment).
+    pub(crate) fn metrics(&self) -> Metric {
+        let state = self.shared.lock();
+        telemetry::metrics(&state.core, &state.telemetry)
+    }
+
+    /// The federated cluster rollup as JSON:
     ///
     /// ```json
     /// {
@@ -254,8 +261,7 @@ impl Coordinator {
     /// }
     /// ```
     pub fn metrics_value(&self) -> serde::Value {
-        let state = self.shared.lock();
-        metrics_value(&state.core, &state.telemetry)
+        self.metrics().to_json()
     }
 
     /// Blocks until at least `n` workers are alive or `timeout` elapses;
@@ -357,7 +363,6 @@ impl Coordinator {
                 let slots = RepeatSlots::new(plan.hot.len(), plan.repeats);
                 return RunEnd {
                     entries: plan.cut(&slots),
-                    workers_alive: state.core.workers_alive(),
                     ..RunEnd::default()
                 };
             }

@@ -120,14 +120,12 @@ pub struct RunEnd {
     pub breaker_trips: u64,
     /// Results each worker name delivered.
     pub worker_jobs: BTreeMap<String, u64>,
-    pub workers_alive: usize,
 }
 
 impl RunEnd {
     /// The run's `cluster.*` counters; each stat's `count` is the value.
     pub fn stats(&self) -> Vec<PhaseStat> {
         let mut stats = vec![
-            PhaseStat::counter("cluster.workers_alive", self.workers_alive as u64),
             PhaseStat::counter("cluster.jobs_redispatched", self.redispatched),
             PhaseStat::counter("cluster.heartbeats_missed", self.heartbeats_missed),
             PhaseStat::counter("cluster.jobs_local", self.local),
@@ -483,10 +481,8 @@ impl ClusterCore {
     fn end(&mut self, counters: RunEnd, entries: Vec<CheckpointEntry>) -> RunEnd {
         self.leases.values_mut().for_each(|lease| lease.0 = None);
         self.workers.retain(|_, w| w.alive);
-        let workers_alive = self.workers.len();
         RunEnd {
             entries,
-            workers_alive,
             ..counters
         }
     }
@@ -608,7 +604,7 @@ mod tests {
         assert!(matches!(&expired[1..], [Action::RunLocal(j)] if j == &[(0, 1), (0, 0)]));
         let end = finish(core.on(Event::LocalDone(vec![RepeatOutcome::Skipped; 2]), ms(300)));
         assert_eq!(counters(&end), [1, 1, 2, 0]);
-        assert_eq!(end.workers_alive, 0);
+        assert_eq!(core.workers_alive(), 0);
     }
 
     #[test]

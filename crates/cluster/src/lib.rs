@@ -51,8 +51,9 @@ pub mod worker;
 
 use std::sync::Arc;
 
-use isex_engine::{Cancelled, EventSink, Flags, RunMetrics};
+use isex_engine::{EventSink, Flags, RunMetrics};
 use isex_flow::{FlowConfig, FlowReport};
+use isex_serve::metrics::Metric;
 use isex_serve::ExploreRunner;
 use isex_workloads::Program;
 
@@ -88,12 +89,12 @@ impl ExploreRunner for ClusterRunner {
         cfg: &FlowConfig,
         program: &Program,
         sink: &dyn EventSink,
-    ) -> Result<(FlowReport, RunMetrics), Cancelled> {
+    ) -> (FlowReport, RunMetrics) {
         // The job's deadline (stamped by the HTTP layer from the request's
         // `timeout_ms`) propagates into per-assignment worker budgets, so
         // a deadline-pressed run degrades to partials instead of timing
         // out.
-        self.coordinator.run(
+        let run = self.coordinator.run(
             &job.request,
             cfg,
             program,
@@ -101,7 +102,8 @@ impl ExploreRunner for ClusterRunner {
             &job.cancel,
             &job.trace_id,
             job.deadline(),
-        )
+        );
+        run.expect("a cut cluster run answers its best-so-far partial, never Err")
     }
 
     /// A coordinator with zero live workers still *answers* (local
@@ -116,8 +118,8 @@ impl ExploreRunner for ClusterRunner {
     /// liveness, breaker state, job latency quantiles and
     /// heartbeat-reported counters — one `cluster` section in
     /// `GET /metrics`, JSON and Prometheus alike.
-    fn metrics_sections(&self) -> Vec<(String, serde::Value)> {
-        vec![("cluster".to_string(), self.coordinator.metrics_value())]
+    fn metrics_sections(&self) -> Vec<(&'static str, Metric)> {
+        vec![("cluster", self.coordinator.metrics())]
     }
 }
 

@@ -3,8 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use isex_serve::metrics::Histogram;
-use serde::Value;
+use isex_serve::metrics::{counter, gauge, section, Histogram, Metric};
 
 use crate::ledger::ClusterCore;
 use crate::messages::MetricsReport;
@@ -21,38 +20,33 @@ pub(crate) struct WorkerTelemetry {
     pub latency: Histogram,
 }
 
-/// The federated cluster rollup as a JSON value; see
-/// [`Coordinator::metrics_value`](crate::Coordinator::metrics_value).
-pub(crate) fn metrics_value(
-    core: &ClusterCore,
-    telemetry: &BTreeMap<String, WorkerTelemetry>,
-) -> Value {
-    let field = |name: &str, value| (name.to_string(), value);
-    let mut workers = Vec::new();
-    for (name, t) in telemetry {
+/// The federated cluster rollup; see
+/// [`Coordinator::metrics`](crate::Coordinator::metrics).
+pub(crate) fn metrics(core: &ClusterCore, telemetry: &BTreeMap<String, WorkerTelemetry>) -> Metric {
+    let workers = telemetry.iter().map(|(name, t)| {
         let mut fields = vec![
-            field("alive", Value::U64(core.worker_alive(name) as u64)),
-            field("breaker_open", Value::U64(core.breaker_open(name) as u64)),
-            field("latency_p50_ms", Value::F64(t.latency.quantile_ms(0.50))),
-            field("latency_p95_ms", Value::F64(t.latency.quantile_ms(0.95))),
-            field("latency_jobs", Value::U64(t.latency.count())),
+            ("alive", gauge(core.worker_alive(name) as u64)),
+            ("breaker_open", gauge(core.breaker_open(name) as u64)),
+            ("latency_p50_ms", gauge(t.latency.quantile_ms(0.50))),
+            ("latency_p95_ms", gauge(t.latency.quantile_ms(0.95))),
+            ("latency_jobs", counter(t.latency.count())),
         ];
         if let Some(report) = &t.report {
-            fields.push(field("jobs_completed", Value::U64(report.jobs_completed)));
-            fields.push(field("jobs_failed", Value::U64(report.jobs_failed)));
-            let stats = report.phase_profile.0.iter();
-            let phases: Vec<(String, Value)> = stats
-                .map(|s| (sanitize_metric_segment(&s.name), Value::U64(s.count)))
-                .collect();
-            if !phases.is_empty() {
-                fields.push(field("phases", Value::Object(phases)));
+            fields.push(("jobs_completed", counter(report.jobs_completed)));
+            fields.push(("jobs_failed", counter(report.jobs_failed)));
+            let stats = &report.phase_profile.0;
+            if !stats.is_empty() {
+                let phases = stats
+                    .iter()
+                    .map(|s| (sanitize_metric_segment(&s.name), counter(s.count)));
+                fields.push(("phases", section(phases)));
             }
         }
-        workers.push((sanitize_metric_segment(name), Value::Object(fields)));
-    }
-    Value::Object(vec![
-        field("workers_alive", Value::U64(core.workers_alive() as u64)),
-        field("worker", Value::Object(workers)),
+        (sanitize_metric_segment(name), section(fields))
+    });
+    section([
+        ("workers_alive", gauge(core.workers_alive() as u64)),
+        ("worker", section(workers)),
     ])
 }
 

@@ -121,7 +121,7 @@ fn two_workers_merge_byte_identical_to_single_node() {
         report_json(&single_node(&request, None)),
         "clustered report must be byte-identical to the single-node run"
     );
-    assert_eq!(stat_count(&metrics, "cluster.workers_alive"), 2);
+    assert_eq!(coord.workers_alive(), 2);
     assert_eq!(stat_count(&metrics, "cluster.jobs_redispatched"), 0);
     assert_eq!(stat_count(&metrics, "cluster.jobs_local"), 0);
     let remote_jobs = stat_count(&metrics, "cluster.worker.w0.jobs")
@@ -216,7 +216,7 @@ fn zero_workers_fall_back_to_local_execution() {
         stat_count(&metrics, "cluster.jobs_local") as usize,
         metrics.jobs_total
     );
-    assert_eq!(stat_count(&metrics, "cluster.workers_alive"), 0);
+    assert_eq!(coord.workers_alive(), 0);
 }
 
 #[test]
@@ -362,7 +362,7 @@ fn silent_worker_is_expired_by_the_heartbeat_sentinel() {
         stat_count(&metrics, "cluster.heartbeats_missed") >= 1,
         "the sentinel declared the zombie dead"
     );
-    assert_eq!(stat_count(&metrics, "cluster.workers_alive"), 0);
+    assert_eq!(coord.workers_alive(), 0);
     // Its job(s) completed elsewhere — here, on the local fallback.
     assert!(stat_count(&metrics, "cluster.jobs_local") >= 1);
 
@@ -394,7 +394,9 @@ fn http_explore_scales_out_and_prometheus_shows_cluster_counters() {
         report_json(&single_node(&request, None)),
         "POST /v1/explore through the cluster matches the single-node answer"
     );
-    assert_eq!(stat_count(&response.metrics, "cluster.workers_alive"), 2);
+    let remote_jobs = stat_count(&response.metrics, "cluster.worker.h0.jobs")
+        + stat_count(&response.metrics, "cluster.worker.h1.jobs");
+    assert_eq!(remote_jobs as usize, response.metrics.jobs_total);
 
     // The exact same request is answered from the cache — clustering does
     // not disturb the canonical-key contract.
@@ -406,7 +408,7 @@ fn http_explore_scales_out_and_prometheus_shows_cluster_counters() {
         .expect("metrics fetch")
         .body;
     for needle in [
-        r#"isexd_phases_count{phase="cluster.workers_alive"} 2"#,
+        "isexd_cluster_workers_alive 2",
         r#"isexd_phases_count{phase="cluster.jobs_redispatched"} 0"#,
         r#"isexd_phases_count{phase="cluster.heartbeats_missed"} 0"#,
         r#"isexd_phases_count{phase="cluster.jobs_local"} 0"#,
@@ -417,6 +419,41 @@ fn http_explore_scales_out_and_prometheus_shows_cluster_counters() {
             "prometheus exposition is missing `{needle}`:\n{prom}"
         );
     }
+
+    handle.shutdown();
+    Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
+    let _ = (w0.join(), w1.join());
+}
+
+#[test]
+fn workers_alive_is_a_live_gauge_not_summed_over_runs() {
+    let coord = coordinator(200, None);
+    let w0 = spawn_worker(coord.addr(), "g0");
+    let w1 = spawn_worker(coord.addr(), "g1");
+    assert!(coord.wait_for_workers(2, Duration::from_secs(10)));
+    let server_config = isex_serve::ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        engine_workers: 1,
+        ..isex_serve::ServerConfig::default()
+    };
+    let runner = Arc::new(ClusterRunner::new(Arc::clone(&coord)));
+    let handle = isex_serve::start_with_runner(server_config, runner).expect("server starts");
+    let addr = handle.addr().to_string();
+
+    // Two distinct runs: a per-run count summed over them would read 4.
+    for seed in [73, 74] {
+        let response = isex_serve::client::explore(&addr, &small_request(seed)).expect("explore");
+        assert!(!response.cached);
+    }
+    let prom = isex_serve::client::get(&addr, "/metrics?format=prometheus")
+        .expect("metrics fetch")
+        .body;
+    assert!(
+        prom.contains("# TYPE isexd_cluster_workers_alive gauge\n"),
+        "{prom}"
+    );
+    assert!(prom.contains("\nisexd_cluster_workers_alive 2\n"), "{prom}");
+    assert!(!prom.contains(r#"phase="cluster.workers_alive""#), "{prom}");
 
     handle.shutdown();
     Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();

@@ -6,7 +6,7 @@ use std::time::Instant;
 use isex_aco::AcoParams;
 use isex_core::Constraints;
 use isex_engine::{
-    BlockTask, CancelToken, Cancelled, EventSink, ExploreSpec, FaultPlan, NullSink, RunMetrics,
+    BlockTask, CancelToken, EventSink, ExploreSpec, FaultPlan, NullSink, RunMetrics,
 };
 use isex_isa::MachineConfig;
 use isex_trace::Tracer;
@@ -249,7 +249,6 @@ pub fn run_flow_observed(
     sink: &dyn EventSink,
 ) -> (FlowReport, RunMetrics) {
     run_flow_cancellable(cfg, program, seed, sink, &CancelToken::new())
-        .expect("a fresh token never cancels")
 }
 
 /// [`run_flow_observed`] with cooperative cancellation, for callers that
@@ -260,17 +259,16 @@ pub fn run_flow_observed(
 /// every cut block, and [`RunMetrics::degraded`] set — instead of an
 /// error.
 /// Selection/replacement are not interruptible — they are orders of
-/// magnitude cheaper than exploration. The `Result` signature is kept for
-/// caller stability; the `Err` variant is no longer produced. A token that
-/// never trips (and an unbudgeted [`AcoParams::max_rounds`]) yields a
-/// report byte-identical to [`run_flow`]'s.
+/// magnitude cheaper than exploration. A token that never trips (and an
+/// unbudgeted [`AcoParams::max_rounds`]) yields a report byte-identical to
+/// [`run_flow`]'s.
 pub fn run_flow_cancellable(
     cfg: &FlowConfig,
     program: &Program,
     seed: u64,
     sink: &dyn EventSink,
     cancel: &CancelToken,
-) -> Result<(FlowReport, RunMetrics), Cancelled> {
+) -> (FlowReport, RunMetrics) {
     let _trace = cfg.tracer.attach();
     let start = Instant::now();
     let entries = explore_entries(cfg, program, seed, sink, cancel);
@@ -283,7 +281,7 @@ pub fn run_flow_cancellable(
     // run. An untraced run leaves the profile empty — the report itself
     // never depends on the tracer.
     metrics.phase_profile = cfg.tracer.phase_profile();
-    Ok((report, metrics))
+    (report, metrics)
 }
 
 #[cfg(test)]

@@ -1,17 +1,21 @@
 //! Live serving telemetry behind `GET /metrics`.
 //!
 //! Everything is lock-free counters or a short-held mutex, updated on the
-//! request path and snapshotted into one JSON document on demand: queue
+//! request path. A scrape reads them into one typed [`Metric`] tree: queue
 //! depth and in-flight jobs (from the queue), cache hit rate (from the
 //! cache), per-endpoint latency histograms, response-status counts, and
 //! cumulative engine [`RunMetrics`] aggregates over every completed run.
+//! Each leaf is declared where its value is read, as a counter, a gauge or
+//! a histogram; the JSON document and the Prometheus text are two
+//! renderings of that one tree.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use isex_engine::{lock_unpoisoned, PhaseProfile, PhaseStat, RunMetrics};
+use isex_engine::{lock_unpoisoned, PhaseProfile, RunMetrics};
 use serde::Value;
 
 use crate::cache::ResultCache;
@@ -19,6 +23,160 @@ use crate::queue::JobQueue;
 
 /// Upper bucket bounds, milliseconds. The last bucket is open-ended.
 pub const LATENCY_BOUNDS_MS: &[u64] = &[1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 30_000];
+
+/// One node of the `/metrics` tree.
+pub enum Metric {
+    /// A cumulative count or sum: a Prometheus `counter`.
+    Counter(Value),
+    /// A level that can fall: a Prometheus `gauge`.
+    Gauge(Value),
+    /// A JSON-only field (text or `null`) with no Prometheus sample.
+    Note(Value),
+    /// A latency histogram, read once.
+    Histogram(HistogramRead),
+    /// Named children: a JSON object. In Prometheus each key joins the
+    /// parent's name with `_`.
+    Section(Vec<(String, Metric)>),
+    /// Rows keyed by one label: a JSON object of rows, each a leaf or a
+    /// section of leaves. In Prometheus the node is named `family`, not
+    /// its JSON key, and each row's samples carry `{label="row key"}`.
+    Labeled {
+        /// The label the row keys become.
+        label: &'static str,
+        /// The Prometheus name that replaces this node's JSON key.
+        family: &'static str,
+        /// `(row key, row)`.
+        rows: Vec<(String, Metric)>,
+    },
+}
+
+/// A number as read: integers stay JSON `U64`, measurements `F64`.
+pub trait Number {
+    /// The JSON value.
+    fn json(self) -> Value;
+}
+
+impl Number for u64 {
+    fn json(self) -> Value {
+        Value::U64(self)
+    }
+}
+
+impl Number for f64 {
+    fn json(self) -> Value {
+        Value::F64(self)
+    }
+}
+
+/// A counter leaf.
+pub fn counter(n: impl Number) -> Metric {
+    Metric::Counter(n.json())
+}
+
+/// A gauge leaf.
+pub fn gauge(n: impl Number) -> Metric {
+    Metric::Gauge(n.json())
+}
+
+/// A section of `(key, child)` fields, in document order.
+pub fn section<K: Into<String>>(fields: impl IntoIterator<Item = (K, Metric)>) -> Metric {
+    Metric::Section(fields.into_iter().map(|(k, m)| (k.into(), m)).collect())
+}
+
+impl Metric {
+    /// The JSON rendering.
+    pub fn to_json(&self) -> Value {
+        match self {
+            Metric::Counter(v) | Metric::Gauge(v) | Metric::Note(v) => v.clone(),
+            Metric::Histogram(h) => h.to_json(),
+            Metric::Section(fields) | Metric::Labeled { rows: fields, .. } => Value::Object(
+                fields
+                    .iter()
+                    .map(|(k, m)| (k.clone(), m.to_json()))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The Prometheus text exposition (0.0.4), under the `isexd` prefix.
+    /// Each family is announced by one `# HELP` and one `# TYPE` line with
+    /// its declared kind, and its samples follow contiguously.
+    pub fn to_prometheus(&self) -> String {
+        let mut out = Prom::default();
+        self.prom("isexd", "", &mut out);
+        out.finish()
+    }
+
+    /// Adds this node's samples under `name`, each carrying `labels`.
+    fn prom(&self, name: &str, labels: &str, out: &mut Prom) {
+        match self {
+            Metric::Counter(v) => {
+                out.sample(name, "counter", &format!("{name}{labels}"), number(v))
+            }
+            Metric::Gauge(v) => out.sample(name, "gauge", &format!("{name}{labels}"), number(v)),
+            Metric::Note(_) => {}
+            Metric::Histogram(h) => h.prom(name, out),
+            Metric::Section(fields) => {
+                for (key, m) in fields {
+                    let key = match m {
+                        Metric::Labeled { family, .. } => family,
+                        _ => key.as_str(),
+                    };
+                    m.prom(&format!("{name}_{key}"), labels, out);
+                }
+            }
+            Metric::Labeled { label, rows, .. } => {
+                for (key, row) in rows {
+                    // Row keys can come off the wire (worker names inside
+                    // phase names): escape them as the format requires.
+                    let key = key.replace('\\', "\\\\").replace('"', "\\\"");
+                    let key = key.replace('\n', "\\n");
+                    row.prom(name, &format!("{{{label}=\"{key}\"}}"), out);
+                }
+            }
+        }
+    }
+}
+
+fn number(v: &Value) -> f64 {
+    match v {
+        Value::U64(n) => *n as f64,
+        Value::F64(x) => *x,
+        _ => 0.0,
+    }
+}
+
+/// Prometheus samples grouped by family, in first-sample order.
+#[derive(Default)]
+struct Prom {
+    index: HashMap<String, usize>,
+    /// `(family, kind, sample lines)`.
+    families: Vec<(String, &'static str, String)>,
+}
+
+impl Prom {
+    fn sample(&mut self, family: &str, kind: &'static str, series: &str, x: f64) {
+        let i = *self.index.entry(family.to_string()).or_insert_with(|| {
+            self.families
+                .push((family.to_string(), kind, String::new()));
+            self.families.len() - 1
+        });
+        let _ = writeln!(self.families[i].2, "{series} {x}");
+    }
+
+    fn finish(self) -> String {
+        let mut text = String::new();
+        for (family, kind, samples) in &self.families {
+            let what = family.strip_prefix("isexd_").unwrap_or(family);
+            let _ = write!(
+                text,
+                "# HELP {family} isexd {kind} `{what}`, mirroring the /metrics JSON field of the same path.\n\
+                 # TYPE {family} {kind}\n{samples}"
+            );
+        }
+        text
+    }
+}
 
 /// A fixed-bucket latency histogram.
 #[derive(Default)]
@@ -58,19 +216,41 @@ impl Histogram {
     /// open-ended overflow bucket has no upper edge to interpolate toward,
     /// so ranks landing there report the last finite bound.
     pub fn quantile_ms(&self, q: f64) -> f64 {
+        self.read().quantile_ms(q)
+    }
+
+    /// The histogram as one `/metrics` node.
+    pub fn metric(&self) -> Metric {
+        Metric::Histogram(self.read())
+    }
+
+    fn read(&self) -> HistogramRead {
+        HistogramRead {
+            buckets: self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
+            sum_ms: self.sum_us.load(Ordering::Relaxed) as f64 / 1000.0,
+            count: self.count(),
+        }
+    }
+}
+
+/// One read of a [`Histogram`]'s counters.
+pub struct HistogramRead {
+    buckets: [u64; LATENCY_BOUNDS_MS.len() + 1],
+    sum_ms: f64,
+    count: u64,
+}
+
+impl HistogramRead {
+    /// See [`Histogram::quantile_ms`].
+    fn quantile_ms(&self, q: f64) -> f64 {
         let last = *LATENCY_BOUNDS_MS.last().unwrap() as f64;
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
+        let total: u64 = self.buckets.iter().sum();
         if total == 0 {
             return 0.0;
         }
         let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
+        for (i, &c) in self.buckets.iter().enumerate() {
             if cum + c >= target && c > 0 {
                 if i == LATENCY_BOUNDS_MS.len() {
                     return last;
@@ -88,60 +268,77 @@ impl Histogram {
         last
     }
 
-    fn snapshot(&self) -> Value {
-        let mut buckets = Vec::new();
-        for (i, &bound) in LATENCY_BOUNDS_MS.iter().enumerate() {
-            buckets.push((
-                format!("le_{bound}ms"),
-                Value::U64(self.buckets[i].load(Ordering::Relaxed)),
-            ));
+    /// The derived gauges, in document order.
+    fn gauges(&self) -> [(&'static str, f64); 4] {
+        let avg = if self.count == 0 {
+            0.0
+        } else {
+            self.sum_ms / self.count as f64
+        };
+        [
+            ("avg_ms", avg),
+            ("p50_ms", self.quantile_ms(0.50)),
+            ("p95_ms", self.quantile_ms(0.95)),
+            ("p99_ms", self.quantile_ms(0.99)),
+        ]
+    }
+
+    /// `(upper bound, observations in the bucket)`; `None` is the
+    /// open-ended last bucket.
+    fn bucket_counts(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
+        (LATENCY_BOUNDS_MS.iter().copied().map(Some))
+            .chain([None])
+            .zip(self.buckets)
+    }
+
+    fn to_json(&self) -> Value {
+        let mut fields = vec![
+            ("count".to_string(), Value::U64(self.count)),
+            ("sum_ms".to_string(), Value::F64(self.sum_ms)),
+        ];
+        fields.extend(self.gauges().map(|(k, x)| (k.to_string(), Value::F64(x))));
+        let buckets = self.bucket_counts().map(|(bound, n)| {
+            let key = bound.map_or("le_inf".to_string(), |b| format!("le_{b}ms"));
+            (key, Value::U64(n))
+        });
+        fields.push(("buckets".to_string(), Value::Object(buckets.collect())));
+        Value::Object(fields)
+    }
+
+    /// Cumulative `_bucket{le="..."}` series (the JSON holds per-bucket
+    /// counts), `_sum` and `_count` in one `histogram` family, then the
+    /// derived gauges.
+    fn prom(&self, name: &str, out: &mut Prom) {
+        let family = format!("{name}_ms");
+        let mut cum = 0;
+        for (bound, n) in self.bucket_counts() {
+            cum += n;
+            let le = bound.map_or("+Inf".to_string(), |b| b.to_string());
+            let series = format!("{family}_bucket{{le=\"{le}\"}}");
+            out.sample(&family, "histogram", &series, cum as f64);
         }
-        buckets.push((
-            "le_inf".to_string(),
-            Value::U64(self.buckets[LATENCY_BOUNDS_MS.len()].load(Ordering::Relaxed)),
-        ));
-        let count = self.count();
-        let sum_ms = self.sum_us.load(Ordering::Relaxed) as f64 / 1000.0;
-        Value::Object(vec![
-            ("count".into(), Value::U64(count)),
-            ("sum_ms".into(), Value::F64(sum_ms)),
-            (
-                "avg_ms".into(),
-                Value::F64(if count == 0 {
-                    0.0
-                } else {
-                    sum_ms / count as f64
-                }),
-            ),
-            ("p50_ms".into(), Value::F64(self.quantile_ms(0.50))),
-            ("p95_ms".into(), Value::F64(self.quantile_ms(0.95))),
-            ("p99_ms".into(), Value::F64(self.quantile_ms(0.99))),
-            ("buckets".into(), Value::Object(buckets)),
-        ])
+        out.sample(&family, "histogram", &format!("{family}_sum"), self.sum_ms);
+        let count = self.count as f64;
+        out.sample(&family, "histogram", &format!("{family}_count"), count);
+        for (k, x) in self.gauges() {
+            let gauge = format!("{name}_{k}");
+            out.sample(&gauge, "gauge", &gauge, x);
+        }
     }
 }
 
 /// Cumulative engine telemetry over every completed run.
-#[derive(Clone, Debug, Default)]
-pub struct EngineTotals {
-    /// Completed flow runs.
-    pub runs: u64,
-    /// Engine jobs (block × repeat) completed.
-    pub jobs_completed: u64,
-    /// Engine jobs that panicked and were isolated by pool supervision.
-    pub jobs_failed: u64,
-    /// Engine workers logically resurrected after a caught panic.
-    pub worker_restarts: u64,
-    /// Ant iterations spent.
-    pub ant_iterations: u64,
-    /// ISE candidates generated by kept explorations.
-    pub candidates_generated: u64,
-    /// Candidates surviving selection.
-    pub candidates_accepted: u64,
-    /// Exploration wall-clock, milliseconds.
-    pub explore_ms: f64,
-    /// End-to-end flow wall-clock, milliseconds.
-    pub total_ms: f64,
+#[derive(Default)]
+struct EngineTotals {
+    runs: u64,
+    jobs_completed: u64,
+    jobs_failed: u64,
+    worker_restarts: u64,
+    ant_iterations: u64,
+    candidates_generated: u64,
+    candidates_accepted: u64,
+    explore_ms: f64,
+    total_ms: f64,
 }
 
 impl EngineTotals {
@@ -156,11 +353,35 @@ impl EngineTotals {
         self.explore_ms += m.phases.explore_ms;
         self.total_ms += m.phases.total_ms;
     }
+
+    fn metric(&self) -> Metric {
+        section([
+            ("runs", counter(self.runs)),
+            ("jobs_completed", counter(self.jobs_completed)),
+            ("jobs_failed", counter(self.jobs_failed)),
+            ("worker_restarts", counter(self.worker_restarts)),
+            ("ant_iterations", counter(self.ant_iterations)),
+            ("candidates_generated", counter(self.candidates_generated)),
+            ("candidates_accepted", counter(self.candidates_accepted)),
+            ("explore_ms", counter(self.explore_ms)),
+            ("total_ms", counter(self.total_ms)),
+        ])
+    }
+}
+
+/// When the server started; the default is now.
+struct Started(Instant);
+
+impl Default for Started {
+    fn default() -> Self {
+        Started(Instant::now())
+    }
 }
 
 /// All server-side counters.
+#[derive(Default)]
 pub struct ServerMetrics {
-    started: Instant,
+    started: Started,
     /// `/v1/explore` end-to-end latency (including queue wait).
     pub explore_latency: Histogram,
     /// `/healthz` + `/metrics` latency.
@@ -171,7 +392,9 @@ pub struct ServerMetrics {
     pub rejected_queue_full: AtomicU64,
     /// Requests that hit their deadline.
     pub deadline_timeouts: AtomicU64,
-    /// Runs abandoned via cancellation.
+    /// Jobs cancelled while still queued (their last waiter left). A run
+    /// cut once started is not cancelled: it answers its best-so-far
+    /// partial and counts in `degraded_runs`.
     pub runs_cancelled: AtomicU64,
     /// Runs that died (worker panic or every block failed).
     pub runs_failed: AtomicU64,
@@ -185,35 +408,24 @@ pub struct ServerMetrics {
     pub degraded_runs: AtomicU64,
     /// `200` responses that carried `"degraded": true`.
     pub degraded_responses: AtomicU64,
+    /// Store writes that failed (`store.write_errors`).
+    pub(crate) store_write_errors: AtomicU64,
+    /// Store entries whose payload the provenance guard rejected, removed
+    /// on lookup (`store.stale`; the store counted each as a hit).
+    pub(crate) store_stale: AtomicU64,
     /// EWMA of completed-run wall time, microseconds (`0` until the first
     /// run lands). Feeds the admission controller's queue-wait estimate.
     run_cost_ewma_us: AtomicU64,
     engine: Mutex<EngineTotals>,
-    /// Per-span-name profile over every traced completed run, plus the
-    /// serving counters [`bump_phase`](Self::bump_phase) adds.
+    /// Per-span-name profile over every completed run's
+    /// [`RunMetrics::phase_profile`].
     phases: Mutex<PhaseProfile>,
 }
 
 impl ServerMetrics {
-    /// Fresh counters; `started` anchors the uptime report.
+    /// Fresh counters; their creation anchors the uptime report.
     pub fn new() -> Self {
-        ServerMetrics {
-            started: Instant::now(),
-            explore_latency: Histogram::default(),
-            control_latency: Histogram::default(),
-            statuses: Mutex::new(BTreeMap::new()),
-            rejected_queue_full: AtomicU64::new(0),
-            deadline_timeouts: AtomicU64::new(0),
-            runs_cancelled: AtomicU64::new(0),
-            runs_failed: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            degraded_runs: AtomicU64::new(0),
-            degraded_responses: AtomicU64::new(0),
-            run_cost_ewma_us: AtomicU64::new(0),
-            engine: Mutex::new(EngineTotals::default()),
-            phases: Mutex::new(PhaseProfile::default()),
-        }
+        Self::default()
     }
 
     /// Counts one response with the given status.
@@ -242,14 +454,6 @@ impl ServerMetrics {
         }
     }
 
-    /// Bumps a named counter in the phase aggregation — the path serving
-    /// events (store hits/misses, coalesced jobs) share with engine span
-    /// aggregates, so they ride the same `isexd_phases_count{phase="..."}`
-    /// Prometheus series without touching any run's own metrics.
-    pub fn bump_phase(&self, name: &str, count: u64) {
-        lock_unpoisoned(&self.phases).absorb([PhaseStat::counter(name, count)]);
-    }
-
     /// The EWMA of completed-run wall time, milliseconds (`0.0` before the
     /// first run completes).
     pub fn run_cost_ewma_ms(&self) -> f64 {
@@ -266,311 +470,102 @@ impl ServerMetrics {
 
     /// Milliseconds since the server started.
     pub fn uptime_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+        self.started.0.elapsed().as_millis() as u64
     }
 
-    /// Cumulative engine totals (cloned).
-    pub fn engine_totals(&self) -> EngineTotals {
-        lock_unpoisoned(&self.engine).clone()
-    }
-
-    /// The full `/metrics` document. `extra` appends caller-owned root
-    /// sections (the server contributes `store` and `jobs` when those
-    /// subsystems are live); each lands in the JSON verbatim and in the
-    /// Prometheus rendering via the generic walk.
+    /// The full `/metrics` tree: the server's own sections, then `extra`,
+    /// the caller-owned ones (the server's `store` and `jobs`, a runner's
+    /// `cluster`). Render it with [`Metric::to_json`] or
+    /// [`Metric::to_prometheus`].
     pub fn snapshot(
         &self,
         queue: &JobQueue,
         cache: &ResultCache,
-        extra: &[(String, Value)],
-    ) -> Value {
-        let cache_stats = cache.stats();
-        let statuses: Vec<(String, Value)> = lock_unpoisoned(&self.statuses)
+        extra: Vec<(&'static str, Metric)>,
+    ) -> Metric {
+        let count = |c: &AtomicU64| counter(c.load(Ordering::Relaxed));
+        let c = cache.stats();
+        let statuses = lock_unpoisoned(&self.statuses)
             .iter()
-            .map(|(code, n)| (code.to_string(), Value::U64(*n)))
+            .map(|(code, &n)| (code.to_string(), counter(n)))
             .collect();
-        let totals = self.engine_totals();
-        let mut doc = vec![
-            ("uptime_ms".into(), Value::U64(self.uptime_ms())),
+        let phases = lock_unpoisoned(&self.phases)
+            .0
+            .iter()
+            .map(|t| {
+                let stat = section([
+                    ("count", counter(t.count)),
+                    ("total_ms", counter(t.total_ms)),
+                    ("max_ms", gauge(t.max_ms)),
+                ]);
+                (t.name.clone(), stat)
+            })
+            .collect();
+        let last_failure = queue.last_failure().map_or(Value::Null, Value::String);
+        let own = [
+            ("uptime_ms", gauge(self.uptime_ms())),
             (
-                "queue".into(),
-                Value::Object(vec![
-                    ("depth".into(), Value::U64(queue.depth() as u64)),
-                    ("capacity".into(), Value::U64(queue.capacity() as u64)),
-                    ("in_flight".into(), Value::U64(queue.in_flight() as u64)),
-                    ("jobs_completed".into(), Value::U64(queue.jobs_completed())),
-                    ("jobs_failed".into(), Value::U64(queue.jobs_failed())),
-                    ("jobs_cancelled".into(), Value::U64(queue.jobs_cancelled())),
+                "queue",
+                section([
+                    ("depth", gauge(queue.depth() as u64)),
+                    ("capacity", gauge(queue.capacity() as u64)),
+                    ("in_flight", gauge(queue.in_flight() as u64)),
+                    ("jobs_completed", counter(queue.jobs_completed())),
+                    ("jobs_failed", counter(queue.jobs_failed())),
+                    ("jobs_cancelled", counter(queue.jobs_cancelled())),
+                    ("last_failure", Metric::Note(last_failure)),
+                    ("rejected_queue_full", count(&self.rejected_queue_full)),
+                ]),
+            ),
+            (
+                "cache",
+                section([
+                    ("hits", counter(c.hits)),
+                    ("misses", counter(c.misses)),
+                    ("hit_rate", gauge(c.hit_rate())),
+                    ("entries", gauge(c.entries as u64)),
+                    ("capacity", gauge(c.capacity as u64)),
+                ]),
+            ),
+            (
+                "requests",
+                section([
                     (
-                        "last_failure".into(),
-                        match queue.last_failure() {
-                            Some(cause) => Value::String(cause),
-                            None => Value::Null,
+                        "by_status",
+                        Metric::Labeled {
+                            label: "status",
+                            family: "total",
+                            rows: statuses,
                         },
                     ),
-                    (
-                        "rejected_queue_full".into(),
-                        Value::U64(self.rejected_queue_full.load(Ordering::Relaxed)),
-                    ),
+                    ("deadline_timeouts", count(&self.deadline_timeouts)),
+                    ("runs_cancelled", count(&self.runs_cancelled)),
+                    ("runs_failed", count(&self.runs_failed)),
+                    ("worker_restarts", count(&self.worker_restarts)),
+                    ("shed_overload", count(&self.shed_overload)),
+                    ("degraded_runs", count(&self.degraded_runs)),
+                    ("degraded_responses", count(&self.degraded_responses)),
+                    ("run_cost_ewma_ms", gauge(self.run_cost_ewma_ms())),
                 ]),
             ),
             (
-                "cache".into(),
-                Value::Object(vec![
-                    ("hits".into(), Value::U64(cache_stats.hits)),
-                    ("misses".into(), Value::U64(cache_stats.misses)),
-                    ("hit_rate".into(), Value::F64(cache_stats.hit_rate())),
-                    ("entries".into(), Value::U64(cache_stats.entries as u64)),
-                    ("capacity".into(), Value::U64(cache_stats.capacity as u64)),
+                "latency",
+                section([
+                    ("explore", self.explore_latency.metric()),
+                    ("control", self.control_latency.metric()),
                 ]),
             ),
+            ("engine", lock_unpoisoned(&self.engine).metric()),
             (
-                "requests".into(),
-                Value::Object(vec![
-                    ("by_status".into(), Value::Object(statuses)),
-                    (
-                        "deadline_timeouts".into(),
-                        Value::U64(self.deadline_timeouts.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "runs_cancelled".into(),
-                        Value::U64(self.runs_cancelled.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "runs_failed".into(),
-                        Value::U64(self.runs_failed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "worker_restarts".into(),
-                        Value::U64(self.worker_restarts.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "shed_overload".into(),
-                        Value::U64(self.shed_overload.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "degraded_runs".into(),
-                        Value::U64(self.degraded_runs.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "degraded_responses".into(),
-                        Value::U64(self.degraded_responses.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "run_cost_ewma_ms".into(),
-                        Value::F64(self.run_cost_ewma_ms()),
-                    ),
-                ]),
-            ),
-            (
-                "latency".into(),
-                Value::Object(vec![
-                    ("explore".into(), self.explore_latency.snapshot()),
-                    ("control".into(), self.control_latency.snapshot()),
-                ]),
-            ),
-            (
-                "engine".into(),
-                Value::Object(vec![
-                    ("runs".into(), Value::U64(totals.runs)),
-                    ("jobs_completed".into(), Value::U64(totals.jobs_completed)),
-                    ("jobs_failed".into(), Value::U64(totals.jobs_failed)),
-                    ("worker_restarts".into(), Value::U64(totals.worker_restarts)),
-                    ("ant_iterations".into(), Value::U64(totals.ant_iterations)),
-                    (
-                        "candidates_generated".into(),
-                        Value::U64(totals.candidates_generated),
-                    ),
-                    (
-                        "candidates_accepted".into(),
-                        Value::U64(totals.candidates_accepted),
-                    ),
-                    ("explore_ms".into(), Value::F64(totals.explore_ms)),
-                    ("total_ms".into(), Value::F64(totals.total_ms)),
-                ]),
-            ),
-            (
-                "phases".into(),
-                Value::Object(
-                    lock_unpoisoned(&self.phases)
-                        .0
-                        .iter()
-                        .map(|t| {
-                            (
-                                t.name.clone(),
-                                Value::Object(vec![
-                                    ("count".into(), Value::U64(t.count)),
-                                    ("total_ms".into(), Value::F64(t.total_ms)),
-                                    ("max_ms".into(), Value::F64(t.max_ms)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
+                "phases",
+                Metric::Labeled {
+                    label: "phase",
+                    family: "phases",
+                    rows: phases,
+                },
             ),
         ];
-        doc.extend(extra.iter().cloned());
-        Value::Object(doc)
-    }
-
-    /// The same snapshot in Prometheus text exposition format (0.0.4).
-    ///
-    /// Naming walks the JSON document — object keys join with `_` under the
-    /// `isexd` prefix — so every numeric JSON metric has a Prometheus line
-    /// by construction. Three shapes get idiomatic treatment instead of a
-    /// flat name: status counts and phase aggregates become labels
-    /// (`isexd_requests_total{status="200"}`,
-    /// `isexd_phases_total_ms{phase="aco.round"}`), and latency histograms
-    /// emit cumulative `_bucket{le="..."}` series plus `_sum`/`_count`.
-    /// Every family is announced with `# HELP` and `# TYPE` lines before
-    /// its first sample.
-    pub fn render_prometheus(
-        &self,
-        queue: &JobQueue,
-        cache: &ResultCache,
-        extra: &[(String, Value)],
-    ) -> String {
-        let mut body = String::new();
-        prom_walk(&self.snapshot(queue, cache, extra), "isexd", &mut body);
-        prom_with_headers(&body)
-    }
-}
-
-fn prom_number(v: &Value) -> Option<f64> {
-    match v {
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        Value::F64(x) => Some(*x),
-        Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-        _ => None,
-    }
-}
-
-fn prom_walk(v: &Value, prefix: &str, out: &mut String) {
-    let Value::Object(fields) = v else {
-        if let Some(x) = prom_number(v) {
-            out.push_str(&format!("{prefix} {x}\n"));
-        }
-        return;
-    };
-    if fields.iter().any(|(k, _)| k == "buckets") {
-        prom_histogram(fields, prefix, out);
-        return;
-    }
-    if let Some(base) = prefix.strip_suffix("_by_status") {
-        for (code, n) in fields {
-            if let Some(x) = prom_number(n) {
-                out.push_str(&format!("{base}_total{{status=\"{code}\"}} {x}\n"));
-            }
-        }
-        return;
-    }
-    if prefix == "isexd_phases" {
-        // Emitted metric-major (every `count`, then every `total_ms`, …)
-        // so each family's samples stay contiguous, as the exposition
-        // format expects once `# TYPE` headers announce families.
-        let mut keys: Vec<&str> = Vec::new();
-        for (_, stat) in fields {
-            let Value::Object(s) = stat else { continue };
-            for (k, _) in s {
-                if !keys.contains(&k.as_str()) {
-                    keys.push(k);
-                }
-            }
-        }
-        for key in keys {
-            for (name, stat) in fields {
-                let Value::Object(s) = stat else { continue };
-                let value = s.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                if let Some(x) = value.and_then(prom_number) {
-                    out.push_str(&format!("{prefix}_{key}{{phase=\"{name}\"}} {x}\n"));
-                }
-            }
-        }
-        return;
-    }
-    for (k, v) in fields {
-        prom_walk(v, &format!("{prefix}_{k}"), out);
-    }
-}
-
-/// The metric family a sample line belongs to, with its exposition type.
-/// Histogram series (`*_ms_bucket`/`*_ms_sum`/`*_ms_count`) collapse into
-/// one `histogram` family; `*_total` names are counters; everything else
-/// is exported as a gauge (cumulative JSON counters included — the walk
-/// cannot tell them apart, and a gauge scrape of a counter is still
-/// correct data).
-fn prom_family(bare: &str) -> (String, &'static str) {
-    for suffix in ["_bucket", "_sum", "_count"] {
-        if let Some(base) = bare.strip_suffix(suffix) {
-            if base.ends_with("_ms") {
-                return (base.to_string(), "histogram");
-            }
-        }
-    }
-    if bare.ends_with("_total") {
-        (bare.to_string(), "counter")
-    } else {
-        (bare.to_string(), "gauge")
-    }
-}
-
-/// Prefixes every family's first sample with its `# HELP` and `# TYPE`
-/// lines. Sample lines arrive family-contiguous from the walk, so one
-/// header pass keeps the exposition grouped.
-fn prom_with_headers(body: &str) -> String {
-    let mut out = String::with_capacity(body.len() * 2);
-    let mut seen: Vec<String> = Vec::new();
-    for line in body.lines() {
-        let bare = line.split(['{', ' ']).next().unwrap_or("");
-        let (family, kind) = prom_family(bare);
-        if !seen.contains(&family) {
-            let what = family.strip_prefix("isexd_").unwrap_or(&family).to_string();
-            out.push_str(&format!(
-                "# HELP {family} isexd {kind} `{what}`, mirroring the /metrics JSON field of the same path.\n"
-            ));
-            out.push_str(&format!("# TYPE {family} {kind}\n"));
-            seen.push(family);
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
-/// One latency histogram: cumulative buckets (the JSON snapshot holds
-/// per-bucket counts, Prometheus `le` series are cumulative), sum, count,
-/// and the derived average/quantile gauges.
-fn prom_histogram(fields: &[(String, Value)], prefix: &str, out: &mut String) {
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    if let Some(Value::Object(buckets)) = get("buckets") {
-        let mut cum = 0.0;
-        for (k, v) in buckets {
-            cum += prom_number(v).unwrap_or(0.0);
-            let le = match k.strip_prefix("le_") {
-                Some("inf") => "+Inf",
-                Some(bound) => bound.trim_end_matches("ms"),
-                None => k.as_str(),
-            };
-            out.push_str(&format!("{prefix}_ms_bucket{{le=\"{le}\"}} {cum}\n"));
-        }
-    }
-    if let Some(x) = get("sum_ms").and_then(prom_number) {
-        out.push_str(&format!("{prefix}_ms_sum {x}\n"));
-    }
-    if let Some(x) = get("count").and_then(prom_number) {
-        out.push_str(&format!("{prefix}_ms_count {x}\n"));
-    }
-    for k in ["avg_ms", "p50_ms", "p95_ms", "p99_ms"] {
-        if let Some(x) = get(k).and_then(prom_number) {
-            out.push_str(&format!("{prefix}_{k} {x}\n"));
-        }
-    }
-}
-
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new()
+        section(own.into_iter().chain(extra))
     }
 }
 
@@ -585,7 +580,7 @@ mod tests {
         h.observe_ms(3.0);
         h.observe_ms(999_999.0);
         assert_eq!(h.count(), 3);
-        let snap = serde_json::value_to_string(&h.snapshot());
+        let snap = serde_json::value_to_string(&h.metric().to_json());
         assert!(snap.contains("\"le_1ms\":1"), "{snap}");
         assert!(snap.contains("\"le_5ms\":1"), "{snap}");
         assert!(snap.contains("\"le_inf\":1"), "{snap}");
@@ -601,11 +596,59 @@ mod tests {
         run.jobs_completed = 5;
         run.ant_iterations = 100;
         m.record_run(&run);
-        let text = serde_json::value_to_string(&m.snapshot(&q, &c, &[]));
+        let text = serde_json::value_to_string(&m.snapshot(&q, &c, Vec::new()).to_json());
         for key in ["queue", "cache", "requests", "latency", "engine", "phases"] {
             assert!(text.contains(&format!("\"{key}\"")), "{text}");
         }
         assert!(text.contains("\"jobs_completed\":5"), "{text}");
+    }
+
+    fn leaf_types(v: &Value, path: &str, out: &mut Vec<(String, &'static str)>) {
+        let kind = match v {
+            Value::Object(fields) => {
+                for (k, v) in fields {
+                    let child = if path.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{path}.{k}")
+                    };
+                    leaf_types(v, &child, out);
+                }
+                return;
+            }
+            Value::U64(_) => "U64",
+            Value::F64(_) => "F64",
+            _ => "other",
+        };
+        out.push((path.to_string(), kind));
+    }
+
+    #[test]
+    fn json_keeps_each_leafs_number_type() {
+        let m = ServerMetrics::new();
+        let mut leaves = Vec::new();
+        let tree = m.snapshot(&JobQueue::new(8), &ResultCache::new(4), Vec::new());
+        leaf_types(&tree.to_json(), "", &mut leaves);
+        let mut f64s = vec![
+            "cache.hit_rate".to_string(),
+            "requests.run_cost_ewma_ms".to_string(),
+            "engine.explore_ms".to_string(),
+            "engine.total_ms".to_string(),
+        ];
+        for h in ["explore", "control"] {
+            for k in ["sum_ms", "avg_ms", "p50_ms", "p95_ms", "p99_ms"] {
+                f64s.push(format!("latency.{h}.{k}"));
+            }
+        }
+        for (path, kind) in &leaves {
+            let want = match path.as_str() {
+                "queue.last_failure" => "other",
+                p if f64s.iter().any(|f| f == p) => "F64",
+                _ => "U64",
+            };
+            assert_eq!(*kind, want, "{path}");
+        }
+        assert_eq!(leaves.len(), 1 + 8 + 5 + 8 + 2 * 18 + 9);
     }
 
     #[test]
@@ -613,35 +656,55 @@ mod tests {
         let m = ServerMetrics::new();
         let q = JobQueue::new(8);
         let c = ResultCache::new(4);
-        let extra = vec![(
-            "store".to_string(),
-            Value::Object(vec![
-                ("entries".into(), Value::U64(3)),
-                ("bytes".into(), Value::U64(4096)),
-            ]),
-        )];
-        let json = serde_json::value_to_string(&m.snapshot(&q, &c, &extra));
+        let store = || section([("entries", gauge(3u64)), ("bytes", gauge(4096u64))]);
+        let json =
+            serde_json::value_to_string(&m.snapshot(&q, &c, vec![("store", store())]).to_json());
         assert!(json.contains("\"store\":{\"entries\":3"), "{json}");
-        let prom = m.render_prometheus(&q, &c, &extra);
+        let prom = m.snapshot(&q, &c, vec![("store", store())]).to_prometheus();
         assert!(prom.contains("isexd_store_entries 3"), "{prom}");
         assert!(prom.contains("isexd_store_bytes 4096"), "{prom}");
     }
 
     #[test]
-    fn bump_phase_rides_the_phases_labels() {
+    fn run_phases_ride_the_phases_labels() {
         let m = ServerMetrics::new();
-        let q = JobQueue::new(8);
-        let c = ResultCache::new(4);
-        m.bump_phase("store.hit", 2);
-        m.bump_phase("store.hit", 1);
-        m.bump_phase("jobs.coalesced", 5);
-        let prom = m.render_prometheus(&q, &c, &[]);
+        for count in [2, 1] {
+            let mut run = RunMetrics::empty(1, 1);
+            run.phase_profile.0.push(isex_engine::PhaseStat {
+                name: "engine.job".to_string(),
+                count,
+                total_ms: 1.5,
+                max_ms: 1.0,
+            });
+            m.record_run(&run);
+        }
+        let prom = m
+            .snapshot(&JobQueue::new(8), &ResultCache::new(4), Vec::new())
+            .to_prometheus();
         assert!(
-            prom.contains("isexd_phases_count{phase=\"store.hit\"} 3"),
+            prom.contains("isexd_phases_count{phase=\"engine.job\"} 3"),
             "{prom}"
         );
         assert!(
-            prom.contains("isexd_phases_count{phase=\"jobs.coalesced\"} 5"),
+            prom.contains("isexd_phases_total_ms{phase=\"engine.job\"} 3"),
+            "{prom}"
+        );
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        let rows = vec![("w\"0\\\n".to_string(), counter(1u64))];
+        let tree = section([(
+            "phases",
+            Metric::Labeled {
+                label: "phase",
+                family: "phases",
+                rows,
+            },
+        )]);
+        let prom = tree.to_prometheus();
+        assert!(
+            prom.contains("isexd_phases{phase=\"w\\\"0\\\\\\n\"} 1\n"),
             "{prom}"
         );
     }
@@ -716,17 +779,25 @@ mod tests {
             max_ms: 1.25,
         });
         m.record_run(&run);
-        let text = m.render_prometheus(&q, &c, &[]);
+        let text = m.snapshot(&q, &c, Vec::new()).to_prometheus();
 
         // Every sample line parses as `name{labels}? value` with a finite
-        // value and a legal metric name (`#` lines are HELP/TYPE headers);
-        // every sample's family is announced by a `# TYPE` line.
-        let types: Vec<&str> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .collect();
+        // value and a legal metric name, and belongs to the family the
+        // `# TYPE` line before it announced (a histogram's series carry a
+        // `_bucket`/`_sum`/`_count` suffix). No family is announced twice.
+        let mut kinds: BTreeMap<&str, &str> = BTreeMap::new();
+        let mut family = ("", "");
         let mut lines = 0usize;
         for line in text.lines() {
+            if let Some(t) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = t.split_once(' ').expect(line);
+                assert!(
+                    kinds.insert(name, kind).is_none(),
+                    "two # TYPE lines for `{name}`"
+                );
+                family = (name, kind);
+                continue;
+            }
             if line.starts_with('#') {
                 continue;
             }
@@ -742,24 +813,40 @@ mod tests {
                         .all(|ch| ch.is_ascii_alphanumeric() || ch == '_'),
                 "{line}"
             );
+            let suffix = bare.strip_prefix(family.0).expect(line);
+            let histogram_series = ["_bucket", "_sum", "_count"].contains(&suffix);
             assert!(
-                types
-                    .iter()
-                    .any(|t| t.split(' ').next() == Some(super::prom_family(bare).0.as_str())),
-                "no # TYPE for `{bare}`"
+                suffix.is_empty() || (family.1 == "histogram" && histogram_series),
+                "`{bare}` sits under # TYPE {} {}",
+                family.0,
+                family.1
             );
         }
 
         // Coverage: at least one line per numeric metric in the JSON
-        // snapshot (the renderer walks the same document).
-        let leaves = numeric_leaves(&m.snapshot(&q, &c, &[]));
+        // snapshot (both render the same tree).
+        let leaves = numeric_leaves(&m.snapshot(&q, &c, Vec::new()).to_json());
         assert!(lines >= leaves, "{lines} lines < {leaves} JSON metrics");
+
+        // Kinds are declared with each leaf, not guessed from its name.
+        for (name, kind) in [
+            ("isexd_queue_jobs_completed", "counter"),
+            ("isexd_cache_hits", "counter"),
+            ("isexd_engine_runs", "counter"),
+            ("isexd_phases_count", "counter"),
+            ("isexd_phases_total_ms", "counter"),
+            ("isexd_phases_max_ms", "gauge"),
+            ("isexd_queue_depth", "gauge"),
+            ("isexd_cache_hit_rate", "gauge"),
+            ("isexd_requests_total", "counter"),
+            ("isexd_latency_explore_ms", "histogram"),
+            ("isexd_latency_explore_p50_ms", "gauge"),
+        ] {
+            assert_eq!(kinds.get(name), Some(&kind), "# TYPE of `{name}`");
+        }
 
         for needle in [
             "# HELP isexd_queue_depth ",
-            "# TYPE isexd_queue_depth gauge",
-            "# TYPE isexd_requests_total counter",
-            "# TYPE isexd_latency_explore_ms histogram",
             "isexd_uptime_ms ",
             "isexd_queue_depth ",
             "isexd_cache_hits ",

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use isex_engine::{Cancelled, DeadlineTimer, EventSink, Flags, RunMetrics};
+use isex_engine::{DeadlineTimer, EventSink, Flags, RunMetrics};
 use isex_flow::{run_flow_cancellable, FlowConfig, FlowReport};
 use isex_workloads::Program;
 use serde::Value;
@@ -34,7 +34,7 @@ use crate::cache::{CachedResult, ResultCache};
 use crate::http::{self, HttpError, Request};
 use crate::jobs::{JobRecord, JobTable, Submitted};
 use crate::listener::Listener;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{counter, gauge, section, Metric, ServerMetrics};
 use crate::protocol::{self, ExploreRequest};
 use crate::queue::{Job, JobOutcome, JobQueue, PushRefused};
 
@@ -47,9 +47,10 @@ use crate::queue::{Job, JobOutcome, JobQueue, PushRefused};
 /// determinism contract makes *where* a run executes unobservable in its
 /// result.
 ///
-/// Implementations must honour `job.cancel` cooperatively (return
-/// [`Cancelled`] at the next job boundary once it trips) and may emit
-/// engine events to `sink`.
+/// Implementations keep the anytime contract: once `job.cancel` trips,
+/// exploration stops at the next boundary and the run still answers, with
+/// each block's best-so-far candidates and [`RunMetrics::degraded`] set.
+/// They may emit engine events to `sink`.
 pub trait ExploreRunner: Send + Sync {
     /// Executes the exploration `job` resolves to and returns the report
     /// plus its telemetry.
@@ -59,7 +60,7 @@ pub trait ExploreRunner: Send + Sync {
         cfg: &FlowConfig,
         program: &Program,
         sink: &dyn EventSink,
-    ) -> Result<(FlowReport, RunMetrics), Cancelled>;
+    ) -> (FlowReport, RunMetrics);
 
     /// Whether the runner could execute a run *right now*. The local
     /// runner always can; a cluster front-end reports `false` while no
@@ -71,10 +72,10 @@ pub trait ExploreRunner: Send + Sync {
 
     /// Extra root sections the runner contributes to `GET /metrics` — a
     /// cluster front-end reports its federated per-worker rollups here.
-    /// Each `(name, value)` lands in the JSON document verbatim and in the
-    /// Prometheus rendering through the generic walk. The local runner has
-    /// nothing beyond what the server already exports.
-    fn metrics_sections(&self) -> Vec<(String, Value)> {
+    /// Each `(name, tree)` renders to JSON and Prometheus like the
+    /// server's own sections. The local runner has nothing beyond what the
+    /// server already exports.
+    fn metrics_sections(&self) -> Vec<(&'static str, Metric)> {
         Vec::new()
     }
 }
@@ -89,7 +90,7 @@ impl ExploreRunner for LocalRunner {
         cfg: &FlowConfig,
         program: &Program,
         sink: &dyn EventSink,
-    ) -> Result<(FlowReport, RunMetrics), Cancelled> {
+    ) -> (FlowReport, RunMetrics) {
         run_flow_cancellable(cfg, program, job.request.seed, sink, &job.cancel)
     }
 }
@@ -397,7 +398,7 @@ fn run_one(state: &Arc<ServerState>, job: &Arc<Job>) {
         crate::events::RingSink::new(&job.events, file),
         job.trace_id.clone(),
     );
-    let run = {
+    let (report, run_metrics) = {
         let _attach = tracer.attach();
         let _span = tracer.span_with("request.explore", || {
             vec![
@@ -422,64 +423,55 @@ fn run_one(state: &Arc<ServerState>, job: &Arc<Job>) {
         state.trace_ring.push(written);
     }
 
-    match run {
-        Ok((report, run_metrics)) => {
-            if run_metrics.blocks_explored > 0
-                && run_metrics.block_failures.len() == run_metrics.blocks_explored
-            {
-                // Every hot block lost every repeat to a panic: there is no
-                // exploration behind this report, so a "no ISEs found"
-                // answer would be a lie. Fail the run instead.
-                state.metrics.runs_failed.fetch_add(1, Ordering::Relaxed);
-                let cause = run_metrics
-                    .block_failures
-                    .first()
-                    .map(|f| f.error.clone())
-                    .unwrap_or_default();
-                in_flight.complete_failed(&cause);
-                job.complete(JobOutcome::Failed(format!(
-                    "all {} explored blocks failed; first cause: {cause}",
-                    run_metrics.blocks_explored
-                )));
-                return;
+    if run_metrics.blocks_explored > 0
+        && run_metrics.block_failures.len() == run_metrics.blocks_explored
+    {
+        // Every hot block lost every repeat to a panic: there is no
+        // exploration behind this report, so a "no ISEs found" answer
+        // would be a lie. Fail the run instead.
+        state.metrics.runs_failed.fetch_add(1, Ordering::Relaxed);
+        let cause = run_metrics
+            .block_failures
+            .first()
+            .map(|f| f.error.clone())
+            .unwrap_or_default();
+        in_flight.complete_failed(&cause);
+        job.complete(JobOutcome::Failed(format!(
+            "all {} explored blocks failed; first cause: {cause}",
+            run_metrics.blocks_explored
+        )));
+        return;
+    }
+    state.metrics.record_run(&run_metrics);
+    if run_metrics.degraded {
+        state.metrics.degraded_runs.fetch_add(1, Ordering::Relaxed);
+    }
+    let result = Arc::new(CachedResult {
+        report,
+        metrics: run_metrics,
+    });
+    // Cache soundness: the canonical key promises the *fault-free,
+    // full-budget* answer. A run that survived injected or real job panics
+    // is still served to its requester (with the failures visible in its
+    // metrics) but must never be cached under that key — and the same goes
+    // for a degraded run, whose report is a valid best-so-far partial of
+    // whatever deadline happened to be in force, not the canonical result.
+    // Both guards also gate the persistent store, where a damaged answer
+    // would outlive the process.
+    if result.metrics.jobs_failed == 0 && !result.metrics.degraded {
+        state.cache.insert(job.key.clone(), Arc::clone(&result));
+        if let Some(store) = &state.store {
+            let payload = protocol::result_payload_json(&job.key, &result.report, &result.metrics);
+            if store.insert(&job.key, payload.as_bytes()).is_err() {
+                state
+                    .metrics
+                    .store_write_errors
+                    .fetch_add(1, Ordering::Relaxed);
             }
-            state.metrics.record_run(&run_metrics);
-            if run_metrics.degraded {
-                state.metrics.degraded_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            let result = Arc::new(CachedResult {
-                report,
-                metrics: run_metrics,
-            });
-            // Cache soundness: the canonical key promises the *fault-free,
-            // full-budget* answer. A run that survived injected or real job
-            // panics is still served to its requester (with the failures
-            // visible in its metrics) but must never be cached under that
-            // key — and the same goes for a degraded run, whose report is a
-            // valid best-so-far partial of whatever deadline happened to be
-            // in force, not the canonical result. Both guards also gate the
-            // persistent store, where a damaged answer would outlive the
-            // process.
-            if result.metrics.jobs_failed == 0 && !result.metrics.degraded {
-                state.cache.insert(job.key.clone(), Arc::clone(&result));
-                if let Some(store) = &state.store {
-                    let payload =
-                        protocol::result_payload_json(&job.key, &result.report, &result.metrics);
-                    match store.insert(&job.key, payload.as_bytes()) {
-                        Ok(_) => state.metrics.bump_phase("store.insert", 1),
-                        Err(_) => state.metrics.bump_phase("store.write_error", 1),
-                    }
-                }
-            }
-            in_flight.complete_ok();
-            job.complete(JobOutcome::Done(result));
-        }
-        Err(_) => {
-            state.metrics.runs_cancelled.fetch_add(1, Ordering::Relaxed);
-            in_flight.complete_cancelled();
-            job.complete(JobOutcome::Cancelled);
         }
     }
+    in_flight.complete_ok();
+    job.complete(JobOutcome::Done(result));
 }
 
 fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
@@ -601,18 +593,14 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) {
             )
         }
         ("GET", "/metrics") => {
-            let extra = metrics_extra(state);
+            let tree = state
+                .metrics
+                .snapshot(&state.queue, &state.cache, metrics_extra(state));
             let body = if request.query_param("format") == Some("prometheus") {
                 content_type = "text/plain; version=0.0.4";
-                state
-                    .metrics
-                    .render_prometheus(&state.queue, &state.cache, &extra)
+                tree.to_prometheus()
             } else {
-                serde_json::value_to_string(&state.metrics.snapshot(
-                    &state.queue,
-                    &state.cache,
-                    &extra,
-                ))
+                serde_json::value_to_string(&tree.to_json())
             };
             (200, body, no_store)
         }
@@ -645,42 +633,41 @@ fn method_not_allowed(path: &str, allow: &'static str) -> ControlAnswer {
     )
 }
 
-/// The caller-owned `/metrics` sections: the persistent store's counters
-/// (when configured) and the job table's.
-fn metrics_extra(state: &Arc<ServerState>) -> Vec<(String, Value)> {
+/// The caller-owned `/metrics` sections: the persistent store's (when
+/// configured), the job table's, then the runner's.
+fn metrics_extra(state: &ServerState) -> Vec<(&'static str, Metric)> {
     let mut extra = Vec::new();
     if let Some(store) = &state.store {
         let s = store.stats();
+        let m = &state.metrics;
         extra.push((
-            "store".to_string(),
-            Value::Object(vec![
-                ("entries".into(), Value::U64(s.entries)),
-                ("bytes".into(), Value::U64(s.bytes)),
-                ("max_bytes".into(), Value::U64(s.max_bytes)),
-                ("hits".into(), Value::U64(s.hits)),
-                ("misses".into(), Value::U64(s.misses)),
-                ("inserts".into(), Value::U64(s.inserts)),
-                ("evictions".into(), Value::U64(s.evictions)),
+            "store",
+            section([
+                ("entries", gauge(s.entries)),
+                ("bytes", gauge(s.bytes)),
+                ("max_bytes", gauge(s.max_bytes)),
+                ("hits", counter(s.hits)),
+                ("misses", counter(s.misses)),
+                ("inserts", counter(s.inserts)),
+                ("evictions", counter(s.evictions)),
+                (
+                    "write_errors",
+                    counter(m.store_write_errors.load(Ordering::Relaxed)),
+                ),
+                ("stale", counter(m.store_stale.load(Ordering::Relaxed))),
             ]),
         ));
     }
     let j = state.jobs.stats();
-    extra.push((
-        "jobs".to_string(),
-        Value::Object(vec![
-            ("submitted".into(), Value::U64(j.submitted)),
-            ("coalesced".into(), Value::U64(j.coalesced)),
-            ("tracked".into(), Value::U64(j.tracked)),
-            ("active".into(), Value::U64(j.active)),
-            (
-                "inflight".into(),
-                Value::U64(state.queue.in_flight() as u64),
-            ),
-            ("coalesced_waiters".into(), Value::U64(j.waiters)),
-        ]),
-    ));
-    // The runner's own sections last — a cluster front-end appends its
-    // federated per-worker rollups here.
+    let jobs = section([
+        ("submitted", counter(j.submitted)),
+        ("coalesced", counter(j.coalesced)),
+        ("tracked", gauge(j.tracked)),
+        ("active", gauge(j.active)),
+        ("inflight", gauge(state.queue.in_flight() as u64)),
+        ("coalesced_waiters", gauge(j.waiters)),
+    ]);
+    extra.push(("jobs", jobs));
     extra.extend(state.runner.metrics_sections());
     extra
 }
@@ -688,7 +675,7 @@ fn metrics_extra(state: &Arc<ServerState>) -> Vec<(String, Value)> {
 /// Memory LRU → disk store read-through. A store hit is decoded behind the
 /// provenance guard, promoted into the memory cache, and served; an entry
 /// that decodes but fails the guard is removed (it can never serve a hit)
-/// and counted as a miss.
+/// and counted in `store.stale`.
 fn lookup_tiers(state: &ServerState, key: &str) -> Option<(Arc<CachedResult>, &'static str)> {
     if let Some(hit) = state.cache.lookup(key) {
         return Some((hit, "memory"));
@@ -697,7 +684,6 @@ fn lookup_tiers(state: &ServerState, key: &str) -> Option<(Arc<CachedResult>, &'
     let bytes = store.lookup(key)?;
     match protocol::decode_result_payload(key, &bytes) {
         Some(result) => {
-            state.metrics.bump_phase("store.hit", 1);
             let result = Arc::new(result);
             state.cache.insert(key.to_string(), Arc::clone(&result));
             Some((result, "store"))
@@ -705,7 +691,7 @@ fn lookup_tiers(state: &ServerState, key: &str) -> Option<(Arc<CachedResult>, &'
         None => {
             // The frame was intact but the payload is stale (another
             // format or engine version): ignored, not trusted.
-            state.metrics.bump_phase("store.miss", 1);
+            state.metrics.store_stale.fetch_add(1, Ordering::Relaxed);
             let _ = store.remove(key);
             None
         }
@@ -777,7 +763,6 @@ fn admit(
         .submit(explore, key.clone(), trace_id.to_string(), detached)
     {
         Submitted::Coalesced(record) => {
-            state.metrics.bump_phase("jobs.coalesced", 1);
             record.job.extend_deadline(budget);
             return Ok((key, timeout_ms, Admission::Coalesced(record)));
         }

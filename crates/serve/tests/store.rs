@@ -96,7 +96,7 @@ fn stored_result_survives_restart_bitwise() {
     assert!(second.cached, "must not recompute");
     assert_eq!(second.source, "store");
     let snap = metrics(&addr);
-    assert_eq!(metric_u64(&snap, &["phases", "store.hit", "count"]), 1);
+    assert_eq!(metric_u64(&snap, &["store", "hits"]), 1);
     assert_eq!(metric_u64(&snap, &["queue", "jobs_completed"]), 0);
     handle.shutdown();
 
@@ -324,4 +324,119 @@ fn method_not_allowed_carries_allow_header_over_raw_tcp() {
         );
     }
     handle.shutdown();
+}
+
+/// Every `/metrics` JSON leaf path of a fresh server, in document order,
+/// `section: fields` per line. A fresh server's labelled maps
+/// (`requests.by_status`, `phases`) are empty, and the `store` section
+/// exists only with a store directory.
+const METRIC_PATHS: &str = "
+    : uptime_ms
+    queue: depth capacity in_flight jobs_completed jobs_failed jobs_cancelled last_failure rejected_queue_full
+    cache: hits misses hit_rate entries capacity
+    requests: deadline_timeouts runs_cancelled runs_failed worker_restarts shed_overload degraded_runs degraded_responses run_cost_ewma_ms
+    latency.explore: HISTOGRAM
+    latency.control: HISTOGRAM
+    engine: runs jobs_completed jobs_failed worker_restarts ant_iterations candidates_generated candidates_accepted explore_ms total_ms
+    store: entries bytes max_bytes hits misses inserts evictions write_errors stale
+    jobs: submitted coalesced tracked active inflight coalesced_waiters
+";
+
+const HISTOGRAM: &str = "count sum_ms avg_ms p50_ms p95_ms p99_ms buckets.le_1ms buckets.le_5ms \
+    buckets.le_10ms buckets.le_25ms buckets.le_50ms buckets.le_100ms buckets.le_250ms \
+    buckets.le_500ms buckets.le_1000ms buckets.le_5000ms buckets.le_30000ms buckets.le_inf";
+
+fn expected_paths(with_store: bool) -> Vec<String> {
+    let mut paths = Vec::new();
+    for line in METRIC_PATHS.lines().filter(|l| !l.trim().is_empty()) {
+        let (section, fields) = line.trim().split_once(':').unwrap();
+        if section == "store" && !with_store {
+            continue;
+        }
+        let fields = fields.replace("HISTOGRAM", HISTOGRAM);
+        for field in fields.split_whitespace() {
+            paths.push(match section {
+                "" => field.to_string(),
+                section => format!("{section}.{field}"),
+            });
+        }
+    }
+    paths
+}
+
+fn leaf_paths(value: &Value, path: &str, out: &mut Vec<String>) {
+    match value {
+        Value::Object(fields) => {
+            for (key, child) in fields {
+                let child_path = match path {
+                    "" => key.clone(),
+                    path => format!("{path}.{key}"),
+                };
+                leaf_paths(child, &child_path, out);
+            }
+        }
+        _ => out.push(path.to_string()),
+    }
+}
+
+#[test]
+fn store_counts_hits_and_stale_payloads_and_metric_paths_hold() {
+    let paths = |addr: &str| {
+        let mut out = Vec::new();
+        leaf_paths(&metrics(addr), "", &mut out);
+        out
+    };
+    let plain = start(config(None)).expect("start plain server");
+    assert_eq!(paths(&plain.addr().to_string()), expected_paths(false));
+    plain.shutdown();
+
+    // A payload of another format under the request's key: the store
+    // serves its bytes, the provenance guard rejects them.
+    let dir = tmp_dir("stale");
+    let req = quick(0x57A1E);
+    let key = req.canonical_key();
+    let stale = serde_json::value_to_string(&Value::Object(vec![
+        ("payload_version".into(), Value::U64(0)),
+        ("key".into(), Value::String(key.clone())),
+    ]));
+    let store = isex_store::Store::open(&dir, 0).expect("open store");
+    store
+        .insert(&key, stale.as_bytes())
+        .expect("write stale payload");
+
+    let handle = start(config(Some(dir.clone()))).expect("start store server");
+    let addr = handle.addr().to_string();
+    assert_eq!(paths(&addr), expected_paths(true));
+    let first = client::explore(&addr, &req).expect("explore over a stale entry");
+    assert_eq!(first.source, "run", "a stale payload never serves");
+    let snap = metrics(&addr);
+    assert_eq!(metric_u64(&snap, &["store", "stale"]), 1);
+    // The store itself read an intact frame: a hit by its count.
+    assert_eq!(metric_u64(&snap, &["store", "hits"]), 1);
+    assert_eq!(metric_u64(&snap, &["store", "inserts"]), 1);
+    assert_eq!(metric_u64(&snap, &["store", "write_errors"]), 0);
+    handle.shutdown();
+    assert!(
+        decode_ok(&store, &req),
+        "the run replaced the stale payload"
+    );
+
+    // Restart: the fresh entry answers as one store hit.
+    let handle = start(config(Some(dir.clone()))).expect("restart store server");
+    let addr = handle.addr().to_string();
+    assert_eq!(
+        client::explore(&addr, &req).expect("explore").source,
+        "store"
+    );
+    let snap = metrics(&addr);
+    assert_eq!(metric_u64(&snap, &["store", "hits"]), 1);
+    assert_eq!(metric_u64(&snap, &["store", "stale"]), 0);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn decode_ok(store: &isex_store::Store, req: &ExploreRequest) -> bool {
+    let key = req.canonical_key();
+    let bytes = store.lookup(&key).expect("entry present");
+    isex_serve::protocol::decode_result_payload(&key, &bytes).is_some()
 }
