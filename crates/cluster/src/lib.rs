@@ -85,7 +85,7 @@ impl ClusterRunner {
 impl ExploreRunner for ClusterRunner {
     fn run_explore(
         &self,
-        job: &isex_serve::queue::Job,
+        job: &isex_serve::jobs::Job,
         cfg: &FlowConfig,
         program: &Program,
         sink: &dyn EventSink,

@@ -178,7 +178,7 @@ pub fn get(addr: &str, path: &str) -> Result<RawResponse, ClientError> {
 
 /// A decoded `POST /v1/jobs` acceptance (`202`).
 #[derive(Clone, Debug)]
-pub struct JobSubmitted {
+pub struct JobAccepted {
     /// Handle for the status endpoints.
     pub job_id: String,
     /// The canonical key of the exploration the job answers.
@@ -192,7 +192,7 @@ pub struct JobSubmitted {
 
 /// Submits an exploration asynchronously (`POST /v1/jobs`): returns the
 /// job handle immediately, without waiting for the run.
-pub fn submit_job(addr: &str, request: &ExploreRequest) -> Result<JobSubmitted, ClientError> {
+pub fn submit_job(addr: &str, request: &ExploreRequest) -> Result<JobAccepted, ClientError> {
     let raw = roundtrip(
         addr,
         "POST",
@@ -218,7 +218,7 @@ pub fn submit_job(addr: &str, request: &ExploreRequest) -> Result<JobSubmitted, 
             _ => Err(ClientError::Protocol(format!("202 body missing `{name}`"))),
         }
     };
-    Ok(JobSubmitted {
+    Ok(JobAccepted {
         job_id: text("job_id")?,
         key: text("key")?,
         status: text("status")?,

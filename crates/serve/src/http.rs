@@ -8,8 +8,11 @@
 
 use std::io::{Read, Write};
 
-/// Default cap on request-line + headers bytes.
-pub const DEFAULT_MAX_HEAD_BYTES: usize = 16 * 1024;
+/// The server's cap on request-line + header bytes (slowloris protection).
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// The server's cap on request bodies, bytes.
+pub const MAX_BODY_BYTES: usize = 64 * 1024;
 
 /// A parsed request.
 #[derive(Clone, Debug)]
@@ -272,7 +275,7 @@ mod tests {
     fn parses_a_request_from_any_reader() {
         let mut raw: &[u8] =
             b"POST /v1/explore HTTP/1.1\r\ncontent-length: 4\r\nx-a: b\r\n\r\nbody";
-        let req = read_request(&mut raw, 1024, DEFAULT_MAX_HEAD_BYTES).unwrap();
+        let req = read_request(&mut raw, 1024, MAX_HEAD_BYTES).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/explore");
         assert_eq!(req.header("x-a"), Some("b"));
@@ -284,7 +287,7 @@ mod tests {
     #[test]
     fn query_string_is_split_off_and_parameterised() {
         let mut raw: &[u8] = b"GET /metrics?format=prometheus&raw HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut raw, 1024, DEFAULT_MAX_HEAD_BYTES).unwrap();
+        let req = read_request(&mut raw, 1024, MAX_HEAD_BYTES).unwrap();
         assert_eq!(req.path, "/metrics");
         assert_eq!(req.query, "format=prometheus&raw");
         assert_eq!(req.query_param("format"), Some("prometheus"));

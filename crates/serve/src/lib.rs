@@ -31,16 +31,18 @@
 //! The serving core is a few small mechanisms, behind one shared
 //! [`listener`] (the coordinator accepts its workers through it too):
 //!
-//! * a **bounded job queue** ([`queue`]) feeding an engine worker pool,
-//!   with `503` + `Retry-After` backpressure when full;
+//! * a **job registry** ([`jobs`]) that admits every exploration in one
+//!   call under one lock: it coalesces identical in-flight explorations
+//!   into one engine run with N waiters, enqueues a fresh run in a bounded
+//!   waiting room feeding the engine worker pool, or refuses with `503` +
+//!   `Retry-After` when the room is full or closed, having registered
+//!   nothing; every admitted exploration gets an ID for the async
+//!   endpoints;
 //! * a **result cache** ([`cache`]) keyed by the canonical request — sound
 //!   because engine runs are bitwise deterministic, so an exact key match
 //!   *is* the answer — optionally backed by a persistent on-disk store
 //!   (`--store-dir`, the `isex-store` crate) that survives restarts and is
 //!   shared by replicas pointing at one directory;
-//! * a **job table** ([`jobs`]) that coalesces identical in-flight
-//!   explorations into one engine run with N waiters and gives every
-//!   admitted exploration an ID for the async endpoints;
 //! * **cooperative deadlines with anytime results** — a budgeted run gets
 //!   its deadline minus a grace window; a deadline timer trips the run's
 //!   [`CancelToken`](isex_engine::CancelToken) at that budget and the
@@ -75,7 +77,6 @@ pub mod jobs;
 pub mod listener;
 pub mod metrics;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod signal;
 pub mod trace;

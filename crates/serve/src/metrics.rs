@@ -2,7 +2,7 @@
 //!
 //! Everything is lock-free counters or a short-held mutex, updated on the
 //! request path. A scrape reads them into one typed [`Metric`] tree: queue
-//! depth and in-flight jobs (from the queue), cache hit rate (from the
+//! depth and in-flight jobs (from the job registry), cache hit rate (from the
 //! cache), per-endpoint latency histograms, response-status counts, and
 //! cumulative engine [`RunMetrics`] aggregates over every completed run.
 //! Each leaf is declared where its value is read, as a counter, a gauge or
@@ -19,7 +19,7 @@ use isex_engine::{lock_unpoisoned, PhaseProfile, RunMetrics};
 use serde::Value;
 
 use crate::cache::ResultCache;
-use crate::queue::JobQueue;
+use crate::jobs::JobRegistry;
 
 /// Upper bucket bounds, milliseconds. The last bucket is open-ended.
 pub const LATENCY_BOUNDS_MS: &[u64] = &[1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 30_000];
@@ -388,8 +388,6 @@ pub struct ServerMetrics {
     pub control_latency: Histogram,
     /// Responses by HTTP status.
     statuses: Mutex<BTreeMap<u16, u64>>,
-    /// Requests refused because the queue was full.
-    pub rejected_queue_full: AtomicU64,
     /// Requests that hit their deadline.
     pub deadline_timeouts: AtomicU64,
     /// Jobs cancelled while still queued (their last waiter left). A run
@@ -479,7 +477,7 @@ impl ServerMetrics {
     /// [`Metric::to_prometheus`].
     pub fn snapshot(
         &self,
-        queue: &JobQueue,
+        jobs: &JobRegistry,
         cache: &ResultCache,
         extra: Vec<(&'static str, Metric)>,
     ) -> Metric {
@@ -501,20 +499,19 @@ impl ServerMetrics {
                 (t.name.clone(), stat)
             })
             .collect();
-        let last_failure = queue.last_failure().map_or(Value::Null, Value::String);
+        let last_failure = jobs.last_failure().map_or(Value::Null, Value::String);
         let own = [
             ("uptime_ms", gauge(self.uptime_ms())),
             (
                 "queue",
                 section([
-                    ("depth", gauge(queue.depth() as u64)),
-                    ("capacity", gauge(queue.capacity() as u64)),
-                    ("in_flight", gauge(queue.in_flight() as u64)),
-                    ("jobs_completed", counter(queue.jobs_completed())),
-                    ("jobs_failed", counter(queue.jobs_failed())),
-                    ("jobs_cancelled", counter(queue.jobs_cancelled())),
+                    ("depth", gauge(jobs.depth() as u64)),
+                    ("capacity", gauge(jobs.capacity() as u64)),
+                    ("in_flight", gauge(jobs.in_flight() as u64)),
+                    ("jobs_completed", counter(jobs.jobs_completed())),
+                    ("jobs_failed", counter(jobs.jobs_failed())),
                     ("last_failure", Metric::Note(last_failure)),
-                    ("rejected_queue_full", count(&self.rejected_queue_full)),
+                    ("rejected_queue_full", counter(jobs.refused_full())),
                 ]),
             ),
             (
@@ -589,7 +586,7 @@ mod tests {
     #[test]
     fn snapshot_reports_queue_cache_and_engine_sections() {
         let m = ServerMetrics::new();
-        let q = JobQueue::new(8);
+        let q = JobRegistry::new(8, 8);
         let c = ResultCache::new(4);
         m.count_status(200);
         let mut run = RunMetrics::empty(1, 2);
@@ -627,7 +624,7 @@ mod tests {
     fn json_keeps_each_leafs_number_type() {
         let m = ServerMetrics::new();
         let mut leaves = Vec::new();
-        let tree = m.snapshot(&JobQueue::new(8), &ResultCache::new(4), Vec::new());
+        let tree = m.snapshot(&JobRegistry::new(8, 8), &ResultCache::new(4), Vec::new());
         leaf_types(&tree.to_json(), "", &mut leaves);
         let mut f64s = vec![
             "cache.hit_rate".to_string(),
@@ -648,13 +645,13 @@ mod tests {
             };
             assert_eq!(*kind, want, "{path}");
         }
-        assert_eq!(leaves.len(), 1 + 8 + 5 + 8 + 2 * 18 + 9);
+        assert_eq!(leaves.len(), 1 + 7 + 5 + 8 + 2 * 18 + 9);
     }
 
     #[test]
     fn extra_sections_land_in_json_and_prometheus() {
         let m = ServerMetrics::new();
-        let q = JobQueue::new(8);
+        let q = JobRegistry::new(8, 8);
         let c = ResultCache::new(4);
         let store = || section([("entries", gauge(3u64)), ("bytes", gauge(4096u64))]);
         let json =
@@ -679,7 +676,7 @@ mod tests {
             m.record_run(&run);
         }
         let prom = m
-            .snapshot(&JobQueue::new(8), &ResultCache::new(4), Vec::new())
+            .snapshot(&JobRegistry::new(8, 8), &ResultCache::new(4), Vec::new())
             .to_prometheus();
         assert!(
             prom.contains("isexd_phases_count{phase=\"engine.job\"} 3"),
@@ -765,7 +762,7 @@ mod tests {
     #[test]
     fn prometheus_parses_and_covers_every_json_metric() {
         let m = ServerMetrics::new();
-        let q = JobQueue::new(8);
+        let q = JobRegistry::new(8, 8);
         let c = ResultCache::new(4);
         m.count_status(200);
         m.count_status(503);

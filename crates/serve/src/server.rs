@@ -7,11 +7,15 @@
 //!   shutdown flag);
 //! * one short-lived **connection** thread per request (`Connection:
 //!   close`, bounded by socket timeouts);
-//! * `engine_workers` long-lived **worker** threads popping the bounded
-//!   [`JobQueue`] and running [`run_flow_cancellable`].
+//! * `engine_workers` long-lived **worker** threads popping the
+//!   [`JobRegistry`]'s bounded waiting room and running
+//!   [`run_flow_cancellable`].
 //!
-//! Backpressure is explicit: a connection never blocks on a full queue, it
-//! answers `503` + `Retry-After` immediately. Deadlines are cooperative: a
+//! Every exploration is admitted by one [`JobRegistry::admit`] call, which
+//! coalesces it onto a live identical job, enqueues a fresh one, or
+//! refuses it with nothing registered. Backpressure is explicit: a
+//! connection never blocks on a full waiting room, it answers `503` +
+//! `Retry-After` immediately. Deadlines are cooperative: a
 //! [`DeadlineTimer`] trips the job's [`CancelToken`](isex_engine::CancelToken)
 //! at its compute budget and the engine hands back a best-so-far partial;
 //! a waiter that still runs out of time answers `504`, and the last waiter
@@ -32,11 +36,13 @@ use serde::Value;
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::http::{self, HttpError, Request};
-use crate::jobs::{JobRecord, JobTable, Submitted};
+use crate::jobs::{Admitted, Job, JobOutcome, JobRegistry, Refused};
 use crate::listener::Listener;
 use crate::metrics::{counter, gauge, section, Metric, ServerMetrics};
 use crate::protocol::{self, ExploreRequest};
-use crate::queue::{Job, JobOutcome, JobQueue, PushRefused};
+
+/// The `Retry-After` hint sent with every `503`, seconds.
+pub const RETRY_AFTER_SECS: u64 = 1;
 
 /// How the server executes an exploration once it is dequeued.
 ///
@@ -108,17 +114,11 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Default per-request deadline, ms (requests may set a lower one).
     pub default_timeout_ms: u64,
-    /// Cap on request bodies, bytes.
-    pub max_body_bytes: usize,
-    /// Cap on request-line + header bytes (slowloris protection).
-    pub max_head_bytes: usize,
     /// Per-connection socket read timeout, ms; a client that dribbles its
     /// request slower than this gets `408`.
     pub read_timeout_ms: u64,
     /// Per-connection socket write timeout, ms.
     pub write_timeout_ms: u64,
-    /// The `Retry-After` hint sent with `503`, seconds.
-    pub retry_after_secs: u64,
     /// Deterministic fault injection applied to every run — a test/drill
     /// knob, `None` in production. See [`isex_engine::FaultPlan`].
     pub fault_plan: Option<isex_engine::FaultPlan>,
@@ -147,11 +147,8 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_capacity: 256,
             default_timeout_ms: 120_000,
-            max_body_bytes: 64 * 1024,
-            max_head_bytes: http::DEFAULT_MAX_HEAD_BYTES,
             read_timeout_ms: 30_000,
             write_timeout_ms: 30_000,
-            retry_after_secs: 1,
             fault_plan: None,
             trace_dir: None,
             trace_keep: 64,
@@ -210,8 +207,6 @@ pub fn run_from_args(args: &[String]) -> Result<(), String> {
 pub struct ServerState {
     /// The instance's tunables.
     pub config: ServerConfig,
-    /// The bounded job queue.
-    pub queue: JobQueue,
     /// The result cache.
     pub cache: ResultCache,
     /// Live counters.
@@ -223,8 +218,9 @@ pub struct ServerState {
     pub trace_ring: crate::trace::TraceRing,
     /// The persistent result store (`None` without `--store-dir`).
     pub store: Option<Arc<isex_store::Store>>,
-    /// The async job table: IDs, coalescing, waiter-aware cancellation.
-    pub jobs: JobTable,
+    /// Every admitted exploration: admission, the waiting room, IDs,
+    /// coalescing and in-flight accounting.
+    pub jobs: JobRegistry,
     /// Executes dequeued explorations ([`LocalRunner`] unless the server
     /// was started with [`start_with_runner`]).
     pub runner: Arc<dyn ExploreRunner>,
@@ -252,7 +248,7 @@ impl ServerHandle {
     /// Requests shutdown without blocking (signal-handler friendly).
     pub fn request_shutdown(&self) {
         self.state.shutdown.store(true, Ordering::Release);
-        self.state.queue.wake_all();
+        self.state.jobs.wake_all();
     }
 
     /// Graceful shutdown: stop accepting, reject queued jobs, finish
@@ -262,12 +258,10 @@ impl ServerHandle {
         self.listener.join();
         // Queued-but-unstarted jobs are rejected so their waiters get an
         // immediate 503 instead of silently losing the race with workers
-        // that are already exiting. The drain also closes the queue: a
-        // connection thread that passed its shutdown check just before
-        // the flag tripped is refused at the push, never stranded.
-        for job in self.state.queue.drain() {
-            job.complete(JobOutcome::Rejected("server shutting down"));
-        }
+        // that are already exiting. The drain also closes the waiting
+        // room: a connection thread that passed its shutdown check just
+        // before the flag tripped is refused at admission, never stranded.
+        self.state.jobs.drain();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -299,13 +293,12 @@ pub fn start_with_runner(
         None => None,
     };
     let state = Arc::new(ServerState {
-        queue: JobQueue::new(config.queue_capacity),
         cache: ResultCache::new(config.cache_capacity),
         metrics: ServerMetrics::new(),
         shutdown: AtomicBool::new(false),
         trace_ring: crate::trace::TraceRing::new(config.trace_keep),
         store,
-        jobs: JobTable::new(config.jobs_keep),
+        jobs: JobRegistry::new(config.queue_capacity, config.jobs_keep),
         runner,
         config,
     });
@@ -337,8 +330,7 @@ pub fn start_with_runner(
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
-    while let Some(job) = state.queue.pop(&state.shutdown) {
-        job.mark_started();
+    while let Some(job) = state.jobs.pop(&state.shutdown) {
         // Supervision: a panicking run must not take the worker thread (and
         // with it, the server's capacity) down. The panic is caught here,
         // the waiter gets a structured 500, and the loop — the resurrected
@@ -365,7 +357,7 @@ fn run_one(state: &Arc<ServerState>, job: &Arc<Job>) {
         job.complete(JobOutcome::Cancelled);
         return;
     }
-    let in_flight = state.queue.start_job();
+    let in_flight = state.jobs.start_job();
     // The compute deadline is re-read on every wake, so a coalesced waiter
     // extending the budget mid-run is honoured.
     let deadline_job = Arc::clone(job);
@@ -481,39 +473,36 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(
         state.config.write_timeout_ms.max(1),
     )));
-    let (status, msg) = match http::read_request(
-        &mut stream,
-        state.config.max_body_bytes,
-        state.config.max_head_bytes,
-    ) {
-        Ok(request) => return route(state, &mut stream, &request),
-        Err(HttpError::BadRequest(m)) => (400, m),
-        Err(HttpError::PayloadTooLarge(n)) => (
-            413,
-            format!(
-                "body of {n} bytes exceeds the {}-byte cap",
-                state.config.max_body_bytes
+    let (status, msg) =
+        match http::read_request(&mut stream, http::MAX_BODY_BYTES, http::MAX_HEAD_BYTES) {
+            Ok(request) => return route(state, &mut stream, &request),
+            Err(HttpError::BadRequest(m)) => (400, m),
+            Err(HttpError::PayloadTooLarge(n)) => (
+                413,
+                format!(
+                    "body of {n} bytes exceeds the {}-byte cap",
+                    http::MAX_BODY_BYTES
+                ),
             ),
-        ),
-        Err(HttpError::HeadTooLarge(n)) => (
-            413,
-            format!(
-                "request head of {n} bytes exceeds the {}-byte cap",
-                state.config.max_head_bytes
+            Err(HttpError::HeadTooLarge(n)) => (
+                413,
+                format!(
+                    "request head of {n} bytes exceeds the {}-byte cap",
+                    http::MAX_HEAD_BYTES
+                ),
             ),
-        ),
-        // Slow client (slowloris or a stalled sender): tell it why the
-        // request died rather than silently dropping the socket.
-        Err(HttpError::Timeout) => (
-            408,
-            format!(
-                "request not received within {}ms",
-                state.config.read_timeout_ms
+            // Slow client (slowloris or a stalled sender): tell it why the
+            // request died rather than silently dropping the socket.
+            Err(HttpError::Timeout) => (
+                408,
+                format!(
+                    "request not received within {}ms",
+                    state.config.read_timeout_ms
+                ),
             ),
-        ),
-        // Other socket-level failure: nothing sensible to answer.
-        Err(HttpError::Io(_)) => return,
-    };
+            // Other socket-level failure: nothing sensible to answer.
+            Err(HttpError::Io(_)) => return,
+        };
     let body = protocol::error_json(&msg);
     respond_control(state, &mut stream, status, "application/json", &body, &[]);
 }
@@ -561,7 +550,7 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) {
             // cluster front-end with zero live workers).
             let reason = if state.shutdown.load(Ordering::Acquire) {
                 Some("shutting down")
-            } else if state.queue.depth() >= state.queue.capacity() {
+            } else if state.jobs.depth() >= state.jobs.capacity() {
                 Some("queue saturated")
             } else if !state.runner.ready() {
                 Some("runner not ready (no workers available)")
@@ -575,11 +564,11 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) {
                 ),
                 (
                     "queue_depth".to_string(),
-                    Value::U64(state.queue.depth() as u64),
+                    Value::U64(state.jobs.depth() as u64),
                 ),
                 (
                     "queue_capacity".to_string(),
-                    Value::U64(state.queue.capacity() as u64),
+                    Value::U64(state.jobs.capacity() as u64),
                 ),
             ];
             if let Some(reason) = reason {
@@ -595,7 +584,7 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) {
         ("GET", "/metrics") => {
             let tree = state
                 .metrics
-                .snapshot(&state.queue, &state.cache, metrics_extra(state));
+                .snapshot(&state.jobs, &state.cache, metrics_extra(state));
             let body = if request.query_param("format") == Some("prometheus") {
                 content_type = "text/plain; version=0.0.4";
                 tree.to_prometheus()
@@ -634,7 +623,7 @@ fn method_not_allowed(path: &str, allow: &'static str) -> ControlAnswer {
 }
 
 /// The caller-owned `/metrics` sections: the persistent store's (when
-/// configured), the job table's, then the runner's.
+/// configured), the job registry's, then the runner's.
 fn metrics_extra(state: &ServerState) -> Vec<(&'static str, Metric)> {
     let mut extra = Vec::new();
     if let Some(store) = &state.store {
@@ -664,7 +653,7 @@ fn metrics_extra(state: &ServerState) -> Vec<(&'static str, Metric)> {
         ("coalesced", counter(j.coalesced)),
         ("tracked", gauge(j.tracked)),
         ("active", gauge(j.active)),
-        ("inflight", gauge(state.queue.in_flight() as u64)),
+        ("inflight", gauge(state.jobs.in_flight() as u64)),
         ("coalesced_waiters", gauge(j.waiters)),
     ]);
     extra.push(("jobs", jobs));
@@ -701,20 +690,19 @@ fn lookup_tiers(state: &ServerState, key: &str) -> Option<(Arc<CachedResult>, &'
 /// What [`admit`] did with an exploration.
 enum Admission {
     /// A cache tier already held the answer; `source` is `"memory"` or
-    /// `"store"`. The request comes back for the async job record.
+    /// `"store"`. The request comes back for the async job.
     Hit(ExploreRequest, Arc<CachedResult>, &'static str),
-    /// A fresh run, queued.
-    Queued(Arc<JobRecord>),
-    /// Joined an identical run already queued or running.
-    Coalesced(Arc<JobRecord>),
+    /// The job registry admitted a run: a fresh one, or an identical run
+    /// already queued or running.
+    Run(Admitted),
 }
 
 /// The admission steps both explore endpoints share: parse the body, look
 /// up the cache tiers, refuse during shutdown, shed a synchronous request
-/// whose budget the estimated queue wait would eat, submit to the job
-/// table, grant the run its compute budget, then queue a fresh run. Answers
-/// the canonical key, the request's deadline in ms and the admission; a
-/// refusal is `(status, message)`.
+/// whose budget the estimated queue wait would eat, then admit it to the
+/// job registry with its compute budget. Answers the canonical key, the
+/// request's deadline in ms and the admission; a refusal is
+/// `(status, message)`.
 fn admit(
     state: &ServerState,
     request: &Request,
@@ -743,7 +731,7 @@ fn admit(
     if !detached {
         let est_wait_ms = state
             .metrics
-            .estimated_queue_wait_ms(state.queue.depth(), state.config.engine_workers.max(1));
+            .estimated_queue_wait_ms(state.jobs.depth(), state.config.engine_workers.max(1));
         if est_wait_ms > timeout_ms as f64 {
             state.metrics.shed_overload.fetch_add(1, Ordering::Relaxed);
             return Err((503, format!(
@@ -758,36 +746,19 @@ fn admit(
     // (never shrinks it), so the fullest answer anyone asked for stays
     // reachable.
     let budget = Instant::now() + Duration::from_millis(run_budget_ms(timeout_ms));
-    let record = match state
+    match state
         .jobs
-        .submit(explore, key.clone(), trace_id.to_string(), detached)
+        .admit(explore, key.clone(), trace_id.to_string(), detached, budget)
     {
-        Submitted::Coalesced(record) => {
-            record.job.extend_deadline(budget);
-            return Ok((key, timeout_ms, Admission::Coalesced(record)));
-        }
-        Submitted::New(record) => record,
-    };
-    record.job.extend_deadline(budget);
-    match state.queue.try_push(Arc::clone(&record.job)) {
-        Ok(()) => Ok((key, timeout_ms, Admission::Queued(record))),
-        Err(refused) => {
-            state.jobs.abort(&record);
-            let msg = match refused {
-                PushRefused::Full => {
-                    state
-                        .metrics
-                        .rejected_queue_full
-                        .fetch_add(1, Ordering::Relaxed);
-                    format!(
-                        "queue full ({} waiting); retry later",
-                        state.config.queue_capacity
-                    )
-                }
-                PushRefused::Closed => "server shutting down".to_string(),
-            };
-            Err((503, msg))
-        }
+        Ok(admitted) => Ok((key, timeout_ms, Admission::Run(admitted))),
+        Err(Refused::Full) => Err((
+            503,
+            format!(
+                "queue full ({} waiting); retry later",
+                state.config.queue_capacity
+            ),
+        )),
+        Err(Refused::Closed) => Err((503, "server shutting down".to_string())),
     }
 }
 
@@ -804,7 +775,7 @@ fn reply(
 ) {
     let mut headers = Vec::with_capacity(2);
     if status == 503 {
-        headers.push(("retry-after", state.config.retry_after_secs.to_string()));
+        headers.push(("retry-after", RETRY_AFTER_SECS.to_string()));
     }
     headers.push((crate::trace::TRACE_HEADER, trace_id.to_string()));
     let _ = http::write_response(stream, status, "application/json", body, &headers);
@@ -828,25 +799,21 @@ fn handle_explore(
     let started = Some(Instant::now());
     let mut respond =
         |status: u16, body: &str| reply(state, stream, trace_id, status, body, started);
-    let (key, timeout_ms, record, source) = match admit(state, request, trace_id, false) {
-        Err((status, msg)) => return respond(status, &protocol::error_json(&msg)),
-        Ok((key, _, Admission::Hit(_, hit, source))) => {
-            let body = protocol::explore_response_json(source, &key, &hit.report, &hit.metrics);
-            return respond(200, &body);
-        }
-        Ok((key, timeout_ms, Admission::Queued(record))) => (key, timeout_ms, record, "run"),
-        Ok((key, timeout_ms, Admission::Coalesced(record))) => {
-            (key, timeout_ms, record, "coalesced")
-        }
-    };
+    let (key, timeout_ms, Admitted { job, coalesced }) =
+        match admit(state, request, trace_id, false) {
+            Err((status, msg)) => return respond(status, &protocol::error_json(&msg)),
+            Ok((key, _, Admission::Hit(_, hit, source))) => {
+                let body = protocol::explore_response_json(source, &key, &hit.report, &hit.metrics);
+                return respond(200, &body);
+            }
+            Ok((key, timeout_ms, Admission::Run(admitted))) => (key, timeout_ms, admitted),
+        };
+    let source = if coalesced { "coalesced" } else { "run" };
 
     // Registered waiter: the run is abandoned only when the *last* waiter
     // leaves (and nobody detached the job via the async API).
-    let _waiting = state.jobs.begin_wait(&record);
-    match record
-        .job
-        .wait_shared_until(Instant::now() + Duration::from_millis(timeout_ms))
-    {
+    let _waiting = job.begin_wait();
+    match job.wait_shared_until(Instant::now() + Duration::from_millis(timeout_ms)) {
         Some(JobOutcome::Done(result)) => {
             if result.metrics.degraded {
                 // The run's compute deadline tripped and it handed back a
@@ -929,17 +896,19 @@ fn handle_job_submit(
             )
         }
         Ok((key, _, Admission::Hit(explore, hit, source))) => {
-            let record =
+            let job =
                 state
                     .jobs
                     .admit_completed(explore, key.clone(), JobOutcome::Done(hit), source);
-            protocol::job_submitted_json(&record.id, &key, "done", false)
+            protocol::job_submitted_json(&job.id, &key, "done", false)
         }
-        Ok((key, _, Admission::Queued(record))) => {
-            protocol::job_submitted_json(&record.id, &key, "queued", false)
-        }
-        Ok((key, _, Admission::Coalesced(record))) => {
-            protocol::job_submitted_json(&record.id, &key, record.status().as_str(), true)
+        Ok((key, _, Admission::Run(Admitted { job, coalesced }))) => {
+            let status = if coalesced {
+                job.status().as_str()
+            } else {
+                "queued"
+            };
+            protocol::job_submitted_json(&job.id, &key, status, coalesced)
         }
     };
     reply(state, stream, trace_id, 202, &body, None);
@@ -991,7 +960,7 @@ fn handle_job_status(
         );
         return;
     }
-    let Some(record) = state.jobs.get(id) else {
+    let Some(job) = state.jobs.get(id) else {
         respond(
             stream,
             404,
@@ -1019,8 +988,7 @@ fn handle_job_status(
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(0)
             .min(protocol::limits::MAX_TIMEOUT_MS);
-        let page = record
-            .job
+        let page = job
             .events
             .read_from(from_seq, Duration::from_millis(timeout_ms));
         let events: Vec<Value> = page
@@ -1029,10 +997,10 @@ fn handle_job_status(
             .map(|(_, line)| serde_json::parse(line).unwrap_or(Value::Null))
             .collect();
         let body = serde_json::value_to_string(&Value::Object(vec![
-            ("job_id".into(), Value::String(record.id.clone())),
+            ("job_id".into(), Value::String(job.id.clone())),
             (
                 "status".into(),
-                Value::String(record.status().as_str().to_string()),
+                Value::String(job.status().as_str().to_string()),
             ),
             ("from_seq".into(), Value::U64(from_seq)),
             ("next_seq".into(), Value::U64(page.next_seq)),
@@ -1050,11 +1018,9 @@ fn handle_job_status(
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(30_000)
             .clamp(1, protocol::limits::MAX_TIMEOUT_MS);
-        record
-            .job
-            .wait_shared_until(Instant::now() + Duration::from_millis(timeout_ms))
+        job.wait_shared_until(Instant::now() + Duration::from_millis(timeout_ms))
     } else {
-        record.job.peek_outcome()
+        job.peek_outcome()
     };
 
     let (status, result, error) = match &outcome {
@@ -1062,16 +1028,9 @@ fn handle_job_status(
         Some(JobOutcome::Failed(cause)) => ("failed", None, Some(cause.as_str())),
         Some(JobOutcome::Rejected(reason)) => ("rejected", None, Some(*reason)),
         Some(JobOutcome::Cancelled) => ("cancelled", None, Some("run cancelled")),
-        None => (record.status().as_str(), None, None),
+        None => (job.status().as_str(), None, None),
     };
-    let body = protocol::job_status_json(
-        &record.id,
-        &record.key,
-        status,
-        record.origin,
-        result,
-        error,
-    );
+    let body = protocol::job_status_json(&job.id, &job.key, status, job.origin, result, error);
     respond(stream, 200, &body);
 }
 

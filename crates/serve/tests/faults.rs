@@ -324,12 +324,7 @@ fn slow_client_gets_408_within_the_read_timeout() {
 
 #[test]
 fn oversized_body_and_head_get_413() {
-    let cfg = ServerConfig {
-        max_body_bytes: 256,
-        max_head_bytes: 512,
-        ..config(None)
-    };
-    let handle = start(cfg).expect("start server");
+    let handle = start(config(None)).expect("start server");
     let addr = handle.addr().to_string();
 
     // Body over the cap: rejected from the Content-Length declaration
@@ -338,7 +333,7 @@ fn oversized_body_and_head_get_413() {
     // broken pipe against the 413).
     let mut stream = TcpStream::connect(&addr).expect("connect");
     stream
-        .write_all(b"POST /v1/explore HTTP/1.1\r\ncontent-length: 1024\r\n\r\n")
+        .write_all(b"POST /v1/explore HTTP/1.1\r\ncontent-length: 65537\r\n\r\n")
         .expect("write head");
     let mut response = String::new();
     stream
@@ -346,7 +341,7 @@ fn oversized_body_and_head_get_413() {
         .unwrap();
     stream.read_to_string(&mut response).expect("read 413");
     assert!(response.starts_with("HTTP/1.1 413"), "{response}");
-    assert!(response.contains("256-byte cap"), "{response}");
+    assert!(response.contains("65536-byte cap"), "{response}");
 
     // Head over the cap: same verdict, different limb. The client may see
     // the 413 or a reset (the server closes with unread bytes pending, so
@@ -354,7 +349,7 @@ fn oversized_body_and_head_get_413() {
     let mut stream = TcpStream::connect(&addr).expect("connect");
     let head = format!(
         "GET /healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n",
-        "a".repeat(2048)
+        "a".repeat(2 * 16 * 1024)
     );
     stream.write_all(head.as_bytes()).expect("write head");
     let mut response = String::new();

@@ -11,6 +11,10 @@
 //! * and after the dust settles, the on-disk result store holds **zero**
 //!   degraded entries — partials never reach any durable tier.
 //!
+//! Two more drills share the daemon setup: an identical-key burst that must
+//! be answered `200` or `503`, never stranded until a `504`, and graceful
+//! shutdown while saturated.
+//!
 //! The test is `#[ignore]`d: it spawns a subprocess and leans on wall
 //! clocks, so it runs in the dedicated CI job
 //! (`cargo test -p isex-serve --release --test overload_smoke -- --ignored`)
@@ -218,7 +222,119 @@ fn overloaded_isexd_sheds_degrades_and_keeps_clean_answers_clean() {
     let _ = std::fs::remove_dir_all(&store_dir);
 }
 
-/// A second, cheaper drill: graceful shutdown while saturated must still
+/// The `/metrics` JSON leaf at `section.field`, as an integer.
+fn metric(addr: &str, section: &str, field: &str) -> u64 {
+    let raw = client::get(addr, "/metrics").expect("GET /metrics");
+    let doc = serde_json::parse(&raw.body).expect("metrics JSON");
+    match doc.get(section).and_then(|s| s.get(field)) {
+        Some(serde::Value::U64(n)) => *n,
+        Some(serde::Value::I64(n)) => *n as u64,
+        other => panic!("{section}.{field}: expected an integer, got {other:?}"),
+    }
+}
+
+/// An identical-key burst into a busy daemon, twice. With the one worker
+/// busy, six identical uncached requests arrive at once: first behind a
+/// distinct rival that takes the single waiting-room slot, then with the
+/// slot free. Every identical request is answered `200` (it joined the
+/// admitted run) or `503` (refused, with nothing registered that a
+/// follower could coalesce onto) — never a `504` after sitting out its
+/// deadline on a job that was never queued. Afterwards no job is left
+/// active or in flight.
+#[test]
+#[ignore = "spawns the isexd binary; run via the CI overload-smoke job"]
+fn identical_burst_is_answered_never_stranded() {
+    let daemon = spawn_isexd(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "1",
+        "--queue-cap",
+        "1",
+    ]);
+    let addr = daemon.addr.clone();
+    let explore = |request: ExploreRequest| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let started = std::time::Instant::now();
+            (client::explore(&addr, &request), started.elapsed())
+        })
+    };
+
+    let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+
+    for (round, rival_first) in [(0u64, true), (1, false)] {
+        let busy = explore(slow(7_000 + round));
+        wait_until("the busy run never started", &|| {
+            metric(&addr, "queue", "in_flight") == 1
+        });
+        // The budget bounds how long a stranded request would sit before
+        // its 504; an admitted one finishes well inside it.
+        let identical = ExploreRequest {
+            seed: 7_100 + round,
+            effort: 40,
+            repeats: 2,
+            timeout_ms: Some(120_000),
+            ..ExploreRequest::default()
+        };
+        let rival = rival_first.then(|| {
+            let submitted = metric(&addr, "jobs", "submitted");
+            let rival = explore(ExploreRequest {
+                seed: 7_200 + round,
+                ..identical.clone()
+            });
+            wait_until("the rival was never admitted", &|| {
+                metric(&addr, "jobs", "submitted") > submitted
+            });
+            rival
+        });
+        let burst: Vec<_> = (0..6).map(|_| explore(identical.clone())).collect();
+
+        let mut reports = Vec::new();
+        for t in burst {
+            let (outcome, elapsed) = t.join().expect("client thread");
+            match outcome {
+                Ok(response) => reports.push(serde_json::to_string(&response.report).unwrap()),
+                Err(ClientError::Http {
+                    status: 503,
+                    retry_after_secs,
+                    ..
+                }) => {
+                    assert!(retry_after_secs.is_some(), "a 503 carries Retry-After");
+                    assert!(
+                        elapsed < Duration::from_secs(10),
+                        "a refusal answers at once, not after {elapsed:?}"
+                    );
+                }
+                other => panic!("an identical request must get 200 or 503, got {other:?}"),
+            }
+        }
+        assert!(
+            reports.windows(2).all(|w| w[0] == w[1]),
+            "every 200 in a burst carries the one run's report"
+        );
+        if let Some(rival) = rival {
+            let (rival, _) = rival.join().expect("rival thread");
+            assert!(
+                matches!(rival, Ok(_) | Err(ClientError::Http { status: 503, .. })),
+                "{rival:?}"
+            );
+        }
+        assert!(busy.join().expect("busy thread").0.is_ok());
+
+        // Every admitted run has answered its waiters: nothing is left.
+        assert_eq!(metric(&addr, "jobs", "active"), 0);
+        assert_eq!(metric(&addr, "queue", "in_flight"), 0);
+    }
+}
+
+/// A cheaper drill: graceful shutdown while saturated must still
 /// answer every in-flight client — the running job finishes (200), the
 /// queued overflow is rejected (503), nobody hangs. Overload and drain
 /// compose.

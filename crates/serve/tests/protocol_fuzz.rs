@@ -9,7 +9,7 @@
 
 use isex_flow::Algorithm;
 use isex_isa::MachineConfig;
-use isex_serve::http::{self, HttpError, Request, DEFAULT_MAX_HEAD_BYTES};
+use isex_serve::http::{self, HttpError, Request, MAX_HEAD_BYTES};
 use isex_serve::protocol::ExploreRequest;
 use isex_workloads::{Benchmark, OptLevel};
 use proptest::prelude::*;
@@ -81,7 +81,7 @@ fn parse(data: &[u8], chunk: usize, max_body: usize) -> Result<Request, HttpErro
         pos: 0,
         chunk: chunk.max(1),
     };
-    http::read_request(&mut reader, max_body, DEFAULT_MAX_HEAD_BYTES)
+    http::read_request(&mut reader, max_body, MAX_HEAD_BYTES)
 }
 
 // ---------------------------------------------------------------------------
@@ -188,9 +188,9 @@ fn head_cap_applies_before_the_terminator_arrives() {
     // An endless header stream must be cut off at the cap even though the
     // `\r\n\r\n` terminator never shows up.
     let mut wire = b"GET / HTTP/1.1\r\n".to_vec();
-    wire.extend(std::iter::repeat_n(b'a', DEFAULT_MAX_HEAD_BYTES * 2));
+    wire.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES * 2));
     match parse(&wire, 512, 4096) {
-        Err(HttpError::HeadTooLarge(n)) => assert!(n > DEFAULT_MAX_HEAD_BYTES),
+        Err(HttpError::HeadTooLarge(n)) => assert!(n > MAX_HEAD_BYTES),
         other => panic!("expected HeadTooLarge, got {other:?}"),
     }
 }

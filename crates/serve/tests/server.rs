@@ -237,7 +237,6 @@ fn full_queue_gets_503_with_retry_after() {
         queue_capacity: 1,
         ..config()
     };
-    let retry_after = cfg.retry_after_secs;
     let handle = start(cfg).expect("start server");
     let addr = handle.addr().to_string();
 
@@ -274,7 +273,7 @@ fn full_queue_gets_503_with_retry_after() {
     assert_eq!(raw.status, 503);
     assert_eq!(
         raw.header("retry-after"),
-        Some(retry_after.to_string().as_str())
+        Some(isex_serve::server::RETRY_AFTER_SECS.to_string().as_str())
     );
 
     let snap = metrics(&addr);

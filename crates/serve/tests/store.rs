@@ -332,7 +332,7 @@ fn method_not_allowed_carries_allow_header_over_raw_tcp() {
 /// exists only with a store directory.
 const METRIC_PATHS: &str = "
     : uptime_ms
-    queue: depth capacity in_flight jobs_completed jobs_failed jobs_cancelled last_failure rejected_queue_full
+    queue: depth capacity in_flight jobs_completed jobs_failed last_failure rejected_queue_full
     cache: hits misses hit_rate entries capacity
     requests: deadline_timeouts runs_cancelled runs_failed worker_restarts shed_overload degraded_runs degraded_responses run_cost_ewma_ms
     latency.explore: HISTOGRAM

@@ -527,13 +527,12 @@ fn render_top(addr: &str, doc: &serde::Value, interval_ms: u64, once: bool) -> S
     );
     let _ = writeln!(
         out,
-        "\nqueue    depth {:.0}/{:.0}   in-flight {:.0}   completed {:.0}   failed {:.0}   cancelled {:.0}",
+        "\nqueue    depth {:.0}/{:.0}   in-flight {:.0}   completed {:.0}   failed {:.0}",
         n(&["queue", "depth"]),
         n(&["queue", "capacity"]),
         n(&["queue", "in_flight"]),
         n(&["queue", "jobs_completed"]),
         n(&["queue", "jobs_failed"]),
-        n(&["queue", "jobs_cancelled"]),
     );
     let _ = writeln!(
         out,
