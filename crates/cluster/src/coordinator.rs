@@ -23,18 +23,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use isex_engine::{lock_unpoisoned, CancelToken, Cancelled, EventSink, RepeatSlots, RunMetrics};
-use isex_flow::{
-    explore_repeats, finish_from_entries, hot_blocks, run_key, CheckpointEntry, Checkpoints,
-    FlowConfig, FlowReport,
-};
+use isex_engine::{lock_unpoisoned, CancelToken, Cancelled, EventSink, RunMetrics};
+use isex_flow::{explore_repeats, Checkpoints, FlowConfig, FlowReport, RunLedger};
 use isex_serve::listener::Listener;
 use isex_serve::metrics::Metric;
 use isex_serve::ExploreRequest;
 use isex_trace::Tracer;
 use isex_workloads::Program;
 
-use crate::ledger::{Action, ClusterCore, Dispatch, Event, RunEnd, RunPlan};
+use crate::ledger::{Action, ClusterCore, Counters, Dispatch, Event, RunPlan};
 use crate::messages::{HelloAck, JobAssign, Message, PROTOCOL_VERSION};
 use crate::telemetry::{self, WorkerTelemetry};
 use crate::wire::{read_frame, write_frame, Frame, OpCode};
@@ -278,10 +275,9 @@ impl Coordinator {
 
     /// Runs one exploration across the cluster and merges the result.
     ///
-    /// Blocks until every hot block has one entry reduced from its repeats
-    /// in repeat order, then folds them with [`finish_from_entries`], as a
-    /// local [`run_flow`](isex_flow::run_flow) does: the report is
-    /// byte-identical to one.
+    /// The run's [`RunLedger`] opens, resuming the blocks the store holds,
+    /// and reports as a local run's does, so the report is byte-identical
+    /// to [`run_flow`](isex_flow::run_flow)'s.
     ///
     /// With a `deadline`, every [`JobAssign`] carries the budget left at
     /// dispatch, and `cancel` tripping finishes the run *with what it
@@ -301,22 +297,9 @@ impl Coordinator {
         deadline: Option<Instant>,
     ) -> Result<(FlowReport, RunMetrics), Cancelled> {
         let start = Instant::now();
-        let seed = request.seed;
-        let key = run_key(cfg, program, seed);
-        let hot: Vec<_> = hot_blocks(cfg, program).into_iter().cloned().collect();
-        let hot_len = hot.len();
-        // Resume: pre-complete blocks the store already holds.
         let store = self.shared.checkpoints.as_ref();
-        let completed: BTreeMap<usize, CheckpointEntry> = (0..hot_len)
-            .filter_map(|index| Some((index, store?.lookup(&key, index)?)))
-            .collect();
-        let resumed = completed.len();
         let plan = RunPlan {
-            key,
-            seed,
-            hot,
-            repeats: cfg.repeats.max(1),
-            completed,
+            ledger: RunLedger::open(cfg, program, request.seed, store),
             deadline: deadline.map(|d| d.saturating_duration_since(self.shared.epoch)),
             fault_plan: cfg.fault_plan.clone(),
         };
@@ -328,18 +311,13 @@ impl Coordinator {
             dispatches: HashMap::new(),
             outbox: Vec::new(),
         };
-        let mut end = self.drive(plan, io, cfg, program, sink, cancel);
+        let (ledger, counters) = self.drive(plan, io, cfg, program, sink, cancel);
         self.shared.wake.notify_all();
-        let explore_ms = start.elapsed().as_secs_f64() * 1e3;
-        let entries = std::mem::take(&mut end.entries);
-        let (report, mut metrics) = finish_from_entries(cfg, program, seed, entries, hot_len);
-        metrics.blocks_resumed = resumed;
-        metrics.phases.explore_ms = explore_ms;
-        metrics.phases.total_ms = start.elapsed().as_secs_f64() * 1e3;
+        let (report, mut metrics) = ledger.report(cfg, program, start);
         // Cluster telemetry rides the phase profile, so every RunMetrics
         // consumer sees it with no schema change; a name already there (a
         // worker's federated `cluster.*` stat) is summed into.
-        metrics.phase_profile.absorb(end.stats());
+        metrics.phase_profile.absorb(counters.stats());
         Ok((report, metrics))
     }
 
@@ -355,16 +333,12 @@ impl Coordinator {
         program: &Program,
         sink: &dyn EventSink,
         cancel: &CancelToken,
-    ) -> RunEnd {
-        let (seed, wake) = (plan.seed, &self.shared.wake);
+    ) -> (RunLedger, Counters) {
+        let (seed, wake) = (plan.ledger.seed(), &self.shared.wake);
         let mut state = self.shared.lock();
         while state.run.is_some() {
             if cancel.is_cancelled() {
-                let slots = RepeatSlots::new(plan.hot.len(), plan.repeats);
-                return RunEnd {
-                    entries: plan.cut(&slots),
-                    ..RunEnd::default()
-                };
+                return (plan.ledger, Counters::default());
             }
             let wait = wake.wait_timeout(state, Duration::from_millis(50));
             state = wait.unwrap_or_else(PoisonError::into_inner).0;
@@ -391,12 +365,10 @@ impl Coordinator {
                 match action {
                     Action::Emit(event) => sink.emit(event),
                     // An entry is durable before anything downstream of
-                    // it, as in the single-node checkpoint; a failed save
-                    // costs only a re-exploration on resume.
+                    // it, as in a local checkpointed run.
                     Action::Save(entry) => {
-                        let saved = self.shared.checkpoints.as_ref().map(|c| c.save(&entry));
-                        if let Some(Err(e)) = saved {
-                            eprintln!("isex-cluster: checkpoint save failed: {e}");
+                        if let Some(checkpoints) = &self.shared.checkpoints {
+                            checkpoints.save(&entry);
                         }
                     }
                     Action::RunLocal(jobs) => {
@@ -404,9 +376,9 @@ impl Coordinator {
                         let now = self.shared.epoch.elapsed();
                         self.shared.lock().feed(Event::LocalDone(outcomes), now);
                     }
-                    Action::Finish(end) => {
+                    Action::Finish(ledger, counters) => {
                         self.shared.lock().run = None;
-                        return end;
+                        return (ledger, counters);
                     }
                     other => unreachable!("{other:?} is carried out in `feed`"),
                 }

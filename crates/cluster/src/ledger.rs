@@ -1,20 +1,28 @@
 //! The coordinator's job ledger as a pure state machine: [`ClusterCore`].
 //!
 //! The core holds the workers and their leases, the circuit breakers, and
-//! the run's pending queue, attempts, [`RepeatSlots`], reduced entries and
-//! deadline. It changes only through [`ClusterCore::on`]: an [`Event`] and
-//! the time it happened go in, the [`Action`]s it implies come out. It
-//! takes no lock, opens no socket and never reads the clock; time is a
-//! [`Duration`] since an epoch the caller picks. Job ids are unique for
-//! the core's life, not per run, so a late answer to a job of an earlier
-//! run matches nothing in the current one.
+//! what belongs to the cluster in the current run: its pending queue,
+//! attempts, local batch, counters, deadline and fault plan. The run's
+//! block bookkeeping — slotting outcomes, reducing and saving blocks,
+//! cutting the unfinished ones — is the [`RunLedger`] every local run
+//! keeps too. The core changes only through [`ClusterCore::on`]: an
+//! [`Event`] and the time it happened go in, the [`Action`]s it implies
+//! come out. It takes no lock, opens no socket and never reads the clock;
+//! time is a [`Duration`] since an epoch the caller picks. Job ids are
+//! unique for the core's life, not per run, so a late answer to a job of
+//! an earlier run matches nothing in the current one.
+//!
+//! Every lease expires — a budgeted one at its budget plus
+//! [`DISPATCH_OVERHEAD_MS`], an unbudgeted one at [`LEASE_SLOWEST_MULTIPLE`]
+//! times the run's slowest delivered repeat but never before
+//! [`LEASE_FLOOR_MS`] — so a worker that heartbeats but never answers
+//! cannot hold a job forever.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
-use isex_engine::{ExploreJob, FaultPlan, PhaseStat, RepeatOutcome, RepeatSlots, RunEvent};
-use isex_flow::{entry_from_repeats, CheckpointEntry};
-use isex_workloads::BasicBlock;
+use isex_engine::{ExploreJob, FaultPlan, PhaseStat, RepeatOutcome, RunEvent};
+use isex_flow::{CheckpointEntry, Job, RunLedger};
 
 use crate::coordinator::CoordinatorConfig;
 use crate::messages::{Hello, RepeatResult};
@@ -23,9 +31,13 @@ use crate::messages::{Hello, RepeatResult};
 /// its partial back *before* the run's own deadline trips.
 pub const DISPATCH_OVERHEAD_MS: u64 = 25;
 
-/// One unit of cluster work: `(block, repeat)`, the block by its canonical
-/// index in the run's hot list.
-pub type Job = (usize, usize);
+/// An unbudgeted lease expires this many times the run's slowest
+/// delivered repeat after its dispatch...
+pub const LEASE_SLOWEST_MULTIPLE: u32 = 10;
+
+/// ...but never sooner than this, far above any healthy job of the
+/// paper's suite (tens to hundreds of milliseconds).
+pub const LEASE_FLOOR_MS: u64 = 60_000;
 
 /// What the core is told.
 #[derive(Debug)]
@@ -43,7 +55,8 @@ pub enum Event {
     Begin(RunPlan),
     /// The jobs of the last [`Action::RunLocal`] came back, in its order.
     LocalDone(Vec<RepeatOutcome>),
-    /// Time passed: expire silent workers, then move the run on.
+    /// Time passed: expire silent workers and overdue leases, then move the
+    /// run on.
     Tick,
     /// The run's token tripped: finish it with what it has.
     Deadline,
@@ -63,8 +76,9 @@ pub enum Action {
     Save(CheckpointEntry),
     /// Emit this event on the run's sink, in a remote job engine's stead.
     Emit(RunEvent),
-    /// The run is over; the core holds none any more.
-    Finish(RunEnd),
+    /// The run is over, with its ledger and what the cluster counted; the
+    /// core holds none any more.
+    Finish(RunLedger, Counters),
 }
 
 /// One job for one worker.
@@ -83,36 +97,16 @@ pub struct Dispatch {
 /// Everything a run starts from.
 #[derive(Debug)]
 pub struct RunPlan {
-    /// The run's [`run_key`](isex_flow::run_key).
-    pub key: String,
-    pub seed: u64,
-    /// The hot blocks, in canonical order.
-    pub hot: Vec<BasicBlock>,
-    pub repeats: usize,
-    /// Entries resumed from the store, by block index.
-    pub completed: BTreeMap<usize, CheckpointEntry>,
+    /// The run's blocks, resumed from the store where it had them.
+    pub ledger: RunLedger,
     pub deadline: Option<Duration>,
     /// The core consumes its `drop` faults at dispatch.
     pub fault_plan: Option<FaultPlan>,
 }
 
-impl RunPlan {
-    /// The entries of the run cut now: every reduced block as-is, every
-    /// other block reduced from its outcomes in `slots`, the missing ones
-    /// [`RepeatOutcome::Skipped`].
-    pub fn cut(mut self, slots: &RepeatSlots) -> Vec<CheckpointEntry> {
-        for (index, block) in self.hot.iter().enumerate() {
-            let reduce = || entry_from_repeats(&self.key, block, index, &slots.cut(index));
-            self.completed.entry(index).or_insert_with(reduce);
-        }
-        self.completed.into_values().collect()
-    }
-}
-
-/// How a run ended: one entry per hot block, and what it counted.
+/// What a run counts as it goes.
 #[derive(Debug, Default)]
-pub struct RunEnd {
-    pub entries: Vec<CheckpointEntry>,
+pub struct Counters {
     pub redispatched: u64,
     pub heartbeats_missed: u64,
     /// Jobs run on the local engine pool.
@@ -122,7 +116,7 @@ pub struct RunEnd {
     pub worker_jobs: BTreeMap<String, u64>,
 }
 
-impl RunEnd {
+impl Counters {
     /// The run's `cluster.*` counters; each stat's `count` is the value.
     pub fn stats(&self) -> Vec<PhaseStat> {
         let mut stats = vec![
@@ -140,8 +134,13 @@ impl RunEnd {
 }
 
 /// A dispatched job: the job (`None` once its run has ended), the
-/// connection holding it, and when it went out.
-type Lease = (Option<Job>, u64, Duration);
+/// connection holding it, when it went out, and the budget it carried.
+struct Lease {
+    job: Option<Job>,
+    worker: u64,
+    since: Duration,
+    budget_ms: Option<u64>,
+}
 
 /// One connection, as the core sees it.
 struct Worker {
@@ -157,24 +156,21 @@ struct Run {
     /// Jobs awaiting dispatch, block-major in repeat order.
     pending: VecDeque<Job>,
     attempts: HashMap<Job, usize>,
-    /// Outcomes as they arrive; the first for a job wins.
-    slots: RepeatSlots,
-    /// Blocks with an outcome slotted since the last reduction.
-    arrived: BTreeSet<usize>,
     /// The jobs out on the local engine pool.
     local: Vec<Job>,
-    /// What the run counts as it goes; its entries come at the end.
-    counters: RunEnd,
+    /// The longest a worker took to deliver a repeat of this run.
+    slowest: Duration,
+    counters: Counters,
 }
 
 impl Run {
-    /// Slots a job's outcome; a duplicate is dropped.
-    fn accept(&mut self, (block, repeat): Job, outcome: RepeatOutcome) -> bool {
-        let slotted = self.slots.fill(block, repeat, outcome);
-        if slotted {
-            self.arrived.insert(block);
-        }
-        slotted
+    /// Hands a job's outcome to the ledger and queues the save of a block
+    /// it completed clean; returns whether it was slotted.
+    fn accept(&mut self, job: Job, outcome: RepeatOutcome, out: &mut Vec<Action>) -> bool {
+        let landed = self.plan.ledger.accept(job, outcome);
+        landed
+            .map(|save| out.extend(save.map(Action::Save)))
+            .is_ok()
     }
 
     /// Puts a job whose lease is gone back in the queue. A job is pending,
@@ -236,17 +232,12 @@ impl ClusterCore {
             Event::Result { worker, result } => self.result(worker, result, now, &mut out),
             Event::Begin(plan) => {
                 assert!(self.run.is_none(), "one run at a time");
-                let pending = (0..plan.hot.len())
-                    .filter(|block| !plan.completed.contains_key(block))
-                    .flat_map(|block| (0..plan.repeats).map(move |repeat| (block, repeat)))
-                    .collect();
                 self.run = Some(Run {
-                    pending,
+                    pending: plan.ledger.pending().into(),
                     attempts: HashMap::new(),
-                    slots: RepeatSlots::new(plan.hot.len(), plan.repeats),
-                    arrived: BTreeSet::new(),
                     local: Vec::new(),
-                    counters: RunEnd::default(),
+                    slowest: Duration::ZERO,
+                    counters: Counters::default(),
                     plan,
                 });
             }
@@ -255,7 +246,7 @@ impl ClusterCore {
                     let batch = std::mem::take(&mut run.local);
                     run.counters.local += batch.len() as u64;
                     for (job, outcome) in batch.into_iter().zip(outcomes) {
-                        run.accept(job, outcome);
+                        run.accept(job, outcome, &mut out);
                     }
                 }
             }
@@ -274,11 +265,11 @@ impl ClusterCore {
                     }
                     self.kill(worker, true, now, &mut out);
                 }
+                self.expire(now);
             }
             Event::Deadline => {
                 if let Some(run) = self.run.take() {
-                    let entries = run.plan.cut(&run.slots);
-                    out.push(Action::Finish(self.end(run.counters, entries)));
+                    out.push(self.end(run));
                 }
             }
         }
@@ -303,13 +294,16 @@ impl ClusterCore {
 
     /// When job `job_id` of the current run went out, while it is out.
     pub fn dispatched_at(&self, job_id: u64) -> Option<Duration> {
-        let (job, _, since) = self.leases.get(&job_id)?;
-        job.and(Some(*since))
+        let lease = self.leases.get(&job_id)?;
+        lease.job.and(Some(lease.since))
     }
 
     /// Jobs worker `id` holds.
     fn held(&self, id: u64) -> usize {
-        self.leases.values().filter(|lease| lease.1 == id).count()
+        self.leases
+            .values()
+            .filter(|lease| lease.worker == id)
+            .count()
     }
 
     /// Can `w` take a job? Alive, breaker closed — or half-open with
@@ -323,6 +317,23 @@ impl ClusterCore {
             }
     }
 
+    /// Records a failure against `name`'s breaker, opening it for a cooloff
+    /// at the threshold; counts the trip in the current run.
+    fn charge(&mut self, name: &str, now: Duration) {
+        let breaker = self.breakers.entry(name.to_string()).or_default();
+        breaker.0 += 1;
+        if breaker.0 >= self.config.breaker_threshold.max(1) {
+            let config = &self.config;
+            let cooloff = config
+                .breaker_cooloff_ms
+                .unwrap_or(config.heartbeat_ms.saturating_mul(5));
+            breaker.1 = Some(now + Duration::from_millis(cooloff.max(1)));
+            if let Some(run) = self.run.as_mut() {
+                run.counters.breaker_trips += 1;
+            }
+        }
+    }
+
     /// Declares worker `id` dead: severs it, charges its name's breaker
     /// when `charge`, and requeues the current run's jobs it held.
     fn kill(&mut self, id: u64, charge: bool, now: Duration, out: &mut Vec<Action>) {
@@ -330,26 +341,43 @@ impl ClusterCore {
             return;
         };
         w.alive = false;
+        let name = w.name.clone();
         out.push(Action::Sever { worker: id });
-        let breaker = self.breakers.entry(w.name.clone()).or_default();
-        breaker.0 += charge as u32;
-        let opened = charge && breaker.0 >= self.config.breaker_threshold.max(1);
-        if opened {
-            let config = &self.config;
-            let cooloff = config
-                .breaker_cooloff_ms
-                .unwrap_or(config.heartbeat_ms.saturating_mul(5));
-            breaker.1 = Some(now + Duration::from_millis(cooloff.max(1)));
+        if charge {
+            self.charge(&name, now);
         }
         let mut held = Vec::new();
-        self.leases.retain(|_, &mut (job, holder, _)| {
-            held.extend(job.filter(|_| holder == id));
-            holder != id
+        self.leases.retain(|_, lease| {
+            held.extend(lease.job.filter(|_| lease.worker == id));
+            lease.worker != id
         });
         let Some(run) = self.run.as_mut() else { return };
-        run.counters.breaker_trips += opened as u64;
         for job in held {
             run.requeue(job);
+        }
+    }
+
+    /// Drops every lease past its expiry (see the [module docs](self)):
+    /// the current run's job goes back in the queue, the holder's breaker
+    /// records a failure, and a late answer finds no lease.
+    fn expire(&mut self, now: Duration) {
+        let slowest = self.run.as_ref().map_or(Duration::ZERO, |run| run.slowest);
+        let slowest_ms = (slowest * LEASE_SLOWEST_MULTIPLE).as_millis() as u64;
+        let mut expired = Vec::new();
+        self.leases.retain(|_, lease| {
+            let budget = lease.budget_ms.map(|ms| ms + DISPATCH_OVERHEAD_MS);
+            let ms = budget.unwrap_or(slowest_ms.max(LEASE_FLOOR_MS));
+            let live = now < lease.since + Duration::from_millis(ms);
+            expired.extend((!live).then_some((lease.worker, lease.job)));
+            live
+        });
+        for (worker, job) in expired {
+            if let Some(name) = self.workers.get(&worker).map(|w| w.name.clone()) {
+                self.charge(&name, now);
+            }
+            if let (Some(job), Some(run)) = (job, self.run.as_mut()) {
+                run.requeue(job);
+            }
         }
     }
 
@@ -358,8 +386,15 @@ impl ClusterCore {
             return;
         };
         w.last_beat = now;
-        // No lease: a duplicate. No job: the lease of an earlier run.
-        let Some((Some(job), holder, since)) = self.leases.remove(&result.job_id) else {
+        // No lease: a duplicate, or an answer past its lease's expiry. No
+        // job: the lease of an earlier run.
+        let Some(Lease {
+            job: Some(job),
+            worker: holder,
+            since,
+            ..
+        }) = self.leases.remove(&result.job_id)
+        else {
             return;
         };
         let Some(run) = self.run.as_mut() else { return };
@@ -368,48 +403,40 @@ impl ClusterCore {
         // degraded exploration is a legitimate answer: the worker
         // self-cancelled at its stamped budget and shipped its best-so-far.
         if holder != w.id
-            || result.run_key != run.plan.key
+            || result.run_key != run.plan.ledger.key()
             || (result.block_index, result.repeat) != job
         {
             run.requeue(job);
             return;
         }
-        let name = &run.plan.hot[job.0].name;
-        let remote = ExploreJob::new(job.0, job.1, run.plan.seed);
-        let elapsed_ms = now.saturating_sub(since).as_secs_f64() * 1e3;
+        let took = now.saturating_sub(since);
+        let name = &run.plan.ledger.hot()[job.0].name;
+        let remote = ExploreJob::new(job.0, job.1, run.plan.ledger.seed());
+        let elapsed_ms = took.as_secs_f64() * 1e3;
         let event = match &result.outcome {
             RepeatOutcome::Panicked(error) => RunEvent::job_failed(name, &remote, error),
             RepeatOutcome::Explored(e) => RunEvent::job_finish(name, &remote, Some(e), elapsed_ms),
             RepeatOutcome::Skipped => RunEvent::job_finish(name, &remote, None, elapsed_ms),
         };
-        if run.accept(job, result.outcome) {
+        let mut saves = Vec::new();
+        if run.accept(job, result.outcome, &mut saves) {
             *run.counters.worker_jobs.entry(w.name.clone()).or_default() += 1;
+            run.slowest = run.slowest.max(took);
             out.push(Action::Emit(event));
+            out.append(&mut saves);
         }
         self.breakers.remove(&w.name);
     }
 
-    /// Moves the run on: dispatches, reduces every block whose last repeat
-    /// is in, and either finishes or hands the jobs no worker can take to
-    /// the local pool — all of them, in one batch.
+    /// Moves the run on: dispatches, then either finishes a run whose every
+    /// block has its entry or hands the jobs no worker can take to the
+    /// local pool — all of them, in one batch.
     fn advance(&mut self, now: Duration, out: &mut Vec<Action>) {
         self.dispatch(now, out);
         let Some(run) = self.run.as_mut() else { return };
-        for block in std::mem::take(&mut run.arrived) {
-            if let Some(outcomes) = run.slots.complete(block) {
-                let entry =
-                    entry_from_repeats(&run.plan.key, &run.plan.hot[block], block, &outcomes);
-                // A degraded entry is a best-so-far partial, never saved.
-                if !entry.degraded {
-                    out.push(Action::Save(entry.clone()));
-                }
-                run.plan.completed.insert(block, entry);
-            }
-        }
-        if run.plan.completed.len() == run.plan.hot.len() {
-            let Run { plan, counters, .. } = self.run.take().expect("checked above");
-            let entries = plan.completed.into_values().collect();
-            out.push(Action::Finish(self.end(counters, entries)));
+        if run.plan.ledger.is_complete() {
+            let run = self.run.take().expect("checked above");
+            out.push(self.end(run));
         } else if !run.pending.is_empty()
             && run.local.is_empty()
             && !self.workers.values().any(|w| self.dispatchable(w, now))
@@ -431,7 +458,7 @@ impl ClusterCore {
         let left_ms = left.map(|left| left.as_millis() as u64);
         if left_ms.is_some_and(|ms| ms <= DISPATCH_OVERHEAD_MS) {
             for job in std::mem::take(&mut run.pending) {
-                run.accept(job, RepeatOutcome::Skipped);
+                run.accept(job, RepeatOutcome::Skipped, out);
             }
             return;
         }
@@ -453,7 +480,14 @@ impl ClusterCore {
             let attempt = std::mem::replace(attempts, *attempts + 1);
             self.next_job_id += 1;
             let job_id = self.next_job_id;
-            self.leases.insert(job_id, (Some(job), worker, now));
+            let budget_ms = left_ms.map(|ms| ms - DISPATCH_OVERHEAD_MS);
+            let lease = Lease {
+                job: Some(job),
+                worker,
+                since: now,
+                budget_ms,
+            };
+            self.leases.insert(job_id, lease);
             let faults = run.plan.fault_plan.as_ref();
             if faults.is_some_and(|plan| plan.drops(job.0, attempt)) {
                 // An injected transport drop: sever the connection, and
@@ -461,10 +495,9 @@ impl ClusterCore {
                 self.kill(worker, true, now, out);
                 continue;
             }
-            let remote = ExploreJob::new(job.0, job.1, run.plan.seed);
-            let start = RunEvent::job_start(&run.plan.hot[job.0].name, &remote);
-            out.push(Action::Emit(start));
-            let budget_ms = left_ms.map(|ms| ms - DISPATCH_OVERHEAD_MS);
+            let remote = ExploreJob::new(job.0, job.1, run.plan.ledger.seed());
+            let block = &run.plan.ledger.hot()[job.0];
+            out.push(Action::Emit(RunEvent::job_start(&block.name, &remote)));
             out.push(Action::Dispatch(Dispatch {
                 worker,
                 job_id,
@@ -475,16 +508,13 @@ impl ClusterCore {
         }
     }
 
-    /// Closes out the run. Its leases stay with their workers until answered
-    /// or lost, so a worker still busy with a cut run's job is not taken
-    /// for idle by the next run.
-    fn end(&mut self, counters: RunEnd, entries: Vec<CheckpointEntry>) -> RunEnd {
-        self.leases.values_mut().for_each(|lease| lease.0 = None);
+    /// Closes out the run. Its leases stay with their workers until
+    /// answered, lost or expired, so a worker still busy with a cut run's
+    /// job is not taken for idle by the next run.
+    fn end(&mut self, run: Run) -> Action {
+        self.leases.values_mut().for_each(|lease| lease.job = None);
         self.workers.retain(|_, w| w.alive);
-        RunEnd {
-            entries,
-            ..counters
-        }
+        Action::Finish(run.plan.ledger, run.counters)
     }
 }
 
@@ -510,12 +540,9 @@ mod tests {
 
     /// crc32's first `blocks` blocks, 2 repeats each.
     fn begin(blocks: usize, deadline: Option<Duration>) -> Event {
+        let hot = Benchmark::Crc32.program(OptLevel::O3).blocks[..blocks].to_vec();
         Event::Begin(RunPlan {
-            key: "run".to_string(),
-            seed: 7,
-            hot: Benchmark::Crc32.program(OptLevel::O3).blocks[..blocks].to_vec(),
-            repeats: 2,
-            completed: BTreeMap::new(),
+            ledger: RunLedger::new("run".to_string(), 7, hot, 2),
             deadline,
             fault_plan: None,
         })
@@ -556,20 +583,20 @@ mod tests {
         actions.iter().filter_map(each).collect()
     }
 
-    fn finish(actions: Vec<Action>) -> RunEnd {
-        let Some(Action::Finish(end)) = actions.into_iter().last() else {
+    fn finish(actions: Vec<Action>) -> (RunLedger, Counters) {
+        let Some(Action::Finish(ledger, counted)) = actions.into_iter().last() else {
             panic!("the run does not finish");
         };
-        end
+        (ledger, counted)
     }
 
     /// Redispatched, heartbeats missed, local and breaker trips.
-    fn counters(e: &RunEnd) -> [u64; 4] {
+    fn counters(c: &Counters) -> [u64; 4] {
         [
-            e.redispatched,
-            e.heartbeats_missed,
-            e.local,
-            e.breaker_trips,
+            c.redispatched,
+            c.heartbeats_missed,
+            c.local,
+            c.breaker_trips,
         ]
     }
 
@@ -584,7 +611,7 @@ mod tests {
         assert!(matches!(severed[..], [Action::Sever { worker: 1 }]));
         let again = sent(&core.on(answer(2, 2, (0, 1), "x"), ms(6)));
         assert_eq!(again, [(2, 3, (0, 0), 1, None)], "attempt 1, a fresh id");
-        let end = finish(core.on(answer(2, 3, (0, 0), "x"), ms(7)));
+        let (_, end) = finish(core.on(answer(2, 3, (0, 0), "x"), ms(7)));
         assert_eq!(counters(&end), [1, 0, 0, 0]);
         assert_eq!(end.worker_jobs["b"], 2);
         assert!(!core.breaker_open("a"), "a clean end charges nothing");
@@ -602,7 +629,7 @@ mod tests {
         // in one batch.
         assert!(matches!(expired[0], Action::Sever { worker: 1 }));
         assert!(matches!(&expired[1..], [Action::RunLocal(j)] if j == &[(0, 1), (0, 0)]));
-        let end = finish(core.on(Event::LocalDone(vec![RepeatOutcome::Skipped; 2]), ms(300)));
+        let (_, end) = finish(core.on(Event::LocalDone(vec![RepeatOutcome::Skipped; 2]), ms(300)));
         assert_eq!(counters(&end), [1, 1, 2, 0]);
         assert_eq!(core.workers_alive(), 0);
     }
@@ -618,10 +645,11 @@ mod tests {
             [Action::Emit(RunEvent::JobFailed { .. })]
         ));
         assert!(core.on(answer(1, 1, (0, 0), "second"), ms(2)).is_empty());
-        let end = finish(core.on(answer(1, 2, (0, 1), "first"), ms(3)));
-        assert_eq!(end.entries[0].error.as_deref(), Some("first"));
-        assert_eq!(end.entries[0].jobs_failed, 2);
+        let (ledger, end) = finish(core.on(answer(1, 2, (0, 1), "first"), ms(3)));
         assert_eq!(end.worker_jobs["a"], 2);
+        let entries = ledger.cut();
+        assert_eq!(entries[0].error.as_deref(), Some("first"));
+        assert_eq!(entries[0].jobs_failed, 2);
     }
 
     #[test]
@@ -650,7 +678,7 @@ mod tests {
         core.on(answer(4, 2, (0, 0), "x"), ms(2_300));
         core.on(lost(4, true), ms(2_300));
         assert!(!core.breaker_open("w"));
-        let end = finish(core.on(Event::LocalDone(vec![RepeatOutcome::Skipped]), ms(2_400)));
+        let (_, end) = finish(core.on(Event::LocalDone(vec![RepeatOutcome::Skipped]), ms(2_400)));
         assert_eq!(counters(&end), [1, 0, 1, 1], "one trip: the failed probe");
     }
 
@@ -668,9 +696,9 @@ mod tests {
         let end = core.on(answer(1, 2, (0, 1), "x"), ms(990));
         assert!(matches!(
             end[..],
-            [Action::Emit(_), Action::Save(_), Action::Finish(_)]
+            [Action::Emit(_), Action::Save(_), Action::Finish(..)]
         ));
-        let entries = finish(end).entries;
+        let entries = finish(end).0.cut();
         assert!(!entries[0].degraded && entries[1].degraded);
         assert_eq!(entries[1].jobs_completed + entries[1].jobs_failed, 0);
     }
@@ -681,15 +709,69 @@ mod tests {
         core.on(join(1, "a", 1), ms(0));
         assert_eq!(sent(&core.on(begin(1, None), ms(0)))[0].1, 1);
         let cut = core.on(Event::Deadline, ms(10));
-        assert!(matches!(cut[..], [Action::Finish(_)]));
+        assert!(matches!(cut[..], [Action::Finish(..)]));
         // The worker still runs job 1: the next run waits for it, and its
         // late answer is not slotted.
         assert!(sent(&core.on(begin(1, None), ms(20))).is_empty());
         let next = sent(&core.on(answer(1, 1, (0, 0), "late"), ms(30)));
         assert_eq!(next, [(1, 2, (0, 0), 0, None)]);
         core.on(answer(1, 2, (0, 0), "x"), ms(40));
-        let end = finish(core.on(answer(1, 3, (0, 1), "x"), ms(50)));
+        let (ledger, end) = finish(core.on(answer(1, 3, (0, 1), "x"), ms(50)));
         assert_eq!(counters(&end), [0; 4]);
-        assert_eq!(end.entries[0].error.as_deref(), Some("x"));
+        assert_eq!(ledger.cut()[0].error.as_deref(), Some("x"));
+    }
+
+    #[test]
+    fn a_worker_that_beats_but_never_answers_loses_its_jobs_at_lease_expiry() {
+        let mut core = core();
+        core.on(join(1, "mute", 1), ms(0));
+        // The worker takes each job it is sent and drops it, beating on time.
+        let first = sent(&core.on(begin(1, None), ms(0)));
+        assert_eq!(first, [(1, 1, (0, 0), 0, None)]);
+        let floor = LEASE_FLOOR_MS;
+        let beat_and_tick = |core: &mut ClusterCore, at: u64| {
+            core.on(Event::Beat { worker: 1 }, ms(at));
+            core.on(Event::Tick, ms(at))
+        };
+        for at in (50..floor).step_by(50) {
+            assert!(beat_and_tick(&mut core, at).is_empty(), "held at {at} ms");
+        }
+        // At the floor the lease expires: the job goes back, the next one
+        // goes out, and the breaker records one failure.
+        let expired = beat_and_tick(&mut core, floor);
+        assert_eq!(sent(&expired), [(1, 2, (0, 1), 0, None)]);
+        assert!(!core.breaker_open("mute"), "one failure, threshold 2");
+        // Its late answer is dropped, as a duplicate is.
+        assert!(core
+            .on(answer(1, 1, (0, 0), "late"), ms(floor + 1))
+            .is_empty());
+        // The second expiry opens the breaker; the jobs run locally.
+        let tripped = beat_and_tick(&mut core, 2 * floor);
+        assert!(core.breaker_open("mute"));
+        assert!(matches!(&tripped[..], [Action::RunLocal(j)] if j == &[(0, 0), (0, 1)]));
+        let (_, end) = finish(core.on(
+            Event::LocalDone(vec![RepeatOutcome::Skipped; 2]),
+            ms(2 * floor),
+        ));
+        assert_eq!(counters(&end), [2, 0, 2, 1]);
+        assert!(core.worker_alive("mute"), "a live worker is not severed");
+    }
+
+    #[test]
+    fn a_budgeted_lease_expires_at_its_budget_plus_overhead() {
+        let mut core = core();
+        core.on(join(1, "a", 1), ms(0));
+        let first = sent(&core.on(begin(1, Some(ms(10_000))), ms(0)));
+        assert_eq!(first, [(1, 1, (0, 0), 0, Some(9_975))]);
+        // With 1 ms left the pending repeat is skipped, but the leased one
+        // is still out.
+        core.on(Event::Beat { worker: 1 }, ms(9_999));
+        assert!(core.on(Event::Tick, ms(9_999)).is_empty());
+        // At 10 s its lease expires: requeued, and skipped with no time
+        // left, which completes the run.
+        let skipped = core.on(Event::Tick, ms(10_000));
+        let (ledger, end) = finish(skipped);
+        assert_eq!(counters(&end)[0], 1, "only the leased job was requeued");
+        assert!(ledger.cut()[0].degraded);
     }
 }

@@ -9,11 +9,10 @@
 //! every job's seed derives from its block's *canonical* index and its
 //! repeat, so a repeat explored on any node — or re-dispatched after its
 //! first node died — yields bitwise the same
-//! [`RepeatOutcome`](isex_flow::RepeatOutcome). The coordinator reduces a
-//! block's outcomes in repeat order with
-//! [`entry_from_repeats`](isex_flow::entry_from_repeats), the reduction a
-//! local run uses, so the merged [`FlowReport`] is byte-identical to a
-//! single-node run. Distribution changes *where* work happens, never
+//! [`RepeatOutcome`](isex_flow::RepeatOutcome). The coordinator keeps a
+//! run's blocks in the [`RunLedger`](isex_flow::RunLedger) a local run
+//! keeps, which reduces a block's outcomes in repeat order, so the merged
+//! [`FlowReport`] is byte-identical to a single-node run. Distribution changes *where* work happens, never
 //! *what* the answer is.
 //!
 //! Pieces:

@@ -992,7 +992,7 @@ fn zero_workers_run_only_the_jobs_the_store_lacks_on_one_pool() {
     let (cfg, program, none) = (request.flow_config(), request.program(), CancelToken::new());
     // The store already holds block 0's entry.
     let entry = explore_block_entry(&cfg, &program, request.seed, 0, &NullSink, &none).unwrap();
-    Checkpoints::open(&dir).unwrap().save(&entry).unwrap();
+    Checkpoints::open(&dir).unwrap().save(&entry);
 
     let (coord, sink) = (coordinator(100, Some(dir.clone())), VecSink::new());
     let (report, metrics) = run_with(&coord, &request, &cfg, &sink, &none);

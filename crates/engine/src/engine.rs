@@ -48,8 +48,6 @@ pub struct ExploreSpec {
     pub params: AcoParams,
     /// Explorer choice.
     pub algorithm: Algorithm,
-    /// Explorations per block, best kept (§5.1 uses 5).
-    pub repeats: usize,
     /// Worker threads; `0` = one per available core. Results are identical
     /// for every value — only wall time changes.
     pub jobs: usize,
@@ -74,8 +72,6 @@ pub struct BlockTask<'a> {
 /// The kept (best-of-N) exploration of one block.
 #[derive(Clone, Debug)]
 pub struct BlockResult {
-    /// The block's canonical index in the run's hot list.
-    pub block_index: usize,
     /// The best exploration over the block's repeats.
     pub best: Exploration,
     /// Ant iterations summed over *all* the block's repeats.
@@ -94,9 +90,10 @@ pub struct BlockResult {
 /// Runs exploration jobs deterministically in parallel.
 ///
 /// For a fixed master seed the outcomes are bitwise identical at any worker
-/// count: every job's seed comes from [`crate::derive_seed`], jobs never
-/// share RNG state, and outcomes come back in job order, not completion
-/// order.
+/// count: every job's seed comes from [`crate::derive_seed`] and jobs never
+/// share RNG state. Outcomes land in completion order; a caller that
+/// reduces them slots each by its job first (see
+/// [`RepeatSlots`](crate::RepeatSlots)).
 pub struct Engine {
     spec: ExploreSpec,
 }
@@ -107,71 +104,33 @@ impl Engine {
         Engine { spec }
     }
 
-    /// The spec this engine runs.
-    pub fn spec(&self) -> &ExploreSpec {
-        &self.spec
-    }
-
-    /// Runs every `(block, repeat)` job of `blocks` on **one** pool and
-    /// returns each block's outcomes in repeat order, blocks in the order
-    /// given — the input [`reduce_repeats`](crate::reduce_repeats) takes.
-    ///
-    /// `blocks[i].1` is the block's canonical index in the run's hot list;
-    /// its jobs' seeds derive from that index, so exploring any subset of
-    /// a run's blocks (one at a time, on resume, on another node) yields
-    /// the outcomes the same blocks get in an all-blocks call. All jobs
-    /// go through [`Engine::explore_jobs`] on one pool, so a worker that
-    /// finishes a small block steals the next job of a large one.
-    pub fn explore(
-        &self,
-        blocks: &[(BlockTask<'_>, usize)],
-        master_seed: u64,
-        sink: &dyn EventSink,
-        cancel: &CancelToken,
-    ) -> Vec<Vec<RepeatOutcome>> {
-        let repeats = self.spec.repeats.max(1);
-        let indices: Vec<usize> = blocks.iter().map(|&(_, index)| index).collect();
-        // Jobs are planned block-major, `repeats` per block.
-        let jobs: Vec<_> = ExploreJob::plan_subset(&indices, repeats, master_seed)
-            .into_iter()
-            .enumerate()
-            .map(|(pos, job)| (blocks[pos / repeats].0, job))
-            .collect();
-        let mut outcomes = self.explore_jobs(&jobs, sink, cancel).into_iter();
-        blocks
-            .iter()
-            .map(|_| outcomes.by_ref().take(repeats).collect())
-            .collect()
-    }
-
-    /// Runs any list of `(block, repeat)` jobs on **one** pool and returns
-    /// one outcome per job, in job order; each is bitwise the one the same
-    /// job yields in any other list, its seed being `job.seed`. A panic
-    /// comes back as [`RepeatOutcome::Panicked`] (and a `JobFailed` event,
-    /// once the pool has joined), a job the token kept from starting as
-    /// [`RepeatOutcome::Skipped`], and one cut mid-rounds as a degraded
-    /// exploration.
+    /// Runs any list of `(block, repeat)` jobs on **one** pool and hands
+    /// each outcome, with its job's position in `jobs`, to `land` on the
+    /// worker that ran it, the moment it is in. Each outcome is bitwise the
+    /// one the same job yields in any other list, its seed being
+    /// `job.seed`. A panic lands as [`RepeatOutcome::Panicked`] (after a
+    /// `JobFailed` event), a job cut mid-rounds as a degraded exploration,
+    /// and a job the token kept from starting never lands.
     pub fn explore_jobs(
         &self,
         jobs: &[(BlockTask<'_>, ExploreJob)],
         sink: &dyn EventSink,
         cancel: &CancelToken,
-    ) -> Vec<RepeatOutcome> {
-        let pool = run_jobs_anytime(jobs, self.spec.jobs, cancel, |_, &(task, job)| {
-            self.run_job(task, job, sink, cancel)
-        });
-        pool.results
-            .into_iter()
-            .zip(jobs)
-            .map(|(slot, &(task, job))| match slot {
-                Some(Ok(exploration)) => RepeatOutcome::Explored(exploration),
-                Some(Err(panic)) => {
-                    sink.emit(RunEvent::job_failed(task.name, &job, &panic.payload));
+        land: impl Fn(usize, RepeatOutcome) + Sync,
+    ) {
+        let run =
+            |_, &(task, job): &(BlockTask<'_>, ExploreJob)| self.run_job(task, job, sink, cancel);
+        run_jobs_anytime(jobs, self.spec.jobs, cancel, run, |i, result| {
+            let outcome = match result {
+                Ok(exploration) => RepeatOutcome::Explored(exploration),
+                Err(panic) => {
+                    let (task, job) = &jobs[i];
+                    sink.emit(RunEvent::job_failed(task.name, job, &panic.payload));
                     RepeatOutcome::Panicked(panic.payload)
                 }
-                None => RepeatOutcome::Skipped,
-            })
-            .collect()
+            };
+            land(i, outcome);
+        });
     }
 
     fn run_job(

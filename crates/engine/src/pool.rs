@@ -2,13 +2,13 @@
 //! panic isolation.
 //!
 //! [`run_jobs_anytime`] is the one fan-out: each job runs under
-//! `catch_unwind`, a panic becomes a structured [`JobPanic`] in that job's
-//! result slot, and the worker that caught it keeps draining the queue —
-//! logically, the supervisor resurrected it. The restart count is reported
-//! so telemetry can distinguish a clean run from a survived one, and a
-//! tripped [`CancelToken`] leaves the slots it kept from starting empty
-//! instead of discarding the work already done. [`run_jobs`] is the plain
-//! wrapper for callers with nothing to cancel and panics to propagate.
+//! `catch_unwind`, a panic becomes a structured [`JobPanic`] in place of
+//! that job's result, and the worker that caught it keeps draining the
+//! queue — logically, the supervisor resurrected it. Each result is handed
+//! over the moment it lands, and a tripped [`CancelToken`] keeps the jobs
+//! it stops from starting from ever landing, without discarding the work
+//! already done. [`run_jobs`] is the plain wrapper for callers with
+//! nothing to cancel and panics to propagate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,20 +38,6 @@ pub struct JobPanic {
     pub payload: String,
 }
 
-/// What an anytime fan-out produced: every slot that completed before the
-/// token tripped, in item order, with skipped slots left `None` instead of
-/// the whole result set being discarded.
-#[derive(Debug)]
-pub struct AnytimeOutcome<R> {
-    /// Per-item slots in item order: `Some(Ok)` completed, `Some(Err)`
-    /// panicked, `None` never started (claimed after the token tripped).
-    pub results: Vec<Option<Result<R, JobPanic>>>,
-    /// Panics caught (= workers logically resurrected by the supervisor).
-    pub worker_restarts: usize,
-    /// Whether any slot was skipped because the token tripped.
-    pub cancelled: bool,
-}
-
 /// Renders a panic payload for telemetry (`&str`/`String` payloads
 /// verbatim).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -78,10 +64,15 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_jobs_anytime(items, workers, &CancelToken::new(), f)
-        .results
+    let slots: Vec<Mutex<Option<Result<R, JobPanic>>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
+    run_jobs_anytime(items, workers, &CancelToken::new(), f, |i, result| {
+        *lock_unpoisoned(&slots[i]) = Some(result);
+    });
+    let slot = |s: Mutex<_>| s.into_inner().unwrap_or_else(PoisonError::into_inner);
+    slots
         .into_iter()
-        .map(|slot| match slot.expect("a fresh token never cancels") {
+        .map(|s| match slot(s).expect("a fresh token never cancels") {
             Ok(v) => v,
             Err(p) => panic!("job {} panicked: {}", p.index, p.payload),
         })
@@ -89,39 +80,34 @@ where
 }
 
 /// The fault-isolating, anytime fan-out: like [`run_jobs`], but a panic in
-/// `f` is caught, recorded as that item's [`JobPanic`], and the worker
-/// carries on with the next item; and the pool checks `cancel` before
+/// `f` is caught as that item's [`JobPanic`] (a worker logically
+/// resurrected) and the worker carries on with the next item; each item's
+/// result goes to `land`, with the item's index, on the worker that
+/// produced it, the moment it is in; and the pool checks `cancel` before
 /// claiming each item, so an in-progress `f` always finishes but no new
-/// item starts once the token trips. Every job completed (or caught
-/// panicking) before the trip keeps its slot; slots never claimed stay
-/// `None`. A token that trips only after the last item completed reports
-/// `cancelled: false` — the full, deterministic result set exists.
-/// Determinism is preserved: a panicking job affects only its own slot,
-/// because jobs share no RNG or accumulator state.
-pub fn run_jobs_anytime<T, R, F>(
+/// item starts, or lands, once the token trips. Determinism is preserved:
+/// a panicking job affects only its own result, because jobs share no RNG
+/// or accumulator state. A panic in `land` itself propagates.
+pub fn run_jobs_anytime<T, R, F, L>(
     items: &[T],
     workers: usize,
     cancel: &CancelToken,
     f: F,
-) -> AnytimeOutcome<R>
-where
+    land: L,
+) where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
+    L: Fn(usize, Result<R, JobPanic>) + Sync,
 {
     let workers = worker_count(workers).min(items.len().max(1));
-    let slots: Vec<Mutex<Option<Result<R, JobPanic>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    let restarts = AtomicUsize::new(0);
     let run_one = |i: usize| {
-        let result = catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|payload| {
-            restarts.fetch_add(1, Ordering::Relaxed);
-            JobPanic {
+        let result =
+            catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|payload| JobPanic {
                 index: i,
                 payload: panic_message(&*payload),
-            }
-        });
-        *lock_unpoisoned(&slots[i]) = Some(result);
+            });
+        land(i, result);
     };
     if workers <= 1 {
         for i in 0..items.len() {
@@ -147,23 +133,35 @@ where
             }
         });
     }
-    let mut results = Vec::with_capacity(items.len());
-    let mut cancelled = false;
-    for slot in slots {
-        let slot = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-        cancelled |= slot.is_none();
-        results.push(slot);
-    }
-    AnytimeOutcome {
-        results,
-        worker_restarts: restarts.load(Ordering::Relaxed),
-        cancelled,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`run_jobs_anytime`]'s results by item: `None` never started.
+    fn anytime<T: Sync, R: Send>(
+        items: &[T],
+        workers: usize,
+        cancel: &CancelToken,
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<Option<Result<R, JobPanic>>> {
+        let slots = Mutex::new((0..items.len()).map(|_| None).collect::<Vec<_>>());
+        run_jobs_anytime(items, workers, cancel, f, |i, result| {
+            lock_unpoisoned(&slots)[i] = Some(result);
+        });
+        slots.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether the token kept some item from starting.
+    fn cancelled<R>(slots: &[Option<Result<R, JobPanic>>]) -> bool {
+        slots.iter().any(Option::is_none)
+    }
+
+    /// Panics caught: workers logically resurrected by the supervisor.
+    fn restarts<R>(slots: &[Option<Result<R, JobPanic>>]) -> usize {
+        slots.iter().filter(|s| matches!(s, Some(Err(_)))).count()
+    }
 
     #[test]
     fn resolves_auto_worker_count() {
@@ -205,9 +203,9 @@ mod tests {
         token.cancel();
         let items: Vec<u32> = (0..8).collect();
         for workers in [1, 4] {
-            let out = run_jobs_anytime(&items, workers, &token, |_, &x| x);
-            assert!(out.cancelled, "workers={workers}");
-            assert!(out.results.iter().all(Option::is_none), "workers={workers}");
+            let out = anytime(&items, workers, &token, |_, &x| x);
+            assert!(cancelled(&out), "workers={workers}");
+            assert!(out.iter().all(Option::is_none), "workers={workers}");
         }
     }
 
@@ -216,7 +214,7 @@ mod tests {
         let token = CancelToken::new();
         let items: Vec<usize> = (0..64).collect();
         let seen = AtomicUsize::new(0);
-        let out = run_jobs_anytime(&items, 2, &token, |i, _| {
+        let out = anytime(&items, 2, &token, |i, _| {
             seen.fetch_add(1, Ordering::Relaxed);
             if i == 3 {
                 token.cancel();
@@ -224,28 +222,24 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
             i
         });
-        assert!(out.cancelled);
+        assert!(cancelled(&out));
         // In-flight jobs finish and keep their slots; nothing new starts
         // after the trip. With 2 workers at most one extra job can already
         // be claimed.
         let ran = seen.load(Ordering::Relaxed);
         assert!(ran < items.len());
-        assert_eq!(out.results.iter().filter(|r| r.is_some()).count(), ran);
-        assert!(matches!(out.results[3], Some(Ok(3))));
+        assert_eq!(out.iter().filter(|r| r.is_some()).count(), ran);
+        assert!(matches!(out[3], Some(Ok(3))));
     }
 
     #[test]
     fn late_cancel_after_completion_still_returns_results() {
         let token = CancelToken::new();
         let items: Vec<u32> = (0..10).collect();
-        let out = run_jobs_anytime(&items, 4, &token, |_, &x| x * 2);
+        let out = anytime(&items, 4, &token, |_, &x| x * 2);
         token.cancel();
-        assert!(!out.cancelled);
-        let values: Vec<u32> = out
-            .results
-            .into_iter()
-            .map(|r| r.unwrap().unwrap())
-            .collect();
+        assert!(!cancelled(&out));
+        let values: Vec<u32> = out.into_iter().map(|r| r.unwrap().unwrap()).collect();
         assert_eq!(values, (0..10).map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -253,15 +247,15 @@ mod tests {
     fn supervised_pool_isolates_panics_and_counts_restarts() {
         let items: Vec<usize> = (0..32).collect();
         for workers in [1, 4] {
-            let outcome = run_jobs_anytime(&items, workers, &CancelToken::new(), |_, &x| {
+            let outcome = anytime(&items, workers, &CancelToken::new(), |_, &x| {
                 if x % 8 == 3 {
                     panic!("boom at {x}");
                 }
                 x * 2
             });
-            assert!(!outcome.cancelled);
-            assert_eq!(outcome.worker_restarts, 4, "workers={workers}");
-            for (i, r) in outcome.results.iter().enumerate() {
+            assert!(!cancelled(&outcome));
+            assert_eq!(restarts(&outcome), 4, "workers={workers}");
+            for (i, r) in outcome.iter().enumerate() {
                 let r = r.as_ref().expect("every slot ran");
                 if i % 8 == 3 {
                     let p = r.as_ref().unwrap_err();
@@ -279,28 +273,24 @@ mod tests {
         // One worker, first item panics: the remaining items must still
         // complete on the same (logically restarted) worker.
         let items: Vec<usize> = (0..6).collect();
-        let outcome = run_jobs_anytime(&items, 1, &CancelToken::new(), |_, &x| {
+        let outcome = anytime(&items, 1, &CancelToken::new(), |_, &x| {
             if x == 0 {
                 panic!("first job dies");
             }
             x
         });
-        assert!(matches!(outcome.results[0], Some(Err(_))));
-        assert!(outcome.results[1..]
-            .iter()
-            .all(|r| matches!(r, Some(Ok(_)))));
-        assert_eq!(outcome.worker_restarts, 1);
+        assert!(matches!(outcome[0], Some(Err(_))));
+        assert!(outcome[1..].iter().all(|r| matches!(r, Some(Ok(_)))));
+        assert_eq!(restarts(&outcome), 1);
     }
 
     #[test]
     fn supervised_results_match_unsupervised_when_clean() {
         let items: Vec<u64> = (0..40).collect();
         let clean = run_jobs(&items, 4, |i, &x| (i as u64) * 100 + x);
-        let supervised =
-            run_jobs_anytime(&items, 4, &CancelToken::new(), |i, &x| (i as u64) * 100 + x);
-        assert_eq!(supervised.worker_restarts, 0);
+        let supervised = anytime(&items, 4, &CancelToken::new(), |i, &x| (i as u64) * 100 + x);
+        assert_eq!(restarts(&supervised), 0);
         let unwrapped: Vec<u64> = supervised
-            .results
             .into_iter()
             .map(|r| r.unwrap().unwrap())
             .collect();

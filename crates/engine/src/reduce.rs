@@ -94,7 +94,6 @@ pub fn reduce_repeats(
     let cut = survivors.iter().any(|e| e.degraded)
         || outcomes.iter().any(|o| matches!(o, RepeatOutcome::Skipped));
     BlockReduction::Kept(BlockResult {
-        block_index,
         best: best.clone(),
         iterations: survivors.iter().map(|e| e.iterations).sum(),
         spread: BlockSpread {
@@ -132,16 +131,6 @@ impl RepeatSlots {
         }
     }
 
-    fn index(&self, block: usize, repeat: usize) -> usize {
-        assert!(repeat < self.repeats, "repeat {repeat} of {}", self.repeats);
-        block * self.repeats + repeat
-    }
-
-    /// The outcome of `(block, repeat)`, if it is in.
-    pub fn get(&self, block: usize, repeat: usize) -> Option<&RepeatOutcome> {
-        self.outcomes[self.index(block, repeat)].as_ref()
-    }
-
     /// Stores the outcome of `(block, repeat)` unless one is already in;
     /// returns whether it was stored.
     ///
@@ -149,8 +138,8 @@ impl RepeatSlots {
     ///
     /// Panics if the block or repeat is out of range.
     pub fn fill(&mut self, block: usize, repeat: usize, outcome: RepeatOutcome) -> bool {
-        let index = self.index(block, repeat);
-        let slot = &mut self.outcomes[index];
+        assert!(repeat < self.repeats, "repeat {repeat} of {}", self.repeats);
+        let slot = &mut self.outcomes[block * self.repeats + repeat];
         if slot.is_some() {
             return false;
         }
@@ -162,9 +151,9 @@ impl RepeatSlots {
         &self.outcomes[block * self.repeats..(block + 1) * self.repeats]
     }
 
-    /// The block's outcomes in repeat order, once every repeat is in.
-    pub fn complete(&self, block: usize) -> Option<Vec<RepeatOutcome>> {
-        self.block(block).iter().cloned().collect()
+    /// Whether every repeat of the block is in.
+    pub fn is_complete(&self, block: usize) -> bool {
+        self.block(block).iter().all(Option::is_some)
     }
 
     /// The block's outcomes in repeat order with every missing repeat
@@ -277,12 +266,12 @@ mod tests {
             !slots.fill(1, 0, RepeatOutcome::Skipped),
             "duplicate refused"
         );
-        assert_eq!(slots.get(1, 0), Some(&first));
-        assert!(slots.complete(1).is_none(), "repeat 1 still out");
+        assert!(!slots.is_complete(1), "repeat 1 still out");
         assert_eq!(slots.cut(1), vec![first.clone(), RepeatOutcome::Skipped]);
         assert!(slots.fill(1, 1, RepeatOutcome::Skipped));
-        assert_eq!(slots.complete(1), Some(vec![first, RepeatOutcome::Skipped]));
-        assert!(slots.complete(0).is_none(), "block 0 untouched");
+        assert!(slots.is_complete(1));
+        assert_eq!(slots.cut(1), vec![first, RepeatOutcome::Skipped]);
+        assert!(!slots.is_complete(0), "block 0 untouched");
     }
 
     #[test]

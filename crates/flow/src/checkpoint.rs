@@ -1,19 +1,14 @@
 //! Block entries — the one intermediate form of every run — and
 //! crash-safe checkpointing.
 //!
-//! Every [`FlowReport`] is reduced from one [`CheckpointEntry`] per hot
-//! block by [`finish_from_entries`]. A local run builds its entries with
-//! [`explore_entries`]; a cluster coordinator builds them from repeat
-//! outcomes off the wire with [`entry_from_repeats`], the same reduction.
-//!
-//! [`run_flow_checkpointed`] explores the hot set one block at a time and
-//! saves each finished block's entry to an `isex-store` directory through
-//! [`Checkpoints`] *before* moving on. If the process dies — `kill -9`,
-//! OOM, power loss — a re-run with the same directory skips every block
-//! whose entry is there and re-explores only the rest. Because job seeds
-//! derive from a block's *canonical* index in the hot list (see
-//! [`isex_engine::Engine::explore`]), the resumed run's [`FlowReport`] is
-//! bitwise identical to an uninterrupted one.
+//! Every [`FlowReport`] is folded by [`finish_from_entries`] from one
+//! [`CheckpointEntry`] per hot block, each reduced by
+//! [`entry_from_repeats`] in a run's [`RunLedger`](crate::RunLedger).
+//! [`run_flow_checkpointed`] saves each block's entry through
+//! [`Checkpoints`] the moment the block completes, so a process that dies
+//! loses at most the blocks in flight, and a re-run resumes the rest.
+//! Job seeds derive from a block's *canonical* index in the hot list, so
+//! the resumed report is bitwise identical to an uninterrupted one.
 //!
 //! Crash safety is the store's: each entry is written to a temp file,
 //! fsync'd and renamed into place, and read back checksummed, so a crash
@@ -24,11 +19,12 @@
 //! program, …) is never found, let alone trusted.
 
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use isex_engine::{
-    reduce_repeats, BlockReduction, BlockSpread, CancelToken, Cancelled, Engine, EventSink,
-    ExploreJob, RepeatOutcome, RunMetrics,
+    lock_unpoisoned, reduce_repeats, BlockReduction, BlockSpread, CancelToken, Cancelled, Engine,
+    EventSink, ExploreJob, RepeatOutcome, RunMetrics,
 };
 use isex_store::Store;
 use isex_workloads::{BasicBlock, Program};
@@ -38,41 +34,8 @@ use crate::flow::{
     block_task, explore_spec, hot_blocks, replace_and_report, FlowConfig, FlowReport,
 };
 use crate::merge::WeightedPattern;
+use crate::run_ledger::run_local;
 use crate::select;
-
-/// Why a checkpointed run did not produce a report.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Checkpoint store I/O failed (the saved state is still consistent:
-    /// the store never holds a partially written entry).
-    Io(std::io::Error),
-    /// The run's [`CancelToken`] tripped; completed blocks stay saved and a
-    /// re-run resumes from them.
-    Cancelled,
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint store I/O: {e}"),
-            CheckpointError::Cancelled => f.write_str("run cancelled"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-impl From<Cancelled> for CheckpointError {
-    fn from(_: Cancelled) -> Self {
-        CheckpointError::Cancelled
-    }
-}
 
 /// One explored block: everything the flow needs from that block's
 /// exploration, plus the key binding it to its run.
@@ -100,10 +63,9 @@ pub struct CheckpointEntry {
     pub error: Option<String>,
     /// Whether the entry is best-so-far rather than canonical: some repeat
     /// was cut mid-rounds, or skipped by a tripped token — a failed block
-    /// included, since the skipped repeat might have survived. Degraded
-    /// entries are never *saved* by [`Checkpoints`] — a resume must
-    /// recompute the block — but they do reach the coordinator's cut path,
-    /// which folds worker partials into a degraded report.
+    /// included, since the skipped repeat might have survived. A degraded
+    /// entry reaches its run's report but is never saved: a resume must
+    /// recompute the block.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub degraded: bool,
     /// ACO rounds the kept exploration completed; stamped only on
@@ -178,14 +140,18 @@ impl Checkpoints {
 
     /// Saves `entry`; it is durable once this returns. A degraded entry is
     /// not saved: a resumed run must recompute a cut block, not inherit
-    /// the cut.
-    pub fn save(&self, entry: &CheckpointEntry) -> std::io::Result<()> {
+    /// the cut. A failed save is logged, not returned — a lost save costs
+    /// only a re-exploration on resume, so no run stops for one.
+    pub fn save(&self, entry: &CheckpointEntry) {
         if entry.degraded {
-            return Ok(());
+            return;
         }
         let payload = serde_json::to_string(entry).expect("entry serializes");
         let key = store_key(&entry.run_key, entry.block_index);
-        self.store.insert(&key, payload.as_bytes()).map(|_| ())
+        if let Err(e) = self.store.insert(&key, payload.as_bytes()) {
+            let block = entry.block_index;
+            eprintln!("isex: checkpoint save of block {block} failed: {e}");
+        }
     }
 }
 
@@ -194,31 +160,12 @@ fn store_key(run_key: &str, block_index: usize) -> String {
     format!("checkpoint block {block_index} {run_key}")
 }
 
-/// The hot block at canonical index `block_index`.
+/// Explores the block at canonical index `block_index` of the run's hot
+/// list, bitwise as a whole run does, and reduces it to its entry.
 ///
-/// # Panics
-///
-/// Panics if the index is outside the run's hot list.
-fn hot_block<'p>(hot: &[&'p BasicBlock], block_index: usize) -> &'p BasicBlock {
-    hot.get(block_index).copied().unwrap_or_else(|| {
-        panic!(
-            "block index {block_index} outside the hot list ({} blocks)",
-            hot.len()
-        )
-    })
-}
-
-/// Explores exactly one block of the run's hot list, identified by its
-/// canonical index, and packages the outcome as a [`CheckpointEntry`].
-///
-/// Seeds derive from the canonical index, so an entry produced here — on
-/// any node — is bitwise identical to what the same block yields inside an
-/// uninterrupted all-blocks run.
-///
-/// Anytime semantics: a token tripping mid-block yields an `Ok` entry with
-/// [`CheckpointEntry::degraded`] set (the block's best-so-far) instead of
-/// an error. The `Result` signature is kept for caller stability; the
-/// `Err` variant is no longer produced.
+/// Anytime: a token tripping mid-block yields a
+/// [`degraded`](CheckpointEntry::degraded) entry, never the `Err` variant,
+/// which the signature keeps for its callers.
 ///
 /// # Panics
 ///
@@ -231,15 +178,18 @@ pub fn explore_block_entry(
     sink: &dyn EventSink,
     cancel: &CancelToken,
 ) -> Result<CheckpointEntry, Cancelled> {
-    let hot = hot_blocks(cfg, program);
-    let entry = explore_indices(cfg, program, seed, &hot, &[block_index], sink, cancel).pop();
-    Ok(entry.expect("one block, one entry"))
+    let jobs: Vec<_> = (0..cfg.repeats.max(1)).map(|r| (block_index, r)).collect();
+    let outcomes = explore_repeats(cfg, program, seed, &jobs, sink, cancel);
+    let block = hot_blocks(cfg, program)[block_index];
+    let key = run_key(cfg, program, seed);
+    Ok(entry_from_repeats(&key, block, block_index, &outcomes))
 }
 
 /// Runs `(block, repeat)` jobs of the run — the cluster's unit of work:
 /// a worker's one job, or every job a coordinator has no worker for — on
 /// one engine pool, and returns their unreduced outcomes in `jobs` order,
-/// each bitwise the one the same repeat yields in a whole run.
+/// each bitwise the one the same repeat yields in a whole run; a job a
+/// tripped token kept from starting is [`RepeatOutcome::Skipped`].
 ///
 /// # Panics
 ///
@@ -254,79 +204,27 @@ pub fn explore_repeats(
     cancel: &CancelToken,
 ) -> Vec<RepeatOutcome> {
     let hot = hot_blocks(cfg, program);
+    let len = hot.len();
     let jobs: Vec<_> = jobs
         .iter()
         .map(|&(block, repeat)| {
-            let task = block_task(hot_block(&hot, block));
+            let outside = || panic!("block index {block} outside the hot list ({len} blocks)");
+            let task = block_task(hot.get(block).unwrap_or_else(outside));
             (task, ExploreJob::new(block, repeat, seed))
         })
         .collect();
-    Engine::new(explore_spec(cfg)).explore_jobs(&jobs, sink, cancel)
-}
-
-/// Explores every hot block of the run and reduces each block's repeats to
-/// its entry, in canonical block order — the exploration half of every
-/// local run, ahead of [`finish_from_entries`].
-///
-/// All `(block, repeat)` jobs share one engine pool, so a worker that
-/// finishes a small block steals the next job of a large one. Anytime: once
-/// `cancel` trips no new job starts, running jobs stop at the next ACO
-/// round boundary, and the cut blocks come back as degraded entries.
-pub fn explore_entries(
-    cfg: &FlowConfig,
-    program: &Program,
-    seed: u64,
-    sink: &dyn EventSink,
-    cancel: &CancelToken,
-) -> Vec<CheckpointEntry> {
-    let hot = hot_blocks(cfg, program);
-    let indices: Vec<usize> = (0..hot.len()).collect();
-    explore_indices(cfg, program, seed, &hot, &indices, sink, cancel)
-}
-
-/// Explores the hot blocks at canonical `indices` in one engine call
-/// (under the `flow.explore` span) and reduces each to its entry (under
-/// `flow.patterns`), in `indices` order.
-fn explore_indices(
-    cfg: &FlowConfig,
-    program: &Program,
-    seed: u64,
-    hot: &[&BasicBlock],
-    indices: &[usize],
-    sink: &dyn EventSink,
-    cancel: &CancelToken,
-) -> Vec<CheckpointEntry> {
-    let _trace = cfg.tracer.attach();
-    let blocks: Vec<_> = indices
-        .iter()
-        .map(|&i| (block_task(hot_block(hot, i)), i))
-        .collect();
-    let outcomes = {
-        let _s = cfg.tracer.span_with("flow.explore", || {
-            vec![
-                ("blocks", blocks.len().to_string()),
-                ("seed", seed.to_string()),
-            ]
-        });
-        Engine::new(explore_spec(cfg)).explore(&blocks, seed, sink, cancel)
-    };
-    let _s = cfg.tracer.span("flow.patterns");
-    let key = run_key(cfg, program, seed);
-    indices
-        .iter()
-        .zip(&outcomes)
-        .map(|(&i, outcomes)| entry_from_repeats(&key, hot[i], i, outcomes))
-        .collect()
+    let outcomes = Mutex::new(vec![RepeatOutcome::Skipped; jobs.len()]);
+    Engine::new(explore_spec(cfg)).explore_jobs(&jobs, sink, cancel, |i, outcome| {
+        lock_unpoisoned(&outcomes)[i] = outcome;
+    });
+    outcomes
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Reduces one block's repeat outcomes, given in repeat order, to its
-/// entry through the engine's [`reduce_repeats`].
-///
-/// Every path that builds a [`CheckpointEntry`] goes through here:
-/// [`explore_entries`] (and so every local run), the checkpointed run,
-/// [`explore_block_entry`], and the cluster coordinator once all of a
-/// block's repeats are back (or, on a deadline, with the missing ones as
-/// [`RepeatOutcome::Skipped`]).
+/// entry through the engine's [`reduce_repeats`]: every entry of every run
+/// is made here.
 pub fn entry_from_repeats(
     key: &str,
     block: &BasicBlock,
@@ -385,19 +283,14 @@ pub fn entry_from_repeats(
 /// [`RunMetrics`], selecting (under the `flow.select` span) and replacing
 /// (under `flow.replace`) on the way.
 ///
-/// Entries are sorted by canonical block index before reduction, so the
-/// result is independent of completion order — a resumed run and a
-/// cluster merge over any worker placement all reduce to the
-/// same bytes as one uninterrupted [`run_flow`](crate::run_flow).
-///
-/// Jobs of the `hot_len × repeats` plan that no entry accounts for as
-/// completed or failed count as skipped, and any skipped job or degraded
-/// entry makes the run degraded. Only degraded blocks carry
-/// `rounds_completed` provenance in the report.
-///
-/// The caller owns the exploration-phase accounting it alone can see:
-/// `phases.explore_ms`, `phases.total_ms`, `blocks_resumed` and
-/// `phase_profile` are left zeroed here.
+/// Entries are sorted by canonical block index first, so a resumed run
+/// and a cluster merge reduce to the bytes of one uninterrupted
+/// [`run_flow`](crate::run_flow). Planned jobs no entry accounts for count
+/// as skipped; a skipped job or a degraded entry degrades the run, and
+/// only degraded blocks carry `rounds_completed` in the report. The run's
+/// own accounting (`phases.explore_ms`/`total_ms`, `blocks_resumed`,
+/// `phase_profile`) is left zeroed for
+/// [`RunLedger::report`](crate::RunLedger::report) and its caller.
 pub fn finish_from_entries(
     cfg: &FlowConfig,
     program: &Program,
@@ -481,21 +374,15 @@ pub fn finish_from_entries(
     (report, metrics)
 }
 
-/// [`run_flow`](crate::run_flow) with block-grain checkpointing to the
-/// store directory `dir` (see [`Checkpoints`]).
+/// [`run_flow_cancellable`](crate::run_flow_cancellable) with block-grain
+/// checkpointing to the store directory `dir` (see [`Checkpoints`]).
 ///
-/// Blocks are explored one engine call at a time (each with its canonical
-/// index, so seeds — and therefore results — match an all-at-once run
-/// bitwise) and saved as they finish. On resume, saved blocks are
-/// skipped and counted in [`RunMetrics::blocks_resumed`]; their recorded
-/// job counts, iterations, spreads and failures fold into the metrics so
-/// totals match an uninterrupted run.
-///
-/// The one thing checkpointing costs is cross-block work stealing: a fresh
-/// `run_flow` fans every job of every block into one pool, while this path
-/// synchronises at each block boundary. For the paper's workloads (few hot
-/// blocks × several repeats) the difference is noise; crash-safety is worth
-/// it for long sweeps.
+/// Blocks whose entry the store holds are resumed (counted in
+/// [`RunMetrics::blocks_resumed`], their totals folded in as recorded);
+/// every job of every other block runs on one engine pool, and each clean
+/// entry is saved as its block completes. A tripped `cancel` answers a
+/// degraded report with the clean blocks saved for a re-run. Opening the
+/// store is the only error.
 pub fn run_flow_checkpointed(
     cfg: &FlowConfig,
     program: &Program,
@@ -503,36 +390,9 @@ pub fn run_flow_checkpointed(
     sink: &dyn EventSink,
     cancel: &CancelToken,
     dir: &Path,
-) -> Result<(FlowReport, RunMetrics), CheckpointError> {
-    let start = Instant::now();
-    let key = run_key(cfg, program, seed);
-    let checkpoints = Checkpoints::open(dir)?;
-    let hot_len = hot_blocks(cfg, program).len();
-    let mut entries = Vec::with_capacity(hot_len);
-    let mut resumed = 0;
-    for index in 0..hot_len {
-        if let Some(entry) = checkpoints.lookup(&key, index) {
-            resumed += 1;
-            entries.push(entry);
-            continue;
-        }
-        let entry = explore_block_entry(cfg, program, seed, index, sink, cancel)?;
-        if entry.degraded {
-            // A degraded entry is a best-so-far partial, which is never
-            // saved: completed blocks stay saved and the rest re-explore
-            // on resume.
-            return Err(CheckpointError::Cancelled);
-        }
-        checkpoints.save(&entry)?;
-        entries.push(entry);
-    }
-
-    let explore_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (report, mut metrics) = finish_from_entries(cfg, program, seed, entries, hot_len);
-    metrics.blocks_resumed = resumed;
-    metrics.phases.explore_ms = explore_ms;
-    metrics.phases.total_ms = start.elapsed().as_secs_f64() * 1e3;
-    Ok((report, metrics))
+) -> std::io::Result<(FlowReport, RunMetrics)> {
+    let store = Checkpoints::open(dir)?;
+    Ok(run_local(cfg, program, seed, sink, cancel, Some(&store)))
 }
 
 #[cfg(test)]
@@ -607,122 +467,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every ordering of `0..n`.
-    fn permutations(n: usize) -> Vec<Vec<usize>> {
-        if n == 0 {
-            return vec![Vec::new()];
-        }
-        let mut out = Vec::new();
-        for rest in permutations(n - 1) {
-            for at in 0..=rest.len() {
-                let mut p = rest.clone();
-                p.insert(at, n - 1);
-                out.push(p);
-            }
-        }
-        out
-    }
-
-    /// Slots block 0's `outcomes` (given in repeat order) in `order` of
-    /// arrival, then reduces the block as a cluster coordinator does: from
-    /// the complete set, or from a cut when some repeat never arrived.
-    fn arrive(
-        key: &str,
-        block: &BasicBlock,
-        outcomes: &[Option<RepeatOutcome>],
-        order: &[usize],
-    ) -> CheckpointEntry {
-        let mut slots = isex_engine::RepeatSlots::new(1, outcomes.len());
-        for &repeat in order {
-            if let Some(outcome) = &outcomes[repeat] {
-                assert!(slots.fill(0, repeat, outcome.clone()));
-            }
-        }
-        let reduced = slots.complete(0).unwrap_or_else(|| slots.cut(0));
-        entry_from_repeats(key, block, 0, &reduced)
-    }
-
-    #[test]
-    fn arrival_order_never_reaches_the_reduction() {
-        let program = Benchmark::Crc32.program(OptLevel::O3);
-        let mut cfg = quick_cfg();
-        cfg.repeats = 4;
-        cfg.jobs = 1;
-        cfg.params.max_iterations = 20;
-        // Repeat 1 panics; repeat 2 trips the run's token at its start, so
-        // it comes back degraded and repeat 3 never starts.
-        cfg.fault_plan = Some(isex_engine::FaultPlan::parse("panic@0.1 cancel@0.2").unwrap());
-        let seed = 5;
-        let key = run_key(&cfg, &program, seed);
-        let block = hot_blocks(&cfg, &program)[0];
-        let expected =
-            explore_block_entry(&cfg, &program, seed, 0, &NullSink, &CancelToken::new()).unwrap();
-        let real = Engine::new(explore_spec(&cfg))
-            .explore(
-                &[(block_task(block), 0)],
-                seed,
-                &NullSink,
-                &CancelToken::new(),
-            )
-            .pop()
-            .unwrap();
-        let explored = |o: &RepeatOutcome| match o {
-            RepeatOutcome::Explored(e) => Some(e.clone()),
-            _ => None,
-        };
-        assert!(matches!(real[1], RepeatOutcome::Panicked(_)));
-        assert!(explored(&real[2]).is_some_and(|e| e.degraded));
-        assert_eq!(real[3], RepeatOutcome::Skipped);
-
-        // The real outcomes, in every arrival order, with the skipped
-        // repeat both delivered (a job skipped at dispatch) and missing (a
-        // deadline cut): always `explore_block_entry`'s entry.
-        let delivered: Vec<Option<RepeatOutcome>> = real.iter().cloned().map(Some).collect();
-        let mut missing = delivered.clone();
-        missing[3] = None;
-        for order in permutations(real.len()) {
-            assert_eq!(
-                arrive(&key, block, &delivered, &order),
-                expected,
-                "{order:?}"
-            );
-            assert_eq!(arrive(&key, block, &missing, &order), expected, "{order:?}");
-        }
-
-        // Ties: equal cycles and area, one of them degraded; equal cycles
-        // and a larger area; a panic; a skip. The kept exploration is the
-        // first non-degraded one of the full tie in repeat order — `rounds`
-        // tells the tied ones apart — whatever order the repeats arrive in.
-        let base = explored(&real[0]).unwrap();
-        assert!(
-            !base.candidates.is_empty(),
-            "the area tie-break needs a candidate"
-        );
-        let with = |rounds: usize, degraded: bool, extra_area: f64| {
-            let mut e = base.clone();
-            e.rounds = rounds;
-            e.degraded = degraded;
-            e.candidates[0].area_um2 += extra_area;
-            RepeatOutcome::Explored(e)
-        };
-        let tied = vec![
-            Some(with(1, true, 0.0)),
-            Some(with(7, false, 0.0)),
-            Some(with(9, false, 0.0)),
-            Some(with(3, false, 1.0)),
-            Some(RepeatOutcome::Panicked("boom".into())),
-            Some(RepeatOutcome::Skipped),
-        ];
-        let in_repeat_order: Vec<RepeatOutcome> = tied.iter().flatten().cloned().collect();
-        let reference = entry_from_repeats(&key, block, 0, &in_repeat_order);
-        assert!(reference.degraded, "a skipped repeat degrades the block");
-        assert_eq!(reference.rounds_completed, Some(7));
-        assert_eq!((reference.jobs_completed, reference.jobs_failed), (4, 1));
-        for order in permutations(tied.len()) {
-            assert_eq!(arrive(&key, block, &tied, &order), reference, "{order:?}");
-        }
-    }
-
     #[test]
     fn a_failed_block_with_a_skipped_repeat_is_degraded_and_not_saved() {
         let program = Benchmark::Crc32.program(OptLevel::O3);
@@ -739,11 +483,15 @@ mod tests {
         assert_eq!(entry.rounds_completed, Some(0));
 
         let dir = temp_store("failed-skip");
-        let run = run_flow_checkpointed(&cfg, &program, 3, &NullSink, &CancelToken::new(), &dir);
-        assert!(matches!(run, Err(CheckpointError::Cancelled)));
+        let (report, metrics) =
+            run_flow_checkpointed(&cfg, &program, 3, &NullSink, &CancelToken::new(), &dir).unwrap();
+        assert!(
+            report.degraded && metrics.degraded,
+            "a cut run answers, degraded"
+        );
         let checkpoints = Checkpoints::open(&dir).unwrap();
         let key = run_key(&cfg, &program, 3);
-        checkpoints.save(&entry).unwrap();
+        checkpoints.save(&entry);
         assert_eq!(
             checkpoints.lookup(&key, 0),
             None,

@@ -11,8 +11,9 @@ use isex_isa::MachineConfig;
 use isex_workloads::{Benchmark, OptLevel};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{explore_entries, finish_from_entries};
+use crate::checkpoint::finish_from_entries;
 use crate::flow::{Algorithm, FlowConfig};
+use crate::run_ledger::explore_run;
 use crate::select::Budgets;
 
 /// The silicon-area constraints of Fig. 5.2.1, µm².
@@ -130,7 +131,8 @@ fn sweep(
     let mut out = Vec::new();
     for &bench in benchmarks {
         let program = bench.program(point.opt);
-        let entries = explore_entries(&cfg, &program, seed, &NullSink, &CancelToken::new());
+        let cancel = CancelToken::new();
+        let entries = explore_run(&cfg, &program, seed, &NullSink, &cancel, None).cut();
         for &v in values {
             let mut cfg_v = cfg.clone();
             cfg_v.budgets = budget_of(v);

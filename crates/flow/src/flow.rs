@@ -1,8 +1,6 @@
 //! The flow driver: profiling-driven block selection, repeated
 //! exploration, selection, replacement and whole-program accounting.
 
-use std::time::Instant;
-
 use isex_aco::AcoParams;
 use isex_core::Constraints;
 use isex_engine::{
@@ -17,8 +15,8 @@ use serde::{Deserialize, Serialize};
 // so `flow::Algorithm` keeps working.
 pub use isex_engine::Algorithm;
 
-use crate::checkpoint::{explore_entries, finish_from_entries};
 use crate::replace;
+use crate::run_ledger::run_local;
 use crate::select::{self, Budgets, SelectedIse, SharingModel};
 
 /// Configuration of one flow run.
@@ -186,7 +184,6 @@ pub(crate) fn explore_spec(cfg: &FlowConfig) -> ExploreSpec {
         constraints: cfg.constraints,
         params: cfg.params,
         algorithm: cfg.algorithm,
-        repeats: cfg.repeats,
         jobs: cfg.jobs,
         fault_plan: cfg.fault_plan.clone(),
         tracer: cfg.tracer.clone(),
@@ -194,7 +191,8 @@ pub(crate) fn explore_spec(cfg: &FlowConfig) -> ExploreSpec {
 }
 
 /// Replacement over every block plus whole-program accounting; the tail
-/// of [`finish_from_entries`], which every report comes from.
+/// of [`finish_from_entries`](crate::finish_from_entries), which every
+/// report comes from.
 pub(crate) fn replace_and_report(
     cfg: &FlowConfig,
     program: &Program,
@@ -269,19 +267,7 @@ pub fn run_flow_cancellable(
     sink: &dyn EventSink,
     cancel: &CancelToken,
 ) -> (FlowReport, RunMetrics) {
-    let _trace = cfg.tracer.attach();
-    let start = Instant::now();
-    let entries = explore_entries(cfg, program, seed, sink, cancel);
-    let explore_ms = start.elapsed().as_secs_f64() * 1e3;
-    let hot_len = entries.len();
-    let (report, mut metrics) = finish_from_entries(cfg, program, seed, entries, hot_len);
-    metrics.phases.explore_ms = explore_ms;
-    metrics.phases.total_ms = start.elapsed().as_secs_f64() * 1e3;
-    // Every span above is closed by now, so the aggregate covers the whole
-    // run. An untraced run leaves the profile empty — the report itself
-    // never depends on the tracer.
-    metrics.phase_profile = cfg.tracer.phase_profile();
-    (report, metrics)
+    run_local(cfg, program, seed, sink, cancel, None)
 }
 
 #[cfg(test)]

@@ -17,8 +17,10 @@
 //!   followed by rescheduling;
 //! * [`flow`] — the [`run_flow`] driver with the paper's
 //!   "5 explorations per block, keep the best" repetition;
+//! * [`run_ledger`] — the [`RunLedger`] every local, checkpointed and
+//!   clustered run keeps its blocks in: resume, slot, reduce, save and cut;
 //! * [`checkpoint`] — the per-block [`CheckpointEntry`] every report is
-//!   reduced from ([`explore_entries`] → [`finish_from_entries`]), plus
+//!   reduced from ([`entry_from_repeats`] → [`finish_from_entries`]), plus
 //!   crash-safe block-grain checkpointing to an `isex-store` directory
 //!   ([`Checkpoints`]) and resume ([`run_flow_checkpointed`]);
 //! * [`experiment`] — the parameter sweeps behind every evaluation figure.
@@ -48,11 +50,12 @@ pub mod merge;
 pub mod pattern;
 pub mod replace;
 pub mod report;
+pub mod run_ledger;
 pub mod select;
 
 pub use checkpoint::{
-    entry_from_repeats, explore_block_entry, explore_entries, explore_repeats, finish_from_entries,
-    run_flow_checkpointed, run_key, CheckpointEntry, CheckpointError, Checkpoints,
+    entry_from_repeats, explore_block_entry, explore_repeats, finish_from_entries,
+    run_flow_checkpointed, run_key, CheckpointEntry, Checkpoints,
 };
 pub use flow::{
     hot_blocks, run_flow, run_flow_cancellable, run_flow_observed, Algorithm, BlockOutcome,
@@ -60,4 +63,5 @@ pub use flow::{
 };
 pub use isex_engine::{CancelToken, Cancelled, FaultPlan, RepeatOutcome};
 pub use pattern::IsePattern;
+pub use run_ledger::{explore_run, Duplicate, Job, RunLedger};
 pub use select::SelectedIse;

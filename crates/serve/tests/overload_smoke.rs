@@ -148,14 +148,14 @@ fn overloaded_isexd_sheds_degrades_and_keeps_clean_answers_clean() {
     // -- Phase 2: deadline pressure. The queue is idle again, so a tight
     // budget is *admitted* and answered with whatever completed: a 200
     // carrying `degraded: true` and per-block rounds provenance. The
-    // engine honours cancellation at `(block, repeat)` boundaries, so the
-    // shape matters: many cheap repeats keep each cancellation interval
-    // far inside the grace window (a handful of heavy repeats would race
-    // the 504 fallback instead), and the total run cost stays well past
-    // the budget on any plausible CI hardware.
+    // engine stops a job at its next ACO round boundary, so a round is
+    // the cancellation interval: at this effort the longest round is about
+    // 30 ms, a third of the 90 ms grace window, while the whole request
+    // costs at least 3x the 810 ms compute budget — uncancelled, it
+    // explores for 3.2 s to 3.8 s on a 2-vCPU host.
     let tight = ExploreRequest {
         seed: 77,
-        effort: 400,
+        effort: 1_600,
         repeats: 60,
         timeout_ms: Some(900),
         ..ExploreRequest::default()

@@ -47,7 +47,6 @@ fn main() {
         constraints: Constraints::from_machine(&machine),
         params,
         algorithm: Algorithm::MultiIssue,
-        repeats: 1,
         jobs: 1,
         fault_plan: None,
         tracer: Default::default(),
@@ -58,10 +57,11 @@ fn main() {
         dfg: &block.dfg,
     };
     let job = (task, ExploreJob::new(0, 0, 0x7ace));
-    let outcome = engine
-        .explore_jobs(&[job], &sink, &CancelToken::new())
-        .pop()
-        .expect("one job, one outcome");
+    let landed = std::sync::Mutex::new(None);
+    engine.explore_jobs(&[job], &sink, &CancelToken::new(), |_, outcome| {
+        *landed.lock().unwrap() = Some(outcome);
+    });
+    let outcome = landed.into_inner().unwrap().expect("one job, one outcome");
     let RepeatOutcome::Explored(result) = outcome else {
         panic!("{}: exploration failed: {outcome:?}", program.name);
     };

@@ -9,6 +9,7 @@
 //! tests run both explorers: MI and SI share one round loop, so a plan
 //! must mean the same to each.
 
+use isex::engine::{RunEvent, VecSink};
 use isex::flow::{run_flow_checkpointed, CancelToken, FaultPlan};
 use isex::prelude::*;
 
@@ -272,5 +273,115 @@ fn checkpointed_run_under_faults_journals_the_failure() {
         "the saved failure must survive resume"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh checkpoint directory for `tag`.
+fn temp_store(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("isex-ft-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `(seq, block, repeat)` of every `JobStart` and every `JobFinish`.
+type JobMarks = Vec<(u64, usize, usize)>;
+
+fn job_marks(events: &[RunEvent]) -> (JobMarks, JobMarks) {
+    let (mut starts, mut finishes) = (Vec::new(), Vec::new());
+    for e in events {
+        match e {
+            RunEvent::JobStart {
+                block_index,
+                repeat,
+                ..
+            } => starts.push((e.seq(), *block_index, *repeat)),
+            RunEvent::JobFinish {
+                block_index,
+                repeat,
+                ..
+            } => finishes.push((e.seq(), *block_index, *repeat)),
+            _ => {}
+        }
+    }
+    (starts, finishes)
+}
+
+#[test]
+fn a_checkpointed_run_keeps_every_block_on_one_pool() {
+    let dir = temp_store("one-pool");
+    let program = Benchmark::Crc32.program(OptLevel::O3);
+    let mut cfg = base_config(Algorithm::MultiIssue);
+    cfg.repeats = 3;
+    assert!(isex::flow::hot_blocks(&cfg, &program).len() >= 2);
+    // Block 0's last repeat sleeps (a delay never changes the report), so
+    // the other worker runs out of block 0's jobs while it is still open.
+    cfg.fault_plan = Some(FaultPlan::parse("delay@0.2:300ms").expect("valid plan"));
+    let sink = VecSink::new();
+    let (report, metrics) =
+        run_flow_checkpointed(&cfg, &program, 12, &sink, &CancelToken::new(), &dir)
+            .expect("checkpointed run");
+    assert_eq!(
+        report_json(&report),
+        report_json(&run_flow(&cfg, &program, 12))
+    );
+    assert!(!metrics.degraded);
+
+    let (starts, finishes) = job_marks(&sink.into_events());
+    let block_0_done = finishes.iter().filter(|f| f.1 == 0).map(|f| f.0).max();
+    let block_1_starts = starts.iter().filter(|s| s.1 == 1).map(|s| s.0).min();
+    let (block_0_done, block_1_starts) = (block_0_done.unwrap(), block_1_starts.unwrap());
+    assert!(
+        block_1_starts < block_0_done,
+        "a job of block 1 must start before block 0's last job finishes: {starts:?} {finishes:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Trips `cancel` when the first job of `block` starts.
+struct CancelAtBlock<'a> {
+    block: usize,
+    cancel: &'a CancelToken,
+}
+
+impl EventSink for CancelAtBlock<'_> {
+    fn emit(&self, event: RunEvent) {
+        if matches!(event, RunEvent::JobStart { block_index, .. } if block_index == self.block) {
+            self.cancel.cancel();
+        }
+    }
+}
+
+#[test]
+fn a_cancelled_checkpointed_run_answers_degraded_and_resumes_its_clean_blocks() {
+    let dir = temp_store("cancelled");
+    let program = Benchmark::Crc32.program(OptLevel::O3);
+    let mut cfg = base_config(Algorithm::MultiIssue);
+    cfg.jobs = 1;
+    let seed = 0xca9;
+    let cancel = CancelToken::new();
+    let sink = CancelAtBlock {
+        block: 1,
+        cancel: &cancel,
+    };
+    let (cut, cut_metrics) =
+        run_flow_checkpointed(&cfg, &program, seed, &sink, &cancel, &dir).expect("cut run");
+    assert!(cut.degraded && cut_metrics.degraded);
+    let clean = cut_metrics.blocks_explored - cut_metrics.blocks_degraded;
+    assert_eq!(clean, 1, "block 0 completed before the trip");
+    let saved = std::fs::read_dir(dir.join("entries"))
+        .expect("entries exist")
+        .filter(|e| e.as_ref().expect("entry").path().extension() == Some("entry".as_ref()))
+        .count();
+    assert_eq!(saved, clean, "exactly the clean blocks are saved");
+
+    let (resumed, metrics) =
+        run_flow_checkpointed(&cfg, &program, seed, &NullSink, &CancelToken::new(), &dir)
+            .expect("resumed run");
+    assert_eq!(metrics.blocks_resumed, clean);
+    assert!(!resumed.degraded);
+    assert_eq!(
+        report_json(&resumed),
+        report_json(&run_flow(&cfg, &program, seed))
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -127,7 +127,6 @@ fn wide_jsons(jobs: usize) -> Vec<String> {
             ..AcoParams::default()
         },
         algorithm: Algorithm::MultiIssue,
-        repeats: 1,
         jobs,
         fault_plan: None,
         tracer: Tracer::disabled(),
@@ -140,14 +139,14 @@ fn wide_jsons(jobs: usize) -> Vec<String> {
         .enumerate()
         .map(|(i, (dfg, name))| (BlockTask { name, dfg }, ExploreJob::new(i, 0, 2008)))
         .collect();
-    Engine::new(spec)
-        .explore_jobs(&jobs, &NullSink, &CancelToken::new())
-        .into_iter()
-        .map(|outcome| match outcome {
+    let landed = std::sync::Mutex::new(vec![String::new(); jobs.len()]);
+    Engine::new(spec).explore_jobs(&jobs, &NullSink, &CancelToken::new(), |i, outcome| {
+        landed.lock().unwrap()[i] = match outcome {
             RepeatOutcome::Explored(e) => serde_json::to_string(&e).unwrap(),
             other => panic!("wide block not explored: {other:?}"),
-        })
-        .collect()
+        }
+    });
+    landed.into_inner().unwrap()
 }
 
 fn golden_dir() -> PathBuf {

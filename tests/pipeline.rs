@@ -2,7 +2,7 @@
 //! both explorers, multiple machines.
 
 use isex::flow::select::Budgets;
-use isex::flow::{explore_entries, finish_from_entries, CancelToken};
+use isex::flow::{explore_run, finish_from_entries, CancelToken};
 use isex::prelude::*;
 
 fn quick(algorithm: Algorithm, machine: MachineConfig) -> FlowConfig {
@@ -116,7 +116,8 @@ fn reduction_is_monotone_in_area_budget() {
     let machine = MachineConfig::preset_2issue_4r2w();
     let program = Benchmark::Bitcount.program(OptLevel::O3);
     let cfg0 = quick(Algorithm::MultiIssue, machine);
-    let entries = explore_entries(&cfg0, &program, 17, &NullSink, &CancelToken::new());
+    let cancel = CancelToken::new();
+    let entries = explore_run(&cfg0, &program, 17, &NullSink, &cancel, None).cut();
     let mut last = -1.0f64;
     for budget in [0.0, 10_000.0, 40_000.0, 160_000.0] {
         let mut cfg = cfg0.clone();
