@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{ExploreRequest, ExploreResponse, JobStatusResponse};
+use crate::protocol::{ErrorBody, ExploreRequest, ExploreResponse, JobAccepted, JobStatusResponse};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -125,17 +125,16 @@ fn parse_response(raw: &[u8]) -> Result<RawResponse, ClientError> {
     })
 }
 
-/// Extracts the server's `{"error": ...}` message, falling back to the raw
-/// body.
-fn error_message(body: &str) -> String {
-    if let Ok(value) = serde_json::parse(body) {
-        if let Some(obj) = value.as_object() {
-            if let Some((_, serde::Value::String(msg))) = obj.iter().find(|(k, _)| k == "error") {
-                return msg.clone();
-            }
-        }
+/// A non-success answer as a [`ClientError::Http`]: the message from the
+/// server's error body (the raw body when it sent none) and its
+/// `Retry-After` hint.
+fn http_error(raw: &RawResponse) -> ClientError {
+    ClientError::Http {
+        status: raw.status,
+        message: serde_json::from_str::<ErrorBody>(&raw.body)
+            .map_or_else(|_| raw.body.clone(), |body| body.error),
+        retry_after_secs: raw.header("retry-after").and_then(|v| v.parse().ok()),
     }
-    body.to_string()
 }
 
 /// Submits an exploration and decodes the response.
@@ -162,11 +161,7 @@ fn explore_within(
         timeout,
     )?;
     if raw.status != 200 {
-        return Err(ClientError::Http {
-            status: raw.status,
-            message: error_message(&raw.body),
-            retry_after_secs: raw.header("retry-after").and_then(|v| v.parse().ok()),
-        });
+        return Err(http_error(&raw));
     }
     ExploreResponse::from_json(&raw.body).map_err(ClientError::Protocol)
 }
@@ -174,20 +169,6 @@ fn explore_within(
 /// Fetches a control endpoint (`/healthz`, `/metrics`) as raw JSON text.
 pub fn get(addr: &str, path: &str) -> Result<RawResponse, ClientError> {
     roundtrip(addr, "GET", path, None, Duration::from_secs(30))
-}
-
-/// A decoded `POST /v1/jobs` acceptance (`202`).
-#[derive(Clone, Debug)]
-pub struct JobAccepted {
-    /// Handle for the status endpoints.
-    pub job_id: String,
-    /// The canonical key of the exploration the job answers.
-    pub key: String,
-    /// The job's lifecycle phase at admission (`queued`, `running`,
-    /// `done` — the last when a cache tier already held the answer).
-    pub status: String,
-    /// Whether the submission coalesced onto an identical in-flight run.
-    pub coalesced: bool,
 }
 
 /// Submits an exploration asynchronously (`POST /v1/jobs`): returns the
@@ -201,32 +182,9 @@ pub fn submit_job(addr: &str, request: &ExploreRequest) -> Result<JobAccepted, C
         Duration::from_secs(30),
     )?;
     if raw.status != 202 {
-        return Err(ClientError::Http {
-            status: raw.status,
-            message: error_message(&raw.body),
-            retry_after_secs: raw.header("retry-after").and_then(|v| v.parse().ok()),
-        });
+        return Err(http_error(&raw));
     }
-    let value = serde_json::parse(&raw.body)
-        .map_err(|e| ClientError::Protocol(format!("bad 202 body: {e}")))?;
-    let obj = value
-        .as_object()
-        .ok_or_else(|| ClientError::Protocol("202 body must be an object".into()))?;
-    let text = |name: &str| -> Result<String, ClientError> {
-        match obj.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-            Some(serde::Value::String(s)) => Ok(s.clone()),
-            _ => Err(ClientError::Protocol(format!("202 body missing `{name}`"))),
-        }
-    };
-    Ok(JobAccepted {
-        job_id: text("job_id")?,
-        key: text("key")?,
-        status: text("status")?,
-        coalesced: matches!(
-            obj.iter().find(|(k, _)| k == "coalesced").map(|(_, v)| v),
-            Some(serde::Value::Bool(true))
-        ),
-    })
+    serde_json::from_str(&raw.body).map_err(|e| ClientError::Protocol(format!("bad 202 body: {e}")))
 }
 
 /// Fetches a job's current status (`GET /v1/jobs/{id}`) without blocking.
@@ -256,11 +214,7 @@ fn job_exchange(
 ) -> Result<JobStatusResponse, ClientError> {
     let raw = roundtrip(addr, "GET", path, None, read_timeout)?;
     if raw.status != 200 {
-        return Err(ClientError::Http {
-            status: raw.status,
-            message: error_message(&raw.body),
-            retry_after_secs: raw.header("retry-after").and_then(|v| v.parse().ok()),
-        });
+        return Err(http_error(&raw));
     }
     JobStatusResponse::from_json(&raw.body).map_err(ClientError::Protocol)
 }
@@ -293,24 +247,9 @@ pub fn explore_async(
         let status = wait_job(addr, &submitted.job_id, left.min(30_000))?;
         match status.status.as_str() {
             "done" => {
-                let (report, metrics) = match (status.report, status.metrics) {
-                    (Some(r), Some(m)) => (r, m),
-                    _ => {
-                        return Err(ClientError::Protocol(
-                            "done status without report/metrics".into(),
-                        ))
-                    }
-                };
-                let source = status.source.unwrap_or_else(|| "run".to_string());
-                let degraded = metrics.degraded;
-                return Ok(ExploreResponse {
-                    cached: source != "run",
-                    source,
-                    key: status.key,
-                    report,
-                    metrics,
-                    degraded,
-                });
+                return status.into_explore_response().ok_or_else(|| {
+                    ClientError::Protocol("done status without source/report/metrics".into())
+                })
             }
             "failed" | "rejected" | "cancelled" => {
                 return Err(ClientError::Http {

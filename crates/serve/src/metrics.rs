@@ -408,9 +408,6 @@ pub struct ServerMetrics {
     pub degraded_responses: AtomicU64,
     /// Store writes that failed (`store.write_errors`).
     pub(crate) store_write_errors: AtomicU64,
-    /// Store entries whose payload the provenance guard rejected, removed
-    /// on lookup (`store.stale`; the store counted each as a hit).
-    pub(crate) store_stale: AtomicU64,
     /// EWMA of completed-run wall time, microseconds (`0` until the first
     /// run lands). Feeds the admission controller's queue-wait estimate.
     run_cost_ewma_us: AtomicU64,

@@ -1,5 +1,5 @@
-//! The `/v1/explore` wire protocol: request parsing, canonicalisation,
-//! and response envelopes.
+//! The `isexd` wire protocol: request parsing, canonicalisation, and one
+//! derived type per JSON document the server writes or reads.
 //!
 //! A request names *what* to explore (`bench`, `opt`, `machine`,
 //! `algorithm`, `seed`, `repeats`, `effort`) and *how* to run it (`jobs`,
@@ -8,11 +8,12 @@
 //! is built from it alone: two requests that differ only in worker count or
 //! deadline are the *same* exploration and share a cache entry.
 
+use isex_engine::RunMetrics;
 use isex_flow::select::Budgets;
 use isex_flow::{Algorithm, FlowConfig, FlowReport};
 use isex_isa::MachineConfig;
 use isex_workloads::{registry, Benchmark, OptLevel};
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 
 /// Hard caps on request effort, so one request cannot pin a worker for
 /// hours: `repeats`, ACO iterations and worker threads are clamped-checked
@@ -281,113 +282,87 @@ impl ExploreRequest {
     }
 }
 
-/// A decoded `/v1/explore` response (client side).
-#[derive(Clone, Debug)]
-pub struct ExploreResponse {
-    /// Whether the server answered from a cache tier (memory, store, or a
-    /// coalesced in-flight run) rather than a fresh run.
+/// Encodes a wire document as compact JSON.
+pub fn encode(body: &impl Serialize) -> String {
+    serde_json::to_string(body).expect("wire documents serialize")
+}
+
+/// The `/v1/explore` success body. `source` names where the answer came
+/// from — `"run"` (computed now), `"memory"` (in-process LRU), `"store"`
+/// (disk store), or `"coalesced"` (shared an in-flight run); `cached`
+/// stays for wire compatibility and is true for everything but a fresh
+/// run.
+///
+/// The server encodes it over borrowed results (`R = &FlowReport`,
+/// `M = &RunMetrics`); a client decodes the owned default.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct ExploreResponse<R = FlowReport, M = RunMetrics> {
+    /// Whether a cache tier answered rather than a fresh run.
     pub cached: bool,
-    /// Where the answer came from (`run`, `memory`, `store`, `coalesced`);
-    /// derived from `cached` when talking to an older server.
+    /// Where the answer came from (`run`, `memory`, `store`, `coalesced`).
     pub source: String,
     /// The canonical key the server cached under.
     pub key: String,
-    /// The exploration's whole-program report.
-    pub report: FlowReport,
-    /// The run's telemetry (the cached run's, on a hit).
-    pub metrics: isex_engine::RunMetrics,
     /// Whether the report is a best-so-far partial (deadline tripped
-    /// mid-run). Degraded answers are served `200` but never cached.
+    /// mid-run). Degraded answers are served `200` but never cached; only
+    /// they carry the field, so a full-budget answer keeps its bytes.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub degraded: bool,
+    /// The exploration's whole-program report.
+    pub report: R,
+    /// The run's telemetry (the cached run's, on a hit).
+    pub metrics: M,
 }
 
 impl ExploreResponse {
     /// Decodes a response body.
     pub fn from_json(body: &str) -> Result<Self, String> {
-        let value: Value =
-            serde_json::parse(body).map_err(|e| format!("bad response JSON: {e}"))?;
-        let obj = value.as_object().ok_or("response body must be an object")?;
-        let cached = match field(obj, "cached") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err("response missing `cached`".into()),
-        };
-        let key = match field(obj, "key") {
-            Some(Value::String(s)) => s.clone(),
-            _ => return Err("response missing `key`".into()),
-        };
-        let report = field(obj, "report").ok_or("response missing `report`")?;
-        let report: FlowReport =
-            serde_json::from_value(report.clone()).map_err(|e| format!("bad report: {e}"))?;
-        let metrics = field(obj, "metrics").ok_or("response missing `metrics`")?;
-        let metrics: isex_engine::RunMetrics =
-            serde_json::from_value(metrics.clone()).map_err(|e| format!("bad metrics: {e}"))?;
-        let source = match field(obj, "source") {
-            Some(Value::String(s)) => s.clone(),
-            _ => if cached { "memory" } else { "run" }.to_string(),
-        };
-        let degraded = matches!(field(obj, "degraded"), Some(Value::Bool(true)));
-        Ok(ExploreResponse {
-            cached,
-            source,
-            key,
-            report,
-            metrics,
-            degraded,
-        })
+        serde_json::from_str(body).map_err(|e| format!("bad response: {e}"))
     }
 }
 
-/// Builds the `/v1/explore` success envelope. `source` names where the
-/// answer came from — `"run"` (computed now), `"memory"` (in-process LRU),
-/// `"store"` (disk store), or `"coalesced"` (shared an in-flight run);
-/// `cached` stays for wire compatibility and is true for everything but a
-/// fresh run.
+/// Encodes the `/v1/explore` success body for a result from `source`.
 pub fn explore_response_json(
     source: &str,
     key: &str,
     report: &FlowReport,
-    metrics: &isex_engine::RunMetrics,
+    metrics: &RunMetrics,
 ) -> String {
-    let degraded = metrics.degraded;
-    let report = serde_json::to_value(report).expect("report serializes");
-    let metrics = serde_json::to_value(metrics).expect("metrics serializes");
-    let mut fields = vec![
-        ("cached".into(), Value::Bool(source != "run")),
-        ("source".into(), Value::String(source.to_string())),
-        ("key".into(), Value::String(key.to_string())),
-    ];
-    // Only degraded (partial, best-so-far) answers carry the flag, so a
-    // full-budget response stays byte-identical to pre-degradation output.
-    if degraded {
-        fields.push(("degraded".into(), Value::Bool(true)));
-    }
-    fields.push(("report".into(), report));
-    fields.push(("metrics".into(), metrics));
-    serde_json::value_to_string(&Value::Object(fields))
+    encode(&ExploreResponse {
+        cached: source != "run",
+        source: source.to_string(),
+        key: key.to_string(),
+        degraded: metrics.degraded,
+        report,
+        metrics,
+    })
 }
 
 /// Version of the *store payload* envelope (orthogonal to the store's
 /// frame version, which guards the container, not the content).
 pub const RESULT_PAYLOAD_VERSION: u64 = 1;
 
-/// Serializes a finished result for the persistent store: the payload the
-/// store files under the canonical key. Self-describing — it embeds its
-/// own version, the key it answers, and (inside `metrics`) the engine
-/// version and seed provenance of the producing run — so a reader can
-/// refuse anything it does not fully recognise.
-pub fn result_payload_json(
-    key: &str,
-    report: &FlowReport,
-    metrics: &isex_engine::RunMetrics,
-) -> String {
-    let report = serde_json::to_value(report).expect("report serializes");
-    let metrics = serde_json::to_value(metrics).expect("metrics serializes");
-    serde_json::value_to_string(&Value::Object(vec![
-        ("payload_version".into(), Value::U64(RESULT_PAYLOAD_VERSION)),
-        ("key".into(), Value::String(key.to_string())),
-        ("report".into(), report),
-        ("metrics".into(), metrics),
-    ]))
+/// A finished result as the persistent store files it under its canonical
+/// key. Self-describing — it embeds its own version, the key it answers,
+/// and (inside `metrics`) the engine version and seed provenance of the
+/// producing run — so a reader can refuse anything it does not fully
+/// recognise.
+#[derive(Serialize, Deserialize)]
+struct ResultPayload<R = FlowReport, M = RunMetrics> {
+    payload_version: u64,
+    key: String,
+    report: R,
+    metrics: M,
+}
+
+/// Encodes a finished result as its store payload.
+pub fn result_payload_json(key: &str, report: &FlowReport, metrics: &RunMetrics) -> String {
+    encode(&ResultPayload {
+        payload_version: RESULT_PAYLOAD_VERSION,
+        key: key.to_string(),
+        report,
+        metrics,
+    })
 }
 
 /// Decodes a store payload back into a servable result, or `None` — never
@@ -400,84 +375,47 @@ pub fn decode_result_payload(
     expected_key: &str,
     bytes: &[u8],
 ) -> Option<crate::cache::CachedResult> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let value = serde_json::parse(text).ok()?;
-    let obj = value.as_object()?;
-    match field(obj, "payload_version").map(|v| as_u64(v, "payload_version")) {
-        Some(Ok(v)) if v == RESULT_PAYLOAD_VERSION => {}
-        _ => return None,
-    }
-    match field(obj, "key") {
-        Some(Value::String(k)) if k == expected_key => {}
-        _ => return None,
-    }
-    let report: FlowReport = serde_json::from_value(field(obj, "report")?.clone()).ok()?;
-    let metrics: isex_engine::RunMetrics =
-        serde_json::from_value(field(obj, "metrics")?.clone()).ok()?;
+    let payload: ResultPayload = serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()?;
+    let ResultPayload {
+        payload_version,
+        key,
+        report,
+        metrics,
+    } = payload;
     // All workspace crates share one version, so the engine that stamped
     // these metrics and the server deciding whether to trust them agree on
-    // the version string exactly when they were built together.
-    if metrics.version != env!("CARGO_PKG_VERSION") {
-        return None;
-    }
-    // Degraded (best-so-far partial) results must never be re-served as
-    // the canonical answer. The write path refuses to store them; this
+    // the version string exactly when they were built together. Degraded
+    // (best-so-far partial) results must never be re-served as the
+    // canonical answer: the write path refuses to store them, and this
     // read-side guard also voids any entry smuggled in by hand.
-    if metrics.degraded || report.degraded {
-        return None;
-    }
-    Some(crate::cache::CachedResult { report, metrics })
+    let trusted = payload_version == RESULT_PAYLOAD_VERSION
+        && key == expected_key
+        && metrics.version == env!("CARGO_PKG_VERSION")
+        && !metrics.degraded
+        && !report.degraded;
+    trusted.then_some(crate::cache::CachedResult { report, metrics })
 }
 
-/// Builds the `POST /v1/jobs` acceptance envelope (`202`).
-pub fn job_submitted_json(job_id: &str, key: &str, status: &str, coalesced: bool) -> String {
-    serde_json::value_to_string(&Value::Object(vec![
-        ("job_id".into(), Value::String(job_id.to_string())),
-        ("key".into(), Value::String(key.to_string())),
-        ("status".into(), Value::String(status.to_string())),
-        ("coalesced".into(), Value::Bool(coalesced)),
-    ]))
+/// The `POST /v1/jobs` acceptance body (`202`).
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct JobAccepted {
+    /// Handle for the status endpoints.
+    pub job_id: String,
+    /// The canonical key of the exploration the job answers.
+    pub key: String,
+    /// The job's lifecycle phase at admission (`queued`, `running`,
+    /// `done` — the last when a cache tier already held the answer).
+    pub status: String,
+    /// Whether the submission coalesced onto an identical in-flight run.
+    pub coalesced: bool,
 }
 
-/// Builds the `GET /v1/jobs/{id}` status envelope. Terminal jobs embed
-/// their payload: `result` (the explore envelope fields) for `done`,
-/// `error` for `failed`/`rejected`.
-pub fn job_status_json(
-    job_id: &str,
-    key: &str,
-    status: &str,
-    source: &str,
-    result: Option<(&FlowReport, &isex_engine::RunMetrics)>,
-    error: Option<&str>,
-) -> String {
-    let mut fields = vec![
-        ("job_id".into(), Value::String(job_id.to_string())),
-        ("key".into(), Value::String(key.to_string())),
-        ("status".into(), Value::String(status.to_string())),
-    ];
-    if let Some((report, metrics)) = result {
-        fields.push(("source".into(), Value::String(source.to_string())));
-        if metrics.degraded {
-            fields.push(("degraded".into(), Value::Bool(true)));
-        }
-        fields.push((
-            "report".into(),
-            serde_json::to_value(report).expect("report serializes"),
-        ));
-        fields.push((
-            "metrics".into(),
-            serde_json::to_value(metrics).expect("metrics serializes"),
-        ));
-    }
-    if let Some(message) = error {
-        fields.push(("error".into(), Value::String(message.to_string())));
-    }
-    serde_json::value_to_string(&Value::Object(fields))
-}
-
-/// A decoded `GET /v1/jobs/{id}` response (client side).
-#[derive(Clone, Debug)]
-pub struct JobStatusResponse {
+/// The `GET /v1/jobs/{id}` (and `/wait`) body. A `done` job carries its
+/// answer (`source`, `degraded` when set, `report`, `metrics`); a
+/// `failed`, `rejected` or `cancelled` one its `error`. Absent fields are
+/// omitted. Encoded over borrowed results like [`ExploreResponse`].
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct JobStatusResponse<R = FlowReport, M = RunMetrics> {
     /// The job ID (echoed).
     pub job_id: String,
     /// The canonical key of the exploration the job answers.
@@ -486,54 +424,101 @@ pub struct JobStatusResponse {
     /// `failed`, `rejected`).
     pub status: String,
     /// For `done`: where the answer came from (`run`, `memory`, `store`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub source: Option<String>,
+    /// For `done`: whether the report is a best-so-far partial.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+    pub degraded: bool,
     /// For `done`: the report.
-    pub report: Option<FlowReport>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub report: Option<R>,
     /// For `done`: the producing run's telemetry.
-    pub metrics: Option<isex_engine::RunMetrics>,
-    /// For `failed`/`rejected`: the cause.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub metrics: Option<M>,
+    /// For `failed`/`rejected`/`cancelled`: the cause.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
 }
 
 impl JobStatusResponse {
     /// Decodes a status body.
     pub fn from_json(body: &str) -> Result<Self, String> {
-        let value: Value = serde_json::parse(body).map_err(|e| format!("bad status JSON: {e}"))?;
-        let obj = value.as_object().ok_or("status body must be an object")?;
-        let text = |name: &str| match field(obj, name) {
-            Some(Value::String(s)) => Ok(s.clone()),
-            _ => Err(format!("status missing `{name}`")),
-        };
-        let report = field(obj, "report")
-            .map(|v| serde_json::from_value(v.clone()).map_err(|e| format!("bad report: {e}")))
-            .transpose()?;
-        let metrics = field(obj, "metrics")
-            .map(|v| serde_json::from_value(v.clone()).map_err(|e| format!("bad metrics: {e}")))
-            .transpose()?;
-        Ok(JobStatusResponse {
-            job_id: text("job_id")?,
-            key: text("key")?,
-            status: text("status")?,
-            source: match field(obj, "source") {
-                Some(Value::String(s)) => Some(s.clone()),
-                _ => None,
-            },
-            report,
-            metrics,
-            error: match field(obj, "error") {
-                Some(Value::String(s)) => Some(s.clone()),
-                _ => None,
-            },
-        })
+        serde_json::from_str(body).map_err(|e| format!("bad status: {e}"))
+    }
+
+    /// A `done` status as the `/v1/explore` answer it carries; `None` for
+    /// any other status or a `done` body missing part of its answer.
+    pub fn into_explore_response(self) -> Option<ExploreResponse> {
+        match (self.status.as_str(), self.source, self.report, self.metrics) {
+            ("done", Some(source), Some(report), Some(metrics)) => Some(ExploreResponse {
+                cached: source != "run",
+                source,
+                key: self.key,
+                degraded: self.degraded,
+                report,
+                metrics,
+            }),
+            _ => None,
+        }
     }
 }
 
-/// Builds the uniform error envelope `{"error": ...}`.
+/// The uniform error body `{"error": ...}` of every non-2xx answer.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct ErrorBody {
+    /// What went wrong, for a human.
+    pub error: String,
+}
+
+/// Encodes the error body for `message`.
 pub fn error_json(message: &str) -> String {
-    serde_json::value_to_string(&Value::Object(vec![(
-        "error".into(),
-        Value::String(message.to_string()),
-    )]))
+    encode(&ErrorBody {
+        error: message.to_string(),
+    })
+}
+
+/// The `GET /healthz` body: liveness.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Health {
+    /// Always `ok`: a process that answers is alive.
+    pub status: String,
+    /// Milliseconds since the server started.
+    pub uptime_ms: u64,
+    /// Whether a drain is under way.
+    pub shutting_down: bool,
+}
+
+/// The `GET /readyz` body: whether new work admitted now would be served.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Readiness {
+    /// `ok` or `unready`.
+    pub status: String,
+    /// Jobs in the waiting room.
+    pub queue_depth: usize,
+    /// Waiting-room size.
+    pub queue_capacity: usize,
+    /// Why the server is unready; absent when ready.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub reason: Option<String>,
+}
+
+/// The `GET /v1/jobs/{id}/events` body: one page of a job's event stream.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct EventsPage {
+    /// The job ID (echoed).
+    pub job_id: String,
+    /// The job's lifecycle phase.
+    pub status: String,
+    /// The first sequence number asked for.
+    pub from_seq: u64,
+    /// Where the next page starts.
+    pub next_seq: u64,
+    /// Events evicted from the ring before this page could read them.
+    pub dropped: u64,
+    /// Whether the stream is complete.
+    pub closed: bool,
+    /// The events, one JSON object per engine event.
+    pub events: Vec<Value>,
 }
 
 #[cfg(test)]
@@ -631,19 +616,38 @@ mod tests {
     }
 
     #[test]
-    fn job_envelopes_carry_status_and_decode() {
-        let body = job_submitted_json("j-3", "k", "queued", false);
-        assert!(body.contains("\"job_id\":\"j-3\""), "{body}");
-        let metrics = isex_engine::RunMetrics::empty(1, 2);
-        let done = job_status_json("j-3", "k", "done", "run", Some((&report(), &metrics)), None);
-        let decoded = JobStatusResponse::from_json(&done).unwrap();
-        assert_eq!(decoded.status, "done");
-        assert!(decoded.report.is_some() && decoded.metrics.is_some());
-        let failed = job_status_json("j-4", "k", "failed", "", None, Some("boom"));
-        let decoded = JobStatusResponse::from_json(&failed).unwrap();
-        assert_eq!(decoded.status, "failed");
-        assert_eq!(decoded.error.as_deref(), Some("boom"));
-        assert!(decoded.report.is_none());
+    fn job_status_decodes_and_converts_to_the_explore_answer() {
+        let metrics = RunMetrics::empty(1, 2);
+        let report = report();
+        let status = |source: Option<&str>, error: Option<&str>| {
+            encode(&JobStatusResponse {
+                job_id: "j-3".to_string(),
+                key: "k".to_string(),
+                status: if error.is_some() { "failed" } else { "done" }.to_string(),
+                source: source.map(str::to_string),
+                degraded: false,
+                report: error.is_none().then_some(&report),
+                metrics: error.is_none().then_some(&metrics),
+                error: error.map(str::to_string),
+            })
+        };
+        let done = JobStatusResponse::from_json(&status(Some("store"), None)).unwrap();
+        let answer = done.into_explore_response().expect("a done status answers");
+        let sync =
+            ExploreResponse::from_json(&explore_response_json("store", "k", &report, &metrics))
+                .unwrap();
+        assert_eq!(
+            (answer.cached, answer.source.as_str(), answer.degraded),
+            (sync.cached, sync.source.as_str(), sync.degraded)
+        );
+        assert_eq!(encode(&answer), encode(&sync), "one answer, two routes");
+        // A done body without its source is a protocol error, not a guess.
+        let sourceless = JobStatusResponse::from_json(&status(None, None)).unwrap();
+        assert!(sourceless.into_explore_response().is_none());
+        let failed = JobStatusResponse::from_json(&status(None, Some("boom"))).unwrap();
+        assert_eq!(failed.error.as_deref(), Some("boom"));
+        assert!(failed.report.is_none());
+        assert!(failed.into_explore_response().is_none());
     }
 
     #[test]

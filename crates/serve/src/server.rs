@@ -39,7 +39,9 @@ use crate::http::{self, HttpError, Request};
 use crate::jobs::{Admitted, Job, JobOutcome, JobRegistry, Refused};
 use crate::listener::Listener;
 use crate::metrics::{counter, gauge, section, Metric, ServerMetrics};
-use crate::protocol::{self, ExploreRequest};
+use crate::protocol::{
+    self, EventsPage, ExploreRequest, Health, JobAccepted, JobStatusResponse, Readiness,
+};
 
 /// The `Retry-After` hint sent with every `503`, seconds.
 pub const RETRY_AFTER_SECS: u64 = 1;
@@ -533,14 +535,11 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) {
             // Liveness: the process is up and answering. Always 200 — a
             // saturated or workerless server is still *alive*; readiness
             // is `/readyz`'s verdict.
-            let body = serde_json::value_to_string(&Value::Object(vec![
-                ("status".into(), Value::String("ok".into())),
-                ("uptime_ms".into(), Value::U64(state.metrics.uptime_ms())),
-                (
-                    "shutting_down".into(),
-                    Value::Bool(state.shutdown.load(Ordering::Acquire)),
-                ),
-            ]));
+            let body = protocol::encode(&Health {
+                status: "ok".to_string(),
+                uptime_ms: state.metrics.uptime_ms(),
+                shutting_down: state.shutdown.load(Ordering::Acquire),
+            });
             (200, body, None)
         }
         ("GET", "/readyz") => {
@@ -557,29 +556,14 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) {
             } else {
                 None
             };
-            let mut fields = vec![
-                (
-                    "status".to_string(),
-                    Value::String(if reason.is_none() { "ok" } else { "unready" }.into()),
-                ),
-                (
-                    "queue_depth".to_string(),
-                    Value::U64(state.jobs.depth() as u64),
-                ),
-                (
-                    "queue_capacity".to_string(),
-                    Value::U64(state.jobs.capacity() as u64),
-                ),
-            ];
-            if let Some(reason) = reason {
-                fields.push(("reason".to_string(), Value::String(reason.to_string())));
-            }
+            let body = protocol::encode(&Readiness {
+                status: if reason.is_none() { "ok" } else { "unready" }.to_string(),
+                queue_depth: state.jobs.depth(),
+                queue_capacity: state.jobs.capacity(),
+                reason: reason.map(str::to_string),
+            });
             let status = if reason.is_none() { 200 } else { 503 };
-            (
-                status,
-                serde_json::value_to_string(&Value::Object(fields)),
-                no_store,
-            )
+            (status, body, no_store)
         }
         ("GET", "/metrics") => {
             let tree = state
@@ -643,7 +627,7 @@ fn metrics_extra(state: &ServerState) -> Vec<(&'static str, Metric)> {
                     "write_errors",
                     counter(m.store_write_errors.load(Ordering::Relaxed)),
                 ),
-                ("stale", counter(m.store_stale.load(Ordering::Relaxed))),
+                ("stale", counter(s.stale)),
             ]),
         ));
     }
@@ -662,29 +646,18 @@ fn metrics_extra(state: &ServerState) -> Vec<(&'static str, Metric)> {
 }
 
 /// Memory LRU → disk store read-through. A store hit is decoded behind the
-/// provenance guard, promoted into the memory cache, and served; an entry
-/// that decodes but fails the guard is removed (it can never serve a hit)
-/// and counted in `store.stale`.
+/// provenance guard, promoted into the memory cache, and served; a payload
+/// the guard refuses is a store miss (counted in `store.stale`, its entry
+/// removed).
 fn lookup_tiers(state: &ServerState, key: &str) -> Option<(Arc<CachedResult>, &'static str)> {
     if let Some(hit) = state.cache.lookup(key) {
         return Some((hit, "memory"));
     }
     let store = state.store.as_ref()?;
-    let bytes = store.lookup(key)?;
-    match protocol::decode_result_payload(key, &bytes) {
-        Some(result) => {
-            let result = Arc::new(result);
-            state.cache.insert(key.to_string(), Arc::clone(&result));
-            Some((result, "store"))
-        }
-        None => {
-            // The frame was intact but the payload is stale (another
-            // format or engine version): ignored, not trusted.
-            state.metrics.store_stale.fetch_add(1, Ordering::Relaxed);
-            let _ = store.remove(key);
-            None
-        }
-    }
+    let result = store.lookup_with(key, |bytes| protocol::decode_result_payload(key, &bytes))?;
+    let result = Arc::new(result);
+    state.cache.insert(key.to_string(), Arc::clone(&result));
+    Some((result, "store"))
 }
 
 /// What [`admit`] did with an exploration.
@@ -884,7 +857,7 @@ fn handle_job_submit(
     request: &Request,
     trace_id: &str,
 ) {
-    let body = match admit(state, request, trace_id, true) {
+    let (key, job, status, coalesced) = match admit(state, request, trace_id, true) {
         Err((status, msg)) => {
             return reply(
                 state,
@@ -900,7 +873,7 @@ fn handle_job_submit(
                 state
                     .jobs
                     .admit_completed(explore, key.clone(), JobOutcome::Done(hit), source);
-            protocol::job_submitted_json(&job.id, &key, "done", false)
+            (key, job, "done", false)
         }
         Ok((key, _, Admission::Run(Admitted { job, coalesced }))) => {
             let status = if coalesced {
@@ -908,9 +881,15 @@ fn handle_job_submit(
             } else {
                 "queued"
             };
-            protocol::job_submitted_json(&job.id, &key, status, coalesced)
+            (key, job, status, coalesced)
         }
     };
+    let body = protocol::encode(&JobAccepted {
+        job_id: job.id.clone(),
+        key,
+        status: status.to_string(),
+        coalesced,
+    });
     reply(state, stream, trace_id, 202, &body, None);
 }
 
@@ -991,23 +970,19 @@ fn handle_job_status(
         let page = job
             .events
             .read_from(from_seq, Duration::from_millis(timeout_ms));
-        let events: Vec<Value> = page
-            .events
-            .iter()
-            .map(|(_, line)| serde_json::parse(line).unwrap_or(Value::Null))
-            .collect();
-        let body = serde_json::value_to_string(&Value::Object(vec![
-            ("job_id".into(), Value::String(job.id.clone())),
-            (
-                "status".into(),
-                Value::String(job.status().as_str().to_string()),
-            ),
-            ("from_seq".into(), Value::U64(from_seq)),
-            ("next_seq".into(), Value::U64(page.next_seq)),
-            ("dropped".into(), Value::U64(page.dropped)),
-            ("closed".into(), Value::Bool(page.closed)),
-            ("events".into(), Value::Array(events)),
-        ]));
+        let body = protocol::encode(&EventsPage {
+            job_id: job.id.clone(),
+            status: job.status().as_str().to_string(),
+            from_seq,
+            next_seq: page.next_seq,
+            dropped: page.dropped,
+            closed: page.closed,
+            events: page
+                .events
+                .iter()
+                .map(|(_, line)| serde_json::parse(line).unwrap_or(Value::Null))
+                .collect(),
+        });
         respond(stream, 200, &body);
         return;
     }
@@ -1024,13 +999,22 @@ fn handle_job_status(
     };
 
     let (status, result, error) = match &outcome {
-        Some(JobOutcome::Done(result)) => ("done", Some((&result.report, &result.metrics)), None),
+        Some(JobOutcome::Done(result)) => ("done", Some(&**result), None),
         Some(JobOutcome::Failed(cause)) => ("failed", None, Some(cause.as_str())),
         Some(JobOutcome::Rejected(reason)) => ("rejected", None, Some(*reason)),
         Some(JobOutcome::Cancelled) => ("cancelled", None, Some("run cancelled")),
         None => (job.status().as_str(), None, None),
     };
-    let body = protocol::job_status_json(&job.id, &job.key, status, job.origin, result, error);
+    let body = protocol::encode(&JobStatusResponse {
+        job_id: job.id.clone(),
+        key: job.key.clone(),
+        status: status.to_string(),
+        source: result.map(|_| job.origin.to_string()),
+        degraded: result.is_some_and(|r| r.metrics.degraded),
+        report: result.map(|r| &r.report),
+        metrics: result.map(|r| &r.metrics),
+        error: error.map(str::to_string),
+    });
     respond(stream, 200, &body);
 }
 

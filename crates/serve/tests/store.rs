@@ -411,8 +411,9 @@ fn store_counts_hits_and_stale_payloads_and_metric_paths_hold() {
     assert_eq!(first.source, "run", "a stale payload never serves");
     let snap = metrics(&addr);
     assert_eq!(metric_u64(&snap, &["store", "stale"]), 1);
-    // The store itself read an intact frame: a hit by its count.
-    assert_eq!(metric_u64(&snap, &["store", "hits"]), 1);
+    // The frame was intact but nothing was served: a miss, not a hit.
+    assert_eq!(metric_u64(&snap, &["store", "hits"]), 0);
+    assert_eq!(metric_u64(&snap, &["store", "misses"]), 1);
     assert_eq!(metric_u64(&snap, &["store", "inserts"]), 1);
     assert_eq!(metric_u64(&snap, &["store", "write_errors"]), 0);
     handle.shutdown();
@@ -430,6 +431,7 @@ fn store_counts_hits_and_stale_payloads_and_metric_paths_hold() {
     );
     let snap = metrics(&addr);
     assert_eq!(metric_u64(&snap, &["store", "hits"]), 1);
+    assert_eq!(metric_u64(&snap, &["store", "misses"]), 0);
     assert_eq!(metric_u64(&snap, &["store", "stale"]), 0);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -91,6 +91,9 @@ pub struct StoreStats {
     /// Lookups by this handle that found nothing usable (absent, corrupt,
     /// or stale).
     pub misses: u64,
+    /// Misses whose intact payload the reader refused (see
+    /// [`Store::lookup_with`]).
+    pub stale: u64,
     /// Entries this handle wrote.
     pub inserts: u64,
     /// Entries this handle's GC evicted.
@@ -106,6 +109,7 @@ pub struct Store {
     max_bytes: u64,
     hits: AtomicU64,
     misses: AtomicU64,
+    stale: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
 }
@@ -145,6 +149,7 @@ impl Store {
             max_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            stale: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         };
@@ -166,8 +171,20 @@ impl Store {
     /// anything unusable — absent, torn, checksum mismatch, hash-colliding
     /// foreign key — is a counted miss, and an undecodable file is deleted.
     pub fn lookup(&self, key: &str) -> Option<Vec<u8>> {
+        self.lookup_with(key, Some)
+    }
+
+    /// [`Store::lookup`] through the reader's own check of the payload: a
+    /// payload `accept` refuses (another format or engine version) is a
+    /// miss, counted in [`StoreStats::stale`], and its entry is deleted,
+    /// since it can never serve a hit.
+    pub fn lookup_with<T>(
+        &self,
+        key: &str,
+        accept: impl FnOnce(Vec<u8>) -> Option<T>,
+    ) -> Option<T> {
         let path = self.entries_dir.join(entry_file_name(key));
-        let hit = File::open(&path).ok().and_then(|mut file| {
+        let payload = File::open(&path).ok().and_then(|mut file| {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes).ok()?;
             match decode_entry(&bytes) {
@@ -182,6 +199,14 @@ impl Store {
                     None
                 }
             }
+        });
+        let hit = payload.and_then(|payload| {
+            let accepted = accept(payload);
+            if accepted.is_none() {
+                self.stale.fetch_add(1, Ordering::Relaxed);
+                let _ = fs::remove_file(&path);
+            }
+            accepted
         });
         let counter = if hit.is_some() {
             &self.hits
@@ -292,6 +317,7 @@ impl Store {
             max_bytes: self.max_bytes,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            stale: self.stale.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
@@ -373,6 +399,22 @@ mod tests {
         }
         let store = Store::open(&dir, 0).unwrap();
         assert_eq!(store.lookup("k1").as_deref(), Some(&b"payload one"[..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_payload_is_a_stale_miss_and_leaves_the_store() {
+        let dir = temp_store("refused");
+        let store = Store::open(&dir, 0).unwrap();
+        store.insert("k1", b"old format").unwrap();
+        assert_eq!(store.lookup_with("k1", |_| None::<()>), None);
+        let s = store.stats();
+        assert_eq!((s.entries, s.hits, s.misses, s.stale), (0, 0, 1, 1));
+        store.insert("k1", b"new format").unwrap();
+        let len = store.lookup_with("k1", |payload| Some(payload.len()));
+        assert_eq!(len, Some(10));
+        let s = store.stats();
+        assert_eq!((s.entries, s.hits, s.misses, s.stale), (1, 1, 1, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

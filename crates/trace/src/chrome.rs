@@ -1,14 +1,14 @@
 //! The Chrome trace-event exporter.
 //!
 //! Emits the JSON-array flavour of the trace-event format: complete events
-//! (`"ph":"X"`) with microsecond `ts`/`dur`, one `pid` for the whole run
-//! and one `tid` per worker thread, plus `"M"` metadata events naming the
-//! process and threads. The output loads in Perfetto and
-//! `chrome://tracing` as-is.
+//! (`"ph":"X"`) with microsecond `ts`/`dur`, one `pid` per process (a
+//! local-only run is one process, pid 1) and one `tid` per worker thread,
+//! plus `"M"` metadata events naming the processes and threads. The output
+//! loads in Perfetto and `chrome://tracing` as-is.
 
 use serde::Value;
 
-use crate::{OwnedSpan, SpanRecord};
+use crate::OwnedSpan;
 
 /// The single process id stamped on every event (one trace = one run).
 /// Multi-process exports keep this pid for the local process and number
@@ -28,51 +28,7 @@ pub struct ProcessSpans {
     pub threads: Vec<(u64, String)>,
 }
 
-/// Renders span records as a Chrome trace-event JSON array.
-pub fn chrome_trace_json(
-    spans: &[SpanRecord],
-    threads: &[(u64, String)],
-    trace_id: Option<&str>,
-) -> String {
-    let mut events = Vec::with_capacity(spans.len() + threads.len() + 1);
-    let process_name = match trace_id {
-        Some(id) => format!("isex run {id}"),
-        None => "isex run".to_string(),
-    };
-    events.push(metadata_event("process_name", 0, &process_name));
-    for (tid, name) in threads {
-        events.push(metadata_event("thread_name", *tid, name));
-    }
-    for span in spans {
-        let mut args: Vec<(String, Value)> = vec![("id".into(), Value::U64(span.id))];
-        if let Some(parent) = span.parent {
-            args.push(("parent".into(), Value::U64(parent)));
-        }
-        if let Some(id) = trace_id {
-            args.push(("trace".into(), Value::String(id.to_string())));
-        }
-        for (k, v) in &span.args {
-            args.push(((*k).to_string(), Value::String(v.clone())));
-        }
-        events.push(Value::Object(vec![
-            ("name".into(), Value::String(span.name.to_string())),
-            ("cat".into(), Value::String("isex".into())),
-            ("ph".into(), Value::String("X".into())),
-            ("ts".into(), Value::F64(span.start_ns as f64 / 1e3)),
-            ("dur".into(), Value::F64(span.dur_ns as f64 / 1e3)),
-            ("pid".into(), Value::U64(TRACE_PID)),
-            ("tid".into(), Value::U64(span.tid)),
-            ("args".into(), Value::Object(args)),
-        ]));
-    }
-    serde_json::value_to_string(&Value::Array(events))
-}
-
-fn metadata_event(kind: &str, tid: u64, name: &str) -> Value {
-    metadata_event_pid(kind, TRACE_PID, tid, name)
-}
-
-fn metadata_event_pid(kind: &str, pid: u64, tid: u64, name: &str) -> Value {
+fn metadata_event(kind: &str, pid: u64, tid: u64, name: &str) -> Value {
     Value::Object(vec![
         ("name".into(), Value::String(kind.to_string())),
         ("ph".into(), Value::String("M".into())),
@@ -100,9 +56,9 @@ pub fn chrome_trace_multi_json(
     let mut events = Vec::new();
     for (index, process) in std::iter::once(local).chain(remote.iter()).enumerate() {
         let pid = TRACE_PID + index as u64;
-        events.push(metadata_event_pid("process_name", pid, 0, &process.name));
+        events.push(metadata_event("process_name", pid, 0, &process.name));
         for (tid, name) in &process.threads {
-            events.push(metadata_event_pid("thread_name", pid, *tid, name));
+            events.push(metadata_event("thread_name", pid, *tid, name));
         }
         for span in &process.spans {
             let mut args: Vec<(String, Value)> = vec![("id".into(), Value::U64(span.id))];
@@ -134,6 +90,71 @@ pub fn chrome_trace_multi_json(
 mod tests {
     use super::*;
 
+    use crate::SpanRecord;
+
+    /// A local-only export: one process of `records`, named like
+    /// `Tracer::chrome_trace` names it.
+    fn local_only(
+        records: &[SpanRecord],
+        threads: &[(u64, &str)],
+        trace_id: Option<&str>,
+    ) -> String {
+        let local = ProcessSpans {
+            name: match trace_id {
+                Some(id) => format!("isex run {id}"),
+                None => "isex run".to_string(),
+            },
+            spans: records.iter().map(OwnedSpan::from).collect(),
+            threads: threads.iter().map(|&(t, n)| (t, n.to_string())).collect(),
+        };
+        chrome_trace_multi_json(&local, &[], trace_id)
+    }
+
+    #[test]
+    fn local_only_export_keeps_the_single_process_bytes() {
+        let spans = [
+            SpanRecord {
+                id: 1,
+                parent: None,
+                name: "flow.explore",
+                start_ns: 1_000,
+                dur_ns: 250_500,
+                tid: 1,
+                args: vec![("block", "0".to_string())],
+            },
+            SpanRecord {
+                id: 2,
+                parent: Some(1),
+                name: "aco.round",
+                start_ns: 2_250,
+                dur_ns: 1_750,
+                tid: 2,
+                args: Vec::new(),
+            },
+        ];
+        let threads = [(1, "main"), (2, "engine-worker-0")];
+        // Captured from the single-process exporter this one replaced.
+        let meta = |process: &str| {
+            format!(
+                r#"{{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{{"name":"{process}"}}}},{{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{{"name":"main"}}}},{{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{{"name":"engine-worker-0"}}}}"#
+            )
+        };
+        assert_eq!(
+            local_only(&spans, &threads, Some("t-9")),
+            format!(
+                r#"[{},{{"name":"flow.explore","cat":"isex","ph":"X","ts":1,"dur":250.5,"pid":1,"tid":1,"args":{{"id":1,"trace":"t-9","block":"0"}}}},{{"name":"aco.round","cat":"isex","ph":"X","ts":2.25,"dur":1.75,"pid":1,"tid":2,"args":{{"id":2,"parent":1,"trace":"t-9"}}}}]"#,
+                meta("isex run t-9")
+            )
+        );
+        assert_eq!(
+            local_only(&spans, &threads, None),
+            format!(
+                r#"[{},{{"name":"flow.explore","cat":"isex","ph":"X","ts":1,"dur":250.5,"pid":1,"tid":1,"args":{{"id":1,"block":"0"}}}},{{"name":"aco.round","cat":"isex","ph":"X","ts":2.25,"dur":1.75,"pid":1,"tid":2,"args":{{"id":2,"parent":1}}}}]"#,
+                meta("isex run")
+            )
+        );
+    }
+
     #[test]
     fn export_is_valid_json_and_round_trips_fields() {
         let spans = vec![SpanRecord {
@@ -145,8 +166,7 @@ mod tests {
             tid: 2,
             args: vec![("k", "v".to_string())],
         }];
-        let threads = vec![(2u64, "worker-0".to_string())];
-        let text = chrome_trace_json(&spans, &threads, Some("t-1"));
+        let text = local_only(&spans, &[(2, "worker-0")], Some("t-1"));
         let parsed = serde_json::parse(&text).expect("valid JSON");
         let events = parsed.as_array().expect("trace-event array");
         // process_name + thread_name + 1 span.

@@ -17,14 +17,16 @@
 //!
 //! Threading model: a worker calls [`Tracer::attach`] once per unit of
 //! work, which installs a per-thread context (parent stack + record
-//! buffer). Buffers drain into the tracer's bounded central sink in batches
-//! under a short-held mutex; records past the capacity are counted in
-//! [`Tracer::dropped`] rather than growing without bound.
+//! buffer). Buffers drain into the tracer's central sink in batches under a
+//! short-held mutex. Each drained span is folded into the per-name profile;
+//! the record buffer the Chrome export reads is bounded, and records past
+//! its capacity are counted in [`Tracer::dropped`] rather than growing
+//! without bound.
 //!
 //! Exporters: [`Tracer::chrome_trace`] renders Chrome trace-event JSON
-//! (loadable in Perfetto / `chrome://tracing`, one `pid` per run, one `tid`
-//! per worker thread) and [`Tracer::phase_profile`] aggregates per-span-name
-//! count/total/max for `RunMetrics`.
+//! (loadable in Perfetto / `chrome://tracing`, one `pid` per process, one
+//! `tid` per worker thread) and [`Tracer::phase_profile`] holds the
+//! per-span-name count/total/max for `RunMetrics`, over every closed span.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +34,7 @@
 mod chrome;
 mod profile;
 
-pub use chrome::{chrome_trace_json, chrome_trace_multi_json, ProcessSpans};
+pub use chrome::{chrome_trace_multi_json, ProcessSpans};
 pub use profile::{PhaseProfile, PhaseStat};
 
 use serde::{Deserialize, Serialize};
@@ -130,13 +132,21 @@ struct RemoteProcess {
     threads: Vec<(u64, String)>,
 }
 
+/// Where drained spans land: every one folds into `profile`; the first
+/// `capacity` are also kept as records for the Chrome export.
+#[derive(Default)]
+struct Sink {
+    records: Vec<SpanRecord>,
+    profile: PhaseProfile,
+}
+
 struct Inner {
     epoch: Instant,
     next_id: AtomicU64,
     dropped: AtomicU64,
     capacity: usize,
     trace_id: Option<String>,
-    spans: Mutex<Vec<SpanRecord>>,
+    sink: Mutex<Sink>,
     threads: Mutex<Vec<(u64, String)>>,
     remote: Mutex<Vec<RemoteProcess>>,
 }
@@ -147,10 +157,11 @@ impl Inner {
     }
 
     fn push_records<I: IntoIterator<Item = SpanRecord>>(&self, records: I) {
-        let mut spans = lock_unpoisoned(&self.spans);
+        let mut sink = lock_unpoisoned(&self.sink);
         for r in records {
-            if spans.len() < self.capacity {
-                spans.push(r);
+            sink.profile.record(r.name, r.dur_ns);
+            if sink.records.len() < self.capacity {
+                sink.records.push(r);
             } else {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
@@ -196,8 +207,9 @@ impl Tracer {
         Self::make(DEFAULT_CAPACITY, None)
     }
 
-    /// An enabled tracer buffering at most `capacity` records; further
-    /// records are dropped and counted.
+    /// An enabled tracer buffering at most `capacity` records for export;
+    /// further records are dropped and counted (the profile still counts
+    /// them).
     pub fn with_capacity(capacity: usize) -> Tracer {
         Self::make(capacity, None)
     }
@@ -216,7 +228,7 @@ impl Tracer {
                 dropped: AtomicU64::new(0),
                 capacity,
                 trace_id,
-                spans: Mutex::new(Vec::new()),
+                sink: Mutex::new(Sink::default()),
                 threads: Mutex::new(Vec::new()),
                 remote: Mutex::new(Vec::new()),
             })),
@@ -327,7 +339,8 @@ impl Tracer {
             .collect()
     }
 
-    /// Records drained because the central buffer was full.
+    /// Records left out of the export because the central buffer was
+    /// full. The phase profile counts them all the same.
     pub fn dropped(&self) -> u64 {
         self.inner
             .as_ref()
@@ -390,15 +403,15 @@ impl Tracer {
         }
     }
 
-    /// Per-span-name aggregate (count / total / max) over the records
-    /// collected so far, sorted by name. Flushes the calling thread's
-    /// buffer first; only *closed* spans are counted.
+    /// Per-span-name aggregate (count / total / max) over every span
+    /// closed so far, sorted by name — including spans past the export
+    /// buffer's capacity. Flushes the calling thread's buffer first.
     pub fn phase_profile(&self) -> PhaseProfile {
         let Some(inner) = &self.inner else {
             return PhaseProfile::default();
         };
         self.flush_current();
-        profile::aggregate(&lock_unpoisoned(&inner.spans))
+        lock_unpoisoned(&inner.sink).profile.clone()
     }
 
     /// A copy of the collected records (tests and custom exporters).
@@ -407,38 +420,34 @@ impl Tracer {
             return Vec::new();
         };
         self.flush_current();
-        lock_unpoisoned(&inner.spans).clone()
+        lock_unpoisoned(&inner.sink).records.clone()
     }
 
     /// Renders the collected spans as a Chrome trace-event JSON array
     /// (Perfetto / `chrome://tracing` loadable). Empty array when disabled.
     ///
-    /// When spans from other processes were merged in via
-    /// [`Tracer::inject_remote`], the export becomes multi-process: local
-    /// spans keep `pid` 1 and each remote process gets its own `pid` and
-    /// `process_name` metadata, so a cluster run renders as one trace with
-    /// a lane per node.
+    /// Local spans take `pid` 1 under the process name `isex run <id>`.
+    /// Spans from other processes merged in via [`Tracer::inject_remote`]
+    /// each get their own `pid` and `process_name` metadata, so a cluster
+    /// run renders as one trace with a lane per node.
     pub fn chrome_trace(&self) -> String {
         let Some(inner) = &self.inner else {
             return "[]".to_string();
         };
         self.flush_current();
-        let spans = lock_unpoisoned(&inner.spans).clone();
-        let threads = lock_unpoisoned(&inner.threads).clone();
-        let remote = self.remote_processes();
-        if remote.is_empty() {
-            chrome::chrome_trace_json(&spans, &threads, inner.trace_id.as_deref())
-        } else {
-            let local = ProcessSpans {
-                name: match inner.trace_id.as_deref() {
-                    Some(id) => format!("isex run {id}"),
-                    None => "isex run".to_string(),
-                },
-                spans: spans.iter().map(OwnedSpan::from).collect(),
-                threads,
-            };
-            chrome::chrome_trace_multi_json(&local, &remote, inner.trace_id.as_deref())
-        }
+        let local = ProcessSpans {
+            name: match inner.trace_id.as_deref() {
+                Some(id) => format!("isex run {id}"),
+                None => "isex run".to_string(),
+            },
+            spans: lock_unpoisoned(&inner.sink)
+                .records
+                .iter()
+                .map(OwnedSpan::from)
+                .collect(),
+            threads: lock_unpoisoned(&inner.threads).clone(),
+        };
+        chrome::chrome_trace_multi_json(&local, &self.remote_processes(), inner.trace_id.as_deref())
     }
 
     /// Drains the calling thread's buffer (if it belongs to this tracer)
@@ -707,6 +716,8 @@ mod tests {
         }
         assert_eq!(t.records().len(), 4);
         assert_eq!(t.dropped(), 6);
+        // The export is bounded; the profile still counts every span.
+        assert_eq!(t.phase_profile().get("tick").map(|s| s.count), Some(10));
     }
 
     #[test]

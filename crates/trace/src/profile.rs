@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::SpanRecord;
-
 /// Aggregate cost of one span name across a run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PhaseStat {
@@ -52,6 +50,29 @@ impl PhaseProfile {
             .sum()
     }
 
+    /// Folds one closed span of `dur_ns` under `name` into the profile,
+    /// keeping it name-sorted.
+    pub(crate) fn record(&mut self, name: &str, dur_ns: u64) {
+        let ms = dur_ns as f64 / 1e6;
+        match self.0.binary_search_by(|s| s.name.as_str().cmp(name)) {
+            Ok(i) => {
+                let s = &mut self.0[i];
+                s.count += 1;
+                s.total_ms += ms;
+                s.max_ms = s.max_ms.max(ms);
+            }
+            Err(i) => self.0.insert(
+                i,
+                PhaseStat {
+                    name: name.to_string(),
+                    count: 1,
+                    total_ms: ms,
+                    max_ms: ms,
+                },
+            ),
+        }
+    }
+
     /// Folds `stats` into the profile, *merging* same-named entries
     /// (counts and totals sum, maxes max) instead of appending duplicates,
     /// and keeps the result name-sorted. This is the only correct way to
@@ -87,52 +108,21 @@ impl<'de> Deserialize<'de> for PhaseProfile {
     }
 }
 
-/// Folds closed span records into a name-sorted profile.
-pub(crate) fn aggregate(records: &[SpanRecord]) -> PhaseProfile {
-    let mut stats: Vec<PhaseStat> = Vec::new();
-    for r in records {
-        let ms = r.dur_ns as f64 / 1e6;
-        match stats.iter_mut().find(|s| s.name == r.name) {
-            Some(s) => {
-                s.count += 1;
-                s.total_ms += ms;
-                s.max_ms = s.max_ms.max(ms);
-            }
-            None => stats.push(PhaseStat {
-                name: r.name.to_string(),
-                count: 1,
-                total_ms: ms,
-                max_ms: ms,
-            }),
-        }
-    }
-    stats.sort_by(|a, b| a.name.cmp(&b.name));
-    PhaseProfile(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(name: &'static str, dur_ns: u64) -> SpanRecord {
-        SpanRecord {
-            id: 0,
-            parent: None,
-            name,
-            start_ns: 0,
-            dur_ns,
-            tid: 1,
-            args: Vec::new(),
+    fn profile(spans: &[(&str, u64)]) -> PhaseProfile {
+        let mut p = PhaseProfile::default();
+        for &(name, dur_ns) in spans {
+            p.record(name, dur_ns);
         }
+        p
     }
 
     #[test]
     fn aggregates_count_total_and_max_per_name() {
-        let p = aggregate(&[
-            rec("b", 2_000_000),
-            rec("a", 1_000_000),
-            rec("b", 4_000_000),
-        ]);
+        let p = profile(&[("b", 2_000_000), ("a", 1_000_000), ("b", 4_000_000)]);
         assert_eq!(p.0.len(), 2);
         assert_eq!(p.0[0].name, "a"); // sorted
         let b = p.get("b").unwrap();
@@ -145,7 +135,7 @@ mod tests {
 
     #[test]
     fn absorb_merges_same_named_entries_instead_of_appending() {
-        let mut p = aggregate(&[rec("a", 1_000_000), rec("b", 2_000_000)]);
+        let mut p = profile(&[("a", 1_000_000), ("b", 2_000_000)]);
         p.absorb(vec![
             PhaseStat {
                 name: "b".to_string(),
@@ -177,7 +167,7 @@ mod tests {
 
     #[test]
     fn profile_round_trips_and_tolerates_null() {
-        let p = aggregate(&[rec("x", 5_000_000)]);
+        let p = profile(&[("x", 5_000_000)]);
         let text = serde_json::to_string(&p).unwrap();
         let back: PhaseProfile = serde_json::from_str(&text).unwrap();
         assert_eq!(back, p);

@@ -233,6 +233,14 @@ fn run_observed(opts: &Options, program: &Program) -> Result<(FlowReport, RunMet
         std::fs::write(path, cfg.tracer.chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote Chrome trace to {path} (load in Perfetto or chrome://tracing)");
     }
+    let dropped = cfg.tracer.dropped();
+    if dropped > 0 {
+        eprintln!(
+            "the Chrome trace dropped {dropped} spans past its {}-span buffer; \
+             the profile counts every span",
+            isex::trace::DEFAULT_CAPACITY
+        );
+    }
     Ok((report, metrics))
 }
 
