@@ -7,8 +7,10 @@ fn main() {
         eprintln!(
             "isexd-worker: cluster exploration worker\n\
              flags: --connect HOST:PORT  --name NAME  --capacity N\n\
-             \x20      --trace-dir DIR  --die-after-jobs N  --no-reconnect\n\
-             \x20      --retry-ms N  --dial-attempts N"
+             \x20      --die-after-jobs N  --no-reconnect  --retry-ms N\n\
+             \x20      --dial-attempts N\n\
+             spans are collected only for traced runs and shipped to the\n\
+             coordinator's merged trace"
         );
         return;
     }

@@ -94,8 +94,8 @@ struct State {
     /// connection's reader thread owns its own clone.
     conns: HashMap<u64, (String, TcpStream)>,
     run: Option<RunIo>,
-    /// Federated per-worker telemetry by name; outlives connections and
-    /// runs.
+    /// What the coordinator saw of each worker, by name; outlives
+    /// connections and runs.
     telemetry: BTreeMap<String, WorkerTelemetry>,
 }
 
@@ -234,15 +234,15 @@ impl Coordinator {
         self.shared.lock().core.workers_alive()
     }
 
-    /// The federated cluster rollup: the `cluster` section of the serve
-    /// tier's `/metrics` tree, each leaf with its kind (every key is
-    /// already a legal metric-name segment).
+    /// The cluster rollup: the `cluster` section of the serve tier's
+    /// `/metrics` tree, each leaf with its kind (every key is already a
+    /// legal metric-name segment).
     pub(crate) fn metrics(&self) -> Metric {
         let state = self.shared.lock();
         telemetry::metrics(&state.core, &state.telemetry)
     }
 
-    /// The federated cluster rollup as JSON:
+    /// The cluster rollup as JSON:
     ///
     /// ```json
     /// {
@@ -250,9 +250,8 @@ impl Coordinator {
     ///   "worker": {
     ///     "w0": {
     ///       "alive": 1, "breaker_open": 0,
-    ///       "jobs_completed": 9, "jobs_failed": 0,
     ///       "latency_p50_ms": 21.7, "latency_p95_ms": 88.4, "latency_jobs": 9,
-    ///       "phases": {"engine_job": 9, ...}
+    ///       "jobs_completed": 9, "jobs_failed": 0
     ///     }
     ///   }
     /// }
@@ -455,34 +454,33 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         let mut state = shared.lock();
         let event = match message {
             Message::RepeatResult(result) => {
-                if let Some(since) = state.core.dispatched_at(result.job_id) {
+                // Counted under the name this connection's Hello announced,
+                // as each result arrives.
+                let since = state.core.dispatched_at(worker, result.job_id);
+                let t = state.telemetry.entry(name.clone()).or_default();
+                t.count(&result.outcome);
+                if let Some(since) = since {
                     let latency = now.saturating_sub(since).as_secs_f64() * 1e3;
-                    let t = state.telemetry.entry(name.clone()).or_default();
                     t.latency.observe_ms(latency);
                 }
                 Event::Result { worker, result }
             }
             Message::TraceChunk(chunk) => {
                 // One multi-process Chrome trace per run: spans merge into
-                // the run's tracer only through a live lease — late chunks
-                // for a requeued or finished job are dropped, like late
-                // results.
-                let live = state.core.dispatched_at(chunk.job_id).is_some();
-                let io = state.run.as_ref();
-                let at = io.filter(|io| live && io.trace_id == chunk.trace_id);
+                // the run's tracer only through a live lease this
+                // connection holds, in the lane of its Hello's name — late
+                // chunks for a requeued or finished job are dropped, like
+                // late results.
+                let live = state.core.dispatched_at(worker, chunk.job_id).is_some();
+                let io = state.run.as_ref().filter(|_| live);
                 if let Some((io, &(parent, offset_ns))) =
-                    at.and_then(|io| Some((io, io.dispatches.get(&chunk.job_id)?)))
+                    io.and_then(|io| Some((io, io.dispatches.get(&chunk.job_id)?)))
                 {
-                    let process = format!("isex worker {}", chunk.worker);
+                    let process = format!("isex worker {name}");
                     let (spans, threads) = (&chunk.spans, &chunk.threads);
                     io.tracer
                         .inject_remote(&process, parent, offset_ns, spans, threads);
                 }
-                Event::Beat { worker }
-            }
-            Message::MetricsReport(report) => {
-                let t = state.telemetry.entry(report.worker.clone()).or_default();
-                t.report = Some(report);
                 Event::Beat { worker }
             }
             Message::Heartbeat => Event::Beat { worker },

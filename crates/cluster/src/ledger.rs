@@ -292,10 +292,14 @@ impl ClusterCore {
         self.breakers.get(name).is_some_and(|b| b.1.is_some())
     }
 
-    /// When job `job_id` of the current run went out, while it is out.
-    pub fn dispatched_at(&self, job_id: u64) -> Option<Duration> {
+    /// When job `job_id` of the current run went out to worker `id`, while
+    /// that worker holds it.
+    pub fn dispatched_at(&self, id: u64, job_id: u64) -> Option<Duration> {
         let lease = self.leases.get(&job_id)?;
-        lease.job.and(Some(lease.since))
+        lease
+            .job
+            .filter(|_| lease.worker == id)
+            .map(|_| lease.since)
     }
 
     /// Jobs worker `id` holds.
@@ -565,7 +569,6 @@ mod tests {
     fn answer(worker: u64, job_id: u64, (block_index, repeat): Job, payload: &str) -> Event {
         let result = RepeatResult {
             job_id,
-            worker: String::new(),
             run_key: "run".to_string(),
             block_index,
             repeat,

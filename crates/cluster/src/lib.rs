@@ -113,10 +113,10 @@ impl ExploreRunner for ClusterRunner {
         self.coordinator.workers_alive() > 0
     }
 
-    /// The federated cluster rollup: `workers_alive` and per-worker
-    /// liveness, breaker state, job latency quantiles and
-    /// heartbeat-reported counters — one `cluster` section in
-    /// `GET /metrics`, JSON and Prometheus alike.
+    /// The cluster rollup: `workers_alive` and per-worker liveness,
+    /// breaker state, job latency quantiles and job and failure counts,
+    /// all taken from what the workers' results bring back — one
+    /// `cluster` section in `GET /metrics`, JSON and Prometheus alike.
     fn metrics_sections(&self) -> Vec<(&'static str, Metric)> {
         vec![("cluster", self.coordinator.metrics())]
     }
@@ -179,7 +179,6 @@ fn worker_config(args: &[String]) -> Result<WorkerConfig, String> {
             "--connect" => config.connect = flags.value(flag)?,
             "--name" => config.name = flags.value(flag)?,
             "--capacity" => config.capacity = flags.parse(flag)?,
-            "--trace-dir" => config.trace_dir = Some(flags.value(flag)?.into()),
             "--die-after-jobs" => config.die_at_job = Some(flags.parse(flag)?),
             "--no-reconnect" => config.reconnect = false,
             "--retry-ms" => config.retry_ms = flags.parse(flag)?,
@@ -187,8 +186,7 @@ fn worker_config(args: &[String]) -> Result<WorkerConfig, String> {
             other => {
                 return Err(format!(
                     "unknown flag `{other}` (valid: --connect, --name, --capacity, \
-                     --trace-dir, --die-after-jobs, --no-reconnect, --retry-ms, \
-                     --dial-attempts)"
+                     --die-after-jobs, --no-reconnect, --retry-ms, --dial-attempts)"
                 ))
             }
         }
@@ -247,7 +245,7 @@ mod tests {
         assert_eq!((server.store_max_bytes, server.jobs_keep), (14, 15));
 
         let worker = worker_config(&args(
-            "--connect 10.0.0.1:3 --name w9 --capacity 2 --trace-dir /w \
+            "--connect 10.0.0.1:3 --name w9 --capacity 2 \
              --die-after-jobs 5 --no-reconnect --retry-ms 6 --dial-attempts 7",
         ))
         .unwrap();
@@ -256,7 +254,6 @@ mod tests {
             ("10.0.0.1:3", "w9")
         );
         assert_eq!(worker.capacity, 2);
-        assert_eq!(worker.trace_dir, Some("/w".into()));
         assert_eq!(worker.die_at_job, Some(5));
         assert!(!worker.reconnect);
         assert_eq!((worker.retry_ms, worker.max_dial_attempts), (6, 7));
@@ -283,7 +280,14 @@ mod tests {
         assert_eq!(worker_err("--retry-ms soon"), "bad --retry-ms");
         assert_eq!(
             worker_err("--bogus"),
-            "unknown flag `--bogus` (valid: --connect, --name, --capacity, --trace-dir, \
+            "unknown flag `--bogus` (valid: --connect, --name, --capacity, \
+             --die-after-jobs, --no-reconnect, --retry-ms, --dial-attempts)"
+        );
+        // Workers write no trace files: their spans reach the coordinator's
+        // merged trace only.
+        assert_eq!(
+            worker_err("--trace-dir x"),
+            "unknown flag `--trace-dir` (valid: --connect, --name, --capacity, \
              --die-after-jobs, --no-reconnect, --retry-ms, --dial-attempts)"
         );
     }

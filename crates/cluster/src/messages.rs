@@ -10,25 +10,27 @@
 //! exactly what a local run would.
 
 use isex_flow::{CheckpointEntry, RepeatOutcome};
-use isex_trace::{OwnedSpan, PhaseProfile};
+use isex_trace::OwnedSpan;
 use serde::{Deserialize, Serialize};
 
 use crate::wire::{Frame, OpCode, WireError};
 
 /// The cluster protocol version. A worker and coordinator must agree
 /// exactly: results are merged bitwise, so "close enough" versions are
-/// exactly the bug this check refuses. Version 3 makes one
-/// `(block, repeat)` the unit of work: a [`JobAssign`] names a repeat and
-/// a [`RepeatResult`] answers it. Every session carries [`TraceChunk`] and
-/// [`MetricsReport`] frames; there is no capability negotiation.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// exactly the bug this check refuses. One `(block, repeat)` is the unit
+/// of work: a [`JobAssign`] names a repeat and a [`RepeatResult`] answers
+/// it, with [`TraceChunk`]s ahead of it when spans were asked for. Past
+/// its [`Hello`], a worker sends only those and heartbeats, and no frame
+/// names its sender: the coordinator knows it from the connection.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Worker → coordinator: first frame on a connection.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Hello {
     /// Must equal [`PROTOCOL_VERSION`].
     pub version: u32,
-    /// Worker name (diagnostics, per-worker counters, trace file names).
+    /// Worker name (diagnostics, per-worker counters, the worker's lane in
+    /// a merged trace).
     pub name: String,
     /// `(block, repeat)` jobs the worker will hold in flight at once (≥ 1).
     pub capacity: usize,
@@ -67,8 +69,7 @@ pub struct JobAssign {
     /// Dispatch attempt for this `(block, repeat)` job, 0-based
     /// (re-dispatches increment).
     pub attempt: usize,
-    /// The originating request's trace id, stamped on the worker's spans
-    /// and trace files.
+    /// The originating request's trace id, stamped on the worker's spans.
     pub trace_id: String,
     /// Compute budget for this job, milliseconds, already discounted for
     /// wire and queue overhead by the coordinator. The worker arms a timer
@@ -95,8 +96,6 @@ pub struct JobAssign {
 pub struct RepeatResult {
     /// The id from the [`JobAssign`] this answers.
     pub job_id: u64,
-    /// The reporting worker's name.
-    pub worker: String,
     /// The run's [`run_key`](isex_flow::run_key); a result for another run
     /// is refused.
     pub run_key: String,
@@ -111,8 +110,8 @@ pub struct RepeatResult {
 
 /// A whole block's [`CheckpointEntry`] as one frame.
 ///
-/// No protocol-3 session sends it: a coordinator drops the worker that
-/// does. It stays because the benchmark's layer harness (`perfbench`,
+/// No session sends it: a coordinator drops the worker that does. It
+/// stays because the benchmark's layer harness (`perfbench`,
 /// `cluster.frame_roundtrip_us`) times its encode and decode; the next
 /// change to the benchmark moves that metric to [`RepeatResult`] and
 /// deletes this message.
@@ -135,39 +134,17 @@ pub const TRACE_CHUNK_SPANS: usize = 2048;
 /// Worker → coordinator: a bounded batch of closed spans for one job,
 /// sent *before* the job's [`RepeatResult`] on the same connection so the
 /// coordinator holds the full span set by the time the run can complete.
+/// The coordinator merges a chunk only while this connection holds the
+/// job's lease, into the lane of the name its [`Hello`] announced.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceChunk {
     /// The [`JobAssign::job_id`] these spans belong to.
     pub job_id: u64,
-    /// The shipping worker's name (becomes the Chrome `process_name`).
-    pub worker: String,
-    /// The originating request's trace id ([`JobAssign::trace_id`]) —
-    /// chunks for a trace the coordinator is no longer running are
-    /// dropped, not merged.
-    pub trace_id: String,
     /// At most [`TRACE_CHUNK_SPANS`] spans, ids local to the worker's
     /// per-job tracer (the coordinator remaps them on merge).
     pub spans: Vec<OwnedSpan>,
     /// `(tid, thread name)` pairs for the shipped spans' threads.
     pub threads: Vec<(u64, String)>,
-}
-
-/// Worker → coordinator: cumulative worker-process telemetry, sent on the
-/// heartbeat cadence. All counters are monotonic totals since worker
-/// start — the coordinator keeps the latest report per worker, so a lost
-/// frame only delays freshness.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MetricsReport {
-    /// The reporting worker's name.
-    pub worker: String,
-    /// `(block, repeat)` jobs the worker finished (including degraded
-    /// partials and caught panics).
-    pub jobs_completed: u64,
-    /// Jobs whose repeat panicked.
-    pub jobs_failed: u64,
-    /// The worker's cumulative per-phase span aggregate (merged across
-    /// jobs with [`PhaseProfile::absorb`], so it never grows unboundedly).
-    pub phase_profile: PhaseProfile,
 }
 
 /// A decoded cluster message.
@@ -179,7 +156,7 @@ pub enum Message {
     HelloAck(HelloAck),
     /// See [`JobAssign`].
     Job(JobAssign),
-    /// See [`JobResult`]; never sent on a protocol-3 session.
+    /// See [`JobResult`]; no session sends it.
     Result(JobResult),
     /// See [`RepeatResult`].
     RepeatResult(RepeatResult),
@@ -189,8 +166,6 @@ pub enum Message {
     Goodbye,
     /// See [`TraceChunk`].
     TraceChunk(TraceChunk),
-    /// See [`MetricsReport`].
-    MetricsReport(MetricsReport),
 }
 
 fn json_frame<T: Serialize>(opcode: OpCode, value: &T) -> Frame {
@@ -220,7 +195,6 @@ impl Message {
             Message::Heartbeat => Frame::control(OpCode::Heartbeat),
             Message::Goodbye => Frame::control(OpCode::Goodbye),
             Message::TraceChunk(m) => json_frame(OpCode::TraceChunk, m),
-            Message::MetricsReport(m) => json_frame(OpCode::MetricsReport, m),
         }
     }
 
@@ -237,7 +211,6 @@ impl Message {
             OpCode::Heartbeat => Message::Heartbeat,
             OpCode::Goodbye => Message::Goodbye,
             OpCode::TraceChunk => Message::TraceChunk(decode_json(frame)?),
-            OpCode::MetricsReport => Message::MetricsReport(decode_json(frame)?),
         })
     }
 }
@@ -272,8 +245,6 @@ mod tests {
             }),
             Message::TraceChunk(TraceChunk {
                 job_id: 7,
-                worker: "w0".to_string(),
-                trace_id: "tr-abc".to_string(),
                 spans: vec![isex_trace::OwnedSpan {
                     id: 1,
                     parent: None,
@@ -284,17 +255,6 @@ mod tests {
                     args: vec![("block".to_string(), "crc32_loop".to_string())],
                 }],
                 threads: vec![(1, "session".to_string())],
-            }),
-            Message::MetricsReport(MetricsReport {
-                worker: "w0".to_string(),
-                jobs_completed: 3,
-                jobs_failed: 1,
-                phase_profile: PhaseProfile(vec![isex_trace::PhaseStat {
-                    name: "aco.construct".to_string(),
-                    count: 9,
-                    total_ms: 4.5,
-                    max_ms: 1.25,
-                }]),
             }),
             Message::Heartbeat,
             Message::Goodbye,
@@ -377,7 +337,6 @@ mod tests {
         };
         let m = Message::RepeatResult(RepeatResult {
             job_id: 5,
-            worker: "w0".to_string(),
             run_key: "k".to_string(),
             block_index: 1,
             repeat: 1,
@@ -417,8 +376,6 @@ mod tests {
         };
         let m = Message::TraceChunk(TraceChunk {
             job_id: 11,
-            worker: "w1".to_string(),
-            trace_id: "t-chunk".to_string(),
             spans: vec![span.clone()],
             threads: vec![(4, "job".to_string())],
         });

@@ -26,7 +26,9 @@ use std::io::{Read, Write};
 /// `len = 0xffff_ffff` allocation a hostile peer could claim.
 pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 
-/// Frame types on a cluster connection.
+/// Frame types on a cluster connection. Byte 8 is retired: protocol 3
+/// sent a worker's heartbeat-borne metrics under it, and it now decodes
+/// as [`WireError::UnknownOpCode`] like any other unknown byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
@@ -37,7 +39,7 @@ pub enum OpCode {
     /// Coordinator → worker: explore one repeat of one block.
     Job = 3,
     /// A whole block's [`CheckpointEntry`](isex_flow::CheckpointEntry);
-    /// no protocol-3 session sends it (see
+    /// no session sends it (see
     /// [`JobResult`](crate::messages::JobResult)).
     Result = 4,
     /// Worker → coordinator: liveness beacon (empty payload).
@@ -47,9 +49,6 @@ pub enum OpCode {
     /// Worker → coordinator: a bounded batch of the worker's closed spans
     /// for one job.
     TraceChunk = 7,
-    /// Worker → coordinator: cumulative worker telemetry riding the
-    /// heartbeat cadence.
-    MetricsReport = 8,
     /// Worker → coordinator: one `(block, repeat)` job's outcome.
     RepeatResult = 9,
 }
@@ -66,7 +65,6 @@ impl OpCode {
             5 => Some(OpCode::Heartbeat),
             6 => Some(OpCode::Goodbye),
             7 => Some(OpCode::TraceChunk),
-            8 => Some(OpCode::MetricsReport),
             9 => Some(OpCode::RepeatResult),
             _ => None,
         }

@@ -6,27 +6,23 @@
 //! here is plumbing: the [`Hello`] handshake, a heartbeat thread beating
 //! at the coordinator-announced interval, a per-job [`DeadlineTimer`] that
 //! trips the run's cancel token so a deadline-pressed job ships a degraded
-//! best-so-far partial instead of overrunning, optional per-job Chrome traces
-//! (named by the propagated trace id and this worker's name, with span
-//! `tid`s labelled by the worker's thread name), and reconnect-with-
-//! backoff when the coordinator severs or restarts.
+//! best-so-far partial instead of overrunning, span collection for jobs
+//! whose assignment asks for it (shipped back as [`TraceChunk`]s ahead of
+//! the result, the worker keeping no trace of its own), and
+//! reconnect-with-backoff when the coordinator severs or restarts.
 
 use std::net::{Shutdown, TcpStream};
-use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use isex_engine::{
-    lock_unpoisoned, CancelToken, DeadlineTimer, FaultPlan, NullSink, RepeatOutcome,
-};
+use isex_engine::{lock_unpoisoned, CancelToken, DeadlineTimer, FaultPlan, NullSink};
 use isex_flow::{explore_repeats, hot_blocks, run_key};
 use isex_serve::ExploreRequest;
-use isex_trace::{OwnedSpan, PhaseProfile};
+use isex_trace::OwnedSpan;
 
 use crate::messages::{
-    Hello, JobAssign, Message, MetricsReport, RepeatResult, TraceChunk, PROTOCOL_VERSION,
-    TRACE_CHUNK_SPANS,
+    Hello, JobAssign, Message, RepeatResult, TraceChunk, PROTOCOL_VERSION, TRACE_CHUNK_SPANS,
 };
 use crate::wire::{read_frame, write_frame};
 
@@ -40,11 +36,6 @@ pub struct WorkerConfig {
     /// `(block, repeat)` jobs held in flight at once (the coordinator
     /// pipelines up to this many assignments onto the connection).
     pub capacity: usize,
-    /// When set, each job writes a Chrome-trace JSON here, named
-    /// `<trace-id>.<worker>.b<block>.r<repeat>.trace.json` — one file per
-    /// `(block, repeat)`, so two repeats of one block never overwrite
-    /// each other.
-    pub trace_dir: Option<PathBuf>,
     /// Fault-drill hook: die (return an error, dropping the connection)
     /// upon *receiving* the Nth job, before exploring it — the
     /// deterministic stand-in for `kill -9` mid-assignment.
@@ -63,7 +54,6 @@ impl Default for WorkerConfig {
             connect: "127.0.0.1:8473".to_string(),
             name: "worker".to_string(),
             capacity: 1,
-            trace_dir: None,
             die_at_job: None,
             reconnect: true,
             retry_ms: 200,
@@ -82,39 +72,14 @@ enum Session {
     Died,
 }
 
-/// Cumulative worker-process telemetry, federated to the coordinator as
-/// [`MetricsReport`] frames on the heartbeat cadence. Counters are
-/// monotonic totals since worker start; the phase profile is merged per
-/// job with [`PhaseProfile::absorb`], so it stays one entry per span name
-/// no matter how many jobs the worker runs.
-#[derive(Default)]
-struct Telemetry {
-    jobs_completed: u64,
-    jobs_failed: u64,
-    phase_profile: PhaseProfile,
-}
-
-impl Telemetry {
-    fn report(&self, worker: &str) -> MetricsReport {
-        MetricsReport {
-            worker: worker.to_string(),
-            jobs_completed: self.jobs_completed,
-            jobs_failed: self.jobs_failed,
-            phase_profile: self.phase_profile.clone(),
-        }
-    }
-}
-
 /// Runs a worker until the coordinator closes the session (`Ok`), the
 /// connection is lost with reconnect disabled or exhausted, or the
 /// `die_at_job` drill fires (both `Err`).
 pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
     let mut jobs_received = 0usize;
-    // Telemetry survives reconnects: the counters describe the process.
-    let telemetry = Arc::new(Mutex::new(Telemetry::default()));
     loop {
         let stream = dial(config)?;
-        match serve_session(config, stream, &mut jobs_received, &telemetry)? {
+        match serve_session(config, stream, &mut jobs_received)? {
             Session::Closed => return Ok(()),
             Session::Died => {
                 return Err(format!(
@@ -152,7 +117,6 @@ fn serve_session(
     config: &WorkerConfig,
     mut stream: TcpStream,
     jobs_received: &mut usize,
-    telemetry: &Arc<Mutex<Telemetry>>,
 ) -> Result<Session, String> {
     let hello = Message::Hello(Hello {
         version: PROTOCOL_VERSION,
@@ -178,26 +142,19 @@ fn serve_session(
     };
 
     // Heartbeats go from their own thread through a shared write half, so
-    // a long-running block cannot starve the liveness signal. Each beat
-    // also carries a MetricsReport — the federation payload rides the
-    // cadence that already exists.
+    // a long-running block cannot starve the liveness signal.
     let write_half = Arc::new(Mutex::new(stream.try_clone().map_err(|e| e.to_string())?));
     // Dropping `stop` at session end wakes the beater mid-wait, so the
     // session ends at once instead of up to one heartbeat later.
     let (stop, stopped) = mpsc::channel::<()>();
     let beat_half = Arc::clone(&write_half);
-    let beat_telemetry = Arc::clone(telemetry);
-    let beat_name = config.name.clone();
     let beater = std::thread::Builder::new()
         .name(format!("isex-worker-{}-beat", config.name))
         .spawn(move || {
             let beat = Duration::from_millis(heartbeat_ms.max(10));
             while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(beat) {
-                let report = lock_unpoisoned(&beat_telemetry).report(&beat_name);
                 let mut half = lock_unpoisoned(&beat_half);
-                if write_frame(&mut *half, &Message::Heartbeat.encode()).is_err()
-                    || write_frame(&mut *half, &Message::MetricsReport(report).encode()).is_err()
-                {
+                if write_frame(&mut *half, &Message::Heartbeat.encode()).is_err() {
                     return;
                 }
             }
@@ -220,7 +177,7 @@ fn serve_session(
                 if config.die_at_job.is_some_and(|n| *jobs_received >= n) {
                     break 'conn Session::Died;
                 }
-                let (result, trace) = match run_job(config, &assign, telemetry) {
+                let (result, trace) = match run_job(config, &assign) {
                     Ok(r) => r,
                     Err(e) => {
                         // A job this worker cannot even parse, or one naming
@@ -240,8 +197,6 @@ fn serve_session(
                     for batch in spans.chunks(TRACE_CHUNK_SPANS.max(1)) {
                         let chunk = Message::TraceChunk(TraceChunk {
                             job_id: assign.job_id,
-                            worker: config.name.clone(),
-                            trace_id: assign.trace_id.clone(),
                             spans: batch.to_vec(),
                             threads: threads.clone(),
                         });
@@ -261,8 +216,7 @@ fn serve_session(
             | Message::HelloAck(_)
             | Message::Result(_)
             | Message::RepeatResult(_)
-            | Message::TraceChunk(_)
-            | Message::MetricsReport(_) => break 'conn Session::Lost,
+            | Message::TraceChunk(_) => break 'conn Session::Lost,
         }
     };
     drop(stop);
@@ -283,7 +237,6 @@ type JobTrace = (Vec<OwnedSpan>, Vec<(u64, String)>);
 fn run_job(
     config: &WorkerConfig,
     assign: &JobAssign,
-    telemetry: &Arc<Mutex<Telemetry>>,
 ) -> Result<(RepeatResult, Option<JobTrace>), String> {
     let parsed =
         serde_json::parse(&assign.request).map_err(|e| format!("bad request JSON: {e}"))?;
@@ -300,8 +253,7 @@ fn run_job(
             assign.block_index
         ));
     }
-    let ship_spans = assign.collect_spans;
-    let tracer = if ship_spans || config.trace_dir.is_some() {
+    let tracer = if assign.collect_spans {
         isex_trace::Tracer::with_trace_id(&assign.trace_id)
     } else {
         isex_trace::Tracer::disabled()
@@ -334,24 +286,7 @@ fn run_job(
             .expect("one job, one outcome")
     };
 
-    {
-        let mut t = lock_unpoisoned(telemetry);
-        t.jobs_completed += 1;
-        if matches!(outcome, RepeatOutcome::Panicked(_)) {
-            t.jobs_failed += 1;
-        }
-        t.phase_profile.absorb(tracer.phase_profile().0);
-    }
-
-    if let Some(dir) = &config.trace_dir {
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(
-            dir.join(trace_file_name(assign, &config.name)),
-            tracer.chrome_trace(),
-        );
-    }
-
-    let trace = ship_spans.then(|| {
+    let trace = assign.collect_spans.then(|| {
         let spans: Vec<OwnedSpan> = tracer.records().iter().map(OwnedSpan::from).collect();
         let threads: Vec<(u64, String)> = spans
             .iter()
@@ -366,7 +301,6 @@ fn run_job(
     Ok((
         RepeatResult {
             job_id: assign.job_id,
-            worker: config.name.clone(),
             run_key: run_key(&cfg, &program, request.seed),
             block_index: assign.block_index,
             repeat: assign.repeat,
@@ -374,13 +308,4 @@ fn run_job(
         },
         trace,
     ))
-}
-
-/// The per-job trace file under [`WorkerConfig::trace_dir`]:
-/// `<trace-id>.<worker>.b<block>.r<repeat>.trace.json`.
-fn trace_file_name(assign: &JobAssign, worker: &str) -> String {
-    format!(
-        "{}.{}.b{}.r{}.trace.json",
-        assign.trace_id, worker, assign.block_index, assign.repeat
-    )
 }

@@ -664,6 +664,89 @@ fn traced_cluster_run_merges_one_chrome_trace_without_changing_bytes() {
         "at least one worker span is parented under a coordinator dispatch span"
     );
 
+    // Two repeats of a block never collide, on one worker or two: the
+    // merged trace holds one `worker.block` span per `(block, repeat)`,
+    // each with its own `repeat` arg.
+    let arg = |e: &Value, key: &str| {
+        let value = e
+            .get("args")
+            .and_then(|a| a.get(key))
+            .and_then(Value::as_str);
+        value.expect("worker.block args").to_string()
+    };
+    let mut jobs: Vec<(String, String)> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("worker.block"))
+        .map(|e| (arg(e, "block"), arg(e, "repeat")))
+        .collect();
+    jobs.sort();
+    let expected: Vec<(String, String)> = (0..2)
+        .flat_map(|b| (0..request.repeats).map(move |r| (b.to_string(), r.to_string())))
+        .collect();
+    assert_eq!(jobs, expected, "one worker.block span per (block, repeat)");
+
+    Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
+    let _ = (w0.join(), w1.join());
+}
+
+#[test]
+fn the_coordinator_counts_each_workers_results_as_they_arrive() {
+    use serde::Value;
+
+    // Heartbeats far apart: nothing about the counts waits for a beat.
+    let coord = coordinator(5_000, None);
+    let w0 = spawn_worker(coord.addr(), "c0");
+    let w1 = spawn_worker(coord.addr(), "c1");
+    assert!(coord.wait_for_workers(2, Duration::from_secs(10)));
+
+    let request = small_request(29);
+    let plan = FaultPlan::parse("panic@0.1").expect("valid plan");
+    let mut cfg = request.flow_config();
+    cfg.fault_plan = Some(plan.clone());
+    cfg.tracer = isex_trace::Tracer::with_trace_id("counts");
+    let program = request.program();
+    let none = CancelToken::new();
+    let run = coord.run(&request, &cfg, &program, &NullSink, &none, "counts", None);
+    let (report, metrics) = run.expect("cluster run completes");
+    assert_eq!(
+        report_json(&report),
+        report_json(&single_node(&request, Some(plan)))
+    );
+    assert_eq!(metrics.jobs_failed, 1, "repeat 1 of block 0 panicked");
+
+    // The worker that ran the panicking repeat, from the merged trace.
+    let trace = serde_json::parse(&cfg.tracer.chrome_trace()).expect("valid JSON");
+    let ran: Vec<&str> = trace
+        .as_array()
+        .expect("trace-event array")
+        .iter()
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("worker.block"))
+        .filter_map(|e| e.get("args"))
+        .filter(|a| a.get("block").and_then(Value::as_str) == Some("0"))
+        .filter(|a| a.get("repeat").and_then(Value::as_str) == Some("1"))
+        .filter_map(|a| a.get("worker").and_then(Value::as_str))
+        .collect();
+    let [panicked] = ran[..] else {
+        panic!("one worker ran block 0 repeat 1: {ran:?}");
+    };
+
+    // Read at once: every count arrived with its result.
+    let rollup = coord.metrics_value();
+    let leaf = |worker: &str, key: &str| {
+        let value = rollup.get("worker").and_then(|w| w.get(worker));
+        value.and_then(|v| v.get(key)).and_then(Value::as_u64)
+    };
+    let mut answered = 0;
+    for worker in ["c0", "c1"] {
+        let jobs = stat_count(&metrics, &format!("cluster.worker.{worker}.jobs"));
+        assert!(jobs >= 1, "{worker} answered a job");
+        assert_eq!(leaf(worker, "jobs_completed"), Some(jobs), "{worker}");
+        let failed = u64::from(worker == panicked);
+        assert_eq!(leaf(worker, "jobs_failed"), Some(failed), "{worker}");
+        answered += jobs;
+    }
+    assert_eq!(answered as usize, metrics.jobs_total);
+
     Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
     let _ = (w0.join(), w1.join());
 }
@@ -679,10 +762,11 @@ fn hostile_bytes_on_the_cluster_port_do_not_wedge_the_coordinator() {
     drop(garbage);
 
     // A version-skewed Hello is refused with a Goodbye, from the past
-    // (version 1, whose sessions negotiated their observability frames)
-    // as from the future.
+    // (version 1, whose sessions negotiated their observability frames;
+    // version 3, whose workers sent heartbeat-borne metrics) as from the
+    // future.
     let mut skewed = Vec::new();
-    for version in [1, PROTOCOL_VERSION + 1] {
+    for version in [1, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
         let mut stream = TcpStream::connect(coord.addr()).expect("connect");
         let hello = Message::Hello(Hello {
             version,
@@ -800,50 +884,6 @@ fn one_heavy_block_splits_its_repeats_across_two_workers() {
     let _ = (w0.join(), w1.join());
 }
 
-#[test]
-fn worker_trace_files_are_named_per_repeat() {
-    use serde::Value;
-
-    let dir = std::env::temp_dir().join(format!("isex-cluster-traces-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let coord = coordinator(200, None);
-    // One worker runs both repeats of the one block: without the repeat
-    // in the file name the second trace would overwrite the first.
-    let trace_dir = dir.clone();
-    let w0 = spawn_worker_with(coord.addr(), "tf", move |c| c.trace_dir = Some(trace_dir));
-    assert!(coord.wait_for_workers(1, Duration::from_secs(10)));
-
-    let request = one_block_request(17);
-    let (report, _) = cluster_run(&coord, &request, None);
-    assert_eq!(
-        report_json(&report),
-        report_json(&single_node(&request, None))
-    );
-    for repeat in 0..2 {
-        let path = dir.join(format!("trace-test.tf.b0.r{repeat}.trace.json"));
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{} missing: {e}", path.display()));
-        let parsed = serde_json::parse(&text).expect("chrome trace is valid JSON");
-        let span_repeats: Vec<&str> = parsed
-            .as_array()
-            .expect("trace-event array")
-            .iter()
-            .filter(|e| e.get("name").and_then(Value::as_str) == Some("worker.block"))
-            .filter_map(|e| e.get("args")?.get("repeat")?.as_str())
-            .collect();
-        assert_eq!(
-            span_repeats,
-            vec![repeat.to_string().as_str()],
-            "{} holds its own repeat's worker.block span",
-            path.display()
-        );
-    }
-
-    Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
-    let _ = w0.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A hand-rolled worker named `name`, past its handshake.
 fn hand_rolled_worker(coord: &Coordinator, name: &str) -> TcpStream {
     let mut stream = TcpStream::connect(coord.addr()).expect("connect");
@@ -858,8 +898,8 @@ fn hand_rolled_worker(coord: &Coordinator, name: &str) -> TcpStream {
     stream
 }
 
-/// The answer a real worker named `worker` gives `assign`.
-fn real_answer(assign: &JobAssign, worker: &str) -> RepeatResult {
+/// The answer a real worker gives `assign`.
+fn real_answer(assign: &JobAssign) -> RepeatResult {
     let request = serde_json::parse(&assign.request).expect("request JSON");
     let request = ExploreRequest::from_json(&request).expect("request");
     let (cfg, program, none) = (request.flow_config(), request.program(), CancelToken::new());
@@ -867,7 +907,6 @@ fn real_answer(assign: &JobAssign, worker: &str) -> RepeatResult {
     let outcome = isex_flow::explore_repeats(&cfg, &program, request.seed, &job, &NullSink, &none);
     RepeatResult {
         job_id: assign.job_id,
-        worker: worker.to_string(),
         run_key: isex_flow::run_key(&cfg, &program, request.seed),
         block_index: assign.block_index,
         repeat: assign.repeat,
@@ -897,7 +936,7 @@ fn duplicate_repeat_results_are_dropped() {
     let answerer = std::thread::spawn(move || {
         let mut answered = 0usize;
         while let Some(assign) = next_assign(&mut stream) {
-            let first = real_answer(&assign, "twice");
+            let first = real_answer(&assign);
             let duplicate = RepeatResult {
                 outcome: RepeatOutcome::Panicked("duplicate".to_string()),
                 ..first.clone()
@@ -957,7 +996,7 @@ fn a_cut_runs_late_result_leaves_the_next_run_alone() {
         let mut reader = stream.try_clone().unwrap();
         let later = std::iter::from_fn(|| next_assign(&mut reader));
         for assign in std::iter::once(held).chain(early).chain(later) {
-            let result = Message::RepeatResult(real_answer(&assign, "late"));
+            let result = Message::RepeatResult(real_answer(&assign));
             if write_frame(&mut stream, &result.encode()).is_err() {
                 break;
             }

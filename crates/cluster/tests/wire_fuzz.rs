@@ -5,14 +5,13 @@
 //! a typed [`WireError`]; well-formed messages round-trip losslessly.
 
 use isex_cluster::messages::{
-    Hello, HelloAck, JobAssign, JobResult, Message, MetricsReport, RepeatResult, TraceChunk,
-    PROTOCOL_VERSION,
+    Hello, HelloAck, JobAssign, JobResult, Message, RepeatResult, TraceChunk, PROTOCOL_VERSION,
 };
 use isex_cluster::wire::{read_frame, Frame, OpCode, WireError, MAX_FRAME_BYTES};
 use isex_core::{Exploration, IseCandidate};
 use isex_dfg::{NodeId, NodeSet};
 use isex_flow::{CheckpointEntry, RepeatOutcome};
-use isex_trace::{OwnedSpan, PhaseProfile, PhaseStat};
+use isex_trace::OwnedSpan;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -171,61 +170,31 @@ fn arb_message() -> impl Strategy<Value = Message> {
             })
         }),
         (
-            (any::<u64>(), "[a-z0-9]{1,12}", "[a-z0-9{}\",:]{0,40}"),
+            (any::<u64>(), "[a-z0-9{}\",:]{0,40}"),
             (0usize..64, 0usize..8),
             arb_outcome(),
         )
-            .prop_map(
-                |((job_id, worker, run_key), (block_index, repeat), outcome)| {
-                    Message::RepeatResult(RepeatResult {
-                        job_id,
-                        worker,
-                        run_key,
-                        block_index,
-                        repeat,
-                        outcome,
-                    })
-                }
-            ),
+            .prop_map(|((job_id, run_key), (block_index, repeat), outcome)| {
+                Message::RepeatResult(RepeatResult {
+                    job_id,
+                    run_key,
+                    block_index,
+                    repeat,
+                    outcome,
+                })
+            }),
         (
             any::<u64>(),
-            "[a-z0-9]{1,12}",
-            "[a-z0-9-]{0,24}",
             proptest::collection::vec(arb_span(), 0..4),
             proptest::collection::vec((any::<u64>(), "[ -~]{0,12}"), 0..3),
         )
-            .prop_map(|(job_id, worker, trace_id, spans, threads)| {
+            .prop_map(|(job_id, spans, threads)| {
                 Message::TraceChunk(TraceChunk {
                     job_id,
-                    worker,
-                    trace_id,
                     spans,
                     threads,
                 })
             }),
-        (
-            "[a-z0-9]{1,12}",
-            (any::<u64>(), any::<u64>()),
-            proptest::collection::vec(("[a-z.]{1,16}", any::<u64>(), 0u32..1000, 0u32..1000), 0..4),
-        )
-            .prop_map(|(worker, (jobs_completed, jobs_failed), phases)| {
-                Message::MetricsReport(MetricsReport {
-                    worker,
-                    jobs_completed,
-                    jobs_failed,
-                    phase_profile: PhaseProfile(
-                        phases
-                            .into_iter()
-                            .map(|(name, count, total, max)| PhaseStat {
-                                name,
-                                count,
-                                total_ms: total as f64,
-                                max_ms: max as f64,
-                            })
-                            .collect(),
-                    ),
-                })
-            },),
         Just(Message::Heartbeat),
         Just(Message::Goodbye),
     ]
@@ -369,7 +338,6 @@ proptest! {
     ) {
         let mut frame = Message::RepeatResult(RepeatResult {
             job_id: 1,
-            worker: "w".to_string(),
             run_key: "k".to_string(),
             block_index: 0,
             repeat: 1,
@@ -418,14 +386,27 @@ fn every_known_opcode_round_trips_and_unknowns_do_not() {
         OpCode::Heartbeat,
         OpCode::Goodbye,
         OpCode::TraceChunk,
-        OpCode::MetricsReport,
         OpCode::RepeatResult,
     ] {
         assert_eq!(OpCode::from_u8(op as u8), Some(op));
     }
     assert_eq!(OpCode::from_u8(0), None);
+    assert_eq!(OpCode::from_u8(8), None, "8 is retired");
     assert_eq!(OpCode::from_u8(10), None);
     assert_eq!(OpCode::from_u8(255), None);
+}
+
+#[test]
+fn the_retired_metrics_opcode_is_unknown() {
+    // A protocol-3 worker's heartbeat-borne metrics frame, as it sent it.
+    let mut bytes = vec![8];
+    let payload = br#"{"worker":"w0","jobs_completed":1,"jobs_failed":0,"phase_profile":[]}"#;
+    bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(payload);
+    match read_frame(&mut bytes.as_slice()) {
+        Err(WireError::UnknownOpCode(8)) => {}
+        other => panic!("expected UnknownOpCode(8), got {other:?}"),
+    }
 }
 
 #[test]

@@ -406,6 +406,9 @@ pub struct ServerMetrics {
     pub degraded_runs: AtomicU64,
     /// `200` responses that carried `"degraded": true`.
     pub degraded_responses: AtomicU64,
+    /// Spans the traced runs' Chrome traces left out because the trace
+    /// buffer was full (each such file ends in a `dropped_spans` record).
+    pub trace_spans_dropped: AtomicU64,
     /// Store writes that failed (`store.write_errors`).
     pub(crate) store_write_errors: AtomicU64,
     /// EWMA of completed-run wall time, microseconds (`0` until the first
@@ -539,6 +542,7 @@ impl ServerMetrics {
                     ("shed_overload", count(&self.shed_overload)),
                     ("degraded_runs", count(&self.degraded_runs)),
                     ("degraded_responses", count(&self.degraded_responses)),
+                    ("trace_spans_dropped", count(&self.trace_spans_dropped)),
                     ("run_cost_ewma_ms", gauge(self.run_cost_ewma_ms())),
                 ]),
             ),
@@ -642,7 +646,7 @@ mod tests {
             };
             assert_eq!(*kind, want, "{path}");
         }
-        assert_eq!(leaves.len(), 1 + 7 + 5 + 8 + 2 * 18 + 9);
+        assert_eq!(leaves.len(), 1 + 7 + 5 + 9 + 2 * 18 + 9);
     }
 
     #[test]

@@ -415,6 +415,8 @@ fn run_one(state: &Arc<ServerState>, job: &Arc<Job>) {
             written.push(trace_path);
         }
         state.trace_ring.push(written);
+        let dropped = &state.metrics.trace_spans_dropped;
+        dropped.fetch_add(tracer.dropped(), Ordering::Relaxed);
     }
 
     if run_metrics.blocks_explored > 0

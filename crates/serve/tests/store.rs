@@ -334,7 +334,7 @@ const METRIC_PATHS: &str = "
     : uptime_ms
     queue: depth capacity in_flight jobs_completed jobs_failed last_failure rejected_queue_full
     cache: hits misses hit_rate entries capacity
-    requests: deadline_timeouts runs_cancelled runs_failed worker_restarts shed_overload degraded_runs degraded_responses run_cost_ewma_ms
+    requests: deadline_timeouts runs_cancelled runs_failed worker_restarts shed_overload degraded_runs degraded_responses trace_spans_dropped run_cost_ewma_ms
     latency.explore: HISTOGRAM
     latency.control: HISTOGRAM
     engine: runs jobs_completed jobs_failed worker_restarts ant_iterations candidates_generated candidates_accepted explore_ms total_ms

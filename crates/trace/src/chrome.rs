@@ -28,7 +28,8 @@ pub struct ProcessSpans {
     pub threads: Vec<(u64, String)>,
 }
 
-fn metadata_event(kind: &str, pid: u64, tid: u64, name: &str) -> Value {
+/// A `"M"` metadata event whose `args` hold the one field `arg`.
+fn metadata_event(kind: &str, pid: u64, tid: u64, arg: (&str, Value)) -> Value {
     Value::Object(vec![
         ("name".into(), Value::String(kind.to_string())),
         ("ph".into(), Value::String("M".into())),
@@ -36,9 +37,13 @@ fn metadata_event(kind: &str, pid: u64, tid: u64, name: &str) -> Value {
         ("tid".into(), Value::U64(tid)),
         (
             "args".into(),
-            Value::Object(vec![("name".into(), Value::String(name.to_string()))]),
+            Value::Object(vec![(arg.0.to_string(), arg.1)]),
         ),
     ])
+}
+
+fn name_arg(name: &str) -> (&'static str, Value) {
+    ("name", Value::String(name.to_string()))
 }
 
 /// Renders several processes' spans as ONE Chrome trace-event JSON array:
@@ -47,18 +52,22 @@ fn metadata_event(kind: &str, pid: u64, tid: u64, name: &str) -> Value {
 /// metadata. Span ids are emitted as args verbatim — callers remap them
 /// into one shared id space first (see `Tracer::inject_remote`), so a
 /// `parent` arg on one lane can point at a span on another: the
-/// cross-process parent link.
+/// cross-process parent link. A non-zero `dropped` adds one last metadata
+/// record, `dropped_spans` with that `count`, so a truncated trace says
+/// so; an untruncated one renders exactly as without it.
 pub fn chrome_trace_multi_json(
     local: &ProcessSpans,
     remote: &[ProcessSpans],
     trace_id: Option<&str>,
+    dropped: u64,
 ) -> String {
     let mut events = Vec::new();
     for (index, process) in std::iter::once(local).chain(remote.iter()).enumerate() {
         let pid = TRACE_PID + index as u64;
-        events.push(metadata_event("process_name", pid, 0, &process.name));
+        let process_name = name_arg(&process.name);
+        events.push(metadata_event("process_name", pid, 0, process_name));
         for (tid, name) in &process.threads {
-            events.push(metadata_event("thread_name", pid, *tid, name));
+            events.push(metadata_event("thread_name", pid, *tid, name_arg(name)));
         }
         for span in &process.spans {
             let mut args: Vec<(String, Value)> = vec![("id".into(), Value::U64(span.id))];
@@ -82,6 +91,10 @@ pub fn chrome_trace_multi_json(
                 ("args".into(), Value::Object(args)),
             ]));
         }
+    }
+    if dropped > 0 {
+        let count = ("count", Value::U64(dropped));
+        events.push(metadata_event("dropped_spans", TRACE_PID, 0, count));
     }
     serde_json::value_to_string(&Value::Array(events))
 }
@@ -107,7 +120,7 @@ mod tests {
             spans: records.iter().map(OwnedSpan::from).collect(),
             threads: threads.iter().map(|&(t, n)| (t, n.to_string())).collect(),
         };
-        chrome_trace_multi_json(&local, &[], trace_id)
+        chrome_trace_multi_json(&local, &[], trace_id, 0)
     }
 
     #[test]
@@ -219,7 +232,7 @@ mod tests {
             }],
             threads: vec![(1, "session".to_string())],
         }];
-        let text = chrome_trace_multi_json(&local, &remote, Some("t-2"));
+        let text = chrome_trace_multi_json(&local, &remote, Some("t-2"), 0);
         let parsed = serde_json::parse(&text).expect("valid JSON");
         let events = parsed.as_array().expect("trace-event array");
         // 2 process_name + 2 thread_name + 2 spans.

@@ -19,9 +19,10 @@
 //! work, which installs a per-thread context (parent stack + record
 //! buffer). Buffers drain into the tracer's central sink in batches under a
 //! short-held mutex. Each drained span is folded into the per-name profile;
-//! the record buffer the Chrome export reads is bounded, and records past
-//! its capacity are counted in [`Tracer::dropped`] rather than growing
-//! without bound.
+//! the record buffer the Chrome export reads is bounded — spans merged in
+//! from other processes share the same capacity — and records past it are
+//! counted in [`Tracer::dropped`] rather than growing without bound. A
+//! truncated export says so in one metadata record.
 //!
 //! Exporters: [`Tracer::chrome_trace`] renders Chrome trace-event JSON
 //! (loadable in Perfetto / `chrome://tracing`, one `pid` per process, one
@@ -39,7 +40,7 @@ pub use profile::{PhaseProfile, PhaseStat};
 
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -132,8 +133,9 @@ struct RemoteProcess {
     threads: Vec<(u64, String)>,
 }
 
-/// Where drained spans land: every one folds into `profile`; the first
-/// `capacity` are also kept as records for the Chrome export.
+/// Where drained spans land: every one folds into `profile`; those that
+/// fit the tracer's capacity are also kept as records for the Chrome
+/// export.
 #[derive(Default)]
 struct Sink {
     records: Vec<SpanRecord>,
@@ -143,6 +145,8 @@ struct Sink {
 struct Inner {
     epoch: Instant,
     next_id: AtomicU64,
+    /// Records kept for the export, local and remote: at most `capacity`.
+    held: AtomicUsize,
     dropped: AtomicU64,
     capacity: usize,
     trace_id: Option<String>,
@@ -156,16 +160,28 @@ impl Inner {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn push_records<I: IntoIterator<Item = SpanRecord>>(&self, records: I) {
+    /// Takes up to `n` of the export's free slots, which local and remote
+    /// spans share, and counts the rest as dropped; returns how many it
+    /// took.
+    fn reserve(&self, n: usize) -> usize {
+        let room = |held: usize| n.min(self.capacity.saturating_sub(held));
+        let held = self
+            .held
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| Some(h + room(h)))
+            .unwrap_or_else(|h| h);
+        let taken = room(held);
+        self.dropped
+            .fetch_add((n - taken) as u64, Ordering::Relaxed);
+        taken
+    }
+
+    fn push_records(&self, records: Vec<SpanRecord>) {
         let mut sink = lock_unpoisoned(&self.sink);
-        for r in records {
+        for r in &records {
             sink.profile.record(r.name, r.dur_ns);
-            if sink.records.len() < self.capacity {
-                sink.records.push(r);
-            } else {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
         }
+        let kept = self.reserve(records.len());
+        sink.records.extend(records.into_iter().take(kept));
     }
 
     fn register_thread(&self, tid: u64) {
@@ -225,6 +241,7 @@ impl Tracer {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
                 next_id: AtomicU64::new(1),
+                held: AtomicUsize::new(0),
                 dropped: AtomicU64::new(0),
                 capacity,
                 trace_id,
@@ -268,7 +285,12 @@ impl Tracer {
     /// the remote work (the cluster's `job.dispatch` → `worker.block`
     /// cross-process link). `offset_ns` shifts the remote timestamps,
     /// which are relative to the *remote* tracer's epoch, onto this
-    /// tracer's timeline. No-op when disabled.
+    /// tracer's timeline.
+    ///
+    /// Remote spans count against this tracer's capacity and
+    /// [`Tracer::dropped`] as local ones do: the first spans of the batch
+    /// that fit are kept, and a kept span whose parent was dropped is
+    /// re-parented onto `parent`. No-op when disabled.
     pub fn inject_remote(
         &self,
         process: &str,
@@ -278,6 +300,7 @@ impl Tracer {
         threads: &[(u64, String)],
     ) {
         let Some(inner) = &self.inner else { return };
+        let spans = &spans[..inner.reserve(spans.len())];
         if spans.is_empty() && threads.is_empty() {
             return;
         }
@@ -339,8 +362,9 @@ impl Tracer {
             .collect()
     }
 
-    /// Records left out of the export because the central buffer was
-    /// full. The phase profile counts them all the same.
+    /// Records left out of the export because its buffer was full, local
+    /// spans and spans merged in from other processes alike. The phase
+    /// profile counts the local ones all the same.
     pub fn dropped(&self) -> u64 {
         self.inner
             .as_ref()
@@ -429,7 +453,9 @@ impl Tracer {
     /// Local spans take `pid` 1 under the process name `isex run <id>`.
     /// Spans from other processes merged in via [`Tracer::inject_remote`]
     /// each get their own `pid` and `process_name` metadata, so a cluster
-    /// run renders as one trace with a lane per node.
+    /// run renders as one trace with a lane per node. When spans were
+    /// dropped, a final `dropped_spans` metadata record carries
+    /// [`Tracer::dropped`].
     pub fn chrome_trace(&self) -> String {
         let Some(inner) = &self.inner else {
             return "[]".to_string();
@@ -447,7 +473,9 @@ impl Tracer {
                 .collect(),
             threads: lock_unpoisoned(&inner.threads).clone(),
         };
-        chrome::chrome_trace_multi_json(&local, &self.remote_processes(), inner.trace_id.as_deref())
+        let remote = self.remote_processes();
+        let trace_id = inner.trace_id.as_deref();
+        chrome::chrome_trace_multi_json(&local, &remote, trace_id, self.dropped())
     }
 
     /// Drains the calling thread's buffer (if it belongs to this tracer)
@@ -718,6 +746,77 @@ mod tests {
         assert_eq!(t.dropped(), 6);
         // The export is bounded; the profile still counts every span.
         assert_eq!(t.phase_profile().get("tick").map(|s| s.count), Some(10));
+        // And the export says what it left out, in one metadata record.
+        let text = t.chrome_trace();
+        assert!(
+            text.ends_with(
+                r#"{"name":"dropped_spans","ph":"M","pid":1,"tid":0,"args":{"count":6}}]"#
+            ),
+            "{text}"
+        );
+        assert_eq!(text.matches("dropped_spans").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn an_untruncated_export_carries_no_dropped_record() {
+        let t = Tracer::with_capacity(4);
+        {
+            let _at = t.attach();
+            let _s = span("tick");
+        }
+        assert_eq!(t.dropped(), 0);
+        assert!(!t.chrome_trace().contains("dropped_spans"));
+    }
+
+    #[test]
+    fn remote_spans_share_the_capacity_and_the_dropped_count() {
+        let t = Tracer::with_capacity(4);
+        let dispatch = t.span("job.dispatch");
+        let dispatch_id = dispatch.id().unwrap();
+        drop(dispatch);
+        // Five remote spans, children closed before their parents as a
+        // tracer records them: 1 under 2 under 4; 3 and 5 are roots.
+        let remote: Vec<OwnedSpan> = [(1, Some(2)), (2, Some(4)), (3, None), (4, None), (5, None)]
+            .into_iter()
+            .map(|(id, parent)| OwnedSpan {
+                id,
+                parent,
+                name: format!("remote.{id}"),
+                start_ns: 0,
+                dur_ns: 1,
+                tid: 1,
+                args: Vec::new(),
+            })
+            .collect();
+        t.inject_remote("isex worker w0", Some(dispatch_id), 0, &remote, &[]);
+        // One local span held a slot: three remote spans fit, two drop.
+        let processes = t.remote_processes();
+        let kept = &processes[0].spans;
+        let names: Vec<&str> = kept.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["remote.1", "remote.2", "remote.3"]);
+        assert_eq!(t.dropped(), 2);
+        // Span 2 lost its parent (4) to the cap: it hangs under the
+        // dispatch span, so the merged tree stays well formed.
+        assert_eq!(kept[0].parent, Some(kept[1].id));
+        assert_eq!(kept[1].parent, Some(dispatch_id));
+        // A full buffer drops later local spans and remote batches alike.
+        drop(t.span("late.local"));
+        t.inject_remote("isex worker w1", Some(dispatch_id), 0, &remote[..1], &[]);
+        assert_eq!(t.records().len(), 1);
+        assert_eq!(
+            t.remote_processes().len(),
+            1,
+            "an all-dropped batch adds no lane"
+        );
+        assert_eq!(t.dropped(), 4);
+        let text = t.chrome_trace();
+        assert!(text.contains(r#""args":{"count":4}"#), "{text}");
+        // Every kept span's parent is a kept span or the dispatch span.
+        let ids: Vec<u64> = kept.iter().map(|s| s.id).collect();
+        for span in kept {
+            let parent = span.parent.expect("remote spans hang under the dispatch");
+            assert!(parent == dispatch_id || ids.contains(&parent), "{span:?}");
+        }
     }
 
     #[test]

@@ -55,8 +55,10 @@
 //!   (with --store-dir, completed blocks are saved there and resumed)
 //!
 //! worker options:
-//!   --connect HOST:PORT  --name NAME  --capacity N  --trace-dir DIR
-//!   --die-after-jobs N  --no-reconnect  --retry-ms N  --dial-attempts N
+//!   --connect HOST:PORT  --name NAME  --capacity N  --die-after-jobs N
+//!   --no-reconnect  --retry-ms N  --dial-attempts N
+//!   (a worker writes no trace files: a traced run's worker spans go into
+//!   the coordinator's one merged trace)
 //!
 //! top options:
 //!   --server HOST:PORT     the isexd (or coordinator) to watch (required)
